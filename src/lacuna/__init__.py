@@ -1,6 +1,6 @@
 """lacuna: pattern-avoiding nested cube sets with exact certificates.
 
-Builds, to finite depth and in exact rational arithmetic, compact unions of
+Builds, to finite depth and in exact arithmetic, compact unions of
 nested cubes inside [1,2]^d that avoid a given list of linear patterns on
 scheduled tuples, together with machine-checkable certificates: per-entry
 avoidance gaps and a mass-distribution lower bound for the generalized
@@ -35,6 +35,7 @@ from .certify import (
 from .dimfn import DimensionFunction, make_dimfn, parse_dimfn
 from .engine import (
     ConstructionState,
+    block_lattice,
     build,
     build_tree,
     init_state,
@@ -75,6 +76,7 @@ __all__ = [
     "NormalizedPattern",
     "ScheduleEntry",
     "ScheduleParams",
+    "block_lattice",
     "box_dimension_profile",
     "brute_oracle",
     "build",

@@ -25,7 +25,6 @@ margin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +41,7 @@ from .errors import (
     RejectUnit,
     ZeroPattern,
 )
+from .jsonfile import write_json
 from .pattern import LinearPattern, make_pattern
 from .qmath import exp_bounds, format_rational, ln_bounds, parse_rational
 from .schedule import DEFAULT_LEVEL_CAP
@@ -450,9 +450,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
             precision=app.precision,
             level_cap=app.level_cap,
         )
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(difference_report_to_doc(report), fh, indent=1)
-            fh.write("\n")
+        write_json(difference_report_to_doc(report), out / "report.json")
     else:
         d, patterns = app_patterns(app)
         h = parse_dimfn(app.h_spec, d)
@@ -466,9 +464,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
         measure = certify.certify_measure(state)
     report = certify.AvoidanceReport(gaps=tuple(gaps), measure=measure)
     engine.write_tree(state, out / "tree.json")
-    with open(out / "cert.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_doc(), fh, indent=1)
-        fh.write("\n")
+    write_json(report.to_doc(), out / "cert.json")
     return {
         "kind": app.kind,
         "d": state.d,

@@ -10,6 +10,14 @@ integer lattice vector of every placed cube exactly and either minimizes
 |psi| over center combinations exactly or falls back to the structural
 bound.  Nothing is trusted from the build.
 
+The geometry arrives as the engine stores it: per level one denominator
+and every lower corner as integer numerators over it, the cubes in implicit
+address order, so the placed cubes under a tuple member are one contiguous
+index range.  Recovering a lattice vector is a divisibility test on
+integers.  The oracle and the coverage checks take rational points; they
+scale them once to a common denominator and then work on integers too.
+Fractions remain in the sampled cross-checks and in the measure code.
+
 The measure certificate is the mass-distribution principle made concrete:
 with the uniform cube mass mu(I_k) = 1/N_k, the per-level bound
 1/N_k <= h(sqrt(d) * delta_k) for k0 <= k <= depth (k0 = first avoidance
@@ -27,8 +35,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
-from .engine import ConstructionState
+from .engine import BlockLattice, ConstructionState, IntVector, Vector, block_lattice
 from .errors import (
     EntryNotProcessed,
     GapViolated,
@@ -93,47 +102,34 @@ def _entry_of(state: ConstructionState, entry: ScheduleEntry | int) -> ScheduleE
     return entry
 
 
-def placed_blocks(
-    state: ConstructionState, entry: ScheduleEntry
-) -> list[list[tuple[Fraction, ...]]]:
-    """Lower corners of the avoidance-level cubes under each tuple member."""
+def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[IntVector]]:
+    """Lower corners of the avoidance-level cubes under each tuple member.
+
+    Corners are numerators over the denominator of level entry.m_level.
+    """
     if entry.m_level > state.depth:
         raise EntryNotProcessed(
             f"entry {entry.index} schedules level {entry.m_level}, build stops at {state.depth}"
         )
-    level = state.levels[entry.m_level]
+    lowers = state.levels[entry.m_level].lowers
     shift = state.d * (state.ndigits(entry.m_level) - state.ndigits(entry.level))
-    block_of = {code: b for b, code in enumerate(entry.tuple_codes)}
-    out: list[list[tuple[Fraction, ...]]] = [[] for _ in entry.tuple_codes]
-    for code, lower in zip(level.codes, level.lowers):
-        b = block_of.get(code >> shift)
-        if b is not None:
-            out[b].append(lower)
+    out = [lowers[t << shift : (t + 1) << shift] for t in entry.tuple_codes]
     if any(not blk for blk in out):
         raise EntryNotProcessed(f"entry {entry.index} has an empty tuple block")
     return out
 
 
-def _recover_residue(
-    np_: NormalizedPattern, block: int, lower: tuple[Fraction, ...], delta: Fraction
-) -> int:
+def _recover_residue(lattice: BlockLattice, signs: list[int], lower: IntVector) -> int:
     """Signed lattice residue sum of one placed cube; exact or GapViolated."""
     residue = 0
-    half = Fraction(1, 2)
-    c4 = 4 * np_.peak
-    for v in range(np_.d):
-        y = lower[v] / delta + half
-        shift = 2 * np_.peak if (block == np_.m - 1 and v == np_.pivot) else 0
-        z = (y - shift) / (c4 * np_.scales[block][v])
-        if z.denominator != 1:
-            raise GapViolated(
-                f"cube at {lower} is off the avoidance lattice on axis {v}"
-            )
-        b = np_.base.coeffs[block][v]
-        if b > 0:
-            residue += z.numerator
-        elif b < 0:
-            residue -= z.numerator
+    half = lattice.side // 2
+    for v, (x, step, shift, sign) in enumerate(
+        zip(lower, lattice.steps, lattice.shifts, signs)
+    ):
+        z, off = divmod(x + half - shift, step)
+        if off:
+            raise GapViolated(f"placed cube {lower} is off the avoidance lattice on axis {v}")
+        residue += sign * z
     return residue
 
 
@@ -146,24 +142,23 @@ def _min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
     Returns (minimum, exact); exact=False falls back to the structural
     bound 1/2 when the sumset outgrows COMBO_CAP.
     """
-    half = Fraction(1, 2)
     sets = sorted((sorted(set(r)) for r in residues), key=len)
     acc: list[int] = [0]
     for s in sets[:-1]:
         if len(acc) * len(s) > COMBO_CAP:
-            return half, False
+            return Fraction(1, 2), False
         acc = sorted({a + b for a in acc for b in s})
     last = sets[-1]
-    best = None
+    best = None  # min |2*(n_1 + ... + n_m) + 1|
     for a in acc:
         # n_last closest to -1/2 - a lies at one of these two positions
         i = bisect.bisect_left(last, -a)
         for j in (i - 1, i):
             if 0 <= j < len(last):
-                v = abs(Fraction(a + last[j]) + half)
+                v = abs(2 * (a + last[j]) + 1)
                 if best is None or v < best:
                     best = v
-    return best, True
+    return Fraction(best, 2), True
 
 
 def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCertificate:
@@ -176,13 +171,16 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
     delta = state.side(entry.m_level)
+    side = state.side_num(entry.m_level)
+    _, sqrt_hi = sqrt_d_bounds(state.d)
     blocks = placed_blocks(state, entry)
-    residues = [
-        [_recover_residue(np_, b, lower, delta) for lower in blk]
-        for b, blk in enumerate(blocks)
-    ]
+    residues = []
+    for b, blk in enumerate(blocks):
+        lattice = block_lattice(np_, b, side, sqrt_hi)
+        signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
+        residues.append([_recover_residue(lattice, signs, lower) for lower in blk])
     q_min, exact = _min_half_offset(residues)
-    _cross_check_centers(state, entry, np_, blocks, delta)
+    _cross_check_centers(state, entry, np_, blocks)
     threshold = np_.peak * delta
     gap = 4 * np_.peak * delta * q_min - threshold
     if gap < threshold:
@@ -200,13 +198,16 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
     )
 
 
-def _cross_check_centers(state, entry, np_, blocks, delta, sample=32):
+def _cross_check_centers(state, entry, np_, blocks, sample=32):
     """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2)."""
-    half = delta / 2
+    den = 2 * state.levels[entry.m_level].den
+    side = state.side_num(entry.m_level)
+    delta = state.side(entry.m_level)
     rng = random.Random(entry.index)
     for _ in range(sample):
         centers = [
-            tuple(x + half for x in blk[rng.randrange(len(blk))]) for blk in blocks
+            tuple(Fraction(2 * x + side, den) for x in blk[rng.randrange(len(blk))])
+            for blk in blocks
         ]
         val = eval_pattern(np_, centers)
         ratio = val / (4 * np_.peak * delta) - Fraction(1, 2)
@@ -230,6 +231,7 @@ def spot_check_gap(
     """Random rational point tuples from the placed cubes must respect the gap."""
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
+    den = state.levels[entry.m_level].den
     delta = state.side(entry.m_level)
     blocks = placed_blocks(state, entry)
     rng = random.Random(seed * 1_000_003 + entry.index)
@@ -238,7 +240,10 @@ def spot_check_gap(
         for blk in blocks:
             lower = blk[rng.randrange(len(blk))]
             points.append(
-                tuple(x + Fraction(rng.randint(0, grid), grid) * delta for x in lower)
+                tuple(
+                    Fraction(x, den) + Fraction(rng.randint(0, grid), grid) * delta
+                    for x in lower
+                )
             )
         val = eval_pattern(np_, points)
         if abs(val) < cert.gap:
@@ -302,8 +307,22 @@ def certify_measure(
 
 # -- brute-force oracle -----------------------------------------------------
 
+def _partial_sums(
+    points: list[Vector], coeffs, tolerance: Fraction = Fraction(0)
+) -> tuple[list[list[int]], int]:
+    """Per-block linear part of psi at each point, and the tolerance, as
+    integer numerators over one common denominator."""
+    partial = [
+        [sum((b * x[v] for v, b in enumerate(row) if b), Fraction(0)) for x in points]
+        for row in coeffs
+    ]
+    den = lcm(tolerance.denominator, *(p.denominator for row in partial for p in row))
+    scaled = [[p.numerator * (den // p.denominator) for p in row] for row in partial]
+    return scaled, tolerance.numerator * (den // tolerance.denominator)
+
+
 def brute_oracle(
-    points: list[tuple[Fraction, ...]],
+    points: list[Vector],
     pattern: LinearPattern | NormalizedPattern,
     tolerance: Fraction = Fraction(0),
     warn_cap: int = ORACLE_TUPLE_WARN,
@@ -311,8 +330,10 @@ def brute_oracle(
     """All ordered m-tuples of distinct points with |psi| <= tolerance.
 
     Exhaustive and exact; completely independent of the engine's lattice
-    bookkeeping, which is what makes it the oracle.
+    bookkeeping, which is what makes it the oracle.  psi(tuple) is a sum of
+    per-block partial sums, which are scaled once to integers.
     """
+    tolerance = Fraction(tolerance)
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     if len(set(points)) != len(points):
@@ -325,25 +346,31 @@ def brute_oracle(
         total *= max(n - j, 0)
     if total > warn_cap:
         warnings.warn(f"oracle will evaluate {total} tuples", stacklevel=2)
-    # Per-block linear part of psi at each point; psi(tuple) is then a sum.
-    partial = [
-        [sum((b * x[v] for v, b in enumerate(row) if b), Fraction(0)) for x in points]
-        for row in coeffs
+    partial, tol = _partial_sums(points, coeffs, tolerance)
+    pick = list.__getitem__
+    return [
+        combo
+        for combo in permutations(range(n), m)
+        if abs(sum(map(pick, partial, combo))) <= tol
     ]
-    hits = []
-    for combo in permutations(range(n), m):
-        val = Fraction(0)
-        for block, idx in enumerate(combo):
-            val += partial[block][idx]
-        if abs(val) <= tolerance:
-            hits.append(combo)
-    return hits
+
+
+def _in_some_cube(x: Vector, lowers: list[IntVector], side: int, den: int) -> bool:
+    """Does the rational point x lie in a closed cube (lower + [0, side]^d)/den?"""
+    bounds = []
+    for xv in x:
+        t, q = xv.numerator * den, xv.denominator
+        # lower <= x*den <= lower + side on this axis
+        bounds.append((-(-t // q) - side, t // q))
+    return any(
+        all(lo <= n <= hi for n, (lo, hi) in zip(lower, bounds)) for lower in lowers
+    )
 
 
 def instance_covered(
     state: ConstructionState,
     entry: ScheduleEntry,
-    points: list[tuple[Fraction, ...]],
+    points: list[Vector],
     instance: tuple[int, ...],
     _cache: dict | None = None,
 ) -> bool:
@@ -361,20 +388,17 @@ def instance_covered(
         blocks = placed_blocks(state, entry)
         if _cache is not None:
             _cache[key] = blocks
-    side = state.side(entry.m_level)
-    for b in range(np_.m):
-        x = points[instance[np_.perm[b]]]
-        if not any(
-            all(lo[v] <= x[v] <= lo[v] + side for v in range(state.d))
-            for lo in blocks[b]
-        ):
-            return False
-    return True
+    den = state.levels[entry.m_level].den
+    side = state.side_num(entry.m_level)
+    return all(
+        _in_some_cube(points[instance[np_.perm[b]]], blocks[b], side, den)
+        for b in range(np_.m)
+    )
 
 
 def covered_violations(
     state: ConstructionState,
-    points: list[tuple[Fraction, ...]],
+    points: list[Vector],
     tolerance: Fraction = Fraction(0),
 ) -> dict[int, list[tuple[int, ...]]]:
     """Oracle instances that the processed entries claim cannot exist.
@@ -398,7 +422,7 @@ def covered_violations(
 
 def covered_instance_scan(
     state: ConstructionState,
-    points: list[tuple[Fraction, ...]],
+    points: list[Vector],
     entry: ScheduleEntry | int,
 ) -> list[tuple[int, ...]]:
     """Exact zeros of psi over the full covered product of one entry.
@@ -411,35 +435,21 @@ def covered_instance_scan(
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
     blocks = placed_blocks(state, entry)
-    side = state.side(entry.m_level)
-    groups: list[list[int]] = []
-    for blk in blocks:
-        members = [
-            i
-            for i, x in enumerate(points)
-            if any(
-                all(lo[v] <= x[v] <= lo[v] + side for v in range(state.d))
-                for lo in blk
-            )
-        ]
-        groups.append(members)
-    coeffs = np_.base.coeffs
-    partial = [
-        {
-            i: sum((b * points[i][v] for v, b in enumerate(row) if b), Fraction(0))
-            for i in grp
-        }
-        for row, grp in zip(coeffs, groups)
+    den = state.levels[entry.m_level].den
+    side = state.side_num(entry.m_level)
+    groups = [
+        [i for i, x in enumerate(points) if _in_some_cube(x, blk, side, den)]
+        for blk in blocks
     ]
-    last = partial[-1]
-    by_value: dict[Fraction, list[int]] = {}
-    for i, val in last.items():
-        by_value.setdefault(val, []).append(i)
+    partial, _ = _partial_sums(points, np_.base.coeffs)
+    by_value: dict[int, list[int]] = {}
+    for i in groups[-1]:
+        by_value.setdefault(partial[-1][i], []).append(i)
     hits = []
     for combo in product(*groups[:-1]):
         if len(set(combo)) != len(combo):
             continue
-        acc = sum((partial[b][i] for b, i in enumerate(combo)), Fraction(0))
+        acc = sum(partial[b][i] for b, i in enumerate(combo))
         for j in by_value.get(-acc, ()):
             if j not in combo:
                 hits.append(combo + (j,))

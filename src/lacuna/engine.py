@@ -6,13 +6,24 @@ cube exactly one child: cubes below a tuple member get the lattice cube
 
     delta_k * (4*peak*phi_block(z) + [-1/2, 1/2]^d),   z integer vector,
 
-every other cube keeps a child anchored at its own lower corner.  All
-geometry is exact rational; every placement is asserted to stay inside its
-parent, so the construction is self-verifying against the shrink factor
-2*beta between an avoidance level and its parent level.
+every other cube keeps a child anchored at its own lower corner.  Every
+placement is asserted to stay inside its parent, so the construction is
+self-verifying against the shrink factor 2*beta between an avoidance level
+and its parent level.
 
-Addresses are digit strings in base 2^d, one digit per ordinary level
-(avoidance levels pass through without adding a digit), packed into ints.
+All geometry is exact integer arithmetic.  Level k stores one denominator
+den_k and every lower corner as a tuple of integer numerators over it.  A
+build uses den_k = Q * 2^k * prod(beta applied), where Q is the lattice
+denominator of the patterns (lattice_denominator): every cube side is then
+the integer Q and every lattice step and shift an integer, so placement,
+validation and gap recovery never leave Z.  Rationals appear only at the
+tree-file boundary and in the gauge, measure and spot-check code.
+
+Cubes of a level are stored in address order, and the addresses are
+implicit: the cube at index i of an ordinary level is child digit
+i & (2^d - 1) of parent i >> d, and an avoidance level keeps its parent
+level's indices.  An address is the base-2^d digit string of the index,
+one digit per ordinary level; it is rendered only at the file boundary.
 """
 
 from __future__ import annotations
@@ -20,9 +31,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from itertools import product
+from math import lcm
+from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dimfn import DimensionFunction, parse_dimfn
 from .errors import (
@@ -33,6 +46,7 @@ from .errors import (
     StructureViolation,
     ZeroPattern,
 )
+from .jsonfile import write_json
 from .pattern import (
     LinearPattern,
     NormalizedPattern,
@@ -40,7 +54,7 @@ from .pattern import (
     patterns_from_doc,
     patterns_to_doc,
 )
-from .qmath import format_rational, parse_rational
+from .qmath import format_ratio, parse_ratio
 from .schedule import (
     DEFAULT_LEVEL_CAP,
     ScheduleEntry,
@@ -52,17 +66,23 @@ from .schedule import (
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
-def render_address(code: int, ndigits: int, d: int) -> str:
+def _digits(d: int) -> str:
     base = 1 << d
     if base > len(_ADDRESS_ALPHABET):
         raise StructureViolation(f"cannot render addresses for d={d}")
-    digits = []
+    return _ADDRESS_ALPHABET[:base]
+
+
+def render_address(code: int, ndigits: int, d: int) -> str:
+    digits = _digits(d)
+    out = []
     for _ in range(ndigits):
-        digits.append(_ADDRESS_ALPHABET[code & (base - 1)])
+        out.append(digits[code & ((1 << d) - 1)])
         code >>= d
-    return "".join(reversed(digits))
+    return "".join(reversed(out))
 
 
 def parse_address(text: str, d: int) -> int:
@@ -76,12 +96,32 @@ def parse_address(text: str, d: int) -> int:
     return code
 
 
+def addresses(ndigits: int, d: int) -> Iterator[str]:
+    """The addresses of one level in index order."""
+    return map("".join, product(_digits(d), repeat=ndigits))
+
+
+def lattice_denominator(normalized: Sequence[NormalizedPattern]) -> int:
+    """Q: least common denominator of 1/2 and, over all patterns, of 2*peak
+    and every lattice step 4*peak*scale.
+
+    With cube side Q every lattice center and lower corner is an integer.
+    """
+    q = 2
+    for np_ in normalized:
+        q = lcm(q, (2 * np_.peak).denominator)
+        for row in np_.scales:
+            for s in row:
+                q = lcm(q, (4 * np_.peak * s).denominator)
+    return q
+
+
 @dataclass
 class Level:
-    """Cubes of one level, in lexicographic address order."""
+    """Cubes of one level in address order; lower corners are lowers[i]/den."""
 
-    codes: list[int]
-    lowers: list[Vector]
+    den: int
+    lowers: list[IntVector]
 
 
 @dataclass
@@ -113,17 +153,26 @@ class ConstructionState:
         applied = [e.beta for e in self.entries if e.m_level <= level]
         return delta_candidate(level, applied)
 
+    def inv_side(self, level: int) -> int:
+        """1/side of the level: 2^level times the betas active there."""
+        return self.side(level).denominator
+
+    def side_num(self, level: int) -> int:
+        """The side of the level as a numerator over its denominator."""
+        return self.levels[level].den // self.inv_side(level)
+
     def expected_count(self, level: int) -> int:
         return 1 << (self.d * self.ndigits(level))
 
-    def address(self, level: int, idx: int) -> str:
-        return render_address(self.levels[level].codes[idx], self.ndigits(level), self.d)
+    def leaf_center_numerators(self) -> tuple[int, list[IntVector]]:
+        """(den, centers): deepest-level cube centers as numerators over den."""
+        leaf = self.levels[self.depth]
+        s = self.side_num(self.depth)
+        return 2 * leaf.den, [tuple(2 * x + s for x in lower) for lower in leaf.lowers]
 
     def leaf_centers(self) -> list[Vector]:
-        half = self.side(self.depth) / 2
-        return [
-            tuple(c + half for c in lower) for lower in self.levels[self.depth].lowers
-        ]
+        den, centers = self.leaf_center_numerators()
+        return [tuple(Fraction(c, den) for c in center) for center in centers]
 
 
 def init_state(
@@ -141,111 +190,135 @@ def init_state(
         if p.d != d:
             raise StructureViolation("pattern dimension does not match the build")
     normalized = tuple(normalize(p) for p in patterns)
+    q = lattice_denominator(normalized)
     state = ConstructionState(
         d=d,
         h=h,
         patterns=tuple(patterns),
         normalized=normalized,
         level_cap=level_cap,
-        levels=[Level(codes=[0], lowers=[tuple(Fraction(1) for _ in range(d))])],
+        levels=[Level(den=q, lowers=[(q,) * d])],
     )
     state.scheduler = Scheduler(list(normalized), h, level_cap)
     return state
 
 
+@dataclass(frozen=True)
+class BlockLattice:
+    """4*peak*phi_block(Z^d) in integer units for cubes of side `side`.
+
+    The lattice centers on axis v are steps[v]*z + shifts[v].  A placement
+    may miss its parent's center by steps[v]/2 on axis v (2*peak*scale
+    side lengths), and by sqrt(ball_num/ball_den)/2 in Euclidean norm.
+    """
+
+    side: int
+    steps: tuple[int, ...]
+    shifts: tuple[int, ...]
+    ball_num: int
+    ball_den: int
+
+
+def block_lattice(
+    np_: NormalizedPattern, block: int, side: int, sqrt_d_hi: Fraction
+) -> BlockLattice:
+    """The lattice of one pattern block for an integer cube side.
+
+    The side must be a multiple of lattice_denominator(patterns).
+    """
+    steps = [4 * np_.peak * s * side for s in np_.scales[block]]
+    shifts = [Fraction(0)] * np_.d
+    if block == np_.m - 1:
+        shifts[np_.pivot] = 2 * np_.peak * side
+    if side % 2 or any(x.denominator != 1 for x in steps + shifts):
+        raise StructureViolation(f"cube side {side} is off the lattice of the pattern")
+    # twice the certified radius 2*peak*max_scale*sqrt(d)*side, squared
+    ball = (4 * np_.peak * np_.max_scale * sqrt_d_hi * side) ** 2
+    return BlockLattice(
+        side=side,
+        steps=tuple(int(x) for x in steps),
+        shifts=tuple(int(x) for x in shifts),
+        ball_num=ball.numerator,
+        ball_den=ball.denominator,
+    )
+
+
 def place_on_lattice(
-    parent_lower: Vector,
-    parent_side: Fraction,
-    np_: NormalizedPattern,
-    block: int,
-    delta_k: Fraction,
-    sqrt_d_hi: Fraction,
-) -> tuple[Vector, tuple[int, ...]]:
+    parent_lower: IntVector, parent_side: int, lattice: BlockLattice
+) -> tuple[IntVector, IntVector]:
     """Lattice child of a tuple-descendant cube; returns (lower corner, z).
 
-    In parent coordinates rescaled by 1/delta_k, the child center is the
-    nearest point of 4*peak*phi_block(Z^d) to the parent center; rounding
-    ties go up.  Exact per-axis error bound 2*peak*scale (hence Euclidean
-    distance at most 2*peak*max_scale*sqrt(d)) and exact containment are
-    asserted on every placement.
+    Lengths are integer numerators over the child level's denominator.  The
+    child center is the lattice point nearest to the parent center; rounding
+    ties go up.  The per-axis miss bound 2*peak*scale*side (hence the
+    Euclidean bound 2*peak*max_scale*sqrt(d)*side) and containment in the
+    parent are asserted exactly on every placement.
     """
-    half = Fraction(1, 2)
-    c4 = 4 * np_.peak
-    d = np_.d
+    side = lattice.side
     z: list[int] = []
-    lower: list[Fraction] = []
-    err_sq = Fraction(0)
-    for v in range(d):
-        x_v = (parent_lower[v] + parent_side / 2) / delta_k
-        shift = 2 * np_.peak if (block == np_.m - 1 and v == np_.pivot) else Fraction(0)
-        step = c4 * np_.scales[block][v]
-        z_v = floor((x_v - shift) / step + half)
-        center_v = step * z_v + shift
-        err = x_v - center_v
-        if abs(err) > 2 * np_.peak * np_.scales[block][v]:
+    lower: list[int] = []
+    err_sq = 0
+    for v, (pl, step, shift) in enumerate(zip(parent_lower, lattice.steps, lattice.shifts)):
+        x2 = 2 * pl + parent_side  # twice the parent center
+        z_v = (x2 - 2 * shift + step) // (2 * step)
+        center = step * z_v + shift
+        err2 = x2 - 2 * center
+        if abs(err2) > step:
             raise PlacementFailure(
-                f"lattice point misses the parent center by {err} on axis {v}"
+                f"lattice point misses the parent center by {Fraction(err2, 2 * side)} "
+                f"sides on axis {v}"
             )
-        err_sq += err * err
-        lo = delta_k * (center_v - half)
-        if lo < parent_lower[v] or lo + delta_k > parent_lower[v] + parent_side:
+        err_sq += err2 * err2
+        lo = center - side // 2
+        if lo < pl or lo + side > pl + parent_side:
             raise PlacementFailure(
                 f"lattice cube escapes its parent on axis {v} (lower {lo})"
             )
         z.append(z_v)
         lower.append(lo)
-    bound = 2 * np_.peak * np_.max_scale * sqrt_d_hi
-    if err_sq > bound * bound:
+    if err_sq * lattice.ball_den > lattice.ball_num:
         raise PlacementFailure("lattice offset exceeds the certified ball radius")
     return tuple(lower), tuple(z)
 
 
-def _advance_dyadic(state: ConstructionState, k: int) -> None:
-    d = state.d
-    delta_k = state.side(k - 1) / 2
-    prev = state.levels[-1]
-    codes: list[int] = []
-    lowers: list[Vector] = []
+def _dyadic_children(
+    lowers: list[IntVector], ratio: int, side: int, d: int
+) -> list[IntVector]:
+    """The 2^d children of every cube in index order: digit bit v moves the
+    child up by `side` on axis v.  The children's denominator is `ratio`
+    times the parents'."""
     offsets = [
-        tuple(delta_k if (digit >> v) & 1 else Fraction(0) for v in range(d))
+        tuple(side if (digit >> v) & 1 else 0 for v in range(d))
         for digit in range(1 << d)
     ]
-    for code, lower in zip(prev.codes, prev.lowers):
-        base = code << d
-        for digit, off in enumerate(offsets):
-            codes.append(base | digit)
-            lowers.append(
-                lower
-                if digit == 0
-                else tuple(lv + ov if ov else lv for lv, ov in zip(lower, off))
-            )
-    state.levels.append(Level(codes=codes, lowers=lowers))
+    return [
+        tuple(map(add, base, off))
+        for base in (tuple([ratio * x for x in lower]) for lower in lowers)
+        for off in offsets
+    ]
+
+
+def _advance_dyadic(state: ConstructionState, k: int) -> None:
+    prev = state.levels[-1]
+    side = state.side_num(k - 1)  # the child side over the doubled denominator
+    lowers = _dyadic_children(prev.lowers, 2, side, state.d)
+    state.levels.append(Level(den=2 * prev.den, lowers=lowers))
 
 
 def _advance_avoidance(state: ConstructionState, k: int, entry: ScheduleEntry) -> None:
     np_ = state.normalized[entry.pattern_id]
-    d = state.d
-    parent_side = state.side(k - 1)
-    delta_k = parent_side / (2 * entry.beta)
-    _, sqrt_hi = sqrt_d_bounds(d)
     prev = state.levels[-1]
-    nd_parent = state.ndigits(k - 1)
-    nd_tuple = state.ndigits(entry.level)
-    shift_bits = d * (nd_parent - nd_tuple)
-    block_of = {t_code: b for b, t_code in enumerate(entry.tuple_codes)}
-    codes: list[int] = []
-    lowers: list[Vector] = []
-    for code, lower in zip(prev.codes, prev.lowers):
-        block = block_of.get(code >> shift_bits)
-        if block is None:
-            child = lower  # free cube: keep the lower-corner anchor
-        else:
-            child, _ = place_on_lattice(
-                lower, parent_side, np_, block, delta_k, sqrt_hi
-            )
-        codes.append(code)
-        lowers.append(child)
-    state.levels.append(Level(codes=codes, lowers=lowers))
+    ratio = 2 * entry.beta
+    side = state.side_num(k - 1)  # child side over the new denominator
+    _, sqrt_hi = sqrt_d_bounds(state.d)
+    # free cubes keep their lower-corner anchor
+    lowers = [tuple(ratio * x for x in lower) for lower in prev.lowers]
+    shift = state.d * (state.ndigits(k - 1) - state.ndigits(entry.level))
+    for block, member in enumerate(entry.tuple_codes):
+        lattice = block_lattice(np_, block, side, sqrt_hi)
+        for i in range(member << shift, (member + 1) << shift):
+            lowers[i], _ = place_on_lattice(lowers[i], ratio * side, lattice)
+    state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
 
 
 def advance_level(state: ConstructionState) -> None:
@@ -258,7 +331,7 @@ def advance_level(state: ConstructionState) -> None:
     if state.pending is None:
         try:
             state.pending = state.scheduler.next_entry(
-                [lvl.codes for lvl in state.levels], step=k
+                [len(lvl.lowers) for lvl in state.levels], step=k
             )
         except Starved:
             state.pending = None
@@ -270,7 +343,7 @@ def advance_level(state: ConstructionState) -> None:
         state.pending = None
     else:
         _advance_dyadic(state, k)
-    if len(state.levels[-1].codes) != state.expected_count(k):
+    if len(state.levels[-1].lowers) != state.expected_count(k):
         raise StructureViolation(f"cube count at level {k} disagrees with the profile")
 
 
@@ -306,48 +379,38 @@ def validate_structure(state: ConstructionState) -> None:
     """
     d = state.d
     root = state.levels[0]
-    if root.codes != [0] or root.lowers != [tuple(Fraction(1) for _ in range(d))]:
+    if root.lowers != [(root.den,) * d]:
         raise StructureViolation("level 0 is not the unit cube at (1,...,1)")
     for k in range(1, state.depth + 1):
-        level = state.levels[k]
-        if len(level.codes) != state.expected_count(k):
+        level, parent = state.levels[k], state.levels[k - 1]
+        count = len(level.lowers)
+        if count != state.expected_count(k):
             raise StructureViolation(f"level {k}: cube count != profile value")
-        if any(a >= b for a, b in zip(level.codes, level.codes[1:])):
-            raise StructureViolation(f"level {k}: addresses not strictly sorted")
-        parent = state.levels[k - 1]
-        parent_at = {code: lower for code, lower in zip(parent.codes, parent.lowers)}
-        delta_k = state.side(k)
-        parent_side = state.side(k - 1)
+        ratio, rem = divmod(level.den, parent.den)
+        if rem:
+            raise StructureViolation(f"level {k}: denominator is off its parent level's")
+        side = state.side_num(k)
+        parent_side = ratio * state.side_num(k - 1)
         if k in state.m_levels:
-            if len(level.codes) != len(parent.codes):
+            if count != len(parent.lowers):
                 raise StructureViolation(f"level {k}: avoidance level must keep counts")
-            for code, lower in zip(level.codes, level.lowers):
-                plower = parent_at.get(code)
-                if plower is None:
-                    raise StructureViolation(f"level {k}: cube {code} has no parent")
-                for v in range(d):
-                    if not (plower[v] <= lower[v] and lower[v] + delta_k <= plower[v] + parent_side):
+            slack = parent_side - side
+            for i, (lower, plower) in enumerate(zip(level.lowers, parent.lowers)):
+                for v, (x, p) in enumerate(zip(lower, plower)):
+                    if not 0 <= x - ratio * p <= slack:
                         raise StructureViolation(
-                            f"level {k}: cube {code} escapes its parent on axis {v}"
+                            f"level {k}: cube {i} escapes its parent on axis {v}"
                         )
         else:
-            seen_per_parent: dict[int, int] = {}
-            for code, lower in zip(level.codes, level.lowers):
-                pcode, digit = code >> d, code & ((1 << d) - 1)
-                plower = parent_at.get(pcode)
-                if plower is None:
-                    raise StructureViolation(f"level {k}: cube {code} has no parent")
-                seen_per_parent[pcode] = seen_per_parent.get(pcode, 0) + 1
-                for v in range(d):
-                    expect = plower[v] + (delta_k if (digit >> v) & 1 else 0)
-                    if lower[v] != expect:
-                        raise StructureViolation(
-                            f"level {k}: cube {code} is off its dyadic slot on axis {v}"
-                        )
-            if any(n != 1 << d for n in seen_per_parent.values()) or len(
-                seen_per_parent
-            ) != len(parent.codes):
+            if count != len(parent.lowers) << d:
                 raise StructureViolation(f"level {k}: dyadic children do not tile")
+            slots = _dyadic_children(parent.lowers, ratio, side, d)
+            if level.lowers != slots:
+                i = next(i for i, (a, b) in enumerate(zip(level.lowers, slots)) if a != b)
+                v = next(v for v, (a, b) in enumerate(zip(level.lowers[i], slots[i])) if a != b)
+                raise StructureViolation(
+                    f"level {k}: cube {i} is off its dyadic slot on axis {v}"
+                )
 
 
 # -- tree (de)serialization -----------------------------------------------------
@@ -369,11 +432,8 @@ def state_to_doc(state: ConstructionState) -> dict:
         "schedule": [entry_to_doc(state, e) for e in state.entries],
         "cubes": {
             str(k): [
-                {
-                    "addr": render_address(code, state.ndigits(k), state.d),
-                    "lower": [format_rational(x) for x in lower],
-                }
-                for code, lower in zip(lvl.codes, lvl.lowers)
+                {"addr": addr, "lower": [format_ratio(x, lvl.den) for x in lower]}
+                for addr, lower in zip(addresses(state.ndigits(k), state.d), lvl.lowers)
             ]
             for k, lvl in enumerate(state.levels)
         },
@@ -392,57 +452,140 @@ def entry_to_doc(state: ConstructionState, e: ScheduleEntry) -> dict:
     }
 
 
+def _int_field(value: object, what: str, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise FormatError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _entries_from_doc(
+    recs: list, d: int, normalized: tuple[NormalizedPattern, ...], depth: int
+) -> list[ScheduleEntry]:
+    """Schedule entries, checked for types, ranges and order."""
+    entries: list[ScheduleEntry] = []
+    for pos, rec in enumerate(recs, start=1):
+        if _int_field(rec["i"], "entry index", 1) != pos:
+            raise FormatError(f"schedule entry {pos} is stored with index {rec['i']}")
+        pid = _int_field(rec["pattern_id"], "pattern_id", 0)
+        if pid >= len(normalized):
+            raise FormatError(f"entry {pos}: pattern_id {pid} out of range")
+        prev_m = entries[-1].m_level if entries else 0
+        m_level = _int_field(rec["M_i"], "M_i", prev_m + 1)
+        if m_level > depth:
+            raise FormatError(f"entry {pos}: M_i={m_level} exceeds the depth {depth}")
+        level = _int_field(rec["level"], "tuple level", 0)
+        if level > m_level - 2:
+            raise FormatError(f"entry {pos}: tuple level {level} is not above M_i={m_level}")
+        # the tuple level lies above M_i, so only earlier entries act there
+        nd = level - sum(1 for e in entries if e.m_level <= level)
+        names = rec["tuple"]
+        codes = tuple(parse_address(a, d) for a in names)
+        if (
+            len(codes) != normalized[pid].m
+            or len(set(codes)) != len(codes)
+            or [render_address(c, nd, d) for c in codes] != names
+        ):
+            raise FormatError(
+                f"entry {pos}: tuple is not {normalized[pid].m} distinct "
+                f"level-{level} addresses"
+            )
+        entries.append(
+            ScheduleEntry(
+                index=pos,
+                pattern_id=pid,
+                level=level,
+                tuple_codes=codes,
+                m_level=m_level,
+                beta=_int_field(rec["beta_i"], "beta_i", 1),
+            )
+        )
+    return entries
+
+
+def _level_from_doc(state: ConstructionState, k: int, cubes: list, q: int) -> Level:
+    """Level k with den = lcm(Q/side_k, den_{k-1}, stored denominators).
+
+    A valid file gives den = Q/side_k, the denominator of the build.
+    """
+    d = state.d
+    if not isinstance(cubes, list):
+        raise FormatError(f"level {k} is not a list of cubes")
+    expected = addresses(state.ndigits(k), d)
+    pairs: list[list[tuple[int, int]]] = []
+    for i, cube in enumerate(cubes):
+        addr = next(expected, None)
+        if cube["addr"] != addr:
+            raise StructureViolation(
+                f"level {k}: cube {i} is stored under address {cube['addr']!r}, "
+                f"its index gives {addr!r}"
+            )
+        lower = cube["lower"]
+        if not isinstance(lower, list) or len(lower) != d:
+            raise FormatError(f"level {k}: cube {i} needs {d} coordinates")
+        pairs.append([parse_ratio(x) for x in lower])
+    den = q * state.inv_side(k)
+    if k:
+        den = lcm(den, state.levels[k - 1].den)
+    den = lcm(den, *{b for r in pairs for _, b in r})
+    return Level(den=den, lowers=[tuple(a * (den // b) for a, b in r) for r in pairs])
+
+
 def doc_to_state(doc: dict) -> ConstructionState:
-    """Rebuild a state from a tree document (read-only: no scheduler)."""
+    """Rebuild a state from a tree document (read-only: no scheduler).
+
+    Types, ranges and the cross-field consistency of the document are
+    checked here and fail with FormatError; a cube stored under an address
+    other than its index's fails with StructureViolation.  The geometry is
+    left to validate_structure and certify_gap: an off-lattice cube still
+    loads, on a denominator large enough to hold it exactly.
+    """
     try:
-        if doc.get("format") != TREE_FORMAT:
-            raise FormatError(f"unknown tree format {doc.get('format')!r}")
-        d = int(doc["d"])
+        if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
+            raise FormatError("not a lacuna-tree/1 document")
+        d = _int_field(doc["d"], "d", 1)
         _, patterns = patterns_from_doc({"d": d, "patterns": doc["patterns"]})
         h = parse_dimfn(doc["h"], d)
+        depth = _int_field(doc["depth"], "depth", 0)
+        cubes = doc["cubes"]
+        if (
+            not isinstance(cubes, dict)
+            or len(cubes) != depth + 1
+            or set(cubes) != {str(k) for k in range(depth + 1)}
+        ):
+            raise FormatError(f"cubes must list exactly the levels 0..{depth}")
         state = ConstructionState(
             d=d,
             h=h,
             patterns=tuple(patterns),
             normalized=tuple(normalize(p) for p in patterns),
-            level_cap=int(doc["level_cap"]),
+            level_cap=_int_field(doc["level_cap"], "level_cap", depth),
             levels=[],
         )
-        state.m_levels = [int(x) for x in doc["levels_M"]]
-        for rec in doc["schedule"]:
-            state.entries.append(
-                ScheduleEntry(
-                    index=int(rec["i"]),
-                    pattern_id=int(rec["pattern_id"]),
-                    level=int(rec["level"]),
-                    tuple_codes=tuple(parse_address(a, d) for a in rec["tuple"]),
-                    m_level=int(rec["M_i"]),
-                    beta=int(rec["beta_i"]),
-                )
-            )
-        depth = int(doc["depth"])
+        state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
+        state.m_levels = [e.m_level for e in state.entries]
+        if doc["levels_M"] != state.m_levels:
+            raise FormatError("levels_M disagrees with the schedule's M_i")
+        if doc["betas"] != state.processed_betas():
+            raise FormatError("betas disagree with the schedule's beta_i")
+        q = lattice_denominator(state.normalized)
         for k in range(depth + 1):
-            cubes = doc["cubes"][str(k)]
-            state.levels.append(
-                Level(
-                    codes=[parse_address(c["addr"], d) for c in cubes],
-                    lowers=[tuple(parse_rational(x) for x in c["lower"]) for c in cubes],
-                )
-            )
+            state.levels.append(_level_from_doc(state, k, cubes[str(k)], q))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
     return state
 
 
 def write_tree(state: ConstructionState, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_doc(state), fh, indent=1)
-        fh.write("\n")
+    write_json(state_to_doc(state), path)
 
 
 def read_tree(path: str | Path) -> ConstructionState:
     with open(path, "r", encoding="utf-8") as fh:
-        return doc_to_state(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise FormatError(f"tree file is not JSON: {exc}") from exc
+    return doc_to_state(doc)
 
 
 def write_schedule_log(state: ConstructionState, path: str | Path) -> None:

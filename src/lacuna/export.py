@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .engine import ConstructionState
 from .errors import FormatError, UnsupportedDimension
-from .qmath import decimal_string, format_rational, parse_rational
+from .qmath import decimal_string, format_ratio, parse_rational
 
 POINTS_HEADER = "# lacuna-points/1 d="
 
@@ -22,8 +22,9 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
     """Deepest-level cube centers as exact 'p/q' coordinates."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{POINTS_HEADER}{state.d}\n")
-        for center in state.leaf_centers():
-            fh.write(" ".join(format_rational(c) for c in center))
+        den, centers = state.leaf_center_numerators()
+        for center in centers:
+            fh.write(" ".join(format_ratio(c, den) for c in center))
             fh.write("\n")
 
 
@@ -79,6 +80,7 @@ def write_svg(state: ConstructionState, path: str | Path, size: int = 720) -> No
         side = state.side(k)
         lines.append(f'<g id="level-{k}" fill="none" stroke="#1f3a5f" stroke-width="0.6">')
         for lower in level.lowers:
+            lower = [Fraction(x, level.den) for x in lower]
             x = _svg_coord(lower[0], size)
             w = decimal_string(side * size, 2)
             if state.d == 1:

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FormatError, ZeroPattern
+from .jsonfile import write_json
 from .qmath import format_rational, parse_rational
 
 Coeffs = tuple[tuple[Fraction, ...], ...]
@@ -218,6 +219,4 @@ def load_patterns(path: str | Path) -> tuple[int, list[LinearPattern]]:
 
 
 def save_patterns(path: str | Path, d: int, patterns: Iterable[LinearPattern]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(patterns_to_doc(d, patterns), fh, indent=1)
-        fh.write("\n")
+    write_json(patterns_to_doc(d, patterns), path)

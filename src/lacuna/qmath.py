@@ -11,23 +11,35 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import FormatError
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a 'p/q' or integer string; floats are rejected on purpose."""
-    s = text.strip()
+def parse_ratio(text: str) -> tuple[int, int]:
+    """(p, q) of a 'p/q' or integer string, q > 0 and not reduced; floats
+    and non-strings are rejected on purpose."""
+    s = text.strip() if isinstance(text, str) else ""
     if not _RATIONAL_RE.match(s):
         raise FormatError(f"not a rational 'p/q' literal: {text!r}")
-    return Fraction(s)
+    p, _, q = s.partition("/")
+    return int(p), int(q) if q else 1
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def format_ratio(n: int, den: int) -> str:
+    """format_rational(n/den) for integers n and den > 0, without a Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def decimal_string(x: Fraction, digits: int) -> str:

@@ -49,8 +49,9 @@ def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
 class ScheduleEntry:
     """One served occurrence: pattern, tuple of cube labels, avoidance level.
 
-    tuple_codes are packed base-2^d digit strings of same-level addresses,
-    pairwise distinct, at a level <= m_level - 2.
+    tuple_codes are indices of cubes of one level (an index read as a
+    base-2^d digit string is the cube's address), pairwise distinct, at a
+    level <= m_level - 2.
     """
 
     index: int
@@ -233,22 +234,22 @@ class Scheduler:
     def _min_m(self) -> int:
         return min(np_.m for np_ in self.normalized)
 
-    def next_entry(self, level_codes: list[list[int]], step: int) -> ScheduleEntry:
+    def next_entry(self, level_sizes: list[int], step: int) -> ScheduleEntry:
         """Serve the next entry; raises Starved when no tuple is admissible.
 
-        level_codes[L] lists the (lexicographically sorted) address codes of
-        the already-built level L; step is the level about to be built, so
-        tuples may only come from levels <= step - 1.
+        level_sizes[L] is the cube count of the already-built level L; step
+        is the level about to be built, so tuples may only come from levels
+        <= step - 1.
         """
         if self.exhausted:
             raise Starved("schedule exhausted under the level cap")
-        built = len(level_codes) - 1
-        if not any(len(codes) >= self._min_m() for codes in level_codes):
+        built = len(level_sizes) - 1
+        if not any(n >= self._min_m() for n in level_sizes):
             raise Starved("no level holds enough distinct cubes yet")
         while True:
             level, rank, pid = self.enum.peek()
             np_ = self.normalized[pid]
-            if level <= built and rank < perm_count(len(level_codes[level]), np_.m):
+            if level <= built and rank < perm_count(level_sizes[level], np_.m):
                 beta = self.betas[pid]
                 i = len(self.served) + 1
                 prev = self.served[-1].m_level if self.served else 0
@@ -262,13 +263,11 @@ class Scheduler:
                     # can ever be served under this cap.
                     self.exhausted = True
                     raise Starved("next avoidance level exceeds the level cap")
-                codes = level_codes[level]
-                picks = unrank_tuple(len(codes), np_.m, rank)
                 entry = ScheduleEntry(
                     index=i,
                     pattern_id=pid,
                     level=level,
-                    tuple_codes=tuple(codes[j] for j in picks),
+                    tuple_codes=unrank_tuple(level_sizes[level], np_.m, rank),
                     m_level=m_level,
                     beta=beta,
                 )
@@ -283,7 +282,7 @@ class Scheduler:
         pattern_id: int,
         level: int,
         rank: int,
-        level_codes: list[list[int]],
+        level_sizes: list[int],
         max_steps: int = 10_000_000,
     ) -> int:
         """Index at which (pattern, tuple) would first be served, by direct
@@ -291,19 +290,14 @@ class Scheduler:
         probe = Scheduler(self.normalized, self.h, self.level_cap)
         for step in range(1, max_steps):
             try:
-                entry = probe.next_entry(level_codes, step=level + 2)
+                entry = probe.next_entry(level_sizes, step=level + 2)
             except Starved as exc:
                 raise Starved(f"pair never served: {exc}") from exc
             if (
                 entry.pattern_id == pattern_id
                 and entry.level == level
                 and entry.tuple_codes
-                == tuple(
-                    level_codes[level][j]
-                    for j in unrank_tuple(
-                        len(level_codes[level]), self.normalized[pattern_id].m, rank
-                    )
-                )
+                == unrank_tuple(level_sizes[level], self.normalized[pattern_id].m, rank)
             ):
                 return entry.index
         raise Starved("pair not served within the probe budget")

@@ -87,7 +87,7 @@ class TestAcceptance:
             for b in applied:
                 prod *= b
             ok = ok and st.side(k) == F(1, 2**k * prod)
-            ok = ok and len(st.levels[k].codes) == 2 ** (k - len(applied))
+            ok = ok and len(st.levels[k].lowers) == 2 ** (k - len(applied))
         validate_structure(st)  # nestedness, tiling, non-overlap, exact
         elapsed = time.perf_counter() - start
         verdict(
@@ -261,7 +261,7 @@ class TestAcceptance:
         verdict(
             8,
             ok and elapsed < 60.0,
-            f"powlog:1/1 quotient build reaches M_1=18 ({len(st.levels[18].codes)} "
+            f"powlog:1/1 quotient build reaches M_1=18 ({len(st.levels[18].lowers)} "
             f"cubes), gap and all per-level measure checks certified under "
             f"directed rounding, {elapsed:.1f}s",
         )

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from lacuna.certify import (
     box_dimension_profile,
@@ -19,11 +24,25 @@ from lacuna.certify import (
 )
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build_tree, doc_to_state, state_to_doc
-from lacuna.errors import EntryNotProcessed, GapViolated, MeasureViolated
+from lacuna.errors import (
+    EntryNotProcessed,
+    GapViolated,
+    MeasureViolated,
+    StructureViolation,
+)
 from lacuna.pattern import eval_pattern, make_pattern
 from lacuna.qmath import parse_rational
 
 F = Fraction
+
+
+def placed_points(st, entry):
+    """placed_blocks with the lower corners as exact rationals."""
+    den = st.levels[entry.m_level].den
+    return [
+        [tuple(F(x, den) for x in lower) for lower in blk]
+        for blk in placed_blocks(st, entry)
+    ]
 
 
 class TestGapCertificates:
@@ -45,7 +64,7 @@ class TestGapCertificates:
         entry = st.entries[0]
         side = st.side(entry.m_level)
         half = side / 2
-        blocks = placed_blocks(st, entry)
+        blocks = placed_points(st, entry)
         np_ = st.normalized[entry.pattern_id]
         rng = random.Random(7)
         for _ in range(50):
@@ -68,17 +87,25 @@ class TestGapCertificates:
         st = ap_tree_12
         entry = st.entries[0]
         cert = certify_gap(st, entry)
-        blocks = placed_blocks(st, entry)
+        blocks = placed_points(st, entry)
         side = st.side(entry.m_level)
         rng = random.Random(5)
         pool = set()
+        drawn = []
         for _ in range(12):
+            drawn.append([])
             for blk in blocks:
                 lo = blk[rng.randrange(len(blk))]
-                pool.add(
-                    tuple(x + F(rng.randint(0, 2**12), 2**12) * side for x in lo)
-                )
+                x = tuple(y + F(rng.randint(0, 2**12), 2**12) * side for y in lo)
+                pool.add(x)
+                drawn[-1].append(x)
         pts = sorted(pool)
+        # one point drawn from each block is a covered instance: not vacuous
+        perm = st.normalized[entry.pattern_id].perm
+        inst = [0] * len(blocks)
+        for b, x in enumerate(drawn[0]):
+            inst[perm[b]] = pts.index(x)
+        assert instance_covered(st, entry, pts, tuple(inst))
         hits = brute_oracle(pts, st.patterns[entry.pattern_id], cert.gap - F(1, 2**40))
         assert not any(instance_covered(st, entry, pts, h) for h in hits)
 
@@ -130,7 +157,7 @@ class TestMeasureCertificate:
         st = ap_tree_12
         for k in range(6, 13):
             lo, _ = st.h.eval_bounds(st.side(k), 64)
-            assert len(st.levels[k].codes) * lo >= 1
+            assert len(st.levels[k].lowers) * lo >= 1
 
     def test_truncated_build_rejected(self, ap_pattern, sqrt_gauge):
         st = build_tree(1, [ap_pattern], sqrt_gauge, 5)  # below M_1 = 6
@@ -152,12 +179,41 @@ class TestMeasureCertificate:
     def test_wrong_schedule_detected(self, ap_tree_12):
         # Pretend the first avoidance level had been 5: level-5 counts stay
         # dyadic (32 cubes) but the side would shrink to 2^-5/9, failing mass.
+        broken = copy.copy(ap_tree_12)
+        broken.entries = [
+            dataclasses.replace(ap_tree_12.entries[0], m_level=5),
+            ap_tree_12.entries[1],
+        ]
+        broken.m_levels = [5, 11]
+        with pytest.raises(MeasureViolated):
+            certify_measure(broken)
+        # In a tree file the level-5 addresses no longer fit the schedule.
         doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
         doc["levels_M"] = [5, 11]
         doc["schedule"][0]["M_i"] = 5
-        broken = doc_to_state(doc)
-        with pytest.raises(MeasureViolated):
-            certify_measure(broken)
+        with pytest.raises(StructureViolation):
+            doc_to_state(doc)
+
+
+class TestCoverage:
+    def test_cube_faces_are_closed_and_tight(self, ap_tree_12):
+        # A placed cube covers its closed faces and nothing beyond them.
+        st = ap_tree_12
+        entry = st.entries[0]
+        side = st.side(entry.m_level)
+        blocks = placed_points(st, entry)
+        perm = st.normalized[entry.pattern_id].perm
+        eps = F(1, 10**9)
+
+        def covered(offset):
+            pts = [(blk[0][0] + offset,) for blk in blocks]
+            inst = [0] * len(blocks)
+            for b in range(len(blocks)):
+                inst[perm[b]] = b
+            return instance_covered(st, entry, pts, tuple(inst))
+
+        assert covered(F(0)) and covered(side)
+        assert not covered(-eps) and not covered(side + eps)
 
 
 class TestOracle:
@@ -209,7 +265,7 @@ class TestOracle:
         st = ap_tree_12
         doc = json.loads(json.dumps(state_to_doc(st)))
         entry = st.entries[0]
-        blocks = placed_blocks(st, entry)
+        blocks = placed_points(st, entry)
         side = st.side(entry.m_level)
         a = blocks[0][0][0] + side / 2
         b = blocks[1][0][0] + side / 2
@@ -219,6 +275,8 @@ class TestOracle:
             if parse_rational(cube["lower"][0]) == old_lower:
                 cube["lower"] = [str(target_center - side / 2)]
                 break
+        else:
+            pytest.fail("the placed cube to move is not in the tree file")
         broken = doc_to_state(doc)
         pts = [(a,), (b,), (target_center,)]
         hits = brute_oracle(pts, st.patterns[0], F(0))
@@ -229,6 +287,45 @@ class TestOracle:
         # and the same corruption breaks the gap certificate
         with pytest.raises(GapViolated):
             certify_gap(broken, 1)
+
+
+def fraction_oracle(points, pattern, tolerance):
+    """The oracle in plain Fraction arithmetic: the reference for brute_oracle."""
+    hits = []
+    for combo in permutations(range(len(points)), pattern.m):
+        val = sum(
+            (
+                b * points[i][v]
+                for row, i in zip(pattern.coeffs, combo)
+                for v, b in enumerate(row)
+            ),
+            F(0),
+        )
+        if abs(val) <= tolerance:
+            hits.append(combo)
+    return hits
+
+
+@hs.composite
+def oracle_inputs(draw):
+    d = draw(hs.integers(1, 2))
+    m = draw(hs.integers(2, 3))
+    coef = hs.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = draw(hs.lists(hs.lists(coef, min_size=d, max_size=d), min_size=m, max_size=m))
+    coord = hs.fractions(min_value=1, max_value=2, max_denominator=6)
+    points = draw(hs.lists(hs.tuples(*[coord] * d), max_size=7, unique=True))
+    tolerance = draw(hs.fractions(min_value=0, max_value=1, max_denominator=12))
+    return make_pattern(d, coeffs), points, tolerance
+
+
+class TestIntegerOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_inputs())
+    def test_matches_fraction_reference(self, inputs):
+        pattern, points, tolerance = inputs
+        assert brute_oracle(points, pattern, tolerance) == fraction_oracle(
+            points, pattern, tolerance
+        )
 
 
 class TestCoveringConstant:
@@ -248,7 +345,9 @@ class TestCoveringConstant:
             level = st.levels[k + 1]
             side = st.side(k + 1)
             hits = sum(
-                1 for lo in level.lowers if lo[0] <= right and left <= lo[0] + side
+                1
+                for (lo,) in level.lowers
+                if F(lo, level.den) <= right and left <= F(lo, level.den) + side
             )
             assert hits <= cap
 

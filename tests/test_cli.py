@@ -40,7 +40,7 @@ class TestBuild:
     def test_depth_seven(self, ap_file, tmp_path, capsys):
         assert main(build_args(ap_file, tmp_path)) == 0
         st = read_tree(tmp_path / "tree.json")
-        assert len(st.levels[7].codes) == 64
+        assert len(st.levels[7].lowers) == 64
 
     def test_depth_zero(self, ap_file, tmp_path):
         assert main(build_args(ap_file, tmp_path, depth=0)) == 0
@@ -102,6 +102,71 @@ class TestCertify:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] in ("GapViolated", "StructureViolation")
+
+
+def _float_lower(doc):
+    doc["cubes"]["6"][0]["lower"] = [1.0078125]
+
+
+def _pattern_id_out_of_range(doc):
+    doc["schedule"][0]["pattern_id"] = 5
+
+
+def _tuple_level_at_m(doc):
+    doc["schedule"][0]["level"] = doc["schedule"][0]["M_i"]
+
+
+def _negative_depth(doc):
+    doc["depth"] = -1
+
+
+def _betas_disagree(doc):
+    doc["betas"][0] += 1
+
+
+def _levels_m_disagree(doc):
+    doc["levels_M"][0] += 1
+
+
+def _addresses_permuted(doc):
+    a, b = doc["cubes"]["7"][0], doc["cubes"]["7"][1]
+    a["addr"], b["addr"] = b["addr"], a["addr"]
+
+
+class TestTamperedTree:
+    @pytest.mark.parametrize(
+        "mutate, error",
+        [
+            (_float_lower, "FormatError"),
+            (_pattern_id_out_of_range, "FormatError"),
+            (_tuple_level_at_m, "FormatError"),
+            (_negative_depth, "FormatError"),
+            (_betas_disagree, "FormatError"),
+            (_levels_m_disagree, "FormatError"),
+            (_addresses_permuted, "StructureViolation"),
+        ],
+        ids=lambda v: v.__name__.strip("_") if callable(v) else v,
+    )
+    def test_exits_with_envelope(self, ap_file, tmp_path, capsys, mutate, error):
+        assert main(build_args(ap_file, tmp_path, depth=12)) == 0
+        tree = tmp_path / "tree.json"
+        doc = json.loads(tree.read_text())
+        mutate(doc)
+        tree.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["certify", str(tree), "--mode", "all"])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == error
+
+    def test_truncated_file(self, ap_file, tmp_path, capsys):
+        assert main(build_args(ap_file, tmp_path, depth=7)) == 0
+        tree = tmp_path / "tree.json"
+        tree.write_text(tree.read_text()[:100])
+        capsys.readouterr()
+        assert main(["certify", str(tree)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "FormatError"
 
 
 class TestExport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
+    block_lattice,
     build_tree,
     doc_to_state,
     init_state,
@@ -30,18 +32,23 @@ from lacuna.schedule import level_profile
 F = Fraction
 
 
+def fracs(level):
+    """Lower corners of a level as exact rationals."""
+    return [tuple(F(x, level.den) for x in lower) for lower in level.lowers]
+
+
 class TestInit:
     def test_unit_interval(self, ap_pattern, sqrt_gauge):
         st = init_state(1, [ap_pattern], sqrt_gauge)
         assert st.depth == 0
-        assert st.levels[0].lowers == [(F(1),)]
+        assert fracs(st.levels[0]) == [(F(1),)]
         assert st.side(0) == 1
 
     def test_unit_square(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = init_state(2, [p], h)
-        assert st.levels[0].lowers == [(F(1), F(1))]
+        assert fracs(st.levels[0]) == [(F(1), F(1))]
 
     def test_no_patterns_rejected(self, sqrt_gauge):
         with pytest.raises(ZeroPattern):
@@ -56,14 +63,14 @@ class TestInit:
 class TestDyadicSplit:
     def test_first_level(self, ap_pattern, sqrt_gauge):
         st = build_tree(1, [ap_pattern], sqrt_gauge, 1)
-        assert st.levels[1].lowers == [(F(1),), (F(3, 2),)]
+        assert fracs(st.levels[1]) == [(F(1),), (F(3, 2),)]
 
     def test_d2_digit_semantics(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = build_tree(2, [p], h, 1)
         # digit = sum of bit_v * 2^v, bit selects the upper half on axis v.
-        assert st.levels[1].lowers == [
+        assert fracs(st.levels[1]) == [
             (F(1), F(1)),
             (F(3, 2), F(1)),
             (F(1), F(3, 2)),
@@ -75,34 +82,41 @@ class TestPlacement:
     def test_worked_example_last_block(self, ap_pattern):
         # Level-5 parent [1, 33/32] rescaled by 576 is [576, 594], center 585;
         # the shifted lattice 8z + 4 rounds to z = 73, child [1175, 1177]/1152.
+        # Over the denominator 1152 the parent is 1152 + [0, 36], child side 2.
         n = normalize(ap_pattern)
-        lower, z = place_on_lattice((F(1),), F(1, 32), n, 2, F(1, 576), F(1))
+        lower, z = place_on_lattice((1152,), 36, block_lattice(n, 2, 2, F(1)))
         assert z == (73,)
-        assert lower == (F(1175, 1152),)
+        assert lower == (1175,)  # 1175/1152
 
     def test_first_block_unshifted(self, ap_pattern):
         n = normalize(ap_pattern)
-        lower, z = place_on_lattice((F(1),), F(1, 32), n, 0, F(1, 576), F(1))
+        lower, z = place_on_lattice((1152,), 36, block_lattice(n, 0, 2, F(1)))
         assert z == (73,)  # lattice 8z, center 584, offset 1
-        assert lower == (F(1167, 1152),)
+        assert lower == (1167,)  # 1167/1152
 
     def test_exact_lattice_hit_keeps_center(self, ap_pattern):
         # Parent centered exactly on a lattice point: offset must be zero.
+        # Over the denominator 1152, delta = 1/576 is 2 and 1/64 is 18.
         n = normalize(ap_pattern)
-        delta = F(1, 576)
-        parent = (F(584) * delta - F(1, 64),)  # center at 584*delta
-        lower, z = place_on_lattice(parent, F(1, 32), n, 0, delta, F(1))
+        delta = 2
+        parent = (584 * delta - 18,)  # center at 584*delta
+        lower, z = place_on_lattice(parent, 36, block_lattice(n, 0, delta, F(1)))
         assert z == (73,)
-        assert lower == (F(584) * delta - delta / 2,)
+        assert lower == (584 * delta - delta // 2,)
+
+    def test_lattice_needs_the_lattice_denominator(self, ap_pattern):
+        # A side of 1 cannot carry the AP lattice (Q = 2): no rounding, a raise.
+        with pytest.raises(StructureViolation):
+            block_lattice(normalize(ap_pattern), 0, 1, F(1))
 
     def test_child_inside_parent_everywhere(self, ap_tree_12):
         st = ap_tree_12
         for entry in st.entries:
             k = entry.m_level
             delta, parent_side = st.side(k), st.side(k - 1)
-            prev = {c: lo for c, lo in zip(st.levels[k - 1].codes, st.levels[k - 1].lowers)}
-            for code, lower in zip(st.levels[k].codes, st.levels[k].lowers):
-                plo = prev[code]
+            prev = fracs(st.levels[k - 1])
+            for i, lower in enumerate(fracs(st.levels[k])):
+                plo = prev[i]
                 assert all(
                     plo[v] <= lower[v] and lower[v] + delta <= plo[v] + parent_side
                     for v in range(st.d)
@@ -115,20 +129,27 @@ class TestPlacement:
         entry = st.entries[0]
         members = set(entry.tuple_codes)
         shift = st.ndigits(5) - st.ndigits(entry.level)
-        parents = {
-            c: lo for c, lo in zip(st.levels[5].codes, st.levels[5].lowers)
-        }
-        free = [c for c in parents if (c >> shift) not in members]
+        parents = fracs(st.levels[5])
+        free = [i for i in range(len(parents)) if (i >> shift) not in members]
         assert free  # address "11" has 8 level-5 descendants
-        children = {c: lo for c, lo in zip(st.levels[6].codes, st.levels[6].lowers)}
-        for c in free:
-            assert children[c] == parents[c]
+        children = fracs(st.levels[6])
+        for i in free:
+            assert children[i] == parents[i]
+
+    def test_ball_radius_is_checked(self, ap_pattern):
+        # The worked example misses its parent center by 6/1152; a lattice
+        # with a zero ball radius must refuse it.
+        lattice = block_lattice(normalize(ap_pattern), 2, 2, F(1))
+        with pytest.raises(PlacementFailure):
+            place_on_lattice((1152,), 36, dataclasses.replace(lattice, ball_num=0))
 
     def test_impossible_fit_raises(self, ap_pattern):
-        # Feed a parent far too small for the lattice spacing.
+        # Feed a parent far too small for the lattice spacing: over the
+        # denominator 2048 the parent is 2048 + [0, 4] (side 1/512), the
+        # child side 1/1024 is 2.
         n = normalize(ap_pattern)
         with pytest.raises(PlacementFailure):
-            place_on_lattice((F(1),), F(1, 512), n, 0, F(1, 1024), F(1))
+            place_on_lattice((2048,), 4, block_lattice(n, 0, 2, F(1)))
 
 
 class TestBuild:
@@ -137,14 +158,14 @@ class TestBuild:
         assert st.depth == 0 and st.entries == []
 
     def test_depth_seven_counts(self, ap_tree_7):
-        assert len(ap_tree_7.levels[7].codes) == 64
+        assert len(ap_tree_7.levels[7].lowers) == 64
         assert ap_tree_7.side(7) == F(1, 1152)
         assert ap_tree_7.m_levels == [6]
 
     def test_depth_twelve_counts(self, ap_tree_12):
         st = ap_tree_12
         assert st.m_levels == [6, 11]
-        assert len(st.levels[12].codes) == 1024
+        assert len(st.levels[12].lowers) == 1024
         assert st.side(12) == F(1, 2**12 * 81)
 
     def test_profile_matches_at_every_level(self, ap_tree_12):
@@ -152,7 +173,7 @@ class TestBuild:
         prof = level_profile(1, st.m_levels, st.processed_betas(), 12)
         for k in range(13):
             assert st.side(k) == prof[k][0]
-            assert len(st.levels[k].codes) == prof[k][1]
+            assert len(st.levels[k].lowers) == prof[k][1]
 
     def test_first_entry_matches_enumerator(self, ap_tree_12):
         e = ap_tree_12.entries[0]
@@ -173,7 +194,7 @@ class TestBuild:
         h = make_dimfn("pow", F(1, 4), 2)
         st = build_tree(2, [p], h, 3)
         assert st.m_levels == [3]
-        assert len(st.levels[3].codes) == 16
+        assert len(st.levels[3].lowers) == 16
         validate_structure(st)
 
 
@@ -194,6 +215,16 @@ class TestValidation:
         doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
         mutate(doc)
         with pytest.raises(StructureViolation):
+            validate_structure(doc_to_state(doc))
+
+
+    def test_escape_above_parent_at_the_deepest_level(self, ap_pattern, sqrt_gauge):
+        # Parent [1, 33/32], child side 1/576: the top face pokes out, and no
+        # deeper level exposes it through a dyadic slot.
+        st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
+        doc = json.loads(json.dumps(state_to_doc(st)))
+        doc["cubes"]["6"][0]["lower"] = ["33/32"]
+        with pytest.raises(StructureViolation, match="escapes its parent"):
             validate_structure(doc_to_state(doc))
 
 

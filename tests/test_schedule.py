@@ -156,14 +156,14 @@ class TestEnumerator:
 
 
 class TestScheduler:
-    def codes(self, *sizes):
-        return [list(range(n)) for n in sizes]
+    def sizes(self, *sizes):
+        return list(sizes)
 
     def test_first_ap_entry(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge)
         # levels 0..2 built with 1, 2, 4 cubes: first admissible tuple is the
         # lexicographically first ordered triple at level 2.
-        entry = s.next_entry(self.codes(1, 2, 4), step=3)
+        entry = s.next_entry(self.sizes(1, 2, 4), step=3)
         assert entry.index == 1
         assert entry.level == 2
         assert entry.tuple_codes == (0, 1, 2)
@@ -173,17 +173,17 @@ class TestScheduler:
     def test_starved_before_tuples_exist(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge)
         with pytest.raises(Starved):
-            s.next_entry(self.codes(1), step=1)
+            s.next_entry(self.sizes(1), step=1)
         with pytest.raises(Starved):
-            s.next_entry(self.codes(1, 2), step=2)
+            s.next_entry(self.sizes(1, 2), step=2)
 
     def test_pair_exhaustion_in_first_cycle(self, q2_norm, sqrt_gauge):
         # One m=2 pattern, two cubes at level 1: both ordered pairs appear
         # within the first full round that can serve them.
         s = Scheduler([q2_norm], sqrt_gauge)
-        codes = self.codes(1, 2)
-        first = s.next_entry(codes, step=2)
-        second = s.next_entry(codes, step=first.m_level + 1)
+        sizes = self.sizes(1, 2)
+        first = s.next_entry(sizes, step=2)
+        second = s.next_entry(sizes, step=first.m_level + 1)
         assert first.tuple_codes == (0, 1)
         assert second.tuple_codes == (1, 0)
 
@@ -191,11 +191,11 @@ class TestScheduler:
         # Cycling contract: a served (pattern, tuple) pair recurs at a
         # later entry index.
         s = Scheduler([q2_norm], sqrt_gauge, level_cap=60)
-        codes = self.codes(1, 2)
+        sizes = self.sizes(1, 2)
         step = 2
         seen: dict[tuple, list[int]] = {}
         for _ in range(5):
-            e = s.next_entry(codes, step=step)
+            e = s.next_entry(sizes, step=step)
             seen.setdefault((e.pattern_id, e.level, e.tuple_codes), []).append(e.index)
             step = e.m_level + 1
         assert any(len(v) >= 2 for v in seen.values())
@@ -206,20 +206,20 @@ class TestScheduler:
         n0 = normalize(make_pattern(1, [[2], [-1]]))
         n1 = normalize(make_pattern(1, [[F(3, 2)], [-1]]))
         s = Scheduler([n0, n1], sqrt_gauge)
-        codes = self.codes(1, 2)
-        e1 = s.next_entry(codes, step=2)
-        e2 = s.next_entry(codes, step=e1.m_level + 1)
+        sizes = self.sizes(1, 2)
+        e1 = s.next_entry(sizes, step=2)
+        e2 = s.next_entry(sizes, step=e1.m_level + 1)
         assert (e1.pattern_id, e2.pattern_id) == (0, 1)
 
     def test_serving_matches_direct_diagonal_walk(self, ap_norm, q2_norm, sqrt_gauge):
         """Dual route: replay the documented diagonal order by hand."""
         normalized = [ap_norm, q2_norm]
         s = Scheduler(normalized, sqrt_gauge)
-        codes = self.codes(1, 2, 4)
+        sizes = self.sizes(1, 2, 4)
         served = []
         step = 3
         for _ in range(6):
-            e = s.next_entry(codes, step=step)
+            e = s.next_entry(sizes, step=step)
             served.append((e.level, e.tuple_codes, e.pattern_id))
             step = e.m_level + 1
         expect = []
@@ -229,8 +229,8 @@ class TestScheduler:
             L, rest = divmod(pos, per)
             r, p = divmod(rest, len(normalized))
             m = normalized[p].m
-            if L <= 2 and r < perm_count(len(codes[L]), m):
-                expect.append((L, unrank_tuple(len(codes[L]), m, r), p))
+            if L <= 2 and r < perm_count(sizes[L], m):
+                expect.append((L, unrank_tuple(sizes[L], m, r), p))
             pos += 1
             if pos >= (T + 1) ** 2 * len(normalized):
                 T, pos = T + 1, 0
@@ -238,22 +238,22 @@ class TestScheduler:
 
     def test_first_index_consistency(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge)
-        codes = self.codes(1, 2, 4)
-        idx = s.first_index(0, 2, 1, codes)
+        sizes = self.sizes(1, 2, 4)
+        idx = s.first_index(0, 2, 1, sizes)
         probe = Scheduler([ap_norm], sqrt_gauge)
         step = 3
         for i in range(1, idx + 1):
-            e = probe.next_entry(codes, step=step)
+            e = probe.next_entry(sizes, step=step)
             step = e.m_level + 1
         assert e.level == 2 and e.tuple_codes == (0, 1, 3)
 
     def test_exhaustion_under_cap(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge, level_cap=7)
-        codes = self.codes(1, 2, 4)
-        first = s.next_entry(codes, step=3)
+        sizes = self.sizes(1, 2, 4)
+        first = s.next_entry(sizes, step=3)
         assert first.m_level == 6
         with pytest.raises(Starved):
-            s.next_entry(codes, step=7)  # M_2 = 11 > cap
+            s.next_entry(sizes, step=7)  # M_2 = 11 > cap
         assert s.exhausted
 
 
