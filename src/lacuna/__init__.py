@@ -56,7 +56,6 @@ from .pattern import (
 )
 from .schedule import (
     ScheduleEntry,
-    ScheduleParams,
     compute_beta,
     compute_levels,
     level_profile,
@@ -75,7 +74,6 @@ __all__ = [
     "MeasureCertificate",
     "NormalizedPattern",
     "ScheduleEntry",
-    "ScheduleParams",
     "block_lattice",
     "box_dimension_profile",
     "brute_oracle",

@@ -378,7 +378,7 @@ def app_spec_from_doc(doc: dict) -> AppSpec:
             precision=int(doc.get("precision", 64)),
             level_cap=int(doc.get("level_cap", DEFAULT_LEVEL_CAP)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed app spec: {exc}") from exc
 
 

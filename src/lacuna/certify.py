@@ -47,7 +47,7 @@ from .errors import (
 )
 from .pattern import LinearPattern, NormalizedPattern, eval_pattern
 from .qmath import format_rational, ln2_bounds, ln_bounds
-from .schedule import ScheduleEntry, ratio_threshold, sqrt_d_bounds
+from .schedule import ScheduleEntry, ratio_condition, sqrt_d_bounds
 
 #: Above this many center combinations the exact minimum search falls back
 #: to the structural half-integer bound (still a valid certificate).
@@ -252,15 +252,13 @@ def spot_check_gap(
             )
 
 
-def certify_measure(
-    state: ConstructionState, precision: int = 32
-) -> MeasureCertificate:
+def certify_measure(state: ConstructionState) -> MeasureCertificate:
     """Per-level mass bounds from the first avoidance level to the depth.
 
     mass_ok certifies 1/N_k <= h(sqrt(d)*delta_k) through the increasing
     gauge at the rounded-down radius; ratio_ok re-verifies the schedule's
-    ratio condition at the built level (the "for all k >= M_i" side).
-    precision seeds the interval refinement for logarithmic gauges.
+    ratio condition, with the betas active at the built level (the "for all
+    k >= M_i" side).
     """
     if not state.entries:
         raise EntryNotProcessed("no avoidance level was processed; build deeper")
@@ -272,16 +270,11 @@ def certify_measure(
         side = state.side(k)
         count = state.expected_count(k)
         try:
-            mass_ok = state.h.ge(lo * side, Fraction(1, count), precision)
+            mass_ok = state.h.ge(lo * side, Fraction(1, count))
         except (OutOfDomain, Undecidable):
             mass_ok = False
         active = sum(1 for M in state.m_levels if M <= k)
-        try:
-            ratio_ok = state.h.ratio_ge(
-                hi * side, Fraction(ratio_threshold(active, betas, state.d)), precision
-            )
-        except (OutOfDomain, Undecidable):
-            ratio_ok = False
+        ratio_ok = ratio_condition(state.h, k, betas[:active])
         verdicts.append(
             LevelVerdict(level=k, count=count, side=side, mass_ok=mass_ok, ratio_ok=ratio_ok)
         )
@@ -491,22 +484,13 @@ CERT_FORMAT = "lacuna-cert/1"
 
 @dataclass(frozen=True)
 class AvoidanceReport:
-    """Aggregate of everything a run certifies: gaps, measure, oracle runs."""
+    """Aggregate of everything a run certifies: gaps and measure."""
 
     gaps: tuple[GapCertificate, ...]
     measure: MeasureCertificate | None
-    oracle_runs: tuple[dict, ...] = ()
-
-    def all_pass(self) -> bool:
-        gaps_ok = all(g.gap >= g.threshold for g in self.gaps)
-        measure_ok = self.measure is None or all(
-            v.mass_ok and v.ratio_ok for v in self.measure.per_level
-        )
-        oracle_ok = all(not run.get("covered_violations") for run in self.oracle_runs)
-        return gaps_ok and measure_ok and oracle_ok
 
     def to_doc(self) -> dict:
-        return certificates_to_doc(list(self.gaps), self.measure, list(self.oracle_runs))
+        return certificates_to_doc(list(self.gaps), self.measure)
 
 
 def gap_to_doc(cert: GapCertificate) -> dict:
@@ -544,13 +528,12 @@ def measure_to_doc(cert: MeasureCertificate) -> dict:
 
 
 def certificates_to_doc(
-    gaps: list[GapCertificate],
-    measure: MeasureCertificate | None,
-    oracle_runs: list[dict] | None = None,
+    gaps: list[GapCertificate], measure: MeasureCertificate | None
 ) -> dict:
     return {
         "format": CERT_FORMAT,
         "gaps": [gap_to_doc(g) for g in gaps],
         "measure": None if measure is None else measure_to_doc(measure),
-        "oracle_runs": oracle_runs or [],
+        # part of lacuna-cert/1; nothing fills it
+        "oracle_runs": [],
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import apps, certify, engine, export
@@ -29,12 +28,10 @@ from .errors import (
     UnsupportedDimension,
     ZeroPattern,
 )
-from .jsonfile import write_json
+from .jsonfile import read_json, write_json
 from .pattern import load_patterns
 from .qmath import parse_rational
 from .schedule import DEFAULT_LEVEL_CAP
-
-LEVEL_CAP_ENV = "LACUNA_LEVEL_CAP"
 
 _USAGE_ERRORS = (
     FormatError,
@@ -50,20 +47,12 @@ _USAGE_ERRORS = (
 )
 
 
-def _level_cap(args) -> int:
-    if args.level_cap is not None:
-        return args.level_cap
-    env = os.environ.get(LEVEL_CAP_ENV)
-    return int(env) if env else DEFAULT_LEVEL_CAP
-
-
 def cmd_build(args) -> int:
-    cap = _level_cap(args)
-    if args.depth > cap:
-        raise FormatError(f"depth {args.depth} exceeds level cap {cap}")
+    if args.depth > args.level_cap:
+        raise FormatError(f"depth {args.depth} exceeds level cap {args.level_cap}")
     d, patterns = load_patterns(args.patterns)
     h = parse_dimfn(args.dimfn, d)
-    state = engine.build_tree(d, patterns, h, args.depth, cap)
+    state = engine.build_tree(d, patterns, h, args.depth, args.level_cap)
     engine.write_tree(state, args.out)
     if args.schedule_log:
         engine.write_schedule_log(state, args.schedule_log)
@@ -75,13 +64,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.precision < 8:
-        raise FormatError("precision must be at least 8 bits")
     state = engine.read_tree(args.tree)
     gaps = []
     measure = None
-    if args.mode in ("all", "gap", "measure"):
-        engine.validate_structure(state)
+    engine.validate_structure(state)
     if args.mode in ("all", "gap"):
         for entry in state.entries:
             cert = certify.certify_gap(state, entry)
@@ -89,7 +75,7 @@ def cmd_certify(args) -> int:
                 certify.spot_check_gap(state, entry, cert, count=args.spot_checks)
             gaps.append(cert)
     if args.mode in ("all", "measure"):
-        measure = certify.certify_measure(state, precision=args.precision)
+        measure = certify.certify_measure(state)
     report = certify.AvoidanceReport(gaps=tuple(gaps), measure=measure)
     doc = report.to_doc()
     if args.out:
@@ -119,10 +105,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_app(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = apps.app_spec_from_doc(json.load(fh))
-    if args.level_cap is not None or os.environ.get(LEVEL_CAP_ENV):
-        spec = dataclasses.replace(spec, level_cap=_level_cap(args))
+    spec = apps.app_spec_from_doc(read_json(args.spec))
+    if args.level_cap is not None:
+        spec = dataclasses.replace(spec, level_cap=args.level_cap)
     summary = apps.run_app(spec, args.out_dir)
     print(json.dumps(summary, indent=1))
     return 0
@@ -171,14 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--depth", type=int, required=True)
     b.add_argument("--out", default="tree.json")
     b.add_argument("--schedule-log", default=None, help="JSON-lines schedule log")
-    b.add_argument("--level-cap", type=int, default=None)
+    b.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP)
     b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("certify", help="re-derive certificates from a tree file")
     c.add_argument("tree")
     c.add_argument("--mode", choices=("gap", "measure", "all"), default="all")
     c.add_argument("--out", default=None)
-    c.add_argument("--precision", type=int, default=64)
     c.add_argument("--spot-checks", type=int, default=0,
                    help="random point tuples per entry that must respect the gap")
     c.set_defaults(func=cmd_certify)

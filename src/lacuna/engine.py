@@ -46,7 +46,7 @@ from .errors import (
     StructureViolation,
     ZeroPattern,
 )
-from .jsonfile import write_json
+from .jsonfile import read_json, write_json
 from .pattern import (
     LinearPattern,
     NormalizedPattern,
@@ -59,6 +59,7 @@ from .schedule import (
     DEFAULT_LEVEL_CAP,
     ScheduleEntry,
     Scheduler,
+    compute_beta,
     delta_candidate,
     sqrt_d_bounds,
 )
@@ -461,7 +462,9 @@ def _int_field(value: object, what: str, low: int) -> int:
 def _entries_from_doc(
     recs: list, d: int, normalized: tuple[NormalizedPattern, ...], depth: int
 ) -> list[ScheduleEntry]:
-    """Schedule entries, checked for types, ranges and order."""
+    """Schedule entries, checked for types, ranges, order and the schedule
+    invariants: beta_i >= compute_beta, M_1 >= 2, M_{i+1} >= M_i + 2 and a
+    tuple level <= M_i - 2."""
     entries: list[ScheduleEntry] = []
     for pos, rec in enumerate(recs, start=1):
         if _int_field(rec["i"], "entry index", 1) != pos:
@@ -470,7 +473,7 @@ def _entries_from_doc(
         if pid >= len(normalized):
             raise FormatError(f"entry {pos}: pattern_id {pid} out of range")
         prev_m = entries[-1].m_level if entries else 0
-        m_level = _int_field(rec["M_i"], "M_i", prev_m + 1)
+        m_level = _int_field(rec["M_i"], "M_i", prev_m + 2)
         if m_level > depth:
             raise FormatError(f"entry {pos}: M_i={m_level} exceeds the depth {depth}")
         level = _int_field(rec["level"], "tuple level", 0)
@@ -496,7 +499,9 @@ def _entries_from_doc(
                 level=level,
                 tuple_codes=codes,
                 m_level=m_level,
-                beta=_int_field(rec["beta_i"], "beta_i", 1),
+                beta=_int_field(
+                    rec["beta_i"], "beta_i", compute_beta(normalized[pid], d)
+                ),
             )
         )
     return entries
@@ -533,7 +538,8 @@ def _level_from_doc(state: ConstructionState, k: int, cubes: list, q: int) -> Le
 def doc_to_state(doc: dict) -> ConstructionState:
     """Rebuild a state from a tree document (read-only: no scheduler).
 
-    Types, ranges and the cross-field consistency of the document are
+    Types, ranges, the cross-field consistency of the document and the
+    schedule invariants (beta_i >= compute_beta, M_{i+1} >= M_i + 2) are
     checked here and fail with FormatError; a cube stored under an address
     other than its index's fails with StructureViolation.  The geometry is
     left to validate_structure and certify_gap: an off-lattice cube still
@@ -580,12 +586,7 @@ def write_tree(state: ConstructionState, path: str | Path) -> None:
 
 
 def read_tree(path: str | Path) -> ConstructionState:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise FormatError(f"tree file is not JSON: {exc}") from exc
-    return doc_to_state(doc)
+    return doc_to_state(read_json(path))
 
 
 def write_schedule_log(state: ConstructionState, path: str | Path) -> None:

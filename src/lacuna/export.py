@@ -30,19 +30,24 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
 
 def read_points(path: str | Path) -> tuple[int, list[tuple[Fraction, ...]]]:
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(POINTS_HEADER):
-            raise FormatError("missing lacuna-points header")
-        d = int(header[len(POINTS_HEADER):])
-        points = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            coords = tuple(parse_rational(tok) for tok in line.split())
-            if len(coords) != d:
-                raise FormatError(f"point {line!r} does not have {d} coordinates")
-            points.append(coords)
+        try:
+            header = fh.readline().strip()
+            if not header.startswith(POINTS_HEADER):
+                raise FormatError("missing lacuna-points header")
+            d = int(header[len(POINTS_HEADER):])
+            if d < 1:
+                raise FormatError(f"points header gives d={d}, need d >= 1")
+            points = []
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                coords = tuple(parse_rational(tok) for tok in line.split())
+                if len(coords) != d:
+                    raise FormatError(f"point {line!r} does not have {d} coordinates")
+                points.append(coords)
+        except ValueError as exc:  # a non-integer d, or bytes that are not UTF-8
+            raise FormatError(f"malformed points file: {exc}") from exc
     return d, points
 
 

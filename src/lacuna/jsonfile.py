@@ -1,9 +1,21 @@
-"""The one writer of JSON files: indent 1, UTF-8, trailing newline."""
+"""The one reader and the one writer of JSON files: indent 1, UTF-8,
+trailing newline on write."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from .errors import FormatError
+
+
+def read_json(path: str | Path) -> object:
+    """The document in a JSON file; FormatError if it is not JSON or not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def write_json(doc: object, path: str | Path) -> None:

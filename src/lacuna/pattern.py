@@ -24,7 +24,6 @@ finite window in exact arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FormatError, ZeroPattern
-from .jsonfile import write_json
+from .jsonfile import read_json, write_json
 from .qmath import format_rational, parse_rational
 
 Coeffs = tuple[tuple[Fraction, ...], ...]
@@ -206,7 +205,7 @@ def patterns_from_doc(doc: dict) -> tuple[int, list[LinearPattern]]:
             if len(rows) != int(entry["m"]):
                 raise FormatError("pattern arity does not match coefficient rows")
             out.append(make_pattern(d, rows))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed pattern file: {exc}") from exc
     if not out:
         raise FormatError("pattern file lists no patterns")
@@ -214,8 +213,7 @@ def patterns_from_doc(doc: dict) -> tuple[int, list[LinearPattern]]:
 
 
 def load_patterns(path: str | Path) -> tuple[int, list[LinearPattern]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return patterns_from_doc(json.load(fh))
+    return patterns_from_doc(read_json(path))
 
 
 def save_patterns(path: str | Path, d: int, patterns: Iterable[LinearPattern]) -> None:

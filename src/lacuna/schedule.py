@@ -2,16 +2,22 @@
 
 Each served schedule entry i pairs a pattern occurrence with a tuple of
 distinct same-level cube labels and an avoidance level M_i at which the
-engine will place lattice cubes.  The constraints are:
+engine will place lattice cubes.  The constraints, and the one place each
+is enforced:
 
 * beta_i >= m_i and beta_i/2 >= max_scale * 2*peak*sqrt(d) + sqrt(d)/2
-  (ball-fitting: a lattice cell plus slack fits inside the shrunk parent),
-* M_1 >= 2 and M_{i+1} >= M_i + 2,
+  (arity and ball fitting: a lattice cell plus slack fits inside the shrunk
+  parent).  compute_beta returns the least such integer; a build uses it,
+  and the tree reader (engine.doc_to_state) rejects a smaller beta_i.
+* M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
+  The scheduler picks levels that way; the tree reader rejects any other.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
-  new beta_i.  The gauge's monotone-ratio witness extends that single check
-  to every k >= M_i (deeper levels shrink delta, which can only raise the
-  ratio), and the engine re-verifies each built level anyway.
+  new beta_i.  ratio_condition is the one test of it: min_ratio_level
+  searches with it, and certify_measure re-checks it at every level from
+  the first avoidance level to the depth.  The gauge's monotone-ratio
+  witness extends the check at M_i to every k >= M_i (deeper levels shrink
+  delta, which can only raise the ratio).
 
 sqrt(d) is handled by a fixed rational enclosure; the upper bound is the
 conservative direction both for beta (larger beta only helps the fit) and
@@ -31,7 +37,7 @@ from fractions import Fraction
 from math import ceil
 
 from .dimfn import DimensionFunction
-from .errors import ScheduleOverflow, Starved, Undecidable
+from .errors import OutOfDomain, ScheduleOverflow, Starved, Undecidable
 from .pattern import NormalizedPattern
 from .qmath import sqrt_bounds
 
@@ -85,6 +91,23 @@ def delta_candidate(k: int, betas_applied: list[int] | tuple[int, ...]) -> Fract
     return Fraction(1, (1 << k) * prod)
 
 
+def ratio_condition(
+    h: DimensionFunction, k: int, betas: list[int] | tuple[int, ...]
+) -> bool:
+    """Certified ratio condition of entry i = len(betas) at level k.
+
+    The radius is sqrt(d) (rounded up) times the side 2^-k / (beta_1...beta_i):
+    the entry's own beta is already active at its level.  Arguments above the
+    gauge's certified cap and comparisons left undecided do not satisfy it.
+    """
+    _, hi = sqrt_d_bounds(h.d)
+    r = hi * delta_candidate(k, betas)
+    try:
+        return h.ratio_ge(r, Fraction(ratio_threshold(len(betas), betas, h.d)))
+    except (OutOfDomain, Undecidable):
+        return False
+
+
 def min_ratio_level(
     h: DimensionFunction,
     betas: list[int],
@@ -92,24 +115,10 @@ def min_ratio_level(
     floor_level: int,
     level_cap: int,
 ) -> int:
-    """Smallest k >= floor_level satisfying the i-th ratio condition.
-
-    The condition at candidate k uses delta = 2^-k / (beta_1...beta_i): the
-    entry's own beta is already active at its level.  Arguments above the
-    gauge's certified cap simply do not satisfy the condition yet.
-    """
-    _, hi = sqrt_d_bounds(h.d)
-    threshold = Fraction(ratio_threshold(i, betas, h.d))
-    k = max(floor_level, 2)
-    while k <= level_cap:
-        r = hi * delta_candidate(k, betas[:i])
-        if r <= h.domain_cap:
-            try:
-                if h.ratio_ge(r, threshold):
-                    return k
-            except Undecidable:
-                pass  # not certified: keep descending
-        k += 1
+    """Smallest k >= floor_level satisfying the i-th ratio condition."""
+    for k in range(max(floor_level, 2), level_cap + 1):
+        if ratio_condition(h, k, betas[:i]):
+            return k
     raise ScheduleOverflow(
         f"ratio condition for entry {i} not reached by level cap {level_cap}"
     )
@@ -204,9 +213,6 @@ class TupleEnumerator:
             self.round += 1
             self.pos = 0
 
-    def state(self) -> tuple[int, int]:
-        return self.round, self.pos
-
 
 class Scheduler:
     """Serves schedule entries in (U_j) order against a growing cube tree.
@@ -276,70 +282,3 @@ class Scheduler:
                 self.served_betas.append(beta)
                 return entry
             self.enum.advance()
-
-    def first_index(
-        self,
-        pattern_id: int,
-        level: int,
-        rank: int,
-        level_sizes: list[int],
-        max_steps: int = 10_000_000,
-    ) -> int:
-        """Index at which (pattern, tuple) would first be served, by direct
-        replay of the cursor against a frozen tree (testing aid)."""
-        probe = Scheduler(self.normalized, self.h, self.level_cap)
-        for step in range(1, max_steps):
-            try:
-                entry = probe.next_entry(level_sizes, step=level + 2)
-            except Starved as exc:
-                raise Starved(f"pair never served: {exc}") from exc
-            if (
-                entry.pattern_id == pattern_id
-                and entry.level == level
-                and entry.tuple_codes
-                == unrank_tuple(level_sizes[level], self.normalized[pattern_id].m, rank)
-            ):
-                return entry.index
-        raise Starved("pair not served within the probe budget")
-
-
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Frozen snapshot of the realized schedule with its certificates."""
-
-    betas: tuple[int, ...]
-    levels: tuple[int, ...]
-    sqrt_d_lo: Fraction
-    sqrt_d_hi: Fraction
-
-    def verify(self, h: DimensionFunction, normalized_by_entry: list[NormalizedPattern]) -> None:
-        """Re-check every schedule invariant; raises ScheduleOverflow on failure."""
-        if len(self.betas) != len(self.levels):
-            raise ScheduleOverflow("beta/level lists disagree")
-        prev = None
-        for i, (beta, M) in enumerate(zip(self.betas, self.levels), start=1):
-            np_ = normalized_by_entry[i - 1]
-            if beta < np_.m:
-                raise ScheduleOverflow(f"beta_{i} below pattern arity")
-            if Fraction(beta, 2) < np_.max_scale * 2 * np_.peak * self.sqrt_d_hi + self.sqrt_d_hi / 2:
-                raise ScheduleOverflow(f"ball-fitting inequality fails for beta_{i}")
-            if M < 2 or (prev is not None and M < prev + 2):
-                raise ScheduleOverflow(f"avoidance level M_{i}={M} breaks spacing")
-            r = self.sqrt_d_hi * delta_candidate(M, self.betas[:i])
-            try:
-                ok = h.ratio_ge(r, Fraction(ratio_threshold(i, self.betas, h.d)))
-            except Undecidable:
-                ok = False
-            if not ok:
-                raise ScheduleOverflow(f"ratio condition fails at M_{i}={M}")
-            prev = M
-
-
-def params_from_entries(entries: list[ScheduleEntry], d: int) -> ScheduleParams:
-    lo, hi = sqrt_d_bounds(d)
-    return ScheduleParams(
-        betas=tuple(e.beta for e in entries),
-        levels=tuple(e.m_level for e in entries),
-        sqrt_d_lo=lo,
-        sqrt_d_hi=hi,
-    )

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from lacuna.cli import main
-from lacuna.engine import read_tree
+from lacuna.engine import build_tree, read_tree, state_to_doc
+from lacuna.errors import FormatError
 from lacuna.export import read_points
 
 F = Fraction
@@ -53,9 +58,8 @@ class TestBuild:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "RejectNotDominated"
 
-    def test_depth_over_cap_is_config_error(self, ap_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("LACUNA_LEVEL_CAP", "5")
-        assert main(build_args(ap_file, tmp_path, depth=7)) == 2
+    def test_depth_over_cap_is_config_error(self, ap_file, tmp_path):
+        assert main(build_args(ap_file, tmp_path, depth=7) + ["--level-cap", "5"]) == 2
 
     def test_schedule_log(self, ap_file, tmp_path):
         args = build_args(ap_file, tmp_path) + [
@@ -128,6 +132,19 @@ def _levels_m_disagree(doc):
     doc["levels_M"][0] += 1
 
 
+def _beta_below_compute_beta(doc):
+    doc["schedule"][0]["beta_i"] = doc["betas"][0] = 8
+
+
+def _levels_too_close(doc):
+    m = doc["schedule"][0]["M_i"] + 1
+    doc["schedule"][1]["M_i"] = doc["levels_M"][1] = m
+
+
+def _infinite_arity(doc):
+    doc["patterns"][0]["m"] = float("inf")
+
+
 def _addresses_permuted(doc):
     a, b = doc["cubes"]["7"][0], doc["cubes"]["7"][1]
     a["addr"], b["addr"] = b["addr"], a["addr"]
@@ -143,6 +160,9 @@ class TestTamperedTree:
             (_negative_depth, "FormatError"),
             (_betas_disagree, "FormatError"),
             (_levels_m_disagree, "FormatError"),
+            (_beta_below_compute_beta, "FormatError"),
+            (_levels_too_close, "FormatError"),
+            (_infinite_arity, "FormatError"),
             (_addresses_permuted, "StructureViolation"),
         ],
         ids=lambda v: v.__name__.strip("_") if callable(v) else v,
@@ -169,6 +189,109 @@ class TestTamperedTree:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "FormatError"
 
 
+def _bad_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"d": 1, "patterns": [')
+    return str(bad)
+
+
+def _points_file(tmp_path, header, body=b"1\n"):
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(f"# lacuna-points/1 {header}\n".encode() + body)
+    return str(pts)
+
+
+def _spec_file(tmp_path, **fields):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"kind": "ratios", "params": ["2"], "h": "pow:1/2", "depth": 3, **fields}
+    ))
+    return str(spec)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda t, ap: ["build", _bad_json(t), "--dimfn", "pow:1/2", "--depth", "3",
+                           "--out", str(t / "tree.json")],
+            lambda t, ap: ["app", _bad_json(t), "--out-dir", str(t / "o")],
+            lambda t, ap: ["oracle", _points_file(t, "d=1"), "--patterns", _bad_json(t)],
+            lambda t, ap: ["oracle", _points_file(t, "d=x"), "--patterns", ap],
+            lambda t, ap: ["oracle", _points_file(t, "d=1", b"\xff\n"), "--patterns", ap],
+            lambda t, ap: ["app", _spec_file(t, depth=float("inf")), "--out-dir", str(t / "o")],
+        ],
+        ids=["build-bad-json", "app-bad-json", "oracle-bad-patterns",
+             "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth"],
+    )
+    def test_format_error_envelope(self, ap_file, tmp_path, capsys, argv):
+        code = main(argv(tmp_path, ap_file))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "FormatError"
+
+
+@pytest.fixture(scope="module")
+def ap_doc_8(ap_pattern, sqrt_gauge):
+    return json.loads(json.dumps(state_to_doc(build_tree(1, [ap_pattern], sqrt_gauge, 8))))
+
+
+def _json_paths(node, path=()):
+    """Every (path, node) pair of a JSON document, containers included."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _json_paths(child, path + (i,))
+
+
+_JSON_VALUES = hs.one_of(
+    hs.integers(min_value=-(10**6), max_value=10**6),
+    hs.floats(),
+    hs.text(max_size=6),
+    hs.none(),
+    hs.lists(hs.integers(min_value=-3, max_value=3), max_size=3),
+    hs.dictionaries(hs.text(max_size=3), hs.integers(), max_size=2),
+)
+
+
+class TestCertifyFuzz:
+    """certify is a trust boundary: a mutated tree never ends in a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=hs.data())
+    def test_mutated_tree(self, ap_doc_8, tmp_path_factory, data):
+        doc = json.loads(json.dumps(ap_doc_8))
+        nodes = list(_json_paths(doc))
+        leaves = [p for p, n in nodes if p and not isinstance(n, (dict, list))]
+        lists = [p for p, n in nodes if isinstance(n, list) and n]
+        dicts = [p for p, n in nodes if isinstance(n, dict) and n]
+        kind = data.draw(hs.sampled_from(["replace", "delete", "truncate"]))
+        path = data.draw(hs.sampled_from({"replace": leaves, "delete": dicts,
+                                          "truncate": lists}[kind]))
+        parent = doc
+        for key in path[:-1] if kind == "replace" else path:
+            parent = parent[key]
+        if kind == "replace":
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+        elif kind == "delete":
+            del parent[data.draw(hs.sampled_from(sorted(parent)))]
+        else:
+            del parent[data.draw(hs.integers(0, len(parent) - 1)):]
+        tree = tmp_path_factory.mktemp("fuzz") / "tree.json"
+        tree.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["certify", str(tree), "--mode", "all"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error" in json.loads(err.getvalue())
+
+
 class TestExport:
     def test_points_roundtrip(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path))
@@ -177,6 +300,10 @@ class TestExport:
         d, points = read_points(pts)
         st = read_tree(tmp_path / "tree.json")
         assert d == 1 and points == st.leaf_centers()
+
+    def test_points_header_needs_positive_d(self, tmp_path):
+        with pytest.raises(FormatError):
+            read_points(_points_file(tmp_path, "d=0", b""))
 
     def test_csv_row_count(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path))

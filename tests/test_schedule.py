@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from lacuna.dimfn import make_dimfn
+from lacuna.engine import doc_to_state, state_to_doc
 from lacuna.errors import ScheduleOverflow, Starved
 from lacuna.pattern import make_pattern, normalize
 from lacuna.schedule import (
@@ -15,8 +17,8 @@ from lacuna.schedule import (
     compute_levels,
     delta_candidate,
     level_profile,
-    params_from_entries,
     perm_count,
+    ratio_condition,
     ratio_threshold,
     sqrt_d_bounds,
     unrank_tuple,
@@ -86,6 +88,11 @@ class TestLevels:
     def test_powlog_full_dimension(self):
         h = make_dimfn("powlog", F(1), 1)
         assert compute_levels(h, [7]) == [18]
+
+    def test_ratio_condition_is_false_outside_the_domain(self, sqrt_gauge):
+        capped = make_dimfn("pow", F(1, 2), 1, domain_cap=F(1, 10**4))
+        assert ratio_condition(sqrt_gauge, 9, [9])  # r = 1/4608
+        assert not ratio_condition(capped, 9, [9])
 
     def test_overflow(self, sqrt_gauge):
         with pytest.raises(ScheduleOverflow):
@@ -237,15 +244,18 @@ class TestScheduler:
         assert [(L, t, p) for L, t, p in served] == expect
 
     def test_first_index_consistency(self, ap_norm, sqrt_gauge):
+        # Fairness: the pair (pattern 0, level-2 tuple (0,1,3)) is served at
+        # a finite index of the realized schedule.
         s = Scheduler([ap_norm], sqrt_gauge)
         sizes = self.sizes(1, 2, 4)
-        idx = s.first_index(0, 2, 1, sizes)
-        probe = Scheduler([ap_norm], sqrt_gauge)
         step = 3
-        for i in range(1, idx + 1):
-            e = probe.next_entry(sizes, step=step)
+        for _ in range(20):
+            e = s.next_entry(sizes, step=step)
+            if (e.pattern_id, e.level, e.tuple_codes) == (0, 2, (0, 1, 3)):
+                break
             step = e.m_level + 1
-        assert e.level == 2 and e.tuple_codes == (0, 1, 3)
+        else:
+            pytest.fail("pair not served within 20 entries")
 
     def test_exhaustion_under_cap(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge, level_cap=7)
@@ -258,24 +268,8 @@ class TestScheduler:
 
 
 class TestParams:
-    def test_verify_roundtrip(self, ap_tree_12):
-        params = params_from_entries(ap_tree_12.entries, 1)
-        assert params.levels == (6, 11) and params.betas == (9, 9)
-        normalized = [
-            ap_tree_12.normalized[e.pattern_id] for e in ap_tree_12.entries
-        ]
-        params.verify(ap_tree_12.h, normalized)
-
-    def test_verify_rejects_bad_level(self, ap_tree_12):
-        params = params_from_entries(ap_tree_12.entries, 1)
-        broken = type(params)(
-            betas=params.betas,
-            levels=(5, 11),
-            sqrt_d_lo=params.sqrt_d_lo,
-            sqrt_d_hi=params.sqrt_d_hi,
-        )
-        normalized = [
-            ap_tree_12.normalized[e.pattern_id] for e in ap_tree_12.entries
-        ]
-        with pytest.raises(ScheduleOverflow):
-            broken.verify(ap_tree_12.h, normalized)
+    def test_reader_roundtrip(self, ap_tree_12):
+        # The schedule survives the tree reader's invariant checks.
+        doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
+        st = doc_to_state(doc)
+        assert [(e.m_level, e.beta) for e in st.entries] == [(6, 9), (11, 9)]
