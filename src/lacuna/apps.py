@@ -41,7 +41,7 @@ from .errors import (
     RejectUnit,
     ZeroPattern,
 )
-from .jsonfile import write_json
+from .jsonfile import int_field, write_json
 from .pattern import LinearPattern, make_pattern
 from .qmath import exp_bounds, format_rational, ln_bounds, parse_rational
 from .schedule import DEFAULT_LEVEL_CAP
@@ -373,12 +373,12 @@ def app_spec_from_doc(doc: dict) -> AppSpec:
             kind=kind,
             params=doc.get("params", []),
             h_spec=doc["h"],
-            depth=int(doc["depth"]),
-            d=int(doc.get("d", 2)),
-            precision=int(doc.get("precision", 64)),
-            level_cap=int(doc.get("level_cap", DEFAULT_LEVEL_CAP)),
+            depth=int_field(doc["depth"], "depth", 0),
+            d=int_field(doc.get("d", 2), "d", 1),
+            precision=int_field(doc.get("precision", 64), "precision", 1),
+            level_cap=int_field(doc.get("level_cap", DEFAULT_LEVEL_CAP), "level_cap", 0),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed app spec: {exc}") from exc
 
 
@@ -409,7 +409,8 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
         return 2, complex_triplet_patterns(triplets)
     if app.kind == "vector_split":
         p = app.params
-        return int(p["d"]), split_vector_pattern(int(p["d"]), int(p["m"]), p["rows"])
+        d = int_field(p["d"], "vector_split d", 1)
+        return d, split_vector_pattern(d, int_field(p["m"], "vector_split m", 2), p["rows"])
     raise FormatError(f"app kind {app.kind!r} has no direct pattern list")
 
 

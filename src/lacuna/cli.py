@@ -48,8 +48,6 @@ _USAGE_ERRORS = (
 
 
 def cmd_build(args) -> int:
-    if args.depth > args.level_cap:
-        raise FormatError(f"depth {args.depth} exceeds level cap {args.level_cap}")
     d, patterns = load_patterns(args.patterns)
     h = parse_dimfn(args.dimfn, d)
     state = engine.build_tree(d, patterns, h, args.depth, args.level_cap)

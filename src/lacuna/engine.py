@@ -16,14 +16,20 @@ den_k and every lower corner as a tuple of integer numerators over it.  A
 build uses den_k = Q * 2^k * prod(beta applied), where Q is the lattice
 denominator of the patterns (lattice_denominator): every cube side is then
 the integer Q and every lattice step and shift an integer, so placement,
-validation and gap recovery never leave Z.  Rationals appear only at the
-tree-file boundary and in the gauge, measure and spot-check code.
+validation and gap recovery never leave Z.  Rationals appear only in the
+gauge, measure, spot-check and export code.
 
 Cubes of a level are stored in address order, and the addresses are
 implicit: the cube at index i of an ordinary level is child digit
 i & (2^d - 1) of parent i >> d, and an avoidance level keeps its parent
 level's indices.  An address is the base-2^d digit string of the index,
-one digit per ordinary level; it is rendered only at the file boundary.
+one digit per ordinary level; only schedule tuples are written as
+addresses.
+
+The tree file (lacuna-tree/2) holds the same integers: per level one
+{"den": den_k, "lowers": [...]} record whose lowers list the d numerators
+of every lower corner in index order, one flat list.  The schedule is
+stored once; the betas and avoidance levels are read from its entries.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain
 from math import lcm
 from operator import add
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dimfn import DimensionFunction, parse_dimfn
 from .errors import (
@@ -46,7 +52,7 @@ from .errors import (
     StructureViolation,
     ZeroPattern,
 )
-from .jsonfile import read_json, write_json
+from .jsonfile import int_field, read_json, write_json
 from .pattern import (
     LinearPattern,
     NormalizedPattern,
@@ -54,7 +60,6 @@ from .pattern import (
     patterns_from_doc,
     patterns_to_doc,
 )
-from .qmath import format_ratio, parse_ratio
 from .schedule import (
     DEFAULT_LEVEL_CAP,
     ScheduleEntry,
@@ -95,11 +100,6 @@ def parse_address(text: str, d: int) -> int:
             raise FormatError(f"address digit {ch!r} out of range for d={d}")
         code = (code << d) | v
     return code
-
-
-def addresses(ndigits: int, d: int) -> Iterator[str]:
-    """The addresses of one level in index order."""
-    return map("".join, product(_digits(d), repeat=ndigits))
 
 
 def lattice_denominator(normalized: Sequence[NormalizedPattern]) -> int:
@@ -416,7 +416,7 @@ def validate_structure(state: ConstructionState) -> None:
 
 # -- tree (de)serialization -----------------------------------------------------
 
-TREE_FORMAT = "lacuna-tree/1"
+TREE_FORMAT = "lacuna-tree/2"
 
 
 def state_to_doc(state: ConstructionState) -> dict:
@@ -428,16 +428,11 @@ def state_to_doc(state: ConstructionState) -> dict:
         "depth": state.depth,
         "level_cap": state.level_cap,
         "patterns": pat_doc["patterns"],
-        "betas": [e.beta for e in state.entries],
-        "levels_M": list(state.m_levels),
         "schedule": [entry_to_doc(state, e) for e in state.entries],
-        "cubes": {
-            str(k): [
-                {"addr": addr, "lower": [format_ratio(x, lvl.den) for x in lower]}
-                for addr, lower in zip(addresses(state.ndigits(k), state.d), lvl.lowers)
-            ]
-            for k, lvl in enumerate(state.levels)
-        },
+        "levels": [
+            {"den": lvl.den, "lowers": list(chain.from_iterable(lvl.lowers))}
+            for lvl in state.levels
+        ],
     }
 
 
@@ -453,12 +448,6 @@ def entry_to_doc(state: ConstructionState, e: ScheduleEntry) -> dict:
     }
 
 
-def _int_field(value: object, what: str, low: int) -> int:
-    if type(value) is not int or value < low:
-        raise FormatError(f"{what} must be an integer >= {low}, got {value!r}")
-    return value
-
-
 def _entries_from_doc(
     recs: list, d: int, normalized: tuple[NormalizedPattern, ...], depth: int
 ) -> list[ScheduleEntry]:
@@ -467,16 +456,16 @@ def _entries_from_doc(
     tuple level <= M_i - 2."""
     entries: list[ScheduleEntry] = []
     for pos, rec in enumerate(recs, start=1):
-        if _int_field(rec["i"], "entry index", 1) != pos:
+        if int_field(rec["i"], "entry index", 1) != pos:
             raise FormatError(f"schedule entry {pos} is stored with index {rec['i']}")
-        pid = _int_field(rec["pattern_id"], "pattern_id", 0)
+        pid = int_field(rec["pattern_id"], "pattern_id", 0)
         if pid >= len(normalized):
             raise FormatError(f"entry {pos}: pattern_id {pid} out of range")
         prev_m = entries[-1].m_level if entries else 0
-        m_level = _int_field(rec["M_i"], "M_i", prev_m + 2)
+        m_level = int_field(rec["M_i"], "M_i", prev_m + 2)
         if m_level > depth:
             raise FormatError(f"entry {pos}: M_i={m_level} exceeds the depth {depth}")
-        level = _int_field(rec["level"], "tuple level", 0)
+        level = int_field(rec["level"], "tuple level", 0)
         if level > m_level - 2:
             raise FormatError(f"entry {pos}: tuple level {level} is not above M_i={m_level}")
         # the tuple level lies above M_i, so only earlier entries act there
@@ -499,7 +488,7 @@ def _entries_from_doc(
                 level=level,
                 tuple_codes=codes,
                 m_level=m_level,
-                beta=_int_field(
+                beta=int_field(
                     rec["beta_i"], "beta_i", compute_beta(normalized[pid], d)
                 ),
             )
@@ -507,32 +496,26 @@ def _entries_from_doc(
     return entries
 
 
-def _level_from_doc(state: ConstructionState, k: int, cubes: list, q: int) -> Level:
-    """Level k with den = lcm(Q/side_k, den_{k-1}, stored denominators).
+def _level_from_doc(state: ConstructionState, k: int, rec: dict, q: int) -> Level:
+    """Level k with den = lcm(Q/side_k, den_{k-1}, stored den).
 
-    A valid file gives den = Q/side_k, the denominator of the build.
+    A valid file stores den = Q/side_k, the denominator of the build, and
+    loads unscaled; any other stored den is widened to one that holds both
+    the stored corners and the level's lattice exactly.
     """
     d = state.d
-    if not isinstance(cubes, list):
-        raise FormatError(f"level {k} is not a list of cubes")
-    expected = addresses(state.ndigits(k), d)
-    pairs: list[list[tuple[int, int]]] = []
-    for i, cube in enumerate(cubes):
-        addr = next(expected, None)
-        if cube["addr"] != addr:
-            raise StructureViolation(
-                f"level {k}: cube {i} is stored under address {cube['addr']!r}, "
-                f"its index gives {addr!r}"
-            )
-        lower = cube["lower"]
-        if not isinstance(lower, list) or len(lower) != d:
-            raise FormatError(f"level {k}: cube {i} needs {d} coordinates")
-        pairs.append([parse_ratio(x) for x in lower])
-    den = q * state.inv_side(k)
+    stored = int_field(rec["den"], f"level {k} den", 1)
+    flat = rec["lowers"]
+    if not isinstance(flat, list) or len(flat) % d:
+        raise FormatError(f"level {k}: lowers must be a flat list of {d}-coordinate corners")
+    if not set(map(type, flat)) <= {int}:
+        raise FormatError(f"level {k}: every entry of lowers must be an integer")
+    den = lcm(q * state.inv_side(k), stored)
     if k:
         den = lcm(den, state.levels[k - 1].den)
-    den = lcm(den, *{b for r in pairs for _, b in r})
-    return Level(den=den, lowers=[tuple(a * (den // b) for a, b in r) for r in pairs])
+    if den != stored:
+        flat = [x * (den // stored) for x in flat]
+    return Level(den=den, lowers=list(zip(*[iter(flat)] * d)))
 
 
 def doc_to_state(doc: dict) -> ConstructionState:
@@ -540,42 +523,35 @@ def doc_to_state(doc: dict) -> ConstructionState:
 
     Types, ranges, the cross-field consistency of the document and the
     schedule invariants (beta_i >= compute_beta, M_{i+1} >= M_i + 2) are
-    checked here and fail with FormatError; a cube stored under an address
-    other than its index's fails with StructureViolation.  The geometry is
-    left to validate_structure and certify_gap: an off-lattice cube still
-    loads, on a denominator large enough to hold it exactly.
+    checked here and fail with FormatError.  The geometry is left to
+    validate_structure and certify_gap: an off-lattice cube still loads,
+    on a denominator large enough to hold it exactly.
     """
     try:
         if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
-            raise FormatError("not a lacuna-tree/1 document")
-        d = _int_field(doc["d"], "d", 1)
+            raise FormatError(
+                f"not a {TREE_FORMAT} document (lacuna-tree/1 files must be rebuilt)"
+            )
+        d = int_field(doc["d"], "d", 1)
         _, patterns = patterns_from_doc({"d": d, "patterns": doc["patterns"]})
         h = parse_dimfn(doc["h"], d)
-        depth = _int_field(doc["depth"], "depth", 0)
-        cubes = doc["cubes"]
-        if (
-            not isinstance(cubes, dict)
-            or len(cubes) != depth + 1
-            or set(cubes) != {str(k) for k in range(depth + 1)}
-        ):
-            raise FormatError(f"cubes must list exactly the levels 0..{depth}")
+        depth = int_field(doc["depth"], "depth", 0)
+        levels = doc["levels"]
+        if not isinstance(levels, list) or len(levels) != depth + 1:
+            raise FormatError(f"levels must list exactly the levels 0..{depth}")
         state = ConstructionState(
             d=d,
             h=h,
             patterns=tuple(patterns),
             normalized=tuple(normalize(p) for p in patterns),
-            level_cap=_int_field(doc["level_cap"], "level_cap", depth),
+            level_cap=int_field(doc["level_cap"], "level_cap", depth),
             levels=[],
         )
         state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
         state.m_levels = [e.m_level for e in state.entries]
-        if doc["levels_M"] != state.m_levels:
-            raise FormatError("levels_M disagrees with the schedule's M_i")
-        if doc["betas"] != state.processed_betas():
-            raise FormatError("betas disagree with the schedule's beta_i")
         q = lattice_denominator(state.normalized)
-        for k in range(depth + 1):
-            state.levels.append(_level_from_doc(state, k, cubes[str(k)], q))
+        for k, rec in enumerate(levels):
+            state.levels.append(_level_from_doc(state, k, rec, q))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
     return state

@@ -1,5 +1,5 @@
-"""The one reader and the one writer of JSON files: indent 1, UTF-8,
-trailing newline on write."""
+"""The one reader and the one writer of JSON files (indent 1, UTF-8,
+trailing newline on write), and the one check of an integer field in them."""
 
 from __future__ import annotations
 
@@ -22,3 +22,10 @@ def write_json(doc: object, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def int_field(value: object, what: str, low: int) -> int:
+    """value if it is a JSON integer >= low; bools, floats and strings fail."""
+    if type(value) is not int or value < low:
+        raise FormatError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FormatError, ZeroPattern
-from .jsonfile import read_json, write_json
+from .jsonfile import int_field, read_json, write_json
 from .qmath import format_rational, parse_rational
 
 Coeffs = tuple[tuple[Fraction, ...], ...]
@@ -198,14 +198,14 @@ def patterns_to_doc(d: int, patterns: Iterable[LinearPattern]) -> dict:
 
 def patterns_from_doc(doc: dict) -> tuple[int, list[LinearPattern]]:
     try:
-        d = int(doc["d"])
+        d = int_field(doc["d"], "d", 1)
         out = []
         for entry in doc["patterns"]:
             rows = [[parse_rational(b) for b in row] for row in entry["coeffs"]]
-            if len(rows) != int(entry["m"]):
+            if len(rows) != int_field(entry["m"], "m", 2):
                 raise FormatError("pattern arity does not match coefficient rows")
             out.append(make_pattern(d, rows))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed pattern file: {exc}") from exc
     if not out:
         raise FormatError("pattern file lists no patterns")

@@ -18,18 +18,14 @@ from .errors import FormatError
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def parse_ratio(text: str) -> tuple[int, int]:
-    """(p, q) of a 'p/q' or integer string, q > 0 and not reduced; floats
-    and non-strings are rejected on purpose."""
+def parse_rational(text: str) -> Fraction:
+    """The value of a 'p/q' or integer string, q > 0; floats and non-strings
+    are rejected on purpose."""
     s = text.strip() if isinstance(text, str) else ""
     if not _RATIONAL_RE.match(s):
         raise FormatError(f"not a rational 'p/q' literal: {text!r}")
     p, _, q = s.partition("/")
-    return int(p), int(q) if q else 1
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(*parse_ratio(text))
+    return Fraction(int(p), int(q) if q else 1)
 
 
 def format_rational(x: Fraction) -> str:

@@ -36,6 +36,8 @@ from lacuna.pattern import key_inequality_check, make_pattern, normalize
 from lacuna.qmath import parse_rational
 from lacuna.schedule import compute_beta, compute_levels
 
+from treedoc import corner, set_lower
+
 F = Fraction
 
 
@@ -192,8 +194,8 @@ class TestAcceptance:
         doc = json.loads(json.dumps(state_to_doc(ratios_state)))
         entry = ratios_state.entries[0]
         shift = ratios_state.side(entry.m_level) / 4
-        cube = doc["cubes"][str(entry.m_level)][0]
-        cube["lower"] = [str(parse_rational(cube["lower"][0]) + shift)]
+        (x,) = corner(doc, entry.m_level, 0)
+        set_lower(doc, entry.m_level, 0, [x + shift])
         mutated = doc_to_state(doc)
         gap_failed = False
         oracle_failed = False

@@ -286,7 +286,7 @@ class TestAppRunner:
         assert report["targets"][0]["target"] == "ln(2)"
         assert report["targets"][0]["difference_margin"] is not None
         assert len(report["points_ln"]) == summary["entries"] * 0 + len(
-            json.loads((tmp_path / "tree.json").read_text())["cubes"]["5"]
+            json.loads((tmp_path / "tree.json").read_text())["levels"][5]["lowers"]
         )
 
     def test_parallelogram_app(self, tmp_path):

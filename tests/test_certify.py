@@ -23,7 +23,7 @@ from lacuna.certify import (
     spot_check_gap,
 )
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree, doc_to_state, state_to_doc
+from lacuna.engine import build_tree, doc_to_state, state_to_doc, validate_structure
 from lacuna.errors import (
     EntryNotProcessed,
     GapViolated,
@@ -31,7 +31,8 @@ from lacuna.errors import (
     StructureViolation,
 )
 from lacuna.pattern import eval_pattern, make_pattern
-from lacuna.qmath import parse_rational
+
+from treedoc import corner, set_lower
 
 F = Fraction
 
@@ -127,9 +128,8 @@ class TestGapCertificates:
     def test_corrupted_placement_fails(self, ap_tree_12):
         # Shift one placed cube off the lattice by side/4.
         doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
-        cube = doc["cubes"]["6"][0]
-        bad = parse_rational(cube["lower"][0]) + F(1, 4 * 576)
-        cube["lower"] = [str(bad)]
+        (x,) = corner(doc, 6, 0)
+        set_lower(doc, 6, 0, [x + F(1, 4 * 576)])
         broken = doc_to_state(doc)
         with pytest.raises(GapViolated):
             certify_gap(broken, 1)
@@ -187,12 +187,11 @@ class TestMeasureCertificate:
         broken.m_levels = [5, 11]
         with pytest.raises(MeasureViolated):
             certify_measure(broken)
-        # In a tree file the level-5 addresses no longer fit the schedule.
+        # In a tree file the 32 level-5 cubes no longer fit the schedule.
         doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
-        doc["levels_M"] = [5, 11]
         doc["schedule"][0]["M_i"] = 5
         with pytest.raises(StructureViolation):
-            doc_to_state(doc)
+            validate_structure(doc_to_state(doc))
 
 
 class TestCoverage:
@@ -271,9 +270,9 @@ class TestOracle:
         b = blocks[1][0][0] + side / 2
         target_center = 2 * b - a  # completes psi = x - 2y + z = 0
         old_lower = blocks[2][0][0]
-        for cube in doc["cubes"]["6"]:
-            if parse_rational(cube["lower"][0]) == old_lower:
-                cube["lower"] = [str(target_center - side / 2)]
+        for i in range(len(st.levels[6].lowers)):
+            if corner(doc, 6, i) == (old_lower,):
+                set_lower(doc, 6, i, [target_center - side / 2])
                 break
         else:
             pytest.fail("the placed cube to move is not in the tree file")

@@ -14,10 +14,16 @@ from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError
 from lacuna.export import read_points
 
+from treedoc import set_lower
+
 F = Fraction
 
 AP_DOC = {"d": 1, "patterns": [{"m": 3, "coeffs": [["1"], ["-2"], ["1"]]}]}
 Q_DOC = {"d": 1, "patterns": [{"m": 2, "coeffs": [["2"], ["-1"]]}]}
+P2_DOC = {
+    "d": 2,
+    "patterns": [{"m": 4, "coeffs": [["1", "0"], ["-1", "0"], ["1", "0"], ["-1", "0"]]}],
+}
 
 
 @pytest.fixture
@@ -58,8 +64,9 @@ class TestBuild:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "RejectNotDominated"
 
-    def test_depth_over_cap_is_config_error(self, ap_file, tmp_path):
+    def test_depth_over_cap_is_config_error(self, ap_file, tmp_path, capsys):
         assert main(build_args(ap_file, tmp_path, depth=7) + ["--level-cap", "5"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
 
     def test_schedule_log(self, ap_file, tmp_path):
         args = build_args(ap_file, tmp_path) + [
@@ -100,7 +107,7 @@ class TestCertify:
         main(build_args(ap_file, tmp_path, depth=12))
         tree = tmp_path / "tree.json"
         doc = json.loads(tree.read_text())
-        doc["cubes"]["6"][0]["lower"] = ["5039/5040"]
+        set_lower(doc, 6, 0, [F(5039, 5040)])
         tree.write_text(json.dumps(doc))
         code = main(["certify", str(tree), "--mode", "all"])
         assert code == 1
@@ -109,7 +116,15 @@ class TestCertify:
 
 
 def _float_lower(doc):
-    doc["cubes"]["6"][0]["lower"] = [1.0078125]
+    doc["levels"][6]["lowers"][0] = 1.0078125
+
+
+def _bool_lower(doc):
+    doc["levels"][6]["lowers"][0] = True
+
+
+def _zero_den(doc):
+    doc["levels"][6]["den"] = 0
 
 
 def _pattern_id_out_of_range(doc):
@@ -124,30 +139,37 @@ def _negative_depth(doc):
     doc["depth"] = -1
 
 
-def _betas_disagree(doc):
-    doc["betas"][0] += 1
-
-
-def _levels_m_disagree(doc):
-    doc["levels_M"][0] += 1
-
-
 def _beta_below_compute_beta(doc):
-    doc["schedule"][0]["beta_i"] = doc["betas"][0] = 8
+    doc["schedule"][0]["beta_i"] = 8
 
 
 def _levels_too_close(doc):
-    m = doc["schedule"][0]["M_i"] + 1
-    doc["schedule"][1]["M_i"] = doc["levels_M"][1] = m
+    doc["schedule"][1]["M_i"] = doc["schedule"][0]["M_i"] + 1
 
 
 def _infinite_arity(doc):
     doc["patterns"][0]["m"] = float("inf")
 
 
-def _addresses_permuted(doc):
-    a, b = doc["cubes"]["7"][0], doc["cubes"]["7"][1]
-    a["addr"], b["addr"] = b["addr"], a["addr"]
+def _cubes_swapped(doc):
+    lowers = doc["levels"][7]["lowers"]
+    lowers[0], lowers[1] = lowers[1], lowers[0]
+
+
+def _tree_v1(doc):
+    """The same d=1 tree in the lacuna-tree/1 layout."""
+    schedule = doc["schedule"]
+    doc["format"] = "lacuna-tree/1"
+    doc["betas"] = [e["beta_i"] for e in schedule]
+    doc["levels_M"] = [e["M_i"] for e in schedule]
+    doc["cubes"] = {}
+    for k, lvl in enumerate(doc.pop("levels")):
+        ndigits = k - sum(1 for e in schedule if e["M_i"] <= k)
+        doc["cubes"][str(k)] = [
+            {"addr": format(i, "b").zfill(ndigits) if ndigits else "",
+             "lower": [str(F(x, lvl["den"]))]}
+            for i, x in enumerate(lvl["lowers"])
+        ]
 
 
 class TestTamperedTree:
@@ -155,15 +177,16 @@ class TestTamperedTree:
         "mutate, error",
         [
             (_float_lower, "FormatError"),
+            (_bool_lower, "FormatError"),
+            (_zero_den, "FormatError"),
+            (_tree_v1, "FormatError"),
             (_pattern_id_out_of_range, "FormatError"),
             (_tuple_level_at_m, "FormatError"),
             (_negative_depth, "FormatError"),
-            (_betas_disagree, "FormatError"),
-            (_levels_m_disagree, "FormatError"),
             (_beta_below_compute_beta, "FormatError"),
             (_levels_too_close, "FormatError"),
             (_infinite_arity, "FormatError"),
-            (_addresses_permuted, "StructureViolation"),
+            (_cubes_swapped, "StructureViolation"),
         ],
         ids=lambda v: v.__name__.strip("_") if callable(v) else v,
     )
@@ -176,9 +199,25 @@ class TestTamperedTree:
         capsys.readouterr()
         code = main(["certify", str(tree), "--mode", "all"])
         err = capsys.readouterr().err
-        assert code in (1, 2)
+        assert code == (2 if error == "FormatError" else 1)
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
+
+    def test_lowers_not_a_multiple_of_d(self, tmp_path, capsys):
+        pat = tmp_path / "p2.json"
+        pat.write_text(json.dumps(P2_DOC))
+        tree = tmp_path / "t2.json"
+        assert main([
+            "build", str(pat), "--dimfn", "pow:1/4", "--depth", "3", "--out", str(tree)
+        ]) == 0
+        doc = json.loads(tree.read_text())
+        doc["levels"][3]["lowers"].pop()
+        tree.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["certify", str(tree)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "FormatError"
 
     def test_truncated_file(self, ap_file, tmp_path, capsys):
         assert main(build_args(ap_file, tmp_path, depth=7)) == 0
@@ -201,6 +240,17 @@ def _points_file(tmp_path, header, body=b"1\n"):
     return str(pts)
 
 
+def _pattern_file(tmp_path, **fields):
+    pat = tmp_path / "pat.json"
+    pat.write_text(json.dumps({**AP_DOC, **fields}))
+    return str(pat)
+
+
+def _build_argv(pattern_file, tmp_path):
+    return ["build", pattern_file, "--dimfn", "pow:1/2", "--depth", "3",
+            "--out", str(tmp_path / "tree.json")]
+
+
 def _spec_file(tmp_path, **fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(
@@ -220,9 +270,17 @@ class TestMalformedInput:
             lambda t, ap: ["oracle", _points_file(t, "d=x"), "--patterns", ap],
             lambda t, ap: ["oracle", _points_file(t, "d=1", b"\xff\n"), "--patterns", ap],
             lambda t, ap: ["app", _spec_file(t, depth=float("inf")), "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, depth=7.9), "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, kind="vector_split", params={
+                "d": 1, "m": 2.0, "rows": [["2", "-1"]]}), "--out-dir", str(t / "o")],
+            lambda t, ap: _build_argv(_pattern_file(t, d="1"), t),
+            lambda t, ap: _build_argv(_pattern_file(t, patterns=[
+                {"m": 3.0, "coeffs": [["1"], ["-2"], ["1"]]}]), t),
         ],
         ids=["build-bad-json", "app-bad-json", "oracle-bad-patterns",
-             "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth"],
+             "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth",
+             "app-float-depth", "app-vector-split-float-m", "build-string-d",
+             "build-float-m"],
     )
     def test_format_error_envelope(self, ap_file, tmp_path, capsys, argv):
         code = main(argv(tmp_path, ap_file))
@@ -325,14 +383,8 @@ class TestExport:
         assert text.count("<rect") == 1 + 2 + 4 + 8 + 16 + 32
 
     def test_svg_d2_rect_count(self, tmp_path):
-        doc = {
-            "d": 2,
-            "patterns": [
-                {"m": 4, "coeffs": [["1", "0"], ["-1", "0"], ["1", "0"], ["-1", "0"]]}
-            ],
-        }
         pat = tmp_path / "p2.json"
-        pat.write_text(json.dumps(doc))
+        pat.write_text(json.dumps(P2_DOC))
         assert main([
             "build", str(pat), "--dimfn", "pow:1/4", "--depth", "3",
             "--out", str(tmp_path / "t2.json"),

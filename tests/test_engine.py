@@ -29,6 +29,8 @@ from lacuna.errors import (
 from lacuna.pattern import make_pattern, normalize
 from lacuna.schedule import level_profile
 
+from treedoc import set_lower
+
 F = Fraction
 
 
@@ -205,9 +207,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda doc: doc["cubes"]["7"][3].update(lower=["2/1"]),
-            lambda doc: doc["cubes"]["6"][0].update(lower=["1/2"]),
-            lambda doc: doc["cubes"]["12"].pop(),
+            lambda doc: set_lower(doc, 7, 3, [F(2)]),
+            lambda doc: set_lower(doc, 6, 0, [F(1, 2)]),
+            lambda doc: doc["levels"][12]["lowers"].pop(),
         ],
         ids=["off-slot", "escapes-parent", "missing-cube"],
     )
@@ -223,7 +225,7 @@ class TestValidation:
         # deeper level exposes it through a dyadic slot.
         st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
         doc = json.loads(json.dumps(state_to_doc(st)))
-        doc["cubes"]["6"][0]["lower"] = ["33/32"]
+        set_lower(doc, 6, 0, [F(33, 32)])
         with pytest.raises(StructureViolation, match="escapes its parent"):
             validate_structure(doc_to_state(doc))
 

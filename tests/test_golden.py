@@ -1,7 +1,8 @@
 """Golden bytes: tree and certificate files of three fixed builds.
 
-The digests were recorded from the rational-geometry implementation that
-preceded the integer lattice core; any change in the tree or certificate
+The certificate digests were recorded from the rational-geometry
+implementation that preceded the integer lattice core, the tree digests
+from the first lacuna-tree/2 writer; any change in the tree or certificate
 bytes of these builds is a format change and must be deliberate.
 """
 
@@ -12,9 +13,15 @@ import json
 
 import pytest
 
+from lacuna.apps import app_patterns, app_spec_from_doc
 from lacuna.cli import main
+from lacuna.dimfn import parse_dimfn
+from lacuna.engine import build_tree, doc_to_state, state_to_doc
+from lacuna.pattern import patterns_from_doc
 
 AP_DOC = {"d": 1, "patterns": [{"m": 3, "coeffs": [["1"], ["-2"], ["1"]]}]}
+PARALLELOGRAM = {"kind": "parallelogram", "params": [], "h": "pow:1/4", "d": 2, "depth": 6}
+TRAPEZOIDS = {"kind": "trapezoids", "params": ["1"], "h": "pow:1/4", "d": 3, "depth": 5}
 
 
 def _sha(path) -> str:
@@ -29,7 +36,7 @@ def test_ap_d1_depth_12(tmp_path):
         "build", str(pat), "--dimfn", "pow:1/2", "--depth", "12", "--out", str(tree)
     ]) == 0
     assert main(["certify", str(tree), "--mode", "all", "--out", str(cert)]) == 0
-    assert _sha(tree) == "292987dcb8e943b99b8e674d6868e10a9032e29dcc8e3cdb7272f45c9d529aea"
+    assert _sha(tree) == "01a20668a3810b1d6a3bbc89e836a62a71ae2265c60173612904260d2cd1e4c0"
     assert _sha(cert) == "76bf1a5fc2dc2d84bf5aab7d1d85f1a0538dbfbfb2bc78931a65d4c0a85b1f24"
 
 
@@ -37,13 +44,13 @@ def test_ap_d1_depth_12(tmp_path):
     "spec, tree_sha, cert_sha",
     [
         (
-            {"kind": "parallelogram", "params": [], "h": "pow:1/4", "d": 2, "depth": 6},
-            "823cf49fa6cd85ed30453bc393dd6816ff4f39730deccf07a58f4a78ebd39513",
+            PARALLELOGRAM,
+            "1d6c6afc767e54227d29db3e2eb71f4bce8b3a9c90b7d176e84a317b27ecfee8",
             "e88623526ce5b882d4f00f92e606d461decde0d8fb2bf0da089e46a676e5f7f0",
         ),
         (
-            {"kind": "trapezoids", "params": ["1"], "h": "pow:1/4", "d": 3, "depth": 5},
-            "4b7c7f856bf167c25d1fffec26856cbde8bc78a0854b72edbe8ff1cc14370080",
+            TRAPEZOIDS,
+            "42a281390db27b22cc460367eff1c42b17c9a07220c3972df5d1ae325bded167",
             "db89223cea70719423ed5ca0f3c617e8b284e70ef2e3097e06a8d5ed26190611",
         ),
     ],
@@ -56,3 +63,28 @@ def test_app_builds(tmp_path, spec, tree_sha, cert_sha):
     assert main(["app", str(path), "--out-dir", str(out)]) == 0
     assert _sha(out / "tree.json") == tree_sha
     assert _sha(out / "cert.json") == cert_sha
+
+
+def _ap_state():
+    d, patterns = patterns_from_doc(AP_DOC)
+    return build_tree(d, patterns, parse_dimfn("pow:1/2", d), 12)
+
+
+def _app_state(doc):
+    spec = app_spec_from_doc(doc)
+    d, patterns = app_patterns(spec)
+    return build_tree(d, patterns, parse_dimfn(spec.h_spec, d), spec.depth)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_ap_state, lambda: _app_state(PARALLELOGRAM), lambda: _app_state(TRAPEZOIDS)],
+    ids=["ap-d1-depth12", "parallelogram-d2-depth6", "trapezoids-d3-depth5"],
+)
+def test_tree_round_trip(make):
+    built = make()
+    back = doc_to_state(json.loads(json.dumps(state_to_doc(built))))
+    assert [(lvl.den, lvl.lowers) for lvl in back.levels] == [
+        (lvl.den, lvl.lowers) for lvl in built.levels
+    ]
+    assert back.entries == built.entries
