@@ -382,42 +382,64 @@ def app_spec_from_doc(doc: dict) -> AppSpec:
         raise FormatError(f"malformed app spec: {exc}") from exc
 
 
+def _param_list(value: object, what: str, length: int | None = None) -> list:
+    """value if it is a JSON list (of the given length); FormatError otherwise."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise FormatError(f"{what} must be a list{size}, got {value!r}")
+    return value
+
+
+def _rationals(value: object, what: str, length: int | None = None) -> list[Fraction]:
+    return [parse_rational(v) for v in _param_list(value, what, length)]
+
+
 def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
-    """Ambient dimension and pattern list for every kind except differences."""
+    """Ambient dimension and pattern list for every kind except differences.
+
+    The shape of app.params is checked here: a malformed one is a FormatError.
+    """
     if app.kind == "quotients":
-        return 1, quotient_patterns([parse_rational(v) for v in app.params])
+        return 1, quotient_patterns(_rationals(app.params, "quotients params"))
     if app.kind == "planes":
-        return 1, plane_patterns(
-            [[parse_rational(v) for v in row] for row in app.params]
-        )
+        rows = _param_list(app.params, "planes params")
+        return 1, plane_patterns([_rationals(row, "a plane", 3) for row in rows])
     if app.kind == "ratios":
-        return 1, ratio_patterns([parse_rational(v) for v in app.params])
+        return 1, ratio_patterns(_rationals(app.params, "ratios params"))
     if app.kind == "parallelogram":
         return app.d, parallelogram_patterns(app.d)
     if app.kind == "trapezoids":
-        return app.d, trapezoid_patterns(
-            app.d, [parse_rational(v) for v in app.params]
-        )
+        return app.d, trapezoid_patterns(app.d, _rationals(app.params, "trapezoids params"))
     if app.kind == "complex_triplets":
         triplets = [
             [
-                GaussianRational(parse_rational(p[0]), parse_rational(p[1]))
-                for p in trip
+                GaussianRational(*_rationals(p, "a complex number", 2))
+                for p in _param_list(trip, "a complex triplet", 3)
             ]
-            for trip in app.params
+            for trip in _param_list(app.params, "complex_triplets params")
         ]
         return 2, complex_triplet_patterns(triplets)
     if app.kind == "vector_split":
         p = app.params
+        if not isinstance(p, dict) or not {"d", "m", "rows"} <= p.keys():
+            raise FormatError(
+                f'vector_split params must be an object with "d", "m" and "rows", got {p!r}'
+            )
         d = int_field(p["d"], "vector_split d", 1)
-        return d, split_vector_pattern(d, int_field(p["m"], "vector_split m", 2), p["rows"])
+        rows = [
+            _rationals(row, "a vector_split row")
+            for row in _param_list(p["rows"], "vector_split rows")
+        ]
+        return d, split_vector_pattern(d, int_field(p["m"], "vector_split m", 2), rows)
     raise FormatError(f"app kind {app.kind!r} has no direct pattern list")
 
 
 def _difference_targets(params: object) -> list[DifferenceTarget]:
     out = []
-    for item in params:
+    for item in _param_list(params, "differences params"):
         if isinstance(item, dict):
+            if "value" not in item:
+                raise FormatError(f'a differences target needs a "value", got {item!r}')
             out.append(
                 DifferenceTarget(
                     kind=item.get("kind", "rational"),

@@ -4,6 +4,10 @@ Subcommands: build, certify, export, app, oracle.  Exit codes follow a
 fixed contract: 0 = everything certified / no instance found, 1 = an
 instance was found or a certificate failed, 2 = usage or configuration
 error.  Failures emit a JSON error envelope on stderr for machine use.
+
+Each command imports the layers it runs (apps, certify, export) itself, so
+a step loads no module it does not use.  Commands reach layer functions
+through module attributes (engine.build_tree, certify.certify_gap, ...).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import dataclasses
 import json
 import sys
 
-from . import apps, certify, engine, export
+from . import engine
 from .dimfn import parse_dimfn
 from .errors import (
     AllRowsZero,
@@ -62,6 +66,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import certify
+
     state = engine.read_tree(args.tree)
     gaps = []
     measure = None
@@ -89,6 +95,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import export
+
     state = engine.read_tree(args.tree)
     if args.format == "points":
         export.write_points_exact(state, args.out)
@@ -103,6 +111,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_app(args) -> int:
+    from . import apps
+
     spec = apps.app_spec_from_doc(read_json(args.spec))
     if args.level_cap is not None:
         spec = dataclasses.replace(spec, level_cap=args.level_cap)
@@ -112,6 +122,8 @@ def cmd_app(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import certify, export
+
     d, points = export.read_points(args.points)
     pat_d, patterns = load_patterns(args.patterns)
     if pat_d != d:

@@ -200,7 +200,7 @@ def init_state(
         level_cap=level_cap,
         levels=[Level(den=q, lowers=[(q,) * d])],
     )
-    state.scheduler = Scheduler(list(normalized), h, level_cap)
+    state.scheduler = Scheduler(list(normalized), h)
     return state
 
 
@@ -323,7 +323,12 @@ def _advance_avoidance(state: ConstructionState, k: int, entry: ScheduleEntry) -
 
 
 def advance_level(state: ConstructionState) -> None:
-    """Construct the next level, pulling a schedule entry when one is due."""
+    """Construct the next level, pulling a schedule entry when one is due.
+
+    The pending entry lands on the first level at or above its floor where
+    its ratio condition holds (Scheduler.land), so the search for an
+    avoidance level never tests a level past the one being built.
+    """
     k = state.depth + 1
     if k > state.level_cap:
         raise ScheduleOverflow(f"depth {k} exceeds the level cap {state.level_cap}")
@@ -336,8 +341,8 @@ def advance_level(state: ConstructionState) -> None:
             )
         except Starved:
             state.pending = None
-    if state.pending is not None and state.pending.m_level == k:
-        entry = state.pending
+    entry = state.scheduler.land(k) if state.pending else None
+    if entry is not None:
         _advance_avoidance(state, k, entry)
         state.entries.append(entry)
         state.m_levels.append(k)

@@ -10,14 +10,18 @@ is enforced:
   parent).  compute_beta returns the least such integer; a build uses it,
   and the tree reader (engine.doc_to_state) rejects a smaller beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
-  The scheduler picks levels that way; the tree reader rejects any other.
+  The scheduler serves each entry with the floor max(2, M_{i-1} + 2,
+  level being built, tuple level + 2); the tree reader rejects any other.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
-  new beta_i.  ratio_condition is the one test of it: min_ratio_level
-  searches with it, and certify_measure re-checks it at every level from
-  the first avoidance level to the depth.  The gauge's monotone-ratio
-  witness extends the check at M_i to every k >= M_i (deeper levels shrink
-  delta, which can only raise the ratio).
+  new beta_i.  ratio_condition is the one test of it.  A build tests it
+  as it reaches each level from the entry's floor and lands the entry at
+  the first level that passes (Scheduler.land), so M_i is the least such
+  level and no level past the build's depth is tested; compute_levels
+  runs the same search eagerly for given betas.  certify_measure re-checks
+  it at every level from the first avoidance level to the depth.  The
+  gauge's monotone-ratio witness extends the check at M_i to every
+  k >= M_i (deeper levels shrink delta, which can only raise the ratio).
 
 sqrt(d) is handled by a fixed rational enclosure; the upper bound is the
 conservative direction both for beta (larger beta only helps the fit) and
@@ -32,7 +36,7 @@ a computable first index and recurs forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 
@@ -57,7 +61,8 @@ class ScheduleEntry:
 
     tuple_codes are indices of cubes of one level (an index read as a
     base-2^d digit string is the cube's address), pairwise distinct, at a
-    level <= m_level - 2.
+    level <= m_level - 2.  While an entry is served but has not landed,
+    m_level is its floor (Scheduler.next_entry, Scheduler.land).
     """
 
     index: int
@@ -217,25 +222,24 @@ class TupleEnumerator:
 class Scheduler:
     """Serves schedule entries in (U_j) order against a growing cube tree.
 
-    Owns the cursor and the served-entry bookkeeping; the engine asks for
-    the next entry right before constructing each level.  Single-owner
-    mutable state: not safe for concurrent use.
+    Owns the cursor and the served-entry bookkeeping.  The engine asks for
+    the next entry once the previous one has landed, then offers it each
+    level it builds (land); the entry lands on the first level at or above
+    its floor where the ratio condition holds.  No level past the one being
+    built is ever tested.  Single-owner mutable state: not safe for
+    concurrent use.
     """
 
     def __init__(
         self,
         normalized: list[NormalizedPattern] | tuple[NormalizedPattern, ...],
         h: DimensionFunction,
-        level_cap: int = DEFAULT_LEVEL_CAP,
     ):
         self.normalized = list(normalized)
         self.h = h
-        self.level_cap = level_cap
         self.enum = TupleEnumerator(len(self.normalized))
         self.betas: list[int] = [compute_beta(np_, h.d) for np_ in self.normalized]
-        self.served_betas: list[int] = []
         self.served: list[ScheduleEntry] = []
-        self.exhausted = False
 
     def _min_m(self) -> int:
         return min(np_.m for np_ in self.normalized)
@@ -245,10 +249,9 @@ class Scheduler:
 
         level_sizes[L] is the cube count of the already-built level L; step
         is the level about to be built, so tuples may only come from levels
-        <= step - 1.
+        <= step - 1.  The entry's m_level is its floor, the first level it
+        may land on, until land places it.
         """
-        if self.exhausted:
-            raise Starved("schedule exhausted under the level cap")
         built = len(level_sizes) - 1
         if not any(n >= self._min_m() for n in level_sizes):
             raise Starved("no level holds enough distinct cubes yet")
@@ -256,29 +259,31 @@ class Scheduler:
             level, rank, pid = self.enum.peek()
             np_ = self.normalized[pid]
             if level <= built and rank < perm_count(level_sizes[level], np_.m):
-                beta = self.betas[pid]
-                i = len(self.served) + 1
                 prev = self.served[-1].m_level if self.served else 0
-                floor_level = max(2, prev + 2, step, level + 2)
-                try:
-                    m_level = min_ratio_level(
-                        self.h, self.served_betas + [beta], i, floor_level, self.level_cap
-                    )
-                except ScheduleOverflow:
-                    # Later entries need even deeper levels, so nothing more
-                    # can ever be served under this cap.
-                    self.exhausted = True
-                    raise Starved("next avoidance level exceeds the level cap")
                 entry = ScheduleEntry(
-                    index=i,
+                    index=len(self.served) + 1,
                     pattern_id=pid,
                     level=level,
                     tuple_codes=unrank_tuple(level_sizes[level], np_.m, rank),
-                    m_level=m_level,
-                    beta=beta,
+                    m_level=max(2, prev + 2, step, level + 2),
+                    beta=self.betas[pid],
                 )
                 self.enum.advance()
                 self.served.append(entry)
-                self.served_betas.append(beta)
                 return entry
             self.enum.advance()
+
+    def land(self, k: int) -> ScheduleEntry | None:
+        """The last served entry placed at level k, or None if it is not due.
+
+        It is due at the first level k >= its floor where ratio_condition
+        holds; callers offer levels in increasing order and stop offering
+        once it has landed.  k becomes its m_level.
+        """
+        entry = self.served[-1]
+        if k < entry.m_level or not ratio_condition(
+            self.h, k, [e.beta for e in self.served]
+        ):
+            return None
+        self.served[-1] = entry = replace(entry, m_level=k)
+        return entry

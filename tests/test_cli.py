@@ -3,12 +3,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import lacuna
 from lacuna.cli import main
 from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError
@@ -273,13 +278,24 @@ class TestMalformedInput:
             lambda t, ap: ["app", _spec_file(t, depth=7.9), "--out-dir", str(t / "o")],
             lambda t, ap: ["app", _spec_file(t, kind="vector_split", params={
                 "d": 1, "m": 2.0, "rows": [["2", "-1"]]}), "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, kind="vector_split", params={
+                "d": 1, "rows": [["2", "-1"]]}), "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, kind="vector_split", params=["2"]),
+                           "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, params=5), "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, kind="differences", params=5),
+                           "--out-dir", str(t / "o")],
+            lambda t, ap: ["app", _spec_file(t, kind="planes", params=[5]),
+                           "--out-dir", str(t / "o")],
             lambda t, ap: _build_argv(_pattern_file(t, d="1"), t),
             lambda t, ap: _build_argv(_pattern_file(t, patterns=[
                 {"m": 3.0, "coeffs": [["1"], ["-2"], ["1"]]}]), t),
         ],
         ids=["build-bad-json", "app-bad-json", "oracle-bad-patterns",
              "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth",
-             "app-float-depth", "app-vector-split-float-m", "build-string-d",
+             "app-float-depth", "app-vector-split-float-m", "app-vector-split-no-m",
+             "app-vector-split-list", "app-ratios-int-params", "app-differences-int-params",
+             "app-planes-int-row", "build-string-d",
              "build-float-m"],
     )
     def test_format_error_envelope(self, ap_file, tmp_path, capsys, argv):
@@ -463,6 +479,46 @@ class TestAppCommand:
         ])
         assert code == 2  # depth 7 cannot fit under a cap of 4
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
+
+
+# Runs one command in a fresh interpreter and lists the lacuna modules it
+# loaded; in-process tests cannot see this, since other tests import them all.
+_FOOTPRINT = (
+    "import sys\n"
+    "from lacuna.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    fh.write(' '.join(m for m in sys.modules if m.startswith('lacuna.')))\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestImportFootprint:
+    """Each command loads only the layers it runs."""
+
+    def loaded(self, tmp_path, argv, code=0):
+        out = tmp_path / "modules.txt"
+        src = str(Path(lacuna.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, str(out), *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == code, run.stderr
+        return {m.removeprefix("lacuna.") for m in out.read_text().split()}
+
+    def test_each_command_loads_only_its_layers(self, ap_file, tmp_path):
+        tree, pts = str(tmp_path / "tree.json"), str(tmp_path / "pts.txt")
+        build = self.loaded(tmp_path, build_args(ap_file, tmp_path))
+        assert "engine" in build and not build & {"apps", "certify", "export"}
+        cert = self.loaded(tmp_path, ["certify", tree])
+        assert "certify" in cert and not cert & {"apps", "export"}
+        export = self.loaded(tmp_path, ["export", tree, "--format", "points", "--out", pts])
+        assert "export" in export and not export & {"apps", "certify"}
+        # a depth-7 tree leaves uncovered progressions: the oracle finds them
+        oracle = self.loaded(tmp_path, ["oracle", pts, "--patterns", ap_file], code=1)
+        assert "apps" not in oracle
 
 
 class TestDeterminism:

@@ -6,8 +6,16 @@ from itertools import permutations
 
 import pytest
 
+from lacuna import schedule
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import doc_to_state, state_to_doc
+from lacuna.engine import (
+    advance_level,
+    build,
+    build_tree,
+    doc_to_state,
+    init_state,
+    state_to_doc,
+)
 from lacuna.errors import ScheduleOverflow, Starved
 from lacuna.pattern import make_pattern, normalize
 from lacuna.schedule import (
@@ -174,8 +182,14 @@ class TestScheduler:
         assert entry.index == 1
         assert entry.level == 2
         assert entry.tuple_codes == (0, 1, 2)
-        assert entry.m_level == 6
         assert entry.beta == 9
+        # it is offered levels from its floor max(2, 0+2, 3, 2+2) = 4 up and
+        # lands at the first one where the ratio condition holds
+        assert entry.m_level == 4
+        assert [s.land(k) for k in (4, 5)] == [None, None]
+        landed = s.land(6)
+        assert landed.m_level == 6
+        assert landed == s.served[-1]
 
     def test_starved_before_tuples_exist(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge)
@@ -197,7 +211,7 @@ class TestScheduler:
     def test_pair_reserved_later(self, q2_norm, sqrt_gauge):
         # Cycling contract: a served (pattern, tuple) pair recurs at a
         # later entry index.
-        s = Scheduler([q2_norm], sqrt_gauge, level_cap=60)
+        s = Scheduler([q2_norm], sqrt_gauge)
         sizes = self.sizes(1, 2)
         step = 2
         seen: dict[tuple, list[int]] = {}
@@ -257,14 +271,46 @@ class TestScheduler:
         else:
             pytest.fail("pair not served within 20 entries")
 
-    def test_exhaustion_under_cap(self, ap_norm, sqrt_gauge):
-        s = Scheduler([ap_norm], sqrt_gauge, level_cap=7)
-        sizes = self.sizes(1, 2, 4)
-        first = s.next_entry(sizes, step=3)
-        assert first.m_level == 6
-        with pytest.raises(Starved):
-            s.next_entry(sizes, step=7)  # M_2 = 11 > cap
-        assert s.exhausted
+    def test_exhaustion_under_cap(self, ap_pattern, sqrt_gauge):
+        state = build_tree(1, [ap_pattern], sqrt_gauge, 7, level_cap=7)
+        assert state.m_levels == [6]
+        assert compute_levels(sqrt_gauge, [9, 9]) == [6, 11]
+        # entry 2 is served with floor 8 > cap, so it never lands (M_2 = 11)
+        assert state.pending.index == 2 and state.pending.m_level == 8
+        with pytest.raises(ScheduleOverflow):
+            advance_level(state)
+
+
+class TestDeferredLevelSearch:
+    """An avoidance level is searched for only as the build reaches it."""
+
+    @pytest.fixture
+    def powlog_build(self):
+        pattern = make_pattern(1, [[F(3, 2)], [-1]])
+        return 1, [pattern], make_dimfn("powlog", F(63, 64), 1), 14
+
+    def test_no_level_past_the_depth_is_tested(self, powlog_build, monkeypatch):
+        tested = []
+
+        def counting(h, k, betas):
+            tested.append(k)
+            return ratio_condition(h, k, betas)
+
+        monkeypatch.setattr(schedule, "ratio_condition", counting)
+        state = build_tree(*powlog_build)
+        assert state.m_levels == [13]
+        # floor of entry 1 is max(2, 0+2, 2, 1+2) = 3; entry 2's floor is 15
+        assert tested == list(range(3, 14))
+        assert state.pending.m_level == 15
+
+    def test_one_level_per_call_matches_build_tree(
+        self, powlog_build, ap_pattern, sqrt_gauge
+    ):
+        for d, patterns, h, depth in (powlog_build, (1, [ap_pattern], sqrt_gauge, 12)):
+            state = init_state(d, patterns, h)
+            for k in range(1, depth + 1):
+                build(state, k)
+            assert state_to_doc(state) == state_to_doc(build_tree(d, patterns, h, depth))
 
 
 class TestParams:
