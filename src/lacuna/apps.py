@@ -229,10 +229,12 @@ class DifferenceReport:
     points are ln-enclosures of the deepest-level cube centers; pairwise
     differences of the underlying exact points miss each target by its
     difference_margin whenever the pair is covered by a processed entry.
-    Bilipschitz constants of ln on [1,2] are (1/2, 1).
+    Bilipschitz constants of ln on [1,2] are (1/2, 1).  certificates holds
+    the gap certificate of every processed entry, in schedule order.
     """
 
     targets: tuple[TargetReport, ...]
+    certificates: tuple[certify.GapCertificate, ...]
     points: tuple[tuple[Fraction, Fraction], ...]
     bilipschitz: tuple[Fraction, Fraction]
     depth: int
@@ -272,11 +274,11 @@ def difference_points(
     """
     mids = [_difference_target(t, precision) for t in targets]
     state = engine.build_tree(1, quotient_patterns(mids), h, depth, level_cap)
+    certificates = tuple(certify.certify_gap(state, e) for e in state.entries)
     gaps: dict[int, Fraction] = {}
-    for e in state.entries:
-        g = certify.certify_gap(state, e).gap
-        if e.pattern_id not in gaps or g < gaps[e.pattern_id]:
-            gaps[e.pattern_id] = g
+    for c in certificates:
+        if c.pattern_id not in gaps or c.gap < gaps[c.pattern_id]:
+            gaps[c.pattern_id] = c.gap
     reports = []
     for pid, (raw, mid) in enumerate(zip(targets, mids)):
         gap = gaps.get(pid)
@@ -313,6 +315,7 @@ def difference_points(
     )
     report = DifferenceReport(
         targets=tuple(reports),
+        certificates=certificates,
         points=points,
         bilipschitz=(Fraction(1, 2), Fraction(1)),
         depth=state.depth,
@@ -474,20 +477,20 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
             level_cap=app.level_cap,
         )
         write_json(difference_report_to_doc(report), out / "report.json")
+        gaps = list(report.certificates)
     else:
         d, patterns = app_patterns(app)
         h = parse_dimfn(app.h_spec, d)
         state = engine.build_tree(d, patterns, h, app.depth, app.level_cap)
+        gaps = [certify.certify_gap(state, e) for e in state.entries]
     engine.validate_structure(state)
-    gaps = [certify.certify_gap(state, e) for e in state.entries]
     for e, g in zip(state.entries, gaps):
         certify.spot_check_gap(state, e, g)
     measure = None
     if state.entries:
         measure = certify.certify_measure(state)
-    report = certify.AvoidanceReport(gaps=tuple(gaps), measure=measure)
     engine.write_tree(state, out / "tree.json")
-    write_json(report.to_doc(), out / "cert.json")
+    write_json(certify.certificates_to_doc(gaps, measure), out / "cert.json")
     return {
         "kind": app.kind,
         "d": state.d,

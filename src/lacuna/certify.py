@@ -5,12 +5,13 @@ point tuple drawn from the entry's placed cubes keeps |psi| at least
 peak * delta_M, because each placed center is a lattice image (value in
 4*peak*delta*(Z + 1/2), so at least 2*peak*delta in magnitude) and moving
 from centers to arbitrary points inside the cubes costs at most peak*delta.
-certify_gap re-derives all of that from the stored geometry: it recovers the
-integer lattice vector of every placed cube exactly and either minimizes
-|psi| over center combinations exactly or falls back to the structural
-bound.  Nothing is trusted from the build.
+certify_gap re-derives all of that from the geometry, built or rebuilt from
+a tree file: it recovers the integer lattice vector of every placed cube
+exactly and either minimizes |psi| over center combinations exactly or
+falls back to the structural bound.  Nothing is trusted from the placement
+code.
 
-The geometry arrives as the engine stores it: per level one denominator
+The geometry arrives as the engine holds it: per level one denominator
 and every lower corner as integer numerators over it, the cubes in implicit
 address order, so the placed cubes under a tuple member are one contiguous
 index range.  Recovering a lattice vector is a divisibility test on
@@ -480,17 +481,6 @@ def box_dimension_profile(
 # -- certificate documents ----------------------------------------------------------
 
 CERT_FORMAT = "lacuna-cert/1"
-
-
-@dataclass(frozen=True)
-class AvoidanceReport:
-    """Aggregate of everything a run certifies: gaps and measure."""
-
-    gaps: tuple[GapCertificate, ...]
-    measure: MeasureCertificate | None
-
-    def to_doc(self) -> dict:
-        return certificates_to_doc(list(self.gaps), self.measure)
 
 
 def gap_to_doc(cert: GapCertificate) -> dict:

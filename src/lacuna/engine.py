@@ -26,10 +26,13 @@ level's indices.  An address is the base-2^d digit string of the index,
 one digit per ordinary level; only schedule tuples are written as
 addresses.
 
-The tree file (lacuna-tree/2) holds the same integers: per level one
-{"den": den_k, "lowers": [...]} record whose lowers list the d numerators
-of every lower corner in index order, one flat list.  The schedule is
-stored once; the betas and avoidance levels are read from its entries.
+The tree file (lacuna-tree/3) is the recipe of a build, not its geometry:
+d, the gauge h, the depth, the patterns and the realized schedule.  Every
+corner follows from those (dyadic children sit at fixed offsets, free cubes
+are their parents scaled, placed cubes come from the deterministic lattice
+rule), so the reader checks the recipe and rebuilds the levels with the
+build's own per-level step, _advance.  A build and a read refuse a tree of
+more than MAX_LEAF_CUBES deepest-level cubes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import add
 from pathlib import Path
@@ -70,6 +72,11 @@ from .schedule import (
 )
 
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
+
+#: Most cubes a level may hold, in a build and in a tree read from a file.
+#: A tree file is a few hundred bytes however many cubes it asks for, so
+#: this bound, not the file's size, bounds the work of reading it.
+MAX_LEAF_CUBES = 2**20
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -282,39 +289,42 @@ def place_on_lattice(
     return tuple(lower), tuple(z)
 
 
-def _dyadic_children(
-    lowers: list[IntVector], ratio: int, side: int, d: int
-) -> list[IntVector]:
-    """The 2^d children of every cube in index order: digit bit v moves the
-    child up by `side` on axis v.  The children's denominator is `ratio`
-    times the parents'."""
+def _dyadic_children(lowers: list[IntVector], side: int, d: int) -> list[IntVector]:
+    """The 2^d children of every cube in index order, over the doubled
+    denominator: digit bit v moves the child up by `side` on axis v."""
     offsets = [
         tuple(side if (digit >> v) & 1 else 0 for v in range(d))
         for digit in range(1 << d)
     ]
     return [
         tuple(map(add, base, off))
-        for base in (tuple([ratio * x for x in lower]) for lower in lowers)
+        for base in (tuple([2 * x for x in lower]) for lower in lowers)
         for off in offsets
     ]
 
 
-def _advance_dyadic(state: ConstructionState, k: int) -> None:
-    prev = state.levels[-1]
-    side = state.side_num(k - 1)  # the child side over the doubled denominator
-    lowers = _dyadic_children(prev.lowers, 2, side, state.d)
-    state.levels.append(Level(den=2 * prev.den, lowers=lowers))
+def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> None:
+    """Append level k: the avoidance level of `entry`, or a dyadic level.
 
-
-def _advance_avoidance(state: ConstructionState, k: int, entry: ScheduleEntry) -> None:
+    The one per-level step: the build passes the entry the scheduler landed
+    at k, the tree reader the stored entry with M_i = k.
+    """
+    d, prev = state.d, state.levels[-1]
+    side = state.side_num(k - 1)  # the child side over the new denominator
+    if entry is None:
+        if len(prev.lowers) << d > MAX_LEAF_CUBES:
+            raise ScheduleOverflow(
+                f"level {k} would hold more than {MAX_LEAF_CUBES} cubes"
+            )
+        lowers = _dyadic_children(prev.lowers, side, d)
+        state.levels.append(Level(den=2 * prev.den, lowers=lowers))
+        return
     np_ = state.normalized[entry.pattern_id]
-    prev = state.levels[-1]
     ratio = 2 * entry.beta
-    side = state.side_num(k - 1)  # child side over the new denominator
-    _, sqrt_hi = sqrt_d_bounds(state.d)
+    _, sqrt_hi = sqrt_d_bounds(d)
     # free cubes keep their lower-corner anchor
     lowers = [tuple(ratio * x for x in lower) for lower in prev.lowers]
-    shift = state.d * (state.ndigits(k - 1) - state.ndigits(entry.level))
+    shift = d * (state.ndigits(k - 1) - state.ndigits(entry.level))
     for block, member in enumerate(entry.tuple_codes):
         lattice = block_lattice(np_, block, side, sqrt_hi)
         for i in range(member << shift, (member + 1) << shift):
@@ -342,13 +352,11 @@ def advance_level(state: ConstructionState) -> None:
         except Starved:
             state.pending = None
     entry = state.scheduler.land(k) if state.pending else None
+    _advance(state, k, entry)
     if entry is not None:
-        _advance_avoidance(state, k, entry)
         state.entries.append(entry)
         state.m_levels.append(k)
         state.pending = None
-    else:
-        _advance_dyadic(state, k)
     if len(state.levels[-1].lowers) != state.expected_count(k):
         raise StructureViolation(f"cube count at level {k} disagrees with the profile")
 
@@ -377,51 +385,31 @@ def build_tree(
 # -- structural validation --------------------------------------------------
 
 def validate_structure(state: ConstructionState) -> None:
-    """Exact re-verification of counts, sides, nestedness and tiling.
+    """Exact re-verification of the cube counts and of nestedness.
 
-    Dyadic children must sit at their exact dyadic offsets and avoidance
-    children inside their unique parent, which together prove pairwise
-    non-overlap by induction from the single root cube.
+    Every level must hold the profile's cube count, and every avoidance
+    child must lie inside its unique parent: the mass-distribution argument
+    rests on the tree being nested.  Dyadic children sit at their offsets by
+    construction (_dyadic_children), in a build and in a read alike.
     """
-    d = state.d
-    root = state.levels[0]
-    if root.lowers != [(root.den,) * d]:
-        raise StructureViolation("level 0 is not the unit cube at (1,...,1)")
-    for k in range(1, state.depth + 1):
-        level, parent = state.levels[k], state.levels[k - 1]
-        count = len(level.lowers)
-        if count != state.expected_count(k):
+    for k, level in enumerate(state.levels):
+        if len(level.lowers) != state.expected_count(k):
             raise StructureViolation(f"level {k}: cube count != profile value")
-        ratio, rem = divmod(level.den, parent.den)
-        if rem:
-            raise StructureViolation(f"level {k}: denominator is off its parent level's")
-        side = state.side_num(k)
-        parent_side = ratio * state.side_num(k - 1)
-        if k in state.m_levels:
-            if count != len(parent.lowers):
-                raise StructureViolation(f"level {k}: avoidance level must keep counts")
-            slack = parent_side - side
-            for i, (lower, plower) in enumerate(zip(level.lowers, parent.lowers)):
-                for v, (x, p) in enumerate(zip(lower, plower)):
-                    if not 0 <= x - ratio * p <= slack:
-                        raise StructureViolation(
-                            f"level {k}: cube {i} escapes its parent on axis {v}"
-                        )
-        else:
-            if count != len(parent.lowers) << d:
-                raise StructureViolation(f"level {k}: dyadic children do not tile")
-            slots = _dyadic_children(parent.lowers, ratio, side, d)
-            if level.lowers != slots:
-                i = next(i for i, (a, b) in enumerate(zip(level.lowers, slots)) if a != b)
-                v = next(v for v, (a, b) in enumerate(zip(level.lowers[i], slots[i])) if a != b)
-                raise StructureViolation(
-                    f"level {k}: cube {i} is off its dyadic slot on axis {v}"
-                )
+    for k in state.m_levels:
+        level, parent = state.levels[k], state.levels[k - 1]
+        ratio = level.den // parent.den
+        slack = ratio * state.side_num(k - 1) - state.side_num(k)
+        for i, (lower, plower) in enumerate(zip(level.lowers, parent.lowers)):
+            for v, (x, p) in enumerate(zip(lower, plower)):
+                if not 0 <= x - ratio * p <= slack:
+                    raise StructureViolation(
+                        f"level {k}: cube {i} escapes its parent on axis {v}"
+                    )
 
 
 # -- tree (de)serialization -----------------------------------------------------
 
-TREE_FORMAT = "lacuna-tree/2"
+TREE_FORMAT = "lacuna-tree/3"
 
 
 def state_to_doc(state: ConstructionState) -> dict:
@@ -431,13 +419,8 @@ def state_to_doc(state: ConstructionState) -> dict:
         "d": state.d,
         "h": state.h.spec_string(),
         "depth": state.depth,
-        "level_cap": state.level_cap,
         "patterns": pat_doc["patterns"],
         "schedule": [entry_to_doc(state, e) for e in state.entries],
-        "levels": [
-            {"den": lvl.den, "lowers": list(chain.from_iterable(lvl.lowers))}
-            for lvl in state.levels
-        ],
     }
 
 
@@ -501,64 +484,44 @@ def _entries_from_doc(
     return entries
 
 
-def _level_from_doc(state: ConstructionState, k: int, rec: dict, q: int) -> Level:
-    """Level k with den = lcm(Q/side_k, den_{k-1}, stored den).
-
-    A valid file stores den = Q/side_k, the denominator of the build, and
-    loads unscaled; any other stored den is widened to one that holds both
-    the stored corners and the level's lattice exactly.
-    """
-    d = state.d
-    stored = int_field(rec["den"], f"level {k} den", 1)
-    flat = rec["lowers"]
-    if not isinstance(flat, list) or len(flat) % d:
-        raise FormatError(f"level {k}: lowers must be a flat list of {d}-coordinate corners")
-    if not set(map(type, flat)) <= {int}:
-        raise FormatError(f"level {k}: every entry of lowers must be an integer")
-    den = lcm(q * state.inv_side(k), stored)
-    if k:
-        den = lcm(den, state.levels[k - 1].den)
-    if den != stored:
-        flat = [x * (den // stored) for x in flat]
-    return Level(den=den, lowers=list(zip(*[iter(flat)] * d)))
-
-
 def doc_to_state(doc: dict) -> ConstructionState:
     """Rebuild a state from a tree document (read-only: no scheduler).
 
     Types, ranges, the cross-field consistency of the document and the
-    schedule invariants (beta_i >= compute_beta, M_{i+1} >= M_i + 2) are
-    checked here and fail with FormatError.  The geometry is left to
-    validate_structure and certify_gap: an off-lattice cube still loads,
-    on a denominator large enough to hold it exactly.
+    schedule invariants (beta_i >= compute_beta, M_1 >= 2,
+    M_{i+1} >= M_i + 2, tuple level <= M_i - 2, canonical addresses) are
+    checked here and fail with FormatError, as does a recipe of more than
+    MAX_LEAF_CUBES deepest-level cubes, before any level is built.  The
+    levels are then rebuilt by _advance, the build's own step, from the
+    stored entries; the scheduler is not re-run, so any schedule that
+    passes these checks is rebuilt as written.
     """
     try:
         if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
             raise FormatError(
-                f"not a {TREE_FORMAT} document (lacuna-tree/1 files must be rebuilt)"
+                f"not a {TREE_FORMAT} document "
+                "(lacuna-tree/1 and lacuna-tree/2 files must be rebuilt)"
             )
         d = int_field(doc["d"], "d", 1)
         _, patterns = patterns_from_doc({"d": d, "patterns": doc["patterns"]})
         h = parse_dimfn(doc["h"], d)
         depth = int_field(doc["depth"], "depth", 0)
-        levels = doc["levels"]
-        if not isinstance(levels, list) or len(levels) != depth + 1:
-            raise FormatError(f"levels must list exactly the levels 0..{depth}")
-        state = ConstructionState(
-            d=d,
-            h=h,
-            patterns=tuple(patterns),
-            normalized=tuple(normalize(p) for p in patterns),
-            level_cap=int_field(doc["level_cap"], "level_cap", depth),
-            levels=[],
-        )
+        state = init_state(d, patterns, h)
+        state.scheduler = None
         state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
         state.m_levels = [e.m_level for e in state.entries]
-        q = lattice_denominator(state.normalized)
-        for k, rec in enumerate(levels):
-            state.levels.append(_level_from_doc(state, k, rec, q))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
+    # 2^(d * ndigits) cubes at the depth, compared by exponent: a forged
+    # depth must not make this check itself expensive
+    if d * state.ndigits(depth) > MAX_LEAF_CUBES.bit_length() - 1:
+        raise FormatError(
+            f"the tree asks for 2^{d * state.ndigits(depth)} cubes at depth {depth}, "
+            f"more than {MAX_LEAF_CUBES}"
+        )
+    by_level = {e.m_level: e for e in state.entries}
+    for k in range(1, depth + 1):
+        _advance(state, k, by_level.get(k))
     return state
 
 

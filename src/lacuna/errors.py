@@ -46,7 +46,8 @@ class DimensionMismatch(LacunaError):
 # --- schedule / engine -----------------------------------------------------
 
 class ScheduleOverflow(LacunaError):
-    """A required avoidance level exceeds the configured level cap."""
+    """A build would go past the level cap or hold too many cubes
+    (engine.MAX_LEAF_CUBES)."""
 
 
 class Starved(LacunaError):

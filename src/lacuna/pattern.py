@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FormatError, ZeroPattern
-from .jsonfile import int_field, read_json, write_json
+from .jsonfile import int_field, read_json
 from .qmath import format_rational, parse_rational
 
 Coeffs = tuple[tuple[Fraction, ...], ...]
@@ -214,7 +214,3 @@ def patterns_from_doc(doc: dict) -> tuple[int, list[LinearPattern]]:
 
 def load_patterns(path: str | Path) -> tuple[int, list[LinearPattern]]:
     return patterns_from_doc(read_json(path))
-
-
-def save_patterns(path: str | Path, d: int, patterns: Iterable[LinearPattern]) -> None:
-    write_json(patterns_to_doc(d, patterns), path)

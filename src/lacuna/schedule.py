@@ -11,7 +11,9 @@ is enforced:
   and the tree reader (engine.doc_to_state) rejects a smaller beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
   The scheduler serves each entry with the floor max(2, M_{i-1} + 2,
-  level being built, tuple level + 2); the tree reader rejects any other.
+  level being built, tuple level + 2); the tree reader rejects a schedule
+  that breaks these, and rebuilds the levels from any schedule that keeps
+  them without re-running the scheduler.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
   new beta_i.  ratio_condition is the one test of it.  A build tests it

@@ -1,12 +1,36 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree
+from lacuna.engine import Level, build_tree
 from lacuna.pattern import make_pattern
+
+
+def _move_cube(state, k, i, lower):
+    """A copy of a built state with cube i of level k moved to the rational
+    lower corner `lower`.  When the corner is off level k's denominator,
+    every level's denominator and corners are scaled by one factor, so the
+    sides and the ratios between levels stay as built."""
+    den = state.levels[k].den
+    f = lcm(*(Fraction(x * den).denominator for x in lower))
+    levels = [
+        Level(lvl.den * f, [tuple(f * x for x in lo) for lo in lvl.lowers])
+        for lvl in state.levels
+    ]
+    levels[k].lowers[i] = tuple(int(x * den * f) for x in lower)
+    return dataclasses.replace(state, levels=levels)
+
+
+@pytest.fixture(scope="session")
+def move_cube():
+    """Corrupt the geometry of a built state in memory: tree files hold only
+    the recipe, so a corrupted cube can no longer come from a file."""
+    return _move_cube
 
 
 @pytest.fixture(scope="session")

@@ -25,18 +25,11 @@ from lacuna.certify import (
 )
 from lacuna.cli import main as cli_main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import (
-    build_tree,
-    doc_to_state,
-    state_to_doc,
-    validate_structure,
-)
+from lacuna.engine import build_tree, validate_structure
 from lacuna.errors import GapViolated, StructureViolation
 from lacuna.pattern import key_inequality_check, make_pattern, normalize
 from lacuna.qmath import parse_rational
 from lacuna.schedule import compute_beta, compute_levels
-
-from treedoc import corner, set_lower
 
 F = Fraction
 
@@ -158,7 +151,7 @@ class TestAcceptance:
             f"1/10 via c3 = c2*(2*sqrt(d)+3)^d, {elapsed:.2f}s",
         )
 
-    def test_6_oracle_equivalence_and_mutation(self):
+    def test_6_oracle_equivalence_and_mutation(self, move_cube):
         start = time.perf_counter()
         apps = [
             ("ratios A={2}", AppSpec("ratios", ["2"], "pow:1/2", 7)),
@@ -191,12 +184,11 @@ class TestAcceptance:
             if spec.kind == "ratios":
                 ratios_state = st
         # mutation: shove one placed cube off the lattice by side/4
-        doc = json.loads(json.dumps(state_to_doc(ratios_state)))
         entry = ratios_state.entries[0]
         shift = ratios_state.side(entry.m_level) / 4
-        (x,) = corner(doc, entry.m_level, 0)
-        set_lower(doc, entry.m_level, 0, [x + shift])
-        mutated = doc_to_state(doc)
+        level = ratios_state.levels[entry.m_level]
+        x = F(level.lowers[0][0], level.den)
+        mutated = move_cube(ratios_state, entry.m_level, 0, [x + shift])
         gap_failed = False
         oracle_failed = False
         try:

@@ -24,7 +24,7 @@ from lacuna.apps import (
 )
 from lacuna.certify import covered_violations
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree
+from lacuna.engine import build_tree, read_tree
 from lacuna.errors import (
     AllRowsZero,
     DegenerateTriplet,
@@ -286,7 +286,7 @@ class TestAppRunner:
         assert report["targets"][0]["target"] == "ln(2)"
         assert report["targets"][0]["difference_margin"] is not None
         assert len(report["points_ln"]) == summary["entries"] * 0 + len(
-            json.loads((tmp_path / "tree.json").read_text())["levels"][5]["lowers"]
+            read_tree(tmp_path / "tree.json").levels[5].lowers
         )
 
     def test_parallelogram_app(self, tmp_path):

@@ -22,17 +22,15 @@ from lacuna.certify import (
     placed_blocks,
     spot_check_gap,
 )
+from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree, doc_to_state, state_to_doc, validate_structure
+from lacuna.engine import build_tree, state_to_doc
 from lacuna.errors import (
     EntryNotProcessed,
     GapViolated,
     MeasureViolated,
-    StructureViolation,
 )
 from lacuna.pattern import eval_pattern, make_pattern
-
-from treedoc import corner, set_lower
 
 F = Fraction
 
@@ -125,12 +123,11 @@ class TestGapCertificates:
         with pytest.raises(EntryNotProcessed):
             certify_gap(ap_tree_12, 99)
 
-    def test_corrupted_placement_fails(self, ap_tree_12):
+    def test_corrupted_placement_fails(self, ap_tree_12, move_cube):
         # Shift one placed cube off the lattice by side/4.
-        doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
-        (x,) = corner(doc, 6, 0)
-        set_lower(doc, 6, 0, [x + F(1, 4 * 576)])
-        broken = doc_to_state(doc)
+        level = ap_tree_12.levels[6]
+        x = F(level.lowers[0][0], level.den)
+        broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
             certify_gap(broken, 1)
 
@@ -176,7 +173,7 @@ class TestMeasureCertificate:
         assert F(135) < cert.c3_upper < F(136)
         assert cert.lower_bound == 1 / cert.c3_upper
 
-    def test_wrong_schedule_detected(self, ap_tree_12):
+    def test_wrong_schedule_detected(self, ap_tree_12, tmp_path, capsys):
         # Pretend the first avoidance level had been 5: level-5 counts stay
         # dyadic (32 cubes) but the side would shrink to 2^-5/9, failing mass.
         broken = copy.copy(ap_tree_12)
@@ -187,11 +184,14 @@ class TestMeasureCertificate:
         broken.m_levels = [5, 11]
         with pytest.raises(MeasureViolated):
             certify_measure(broken)
-        # In a tree file the 32 level-5 cubes no longer fit the schedule.
+        # A tree file is rebuilt from its schedule: with M_1 = 5 in the file,
+        # level 5 becomes the avoidance level, and the ratio condition fails.
         doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
         doc["schedule"][0]["M_i"] = 5
-        with pytest.raises(StructureViolation):
-            validate_structure(doc_to_state(doc))
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(doc))
+        assert main(["certify", str(tree), "--mode", "all"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "MeasureViolated"
 
 
 class TestCoverage:
@@ -258,11 +258,10 @@ class TestOracle:
         for entry in ap_tree_12.entries:
             assert covered_instance_scan(ap_tree_12, centers, entry) == []
 
-    def test_planted_instance_is_caught(self, ap_tree_12):
+    def test_planted_instance_is_caught(self, ap_tree_12, move_cube):
         # Move one placed cube so the three block centers form an exact
         # progression; the oracle must find it and coverage must flag it.
         st = ap_tree_12
-        doc = json.loads(json.dumps(state_to_doc(st)))
         entry = st.entries[0]
         blocks = placed_points(st, entry)
         side = st.side(entry.m_level)
@@ -270,13 +269,13 @@ class TestOracle:
         b = blocks[1][0][0] + side / 2
         target_center = 2 * b - a  # completes psi = x - 2y + z = 0
         old_lower = blocks[2][0][0]
-        for i in range(len(st.levels[6].lowers)):
-            if corner(doc, 6, i) == (old_lower,):
-                set_lower(doc, 6, i, [target_center - side / 2])
+        level = st.levels[6]
+        for i, (x,) in enumerate(level.lowers):
+            if F(x, level.den) == old_lower:
+                broken = move_cube(st, 6, i, [target_center - side / 2])
                 break
         else:
-            pytest.fail("the placed cube to move is not in the tree file")
-        broken = doc_to_state(doc)
+            pytest.fail("the placed cube to move is not in level 6")
         pts = [(a,), (b,), (target_center,)]
         hits = brute_oracle(pts, st.patterns[0], F(0))
         assert hits

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import lacuna
+from lacuna import engine
 from lacuna.cli import main
-from lacuna.engine import build_tree, read_tree, state_to_doc
+from lacuna.engine import build_tree, doc_to_state, read_tree, state_to_doc
 from lacuna.errors import FormatError
 from lacuna.export import read_points
-
-from treedoc import set_lower
 
 F = Fraction
 
@@ -73,6 +73,19 @@ class TestBuild:
         assert main(build_args(ap_file, tmp_path, depth=7) + ["--level-cap", "5"]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
 
+    def test_depth_over_leaf_cap_is_config_error(
+        self, ap_file, tmp_path, capsys, monkeypatch
+    ):
+        # The real cap (2^20 cubes) is reached at level 26 of this build
+        # after seconds and hundreds of MB; a cap of 2^10 shows the same
+        # refusal at level 13, the first level past it.
+        monkeypatch.setattr(engine, "MAX_LEAF_CUBES", 2**10)
+        assert main(build_args(ap_file, tmp_path, depth=40)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ScheduleOverflow"
+        assert err["message"].startswith("level 13 ")
+        assert not (tmp_path / "tree.json").exists()
+
     def test_schedule_log(self, ap_file, tmp_path):
         args = build_args(ap_file, tmp_path) + [
             "--schedule-log", str(tmp_path / "log.jsonl")
@@ -108,28 +121,20 @@ class TestCertify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "EntryNotProcessed"
 
-    def test_corrupted_coordinate_fails(self, ap_file, tmp_path, capsys):
+    def test_corrupted_coordinate_fails(
+        self, ap_file, tmp_path, capsys, monkeypatch, move_cube
+    ):
+        # A tree file carries no corners, so the corruption enters between
+        # the read and the checks.
         main(build_args(ap_file, tmp_path, depth=12))
-        tree = tmp_path / "tree.json"
-        doc = json.loads(tree.read_text())
-        set_lower(doc, 6, 0, [F(5039, 5040)])
-        tree.write_text(json.dumps(doc))
-        code = main(["certify", str(tree), "--mode", "all"])
+        read = engine.read_tree
+        monkeypatch.setattr(
+            engine, "read_tree", lambda path: move_cube(read(path), 6, 0, [F(5039, 5040)])
+        )
+        code = main(["certify", str(tmp_path / "tree.json"), "--mode", "all"])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] in ("GapViolated", "StructureViolation")
-
-
-def _float_lower(doc):
-    doc["levels"][6]["lowers"][0] = 1.0078125
-
-
-def _bool_lower(doc):
-    doc["levels"][6]["lowers"][0] = True
-
-
-def _zero_den(doc):
-    doc["levels"][6]["den"] = 0
 
 
 def _pattern_id_out_of_range(doc):
@@ -156,42 +161,46 @@ def _infinite_arity(doc):
     doc["patterns"][0]["m"] = float("inf")
 
 
-def _cubes_swapped(doc):
-    lowers = doc["levels"][7]["lowers"]
-    lowers[0], lowers[1] = lowers[1], lowers[0]
-
-
 def _tree_v1(doc):
     """The same d=1 tree in the lacuna-tree/1 layout."""
+    levels = doc_to_state(doc).levels
     schedule = doc["schedule"]
     doc["format"] = "lacuna-tree/1"
     doc["betas"] = [e["beta_i"] for e in schedule]
     doc["levels_M"] = [e["M_i"] for e in schedule]
     doc["cubes"] = {}
-    for k, lvl in enumerate(doc.pop("levels")):
+    for k, lvl in enumerate(levels):
         ndigits = k - sum(1 for e in schedule if e["M_i"] <= k)
         doc["cubes"][str(k)] = [
             {"addr": format(i, "b").zfill(ndigits) if ndigits else "",
-             "lower": [str(F(x, lvl["den"]))]}
-            for i, x in enumerate(lvl["lowers"])
+             "lower": [str(F(x, lvl.den))]}
+            for i, (x,) in enumerate(lvl.lowers)
         ]
+
+
+def _tree_v2(doc):
+    """The same tree in the lacuna-tree/2 layout."""
+    levels = doc_to_state(doc).levels
+    doc["format"] = "lacuna-tree/2"
+    doc["level_cap"] = 96
+    doc["levels"] = [
+        {"den": lvl.den, "lowers": [x for lower in lvl.lowers for x in lower]}
+        for lvl in levels
+    ]
 
 
 class TestTamperedTree:
     @pytest.mark.parametrize(
         "mutate, error",
         [
-            (_float_lower, "FormatError"),
-            (_bool_lower, "FormatError"),
-            (_zero_den, "FormatError"),
             (_tree_v1, "FormatError"),
+            (_tree_v2, "FormatError"),
             (_pattern_id_out_of_range, "FormatError"),
             (_tuple_level_at_m, "FormatError"),
             (_negative_depth, "FormatError"),
             (_beta_below_compute_beta, "FormatError"),
             (_levels_too_close, "FormatError"),
             (_infinite_arity, "FormatError"),
-            (_cubes_swapped, "StructureViolation"),
         ],
         ids=lambda v: v.__name__.strip("_") if callable(v) else v,
     )
@@ -207,20 +216,24 @@ class TestTamperedTree:
         assert code == (2 if error == "FormatError" else 1)
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == error
+        if mutate in (_tree_v1, _tree_v2):
+            assert "must be rebuilt" in json.loads(err)["error"]["message"]
 
-    def test_lowers_not_a_multiple_of_d(self, tmp_path, capsys):
-        pat = tmp_path / "p2.json"
-        pat.write_text(json.dumps(P2_DOC))
-        tree = tmp_path / "t2.json"
-        assert main([
-            "build", str(pat), "--dimfn", "pow:1/4", "--depth", "3", "--out", str(tree)
-        ]) == 0
+    @pytest.mark.parametrize("depth", [40, 10**6])
+    def test_recipe_over_the_leaf_cap(self, ap_file, tmp_path, capsys, depth):
+        # A few hundred bytes may ask for 2^38 cubes or more: the reader
+        # refuses before it builds a level.
+        assert main(build_args(ap_file, tmp_path, depth=12)) == 0
+        tree = tmp_path / "tree.json"
         doc = json.loads(tree.read_text())
-        doc["levels"][3]["lowers"].pop()
+        doc["depth"] = depth
         tree.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["certify", str(tree)]) == 2
+        start = time.perf_counter()
+        code = main(["certify", str(tree)])
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
+        assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
 

@@ -8,9 +8,9 @@ import pytest
 
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
+    Level,
     block_lattice,
     build_tree,
-    doc_to_state,
     init_state,
     parse_address,
     place_on_lattice,
@@ -28,8 +28,6 @@ from lacuna.errors import (
 )
 from lacuna.pattern import make_pattern, normalize
 from lacuna.schedule import level_profile
-
-from treedoc import set_lower
 
 F = Fraction
 
@@ -200,6 +198,12 @@ class TestBuild:
         validate_structure(st)
 
 
+def _without_last_cube(st, k):
+    """A copy of a built state of depth k whose level k lacks its last cube."""
+    leaf = st.levels[k]
+    return dataclasses.replace(st, levels=[*st.levels[:k], Level(leaf.den, leaf.lowers[:-1])])
+
+
 class TestValidation:
     def test_valid_tree_passes(self, ap_tree_12):
         validate_structure(ap_tree_12)
@@ -207,27 +211,24 @@ class TestValidation:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda doc: set_lower(doc, 7, 3, [F(2)]),
-            lambda doc: set_lower(doc, 6, 0, [F(1, 2)]),
-            lambda doc: doc["levels"][12]["lowers"].pop(),
+            lambda st, move: move(st, 6, 0, [F(1, 2)]),
+            lambda st, move: _without_last_cube(st, 12),
         ],
-        ids=["off-slot", "escapes-parent", "missing-cube"],
+        ids=["escapes-parent", "missing-cube"],
     )
-    def test_corruption_detected(self, ap_tree_12, mutate):
-        doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
-        mutate(doc)
+    def test_corruption_detected(self, ap_tree_12, move_cube, mutate):
         with pytest.raises(StructureViolation):
-            validate_structure(doc_to_state(doc))
+            validate_structure(mutate(ap_tree_12, move_cube))
 
 
-    def test_escape_above_parent_at_the_deepest_level(self, ap_pattern, sqrt_gauge):
+    def test_escape_above_parent_at_the_deepest_level(
+        self, ap_pattern, sqrt_gauge, move_cube
+    ):
         # Parent [1, 33/32], child side 1/576: the top face pokes out, and no
         # deeper level exposes it through a dyadic slot.
         st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
-        doc = json.loads(json.dumps(state_to_doc(st)))
-        set_lower(doc, 6, 0, [F(33, 32)])
         with pytest.raises(StructureViolation, match="escapes its parent"):
-            validate_structure(doc_to_state(doc))
+            validate_structure(move_cube(st, 6, 0, [F(33, 32)]))
 
 
 class TestAddresses:

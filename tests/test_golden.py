@@ -2,7 +2,7 @@
 
 The certificate digests were recorded from the rational-geometry
 implementation that preceded the integer lattice core, the tree digests
-from the first lacuna-tree/2 writer; any change in the tree or certificate
+from the first lacuna-tree/3 writer; any change in the tree or certificate
 bytes of these builds is a format change and must be deliberate.
 """
 
@@ -36,7 +36,7 @@ def test_ap_d1_depth_12(tmp_path):
         "build", str(pat), "--dimfn", "pow:1/2", "--depth", "12", "--out", str(tree)
     ]) == 0
     assert main(["certify", str(tree), "--mode", "all", "--out", str(cert)]) == 0
-    assert _sha(tree) == "01a20668a3810b1d6a3bbc89e836a62a71ae2265c60173612904260d2cd1e4c0"
+    assert _sha(tree) == "14f4c34437db478dd81deb77069db3f22632abbc8d47d7541c2a0b8b301691cf"
     assert _sha(cert) == "76bf1a5fc2dc2d84bf5aab7d1d85f1a0538dbfbfb2bc78931a65d4c0a85b1f24"
 
 
@@ -45,12 +45,12 @@ def test_ap_d1_depth_12(tmp_path):
     [
         (
             PARALLELOGRAM,
-            "1d6c6afc767e54227d29db3e2eb71f4bce8b3a9c90b7d176e84a317b27ecfee8",
+            "896103b52203c962ee971250d730d03d7e24c2a68751c43ec3baa38c358362a6",
             "e88623526ce5b882d4f00f92e606d461decde0d8fb2bf0da089e46a676e5f7f0",
         ),
         (
             TRAPEZOIDS,
-            "42a281390db27b22cc460367eff1c42b17c9a07220c3972df5d1ae325bded167",
+            "c1ea0add6a64b0b7a69e5568cfcb05f6ca98ec2f3da95175a61d9aad64b40386",
             "db89223cea70719423ed5ca0f3c617e8b284e70ef2e3097e06a8d5ed26190611",
         ),
     ],
@@ -83,7 +83,9 @@ def _app_state(doc):
 )
 def test_tree_round_trip(make):
     built = make()
-    back = doc_to_state(json.loads(json.dumps(state_to_doc(built))))
+    doc = json.loads(json.dumps(state_to_doc(built)))
+    assert set(doc) == {"format", "d", "h", "depth", "patterns", "schedule"}
+    back = doc_to_state(doc)
     assert [(lvl.den, lvl.lowers) for lvl in back.levels] == [
         (lvl.den, lvl.lowers) for lvl in built.levels
     ]
