@@ -44,7 +44,6 @@ from .errors import (
 from .jsonfile import int_field, write_json
 from .pattern import LinearPattern, make_pattern
 from .qmath import exp_bounds, format_rational, ln_bounds, parse_rational
-from .schedule import DEFAULT_LEVEL_CAP
 
 APP_KINDS = (
     "quotients",
@@ -265,7 +264,6 @@ def difference_points(
     depth: int,
     precision: int = 64,
     point_precision: int = 48,
-    level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> tuple[engine.ConstructionState, DifferenceReport]:
     """Build the quotient-avoiding set and push it through the logarithm.
 
@@ -273,7 +271,7 @@ def difference_points(
     thinner than half the certified gap of its pattern.
     """
     mids = [_difference_target(t, precision) for t in targets]
-    state = engine.build_tree(1, quotient_patterns(mids), h, depth, level_cap)
+    state = engine.build_tree(1, quotient_patterns(mids), h, depth)
     certificates = tuple(certify.certify_gap(state, e) for e in state.entries)
     gaps: dict[int, Fraction] = {}
     for c in certificates:
@@ -364,7 +362,6 @@ class AppSpec:
     depth: int
     d: int = 2
     precision: int = 64
-    level_cap: int = DEFAULT_LEVEL_CAP
 
 
 def app_spec_from_doc(doc: dict) -> AppSpec:
@@ -379,7 +376,6 @@ def app_spec_from_doc(doc: dict) -> AppSpec:
             depth=int_field(doc["depth"], "depth", 0),
             d=int_field(doc.get("d", 2), "d", 1),
             precision=int_field(doc.get("precision", 64), "precision", 1),
-            level_cap=int_field(doc.get("level_cap", DEFAULT_LEVEL_CAP), "level_cap", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed app spec: {exc}") from exc
@@ -474,14 +470,13 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
             h,
             app.depth,
             precision=app.precision,
-            level_cap=app.level_cap,
         )
         write_json(difference_report_to_doc(report), out / "report.json")
         gaps = list(report.certificates)
     else:
         d, patterns = app_patterns(app)
         h = parse_dimfn(app.h_spec, d)
-        state = engine.build_tree(d, patterns, h, app.depth, app.level_cap)
+        state = engine.build_tree(d, patterns, h, app.depth)
         gaps = [certify.certify_gap(state, e) for e in state.entries]
     engine.validate_structure(state)
     for e, g in zip(state.entries, gaps):

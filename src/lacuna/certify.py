@@ -15,8 +15,8 @@ The geometry arrives as the engine holds it: per level one denominator
 and every lower corner as integer numerators over it, the cubes in implicit
 address order, so the placed cubes under a tuple member are one contiguous
 index range.  Recovering a lattice vector is a divisibility test on
-integers.  The oracle and the coverage checks take rational points; they
-scale them once to a common denominator and then work on integers too.
+integers.  The oracle takes rational points; it scales them once to a
+common denominator and then works on integers too.
 Fractions remain in the sampled cross-checks and in the measure code.
 
 The measure certificate is the mass-distribution principle made concrete:
@@ -35,8 +35,8 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import lcm
+from itertools import permutations
+from math import lcm, perm
 
 from .engine import BlockLattice, ConstructionState, IntVector, Vector, block_lattice
 from .errors import (
@@ -335,9 +335,7 @@ def brute_oracle(
     coeffs = pattern.coeffs if isinstance(pattern, LinearPattern) else pattern.base.coeffs
     m = len(coeffs)
     n = len(points)
-    total = 1
-    for j in range(m):
-        total *= max(n - j, 0)
+    total = perm(n, m)
     if total > warn_cap:
         warnings.warn(f"oracle will evaluate {total} tuples", stacklevel=2)
     partial, tol = _partial_sums(points, coeffs, tolerance)
@@ -347,107 +345,6 @@ def brute_oracle(
         for combo in permutations(range(n), m)
         if abs(sum(map(pick, partial, combo))) <= tol
     ]
-
-
-def _in_some_cube(x: Vector, lowers: list[IntVector], side: int, den: int) -> bool:
-    """Does the rational point x lie in a closed cube (lower + [0, side]^d)/den?"""
-    bounds = []
-    for xv in x:
-        t, q = xv.numerator * den, xv.denominator
-        # lower <= x*den <= lower + side on this axis
-        bounds.append((-(-t // q) - side, t // q))
-    return any(
-        all(lo <= n <= hi for n, (lo, hi) in zip(lower, bounds)) for lower in lowers
-    )
-
-
-def instance_covered(
-    state: ConstructionState,
-    entry: ScheduleEntry,
-    points: list[Vector],
-    instance: tuple[int, ...],
-    _cache: dict | None = None,
-) -> bool:
-    """Is this oracle instance a tuple the entry's certificate covers?
-
-    The instance is in the original pattern's block order; coverage holds
-    when, after the normalization permutation, each point lies inside some
-    placed cube of the matching block.
-    """
-    np_ = state.normalized[entry.pattern_id]
-    key = ("blocks", entry.index)
-    if _cache is not None and key in _cache:
-        blocks = _cache[key]
-    else:
-        blocks = placed_blocks(state, entry)
-        if _cache is not None:
-            _cache[key] = blocks
-    den = state.levels[entry.m_level].den
-    side = state.side_num(entry.m_level)
-    return all(
-        _in_some_cube(points[instance[np_.perm[b]]], blocks[b], side, den)
-        for b in range(np_.m)
-    )
-
-
-def covered_violations(
-    state: ConstructionState,
-    points: list[Vector],
-    tolerance: Fraction = Fraction(0),
-) -> dict[int, list[tuple[int, ...]]]:
-    """Oracle instances that the processed entries claim cannot exist.
-
-    Runs the oracle for every input pattern and cross-references each
-    instance against every processed entry of that pattern.  A non-empty
-    result is a broken certificate (or a corrupted tree).
-    """
-    cache: dict = {}
-    bad: dict[int, list[tuple[int, ...]]] = {}
-    for pid, pat in enumerate(state.patterns):
-        entries = [e for e in state.entries if e.pattern_id == pid]
-        if not entries:
-            continue
-        for inst in brute_oracle(points, pat, tolerance):
-            for e in entries:
-                if instance_covered(state, e, points, inst, cache):
-                    bad.setdefault(e.index, []).append(inst)
-    return bad
-
-
-def covered_instance_scan(
-    state: ConstructionState,
-    points: list[Vector],
-    entry: ScheduleEntry | int,
-) -> list[tuple[int, ...]]:
-    """Exact zeros of psi over the full covered product of one entry.
-
-    Groups the points by the entry's placed blocks and enumerates every
-    combination, resolving the last block by exact-value lookup, so deep
-    builds stay tractable where the all-tuples oracle would not.  Returns
-    instances as point-index tuples in normalized block order.
-    """
-    entry = _entry_of(state, entry)
-    np_ = state.normalized[entry.pattern_id]
-    blocks = placed_blocks(state, entry)
-    den = state.levels[entry.m_level].den
-    side = state.side_num(entry.m_level)
-    groups = [
-        [i for i, x in enumerate(points) if _in_some_cube(x, blk, side, den)]
-        for blk in blocks
-    ]
-    partial, _ = _partial_sums(points, np_.base.coeffs)
-    by_value: dict[int, list[int]] = {}
-    for i in groups[-1]:
-        by_value.setdefault(partial[-1][i], []).append(i)
-    hits = []
-    for combo in product(*groups[:-1]):
-        if len(set(combo)) != len(combo):
-            continue
-        acc = sum(partial[b][i] for b, i in enumerate(combo))
-        for j in by_value.get(-acc, ()):
-            if j not in combo:
-                hits.append(combo + (j,))
-    return hits
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -3,7 +3,8 @@
 Subcommands: build, certify, export, app, oracle.  Exit codes follow a
 fixed contract: 0 = everything certified / no instance found, 1 = an
 instance was found or a certificate failed, 2 = usage or configuration
-error.  Failures emit a JSON error envelope on stderr for machine use.
+error (errors.UsageError, argument errors included, or an OSError).
+Failures emit a JSON error envelope on stderr for machine use.
 
 Each command imports the layers it runs (apps, certify, export) itself, so
 a step loads no module it does not use.  Commands reach layer functions
@@ -13,51 +14,22 @@ through module attributes (engine.build_tree, certify.certify_gap, ...).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from . import engine
 from .dimfn import parse_dimfn
-from .errors import (
-    AllRowsZero,
-    DegenerateTriplet,
-    FormatError,
-    LacunaError,
-    RejectNonPositive,
-    RejectNotDominated,
-    RejectRange,
-    RejectUnit,
-    ScheduleOverflow,
-    UnsupportedDimension,
-    ZeroPattern,
-)
+from .errors import FormatError, LacunaError, UsageError
 from .jsonfile import read_json, write_json
 from .pattern import load_patterns
 from .qmath import parse_rational
-from .schedule import DEFAULT_LEVEL_CAP
-
-_USAGE_ERRORS = (
-    FormatError,
-    UnsupportedDimension,
-    RejectNotDominated,
-    RejectNonPositive,
-    RejectUnit,
-    RejectRange,
-    AllRowsZero,
-    DegenerateTriplet,
-    ZeroPattern,
-    ScheduleOverflow,
-)
 
 
 def cmd_build(args) -> int:
     d, patterns = load_patterns(args.patterns)
     h = parse_dimfn(args.dimfn, d)
-    state = engine.build_tree(d, patterns, h, args.depth, args.level_cap)
+    state = engine.build_tree(d, patterns, h, args.depth)
     engine.write_tree(state, args.out)
-    if args.schedule_log:
-        engine.write_schedule_log(state, args.schedule_log)
     print(
         f"built d={d} depth={args.depth}: {len(state.levels[-1].lowers)} leaf cubes, "
         f"{len(state.entries)} schedule entries -> {args.out}"
@@ -112,8 +84,6 @@ def cmd_app(args) -> int:
     from . import apps
 
     spec = apps.app_spec_from_doc(read_json(args.spec))
-    if args.level_cap is not None:
-        spec = dataclasses.replace(spec, level_cap=args.level_cap)
     summary = apps.run_app(spec, args.out_dir)
     print(json.dumps(summary, indent=1))
     return 0
@@ -147,8 +117,16 @@ def cmd_oracle(args) -> int:
     return 1 if total else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises UsageError, so it gets the JSON envelope
+    and exit 2 like every other usage error; subparsers inherit this."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lacuna",
         description=(
             "Build nested cube sets in [1,2]^d that avoid linear patterns, "
@@ -163,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dimfn", required=True, help="gauge, e.g. pow:1/2 or powlog:1/1")
     b.add_argument("--depth", type=int, required=True)
     b.add_argument("--out", default="tree.json")
-    b.add_argument("--schedule-log", default=None, help="JSON-lines schedule log")
-    b.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP)
     b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("certify", help="re-derive certificates from a tree file")
@@ -185,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("app", help="run an application spec end to end")
     a.add_argument("spec")
     a.add_argument("--out-dir", default="app-out")
-    a.add_argument("--level-cap", type=int, default=None)
     a.set_defaults(func=cmd_app)
 
     o = sub.add_parser("oracle", help="exhaustive pattern search over a point file")
@@ -203,10 +178,10 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         _emit_error(exc)
         return 2
     except LacunaError as exc:

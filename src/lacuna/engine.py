@@ -24,7 +24,7 @@ implicit: the cube at index i of an ordinary level is child digit
 i & (2^d - 1) of parent i >> d, and an avoidance level keeps its parent
 level's indices.  An address is the base-2^d digit string of the index,
 one digit per ordinary level; only schedule tuples are written as
-addresses.
+addresses, with 32 digit symbols, so a state has d <= 5 (init_state).
 
 The tree file (lacuna-tree/3) is the recipe of a build, not its geometry:
 d, the gauge h, the depth, the patterns and the realized schedule.  Every
@@ -37,7 +37,6 @@ more than MAX_LEAF_CUBES deepest-level cubes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -52,6 +51,7 @@ from .errors import (
     ScheduleOverflow,
     Starved,
     StructureViolation,
+    UnsupportedDimension,
     ZeroPattern,
 )
 from .jsonfile import int_field, read_json, write_json
@@ -72,6 +72,8 @@ from .schedule import (
 )
 
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
+#: Largest d whose 2^d address digits the alphabet holds.
+_MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
 
 #: Most cubes a level may hold, in a build and in a tree read from a file.
 #: A tree file is a few hundred bytes however many cubes it asks for, so
@@ -82,18 +84,10 @@ Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
-def _digits(d: int) -> str:
-    base = 1 << d
-    if base > len(_ADDRESS_ALPHABET):
-        raise StructureViolation(f"cannot render addresses for d={d}")
-    return _ADDRESS_ALPHABET[:base]
-
-
 def render_address(code: int, ndigits: int, d: int) -> str:
-    digits = _digits(d)
     out = []
     for _ in range(ndigits):
-        out.append(digits[code & ((1 << d) - 1)])
+        out.append(_ADDRESS_ALPHABET[code & ((1 << d) - 1)])
         code >>= d
     return "".join(reversed(out))
 
@@ -142,7 +136,6 @@ class ConstructionState:
     normalized: tuple[NormalizedPattern, ...]
     level_cap: int
     levels: list[Level]
-    m_levels: list[int] = field(default_factory=list)
     entries: list[ScheduleEntry] = field(default_factory=list)
     scheduler: Scheduler | None = None
     pending: ScheduleEntry | None = None
@@ -150,6 +143,11 @@ class ConstructionState:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def m_levels(self) -> list[int]:
+        """The avoidance levels M_i of the processed entries, in order."""
+        return [e.m_level for e in self.entries]
 
     def processed_betas(self) -> list[int]:
         return [e.beta for e in self.entries]
@@ -190,6 +188,8 @@ def init_state(
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> ConstructionState:
     """Fresh state holding the single level-0 cube [1,2]^d."""
+    if d > _MAX_D:
+        raise UnsupportedDimension(f"d={d}: tuple addresses exist for d <= {_MAX_D} only")
     if not patterns:
         raise ZeroPattern("at least one pattern is required")
     if h.d != d:
@@ -355,7 +355,6 @@ def advance_level(state: ConstructionState) -> None:
     _advance(state, k, entry)
     if entry is not None:
         state.entries.append(entry)
-        state.m_levels.append(k)
         state.pending = None
     if len(state.levels[-1].lowers) != state.expected_count(k):
         raise StructureViolation(f"cube count at level {k} disagrees with the profile")
@@ -509,7 +508,6 @@ def doc_to_state(doc: dict) -> ConstructionState:
         state = init_state(d, patterns, h)
         state.scheduler = None
         state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
-        state.m_levels = [e.m_level for e in state.entries]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
     # 2^(d * ndigits) cubes at the depth, compared by exponent: a forged
@@ -532,10 +530,3 @@ def write_tree(state: ConstructionState, path: str | Path) -> None:
 def read_tree(path: str | Path) -> ConstructionState:
     return doc_to_state(read_json(path))
 
-
-def write_schedule_log(state: ConstructionState, path: str | Path) -> None:
-    """JSON-lines log, one record per processed schedule entry."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in state.entries:
-            fh.write(json.dumps(entry_to_doc(state, e)))
-            fh.write("\n")

@@ -2,7 +2,8 @@
 
 Every failure mode that the CLI maps to an exit code or a machine-readable
 error envelope has its own class here, so callers can distinguish a usage
-error from a broken certificate.
+error from a broken certificate.  The exit code follows from the class: a
+UsageError exits 2, any other LacunaError exits 1.
 """
 
 from __future__ import annotations
@@ -12,13 +13,18 @@ class LacunaError(Exception):
     """Base class for all lacuna errors."""
 
 
+class UsageError(LacunaError):
+    """A usage or configuration error (exit 2): bad arguments, malformed or
+    unsupported input, or a request past a fixed limit."""
+
+
 # --- dimension functions -------------------------------------------------
 
-class RejectNonPositive(LacunaError):
+class RejectNonPositive(UsageError):
     """Gauge exponent must be positive."""
 
 
-class RejectNotDominated(LacunaError):
+class RejectNotDominated(UsageError):
     """The requested gauge does not sit strictly below x^d."""
 
 
@@ -35,7 +41,7 @@ class Undecidable(LacunaError):
 
 # --- patterns -------------------------------------------------------------
 
-class ZeroPattern(LacunaError):
+class ZeroPattern(UsageError):
     """All coefficients vanish; there is nothing to avoid."""
 
 
@@ -45,7 +51,7 @@ class DimensionMismatch(LacunaError):
 
 # --- schedule / engine -----------------------------------------------------
 
-class ScheduleOverflow(LacunaError):
+class ScheduleOverflow(UsageError):
     """A build would go past the level cap or hold too many cubes
     (engine.MAX_LEAF_CUBES)."""
 
@@ -86,19 +92,19 @@ class EntryNotProcessed(LacunaError):
 
 # --- application builders ----------------------------------------------------
 
-class RejectUnit(LacunaError):
+class RejectUnit(UsageError):
     """Quotient target 1 is excluded by hypothesis."""
 
 
-class RejectRange(LacunaError):
+class RejectRange(UsageError):
     """Ratio parameter must lie in (1, oo)."""
 
 
-class AllRowsZero(LacunaError):
+class AllRowsZero(UsageError):
     """Every component of a vector-valued pattern vanishes."""
 
 
-class DegenerateTriplet(LacunaError):
+class DegenerateTriplet(UsageError):
     """Triplet entries must be pairwise distinct."""
 
 
@@ -109,9 +115,10 @@ class EnclosureTooWide(LacunaError):
 
 # --- I/O and CLI ---------------------------------------------------------------
 
-class UnsupportedDimension(LacunaError):
-    """The requested export only exists for small ambient dimension."""
+class UnsupportedDimension(UsageError):
+    """The ambient dimension is past a fixed limit: d <= 5 for every command
+    (tuple addresses have 32 digits), d <= 2 for the SVG export."""
 
 
-class FormatError(LacunaError):
+class FormatError(UsageError):
     """Malformed input file (patterns, tree, app spec or points)."""

@@ -18,15 +18,14 @@ record
 
 With those in hand, psi evaluated on lattice images phi(z) always lands in
 Z + 1/2, hence has absolute value >= 1/2 -- the inequality every gap
-certificate rests on.  key_inequality_check verifies it exhaustively on a
-finite window in exact arithmetic.
+certificate rests on.  certify.certify_gap re-derives it for the placed
+cubes of every processed entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -87,17 +86,6 @@ class NormalizedPattern:
     def m(self) -> int:
         return self.base.m
 
-    def phi(self, block: int, z: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Lattice map of one block: coordinatewise scaling, and the last
-        block is additionally shifted by 1/2 along the pivot axis."""
-        if len(z) != self.d:
-            raise DimensionMismatch("lattice vector has wrong length")
-        row = self.scales[block]
-        out = [row[v] * Fraction(z[v]) for v in range(self.d)]
-        if block == self.m - 1:
-            out[self.pivot] += Fraction(1, 2)
-        return tuple(out)
-
 
 def normalize(p: LinearPattern) -> NormalizedPattern:
     """Pick the pivot, swap its block last, rescale, and compute constants.
@@ -154,33 +142,6 @@ def eval_pattern(
     return total
 
 
-def lattice_value(np_: NormalizedPattern, zs: Sequence[Sequence[int]]) -> Fraction:
-    """psi evaluated on the lattice images phi(z_1), ..., phi(z_m)."""
-    return eval_pattern(np_, [np_.phi(block, z) for block, z in enumerate(zs)])
-
-
-def key_inequality_check(np_: NormalizedPattern, window: int) -> bool:
-    """Exhaustively certify |psi(phi(z_1),...,phi(z_m))| >= 1/2 on a window.
-
-    Runs over every integer tuple with all coordinates in [-window, window],
-    in exact arithmetic, and also asserts the stronger structural fact that
-    each value lies in Z + 1/2.
-    """
-    half = Fraction(1, 2)
-    n = np_.m * np_.d
-    rng = range(-window, window + 1)
-    for flat in product(rng, repeat=n):
-        zs = [flat[i * np_.d : (i + 1) * np_.d] for i in range(np_.m)]
-        val = lattice_value(np_, zs)
-        if (val - half).denominator != 1:
-            raise ZeroPattern(
-                f"lattice value {val} not in Z + 1/2; normalization is broken"
-            )
-        if abs(val) < half:
-            return False
-    return True
-
-
 # -- pattern file I/O ------------------------------------------------------
 
 def patterns_to_doc(d: int, patterns: Iterable[LinearPattern]) -> dict:
@@ -205,7 +166,7 @@ def patterns_from_doc(doc: dict) -> tuple[int, list[LinearPattern]]:
             if len(rows) != int_field(entry["m"], "m", 2):
                 raise FormatError("pattern arity does not match coefficient rows")
             out.append(make_pattern(d, rows))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise FormatError(f"malformed pattern file: {exc}") from exc
     if not out:
         raise FormatError("pattern file lists no patterns")

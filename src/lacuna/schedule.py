@@ -20,10 +20,11 @@ is enforced:
   as it reaches each level from the entry's floor and lands the entry at
   the first level that passes (Scheduler.land), so M_i is the least such
   level and no level past the build's depth is tested; compute_levels
-  runs the same search eagerly for given betas.  certify_measure re-checks
-  it at every level from the first avoidance level to the depth.  The
-  gauge's monotone-ratio witness extends the check at M_i to every
-  k >= M_i (deeper levels shrink delta, which can only raise the ratio).
+  runs the same search eagerly for given betas, up to a level cap.
+  certify_measure re-checks it at every level from the first avoidance
+  level to the depth.  The gauge's monotone-ratio witness extends the
+  check at M_i to every k >= M_i (deeper levels shrink delta, which can
+  only raise the ratio).
 
 sqrt(d) is handled by a fixed rational enclosure; the upper bound is the
 conservative direction both for beta (larger beta only helps the fit) and
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, perm
 
 from .dimfn import DimensionFunction
 from .errors import OutOfDomain, ScheduleOverflow, Starved, Undecidable
@@ -115,78 +116,41 @@ def ratio_condition(
         return False
 
 
-def min_ratio_level(
-    h: DimensionFunction,
-    betas: list[int],
-    i: int,
-    floor_level: int,
-    level_cap: int,
-) -> int:
-    """Smallest k >= floor_level satisfying the i-th ratio condition."""
-    for k in range(max(floor_level, 2), level_cap + 1):
-        if ratio_condition(h, k, betas[:i]):
-            return k
-    raise ScheduleOverflow(
-        f"ratio condition for entry {i} not reached by level cap {level_cap}"
-    )
-
-
 def compute_levels(
     h: DimensionFunction,
     betas: list[int] | tuple[int, ...],
-    count: int | None = None,
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> list[int]:
-    """Greedy minimal avoidance levels M_1..M_count for given per-entry betas."""
-    betas = list(betas)
-    count = len(betas) if count is None else count
-    if count > len(betas):
-        raise ValueError("need one beta per requested level")
-    levels: list[int] = []
-    for i in range(1, count + 1):
-        floor_level = 2 if not levels else levels[-1] + 2
-        levels.append(min_ratio_level(h, betas, i, floor_level, level_cap))
-    return levels
+    """Greedy minimal avoidance levels M_1..M_n for the given per-entry betas.
 
-
-def level_profile(
-    d: int, m_levels: list[int] | tuple[int, ...], betas: list[int] | tuple[int, ...], depth: int
-) -> list[tuple[Fraction, int]]:
-    """Exact (side length, cube count) for levels 0..depth.
-
-    m_levels lists the processed avoidance levels in increasing order and
-    betas the matching shrink constants.
+    M_i is the least k >= max(2, M_{i-1} + 2) where the i-th ratio
+    condition holds; ScheduleOverflow if it is not reached by level_cap.
     """
-    out = []
-    for k in range(depth + 1):
-        applied = [b for M, b in zip(m_levels, betas) if M <= k]
-        delta = delta_candidate(k, applied)
-        count = 1 << (d * (k - len(applied)))
-        out.append((delta, count))
-    return out
+    levels: list[int] = []
+    for i in range(1, len(betas) + 1):
+        floor_level = levels[-1] + 2 if levels else 2
+        for k in range(floor_level, level_cap + 1):
+            if ratio_condition(h, k, betas[:i]):
+                levels.append(k)
+                break
+        else:
+            raise ScheduleOverflow(
+                f"ratio condition for entry {i} not reached by level cap {level_cap}"
+            )
+    return levels
 
 
 # -- ordered tuples of distinct addresses ------------------------------------
 
-def perm_count(n: int, m: int) -> int:
-    """Number of ordered m-tuples of distinct items from n."""
-    if m > n:
-        return 0
-    total = 1
-    for j in range(m):
-        total *= n - j
-    return total
-
-
 def unrank_tuple(n: int, m: int, rank: int) -> tuple[int, ...]:
     """rank-th ordered m-tuple of distinct indices in [0, n), lexicographic."""
-    total = perm_count(n, m)
+    total = perm(n, m)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range for P({n},{m})")
     avail = list(range(n))
     out = []
     for j in range(m):
-        base = perm_count(n - 1 - j, m - 1 - j)
+        base = perm(n - 1 - j, m - 1 - j)
         idx, rank = divmod(rank, base)
         out.append(avail.pop(idx))
     return tuple(out)
@@ -260,7 +224,7 @@ class Scheduler:
         while True:
             level, rank, pid = self.enum.peek()
             np_ = self.normalized[pid]
-            if level <= built and rank < perm_count(level_sizes[level], np_.m):
+            if level <= built and rank < perm(level_sizes[level], np_.m):
                 prev = self.served[-1].m_level if self.served else 0
                 entry = ScheduleEntry(
                     index=len(self.served) + 1,

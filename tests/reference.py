@@ -1,0 +1,165 @@
+"""Reference checks the tests compare lacuna against.
+
+None of these is on a command's path.  They re-derive from first principles
+what the certified code relies on: the lattice maps and the key inequality
+of a normalized pattern, and whether oracle instances fall among the tuples
+a gap certificate covers.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from typing import Sequence
+
+from lacuna.certify import _entry_of, _partial_sums, brute_oracle, placed_blocks
+from lacuna.engine import ConstructionState, IntVector, Vector
+from lacuna.errors import DimensionMismatch, ZeroPattern
+from lacuna.pattern import NormalizedPattern, eval_pattern
+from lacuna.schedule import ScheduleEntry
+
+
+# -- lattice maps and the key inequality --------------------------------------
+
+def phi(
+    np_: NormalizedPattern, block: int, z: Sequence[int | Fraction]
+) -> tuple[Fraction, ...]:
+    """Lattice map of one block: coordinatewise scaling, and the last
+    block is additionally shifted by 1/2 along the pivot axis."""
+    if len(z) != np_.d:
+        raise DimensionMismatch("lattice vector has wrong length")
+    row = np_.scales[block]
+    out = [row[v] * Fraction(z[v]) for v in range(np_.d)]
+    if block == np_.m - 1:
+        out[np_.pivot] += Fraction(1, 2)
+    return tuple(out)
+
+
+def lattice_value(np_: NormalizedPattern, zs: Sequence[Sequence[int]]) -> Fraction:
+    """psi evaluated on the lattice images phi(z_1), ..., phi(z_m)."""
+    return eval_pattern(np_, [phi(np_, block, z) for block, z in enumerate(zs)])
+
+
+def key_inequality_check(np_: NormalizedPattern, window: int) -> bool:
+    """Exhaustively certify |psi(phi(z_1),...,phi(z_m))| >= 1/2 on a window.
+
+    Runs over every integer tuple with all coordinates in [-window, window],
+    in exact arithmetic, and also asserts the stronger structural fact that
+    each value lies in Z + 1/2.
+    """
+    half = Fraction(1, 2)
+    n = np_.m * np_.d
+    rng = range(-window, window + 1)
+    for flat in product(rng, repeat=n):
+        zs = [flat[i * np_.d : (i + 1) * np_.d] for i in range(np_.m)]
+        val = lattice_value(np_, zs)
+        if (val - half).denominator != 1:
+            raise ZeroPattern(
+                f"lattice value {val} not in Z + 1/2; normalization is broken"
+            )
+        if abs(val) < half:
+            return False
+    return True
+
+
+# -- coverage of oracle instances by gap certificates ---------------------------
+
+def _in_some_cube(x: Vector, lowers: list[IntVector], side: int, den: int) -> bool:
+    """Does the rational point x lie in a closed cube (lower + [0, side]^d)/den?"""
+    bounds = []
+    for xv in x:
+        t, q = xv.numerator * den, xv.denominator
+        # lower <= x*den <= lower + side on this axis
+        bounds.append((-(-t // q) - side, t // q))
+    return any(
+        all(lo <= n <= hi for n, (lo, hi) in zip(lower, bounds)) for lower in lowers
+    )
+
+
+def instance_covered(
+    state: ConstructionState,
+    entry: ScheduleEntry,
+    points: list[Vector],
+    instance: tuple[int, ...],
+    _cache: dict | None = None,
+) -> bool:
+    """Is this oracle instance a tuple the entry's certificate covers?
+
+    The instance is in the original pattern's block order; coverage holds
+    when, after the normalization permutation, each point lies inside some
+    placed cube of the matching block.
+    """
+    np_ = state.normalized[entry.pattern_id]
+    key = ("blocks", entry.index)
+    if _cache is not None and key in _cache:
+        blocks = _cache[key]
+    else:
+        blocks = placed_blocks(state, entry)
+        if _cache is not None:
+            _cache[key] = blocks
+    den = state.levels[entry.m_level].den
+    side = state.side_num(entry.m_level)
+    return all(
+        _in_some_cube(points[instance[np_.perm[b]]], blocks[b], side, den)
+        for b in range(np_.m)
+    )
+
+
+def covered_violations(
+    state: ConstructionState,
+    points: list[Vector],
+    tolerance: Fraction = Fraction(0),
+) -> dict[int, list[tuple[int, ...]]]:
+    """Oracle instances that the processed entries claim cannot exist.
+
+    Runs the oracle for every input pattern and cross-references each
+    instance against every processed entry of that pattern.  A non-empty
+    result is a broken certificate (or a corrupted tree).
+    """
+    cache: dict = {}
+    bad: dict[int, list[tuple[int, ...]]] = {}
+    for pid, pat in enumerate(state.patterns):
+        entries = [e for e in state.entries if e.pattern_id == pid]
+        if not entries:
+            continue
+        for inst in brute_oracle(points, pat, tolerance):
+            for e in entries:
+                if instance_covered(state, e, points, inst, cache):
+                    bad.setdefault(e.index, []).append(inst)
+    return bad
+
+
+def covered_instance_scan(
+    state: ConstructionState,
+    points: list[Vector],
+    entry: ScheduleEntry | int,
+) -> list[tuple[int, ...]]:
+    """Exact zeros of psi over the full covered product of one entry.
+
+    Groups the points by the entry's placed blocks and enumerates every
+    combination, resolving the last block by exact-value lookup, so deep
+    builds stay tractable where the all-tuples oracle would not.  Returns
+    instances as point-index tuples in normalized block order.
+    """
+    entry = _entry_of(state, entry)
+    np_ = state.normalized[entry.pattern_id]
+    blocks = placed_blocks(state, entry)
+    den = state.levels[entry.m_level].den
+    side = state.side_num(entry.m_level)
+    groups = [
+        [i for i, x in enumerate(points) if _in_some_cube(x, blk, side, den)]
+        for blk in blocks
+    ]
+    partial, _ = _partial_sums(points, np_.base.coeffs)
+    by_value: dict[int, list[int]] = {}
+    for i in groups[-1]:
+        by_value.setdefault(partial[-1][i], []).append(i)
+    hits = []
+    for combo in product(*groups[:-1]):
+        if len(set(combo)) != len(combo):
+            continue
+        acc = sum(partial[b][i] for b, i in enumerate(combo))
+        for j in by_value.get(-acc, ()):
+            if j not in combo:
+                hits.append(combo + (j,))
+    return hits

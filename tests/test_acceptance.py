@@ -15,21 +15,15 @@ import time
 from fractions import Fraction
 
 from lacuna.apps import AppSpec, app_patterns
-from lacuna.certify import (
-    brute_oracle,
-    certify_gap,
-    certify_measure,
-    covered_violations,
-    instance_covered,
-    spot_check_gap,
-)
+from lacuna.certify import brute_oracle, certify_gap, certify_measure, spot_check_gap
 from lacuna.cli import main as cli_main
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build_tree, validate_structure
 from lacuna.errors import GapViolated, StructureViolation
-from lacuna.pattern import key_inequality_check, make_pattern, normalize
+from lacuna.pattern import make_pattern, normalize
 from lacuna.qmath import parse_rational
 from lacuna.schedule import compute_beta, compute_levels
+from reference import covered_violations, instance_covered, key_inequality_check
 
 F = Fraction
 

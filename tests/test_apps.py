@@ -22,7 +22,6 @@ from lacuna.apps import (
     split_vector_pattern,
     trapezoid_patterns,
 )
-from lacuna.certify import covered_violations
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build_tree, read_tree
 from lacuna.errors import (
@@ -34,6 +33,7 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.pattern import eval_pattern
+from reference import covered_violations
 
 F = Fraction
 mpmath.mp.dps = 50

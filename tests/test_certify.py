@@ -16,9 +16,6 @@ from lacuna.certify import (
     brute_oracle,
     certify_gap,
     certify_measure,
-    covered_instance_scan,
-    covered_violations,
-    instance_covered,
     placed_blocks,
     spot_check_gap,
 )
@@ -31,6 +28,7 @@ from lacuna.errors import (
     MeasureViolated,
 )
 from lacuna.pattern import eval_pattern, make_pattern
+from reference import covered_instance_scan, covered_violations, instance_covered
 
 F = Fraction
 
@@ -181,7 +179,6 @@ class TestMeasureCertificate:
             dataclasses.replace(ap_tree_12.entries[0], m_level=5),
             ap_tree_12.entries[1],
         ]
-        broken.m_levels = [5, 11]
         with pytest.raises(MeasureViolated):
             certify_measure(broken)
         # A tree file is rebuilt from its schedule: with M_1 = 5 in the file,

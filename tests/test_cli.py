@@ -70,7 +70,8 @@ class TestBuild:
         assert err["error"]["type"] == "RejectNotDominated"
 
     def test_depth_over_cap_is_config_error(self, ap_file, tmp_path, capsys):
-        assert main(build_args(ap_file, tmp_path, depth=7) + ["--level-cap", "5"]) == 2
+        # the level cap is 96: refused before any level is built
+        assert main(build_args(ap_file, tmp_path, depth=97)) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
 
     def test_depth_over_leaf_cap_is_config_error(
@@ -86,13 +87,53 @@ class TestBuild:
         assert err["message"].startswith("level 13 ")
         assert not (tmp_path / "tree.json").exists()
 
-    def test_schedule_log(self, ap_file, tmp_path):
-        args = build_args(ap_file, tmp_path) + [
-            "--schedule-log", str(tmp_path / "log.jsonl")
-        ]
-        assert main(args) == 0
-        recs = [json.loads(x) for x in (tmp_path / "log.jsonl").read_text().splitlines()]
-        assert recs[0]["M_i"] == 6
+    def test_d6_is_config_error(self, tmp_path, capsys):
+        # Tuple addresses have 32 digits, so d <= 5: refused before a level
+        # is built, by build and by the tree reader alike.
+        rows = [["1"] + ["0"] * 5, ["-1"] + ["0"] * 5]
+        pat = tmp_path / "p6.json"
+        pat.write_text(json.dumps({"d": 6, "patterns": [{"m": 2, "coeffs": rows}]}))
+        assert main(_build_argv(str(pat), tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "UnsupportedDimension"
+        assert not (tmp_path / "tree.json").exists()
+        tree = tmp_path / "t6.json"
+        tree.write_text(json.dumps({
+            "format": "lacuna-tree/3", "d": 6, "h": "pow:1/2", "depth": 3,
+            "patterns": [{"m": 2, "coeffs": rows}], "schedule": [],
+        }))
+        assert main(["certify", str(tree)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "UnsupportedDimension"
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "q.json", "--dimfn", "pow:1/2", "--depth", "abc"],
+            ["build", "q.json", "--dimfn", "pow:1/2", "--depth", "7", "--level-cap", "5"],
+            ["build", "q.json", "--dimfn", "pow:1/2", "--depth", "7",
+             "--schedule-log", "log.jsonl"],
+            ["app", "spec.json", "--level-cap", "4"],
+            [],
+        ],
+        ids=["bad-depth", "build-level-cap", "build-schedule-log", "app-level-cap",
+             "no-subcommand"],
+    )
+    def test_argument_error_envelope(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" not in err
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize("command", ["build", "app"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--out" in text
+        assert "--level-cap" not in text and "--schedule-log" not in text
 
 
 class TestCertify:
@@ -161,6 +202,10 @@ def _infinite_arity(doc):
     doc["patterns"][0]["m"] = float("inf")
 
 
+def _d_changed_to_2(doc):
+    doc["d"] = 2
+
+
 def _tree_v1(doc):
     """The same d=1 tree in the lacuna-tree/1 layout."""
     levels = doc_to_state(doc).levels
@@ -201,6 +246,7 @@ class TestTamperedTree:
             (_beta_below_compute_beta, "FormatError"),
             (_levels_too_close, "FormatError"),
             (_infinite_arity, "FormatError"),
+            (_d_changed_to_2, "FormatError"),
         ],
         ids=lambda v: v.__name__.strip("_") if callable(v) else v,
     )
@@ -303,13 +349,14 @@ class TestMalformedInput:
             lambda t, ap: _build_argv(_pattern_file(t, d="1"), t),
             lambda t, ap: _build_argv(_pattern_file(t, patterns=[
                 {"m": 3.0, "coeffs": [["1"], ["-2"], ["1"]]}]), t),
+            lambda t, ap: _build_argv(_pattern_file(t, d=2), t),
         ],
         ids=["build-bad-json", "app-bad-json", "oracle-bad-patterns",
              "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth",
              "app-float-depth", "app-vector-split-float-m", "app-vector-split-no-m",
              "app-vector-split-list", "app-ratios-int-params", "app-differences-int-params",
              "app-planes-int-row", "build-string-d",
-             "build-float-m"],
+             "build-float-m", "build-rows-not-d-wide"],
     )
     def test_format_error_envelope(self, ap_file, tmp_path, capsys, argv):
         code = main(argv(tmp_path, ap_file))
@@ -483,14 +530,15 @@ class TestAppCommand:
         assert main(["app", str(spec), "--out-dir", str(tmp_path / "o")]) == 2
 
     def test_level_cap_override(self, tmp_path, capsys):
+        # the spec's "level_cap" is ignored like any unknown key: depth 97
+        # is past the level cap of 96 however it is set
         spec = tmp_path / "app.json"
         spec.write_text(json.dumps(
-            {"kind": "ratios", "params": ["2"], "h": "pow:1/2", "depth": 7}
+            {"kind": "ratios", "params": ["2"], "h": "pow:1/2", "depth": 97,
+             "level_cap": 200}
         ))
-        code = main([
-            "app", str(spec), "--out-dir", str(tmp_path / "o"), "--level-cap", "4"
-        ])
-        assert code == 2  # depth 7 cannot fit under a cap of 4
+        code = main(["app", str(spec), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
 
 

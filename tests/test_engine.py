@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -17,7 +17,6 @@ from lacuna.engine import (
     render_address,
     state_to_doc,
     validate_structure,
-    write_schedule_log,
     write_tree,
 )
 from lacuna.errors import (
@@ -27,7 +26,6 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.pattern import make_pattern, normalize
-from lacuna.schedule import level_profile
 
 F = Fraction
 
@@ -170,10 +168,10 @@ class TestBuild:
 
     def test_profile_matches_at_every_level(self, ap_tree_12):
         st = ap_tree_12
-        prof = level_profile(1, st.m_levels, st.processed_betas(), 12)
         for k in range(13):
-            assert st.side(k) == prof[k][0]
-            assert len(st.levels[k].lowers) == prof[k][1]
+            applied = [e.beta for e in st.entries if e.m_level <= k]
+            assert st.side(k) == F(1, 2**k * prod(applied))
+            assert len(st.levels[k].lowers) == st.expected_count(k) == 2 ** (k - len(applied))
 
     def test_first_entry_matches_enumerator(self, ap_tree_12):
         e = ap_tree_12.entries[0]
@@ -254,11 +252,3 @@ class TestSerialization:
         assert st.levels[12].lowers == ap_tree_12.levels[12].lowers
         assert st.m_levels == ap_tree_12.m_levels
         assert state_to_doc(st) == state_to_doc(ap_tree_12)
-
-    def test_schedule_log(self, ap_tree_12, tmp_path):
-        path = tmp_path / "sched.jsonl"
-        write_schedule_log(ap_tree_12, path)
-        lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert [rec["M_i"] for rec in lines] == [6, 11]
-        assert lines[0]["tuple"] == ["00", "01", "10"]
-        assert lines[0]["beta_i"] == 9

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import permutations
+from math import perm
 
 import pytest
 
@@ -24,8 +25,6 @@ from lacuna.schedule import (
     compute_beta,
     compute_levels,
     delta_candidate,
-    level_profile,
-    perm_count,
     ratio_condition,
     ratio_threshold,
     sqrt_d_bounds,
@@ -108,25 +107,31 @@ class TestLevels:
 
 
 class TestProfile:
-    def test_depth_seven_ap(self):
-        prof = level_profile(1, [6], [9], 7)
-        assert prof[7] == (F(1, 1152), 64)
-        assert prof[0] == (F(1), 1)
-        assert prof[5] == (F(1, 32), 32)
+    """Side length and cube count per level of built trees."""
 
-    def test_recurrence(self):
-        prof = level_profile(1, [6, 11], [9, 9], 12)
+    def test_depth_seven_ap(self, ap_tree_7):
+        st = ap_tree_7
+        assert (st.side(7), st.expected_count(7)) == (F(1, 1152), 64)
+        assert (st.side(0), st.expected_count(0)) == (F(1), 1)
+        assert (st.side(5), st.expected_count(5)) == (F(1, 32), 32)
+
+    def test_recurrence(self, ap_tree_12):
+        st = ap_tree_12
+        assert st.m_levels == [6, 11]
         for k in range(1, 13):
-            prev, cur = prof[k - 1][0], prof[k][0]
+            prev, cur = st.side(k - 1), st.side(k)
             if k in (6, 11):
                 assert cur == prev / 18  # halving plus the beta factor
             else:
                 assert cur == prev / 2
 
     def test_dyadic_prefix(self):
-        prof = level_profile(2, [9], [13], 5)
+        # parallelogram row, beta 13; its first avoidance level is 5
+        p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
+        st = build_tree(2, [p], make_dimfn("pow", F(3, 4), 2), 5)
+        assert st.m_levels == [5] and st.processed_betas() == [13]
         for k in range(5):
-            assert prof[k] == (F(1, 2**k), 4**k)
+            assert (st.side(k), st.expected_count(k)) == (F(1, 2**k), 4**k)
 
 
 class TestUnranking:
@@ -136,12 +141,12 @@ class TestUnranking:
 
     def test_matches_itertools_order(self):
         perms = list(permutations(range(5), 3))
-        assert perm_count(5, 3) == len(perms)
+        assert perm(5, 3) == len(perms)
         for rank, want in enumerate(perms):
             assert unrank_tuple(5, 3, rank) == want
 
     def test_degenerate(self):
-        assert perm_count(1, 3) == 0
+        assert perm(1, 3) == 0
         with pytest.raises(ValueError):
             unrank_tuple(2, 2, 2)
 
@@ -250,7 +255,7 @@ class TestScheduler:
             L, rest = divmod(pos, per)
             r, p = divmod(rest, len(normalized))
             m = normalized[p].m
-            if L <= 2 and r < perm_count(sizes[L], m):
+            if L <= 2 and r < perm(sizes[L], m):
                 expect.append((L, unrank_tuple(sizes[L], m, r), p))
             pos += 1
             if pos >= (T + 1) ** 2 * len(normalized):
