@@ -39,6 +39,7 @@ from .errors import (
     FormatError,
     RejectRange,
     RejectUnit,
+    UnsupportedDimension,
     ZeroPattern,
 )
 from .jsonfile import int_field, write_json
@@ -364,12 +365,20 @@ class AppSpec:
     precision: int = 64
 
 
+def _check_dimension(d: int) -> int:
+    """d, if a build of that dimension exists; refused before any pattern
+    is built, since the patterns of a d-dimensional app grow like d^2."""
+    if d > engine.MAX_D:
+        raise UnsupportedDimension(f"d={d}: builds exist for d <= {engine.MAX_D} only")
+    return d
+
+
 def app_spec_from_doc(doc: dict) -> AppSpec:
     try:
         kind = doc["kind"]
         if kind not in APP_KINDS:
             raise FormatError(f"unknown app kind {kind!r}")
-        return AppSpec(
+        spec = AppSpec(
             kind=kind,
             params=doc.get("params", []),
             h_spec=doc["h"],
@@ -379,6 +388,9 @@ def app_spec_from_doc(doc: dict) -> AppSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed app spec: {exc}") from exc
+    if kind in ("parallelogram", "trapezoids"):
+        _check_dimension(spec.d)
+    return spec
 
 
 def _param_list(value: object, what: str, length: int | None = None) -> list:
@@ -424,7 +436,7 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
             raise FormatError(
                 f'vector_split params must be an object with "d", "m" and "rows", got {p!r}'
             )
-        d = int_field(p["d"], "vector_split d", 1)
+        d = _check_dimension(int_field(p["d"], "vector_split d", 1))
         rows = [
             _rationals(row, "a vector_split row")
             for row in _param_list(p["rows"], "vector_split rows")

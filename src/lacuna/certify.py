@@ -12,12 +12,14 @@ falls back to the structural bound.  Nothing is trusted from the placement
 code.
 
 The geometry arrives as the engine holds it: per level one denominator
-and every lower corner as integer numerators over it, the cubes in implicit
-address order, so the placed cubes under a tuple member are one contiguous
-index range.  Recovering a lattice vector is a divisibility test on
-integers.  The oracle takes rational points; it scales them once to a
-common denominator and then works on integers too.
-Fractions remain in the sampled cross-checks and in the measure code.
+and one flat list of integer numerators, d per lower corner, the cubes in
+implicit address order, so the placed cubes under a tuple member are one
+contiguous slice.  Recovering lattice vectors is one divisibility pass per
+axis over that slice.  The spot check draws points on a grid inside the
+placed cubes and compares |psi| with the gap in integers.  The oracle takes
+rational points; it scales them once to a common denominator and then works
+on integers too.  Fractions remain in the sampled center cross-check, which
+is the independent route, and in the measure code.
 
 The measure certificate is the mass-distribution principle made concrete:
 with the uniform cube mass mu(I_k) = 1/N_k, the per-level bound
@@ -38,7 +40,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm, perm
 
-from .engine import BlockLattice, ConstructionState, IntVector, Vector, block_lattice
+from .engine import BlockLattice, ConstructionState, Vector, block_lattice
 from .errors import (
     EntryNotProcessed,
     GapViolated,
@@ -103,8 +105,9 @@ def _entry_of(state: ConstructionState, entry: ScheduleEntry | int) -> ScheduleE
     return entry
 
 
-def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[IntVector]]:
-    """Lower corners of the avoidance-level cubes under each tuple member.
+def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[int]]:
+    """Flat lower corners (d numerators per cube) of the avoidance-level
+    cubes under each tuple member.
 
     Corners are numerators over the denominator of level entry.m_level.
     """
@@ -113,25 +116,31 @@ def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[I
             f"entry {entry.index} schedules level {entry.m_level}, build stops at {state.depth}"
         )
     lowers = state.levels[entry.m_level].lowers
-    shift = state.d * (state.ndigits(entry.m_level) - state.ndigits(entry.level))
-    out = [lowers[t << shift : (t + 1) << shift] for t in entry.tuple_codes]
+    d = state.d
+    shift = d * (state.ndigits(entry.m_level) - state.ndigits(entry.level))
+    out = [lowers[d * (t << shift) : d * ((t + 1) << shift)] for t in entry.tuple_codes]
     if any(not blk for blk in out):
         raise EntryNotProcessed(f"entry {entry.index} has an empty tuple block")
     return out
 
 
-def _recover_residue(lattice: BlockLattice, signs: list[int], lower: IntVector) -> int:
-    """Signed lattice residue sum of one placed cube; exact or GapViolated."""
-    residue = 0
+def _recover_residue(lattice: BlockLattice, signs: list[int], block: list[int]) -> list[int]:
+    """Signed lattice residue sum of every placed cube of a flat block;
+    exact or GapViolated."""
+    d = len(lattice.steps)
     half = lattice.side // 2
-    for v, (x, step, shift, sign) in enumerate(
-        zip(lower, lattice.steps, lattice.shifts, signs)
-    ):
-        z, off = divmod(x + half - shift, step)
-        if off:
-            raise GapViolated(f"placed cube {lower} is off the avoidance lattice on axis {v}")
-        residue += sign * z
-    return residue
+    residues = [0] * (len(block) // d)
+    for v, (step, shift, sign) in enumerate(zip(lattice.steps, lattice.shifts, signs)):
+        t = [x + half - shift for x in block[v::d]]
+        if any(x % step for x in t):
+            i = next(i for i, x in enumerate(t) if x % step)
+            raise GapViolated(
+                f"placed cube {tuple(block[i * d : (i + 1) * d])} is off the "
+                f"avoidance lattice on axis {v}"
+            )
+        if sign:
+            residues = [r + sign * (x // step) for r, x in zip(residues, t)]
+    return residues
 
 
 def _min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
@@ -179,7 +188,7 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
     for b, blk in enumerate(blocks):
         lattice = block_lattice(np_, b, side, sqrt_hi)
         signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
-        residues.append([_recover_residue(lattice, signs, lower) for lower in blk])
+        residues.append(_recover_residue(lattice, signs, blk))
     q_min, exact = _min_half_offset(residues)
     _cross_check_centers(state, entry, np_, blocks)
     threshold = np_.peak * delta
@@ -194,22 +203,23 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
         m_level=entry.m_level,
         gap=gap,
         threshold=threshold,
-        placed_counts=tuple(len(b) for b in blocks),
+        placed_counts=tuple(len(b) // state.d for b in blocks),
         exact_min=exact,
     )
 
 
 def _cross_check_centers(state, entry, np_, blocks, sample=32):
     """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2)."""
+    d = state.d
     den = 2 * state.levels[entry.m_level].den
     side = state.side_num(entry.m_level)
     delta = state.side(entry.m_level)
     rng = random.Random(entry.index)
     for _ in range(sample):
-        centers = [
-            tuple(Fraction(2 * x + side, den) for x in blk[rng.randrange(len(blk))])
-            for blk in blocks
-        ]
+        centers = []
+        for blk in blocks:
+            i = d * rng.randrange(len(blk) // d)
+            centers.append(tuple(Fraction(2 * x + side, den) for x in blk[i : i + d]))
         val = eval_pattern(np_, centers)
         ratio = val / (4 * np_.peak * delta) - Fraction(1, 2)
         if ratio.denominator != 1:
@@ -229,27 +239,36 @@ def spot_check_gap(
     seed: int = 2024,
     grid: int = 1 << 16,
 ) -> None:
-    """Random rational point tuples from the placed cubes must respect the gap."""
+    """Random rational point tuples from the placed cubes must respect the gap.
+
+    Coordinate v of a point drawn from the cube with lower corner x is
+    (x_v*grid + g_v*side) / (den*grid) for a random integer g_v in
+    [0, grid].  psi is scaled by the lcm L of its coefficients'
+    denominators, so psi = total / (L*den*grid) with an integer total, and
+    |psi| < gap is one cross-multiplied integer comparison.
+    """
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
+    d = state.d
     den = state.levels[entry.m_level].den
-    delta = state.side(entry.m_level)
+    side = state.side_num(entry.m_level)
     blocks = placed_blocks(state, entry)
+    coeffs = np_.base.coeffs
+    lcd = lcm(*(c.denominator for row in coeffs for c in row))
+    rows = [[int(c * lcd) for c in row] for row in coeffs]
+    scale = lcd * den * grid
+    bound = cert.gap.numerator * scale  # |total| * gap.den < bound <=> |psi| < gap
     rng = random.Random(seed * 1_000_003 + entry.index)
     for _ in range(count):
-        points = []
-        for blk in blocks:
-            lower = blk[rng.randrange(len(blk))]
-            points.append(
-                tuple(
-                    Fraction(x, den) + Fraction(rng.randint(0, grid), grid) * delta
-                    for x in lower
-                )
-            )
-        val = eval_pattern(np_, points)
-        if abs(val) < cert.gap:
+        total = 0
+        for row, blk in zip(rows, blocks):
+            i = d * rng.randrange(len(blk) // d)
+            for c, x in zip(row, blk[i : i + d]):
+                total += c * (x * grid + rng.randint(0, grid) * side)
+        if abs(total) * cert.gap.denominator < bound:
             raise GapViolated(
-                f"entry {entry.index}: sampled tuple gives |psi| = {abs(val)} < gap {cert.gap}"
+                f"entry {entry.index}: sampled tuple gives |psi| = "
+                f"{Fraction(abs(total), scale)} < gap {cert.gap}"
             )
 
 

@@ -31,7 +31,7 @@ def cmd_build(args) -> int:
     state = engine.build_tree(d, patterns, h, args.depth)
     engine.write_tree(state, args.out)
     print(
-        f"built d={d} depth={args.depth}: {len(state.levels[-1].lowers)} leaf cubes, "
+        f"built d={d} depth={args.depth}: {state.count(state.depth)} leaf cubes, "
         f"{len(state.entries)} schedule entries -> {args.out}"
     )
     return 0

@@ -12,12 +12,16 @@ self-verifying against the shrink factor 2*beta between an avoidance level
 and its parent level.
 
 All geometry is exact integer arithmetic.  Level k stores one denominator
-den_k and every lower corner as a tuple of integer numerators over it.  A
-build uses den_k = Q * 2^k * prod(beta applied), where Q is the lattice
-denominator of the patterns (lattice_denominator): every cube side is then
-the integer Q and every lattice step and shift an integer, so placement,
-validation and gap recovery never leave Z.  Rationals appear only in the
-gauge, measure, spot-check and export code.
+den_k and one flat list of d * N_k integer numerators over it, the lower
+corners in index order: cube i is lowers[i*d:(i+1)*d] and axis v is
+lowers[v::d].  The per-level kernels (_dyadic_children, place_on_lattice,
+the containment check of validate_structure) work on such strided slices,
+one axis at a time, and build no per-cube tuples.  A build uses
+den_k = Q * 2^k * prod(beta applied), where Q is the lattice denominator of
+the patterns (lattice_denominator): every cube side is then the integer Q
+and every lattice step and shift an integer, so placement, validation, gap
+recovery and the spot check never leave Z.  Rationals appear only in the
+gauge, measure, center cross-check and export code.
 
 Cubes of a level are stored in address order, and the addresses are
 implicit: the cube at index i of an ordinary level is child digit
@@ -40,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
 from pathlib import Path
 from typing import Sequence
 
@@ -73,7 +76,7 @@ from .schedule import (
 
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
 #: Largest d whose 2^d address digits the alphabet holds.
-_MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
+MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
 
 #: Most cubes a level may hold, in a build and in a tree read from a file.
 #: A tree file is a few hundred bytes however many cubes it asks for, so
@@ -81,7 +84,6 @@ _MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
 MAX_LEAF_CUBES = 2**20
 
 Vector = tuple[Fraction, ...]
-IntVector = tuple[int, ...]
 
 
 def render_address(code: int, ndigits: int, d: int) -> str:
@@ -120,10 +122,11 @@ def lattice_denominator(normalized: Sequence[NormalizedPattern]) -> int:
 
 @dataclass
 class Level:
-    """Cubes of one level in address order; lower corners are lowers[i]/den."""
+    """Cubes of one level in address order: cube i has the lower corner
+    lowers[i*d:(i+1)*d] / den."""
 
     den: int
-    lowers: list[IntVector]
+    lowers: list[int]
 
 
 @dataclass
@@ -170,15 +173,22 @@ class ConstructionState:
     def expected_count(self, level: int) -> int:
         return 1 << (self.d * self.ndigits(level))
 
-    def leaf_center_numerators(self) -> tuple[int, list[IntVector]]:
-        """(den, centers): deepest-level cube centers as numerators over den."""
+    def count(self, level: int) -> int:
+        """The number of cubes the level holds."""
+        return len(self.levels[level].lowers) // self.d
+
+    def leaf_center_numerators(self) -> tuple[int, list[int]]:
+        """(den, centers): deepest-level cube centers as numerators over den,
+        flat like the lower corners (d per cube, in index order)."""
         leaf = self.levels[self.depth]
         s = self.side_num(self.depth)
-        return 2 * leaf.den, [tuple(2 * x + s for x in lower) for lower in leaf.lowers]
+        return 2 * leaf.den, [2 * x + s for x in leaf.lowers]
 
     def leaf_centers(self) -> list[Vector]:
         den, centers = self.leaf_center_numerators()
-        return [tuple(Fraction(c, den) for c in center) for center in centers]
+        c = [Fraction(x, den) for x in centers]
+        d = self.d
+        return [tuple(c[i : i + d]) for i in range(0, len(c), d)]
 
 
 def init_state(
@@ -188,8 +198,8 @@ def init_state(
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> ConstructionState:
     """Fresh state holding the single level-0 cube [1,2]^d."""
-    if d > _MAX_D:
-        raise UnsupportedDimension(f"d={d}: tuple addresses exist for d <= {_MAX_D} only")
+    if d > MAX_D:
+        raise UnsupportedDimension(f"d={d}: tuple addresses exist for d <= {MAX_D} only")
     if not patterns:
         raise ZeroPattern("at least one pattern is required")
     if h.d != d:
@@ -205,7 +215,7 @@ def init_state(
         patterns=tuple(patterns),
         normalized=normalized,
         level_cap=level_cap,
-        levels=[Level(den=q, lowers=[(q,) * d])],
+        levels=[Level(den=q, lowers=[q] * d)],
     )
     state.scheduler = Scheduler(list(normalized), h)
     return state
@@ -252,55 +262,63 @@ def block_lattice(
 
 
 def place_on_lattice(
-    parent_lower: IntVector, parent_side: int, lattice: BlockLattice
-) -> tuple[IntVector, IntVector]:
-    """Lattice child of a tuple-descendant cube; returns (lower corner, z).
+    parent_lowers: list[int], parent_side: int, lattice: BlockLattice
+) -> tuple[list[int], list[int]]:
+    """Lattice children of a block of tuple-descendant cubes.
 
-    Lengths are integer numerators over the child level's denominator.  The
-    child center is the lattice point nearest to the parent center; rounding
-    ties go up.  The per-axis miss bound 2*peak*scale*side (hence the
-    Euclidean bound 2*peak*max_scale*sqrt(d)*side) and containment in the
-    parent are asserted exactly on every placement.
+    parent_lowers holds the flat lower corners of the parents (d per cube);
+    returns the flat lower corners of the children and their flat lattice
+    vectors z.  Lengths are integer numerators over the child level's
+    denominator.  Each child center is the lattice point nearest to its
+    parent center; rounding ties go up.  The per-axis miss bound
+    2*peak*scale*side (hence the Euclidean bound 2*peak*max_scale*sqrt(d)*side)
+    and containment in the parent are asserted exactly on every placement.
     """
+    d = len(lattice.steps)
     side = lattice.side
-    z: list[int] = []
-    lower: list[int] = []
-    err_sq = 0
-    for v, (pl, step, shift) in enumerate(zip(parent_lower, lattice.steps, lattice.shifts)):
-        x2 = 2 * pl + parent_side  # twice the parent center
-        z_v = (x2 - 2 * shift + step) // (2 * step)
-        center = step * z_v + shift
-        err2 = x2 - 2 * center
-        if abs(err2) > step:
+    half = side // 2
+    n = len(parent_lowers)
+    lowers = [0] * n
+    zs = [0] * n
+    err_sq = [0] * (n // d)
+    for v, (step, shift) in enumerate(zip(lattice.steps, lattice.shifts)):
+        parents = parent_lowers[v::d]
+        x2 = [2 * p + parent_side for p in parents]  # twice the parent centers
+        up, step2, shift2 = step - 2 * shift, 2 * step, 2 * shift
+        z = [(x + up) // step2 for x in x2]
+        err2 = [x - step2 * zv - shift2 for x, zv in zip(x2, z)]
+        if max(err2) > step or min(err2) < -step:
+            i = next(i for i, e in enumerate(err2) if abs(e) > step)
             raise PlacementFailure(
-                f"lattice point misses the parent center by {Fraction(err2, 2 * side)} "
-                f"sides on axis {v}"
+                f"lattice point misses the center of parent {i} by "
+                f"{Fraction(err2[i], 2 * side)} sides on axis {v}"
             )
-        err_sq += err2 * err2
-        lo = center - side // 2
-        if lo < pl or lo + side > pl + parent_side:
+        lo = [step * zv + (shift - half) for zv in z]
+        room = [x - p for x, p in zip(lo, parents)]  # child lower above the parent's
+        if min(room) < 0 or max(room) > parent_side - side:
+            i = next(i for i, r in enumerate(room) if not 0 <= r <= parent_side - side)
             raise PlacementFailure(
-                f"lattice cube escapes its parent on axis {v} (lower {lo})"
+                f"lattice cube {i} escapes its parent on axis {v} (lower {lo[i]})"
             )
-        z.append(z_v)
-        lower.append(lo)
-    if err_sq * lattice.ball_den > lattice.ball_num:
+        err_sq = [a + e * e for a, e in zip(err_sq, err2)]
+        lowers[v::d] = lo
+        zs[v::d] = z
+    if max(err_sq) * lattice.ball_den > lattice.ball_num:
         raise PlacementFailure("lattice offset exceeds the certified ball radius")
-    return tuple(lower), tuple(z)
+    return lowers, zs
 
 
-def _dyadic_children(lowers: list[IntVector], side: int, d: int) -> list[IntVector]:
+def _dyadic_children(lowers: list[int], side: int, d: int) -> list[int]:
     """The 2^d children of every cube in index order, over the doubled
     denominator: digit bit v moves the child up by `side` on axis v."""
-    offsets = [
-        tuple(side if (digit >> v) & 1 else 0 for v in range(d))
-        for digit in range(1 << d)
-    ]
-    return [
-        tuple(map(add, base, off))
-        for base in (tuple([2 * x for x in lower]) for lower in lowers)
-        for off in offsets
-    ]
+    width = d << d  # numerators per parent: 2^d children of d axes each
+    out = [0] * (len(lowers) << d)
+    for v in range(d):
+        low = [2 * x for x in lowers[v::d]]
+        high = [x + side for x in low]
+        for digit in range(1 << d):
+            out[digit * d + v :: width] = high if (digit >> v) & 1 else low
+    return out
 
 
 def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> None:
@@ -312,7 +330,7 @@ def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> N
     d, prev = state.d, state.levels[-1]
     side = state.side_num(k - 1)  # the child side over the new denominator
     if entry is None:
-        if len(prev.lowers) << d > MAX_LEAF_CUBES:
+        if state.count(k - 1) << d > MAX_LEAF_CUBES:
             raise ScheduleOverflow(
                 f"level {k} would hold more than {MAX_LEAF_CUBES} cubes"
             )
@@ -323,12 +341,12 @@ def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> N
     ratio = 2 * entry.beta
     _, sqrt_hi = sqrt_d_bounds(d)
     # free cubes keep their lower-corner anchor
-    lowers = [tuple(ratio * x for x in lower) for lower in prev.lowers]
+    lowers = [ratio * x for x in prev.lowers]
     shift = d * (state.ndigits(k - 1) - state.ndigits(entry.level))
     for block, member in enumerate(entry.tuple_codes):
         lattice = block_lattice(np_, block, side, sqrt_hi)
-        for i in range(member << shift, (member + 1) << shift):
-            lowers[i], _ = place_on_lattice(lowers[i], ratio * side, lattice)
+        lo, hi = d * (member << shift), d * ((member + 1) << shift)
+        lowers[lo:hi], _ = place_on_lattice(lowers[lo:hi], ratio * side, lattice)
     state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
 
 
@@ -347,7 +365,7 @@ def advance_level(state: ConstructionState) -> None:
     if state.pending is None:
         try:
             state.pending = state.scheduler.next_entry(
-                [len(lvl.lowers) for lvl in state.levels], step=k
+                [state.count(j) for j in range(k)], step=k
             )
         except Starved:
             state.pending = None
@@ -356,7 +374,7 @@ def advance_level(state: ConstructionState) -> None:
     if entry is not None:
         state.entries.append(entry)
         state.pending = None
-    if len(state.levels[-1].lowers) != state.expected_count(k):
+    if state.count(k) != state.expected_count(k):
         raise StructureViolation(f"cube count at level {k} disagrees with the profile")
 
 
@@ -391,19 +409,22 @@ def validate_structure(state: ConstructionState) -> None:
     rests on the tree being nested.  Dyadic children sit at their offsets by
     construction (_dyadic_children), in a build and in a read alike.
     """
+    d = state.d
     for k, level in enumerate(state.levels):
-        if len(level.lowers) != state.expected_count(k):
+        if len(level.lowers) != d * state.expected_count(k):
             raise StructureViolation(f"level {k}: cube count != profile value")
     for k in state.m_levels:
         level, parent = state.levels[k], state.levels[k - 1]
         ratio = level.den // parent.den
         slack = ratio * state.side_num(k - 1) - state.side_num(k)
-        for i, (lower, plower) in enumerate(zip(level.lowers, parent.lowers)):
-            for v, (x, p) in enumerate(zip(lower, plower)):
-                if not 0 <= x - ratio * p <= slack:
-                    raise StructureViolation(
-                        f"level {k}: cube {i} escapes its parent on axis {v}"
-                    )
+        # an avoidance level keeps its parent level's indices, so numerator
+        # j of the level lies over numerator j of its parent level
+        offsets = [x - ratio * p for x, p in zip(level.lowers, parent.lowers)]
+        if min(offsets) < 0 or max(offsets) > slack:
+            j = next(j for j, t in enumerate(offsets) if not 0 <= t <= slack)
+            raise StructureViolation(
+                f"level {k}: cube {j // d} escapes its parent on axis {j % d}"
+            )
 
 
 # -- tree (de)serialization -----------------------------------------------------

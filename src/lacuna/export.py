@@ -19,13 +19,13 @@ POINTS_HEADER = "# lacuna-points/1 d="
 
 
 def write_points_exact(state: ConstructionState, path: str | Path) -> None:
-    """Deepest-level cube centers as exact 'p/q' coordinates."""
+    """Deepest-level cube centers as exact 'p/q' coordinates, one point a line."""
+    d = state.d
+    den, centers = state.leaf_center_numerators()
+    cells = [format_ratio(c, den) for c in centers]
+    lines = cells if d == 1 else [" ".join(cells[i : i + d]) for i in range(0, len(cells), d)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{POINTS_HEADER}{state.d}\n")
-        den, centers = state.leaf_center_numerators()
-        for center in centers:
-            fh.write(" ".join(format_ratio(c, den) for c in center))
-            fh.write("\n")
+        fh.write(f"{POINTS_HEADER}{d}\n" + "\n".join(lines) + "\n")
 
 
 def read_points(path: str | Path) -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -84,8 +84,9 @@ def write_svg(state: ConstructionState, path: str | Path, size: int = 720) -> No
     for k, level in enumerate(state.levels):
         side = state.side(k)
         lines.append(f'<g id="level-{k}" fill="none" stroke="#1f3a5f" stroke-width="0.6">')
-        for lower in level.lowers:
-            lower = [Fraction(x, level.den) for x in lower]
+        corners = [Fraction(x, level.den) for x in level.lowers]
+        for i in range(0, len(corners), state.d):
+            lower = corners[i : i + state.d]
             x = _svg_coord(lower[0], size)
             w = decimal_string(side * size, 2)
             if state.d == 1:

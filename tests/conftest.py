@@ -16,13 +16,10 @@ def _move_cube(state, k, i, lower):
     lower corner `lower`.  When the corner is off level k's denominator,
     every level's denominator and corners are scaled by one factor, so the
     sides and the ratios between levels stay as built."""
-    den = state.levels[k].den
+    den, d = state.levels[k].den, state.d
     f = lcm(*(Fraction(x * den).denominator for x in lower))
-    levels = [
-        Level(lvl.den * f, [tuple(f * x for x in lo) for lo in lvl.lowers])
-        for lvl in state.levels
-    ]
-    levels[k].lowers[i] = tuple(int(x * den * f) for x in lower)
+    levels = [Level(lvl.den * f, [f * x for x in lvl.lowers]) for lvl in state.levels]
+    levels[k].lowers[i * d : (i + 1) * d] = [int(x * den * f) for x in lower]
     return dataclasses.replace(state, levels=levels)
 
 

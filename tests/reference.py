@@ -3,20 +3,137 @@
 None of these is on a command's path.  They re-derive from first principles
 what the certified code relies on: the lattice maps and the key inequality
 of a normalized pattern, and whether oracle instances fall among the tuples
-a gap certificate covers.
+a gap certificate covers.  The per-cube kernels below work on the tuple
+layout (one d-tuple of numerators per cube), which lacuna itself replaced by
+flat per-level integer lists; the flat kernels are tested against them.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Sequence
 
-from lacuna.certify import _entry_of, _partial_sums, brute_oracle, placed_blocks
-from lacuna.engine import ConstructionState, IntVector, Vector
-from lacuna.errors import DimensionMismatch, ZeroPattern
+from lacuna.certify import GapCertificate, _entry_of, _partial_sums, brute_oracle, placed_blocks
+from lacuna.engine import BlockLattice, ConstructionState, Vector
+from lacuna.errors import DimensionMismatch, GapViolated, PlacementFailure, ZeroPattern
 from lacuna.pattern import NormalizedPattern, eval_pattern
 from lacuna.schedule import ScheduleEntry
+
+IntVector = tuple[int, ...]
+
+
+def corners(flat: Sequence[int], d: int) -> list[IntVector]:
+    """The tuple layout of a flat corner list: one d-tuple per cube."""
+    return [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
+
+
+def flatten(lowers: Sequence[IntVector]) -> list[int]:
+    """The flat layout of a list of d-tuples."""
+    return [x for lower in lowers for x in lower]
+
+
+# -- per-cube kernels in the tuple layout ---------------------------------------
+
+def place_on_lattice(
+    parent_lower: IntVector, parent_side: int, lattice: BlockLattice
+) -> tuple[IntVector, IntVector]:
+    """Lattice child of a tuple-descendant cube; returns (lower corner, z).
+
+    Lengths are integer numerators over the child level's denominator.  The
+    child center is the lattice point nearest to the parent center; rounding
+    ties go up.  The per-axis miss bound 2*peak*scale*side (hence the
+    Euclidean bound 2*peak*max_scale*sqrt(d)*side) and containment in the
+    parent are asserted exactly on every placement.
+    """
+    side = lattice.side
+    z: list[int] = []
+    lower: list[int] = []
+    err_sq = 0
+    for v, (pl, step, shift) in enumerate(zip(parent_lower, lattice.steps, lattice.shifts)):
+        x2 = 2 * pl + parent_side  # twice the parent center
+        z_v = (x2 - 2 * shift + step) // (2 * step)
+        center = step * z_v + shift
+        err2 = x2 - 2 * center
+        if abs(err2) > step:
+            raise PlacementFailure(
+                f"lattice point misses the parent center by {Fraction(err2, 2 * side)} "
+                f"sides on axis {v}"
+            )
+        err_sq += err2 * err2
+        lo = center - side // 2
+        if lo < pl or lo + side > pl + parent_side:
+            raise PlacementFailure(
+                f"lattice cube escapes its parent on axis {v} (lower {lo})"
+            )
+        z.append(z_v)
+        lower.append(lo)
+    if err_sq * lattice.ball_den > lattice.ball_num:
+        raise PlacementFailure("lattice offset exceeds the certified ball radius")
+    return tuple(lower), tuple(z)
+
+
+def _dyadic_children(lowers: list[IntVector], side: int, d: int) -> list[IntVector]:
+    """The 2^d children of every cube in index order, over the doubled
+    denominator: digit bit v moves the child up by `side` on axis v."""
+    offsets = [
+        tuple(side if (digit >> v) & 1 else 0 for v in range(d))
+        for digit in range(1 << d)
+    ]
+    return [
+        tuple(map(add, base, off))
+        for base in (tuple([2 * x for x in lower]) for lower in lowers)
+        for off in offsets
+    ]
+
+
+def _recover_residue(lattice: BlockLattice, signs: list[int], lower: IntVector) -> int:
+    """Signed lattice residue sum of one placed cube; exact or GapViolated."""
+    residue = 0
+    half = lattice.side // 2
+    for v, (x, step, shift, sign) in enumerate(
+        zip(lower, lattice.steps, lattice.shifts, signs)
+    ):
+        z, off = divmod(x + half - shift, step)
+        if off:
+            raise GapViolated(f"placed cube {lower} is off the avoidance lattice on axis {v}")
+        residue += sign * z
+    return residue
+
+
+def spot_check_gap(
+    state: ConstructionState,
+    entry: ScheduleEntry | int,
+    cert: GapCertificate,
+    count: int = 100,
+    seed: int = 2024,
+    grid: int = 1 << 16,
+) -> None:
+    """Random rational point tuples from the placed cubes must respect the
+    gap: the Fraction form of certify.spot_check_gap, with the same draws."""
+    entry = _entry_of(state, entry)
+    np_ = state.normalized[entry.pattern_id]
+    den = state.levels[entry.m_level].den
+    delta = state.side(entry.m_level)
+    blocks = [corners(blk, state.d) for blk in placed_blocks(state, entry)]
+    rng = random.Random(seed * 1_000_003 + entry.index)
+    for _ in range(count):
+        points = []
+        for blk in blocks:
+            lower = blk[rng.randrange(len(blk))]
+            points.append(
+                tuple(
+                    Fraction(x, den) + Fraction(rng.randint(0, grid), grid) * delta
+                    for x in lower
+                )
+            )
+        val = eval_pattern(np_, points)
+        if abs(val) < cert.gap:
+            raise GapViolated(
+                f"entry {entry.index}: sampled tuple gives |psi| = {abs(val)} < gap {cert.gap}"
+            )
 
 
 # -- lattice maps and the key inequality --------------------------------------
@@ -64,15 +181,18 @@ def key_inequality_check(np_: NormalizedPattern, window: int) -> bool:
 
 # -- coverage of oracle instances by gap certificates ---------------------------
 
-def _in_some_cube(x: Vector, lowers: list[IntVector], side: int, den: int) -> bool:
-    """Does the rational point x lie in a closed cube (lower + [0, side]^d)/den?"""
+def _in_some_cube(x: Vector, lowers: list[int], side: int, den: int) -> bool:
+    """Does the rational point x lie in a closed cube (lower + [0, side]^d)/den?
+
+    lowers is a flat corner list, d numerators per cube."""
     bounds = []
     for xv in x:
         t, q = xv.numerator * den, xv.denominator
         # lower <= x*den <= lower + side on this axis
         bounds.append((-(-t // q) - side, t // q))
     return any(
-        all(lo <= n <= hi for n, (lo, hi) in zip(lower, bounds)) for lower in lowers
+        all(lo <= n <= hi for n, (lo, hi) in zip(lower, bounds))
+        for lower in corners(lowers, len(x))
     )
 
 

@@ -181,7 +181,7 @@ class TestAcceptance:
         entry = ratios_state.entries[0]
         shift = ratios_state.side(entry.m_level) / 4
         level = ratios_state.levels[entry.m_level]
-        x = F(level.lowers[0][0], level.den)
+        x = F(level.lowers[0], level.den)
         mutated = move_cube(ratios_state, entry.m_level, 0, [x + shift])
         gap_failed = False
         oracle_failed = False

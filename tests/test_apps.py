@@ -214,7 +214,7 @@ class TestDifferences:
         blocks = placed_blocks(state, entry)
         den = state.levels[entry.m_level].den
         side = state.side(entry.m_level)
-        xs = [F(blk[0][0], den) + side / 2 for blk in blocks]
+        xs = [F(blk[0], den) + side / 2 for blk in blocks]
         diff = mpmath.log(mpmath.mpf(xs[1].numerator) / xs[1].denominator) - mpmath.log(
             mpmath.mpf(xs[0].numerator) / xs[0].denominator
         )

@@ -28,7 +28,7 @@ from lacuna.errors import (
     MeasureViolated,
 )
 from lacuna.pattern import eval_pattern, make_pattern
-from reference import covered_instance_scan, covered_violations, instance_covered
+from reference import corners, covered_instance_scan, covered_violations, instance_covered
 
 F = Fraction
 
@@ -37,8 +37,7 @@ def placed_points(st, entry):
     """placed_blocks with the lower corners as exact rationals."""
     den = st.levels[entry.m_level].den
     return [
-        [tuple(F(x, den) for x in lower) for lower in blk]
-        for blk in placed_blocks(st, entry)
+        corners([F(x, den) for x in blk], st.d) for blk in placed_blocks(st, entry)
     ]
 
 
@@ -124,7 +123,7 @@ class TestGapCertificates:
     def test_corrupted_placement_fails(self, ap_tree_12, move_cube):
         # Shift one placed cube off the lattice by side/4.
         level = ap_tree_12.levels[6]
-        x = F(level.lowers[0][0], level.den)
+        x = F(level.lowers[0], level.den)
         broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
             certify_gap(broken, 1)
@@ -267,7 +266,7 @@ class TestOracle:
         target_center = 2 * b - a  # completes psi = x - 2y + z = 0
         old_lower = blocks[2][0][0]
         level = st.levels[6]
-        for i, (x,) in enumerate(level.lowers):
+        for i, x in enumerate(level.lowers):
             if F(x, level.den) == old_lower:
                 broken = move_cube(st, 6, i, [target_center - side / 2])
                 break
@@ -341,7 +340,7 @@ class TestCoveringConstant:
             side = st.side(k + 1)
             hits = sum(
                 1
-                for (lo,) in level.lowers
+                for lo in level.lowers
                 if F(lo, level.den) <= right and left <= F(lo, level.den) + side
             )
             assert hits <= cap

@@ -219,7 +219,7 @@ def _tree_v1(doc):
         doc["cubes"][str(k)] = [
             {"addr": format(i, "b").zfill(ndigits) if ndigits else "",
              "lower": [str(F(x, lvl.den))]}
-            for i, (x,) in enumerate(lvl.lowers)
+            for i, x in enumerate(lvl.lowers)
         ]
 
 
@@ -229,7 +229,7 @@ def _tree_v2(doc):
     doc["format"] = "lacuna-tree/2"
     doc["level_cap"] = 96
     doc["levels"] = [
-        {"den": lvl.den, "lowers": [x for lower in lvl.lowers for x in lower]}
+        {"den": lvl.den, "lowers": lvl.lowers}
         for lvl in levels
     ]
 
@@ -364,6 +364,25 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "parallelogram", "params": [], "d": 400},
+            {"kind": "trapezoids", "params": ["1"], "d": 400},
+            {"kind": "vector_split", "params": {"d": 400, "m": 2, "rows": [["2"], ["-1"]]}},
+        ],
+        ids=["parallelogram", "trapezoids", "vector_split"],
+    )
+    def test_large_d_refused_before_building(self, tmp_path, capsys, fields):
+        # d rows of 4d Fractions each would take seconds to build at d = 400
+        start = time.perf_counter()
+        code = main(["app", _spec_file(tmp_path, **fields), "--out-dir", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UnsupportedDimension"
+        assert elapsed < 0.5
 
 
 @pytest.fixture(scope="module")

@@ -26,27 +26,29 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.pattern import make_pattern, normalize
+from reference import corners
 
 F = Fraction
 
 
-def fracs(level):
-    """Lower corners of a level as exact rationals."""
-    return [tuple(F(x, level.den) for x in lower) for lower in level.lowers]
+def fracs(st, k):
+    """Lower corners of level k as exact rationals, one d-tuple per cube."""
+    level = st.levels[k]
+    return corners([F(x, level.den) for x in level.lowers], st.d)
 
 
 class TestInit:
     def test_unit_interval(self, ap_pattern, sqrt_gauge):
         st = init_state(1, [ap_pattern], sqrt_gauge)
         assert st.depth == 0
-        assert fracs(st.levels[0]) == [(F(1),)]
+        assert fracs(st, 0) == [(F(1),)]
         assert st.side(0) == 1
 
     def test_unit_square(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = init_state(2, [p], h)
-        assert fracs(st.levels[0]) == [(F(1), F(1))]
+        assert fracs(st, 0) == [(F(1), F(1))]
 
     def test_no_patterns_rejected(self, sqrt_gauge):
         with pytest.raises(ZeroPattern):
@@ -61,14 +63,14 @@ class TestInit:
 class TestDyadicSplit:
     def test_first_level(self, ap_pattern, sqrt_gauge):
         st = build_tree(1, [ap_pattern], sqrt_gauge, 1)
-        assert fracs(st.levels[1]) == [(F(1),), (F(3, 2),)]
+        assert fracs(st, 1) == [(F(1),), (F(3, 2),)]
 
     def test_d2_digit_semantics(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = build_tree(2, [p], h, 1)
         # digit = sum of bit_v * 2^v, bit selects the upper half on axis v.
-        assert fracs(st.levels[1]) == [
+        assert fracs(st, 1) == [
             (F(1), F(1)),
             (F(3, 2), F(1)),
             (F(1), F(3, 2)),
@@ -82,25 +84,25 @@ class TestPlacement:
         # the shifted lattice 8z + 4 rounds to z = 73, child [1175, 1177]/1152.
         # Over the denominator 1152 the parent is 1152 + [0, 36], child side 2.
         n = normalize(ap_pattern)
-        lower, z = place_on_lattice((1152,), 36, block_lattice(n, 2, 2, F(1)))
-        assert z == (73,)
-        assert lower == (1175,)  # 1175/1152
+        lower, z = place_on_lattice([1152], 36, block_lattice(n, 2, 2, F(1)))
+        assert z == [73]
+        assert lower == [1175]  # 1175/1152
 
     def test_first_block_unshifted(self, ap_pattern):
         n = normalize(ap_pattern)
-        lower, z = place_on_lattice((1152,), 36, block_lattice(n, 0, 2, F(1)))
-        assert z == (73,)  # lattice 8z, center 584, offset 1
-        assert lower == (1167,)  # 1167/1152
+        lower, z = place_on_lattice([1152], 36, block_lattice(n, 0, 2, F(1)))
+        assert z == [73]  # lattice 8z, center 584, offset 1
+        assert lower == [1167]  # 1167/1152
 
     def test_exact_lattice_hit_keeps_center(self, ap_pattern):
         # Parent centered exactly on a lattice point: offset must be zero.
         # Over the denominator 1152, delta = 1/576 is 2 and 1/64 is 18.
         n = normalize(ap_pattern)
         delta = 2
-        parent = (584 * delta - 18,)  # center at 584*delta
+        parent = [584 * delta - 18]  # center at 584*delta
         lower, z = place_on_lattice(parent, 36, block_lattice(n, 0, delta, F(1)))
-        assert z == (73,)
-        assert lower == (584 * delta - delta // 2,)
+        assert z == [73]
+        assert lower == [584 * delta - delta // 2]
 
     def test_lattice_needs_the_lattice_denominator(self, ap_pattern):
         # A side of 1 cannot carry the AP lattice (Q = 2): no rounding, a raise.
@@ -112,8 +114,8 @@ class TestPlacement:
         for entry in st.entries:
             k = entry.m_level
             delta, parent_side = st.side(k), st.side(k - 1)
-            prev = fracs(st.levels[k - 1])
-            for i, lower in enumerate(fracs(st.levels[k])):
+            prev = fracs(st, k - 1)
+            for i, lower in enumerate(fracs(st, k)):
                 plo = prev[i]
                 assert all(
                     plo[v] <= lower[v] and lower[v] + delta <= plo[v] + parent_side
@@ -127,10 +129,10 @@ class TestPlacement:
         entry = st.entries[0]
         members = set(entry.tuple_codes)
         shift = st.ndigits(5) - st.ndigits(entry.level)
-        parents = fracs(st.levels[5])
+        parents = fracs(st, 5)
         free = [i for i in range(len(parents)) if (i >> shift) not in members]
         assert free  # address "11" has 8 level-5 descendants
-        children = fracs(st.levels[6])
+        children = fracs(st, 6)
         for i in free:
             assert children[i] == parents[i]
 
@@ -139,7 +141,7 @@ class TestPlacement:
         # with a zero ball radius must refuse it.
         lattice = block_lattice(normalize(ap_pattern), 2, 2, F(1))
         with pytest.raises(PlacementFailure):
-            place_on_lattice((1152,), 36, dataclasses.replace(lattice, ball_num=0))
+            place_on_lattice([1152], 36, dataclasses.replace(lattice, ball_num=0))
 
     def test_impossible_fit_raises(self, ap_pattern):
         # Feed a parent far too small for the lattice spacing: over the
@@ -147,7 +149,7 @@ class TestPlacement:
         # child side 1/1024 is 2.
         n = normalize(ap_pattern)
         with pytest.raises(PlacementFailure):
-            place_on_lattice((2048,), 4, block_lattice(n, 0, 2, F(1)))
+            place_on_lattice([2048], 4, block_lattice(n, 0, 2, F(1)))
 
 
 class TestBuild:
@@ -192,14 +194,16 @@ class TestBuild:
         h = make_dimfn("pow", F(1, 4), 2)
         st = build_tree(2, [p], h, 3)
         assert st.m_levels == [3]
-        assert len(st.levels[3].lowers) == 16
+        assert st.count(3) == 16
         validate_structure(st)
 
 
 def _without_last_cube(st, k):
     """A copy of a built state of depth k whose level k lacks its last cube."""
     leaf = st.levels[k]
-    return dataclasses.replace(st, levels=[*st.levels[:k], Level(leaf.den, leaf.lowers[:-1])])
+    return dataclasses.replace(
+        st, levels=[*st.levels[:k], Level(leaf.den, leaf.lowers[: -st.d])]
+    )
 
 
 class TestValidation:

@@ -1,0 +1,192 @@
+"""The flat per-axis kernels against their tuple-layout references.
+
+lacuna holds each level as one flat integer list (d numerators per cube);
+tests/reference.py keeps the per-cube tuple versions of the same kernels.
+On random integer corners for d = 1, 2, 3 and on the three golden builds,
+both must give the same values, or raise the same exception type.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+import reference as ref
+from lacuna.certify import _recover_residue, certify_gap, placed_blocks, spot_check_gap
+from lacuna.engine import (
+    _dyadic_children,
+    block_lattice,
+    lattice_denominator,
+    place_on_lattice,
+)
+from lacuna.errors import GapViolated, PlacementFailure
+from lacuna.pattern import make_pattern, normalize
+from lacuna.schedule import compute_beta, sqrt_d_bounds
+from test_golden import PARALLELOGRAM, TRAPEZOIDS, _ap_state, _app_state
+
+#: One normalized pattern per dimension, with distinct steps per axis and
+#: a shift.
+PATTERNS = {
+    1: normalize(make_pattern(1, [[1], [-2], [1]])),
+    2: normalize(make_pattern(2, [[1, 2], [-3, 1], [2, -3]])),
+    3: normalize(make_pattern(3, [[1, 0, 2], [-1, 1, -1], [1, -1, 1], [-1, 1, 0]])),
+}
+
+COORD = hs.integers(min_value=-(10**6), max_value=10**6)
+
+
+def _outcome(fn):
+    """fn()'s value, or the type of the exception it raised."""
+    try:
+        return fn()
+    except (PlacementFailure, GapViolated) as exc:
+        return type(exc)
+
+
+def _reference_placement(parents, parent_side, lattice, d):
+    """place_on_lattice in the tuple layout, cube by cube, flattened."""
+    placed = [ref.place_on_lattice(c, parent_side, lattice) for c in ref.corners(parents, d)]
+    return ref.flatten(lo for lo, _ in placed), ref.flatten(z for _, z in placed)
+
+
+def _reference_residues(lattice, signs, block, d):
+    return [ref._recover_residue(lattice, signs, c) for c in ref.corners(block, d)]
+
+
+@hs.composite
+def _lattice(draw, d):
+    """A pattern block's lattice for a random admissible side; the ball
+    radius is sometimes shrunk, so the ball check can fail."""
+    np_ = PATTERNS[d]
+    side = lattice_denominator([np_]) * draw(hs.integers(1, 3))
+    lattice = block_lattice(np_, draw(hs.integers(0, np_.m - 1)), side, sqrt_d_bounds(d)[1])
+    eighths = draw(hs.integers(0, 8))
+    return np_, dataclasses.replace(lattice, ball_num=lattice.ball_num * eighths // 8)
+
+
+class TestRandomCorners:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=hs.sampled_from([1, 2, 3]),
+        cubes=hs.integers(1, 6),
+        side=hs.integers(1, 50),
+        data=hs.data(),
+    )
+    def test_dyadic_children(self, d, cubes, side, data):
+        flat = data.draw(hs.lists(COORD, min_size=d * cubes, max_size=d * cubes))
+        expected = ref.flatten(ref._dyadic_children(ref.corners(flat, d), side, d))
+        assert _dyadic_children(flat, side, d) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=hs.sampled_from([1, 2, 3]), cubes=hs.integers(1, 6), data=hs.data())
+    def test_place_on_lattice(self, d, cubes, data):
+        np_, lattice = data.draw(_lattice(d))
+        # up to twice the parent side of a real avoidance level, and often
+        # a few child sides, so that some parents cannot hold their child
+        ratio = data.draw(
+            hs.one_of(hs.integers(1, 4), hs.integers(1, 4 * compute_beta(np_, d)))
+        )
+        parents = data.draw(hs.lists(COORD, min_size=d * cubes, max_size=d * cubes))
+        parent_side = ratio * lattice.side
+        assert _outcome(
+            lambda: place_on_lattice(parents, parent_side, lattice)
+        ) == _outcome(lambda: _reference_placement(parents, parent_side, lattice, d))
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=hs.sampled_from([1, 2, 3]), cubes=hs.integers(1, 6), data=hs.data())
+    def test_recover_residue(self, d, cubes, data):
+        _, lattice = data.draw(_lattice(d))
+        signs = data.draw(hs.lists(hs.sampled_from([-1, 0, 1]), min_size=d, max_size=d))
+        # lattice corners step*z + shift - side/2, some of them knocked off
+        n = d * cubes
+        zs = data.draw(hs.lists(hs.integers(-1000, 1000), min_size=n, max_size=n))
+        offs = data.draw(hs.lists(hs.sampled_from([0, 0, 0, -2, 1, 3]), min_size=n, max_size=n))
+        block = [
+            lattice.steps[j % d] * z + lattice.shifts[j % d] - lattice.side // 2 + off
+            for j, (z, off) in enumerate(zip(zs, offs))
+        ]
+        assert _outcome(lambda: _recover_residue(lattice, signs, block)) == _outcome(
+            lambda: _reference_residues(lattice, signs, block, d)
+        )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[_ap_state, lambda: _app_state(PARALLELOGRAM), lambda: _app_state(TRAPEZOIDS)],
+    ids=["ap-d1-depth12", "parallelogram-d2-depth6", "trapezoids-d3-depth5"],
+)
+def golden(request):
+    """The three builds of test_golden.py."""
+    return request.param()
+
+
+def test_golden_levels_match_the_tuple_kernels(golden):
+    """Every level of the build, rebuilt from its parent level by the tuple
+    kernels, is the flat level the build holds."""
+    st = golden
+    d = st.d
+    _, sqrt_hi = sqrt_d_bounds(d)
+    by_level = {e.m_level: e for e in st.entries}
+    for k in range(1, st.depth + 1):
+        prev = ref.corners(st.levels[k - 1].lowers, d)
+        side = st.side_num(k - 1)
+        entry = by_level.get(k)
+        if entry is None:
+            lowers = ref._dyadic_children(prev, side, d)
+        else:
+            np_ = st.normalized[entry.pattern_id]
+            ratio = 2 * entry.beta
+            lowers = [tuple(ratio * x for x in lower) for lower in prev]
+            shift = d * (st.ndigits(k - 1) - st.ndigits(entry.level))
+            for block, member in enumerate(entry.tuple_codes):
+                lattice = block_lattice(np_, block, side, sqrt_hi)
+                for i in range(member << shift, (member + 1) << shift):
+                    lowers[i], _ = ref.place_on_lattice(lowers[i], ratio * side, lattice)
+        assert ref.flatten(lowers) == st.levels[k].lowers, f"level {k}"
+
+
+def test_golden_residues_match_the_tuple_kernel(golden):
+    st = golden
+    d = st.d
+    _, sqrt_hi = sqrt_d_bounds(d)
+    assert st.entries
+    for entry in st.entries:
+        np_ = st.normalized[entry.pattern_id]
+        side = st.side_num(entry.m_level)
+        for b, blk in enumerate(placed_blocks(st, entry)):
+            lattice = block_lattice(np_, b, side, sqrt_hi)
+            signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
+            assert _recover_residue(lattice, signs, blk) == _reference_residues(
+                lattice, signs, blk, d
+            )
+
+
+def _spot_message(check, st, entry, cert):
+    """The GapViolated message of a spot check, or None if it passes."""
+    try:
+        check(st, entry, cert)
+    except GapViolated as exc:
+        return str(exc)
+    return None
+
+
+def test_spot_check_matches_the_fraction_reference(golden):
+    """At the certified gap both spot checks pass.  With the gap raised
+    above the true minimum, the integer check and its Fraction reference
+    fail on the same draw with the same |psi| (the draws that fail come
+    anywhere from the 1st to the 54th of 100), or both pass."""
+    st = golden
+    failed = 0
+    for entry in st.entries:
+        cert = certify_gap(st, entry)
+        spot_check_gap(st, entry, cert)
+        ref.spot_check_gap(st, entry, cert)
+        for factor in (2, 4, 8, 64):
+            raised = dataclasses.replace(cert, gap=cert.gap * factor)
+            message = _spot_message(spot_check_gap, st, entry, raised)
+            assert message == _spot_message(ref.spot_check_gap, st, entry, raised)
+            failed += message is not None
+    assert failed
