@@ -18,8 +18,11 @@ contiguous slice.  Recovering lattice vectors is one divisibility pass per
 axis over that slice.  The spot check draws points on a grid inside the
 placed cubes and compares |psi| with the gap in integers.  The oracle takes
 rational points; it scales them once to a common denominator and then works
-on integers too.  Fractions remain in the sampled center cross-check, which
-is the independent route, and in the measure code.
+on integers too, as a sorted join: the first m-1 tuple members are walked,
+and the last is found by bisection in its block's sorted partial sums, so
+the search is complete without evaluating every ordered m-tuple.  Fractions
+remain in the sampled center cross-check, which is the independent route,
+and in the measure code.
 
 The measure certificate is the mass-distribution principle made concrete:
 with the uniform cube mass mu(I_k) = 1/N_k, the per-level bound
@@ -56,7 +59,7 @@ from .schedule import ScheduleEntry, ratio_condition, sqrt_d_bounds
 #: to the structural half-integer bound (still a valid certificate).
 COMBO_CAP = 100_000
 
-#: Exhaustive-oracle cost warning threshold.
+#: The oracle warns above this many (m-1)-prefixes to join.
 ORACLE_TUPLE_WARN = 5_000_000
 
 
@@ -338,13 +341,17 @@ def brute_oracle(
     points: list[Vector],
     pattern: LinearPattern | NormalizedPattern,
     tolerance: Fraction = Fraction(0),
-    warn_cap: int = ORACLE_TUPLE_WARN,
 ) -> list[tuple[int, ...]]:
-    """All ordered m-tuples of distinct points with |psi| <= tolerance.
+    """All ordered m-tuples of distinct points with |psi| <= tolerance, in
+    lexicographic order.
 
-    Exhaustive and exact; completely independent of the engine's lattice
+    Complete and exact; completely independent of the engine's lattice
     bookkeeping, which is what makes it the oracle.  psi(tuple) is a sum of
-    per-block partial sums, which are scaled once to integers.
+    per-block partial sums, which are scaled once to integers.  The search
+    is a sorted join: the last block's sums are sorted once, and for each of
+    the perm(n, m-1) prefixes the last members that bring psi within the
+    tolerance are one bisected slice.  That costs
+    O(perm(n, m-1) * log n) plus the hits, not perm(n, m) evaluations.
     """
     tolerance = Fraction(tolerance)
     if tolerance < 0:
@@ -354,16 +361,23 @@ def brute_oracle(
     coeffs = pattern.coeffs if isinstance(pattern, LinearPattern) else pattern.base.coeffs
     m = len(coeffs)
     n = len(points)
-    total = perm(n, m)
-    if total > warn_cap:
-        warnings.warn(f"oracle will evaluate {total} tuples", stacklevel=2)
+    prefixes = perm(n, m - 1)
+    if prefixes > ORACLE_TUPLE_WARN:
+        warnings.warn(f"oracle will walk {prefixes} prefixes", stacklevel=2)
     partial, tol = _partial_sums(points, coeffs, tolerance)
+    *heads, last = partial
+    ranked = sorted(zip(last, range(n)))
+    values = [v for v, _ in ranked]
     pick = list.__getitem__
-    return [
-        combo
-        for combo in permutations(range(n), m)
-        if abs(sum(map(pick, partial, combo))) <= tol
-    ]
+    hits = []
+    for prefix in permutations(range(n), m - 1):
+        s = sum(map(pick, heads, prefix))
+        lo = bisect.bisect_left(values, -tol - s)
+        hi = bisect.bisect_right(values, tol - s, lo)
+        if lo < hi:
+            last_members = sorted(j for _, j in ranked[lo:hi])
+            hits.extend(prefix + (j,) for j in last_members if j not in prefix)
+    return hits
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -97,6 +97,8 @@ def cmd_oracle(args) -> int:
     if pat_d != d:
         raise FormatError(f"points are d={d} but patterns are d={pat_d}")
     tol = parse_rational(args.tol)
+    if tol < 0:
+        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     runs = []
     total = 0
     for pid, pattern in enumerate(patterns):

@@ -29,6 +29,8 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
 
 
 def read_points(path: str | Path) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """d and the points of a lacuna-points file; the points are pairwise
+    distinct, as the oracle requires."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().strip()
@@ -38,6 +40,7 @@ def read_points(path: str | Path) -> tuple[int, list[tuple[Fraction, ...]]]:
             if d < 1:
                 raise FormatError(f"points header gives d={d}, need d >= 1")
             points = []
+            seen = set()
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -45,6 +48,9 @@ def read_points(path: str | Path) -> tuple[int, list[tuple[Fraction, ...]]]:
                 coords = tuple(parse_rational(tok) for tok in line.split())
                 if len(coords) != d:
                     raise FormatError(f"point {line!r} does not have {d} coordinates")
+                if coords in seen:
+                    raise FormatError(f"point {line!r} repeats an earlier point")
+                seen.add(coords)
                 points.append(coords)
         except ValueError as exc:  # a non-integer d, or bytes that are not UTF-8
             raise FormatError(f"malformed points file: {exc}") from exc

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -303,23 +304,48 @@ def fraction_oracle(points, pattern, tolerance):
 @hs.composite
 def oracle_inputs(draw):
     d = draw(hs.integers(1, 2))
-    m = draw(hs.integers(2, 3))
+    m = draw(hs.integers(2, 4))
     coef = hs.fractions(min_value=-3, max_value=3, max_denominator=3)
     coeffs = draw(hs.lists(hs.lists(coef, min_size=d, max_size=d), min_size=m, max_size=m))
-    coord = hs.fractions(min_value=1, max_value=2, max_denominator=6)
+    # a few coordinates on a coarse grid make many partial sums tie
+    coord = draw(hs.sampled_from([
+        hs.fractions(min_value=1, max_value=2, max_denominator=6),
+        hs.sampled_from([F(1), F(5, 4), F(3, 2), F(2)]),
+    ]))
     points = draw(hs.lists(hs.tuples(*[coord] * d), max_size=7, unique=True))
-    tolerance = draw(hs.fractions(min_value=0, max_value=1, max_denominator=12))
+    tolerance = draw(hs.one_of(
+        hs.just(F(0)),
+        hs.fractions(min_value=F(1, 12), max_value=1, max_denominator=12),
+    ))
     return make_pattern(d, coeffs), points, tolerance
 
 
 class TestIntegerOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(oracle_inputs())
     def test_matches_fraction_reference(self, inputs):
         pattern, points, tolerance = inputs
         assert brute_oracle(points, pattern, tolerance) == fraction_oracle(
             points, pattern, tolerance
         )
+
+    def test_ap_grid_300(self, ap_pattern):
+        # every ordered (i - t, i, i + t); a scan of all perm(300, 3) = 26,730,600
+        # ordered triples would take seconds
+        n = 300
+        pts = [(1 + F(i, n),) for i in range(n)]
+        expected = sorted(
+            (i - t, i, i + t)
+            for i in range(n)
+            for t in range(1 - n, n)
+            if t and 0 <= i - t < n and 0 <= i + t < n
+        )
+        start = time.perf_counter()
+        hits = brute_oracle(pts, ap_pattern, F(0))
+        elapsed = time.perf_counter() - start
+        assert len(hits) == 44_700
+        assert hits == expected
+        assert elapsed < 2
 
 
 class TestCoveringConstant:

@@ -350,13 +350,15 @@ class TestMalformedInput:
             lambda t, ap: _build_argv(_pattern_file(t, patterns=[
                 {"m": 3.0, "coeffs": [["1"], ["-2"], ["1"]]}]), t),
             lambda t, ap: _build_argv(_pattern_file(t, d=2), t),
+            lambda t, ap: ["oracle", _points_file(t, "d=1", b"1\n3/2\n2/2\n"),
+                           "--patterns", ap],
         ],
         ids=["build-bad-json", "app-bad-json", "oracle-bad-patterns",
              "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth",
              "app-float-depth", "app-vector-split-float-m", "app-vector-split-no-m",
              "app-vector-split-list", "app-ratios-int-params", "app-differences-int-params",
              "app-planes-int-row", "build-string-d",
-             "build-float-m", "build-rows-not-d-wide"],
+             "build-float-m", "build-rows-not-d-wide", "oracle-repeated-point"],
     )
     def test_format_error_envelope(self, ap_file, tmp_path, capsys, argv):
         code = main(argv(tmp_path, ap_file))
@@ -364,6 +366,13 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
+
+    def test_oracle_negative_tolerance(self, ap_file, tmp_path, capsys):
+        pts = _points_file(tmp_path, "d=1", b"1\n3/2\n")
+        code = main(["oracle", pts, "--patterns", ap_file, "--tol", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UsageError"
 
     @pytest.mark.parametrize(
         "fields",

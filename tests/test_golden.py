@@ -1,9 +1,12 @@
-"""Golden bytes: tree and certificate files of three fixed builds.
+"""Golden bytes: tree and certificate files of three fixed builds, and the
+oracle files of two.
 
 The certificate digests were recorded from the rational-geometry
 implementation that preceded the integer lattice core, the tree digests
-from the first lacuna-tree/3 writer; any change in the tree or certificate
-bytes of these builds is a format change and must be deliberate.
+from the first lacuna-tree/3 writer, and the oracle digests are the ones
+bench/run.py pins for its ap-oracle workload; any change in the tree,
+certificate or oracle bytes of these builds is a format change and must be
+deliberate.
 """
 
 from __future__ import annotations
@@ -63,6 +66,35 @@ def test_app_builds(tmp_path, spec, tree_sha, cert_sha):
     assert main(["app", str(path), "--out-dir", str(out)]) == 0
     assert _sha(out / "tree.json") == tree_sha
     assert _sha(out / "cert.json") == cert_sha
+
+
+@pytest.mark.parametrize(
+    "coeffs, oracle_sha",
+    [
+        (
+            [["1"], ["-2"], ["1"]],
+            "3a222e8a82cdb650e4f86c9a33c2a475551a0e0735c9ccad20e515e7cb26e6f2",
+        ),
+        (
+            [["1"], ["1"], ["-2"]],
+            "7148ca7f118d4b3261a7d1c9013324eec07e7e7db050ec32876c539834d78162",
+        ),
+    ],
+    ids=["ap-1-2-1", "ap-1-1-2"],
+)
+def test_oracle_d1_depth_7(tmp_path, coeffs, oracle_sha):
+    pat = tmp_path / "patterns.json"
+    pat.write_text(json.dumps({"d": 1, "patterns": [{"m": 3, "coeffs": coeffs}]}))
+    tree, pts, oracle = tmp_path / "tree.json", tmp_path / "points.txt", tmp_path / "oracle.json"
+    assert main([
+        "build", str(pat), "--dimfn", "pow:1/2", "--depth", "7", "--out", str(tree)
+    ]) == 0
+    assert main(["export", str(tree), "--format", "points", "--out", str(pts)]) == 0
+    # unprocessed tuples hold instances, so the oracle exits 1
+    assert main([
+        "oracle", str(pts), "--patterns", str(pat), "--tol", "0", "--out", str(oracle)
+    ]) == 1
+    assert _sha(oracle) == oracle_sha
 
 
 def _ap_state():
