@@ -25,7 +25,6 @@ margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -45,6 +44,7 @@ from .errors import (
 from .jsonfile import int_field, write_json
 from .pattern import LinearPattern, make_pattern
 from .qmath import exp_bounds, format_rational, ln_bounds, parse_rational
+from .record import Record
 
 APP_KINDS = (
     "quotients",
@@ -141,8 +141,7 @@ def trapezoid_patterns(d: int, alphas: Sequence[Fraction]) -> list[LinearPattern
     return out
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """Exact complex rational a + b*i."""
 
     re: Fraction
@@ -199,8 +198,7 @@ def complex_triplet_patterns(
 
 # -- difference-set application -----------------------------------------------------
 
-@dataclass(frozen=True)
-class DifferenceTarget:
+class DifferenceTarget(Record):
     """A forbidden difference: either ln(value) handled exactly through the
     rational quotient target value, or a rational exponent whose quotient
     target e^exponent needs a certified enclosure."""
@@ -213,8 +211,7 @@ class DifferenceTarget:
         return f"ln({v})" if self.kind == "log_of" else v
 
 
-@dataclass(frozen=True)
-class TargetReport:
+class TargetReport(Record):
     target: DifferenceTarget
     quotient_mid: Fraction
     enclosure: tuple[Fraction, Fraction] | None
@@ -222,8 +219,7 @@ class TargetReport:
     difference_margin: Fraction | None
 
 
-@dataclass(frozen=True)
-class DifferenceReport:
+class DifferenceReport(Record):
     """Certified outputs of the difference app.
 
     points are ln-enclosures of the deepest-level cube centers; pairwise
@@ -355,8 +351,7 @@ def difference_report_to_doc(report: DifferenceReport) -> dict:
 
 # -- app spec files ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AppSpec:
+class AppSpec(Record):
     kind: str
     params: object
     h_spec: str

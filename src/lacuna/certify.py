@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, perm
@@ -53,6 +52,7 @@ from .errors import (
 )
 from .pattern import LinearPattern, NormalizedPattern, eval_pattern
 from .qmath import format_rational, ln2_bounds, ln_bounds
+from .record import Record
 from .schedule import ScheduleEntry, ratio_condition, sqrt_d_bounds
 
 #: Above this many center combinations the exact minimum search falls back
@@ -63,8 +63,7 @@ COMBO_CAP = 100_000
 ORACLE_TUPLE_WARN = 5_000_000
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(Record):
     """Certified lower bound for |psi| over the placed cubes of one entry."""
 
     entry_index: int
@@ -76,8 +75,7 @@ class GapCertificate:
     exact_min: bool
 
 
-@dataclass(frozen=True)
-class LevelVerdict:
+class LevelVerdict(Record):
     level: int
     count: int
     side: Fraction
@@ -85,8 +83,7 @@ class LevelVerdict:
     ratio_ok: bool
 
 
-@dataclass(frozen=True)
-class MeasureCertificate:
+class MeasureCertificate(Record):
     c1: int
     c2: int
     c3_upper: Fraction

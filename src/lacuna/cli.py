@@ -119,6 +119,19 @@ def cmd_oracle(args) -> int:
     return 1 if total else 0
 
 
+def _non_negative_int(text: str) -> int:
+    """The type of --depth, --spot-checks and --decimals.  A bad value
+    becomes a UsageError through _Parser.error, before any command opens
+    a file."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument error raises UsageError, so it gets the JSON envelope
     and exit 2 like every other usage error; subparsers inherit this."""
@@ -141,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a tree from a pattern file")
     b.add_argument("patterns", help="pattern JSON file")
     b.add_argument("--dimfn", required=True, help="gauge, e.g. pow:1/2 or powlog:1/1")
-    b.add_argument("--depth", type=int, required=True)
+    b.add_argument("--depth", type=_non_negative_int, required=True)
     b.add_argument("--out", default="tree.json")
     b.set_defaults(func=cmd_build)
 
@@ -149,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("tree")
     c.add_argument("--mode", choices=("gap", "measure", "all"), default="all")
     c.add_argument("--out", default=None)
-    c.add_argument("--spot-checks", type=int, default=0,
+    c.add_argument("--spot-checks", type=_non_negative_int, default=0,
                    help="random point tuples per entry that must respect the gap")
     c.set_defaults(func=cmd_certify)
 
@@ -157,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("tree")
     e.add_argument("--format", choices=("svg", "csv", "points"), required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--decimals", type=int, default=12)
+    e.add_argument("--decimals", type=_non_negative_int, default=12)
     e.set_defaults(func=cmd_export)
 
     a = sub.add_parser("app", help="run an application spec end to end")

@@ -20,11 +20,11 @@ intervals with escalating precision for powlog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfDomain, RejectNonPositive, RejectNotDominated, Undecidable
 from .qmath import exp_bounds, ln_bounds, nth_root_bounds, parse_rational
+from .record import Record
 
 POWER = "pow"
 POWERLOG = "powlog"
@@ -35,8 +35,7 @@ POWERLOG = "powlog"
 PRECISION_CAP = 4096
 
 
-@dataclass(frozen=True)
-class DimensionFunction:
+class DimensionFunction(Record):
     """A gauge function with a certified monotone-ratio witness for exponent d.
 
     domain_cap is the rational right end of the certified region: h is

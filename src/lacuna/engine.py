@@ -41,7 +41,6 @@ more than MAX_LEAF_CUBES deepest-level cubes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -65,6 +64,7 @@ from .pattern import (
     patterns_from_doc,
     patterns_to_doc,
 )
+from .record import Fresh, Record
 from .schedule import (
     DEFAULT_LEVEL_CAP,
     ScheduleEntry,
@@ -120,8 +120,7 @@ def lattice_denominator(normalized: Sequence[NormalizedPattern]) -> int:
     return q
 
 
-@dataclass
-class Level:
+class Level(Record, frozen=False):
     """Cubes of one level in address order: cube i has the lower corner
     lowers[i*d:(i+1)*d] / den."""
 
@@ -129,8 +128,7 @@ class Level:
     lowers: list[int]
 
 
-@dataclass
-class ConstructionState:
+class ConstructionState(Record, frozen=False):
     """The whole build: geometry per level plus the realized schedule."""
 
     d: int
@@ -139,7 +137,7 @@ class ConstructionState:
     normalized: tuple[NormalizedPattern, ...]
     level_cap: int
     levels: list[Level]
-    entries: list[ScheduleEntry] = field(default_factory=list)
+    entries: list[ScheduleEntry] = Fresh(list)
     scheduler: Scheduler | None = None
     pending: ScheduleEntry | None = None
 
@@ -221,8 +219,7 @@ def init_state(
     return state
 
 
-@dataclass(frozen=True)
-class BlockLattice:
+class BlockLattice(Record):
     """4*peak*phi_block(Z^d) in integer units for cubes of side `side`.
 
     The lattice centers on axis v are steps[v]*z + shifts[v].  A placement

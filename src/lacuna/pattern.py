@@ -24,7 +24,6 @@ cubes of every processed entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,12 +31,12 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, FormatError, ZeroPattern
 from .jsonfile import int_field, read_json
 from .qmath import format_rational, parse_rational
+from .record import Record
 
 Coeffs = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class LinearPattern:
+class LinearPattern(Record):
     """m x d rational coefficient matrix of a linear form on m points of R^d."""
 
     d: int
@@ -61,8 +60,7 @@ def make_pattern(d: int, rows: Sequence[Sequence[Fraction | int | str]]) -> Line
     return LinearPattern(d=d, m=len(coeffs), coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class NormalizedPattern:
+class NormalizedPattern(Record):
     """Normal form of a LinearPattern plus the constants the engine uses.
 
     base.coeffs[i] == original.coeffs[perm[i]] / divisor and the zero set is

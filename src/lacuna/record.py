@@ -1,0 +1,95 @@
+"""Record: a small base for lacuna's plain data classes.
+
+A subclass lists its fields as class annotations, in order, with optional
+defaults as class attributes, much like a dataclass:
+
+    class Entry(Record):
+        index: int
+        codes: tuple[int, ...] = ()
+
+    class Level(Record, frozen=False):
+        den: int
+        lowers: list[int]
+
+A record is built from positional or keyword arguments, runs the class's
+__post_init__ (if any), compares equal to a record of the same class with
+equal fields, and has a dataclass-style repr.  A frozen record (the default)
+refuses attribute assignment and hashes by its fields; a mutable one is
+unhashable.  A default given as Fresh(factory) is made anew for every
+instance.  replace(**changes) builds a new record through __init__.
+
+It stands in for the standard library's dataclass decorator, whose module
+import (with inspect, ast, dis and tokenize) and per-class code generation
+cost a few milliseconds in every CLI step.
+"""
+
+from __future__ import annotations
+
+
+class Fresh:
+    """A default made anew for each instance: Fresh(list) gives each its own list."""
+
+    __slots__ = ("factory",)
+
+    def __init__(self, factory):
+        self.factory = factory
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__hash__ = _hash
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, "
+                            f"got {len(args)} positional arguments")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name in values or name not in fields:
+                raise TypeError(f"{type(self).__name__}: unknown or repeated field {name!r}")
+            values[name] = value
+        for name in fields:
+            if name not in values:
+                if name not in self._defaults:
+                    raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+                default = self._defaults[name]
+                values[name] = default.factory() if isinstance(default, Fresh) else default
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes):
+        """A new record with the given fields changed, built through __init__."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r} of frozen {type(self).__name__}")
+
+
+def _hash(self) -> int:
+    return hash(self._values())

@@ -39,7 +39,6 @@ a computable first index and recurs forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, perm
 
@@ -47,6 +46,7 @@ from .dimfn import DimensionFunction
 from .errors import OutOfDomain, ScheduleOverflow, Starved, Undecidable
 from .pattern import NormalizedPattern
 from .qmath import sqrt_bounds
+from .record import Record
 
 #: Enclosure width for sqrt(d): hi - lo < 2**-SQRT_PRECISION.
 SQRT_PRECISION = 21
@@ -58,8 +58,7 @@ def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
     return sqrt_bounds(d, SQRT_PRECISION)
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(Record):
     """One served occurrence: pattern, tuple of cube labels, avoidance level.
 
     tuple_codes are indices of cubes of one level (an index read as a
@@ -251,5 +250,5 @@ class Scheduler:
             self.h, k, [e.beta for e in self.served]
         ):
             return None
-        self.served[-1] = entry = replace(entry, m_level=k)
+        self.served[-1] = entry = entry.replace(m_level=k)
         return entry

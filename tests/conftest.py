@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -20,7 +19,7 @@ def _move_cube(state, k, i, lower):
     f = lcm(*(Fraction(x * den).denominator for x in lower))
     levels = [Level(lvl.den * f, [f * x for x in lvl.lowers]) for lvl in state.levels]
     levels[k].lowers[i * d : (i + 1) * d] = [int(x * den * f) for x in lower]
-    return dataclasses.replace(state, levels=levels)
+    return state.replace(levels=levels)
 
 
 @pytest.fixture(scope="session")

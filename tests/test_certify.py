@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import random
 import time
@@ -176,7 +175,7 @@ class TestMeasureCertificate:
         # dyadic (32 cubes) but the side would shrink to 2^-5/9, failing mass.
         broken = copy.copy(ap_tree_12)
         broken.entries = [
-            dataclasses.replace(ap_tree_12.entries[0], m_level=5),
+            ap_tree_12.entries[0].replace(m_level=5),
             ap_tree_12.entries[1],
         ]
         with pytest.raises(MeasureViolated):

@@ -375,6 +375,26 @@ class TestMalformedInput:
         assert json.loads(err)["error"]["type"] == "UsageError"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda t, ap: build_args(ap, t, depth=-1, out="negative.json"),
+            lambda t, ap: ["certify", str(t / "tree.json"), "--spot-checks", "-5"],
+            lambda t, ap: ["export", str(t / "tree.json"), "--format", "csv",
+                           "--decimals", "-3", "--out", str(t / "out.csv")],
+        ],
+        ids=["build-depth", "certify-spot-checks", "export-decimals"],
+    )
+    def test_negative_count_is_usage_error(self, ap_file, tmp_path, capsys, argv):
+        assert main(build_args(ap_file, tmp_path)) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        code = main(argv(tmp_path, ap_file))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+        assert sorted(tmp_path.iterdir()) == before  # no output file is written
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"kind": "parallelogram", "params": [], "d": 400},
@@ -577,13 +597,15 @@ _FOOTPRINT = (
     "from lacuna.cli import main\n"
     "code = main(sys.argv[2:])\n"
     "with open(sys.argv[1], 'w') as fh:\n"
-    "    fh.write(' '.join(m for m in sys.modules if m.startswith('lacuna.')))\n"
+    "    fh.write(' '.join(m for m in sys.modules\n"
+    "                      if m.startswith('lacuna.') or m in ('dataclasses', 'inspect')))\n"
     "sys.exit(code)\n"
 )
 
 
 class TestImportFootprint:
-    """Each command loads only the layers it runs."""
+    """Each command loads only the layers it runs, and none loads
+    dataclasses or inspect (a few milliseconds of start-up per step)."""
 
     def loaded(self, tmp_path, argv, code=0):
         out = tmp_path / "modules.txt"
@@ -608,6 +630,11 @@ class TestImportFootprint:
         # a depth-7 tree leaves uncovered progressions: the oracle finds them
         oracle = self.loaded(tmp_path, ["oracle", pts, "--patterns", ap_file], code=1)
         assert "apps" not in oracle
+        app = self.loaded(tmp_path, ["app", _spec_file(tmp_path), "--out-dir",
+                                     str(tmp_path / "app-out")])
+        assert "apps" in app
+        for step in (build, cert, export, oracle, app):
+            assert not step & {"dataclasses", "inspect"}
 
 
 class TestDeterminism:

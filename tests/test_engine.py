@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import prod
 
@@ -141,7 +140,7 @@ class TestPlacement:
         # with a zero ball radius must refuse it.
         lattice = block_lattice(normalize(ap_pattern), 2, 2, F(1))
         with pytest.raises(PlacementFailure):
-            place_on_lattice([1152], 36, dataclasses.replace(lattice, ball_num=0))
+            place_on_lattice([1152], 36, lattice.replace(ball_num=0))
 
     def test_impossible_fit_raises(self, ap_pattern):
         # Feed a parent far too small for the lattice spacing: over the
@@ -201,9 +200,7 @@ class TestBuild:
 def _without_last_cube(st, k):
     """A copy of a built state of depth k whose level k lacks its last cube."""
     leaf = st.levels[k]
-    return dataclasses.replace(
-        st, levels=[*st.levels[:k], Level(leaf.den, leaf.lowers[: -st.d])]
-    )
+    return st.replace(levels=[*st.levels[:k], Level(leaf.den, leaf.lowers[: -st.d])])
 
 
 class TestValidation:

@@ -8,8 +8,6 @@ both must give the same values, or raise the same exception type.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -64,7 +62,7 @@ def _lattice(draw, d):
     side = lattice_denominator([np_]) * draw(hs.integers(1, 3))
     lattice = block_lattice(np_, draw(hs.integers(0, np_.m - 1)), side, sqrt_d_bounds(d)[1])
     eighths = draw(hs.integers(0, 8))
-    return np_, dataclasses.replace(lattice, ball_num=lattice.ball_num * eighths // 8)
+    return np_, lattice.replace(ball_num=lattice.ball_num * eighths // 8)
 
 
 class TestRandomCorners:
@@ -185,7 +183,7 @@ def test_spot_check_matches_the_fraction_reference(golden):
         spot_check_gap(st, entry, cert)
         ref.spot_check_gap(st, entry, cert)
         for factor in (2, 4, 8, 64):
-            raised = dataclasses.replace(cert, gap=cert.gap * factor)
+            raised = cert.replace(gap=cert.gap * factor)
             message = _spot_message(spot_check_gap, st, entry, raised)
             assert message == _spot_message(ref.spot_check_gap, st, entry, raised)
             failed += message is not None
