@@ -1,12 +1,14 @@
-"""Golden bytes: tree and certificate files of three fixed builds, and the
-oracle files of two.
+"""Golden bytes: tree and certificate files of three fixed builds, the
+oracle files of two, the CSV and SVG exports of three, and the files of one
+differences app run.
 
 The certificate digests were recorded from the rational-geometry
 implementation that preceded the integer lattice core, the tree digests
-from the first lacuna-tree/3 writer, and the oracle digests are the ones
-bench/run.py pins for its ap-oracle workload; any change in the tree,
-certificate or oracle bytes of these builds is a format change and must be
-deliberate.
+from the first lacuna-tree/3 writer, the oracle digests are the ones
+bench/run.py pins for its ap-oracle workload, and the export and
+differences digests were recorded from the Fraction-based writers that
+preceded rendering from integer numerators; any change in these bytes is a
+format change and must be deliberate.
 """
 
 from __future__ import annotations
@@ -25,6 +27,17 @@ from lacuna.pattern import patterns_from_doc
 AP_DOC = {"d": 1, "patterns": [{"m": 3, "coeffs": [["1"], ["-2"], ["1"]]}]}
 PARALLELOGRAM = {"kind": "parallelogram", "params": [], "h": "pow:1/4", "d": 2, "depth": 6}
 TRAPEZOIDS = {"kind": "trapezoids", "params": ["1"], "h": "pow:1/4", "d": 3, "depth": 5}
+DIFFERENCES = {
+    "kind": "differences",
+    "params": [
+        {"kind": "rational", "value": "1/2"},
+        {"kind": "rational", "value": "-1/2"},
+        {"kind": "rational", "value": "1/3"},
+        {"kind": "log_of", "value": "2"},
+    ],
+    "h": "pow:1/10",
+    "depth": 9,
+}
 
 
 def _sha(path) -> str:
@@ -95,6 +108,85 @@ def test_oracle_d1_depth_7(tmp_path, coeffs, oracle_sha):
         "oracle", str(pts), "--patterns", str(pat), "--tol", "0", "--out", str(oracle)
     ]) == 1
     assert _sha(oracle) == oracle_sha
+
+
+def _ap_tree(tmp_path):
+    pat = tmp_path / "ap.json"
+    pat.write_text(json.dumps(AP_DOC))
+    tree = tmp_path / "tree.json"
+    assert main([
+        "build", str(pat), "--dimfn", "pow:1/2", "--depth", "12", "--out", str(tree)
+    ]) == 0
+    return tree
+
+
+def _app_tree(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["app", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / "tree.json"
+
+
+@pytest.mark.parametrize(
+    "make, args, sha",
+    [
+        (
+            _ap_tree,
+            ["--format", "csv"],
+            "68b223dd7eddd987f72e37bd76fe3da8fa4ed39e17dbd89d60e3fea1147e60e3",
+        ),
+        (
+            _ap_tree,
+            ["--format", "csv", "--decimals", "0"],
+            "1c340b1c4a5d36bda76877b0b7c85667347347462f1c8149970212f8b7d33948",
+        ),
+        (
+            _ap_tree,
+            ["--format", "svg"],
+            "ff35b0fb93e5d21bb27068dff5fb16d91a381d281760f166de5bdb027bb127f8",
+        ),
+        (
+            lambda tmp: _app_tree(tmp, PARALLELOGRAM),
+            ["--format", "csv"],
+            "b9630747607a377607e47aaa9b7cda70fb7d52d4ed6a10aaf964f0fddec8cff3",
+        ),
+        (
+            lambda tmp: _app_tree(tmp, PARALLELOGRAM),
+            ["--format", "svg"],
+            "257ec2bda6d76682680673cc99014a1effeb2ac1f0034bc0a7160cdb6a4aac67",
+        ),
+        (
+            lambda tmp: _app_tree(tmp, TRAPEZOIDS),
+            ["--format", "csv"],
+            "007207b0fcff42f187c1dc2feec37b1a236187bf471eb38be781e9a501122df6",
+        ),
+    ],
+    ids=[
+        "ap-d1-depth12-csv",
+        "ap-d1-depth12-csv-decimals0",
+        "ap-d1-depth12-svg",
+        "parallelogram-d2-depth6-csv",
+        "parallelogram-d2-depth6-svg",
+        "trapezoids-d3-depth5-csv",
+    ],
+)
+def test_exports(tmp_path, make, args, sha):
+    tree, out = make(tmp_path), tmp_path / "export.out"
+    assert main(["export", str(tree), *args, "--out", str(out)]) == 0
+    assert _sha(out) == sha
+
+
+def test_differences_app(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(DIFFERENCES))
+    out = tmp_path / "out"
+    assert main(["app", str(path), "--out-dir", str(out)]) == 0
+    assert _sha(out / "report.json") == (
+        "d7ac32b7cc440f0e39ba7a32c1f0ffd16f1c8a41b03246b952208fcff5b5e76e"
+    )
+    assert _sha(out / "cert.json") == (
+        "fa51ba7cbc07dcf0ac6f7e5fbb5c1049bce73b09d1a67cb103f27f17e9d68e9a"
+    )
 
 
 def _ap_state():
