@@ -168,9 +168,6 @@ class GaussianRational(Record):
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
 
 def complex_triplet_patterns(
     triplets: Sequence[Sequence[GaussianRational]],
@@ -305,9 +302,8 @@ def difference_points(
                 difference_margin=margin,
             )
         )
-    points = tuple(
-        ln_bounds(center[0], point_precision) for center in state.leaf_centers()
-    )
+    den, centers = state.leaf_center_numerators()
+    points = tuple(ln_bounds(Fraction(c, den), point_precision) for c in centers)
     report = DifferenceReport(
         targets=tuple(reports),
         certificates=certificates,

@@ -51,7 +51,7 @@ from .errors import (
     Undecidable,
 )
 from .pattern import LinearPattern, NormalizedPattern, eval_pattern
-from .qmath import format_rational, ln2_bounds, ln_bounds
+from .qmath import format_rational
 from .record import Record
 from .schedule import ScheduleEntry, ratio_condition, sqrt_d_bounds
 
@@ -116,9 +116,7 @@ def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[i
             f"entry {entry.index} schedules level {entry.m_level}, build stops at {state.depth}"
         )
     lowers = state.levels[entry.m_level].lowers
-    d = state.d
-    shift = d * (state.ndigits(entry.m_level) - state.ndigits(entry.level))
-    out = [lowers[d * (t << shift) : d * ((t + 1) << shift)] for t in entry.tuple_codes]
+    out = [lowers[span] for span in state.tuple_spans(entry)]
     if any(not blk for blk in out):
         raise EntryNotProcessed(f"entry {entry.index} has an empty tuple block")
     return out
@@ -146,11 +144,15 @@ def _recover_residue(lattice: BlockLattice, signs: list[int], block: list[int]) 
 def _min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
     """min |n_1 + ... + n_m + 1/2| over per-block residue choices.
 
-    All blocks but one are folded into an exact sumset (residues of placed
-    cubes are nearly contiguous integers, so sumsets stay small); the last
-    block is resolved by binary search around the half-integer target.
-    Returns (minimum, exact); exact=False falls back to the structural
-    bound 1/2 when the sumset outgrows COMBO_CAP.
+    All blocks but the largest are folded into an exact sumset; the largest
+    is resolved by binary search around the half-integer target.  Returns
+    (minimum, exact); exact=False falls back to the structural bound 1/2
+    when a fold would form more than COMBO_CAP sums (len(acc) * len(s)).
+    Residue sets need not be small or contiguous: for quotient 2
+    (coefficients 2, -1) under pow:1/2 at d=1, depth 25, entry 5 has
+    262,144 distinct residues per block, and since the cap test runs even
+    on the first fold, where acc = [0] and m = 2 needs no sumset, that
+    entry certifies with exact_min false.
     """
     sets = sorted((sorted(set(r)) for r in residues), key=len)
     acc: list[int] = [0]
@@ -375,34 +377,6 @@ def brute_oracle(
             last_members = sorted(j for _, j in ranked[lo:hi])
             hits.extend(prefix + (j,) for j in last_members if j not in prefix)
     return hits
-
-
-# -- diagnostics ----------------------------------------------------------------
-
-def box_dimension_profile(
-    state: ConstructionState, precision: int = 30
-) -> list[dict]:
-    """Per-level log2 N_k vs log2(1/delta_k) with certified log enclosures."""
-    out = []
-    betas = state.processed_betas()
-    for k in range(1, state.depth + 1):
-        log_n = state.d * state.ndigits(k)
-        lo = hi = Fraction(k)
-        for M, b in zip(state.m_levels, betas):
-            if M <= k:
-                bl, bh = ln_bounds(Fraction(b), precision)
-                l2l, l2h = ln2_bounds(precision)
-                lo += bl / l2h
-                hi += bh / l2l
-        out.append(
-            {
-                "k": k,
-                "log2_count": log_n,
-                "log2_inv_side": (lo, hi),
-                "ratio": (Fraction(log_n) / hi, Fraction(log_n) / lo),
-            }
-        )
-    return out
 
 
 # -- certificate documents ----------------------------------------------------------

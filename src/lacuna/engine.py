@@ -20,8 +20,9 @@ one axis at a time, and build no per-cube tuples.  A build uses
 den_k = Q * 2^k * prod(beta applied), where Q is the lattice denominator of
 the patterns (lattice_denominator): every cube side is then the integer Q
 and every lattice step and shift an integer, so placement, validation, gap
-recovery and the spot check never leave Z.  Rationals appear only in the
-gauge, measure, center cross-check and export code.
+recovery, the spot check and the exports never leave Z.  Rationals appear
+only in the gauge, measure and center cross-check code and in the
+difference app's logarithms.
 
 Cubes of a level are stored in address order, and the addresses are
 implicit: the cube at index i of an ordinary level is child digit
@@ -182,11 +183,16 @@ class ConstructionState(Record, frozen=False):
         s = self.side_num(self.depth)
         return 2 * leaf.den, [2 * x + s for x in leaf.lowers]
 
-    def leaf_centers(self) -> list[Vector]:
-        den, centers = self.leaf_center_numerators()
-        c = [Fraction(x, den) for x in centers]
+    def tuple_spans(self, entry: ScheduleEntry) -> list[slice]:
+        """Per tuple member of the entry, the slice of the flat numerators of
+        levels M_i - 1 and M_i (which share indices) under that member.
+
+        ndigits(M_i - 1) equals ndigits(M_i) once the entry is recorded, and
+        is also right in a build, which records the entry after its level.
+        """
         d = self.d
-        return [tuple(c[i : i + d]) for i in range(0, len(c), d)]
+        shift = d * (self.ndigits(entry.m_level - 1) - self.ndigits(entry.level))
+        return [slice(d * (t << shift), d * ((t + 1) << shift)) for t in entry.tuple_codes]
 
 
 def init_state(
@@ -339,11 +345,9 @@ def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> N
     _, sqrt_hi = sqrt_d_bounds(d)
     # free cubes keep their lower-corner anchor
     lowers = [ratio * x for x in prev.lowers]
-    shift = d * (state.ndigits(k - 1) - state.ndigits(entry.level))
-    for block, member in enumerate(entry.tuple_codes):
+    for block, span in enumerate(state.tuple_spans(entry)):
         lattice = block_lattice(np_, block, side, sqrt_hi)
-        lo, hi = d * (member << shift), d * ((member + 1) << shift)
-        lowers[lo:hi], _ = place_on_lattice(lowers[lo:hi], ratio * side, lattice)
+        lowers[span], _ = place_on_lattice(lowers[span], ratio * side, lattice)
     state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
 
 

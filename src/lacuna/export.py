@@ -2,33 +2,55 @@
 
 Two point formats: 'points' keeps exact rationals (round-trippable, oracle
 food), 'csv' renders decimals at a chosen precision for spreadsheets and
-plotting.  SVG shows the per-level cube outlines for d <= 2.  All decimal
-rendering goes through integer arithmetic so exports are byte-reproducible.
+plotting.  Both are one row per deepest-level cube center, written by one
+leaf-row writer.  SVG shows the per-level cube outlines for d <= 2, written
+one level at a time.  Every coordinate is rendered from an integer
+numerator over its level's denominator, so exports are byte-reproducible
+and build no Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
-from .engine import ConstructionState
+from .engine import ConstructionState, Vector
 from .errors import FormatError, UnsupportedDimension
-from .qmath import decimal_string, format_ratio, parse_rational
+from .qmath import decimal_ratio, format_ratio, parse_rational
 
 POINTS_HEADER = "# lacuna-points/1 d="
+
+#: Cubes rendered per write: an export holds one chunk of text at a time.
+CHUNK = 1 << 16
+
+
+def _write_leaf_rows(
+    state: ConstructionState,
+    path: str | Path,
+    header: str,
+    cell: Callable[[int, int], str],
+    sep: str,
+) -> None:
+    """The header, then one line per deepest-level cube center: its d
+    coordinates, each rendered by cell(numerator, den), joined by sep."""
+    d = state.d
+    den, centers = state.leaf_center_numerators()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(centers), d * CHUNK):
+            cells = [cell(c, den) for c in centers[i : i + d * CHUNK]]
+            if d > 1:
+                cells = [sep.join(cells[j : j + d]) for j in range(0, len(cells), d)]
+            fh.write("\n".join(cells) + "\n")
 
 
 def write_points_exact(state: ConstructionState, path: str | Path) -> None:
     """Deepest-level cube centers as exact 'p/q' coordinates, one point a line."""
-    d = state.d
-    den, centers = state.leaf_center_numerators()
-    cells = [format_ratio(c, den) for c in centers]
-    lines = cells if d == 1 else [" ".join(cells[i : i + d]) for i in range(0, len(cells), d)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{POINTS_HEADER}{d}\n" + "\n".join(lines) + "\n")
+    _write_leaf_rows(state, path, f"{POINTS_HEADER}{state.d}", format_ratio, " ")
 
 
-def read_points(path: str | Path) -> tuple[int, list[tuple[Fraction, ...]]]:
+def read_points(path: str | Path) -> tuple[int, list[Vector]]:
     """d and the points of a lacuna-points file; the points are pairwise
     distinct, as the oracle requires."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -61,49 +83,44 @@ def write_points_csv(
     state: ConstructionState, path: str | Path, decimals: int = 12
 ) -> None:
     """Deepest-level cube centers as decimals (convenience, not certified)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{v}" for v in range(state.d)) + "\n")
-        for center in state.leaf_centers():
-            fh.write(",".join(decimal_string(c, decimals) for c in center))
-            fh.write("\n")
-
-
-def _svg_coord(x: Fraction, scale: int) -> str:
-    return decimal_string((x - 1) * scale, 2)
+    header = ",".join(f"x{v}" for v in range(state.d))
+    _write_leaf_rows(
+        state, path, header, lambda c, den: decimal_ratio(c, den, decimals), ","
+    )
 
 
 def write_svg(state: ConstructionState, path: str | Path, size: int = 720) -> None:
     """Cube outlines, one group per level; requires d <= 2.
 
     d=1 stacks the levels as horizontal bands, d=2 overlays the outlines on
-    the unit square [1,2]^2.
+    the unit square [1,2]^2.  A corner x/den of [1,2] is drawn at
+    (x/den - 1) * size, truncated to hundredths.
     """
-    if state.d > 2:
+    d = state.d
+    if d > 2:
         raise UnsupportedDimension("SVG export exists for d <= 2 only")
-    rows = state.depth + 1
     band = 24
-    height = rows * band if state.d == 1 else size
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{size}" height="{height}" viewBox="0 0 {size} {height}">'
-    ]
-    for k, level in enumerate(state.levels):
-        side = state.side(k)
-        lines.append(f'<g id="level-{k}" fill="none" stroke="#1f3a5f" stroke-width="0.6">')
-        corners = [Fraction(x, level.den) for x in level.lowers]
-        for i in range(0, len(corners), state.d):
-            lower = corners[i : i + state.d]
-            x = _svg_coord(lower[0], size)
-            w = decimal_string(side * size, 2)
-            if state.d == 1:
-                y = str(k * band + 4)
-                lines.append(f'<rect x="{x}" y="{y}" width="{w}" height="{band - 8}"/>')
-            else:
-                # SVG y grows downward; flip the second axis.
-                y = _svg_coord(Fraction(2) - (lower[1] + side), size)
-                lines.append(f'<rect x="{x}" y="{y}" width="{w}" height="{w}"/>')
-        lines.append("</g>")
-    lines.append("</svg>")
+    height = (state.depth + 1) * band if d == 1 else size
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(
+            '<svg xmlns="http://www.w3.org/2000/svg" '
+            f'width="{size}" height="{height}" viewBox="0 0 {size} {height}">\n'
+        )
+        for k, level in enumerate(state.levels):
+            den, s = level.den, state.side_num(k)
+            w = decimal_ratio(s * size, den, 2)
+            tail = f'" width="{w}" height="{band - 8 if d == 1 else w}"/>\n'
+            fh.write(f'<g id="level-{k}" fill="none" stroke="#1f3a5f" stroke-width="0.6">\n')
+            for i in range(0, len(level.lowers), d * CHUNK):
+                lowers = level.lowers[i : i + d * CHUNK]
+                xs = [decimal_ratio((x - den) * size, den, 2) for x in lowers[::d]]
+                if d == 1:
+                    ys = repeat(str(k * band + 4))
+                else:
+                    # SVG y grows downward; flip the second axis.  This puts
+                    # a corner y at (1 - y/den - side) * size, above the
+                    # canvas; the golden SVG digests pin these bytes.
+                    ys = [decimal_ratio((den - s - y) * size, den, 2) for y in lowers[1::2]]
+                fh.write("".join([f'<rect x="{x}" y="{y}{tail}' for x, y in zip(xs, ys)]))
+            fh.write("</g>\n")
+        fh.write("</svg>\n")

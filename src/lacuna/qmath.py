@@ -38,20 +38,19 @@ def format_ratio(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def decimal_string(x: Fraction, digits: int) -> str:
-    """Decimal rendering of a rational, truncated toward zero.
+def decimal_ratio(n: int, den: int, digits: int) -> str:
+    """Decimal rendering of n/den for integers n and den > 0, truncated
+    toward zero.
 
     Pure integer arithmetic so renderings are identical across platforms.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    sign = "-" if x < 0 else ""
-    n, d = abs(x.numerator), x.denominator
-    whole, rem = divmod(n, d)
+    sign = "-" if n < 0 else ""
+    whole, rem = divmod(abs(n), den)
     if digits == 0:
         return f"{sign}{whole}"
-    frac = (rem * 10**digits) // d
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{rem * 10**digits // den:0{digits}d}"
 
 
 def iroot(n: int, q: int) -> int:

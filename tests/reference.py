@@ -35,6 +35,12 @@ def flatten(lowers: Sequence[IntVector]) -> list[int]:
     return [x for lower in lowers for x in lower]
 
 
+def leaf_centers(state: ConstructionState) -> list[Vector]:
+    """The deepest-level cube centers as exact rational d-tuples."""
+    den, centers = state.leaf_center_numerators()
+    return corners([Fraction(c, den) for c in centers], state.d)
+
+
 # -- per-cube kernels in the tuple layout ---------------------------------------
 
 def place_on_lattice(

@@ -23,7 +23,12 @@ from lacuna.errors import GapViolated, StructureViolation
 from lacuna.pattern import make_pattern, normalize
 from lacuna.qmath import parse_rational
 from lacuna.schedule import compute_beta, compute_levels
-from reference import covered_violations, instance_covered, key_inequality_check
+from reference import (
+    covered_violations,
+    instance_covered,
+    key_inequality_check,
+    leaf_centers,
+)
 
 F = Fraction
 
@@ -171,7 +176,7 @@ class TestAcceptance:
             d, pats = app_patterns(spec)
             h = make_dimfn(spec.h_spec.split(":")[0], parse_rational(spec.h_spec.split(":")[1]), d)
             st = build_tree(d, pats, h, spec.depth)
-            centers = st.leaf_centers()
+            centers = leaf_centers(st)
             bad = covered_violations(st, centers)
             ok = ok and st.entries and bad == {}
             details.append(f"{name}: {len(centers)} pts, covered clean")
@@ -191,7 +196,7 @@ class TestAcceptance:
         except (GapViolated, StructureViolation):
             gap_failed = True
         if not gap_failed:
-            pts = mutated.leaf_centers()
+            pts = leaf_centers(mutated)
             hits = brute_oracle(pts, mutated.patterns[entry.pattern_id], F(0))
             oracle_failed = any(
                 instance_covered(mutated, mutated.entries[0], pts, inst)

@@ -33,7 +33,7 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.pattern import eval_pattern
-from reference import covered_violations
+from reference import covered_violations, leaf_centers
 
 F = Fraction
 mpmath.mp.dps = 50
@@ -59,7 +59,7 @@ class TestQuotients:
         assert len(st.entries) >= 2
         # both registered patterns get served before depth 10
         assert {e.pattern_id for e in st.entries} == {0, 1}
-        centers = st.leaf_centers()
+        centers = leaf_centers(st)
         vals = {c[0] for c in centers}
         assert all(2 * v not in vals for v in vals)
         assert all(F(3, 2) * v not in vals for v in vals)
@@ -96,7 +96,7 @@ class TestRatios:
         pats = ratio_patterns([F(3)])
         st = build_tree(1, pats, sqrt_gauge, 6)
         assert st.entries  # M_1 = 6 for beta = 13
-        assert covered_violations(st, st.leaf_centers()) == {}
+        assert covered_violations(st, leaf_centers(st)) == {}
 
 
 class TestVectorSplit:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from lacuna.certify import (
-    box_dimension_profile,
     brute_oracle,
     certify_gap,
     certify_measure,
@@ -28,7 +27,13 @@ from lacuna.errors import (
     MeasureViolated,
 )
 from lacuna.pattern import eval_pattern, make_pattern
-from reference import corners, covered_instance_scan, covered_violations, instance_covered
+from reference import (
+    corners,
+    covered_instance_scan,
+    covered_violations,
+    instance_covered,
+    leaf_centers,
+)
 
 F = Fraction
 
@@ -230,14 +235,14 @@ class TestOracle:
             brute_oracle([(F(1),), (F(1),)], ap_pattern)
 
     def test_covered_tuples_clean_depth7(self, ap_tree_7):
-        centers = ap_tree_7.leaf_centers()
+        centers = leaf_centers(ap_tree_7)
         assert covered_violations(ap_tree_7, centers) == {}
 
     def test_covered_product_scan_matches_oracle(self, ap_tree_7):
         # Dual route on a size where the exhaustive oracle is feasible: the
         # covered subset of oracle hits must equal the product-scan hits.
         st = ap_tree_7
-        centers = st.leaf_centers()
+        centers = leaf_centers(st)
         entry = st.entries[0]
         oracle_hits = brute_oracle(centers, st.patterns[entry.pattern_id], F(0))
         np_ = st.normalized[entry.pattern_id]
@@ -250,7 +255,7 @@ class TestOracle:
         assert covered == scanned == set()
 
     def test_covered_scan_clean_depth12(self, ap_tree_12):
-        centers = ap_tree_12.leaf_centers()
+        centers = leaf_centers(ap_tree_12)
         for entry in ap_tree_12.entries:
             assert covered_instance_scan(ap_tree_12, centers, entry) == []
 
@@ -369,27 +374,3 @@ class TestCoveringConstant:
                 if F(lo, level.den) <= right and left <= F(lo, level.den) + side
             )
             assert hits <= cap
-
-
-class TestProfileDiagnostics:
-    def test_pre_avoidance_ratio_is_ambient(self, ap_tree_12):
-        prof = box_dimension_profile(ap_tree_12)
-        k5 = next(p for p in prof if p["k"] == 5)
-        assert k5["ratio"] == (F(1), F(1))
-
-    def test_post_avoidance_ratio_interval(self, ap_tree_12):
-        # 6 / (7 + log2 9) with log2 9 in (3.1699, 3.1700).
-        k7 = next(p for p in prof if p["k"] == 7) if (prof := box_dimension_profile(ap_tree_12)) else None
-        lo, hi = k7["ratio"]
-        assert lo <= hi
-        assert F(6) / (7 + F(31700, 10000)) <= lo
-        assert hi <= F(6) / (7 + F(31699, 10000))
-
-    def test_ratio_grows_between_avoidance_levels(self, ap_tree_12):
-        # Strictly increasing along the dyadic stretch 7..10 (both avoidance
-        # levels 6 and 11 excluded: the ratio drops there by design).
-        prof = box_dimension_profile(ap_tree_12)
-        by_k = {p["k"]: p for p in prof}
-        for k in (7, 8, 9):
-            assert by_k[k + 1]["ratio"][0] > by_k[k]["ratio"][0]
-        assert by_k[11]["ratio"][1] < by_k[10]["ratio"][0]

@@ -20,6 +20,7 @@ from lacuna.cli import main
 from lacuna.engine import build_tree, doc_to_state, read_tree, state_to_doc
 from lacuna.errors import FormatError
 from lacuna.export import read_points
+from reference import leaf_centers
 
 F = Fraction
 
@@ -481,7 +482,7 @@ class TestExport:
         assert main(["export", str(tmp_path / "tree.json"), "--format", "points", "--out", pts]) == 0
         d, points = read_points(pts)
         st = read_tree(tmp_path / "tree.json")
-        assert d == 1 and points == st.leaf_centers()
+        assert d == 1 and points == leaf_centers(st)
 
     def test_points_header_needs_positive_d(self, tmp_path):
         with pytest.raises(FormatError):

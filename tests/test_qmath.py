@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lacuna.errors import FormatError
 from lacuna.qmath import (
-    decimal_string,
+    decimal_ratio,
     exp_bounds,
     format_rational,
     iroot,
@@ -44,10 +44,11 @@ class TestParsing:
         with pytest.raises(FormatError):
             parse_rational(bad)
 
-    def test_decimal_string_is_truncation(self):
-        assert decimal_string(Fraction(1175, 1152), 6) == "1.019965"
-        assert decimal_string(Fraction(-1, 3), 4) == "-0.3333"
-        assert decimal_string(Fraction(5), 0) == "5"
+    def test_decimal_ratio_is_truncation(self):
+        assert decimal_ratio(1175, 1152, 6) == "1.019965"
+        assert decimal_ratio(-1, 3, 4) == "-0.3333"
+        assert decimal_ratio(5, 1, 0) == "5"
+        assert decimal_ratio(2350, 2304, 6) == "1.019965"  # unreduced
 
 
 class TestRoots:
