@@ -142,6 +142,32 @@ def spot_check_gap(
             )
 
 
+def cross_check_centers(state, entry, np_, blocks, sample=32):
+    """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2).
+
+    The Fraction form of certify._cross_check_centers, with the same draws
+    and the same messages."""
+    d = state.d
+    den = 2 * state.levels[entry.m_level].den
+    side = state.side_num(entry.m_level)
+    delta = state.side(entry.m_level)
+    rng = random.Random(entry.index)
+    for _ in range(sample):
+        centers = []
+        for blk in blocks:
+            i = d * rng.randrange(len(blk) // d)
+            centers.append(tuple(Fraction(2 * x + side, den) for x in blk[i : i + d]))
+        val = eval_pattern(np_, centers)
+        ratio = val / (4 * np_.peak * delta) - Fraction(1, 2)
+        if ratio.denominator != 1:
+            raise GapViolated(
+                f"entry {entry.index}: psi(centers) = {val} is not a half-integer "
+                "multiple of 4*peak*delta"
+            )
+        if abs(val) < 2 * np_.peak * delta:
+            raise GapViolated(f"entry {entry.index}: center value {val} too small")
+
+
 # -- lattice maps and the key inequality --------------------------------------
 
 def phi(

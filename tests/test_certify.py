@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from lacuna import certify, engine
 from lacuna.certify import (
     brute_oracle,
     certify_gap,
@@ -132,6 +133,23 @@ class TestGapCertificates:
         broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
             certify_gap(broken, 1)
+
+
+    def test_unshifted_lattice_fails_the_cross_check(self, ap_pattern, sqrt_gauge, monkeypatch):
+        """Without the half-step pivot shift of the last block, placement and
+        residue recovery still agree with each other; only the center
+        cross-check sees psi land on whole multiples of 4*peak*delta."""
+        real = engine.block_lattice
+
+        def unshifted(np_, block, side, sqrt_d_hi):
+            lattice = real(np_, block, side, sqrt_d_hi)
+            return lattice.replace(shifts=(0,) * len(lattice.shifts))
+
+        monkeypatch.setattr(engine, "block_lattice", unshifted)
+        monkeypatch.setattr(certify, "block_lattice", unshifted)
+        st = build_tree(1, [ap_pattern], sqrt_gauge, 7)
+        with pytest.raises(GapViolated, match="is not a half-integer multiple"):
+            certify_gap(st, 1)
 
 
 class TestMeasureCertificate:

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import reference as ref
-from lacuna.certify import _recover_residue, certify_gap, placed_blocks, spot_check_gap
+from lacuna.certify import (
+    _cross_check_centers,
+    _recover_residue,
+    certify_gap,
+    placed_blocks,
+    spot_check_gap,
+)
 from lacuna.engine import (
     _dyadic_children,
     block_lattice,
@@ -162,10 +168,10 @@ def test_golden_residues_match_the_tuple_kernel(golden):
             )
 
 
-def _spot_message(check, st, entry, cert):
-    """The GapViolated message of a spot check, or None if it passes."""
+def _message(check, *args):
+    """The GapViolated message of a check, or None if it passes."""
     try:
-        check(st, entry, cert)
+        check(*args)
     except GapViolated as exc:
         return str(exc)
     return None
@@ -184,7 +190,28 @@ def test_spot_check_matches_the_fraction_reference(golden):
         ref.spot_check_gap(st, entry, cert)
         for factor in (2, 4, 8, 64):
             raised = cert.replace(gap=cert.gap * factor)
-            message = _spot_message(spot_check_gap, st, entry, raised)
-            assert message == _spot_message(ref.spot_check_gap, st, entry, raised)
+            message = _message(spot_check_gap, st, entry, raised)
+            assert message == _message(ref.spot_check_gap, st, entry, raised)
             failed += message is not None
+    assert failed
+
+
+def test_cross_check_matches_the_fraction_reference(golden):
+    """Both forms of the center cross-check pass on every entry.  With one
+    tuple block moved by one numerator unit on one axis, they give the same
+    verdict and the same message, and some of the moved blocks fail."""
+    st = golden
+    failed = 0
+    for entry in st.entries:
+        np_ = st.normalized[entry.pattern_id]
+        blocks = placed_blocks(st, entry)
+        assert _message(_cross_check_centers, st, entry, np_, blocks) is None
+        assert _message(ref.cross_check_centers, st, entry, np_, blocks) is None
+        for b, blk in enumerate(blocks):
+            for v in range(st.d):
+                moved = list(blocks)
+                moved[b] = [x + (j % st.d == v) for j, x in enumerate(blk)]
+                message = _message(_cross_check_centers, st, entry, np_, moved)
+                assert message == _message(ref.cross_check_centers, st, entry, np_, moved)
+                failed += message is not None
     assert failed
