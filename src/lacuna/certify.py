@@ -15,14 +15,16 @@ The geometry arrives as the engine holds it: per level one denominator
 and one flat list of integer numerators, d per lower corner, the cubes in
 implicit address order, so the placed cubes under a tuple member are one
 contiguous slice.  Recovering lattice vectors is one divisibility pass per
-axis over that slice.  The spot check draws points on a grid inside the
-placed cubes and compares |psi| with the gap in integers.  The oracle takes
-rational points; it scales them once to a common denominator and then works
-on integers too, as a sorted join: the first m-1 tuple members are walked,
-and the last is found by bisection in its block's sorted partial sums, so
-the search is complete without evaluating every ordered m-tuple.  Fractions
-remain in the sampled center cross-check, which is the independent route,
-and in the measure code.
+axis over that slice.  The sampled center cross-check, the independent
+route, evaluates psi from the pattern's coefficients scaled to integers and
+tests the half-integer ladder with one divmod.  The spot check draws points
+on a grid inside the placed cubes and compares |psi| with the gap in
+integers.  The oracle takes rational points; it scales them once to a
+common denominator and then works on integers too, as a sorted join: the
+first m-1 tuple members are walked, and the last is found by bisection in
+its block's sorted partial sums, so the search is complete without
+evaluating every ordered m-tuple.  Fractions remain in the measure code and
+in the messages of failed checks.
 
 The measure certificate is the mass-distribution principle made concrete:
 with the uniform cube mass mu(I_k) = 1/N_k, the per-level bound
@@ -41,6 +43,7 @@ import warnings
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, perm
+from operator import mul
 
 from .engine import BlockLattice, ConstructionState, Vector, block_lattice
 from .errors import (
@@ -50,7 +53,7 @@ from .errors import (
     OutOfDomain,
     Undecidable,
 )
-from .pattern import LinearPattern, NormalizedPattern, eval_pattern
+from .pattern import LinearPattern, NormalizedPattern
 from .qmath import format_rational
 from .record import Record
 from .schedule import ScheduleEntry, ratio_condition, sqrt_d_bounds
@@ -210,27 +213,47 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
     )
 
 
+def _scaled_rows(np_: NormalizedPattern) -> tuple[int, list[list[int]]]:
+    """(L, rows): the lcm L of the denominators of the pattern's
+    coefficients, and the coefficients times L as integers."""
+    coeffs = np_.base.coeffs
+    lcd = lcm(*(c.denominator for row in coeffs for c in row))
+    return lcd, [[c.numerator * (lcd // c.denominator) for c in row] for row in coeffs]
+
+
 def _cross_check_centers(state, entry, np_, blocks, sample=32):
-    """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2)."""
+    """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2).
+
+    psi is evaluated from the pattern's own coefficients, never from the
+    lattice.  A center is (2x + side) / (2*den), so with the rows c' = L*c
+    of _scaled_rows, psi = total / (2*L*den) for the integer
+    total = sum c'*(2x + side).  With peak = p/q and delta = side/den, psi
+    is 4*peak*delta*(n + 1/2) exactly when total*q = 4*L*p*side*(2n + 1):
+    one divmod and a parity test.  An odd multiple also gives
+    |psi| >= 2*peak*delta.  psi is rendered as a Fraction only in the
+    message of a failed check.
+    """
     d = state.d
-    den = 2 * state.levels[entry.m_level].den
     side = state.side_num(entry.m_level)
-    delta = state.side(entry.m_level)
+    lcd, rows = _scaled_rows(np_)
+    p, q = np_.peak.numerator, np_.peak.denominator
+    unit = 4 * lcd * p * side
+    offset = side * sum(map(sum, rows))  # sum c'*(2x + side) = 2*sum c'*x + offset
+    members = [(row, blk, len(blk) // d) for row, blk in zip(rows, blocks)]
     rng = random.Random(entry.index)
     for _ in range(sample):
-        centers = []
-        for blk in blocks:
-            i = d * rng.randrange(len(blk) // d)
-            centers.append(tuple(Fraction(2 * x + side, den) for x in blk[i : i + d]))
-        val = eval_pattern(np_, centers)
-        ratio = val / (4 * np_.peak * delta) - Fraction(1, 2)
-        if ratio.denominator != 1:
+        total = 0
+        for row, blk, n in members:
+            i = d * rng.randrange(n)
+            total += sum(map(mul, row, blk[i : i + d]))
+        total = 2 * total + offset
+        k, rem = divmod(total * q, unit)
+        if rem or not k % 2:
+            val = Fraction(total, 2 * lcd * state.levels[entry.m_level].den)
             raise GapViolated(
                 f"entry {entry.index}: psi(centers) = {val} is not a half-integer "
                 "multiple of 4*peak*delta"
             )
-        if abs(val) < 2 * np_.peak * delta:
-            raise GapViolated(f"entry {entry.index}: center value {val} too small")
 
 
 def spot_check_gap(
@@ -245,29 +268,33 @@ def spot_check_gap(
 
     Coordinate v of a point drawn from the cube with lower corner x is
     (x_v*grid + g_v*side) / (den*grid) for a random integer g_v in
-    [0, grid].  psi is scaled by the lcm L of its coefficients'
-    denominators, so psi = total / (L*den*grid) with an integer total, and
-    |psi| < gap is one cross-multiplied integer comparison.
+    [0, grid], drawn as randrange(grid + 1) (the call randint(0, grid)
+    makes, so the draws are those of tests/reference.py).  psi is scaled
+    by the lcm L of its coefficients' denominators (_scaled_rows), so
+    psi = total / (L*den*grid) with an integer total, and |psi| < gap is one
+    cross-multiplied integer comparison.
     """
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
     d = state.d
     den = state.levels[entry.m_level].den
     side = state.side_num(entry.m_level)
-    blocks = placed_blocks(state, entry)
-    coeffs = np_.base.coeffs
-    lcd = lcm(*(c.denominator for row in coeffs for c in row))
-    rows = [[int(c * lcd) for c in row] for row in coeffs]
+    lcd, rows = _scaled_rows(np_)
+    members = [
+        (row, blk, len(blk) // d) for row, blk in zip(rows, placed_blocks(state, entry))
+    ]
     scale = lcd * den * grid
+    gap_den = cert.gap.denominator
     bound = cert.gap.numerator * scale  # |total| * gap.den < bound <=> |psi| < gap
-    rng = random.Random(seed * 1_000_003 + entry.index)
+    randrange = random.Random(seed * 1_000_003 + entry.index).randrange
+    span = grid + 1
     for _ in range(count):
         total = 0
-        for row, blk in zip(rows, blocks):
-            i = d * rng.randrange(len(blk) // d)
+        for row, blk, n in members:
+            i = d * randrange(n)
             for c, x in zip(row, blk[i : i + d]):
-                total += c * (x * grid + rng.randint(0, grid) * side)
-        if abs(total) * cert.gap.denominator < bound:
+                total += c * (x * grid + randrange(span) * side)
+        if abs(total) * gap_den < bound:
             raise GapViolated(
                 f"entry {entry.index}: sampled tuple gives |psi| = "
                 f"{Fraction(abs(total), scale)} < gap {cert.gap}"

@@ -20,8 +20,8 @@ one axis at a time, and build no per-cube tuples.  A build uses
 den_k = Q * 2^k * prod(beta applied), where Q is the lattice denominator of
 the patterns (lattice_denominator): every cube side is then the integer Q
 and every lattice step and shift an integer, so placement, validation, gap
-recovery, the spot check and the exports never leave Z.  Rationals appear
-only in the gauge, measure and center cross-check code and in the
+recovery, the center cross-check, the spot check and the exports never
+leave Z.  Rationals appear only in the gauge and measure code and in the
 difference app's logarithms.
 
 Cubes of a level are stored in address order, and the addresses are
@@ -276,34 +276,39 @@ def place_on_lattice(
     parent center; rounding ties go up.  The per-axis miss bound
     2*peak*scale*side (hence the Euclidean bound 2*peak*max_scale*sqrt(d)*side)
     and containment in the parent are asserted exactly on every placement.
+
+    Per axis only z, the child lower corner lo and room = lo - parent lower
+    are computed.  With slack = parent_side - side, twice the miss of the
+    child center from the parent center is slack - 2*room (side is even),
+    so the miss bound and containment (0 <= room <= slack) are bounds on
+    min(room) and max(room), and the ball check sums (slack - 2*room)^2.
     """
     d = len(lattice.steps)
     side = lattice.side
-    half = side // 2
+    slack = parent_side - side
     n = len(parent_lowers)
     lowers = [0] * n
     zs = [0] * n
     err_sq = [0] * (n // d)
     for v, (step, shift) in enumerate(zip(lattice.steps, lattice.shifts)):
         parents = parent_lowers[v::d]
-        x2 = [2 * p + parent_side for p in parents]  # twice the parent centers
-        up, step2, shift2 = step - 2 * shift, 2 * step, 2 * shift
-        z = [(x + up) // step2 for x in x2]
-        err2 = [x - step2 * zv - shift2 for x, zv in zip(x2, z)]
-        if max(err2) > step or min(err2) < -step:
-            i = next(i for i, e in enumerate(err2) if abs(e) > step)
+        up, step2, base = parent_side + step - 2 * shift, 2 * step, shift - side // 2
+        z = [(2 * p + up) // step2 for p in parents]
+        lo = [step * zv + base for zv in z]
+        room = [x - p for x, p in zip(lo, parents)]
+        low, high = min(room), max(room)
+        if 2 * low < slack - step or 2 * high > slack + step:
+            i = next(i for i, r in enumerate(room) if abs(slack - 2 * r) > step)
             raise PlacementFailure(
                 f"lattice point misses the center of parent {i} by "
-                f"{Fraction(err2[i], 2 * side)} sides on axis {v}"
+                f"{Fraction(slack - 2 * room[i], 2 * side)} sides on axis {v}"
             )
-        lo = [step * zv + (shift - half) for zv in z]
-        room = [x - p for x, p in zip(lo, parents)]  # child lower above the parent's
-        if min(room) < 0 or max(room) > parent_side - side:
-            i = next(i for i, r in enumerate(room) if not 0 <= r <= parent_side - side)
+        if low < 0 or high > slack:
+            i = next(i for i, r in enumerate(room) if not 0 <= r <= slack)
             raise PlacementFailure(
                 f"lattice cube {i} escapes its parent on axis {v} (lower {lo[i]})"
             )
-        err_sq = [a + e * e for a, e in zip(err_sq, err2)]
+        err_sq = [a + (slack - 2 * r) ** 2 for a, r in zip(err_sq, room)]
         lowers[v::d] = lo
         zs[v::d] = z
     if max(err_sq) * lattice.ball_den > lattice.ball_num:

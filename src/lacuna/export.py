@@ -117,10 +117,9 @@ def write_svg(state: ConstructionState, path: str | Path, size: int = 720) -> No
                 if d == 1:
                     ys = repeat(str(k * band + 4))
                 else:
-                    # SVG y grows downward; flip the second axis.  This puts
-                    # a corner y at (1 - y/den - side) * size, above the
-                    # canvas; the golden SVG digests pin these bytes.
-                    ys = [decimal_ratio((den - s - y) * size, den, 2) for y in lowers[1::2]]
+                    # SVG y grows downward: the top edge y + side of a cube
+                    # on [1,2] is drawn at (2 - (y + side)/den) * size
+                    ys = [decimal_ratio((2 * den - s - y) * size, den, 2) for y in lowers[1::2]]
                 fh.write("".join([f'<rect x="{x}" y="{y}{tail}' for x, y in zip(xs, ys)]))
             fh.write("</g>\n")
         fh.write("</svg>\n")

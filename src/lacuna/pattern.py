@@ -123,23 +123,6 @@ def normalize(p: LinearPattern) -> NormalizedPattern:
     )
 
 
-def eval_pattern(
-    p: LinearPattern | NormalizedPattern, points: Sequence[Sequence[Fraction]]
-) -> Fraction:
-    """Exact value of psi at an m-tuple of d-vectors."""
-    coeffs = p.coeffs if isinstance(p, LinearPattern) else p.base.coeffs
-    if len(points) != len(coeffs) or any(len(x) != len(coeffs[0]) for x in points):
-        raise DimensionMismatch(
-            f"expected {len(coeffs)} points of length {len(coeffs[0])}"
-        )
-    total = Fraction(0)
-    for row, x in zip(coeffs, points):
-        for b, xv in zip(row, x):
-            if b:
-                total += b * xv
-    return total
-
-
 # -- pattern file I/O ------------------------------------------------------
 
 def patterns_to_doc(d: int, patterns: Iterable[LinearPattern]) -> dict:

@@ -1,11 +1,13 @@
 """Reference checks the tests compare lacuna against.
 
 None of these is on a command's path.  They re-derive from first principles
-what the certified code relies on: the lattice maps and the key inequality
-of a normalized pattern, and whether oracle instances fall among the tuples
-a gap certificate covers.  The per-cube kernels below work on the tuple
-layout (one d-tuple of numerators per cube), which lacuna itself replaced by
-flat per-level integer lists; the flat kernels are tested against them.
+what the certified code relies on: psi in Fraction arithmetic, the lattice
+maps and the key inequality of a normalized pattern, and whether oracle
+instances fall among the tuples a gap certificate covers.  The per-cube
+kernels below work on the tuple layout (one d-tuple of numerators per cube),
+or on Fractions where lacuna works on scaled integers (the spot check and
+the center cross-check); lacuna's flat integer kernels are tested against
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 from lacuna.certify import GapCertificate, _entry_of, _partial_sums, brute_oracle, placed_blocks
 from lacuna.engine import BlockLattice, ConstructionState, Vector
 from lacuna.errors import DimensionMismatch, GapViolated, PlacementFailure, ZeroPattern
-from lacuna.pattern import NormalizedPattern, eval_pattern
+from lacuna.pattern import LinearPattern, NormalizedPattern
 from lacuna.schedule import ScheduleEntry
 
 IntVector = tuple[int, ...]
@@ -39,6 +41,23 @@ def leaf_centers(state: ConstructionState) -> list[Vector]:
     """The deepest-level cube centers as exact rational d-tuples."""
     den, centers = state.leaf_center_numerators()
     return corners([Fraction(c, den) for c in centers], state.d)
+
+
+def eval_pattern(
+    p: LinearPattern | NormalizedPattern, points: Sequence[Sequence[Fraction]]
+) -> Fraction:
+    """Exact value of psi at an m-tuple of d-vectors."""
+    coeffs = p.coeffs if isinstance(p, LinearPattern) else p.base.coeffs
+    if len(points) != len(coeffs) or any(len(x) != len(coeffs[0]) for x in points):
+        raise DimensionMismatch(
+            f"expected {len(coeffs)} points of length {len(coeffs[0])}"
+        )
+    total = Fraction(0)
+    for row, x in zip(coeffs, points):
+        for b, xv in zip(row, x):
+            if b:
+                total += b * xv
+    return total
 
 
 # -- per-cube kernels in the tuple layout ---------------------------------------

@@ -32,8 +32,7 @@ from lacuna.errors import (
     RejectUnit,
     ZeroPattern,
 )
-from lacuna.pattern import eval_pattern
-from reference import covered_violations, leaf_centers
+from reference import covered_violations, eval_pattern, leaf_centers
 
 F = Fraction
 mpmath.mp.dps = 50

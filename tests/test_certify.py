@@ -27,11 +27,12 @@ from lacuna.errors import (
     GapViolated,
     MeasureViolated,
 )
-from lacuna.pattern import eval_pattern, make_pattern
+from lacuna.pattern import make_pattern
 from reference import (
     corners,
     covered_instance_scan,
     covered_violations,
+    eval_pattern,
     instance_covered,
     leaf_centers,
 )

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -475,6 +476,86 @@ class TestCertifyFuzz:
             assert "error" in json.loads(err.getvalue())
 
 
+#: A valid spec of every app kind; d, depth, h and precision are drawn.
+_APP_SPECS = {
+    "quotients": {"params": ["2", "3/2"]},
+    "differences": {
+        "params": [{"kind": "rational", "value": "1/2"}, {"kind": "log_of", "value": "2"}],
+    },
+    "planes": {"params": [["1", "-2", "1"]]},
+    "ratios": {"params": ["2"]},
+    "parallelogram": {"params": []},
+    "trapezoids": {"params": ["1"]},
+    "complex_triplets": {"params": [[["0", "0"], ["1", "0"], ["0", "1"]]]},
+    "vector_split": {"params": {"d": 1, "m": 2, "rows": [["2", "-1"]]}},
+}
+
+#: Values of d, depth or precision that are not a JSON integer >= 1, or
+#: that no build allows.
+_BAD_INTS = hs.sampled_from([-1, 0, 2.5, "2", None, True, [], {}, 10**9])
+_BAD_GAUGES = hs.sampled_from(["pow:0", "pow:-1", "pow:7", "pow:x", "", "log:1", 3, None])
+
+
+class TestAppFuzz:
+    """lacuna app reads a spec from outside: a mutated spec of any kind ends
+    in exit 0, 1 or 2, with the envelope on 1 and 2, never in a traceback.
+
+    A valid spec of a drawn kind gets up to two mutations: a new kind, a bad
+    d, depth, h or precision, or a leaf of params replaced, a key deleted or
+    a list truncated.  A valid depth is at most 6 (and d * depth at most 12)
+    and a valid precision at most 128, so that every run stays small."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=hs.data())
+    def test_mutated_spec(self, tmp_path_factory, data):
+        kind = data.draw(hs.sampled_from(sorted(_APP_SPECS)))
+        d = data.draw(hs.integers(1, 3))
+        spec = {
+            "kind": kind,
+            **json.loads(json.dumps(_APP_SPECS[kind])),
+            "h": data.draw(hs.sampled_from(["pow:1/2", "pow:1/4", "powlog:1/1"])),
+            "d": d,
+            "depth": data.draw(hs.integers(0, min(6, 12 // d))),
+            "precision": data.draw(hs.integers(1, 128)),
+        }
+        for _ in range(data.draw(hs.integers(0, 2))):
+            nodes = list(_json_paths(spec.get("params"), ("params",)))
+            leaves = [p for p, n in nodes if not isinstance(n, (dict, list))]
+            lists = [p for p, n in nodes if isinstance(n, list) and n]
+            dicts = [p for p, n in nodes if isinstance(n, dict) and n] + [()]
+            how = data.draw(hs.sampled_from(
+                ["kind", "d", "depth", "precision", "h", "delete"]
+                + ["replace"] * bool(leaves) + ["truncate"] * bool(lists)
+            ))
+            if how in ("kind", "h", "d", "depth", "precision"):
+                spec[how] = data.draw({
+                    "kind": hs.one_of(hs.sampled_from(sorted(_APP_SPECS)), _JSON_VALUES),
+                    "h": _BAD_GAUGES,
+                }.get(how, _BAD_INTS))
+                continue
+            path = data.draw(hs.sampled_from(
+                {"replace": leaves, "delete": dicts, "truncate": lists}[how]
+            ))
+            parent = spec
+            for key in path[:-1] if how == "replace" else path:
+                parent = parent[key]
+            if how == "replace":
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+            elif how == "delete":
+                del parent[data.draw(hs.sampled_from(sorted(parent)))]
+            else:
+                del parent[data.draw(hs.integers(0, len(parent) - 1)):]
+        work = tmp_path_factory.mktemp("app-fuzz")
+        (work / "spec.json").write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["app", str(work / "spec.json"), "--out-dir", str(work / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error" in json.loads(err.getvalue())
+
+
 class TestExport:
     def test_points_roundtrip(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path))
@@ -518,7 +599,15 @@ class TestExport:
         assert main([
             "export", str(tmp_path / "t2.json"), "--format", "svg", "--out", str(svg)
         ]) == 0
-        assert svg.read_text().count("<rect") == 1 + 4 + 16 + 16
+        text = svg.read_text()
+        assert text.count("<rect") == 1 + 4 + 16 + 16
+        # every outline lies in the 720 x 720 viewBox, level 0 on all of it
+        rects = [
+            [float(v) for v in r]
+            for r in re.findall(r'x="(.*?)" y="(.*?)" width="(.*?)" height="(.*?)"', text)
+        ]
+        assert rects[0] == [0, 0, 720, 720]
+        assert all(0 <= x and 0 <= y and x + w <= 720 and y + h <= 720 for x, y, w, h in rects)
 
     def test_svg_dimension_guard(self, tmp_path, capsys):
         doc = {

@@ -7,8 +7,10 @@ implementation that preceded the integer lattice core, the tree digests
 from the first lacuna-tree/3 writer, the oracle digests are the ones
 bench/run.py pins for its ap-oracle workload, and the export and
 differences digests were recorded from the Fraction-based writers that
-preceded rendering from integer numerators; any change in these bytes is a
-format change and must be deliberate.
+preceded rendering from integer numerators, except the d=2 SVG digest,
+re-pinned when its y axis was mended to draw every cube inside the
+viewBox; any change in these bytes is a format change and must be
+deliberate.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _app_tree(tmp_path, spec):
         (
             lambda tmp: _app_tree(tmp, PARALLELOGRAM),
             ["--format", "svg"],
-            "257ec2bda6d76682680673cc99014a1effeb2ac1f0034bc0a7160cdb6a4aac67",
+            "0e64afdef30c5fdc69b8d4200f67bee4e0c7fefefbf3a95a57df80be0a3ad341",
         ),
         (
             lambda tmp: _app_tree(tmp, TRAPEZOIDS),

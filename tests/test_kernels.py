@@ -20,9 +20,11 @@ from lacuna.certify import (
     placed_blocks,
     spot_check_gap,
 )
+from lacuna.dimfn import parse_dimfn
 from lacuna.engine import (
     _dyadic_children,
     block_lattice,
+    build_tree,
     lattice_denominator,
     place_on_lattice,
 )
@@ -196,11 +198,10 @@ def test_spot_check_matches_the_fraction_reference(golden):
     assert failed
 
 
-def test_cross_check_matches_the_fraction_reference(golden):
+def _assert_cross_checks_agree(st):
     """Both forms of the center cross-check pass on every entry.  With one
     tuple block moved by one numerator unit on one axis, they give the same
     verdict and the same message, and some of the moved blocks fail."""
-    st = golden
     failed = 0
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
@@ -215,3 +216,14 @@ def test_cross_check_matches_the_fraction_reference(golden):
                 assert message == _message(ref.cross_check_centers, st, entry, np_, moved)
                 failed += message is not None
     assert failed
+
+
+def test_cross_check_matches_the_fraction_reference(golden):
+    _assert_cross_checks_agree(golden)
+
+
+def test_cross_check_matches_on_a_quotient_build():
+    """Quotient 2 (coefficients 2, -1), whose coefficients, unlike those of
+    the golden patterns, do not sum to zero."""
+    pattern = make_pattern(1, [[2], [-1]])
+    _assert_cross_checks_agree(build_tree(1, [pattern], parse_dimfn("pow:1/2", 1), 12))

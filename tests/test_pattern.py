@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.errors import DimensionMismatch, ZeroPattern
-from lacuna.pattern import eval_pattern, make_pattern, normalize
-from reference import key_inequality_check, lattice_value, phi
+from lacuna.pattern import make_pattern, normalize
+from reference import eval_pattern, key_inequality_check, lattice_value, phi
 
 F = Fraction
 
