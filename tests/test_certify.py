@@ -135,7 +135,6 @@ class TestGapCertificates:
         with pytest.raises(GapViolated):
             certify_gap(broken, 1)
 
-
     def test_unshifted_lattice_fails_the_cross_check(self, ap_pattern, sqrt_gauge, monkeypatch):
         """Without the half-step pivot shift of the last block, placement and
         residue recovery still agree with each other; only the center

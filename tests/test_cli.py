@@ -442,6 +442,47 @@ _JSON_VALUES = hs.one_of(
 )
 
 
+def _mutate(data, doc, below=()):
+    """One drawn mutation of a JSON document at or under doc[below]: a leaf
+    replaced by a drawn value, a key of an object deleted or a list
+    truncated; nothing when that part holds none of these."""
+    node = doc
+    for key in below:
+        node = node[key]
+    nodes = list(_json_paths(node, below))
+    targets = {
+        "replace": [p for p, n in nodes if p and not isinstance(n, (dict, list))],
+        "delete": [p for p, n in nodes if isinstance(n, dict) and n],
+        "truncate": [p for p, n in nodes if isinstance(n, list) and n],
+    }
+    kinds = [kind for kind, paths in targets.items() if paths]
+    if not kinds:
+        return
+    kind = data.draw(hs.sampled_from(kinds))
+    path = data.draw(hs.sampled_from(targets[kind]))
+    parent = doc
+    for key in path[:-1] if kind == "replace" else path:
+        parent = parent[key]
+    if kind == "replace":
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    elif kind == "delete":
+        del parent[data.draw(hs.sampled_from(sorted(parent)))]
+    else:
+        del parent[data.draw(hs.integers(0, len(parent) - 1)):]
+
+
+def _assert_enveloped(argv):
+    """main(argv) ends in exit 0, 1 or 2, with the JSON envelope on 1 and 2,
+    and raises nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error" in json.loads(err.getvalue())
+
+
 class TestCertifyFuzz:
     """certify is a trust boundary: a mutated tree never ends in a traceback."""
 
@@ -449,31 +490,10 @@ class TestCertifyFuzz:
     @given(data=hs.data())
     def test_mutated_tree(self, ap_doc_8, tmp_path_factory, data):
         doc = json.loads(json.dumps(ap_doc_8))
-        nodes = list(_json_paths(doc))
-        leaves = [p for p, n in nodes if p and not isinstance(n, (dict, list))]
-        lists = [p for p, n in nodes if isinstance(n, list) and n]
-        dicts = [p for p, n in nodes if isinstance(n, dict) and n]
-        kind = data.draw(hs.sampled_from(["replace", "delete", "truncate"]))
-        path = data.draw(hs.sampled_from({"replace": leaves, "delete": dicts,
-                                          "truncate": lists}[kind]))
-        parent = doc
-        for key in path[:-1] if kind == "replace" else path:
-            parent = parent[key]
-        if kind == "replace":
-            parent[path[-1]] = data.draw(_JSON_VALUES)
-        elif kind == "delete":
-            del parent[data.draw(hs.sampled_from(sorted(parent)))]
-        else:
-            del parent[data.draw(hs.integers(0, len(parent) - 1)):]
+        _mutate(data, doc)
         tree = tmp_path_factory.mktemp("fuzz") / "tree.json"
         tree.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["certify", str(tree), "--mode", "all"])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code:
-            assert "error" in json.loads(err.getvalue())
+        _assert_enveloped(["certify", str(tree), "--mode", "all"])
 
 
 #: A valid spec of every app kind; d, depth, h and precision are drawn.
@@ -490,10 +510,16 @@ _APP_SPECS = {
     "vector_split": {"params": {"d": 1, "m": 2, "rows": [["2", "-1"]]}},
 }
 
-#: Values of d, depth or precision that are not a JSON integer >= 1, or
-#: that no build allows.
-_BAD_INTS = hs.sampled_from([-1, 0, 2.5, "2", None, True, [], {}, 10**9])
-_BAD_GAUGES = hs.sampled_from(["pow:0", "pow:-1", "pow:7", "pow:x", "", "log:1", 3, None])
+#: Values that are not a JSON integer >= 1.
+_BAD_INTS = [-1, 0, 2.5, "2", None, True, [], {}]
+_BAD_FIELDS = {
+    "kind": hs.one_of(hs.sampled_from(sorted(_APP_SPECS)), _JSON_VALUES),
+    "h": hs.sampled_from(["pow:0", "pow:-1", "pow:7", "pow:x", "", "log:1", 3, None]),
+    # past MAX_D and past the level cap
+    "d": hs.sampled_from(_BAD_INTS + [6, 10**9]),
+    "depth": hs.sampled_from(_BAD_INTS + [97, 10**9]),
+    "precision": hs.sampled_from(_BAD_INTS),
+}
 
 
 class TestAppFuzz:
@@ -501,11 +527,13 @@ class TestAppFuzz:
     in exit 0, 1 or 2, with the envelope on 1 and 2, never in a traceback.
 
     A valid spec of a drawn kind gets up to two mutations: a new kind, a bad
-    d, depth, h or precision, or a leaf of params replaced, a key deleted or
-    a list truncated.  A valid depth is at most 6 (and d * depth at most 12)
-    and a valid precision at most 128, so that every run stays small."""
+    d, depth, h or precision, a top-level key deleted, or a mutation of its
+    params (_mutate).  A valid depth is at most 6 (and d * depth at most 12)
+    and a valid precision at most 128, so that every run stays small: a
+    large precision is valid and makes the differences app's enclosures
+    arbitrarily expensive."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(data=hs.data())
     def test_mutated_spec(self, tmp_path_factory, data):
         kind = data.draw(hs.sampled_from(sorted(_APP_SPECS)))
@@ -519,41 +547,16 @@ class TestAppFuzz:
             "precision": data.draw(hs.integers(1, 128)),
         }
         for _ in range(data.draw(hs.integers(0, 2))):
-            nodes = list(_json_paths(spec.get("params"), ("params",)))
-            leaves = [p for p, n in nodes if not isinstance(n, (dict, list))]
-            lists = [p for p, n in nodes if isinstance(n, list) and n]
-            dicts = [p for p, n in nodes if isinstance(n, dict) and n] + [()]
-            how = data.draw(hs.sampled_from(
-                ["kind", "d", "depth", "precision", "h", "delete"]
-                + ["replace"] * bool(leaves) + ["truncate"] * bool(lists)
-            ))
-            if how in ("kind", "h", "d", "depth", "precision"):
-                spec[how] = data.draw({
-                    "kind": hs.one_of(hs.sampled_from(sorted(_APP_SPECS)), _JSON_VALUES),
-                    "h": _BAD_GAUGES,
-                }.get(how, _BAD_INTS))
-                continue
-            path = data.draw(hs.sampled_from(
-                {"replace": leaves, "delete": dicts, "truncate": lists}[how]
-            ))
-            parent = spec
-            for key in path[:-1] if how == "replace" else path:
-                parent = parent[key]
-            if how == "replace":
-                parent[path[-1]] = data.draw(_JSON_VALUES)
-            elif how == "delete":
-                del parent[data.draw(hs.sampled_from(sorted(parent)))]
-            else:
-                del parent[data.draw(hs.integers(0, len(parent) - 1)):]
+            how = data.draw(hs.sampled_from([*_BAD_FIELDS, "drop", "params"]))
+            if how in _BAD_FIELDS:
+                spec[how] = data.draw(_BAD_FIELDS[how])
+            elif how == "drop":
+                del spec[data.draw(hs.sampled_from(sorted(spec)))]
+            elif "params" in spec:
+                _mutate(data, spec, ("params",))
         work = tmp_path_factory.mktemp("app-fuzz")
         (work / "spec.json").write_text(json.dumps(spec))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["app", str(work / "spec.json"), "--out-dir", str(work / "out")])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code:
-            assert "error" in json.loads(err.getvalue())
+        _assert_enveloped(["app", str(work / "spec.json"), "--out-dir", str(work / "out")])
 
 
 class TestExport:

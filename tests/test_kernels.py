@@ -3,7 +3,9 @@
 lacuna holds each level as one flat integer list (d numerators per cube);
 tests/reference.py keeps the per-cube tuple versions of the same kernels.
 On random integer corners for d = 1, 2, 3 and on the three golden builds,
-both must give the same values, or raise the same exception type.
+both must give the same values, or raise the same exception type.  The
+integer spot check and center cross-check must give the verdicts and
+messages of their Fraction forms there.
 """
 
 from __future__ import annotations
