@@ -268,11 +268,11 @@ def spot_check_gap(
 
     Coordinate v of a point drawn from the cube with lower corner x is
     (x_v*grid + g_v*side) / (den*grid) for a random integer g_v in
-    [0, grid], drawn as randrange(grid + 1) (the call randint(0, grid)
-    makes, so the draws are those of tests/reference.py).  psi is scaled
-    by the lcm L of its coefficients' denominators (_scaled_rows), so
-    psi = total / (L*den*grid) with an integer total, and |psi| < gap is one
-    cross-multiplied integer comparison.
+    [0, grid], drawn as randrange(grid + 1), the same draw as
+    randint(0, grid).  psi is scaled by the lcm L of its coefficients'
+    denominators (_scaled_rows), so psi = total / (L*den*grid) with an
+    integer total, and |psi| < gap is one cross-multiplied integer
+    comparison.
     """
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
