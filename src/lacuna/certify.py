@@ -44,8 +44,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm, perm
 from operator import mul
+from typing import TYPE_CHECKING
 
-from .engine import BlockLattice, ConstructionState, Vector, block_lattice
 from .errors import (
     EntryNotProcessed,
     GapViolated,
@@ -56,7 +56,10 @@ from .errors import (
 from .pattern import LinearPattern, NormalizedPattern
 from .qmath import format_rational
 from .record import Record
-from .schedule import ScheduleEntry, ratio_condition, sqrt_d_bounds
+
+if TYPE_CHECKING:
+    from .engine import BlockLattice, ConstructionState, Vector
+    from .schedule import ScheduleEntry
 
 #: Above this many center combinations the exact minimum search falls back
 #: to the structural half-integer bound (still a valid certificate).
@@ -183,15 +186,17 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
     of psi on center combinations, and returns gap >= peak*delta as the
     certified bound over all point tuples drawn from the placed cubes.
     """
+    from . import engine, schedule
+
     entry = _entry_of(state, entry)
     np_ = state.normalized[entry.pattern_id]
     delta = state.side(entry.m_level)
     side = state.side_num(entry.m_level)
-    _, sqrt_hi = sqrt_d_bounds(state.d)
+    _, sqrt_hi = schedule.sqrt_d_bounds(state.d)
     blocks = placed_blocks(state, entry)
     residues = []
     for b, blk in enumerate(blocks):
-        lattice = block_lattice(np_, b, side, sqrt_hi)
+        lattice = engine.block_lattice(np_, b, side, sqrt_hi)
         signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
         residues.append(_recover_residue(lattice, signs, blk))
     q_min, exact = _min_half_offset(residues)
@@ -309,10 +314,12 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
     ratio condition, with the betas active at the built level (the "for all
     k >= M_i" side).
     """
+    from . import schedule
+
     if not state.entries:
         raise EntryNotProcessed("no avoidance level was processed; build deeper")
     k0 = state.m_levels[0]
-    lo, hi = sqrt_d_bounds(state.d)
+    lo, hi = schedule.sqrt_d_bounds(state.d)
     betas = state.processed_betas()
     verdicts = []
     for k in range(k0, state.depth + 1):
@@ -323,7 +330,7 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
         except (OutOfDomain, Undecidable):
             mass_ok = False
         active = sum(1 for M in state.m_levels if M <= k)
-        ratio_ok = ratio_condition(state.h, k, betas[:active])
+        ratio_ok = schedule.ratio_condition(state.h, k, betas[:active])
         verdicts.append(
             LevelVerdict(level=k, count=count, side=side, mass_ok=mass_ok, ratio_ok=ratio_ok)
         )

@@ -6,8 +6,9 @@ instance was found or a certificate failed, 2 = usage or configuration
 error (errors.UsageError, argument errors included, or an OSError).
 Failures emit a JSON error envelope on stderr for machine use.
 
-Each command imports the layers it runs (apps, certify, export) itself, so
-a step loads no module it does not use.  Commands reach layer functions
+Each command imports the layers it runs (engine, apps, certify, export)
+itself, so a step loads no module it does not use: the oracle, for one,
+loads no engine, schedule or gauge code.  Commands reach layer functions
 through module attributes (engine.build_tree, certify.certify_gap, ...).
 """
 
@@ -17,8 +18,6 @@ import argparse
 import json
 import sys
 
-from . import engine
-from .dimfn import parse_dimfn
 from .errors import FormatError, LacunaError, UsageError
 from .jsonfile import read_json, write_json
 from .pattern import load_patterns
@@ -26,6 +25,9 @@ from .qmath import parse_rational
 
 
 def cmd_build(args) -> int:
+    from . import engine
+    from .dimfn import parse_dimfn
+
     d, patterns = load_patterns(args.patterns)
     h = parse_dimfn(args.dimfn, d)
     state = engine.build_tree(d, patterns, h, args.depth)
@@ -38,7 +40,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from . import certify
+    from . import certify, engine
 
     state = engine.read_tree(args.tree)
     gaps = []
@@ -65,7 +67,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from . import export
+    from . import engine, export
 
     state = engine.read_tree(args.tree)
     if args.format == "points":

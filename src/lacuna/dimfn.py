@@ -15,7 +15,9 @@ r^(s-d-1) ((d-s) ln r - 1) < 0 on (0,1), and h itself increases up to
 e^(-1/s), which is why the domain cap is clamped below that point.
 
 All comparisons are certified: exact for pow, directed-rounded rational
-intervals with escalating precision for powlog.
+intervals for powlog, refined by doubling the precision from
+START_PRECISION bits until they decide.  A certified interval never
+decides wrongly, so the starting precision changes only the work.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ POWERLOG = "powlog"
 #: in this artifact are never equal to their rational thresholds (they involve
 #: logarithms of rationals != 1), so in practice comparisons decide early.
 PRECISION_CAP = 4096
+
+#: First precision (bits) of the powlog refinement in ge and ratio_ge.  Most
+#: comparisons of a build decide here; one that does not costs a few cheap
+#: doublings before the precision it needs.
+START_PRECISION = 8
 
 
 class DimensionFunction(Record):
@@ -78,11 +85,11 @@ class DimensionFunction(Record):
                 return lo, hi
             guard *= 2
 
-    def ge(self, r: Fraction, threshold: Fraction, precision: int = 32) -> bool:
+    def ge(self, r: Fraction, threshold: Fraction) -> bool:
         """Certified h(r) >= threshold.
 
-        Exact for pow; for powlog the interval is refined from the starting
-        precision until it clears the threshold one way or the other
+        Exact for pow; for powlog the interval is refined from
+        START_PRECISION until it clears the threshold one way or the other
         (Undecidable at the precision cap).
         """
         self._check_domain(r)
@@ -91,6 +98,7 @@ class DimensionFunction(Record):
         p, q = self.s.numerator, self.s.denominator
         if self.family == POWER:
             return r**p >= threshold**q
+        precision = START_PRECISION
         while precision <= PRECISION_CAP:
             lo, hi = self.eval_bounds(r, precision)
             if lo >= threshold:
@@ -100,7 +108,7 @@ class DimensionFunction(Record):
             precision *= 2
         raise Undecidable(f"h(r) vs {threshold} undecided at {PRECISION_CAP} bits")
 
-    def ratio_ge(self, r: Fraction, threshold: Fraction, precision: int = 32) -> bool:
+    def ratio_ge(self, r: Fraction, threshold: Fraction) -> bool:
         """Certified h(r)/r^d >= threshold.
 
         By the monotone-ratio witness a True answer at r extends to every
@@ -115,17 +123,18 @@ class DimensionFunction(Record):
             return r ** (p - self.d * q) >= threshold**q
         # powlog: ratio = (-ln r) * r^(s-d) = (-ln r) / r^((dq-p)/q)
         e = self.d * q - p
+        precision = START_PRECISION
         while precision <= PRECISION_CAP:
             ln_lo, ln_hi = ln_bounds(r, precision)
-            neg_lo, neg_hi = -ln_hi, -ln_lo
             if e == 0:
-                lhs_lo, lhs_hi = neg_lo, neg_hi
+                den_lo = den_hi = 1
             else:
                 den_lo, den_hi = nth_root_bounds(r**e, q, precision)
-                lhs_lo, lhs_hi = neg_lo / den_hi, neg_hi / den_lo
-            if lhs_lo >= threshold:
+            # cross-multiplied, so that a root below 2**-precision, whose
+            # lower bound is 0, bounds the ratio from below only
+            if -ln_hi >= threshold * den_hi:
                 return True
-            if lhs_hi < threshold:
+            if -ln_lo < threshold * den_lo:
                 return False
             precision *= 2
         raise Undecidable(f"ratio vs {threshold} undecided at {PRECISION_CAP} bits")

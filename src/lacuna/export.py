@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from itertools import repeat
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .engine import ConstructionState, Vector
 from .errors import FormatError, UnsupportedDimension
 from .qmath import decimal_ratio, format_ratio, parse_rational
+
+if TYPE_CHECKING:
+    from .engine import ConstructionState, Vector
 
 POINTS_HEADER = "# lacuna-points/1 d="
 

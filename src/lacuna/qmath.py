@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import FormatError
+from .errors import FormatError, UsageError
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -25,11 +25,20 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise FormatError(f"not a rational 'p/q' literal: {text!r}")
     p, _, q = s.partition("/")
-    return Fraction(int(p), int(q) if q else 1)
+    try:
+        return Fraction(int(p), int(q) if q else 1)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise FormatError(f"rational literal too long: {exc}") from exc
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """'p/q', or 'p' for an integer.  A value with more digits than the
+    interpreter renders (sys.get_int_max_str_digits()) is a request past a
+    fixed limit, such as an app's e^t for a large t."""
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise UsageError(f"rational too large to write: {exc}") from exc
 
 
 def format_ratio(n: int, den: int) -> str:
@@ -125,19 +134,31 @@ def _atanh_series(t: Fraction, tail_target: Fraction) -> tuple[Fraction, Fractio
     """Enclosure of atanh(t) for 0 <= t < 1/2 by the odd power series.
 
     Partial sums underestimate; the geometric tail bound is added on top.
+    With t = a/b, the sum of n terms is one integer over b^(2n-1) *
+    lcm(1, 3, ..., 2n-1), and the tail a^(2n+1) / (b^(2n-1) * (2n+1) *
+    (b^2 - a^2)) is compared with the target in integers; Fractions are
+    built only for the result.
     """
-    total = Fraction(0)
-    power = t
-    t2 = t * t
-    n = 0
+    a, b = t.numerator, t.denominator
+    a2, b2 = a * a, b * b
+    gap = b2 - a2  # b^2 * (1 - t^2)
+    tp, tq = tail_target.numerator, tail_target.denominator
+    num, bpow, odd = a, b, 1  # sum = num / (bpow * odd)
+    power = a * a2  # numerator of t^(2n+1)
+    m = 3  # 2n+1
     while True:
-        term = power / (2 * n + 1)
-        total += term
-        power *= t2
-        n += 1
-        tail = power / ((2 * n + 1) * (1 - t2))
-        if tail <= tail_target:
-            return total, total + tail
+        tail_den = bpow * m * gap
+        if power * tq <= tp * tail_den:
+            return (
+                Fraction(num, bpow * odd),
+                Fraction(num * m * gap + power * odd, tail_den * odd),
+            )
+        g = gcd(odd, m)
+        num = num * b2 * (m // g) + power * (odd // g)
+        odd *= m // g
+        bpow *= b2
+        power *= a2
+        m += 2
 
 
 _LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
@@ -187,28 +208,37 @@ def ln_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
 
 
 def _exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
-    """One-shot enclosure of exp(x) for x >= 0, working at scale 2**-shift."""
-    # Halve the argument until it is <= 1/2, run the series, square back up.
+    """One-shot enclosure of exp(x) for x >= 0, working at scale 2**-shift.
+
+    The argument is halved k times to y = a/b <= 1/2; the series over y is
+    one integer over b^n * n!, with the geometric tail (ratio <= 1/2)
+    compared with 2**-shift in integers; the enclosure is then squared back
+    k times as numerators over 2**shift, rounding outward.
+    """
+    a, b = x.numerator, x.denominator
     k = 0
-    y = x
-    while y > Fraction(1, 2):
-        y /= 2
+    while 2 * a > b << k:
         k += 1
-    total = Fraction(1)
-    term = Fraction(1)
+    y = Fraction(a, b << k)
+    a, b = y.numerator, y.denominator
+    num = den = power = 1  # sum = num / den with den = b^n * n!; power = a^n
     n = 0
-    tail_target = Fraction(1, 1 << shift)
     while True:
         n += 1
-        term *= y / n
-        total += term
-        tail = 2 * term * y / (n + 1)  # geometric bound, ratio <= 1/2
-        if tail <= tail_target:
+        power *= a
+        den *= b * n
+        num = num * b * n + power
+        tail_den = den * b * (n + 1)  # tail = 2 * power * a / tail_den
+        if (power * a) << (shift + 1) <= tail_den:
             break
-    lo, hi = total, total + tail
-    for _ in range(k):
-        lo, hi = _round_down(lo * lo, shift), _round_up(hi * hi, shift)
-    return lo, hi
+    hi_num = num * b * (n + 1) + 2 * power * a  # sum + tail = hi_num / tail_den
+    if k == 0:
+        return Fraction(num, den), Fraction(hi_num, tail_den)
+    lo = (num * num << shift) // (den * den)
+    hi = -((-hi_num * hi_num << shift) // (tail_den * tail_den))
+    for _ in range(k - 1):
+        lo, hi = lo * lo >> shift, -(-hi * hi >> shift)
+    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
 
 
 def exp_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:

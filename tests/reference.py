@@ -5,9 +5,10 @@ what the certified code relies on: psi in Fraction arithmetic, the lattice
 maps and the key inequality of a normalized pattern, and whether oracle
 instances fall among the tuples a gap certificate covers.  The per-cube
 kernels below work on the tuple layout (one d-tuple of numerators per cube),
-or on Fractions where lacuna works on scaled integers (the spot check and
-the center cross-check); lacuna's flat integer kernels are tested against
-them.
+or on Fractions where lacuna works on scaled integers (the spot check, the
+center cross-check and the atanh and exp series); lacuna's integer kernels
+are tested against them.  The gauge comparisons take the precision their
+refinement starts at, so a test can compare lacuna's start with another.
 """
 
 from __future__ import annotations
@@ -19,9 +20,17 @@ from operator import add
 from typing import Sequence
 
 from lacuna.certify import GapCertificate, _entry_of, _partial_sums, brute_oracle, placed_blocks
+from lacuna.dimfn import PRECISION_CAP, DimensionFunction
 from lacuna.engine import BlockLattice, ConstructionState, Vector
-from lacuna.errors import DimensionMismatch, GapViolated, PlacementFailure, ZeroPattern
+from lacuna.errors import (
+    DimensionMismatch,
+    GapViolated,
+    PlacementFailure,
+    Undecidable,
+    ZeroPattern,
+)
 from lacuna.pattern import LinearPattern, NormalizedPattern
+from lacuna.qmath import _round_down, _round_up, ln_bounds, nth_root_bounds
 from lacuna.schedule import ScheduleEntry
 
 IntVector = tuple[int, ...]
@@ -228,6 +237,89 @@ def key_inequality_check(np_: NormalizedPattern, window: int) -> bool:
         if abs(val) < half:
             return False
     return True
+
+
+# -- series kernels and gauge comparisons in Fraction arithmetic ---------------
+
+def atanh_series(t: Fraction, tail_target: Fraction) -> tuple[Fraction, Fraction]:
+    """qmath._atanh_series one Fraction operation at a time: the partial
+    sum of the odd power series and that sum plus its geometric tail."""
+    total = Fraction(0)
+    power = t
+    t2 = t * t
+    n = 0
+    while True:
+        term = power / (2 * n + 1)
+        total += term
+        power *= t2
+        n += 1
+        tail = power / ((2 * n + 1) * (1 - t2))
+        if tail <= tail_target:
+            return total, total + tail
+
+
+def exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
+    """qmath._exp_pos_attempt one Fraction operation at a time: halve x
+    to at most 1/2, sum the series, square back with outward rounding."""
+    k = 0
+    y = x
+    while y > Fraction(1, 2):
+        y /= 2
+        k += 1
+    total = Fraction(1)
+    term = Fraction(1)
+    n = 0
+    tail_target = Fraction(1, 1 << shift)
+    while True:
+        n += 1
+        term *= y / n
+        total += term
+        tail = 2 * term * y / (n + 1)  # geometric bound, ratio <= 1/2
+        if tail <= tail_target:
+            break
+    lo, hi = total, total + tail
+    for _ in range(k):
+        lo, hi = _round_down(lo * lo, shift), _round_up(hi * hi, shift)
+    return lo, hi
+
+
+def gauge_ge(h: DimensionFunction, r: Fraction, threshold: Fraction, precision: int) -> bool:
+    """h.ge(r, threshold) with its refinement started at `precision` bits."""
+    if threshold <= 0:
+        return True
+    while precision <= PRECISION_CAP:
+        lo, hi = h.eval_bounds(r, precision)
+        if lo >= threshold:
+            return True
+        if hi < threshold:
+            return False
+        precision *= 2
+    raise Undecidable(f"h(r) vs {threshold} undecided at {PRECISION_CAP} bits")
+
+
+def gauge_ratio_ge(
+    h: DimensionFunction, r: Fraction, threshold: Fraction, precision: int
+) -> bool:
+    """h.ratio_ge(r, threshold) for a powlog gauge, with its refinement
+    started at `precision` bits."""
+    if threshold <= 0:
+        return True
+    p, q = h.s.numerator, h.s.denominator
+    e = h.d * q - p
+    while precision <= PRECISION_CAP:
+        ln_lo, ln_hi = ln_bounds(r, precision)
+        if e == 0:
+            lhs_lo, lhs_hi = -ln_hi, -ln_lo
+        else:
+            den_lo, den_hi = nth_root_bounds(r**e, q, precision)
+            lhs_lo = -ln_hi / den_hi
+            lhs_hi = -ln_lo / den_lo if den_lo else None  # no upper bound yet
+        if lhs_lo >= threshold:
+            return True
+        if lhs_hi is not None and lhs_hi < threshold:
+            return False
+        precision *= 2
+    raise Undecidable(f"ratio vs {threshold} undecided at {PRECISION_CAP} bits")
 
 
 # -- coverage of oracle instances by gap certificates ---------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from lacuna import certify, engine
+from lacuna import engine
 from lacuna.certify import (
     brute_oracle,
     certify_gap,
@@ -146,7 +146,6 @@ class TestGapCertificates:
             return lattice.replace(shifts=(0,) * len(lattice.shifts))
 
         monkeypatch.setattr(engine, "block_lattice", unshifted)
-        monkeypatch.setattr(certify, "block_lattice", unshifted)
         st = build_tree(1, [ap_pattern], sqrt_gauge, 7)
         with pytest.raises(GapViolated, match="is not a half-integer multiple"):
             certify_gap(st, 1)

@@ -89,6 +89,16 @@ class TestBuild:
         assert err["message"].startswith("level 13 ")
         assert not (tmp_path / "tree.json").exists()
 
+    def test_d3_powlog_build(self, tmp_path):
+        """powlog:1/2 in d=3 tests ratios -ln(r)/r^(5/2) whose root part
+        falls below 2**-33 by level 7, where a 32-bit enclosure of the root
+        has lower bound 0."""
+        patterns = tmp_path / "q3.json"
+        patterns.write_text(json.dumps(
+            {"d": 3, "patterns": [{"m": 2, "coeffs": [["2", "0", "0"], ["-1", "0", "0"]]}]}
+        ))
+        assert main(build_args(str(patterns), tmp_path, dimfn="powlog:1/2")) == 0
+
     def test_d6_is_config_error(self, tmp_path, capsys):
         # Tuple addresses have 32 digits, so d <= 5: refused before a level
         # is built, by build and by the tree reader alike.
@@ -354,13 +364,16 @@ class TestMalformedInput:
             lambda t, ap: _build_argv(_pattern_file(t, d=2), t),
             lambda t, ap: ["oracle", _points_file(t, "d=1", b"1\n3/2\n2/2\n"),
                            "--patterns", ap],
+            # more digits than the interpreter parses (sys.get_int_max_str_digits())
+            lambda t, ap: ["app", _spec_file(t, params=["1" * 5000]), "--out-dir", str(t / "o")],
         ],
         ids=["build-bad-json", "app-bad-json", "oracle-bad-patterns",
              "oracle-header-d-x", "oracle-not-utf8", "app-infinite-depth",
              "app-float-depth", "app-vector-split-float-m", "app-vector-split-no-m",
              "app-vector-split-list", "app-ratios-int-params", "app-differences-int-params",
              "app-planes-int-row", "build-string-d",
-             "build-float-m", "build-rows-not-d-wide", "oracle-repeated-point"],
+             "build-float-m", "build-rows-not-d-wide", "oracle-repeated-point",
+             "app-5000-digit-param"],
     )
     def test_format_error_envelope(self, ap_file, tmp_path, capsys, argv):
         code = main(argv(tmp_path, ap_file))
@@ -368,6 +381,15 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
+
+    def test_value_too_large_to_write(self, tmp_path, capsys):
+        # the report of e^5000 needs more digits than the interpreter renders
+        spec = _spec_file(tmp_path, kind="differences", h="pow:1/10", d=1, depth=4,
+                          params=[{"kind": "rational", "value": "5000"}])
+        code = main(["app", spec, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UsageError"
 
     def test_oracle_negative_tolerance(self, ap_file, tmp_path, capsys):
         pts = _points_file(tmp_path, "d=1", b"1\n3/2\n")
@@ -471,15 +493,16 @@ def _mutate(data, doc, below=()):
         del parent[data.draw(hs.integers(0, len(parent) - 1)):]
 
 
-def _assert_enveloped(argv):
+def _assert_enveloped(argv, bare=()):
     """main(argv) ends in exit 0, 1 or 2, with the JSON envelope on 1 and 2,
-    and raises nothing."""
+    and raises nothing.  An exit code in `bare` may also come with nothing
+    on stderr: the oracle's exit 1 for instances found."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if code:
+    if code and not (code in bare and not err.getvalue()):
         assert "error" in json.loads(err.getvalue())
 
 
@@ -557,6 +580,55 @@ class TestAppFuzz:
         work = tmp_path_factory.mktemp("app-fuzz")
         (work / "spec.json").write_text(json.dumps(spec))
         _assert_enveloped(["app", str(work / "spec.json"), "--out-dir", str(work / "out")])
+
+
+#: Each pattern file with a valid points file whose points hold instances
+#: of the pattern, so that unmutated inputs exit 1.
+_ORACLE_INPUTS = [
+    (AP_DOC, {"d": 1, "points": [["1"], ["9/8"], ["5/4"], ["3/2"], ["7/4"], ["2"]]}),
+    (Q_DOC, {"d": 1, "points": [["1"], ["5/4"], ["3/2"], ["2"]]}),
+    (P2_DOC, {"d": 2, "points": [["1", "1"], ["3/2", "1"], ["2", "1"], ["1", "2"], ["2", "2"]]}),
+]
+
+
+def _points_text(doc):
+    """A lacuna-points file from {"d": d, "points": rows}, rendering every
+    value with str(), so that a mutated document gives malformed lines."""
+    lines = [f"# lacuna-points/1 d={doc['d']}"] if "d" in doc else []
+    lines += [" ".join(map(str, row)) if isinstance(row, list) else str(row)
+              for row in doc.get("points", [])]
+    return "\n".join(lines) + "\n"
+
+
+class TestOracleAndBuildFuzz:
+    """lacuna oracle reads a points file and a pattern file, lacuna build a
+    pattern file: mutated ones end in exit 0, 1 or 2, with the envelope on
+    1 and 2, never in a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=hs.data())
+    def test_oracle_mutated_inputs(self, tmp_path_factory, data):
+        patterns, points = json.loads(json.dumps(data.draw(hs.sampled_from(_ORACLE_INPUTS))))
+        for doc in data.draw(hs.sampled_from([[points], [patterns], [points, patterns]])):
+            _mutate(data, doc)
+        work = tmp_path_factory.mktemp("oracle-fuzz")
+        (work / "pts.txt").write_text(_points_text(points))
+        (work / "pat.json").write_text(json.dumps(patterns))
+        tol = data.draw(hs.sampled_from(["0", "1/100", "1", "-1", "x"]))
+        _assert_enveloped(["oracle", str(work / "pts.txt"), "--patterns",
+                           str(work / "pat.json"), "--tol", tol], bare=(1,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=hs.data())
+    def test_build_mutated_patterns(self, tmp_path_factory, data):
+        patterns = json.loads(json.dumps(data.draw(hs.sampled_from([AP_DOC, Q_DOC, P2_DOC]))))
+        _mutate(data, patterns)
+        work = tmp_path_factory.mktemp("build-fuzz")
+        (work / "pat.json").write_text(json.dumps(patterns))
+        h = data.draw(hs.sampled_from(["pow:1/2", "pow:1/4", "powlog:1/1"]))
+        depth = data.draw(hs.integers(0, 6))
+        _assert_enveloped(["build", str(work / "pat.json"), "--dimfn", h,
+                           "--depth", str(depth), "--out", str(work / "tree.json")])
 
 
 class TestExport:
@@ -696,8 +768,14 @@ _FOOTPRINT = (
 )
 
 
+#: What every command loads: argument parsing, errors, JSON and pattern files.
+_CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
+#: The build's layers, which certify and export load to rebuild a tree.
+_BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
+
+
 class TestImportFootprint:
-    """Each command loads only the layers it runs, and none loads
+    """Each command loads exactly the layers it runs, and none loads
     dataclasses or inspect (a few milliseconds of start-up per step)."""
 
     def loaded(self, tmp_path, argv, code=0):
@@ -714,20 +792,16 @@ class TestImportFootprint:
 
     def test_each_command_loads_only_its_layers(self, ap_file, tmp_path):
         tree, pts = str(tmp_path / "tree.json"), str(tmp_path / "pts.txt")
-        build = self.loaded(tmp_path, build_args(ap_file, tmp_path))
-        assert "engine" in build and not build & {"apps", "certify", "export"}
-        cert = self.loaded(tmp_path, ["certify", tree])
-        assert "certify" in cert and not cert & {"apps", "export"}
-        export = self.loaded(tmp_path, ["export", tree, "--format", "points", "--out", pts])
-        assert "export" in export and not export & {"apps", "certify"}
-        # a depth-7 tree leaves uncovered progressions: the oracle finds them
-        oracle = self.loaded(tmp_path, ["oracle", pts, "--patterns", ap_file], code=1)
-        assert "apps" not in oracle
-        app = self.loaded(tmp_path, ["app", _spec_file(tmp_path), "--out-dir",
-                                     str(tmp_path / "app-out")])
-        assert "apps" in app
-        for step in (build, cert, export, oracle, app):
-            assert not step & {"dataclasses", "inspect"}
+        assert self.loaded(tmp_path, build_args(ap_file, tmp_path)) == _BUILD
+        assert self.loaded(tmp_path, ["certify", tree]) == _BUILD | {"certify"}
+        export = ["export", tree, "--format", "points", "--out", pts]
+        assert self.loaded(tmp_path, export) == _BUILD | {"export"}
+        # a depth-7 tree leaves uncovered progressions: the oracle finds them;
+        # it reads points and patterns only, so no engine, schedule or gauge
+        oracle = ["oracle", pts, "--patterns", ap_file]
+        assert self.loaded(tmp_path, oracle, code=1) == _CLI_CORE | {"certify", "export"}
+        app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
+        assert self.loaded(tmp_path, app) == _BUILD | {"apps", "certify"}
 
 
 class TestDeterminism:

@@ -121,6 +121,15 @@ class TestRatioGe:
         assert h.ratio_ge(Fraction(1, 8), Fraction(16))
         assert not h.ratio_ge(Fraction(1, 8), Fraction(17))
 
+    def test_powlog_root_below_the_working_precision(self):
+        # ratio = -ln(r) / r^(5/2) = 5.786e12 at r = 1/(3*2^14): r^(5/2) is
+        # about 2^-39, so its enclosure has lower bound 0 up to 32 bits
+        h = make_dimfn(POWERLOG, Fraction(1, 2), 3)
+        r = Fraction(1, 3 * 2**14)
+        assert h.ratio_ge(r, Fraction(10))
+        assert h.ratio_ge(r, Fraction(5786 * 10**9))
+        assert not h.ratio_ge(r, Fraction(5787 * 10**9))
+
 
 class TestWitness:
     """Sampled evidence for the monotonicity facts the schedule relies on."""

@@ -5,10 +5,15 @@ tests/reference.py keeps the per-cube tuple versions of the same kernels.
 On random integer corners for d = 1, 2, 3 and on the three golden builds,
 both must give the same values, or raise the same exception type.  The
 integer spot check and center cross-check must give the verdicts and
-messages of their Fraction forms there.
+messages of their Fraction forms there.  The integer atanh and exp series
+must return exactly the rationals of their Fraction forms, and the powlog
+comparisons, which start their refinement at START_PRECISION, must decide
+as a refinement started at 64 bits does.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,8 @@ from lacuna.certify import (
     placed_blocks,
     spot_check_gap,
 )
-from lacuna.dimfn import parse_dimfn
+from lacuna import dimfn
+from lacuna.dimfn import START_PRECISION, make_dimfn, parse_dimfn
 from lacuna.engine import (
     _dyadic_children,
     block_lattice,
@@ -32,6 +38,7 @@ from lacuna.engine import (
 )
 from lacuna.errors import GapViolated, PlacementFailure
 from lacuna.pattern import make_pattern, normalize
+from lacuna.qmath import _atanh_series, _exp_pos_attempt, ln_bounds
 from lacuna.schedule import compute_beta, sqrt_d_bounds
 from test_golden import PARALLELOGRAM, TRAPEZOIDS, _ap_state, _app_state
 
@@ -229,3 +236,92 @@ def test_cross_check_matches_on_a_quotient_build():
     the golden patterns, do not sum to zero."""
     pattern = make_pattern(1, [[2], [-1]])
     _assert_cross_checks_agree(build_tree(1, [pattern], parse_dimfn("pow:1/2", 1), 12))
+
+
+# -- ln/exp series and powlog comparisons ---------------------------------------
+
+@hs.composite
+def _rational(draw, below):
+    """A rational in [0, below): dyadic, or with any denominator up to 10**6."""
+    if draw(hs.booleans()):
+        bits = draw(hs.integers(1, 64))
+        return Fraction(draw(hs.integers(0, (below << bits) - 1)), 1 << bits)
+    den = draw(hs.integers(1, 10**6))
+    return Fraction(draw(hs.integers(0, below * den - 1)), den)
+
+
+#: 2**-k as the series' callers pass it, or any small positive rational.
+_TAIL = hs.one_of(
+    hs.integers(1, 160).map(lambda k: Fraction(1, 1 << k)),
+    hs.fractions(min_value=Fraction(1, 10**40), max_value=1, max_denominator=10**40),
+)
+
+
+class TestSeries:
+    @settings(max_examples=300, deadline=None)
+    @given(t=hs.one_of(hs.just(Fraction(1, 3)), _rational(1).map(lambda f: f / 2)), tail=_TAIL)
+    def test_atanh_matches_the_fraction_form(self, t, tail):
+        assert _atanh_series(t, tail) == ref.atanh_series(t, tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # up to 1/2 the series runs as is; above, x is halved k times and
+        # the enclosure squared back k times
+        x=hs.one_of(hs.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]),
+                    _rational(1), _rational(40)),
+        shift=hs.integers(1, 160),
+    )
+    def test_exp_matches_the_fraction_form(self, x, shift):
+        assert _exp_pos_attempt(x, shift) == ref.exp_pos_attempt(x, shift)
+
+
+#: Powlog gauges up to full dimension (s = d) for d = 1, 2, 3.
+POWLOG = [
+    make_dimfn("powlog", Fraction(s), d)
+    for d in (1, 2, 3)
+    for s in ("1/2", "63/64", "1", "3/2", "2", "3")
+    if Fraction(s) <= d
+]
+
+
+class TestPowlogComparisons:
+    @settings(max_examples=120, deadline=None)
+    @given(h=hs.sampled_from(POWLOG), data=hs.data())
+    def test_decisions_match_a_64_bit_start(self, h, data):
+        """On random arguments, with thresholds anywhere or at an end of a
+        close enclosure of the compared value, so that deciding takes from
+        one to several doublings."""
+        r = h.domain_cap * data.draw(
+            hs.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(bool)
+        )
+        if data.draw(hs.booleans()):
+            value = data.draw(hs.fractions(min_value=0, max_value=50, max_denominator=10**6))
+            ratio = value
+        else:
+            bounds = h.eval_bounds(r, data.draw(hs.integers(4, 200)))
+            value = data.draw(hs.sampled_from(bounds))
+            ratio = value / r**h.d  # h(r)/r^d, with r^d exact
+        assert h.ge(r, value) == ref.gauge_ge(h, r, value, 64)
+        assert h.ratio_ge(r, ratio) == ref.gauge_ratio_ge(h, r, ratio, 64)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_near_threshold_takes_several_doublings(self, monkeypatch, above):
+        """The ratio of powlog:1/1 in d=1 is -ln r.  A threshold 2**-90
+        from it is decided only past 64 bits, after four doublings from
+        START_PRECISION, and as the 64-bit start decides it."""
+        h = make_dimfn("powlog", Fraction(1), 1)
+        r = Fraction(1, 7 * 2**17)
+        lo, hi = ln_bounds(r, 400)
+        step = Fraction(1, 1 << 90)
+        threshold = -lo + step if above else -hi - step
+        tried = []
+
+        def counting(x, precision):
+            tried.append(precision)
+            return ln_bounds(x, precision)
+
+        monkeypatch.setattr(dimfn, "ln_bounds", counting)
+        assert h.ratio_ge(r, threshold) is not above
+        assert tried[:5] == [START_PRECISION << i for i in range(5)]
+        assert tried[-1] > 64
+        assert ref.gauge_ratio_ge(h, r, threshold, 64) is not above
