@@ -462,10 +462,11 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
     """Build, certify and write the standard artifact files for one app.
 
     Writes tree.json and cert.json (and report.json for differences) into
-    out_dir; returns a summary dict with counts and certificate verdicts.
+    out_dir, which is created just before the first write (report.json,
+    else tree.json), so an app refused before then leaves no directory;
+    returns a summary dict with counts and certificate verdicts.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if app.kind == "differences":
         h = parse_dimfn(app.h_spec, 1)
         state, report = difference_points(
@@ -474,6 +475,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
             app.depth,
             precision=app.precision,
         )
+        out.mkdir(parents=True, exist_ok=True)
         write_json(difference_report_to_doc(report), out / "report.json")
         gaps = list(report.certificates)
     else:
@@ -487,6 +489,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
     measure = None
     if state.entries:
         measure = certify.certify_measure(state)
+    out.mkdir(parents=True, exist_ok=True)
     engine.write_tree(state, out / "tree.json")
     write_json(certify.certificates_to_doc(gaps, measure), out / "cert.json")
     return {

@@ -10,13 +10,22 @@ Each command imports the layers it runs (engine, apps, certify, export)
 itself, so a step loads no module it does not use: the oracle, for one,
 loads no engine, schedule or gauge code.  Commands reach layer functions
 through module attributes (engine.build_tree, certify.certify_gap, ...).
+
+The argument grammar is one table, COMMANDS, that parse_args reads with
+argparse's rules: options before or after the positionals, a unique
+prefix of a long option selects it, `--opt=value` works, the last of a
+repeated option wins, and a value that starts with a dash must look like
+a negative number.  argparse itself is not imported: its import and
+parser set-up (gettext, locale, compiled regexes) cost about 5 ms in
+every step, as much as the work of an oracle step.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import FormatError, LacunaError, UsageError
 from .jsonfile import read_json, write_json
@@ -76,7 +85,7 @@ def cmd_export(args) -> int:
         export.write_points_csv(state, args.out, decimals=args.decimals)
     elif args.format == "svg":
         export.write_svg(state, args.out)
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - parse_args allows only the formats above
         raise FormatError(f"unknown format {args.format!r}")
     print(f"wrote {args.format} -> {args.out}")
     return 0
@@ -123,70 +132,156 @@ def cmd_oracle(args) -> int:
 
 def _non_negative_int(text: str) -> int:
     """The type of --depth, --spot-checks and --decimals.  A bad value
-    becomes a UsageError through _Parser.error, before any command opens
-    a file."""
+    becomes a UsageError in parse_args, before any command opens a file."""
     try:
         value = int(text)
-        if value >= 0:
-            return value
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        value = -1
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument error raises UsageError, so it gets the JSON envelope
-    and exit 2 like every other usage error; subparsers inherit this."""
+#: Marks an option that has no default and must be given.
+_REQUIRED = object()
 
-    def error(self, message):
-        raise UsageError(message)
+#: The argument grammar, one row per command: its function, help line,
+#: positional names and options.  An option maps to (type, default, help):
+#: the type converts the value (a ValueError refuses it) or is the tuple
+#: of the values allowed, and a default of _REQUIRED makes it required.
+COMMANDS = {
+    "build": (cmd_build, "build a tree from a pattern file", ("patterns",), {
+        "--dimfn": (str, _REQUIRED, "gauge, e.g. pow:1/2 or powlog:1/1"),
+        "--depth": (_non_negative_int, _REQUIRED, ""),
+        "--out": (str, "tree.json", ""),
+    }),
+    "certify": (cmd_certify, "re-derive certificates from a tree file", ("tree",), {
+        "--mode": (("gap", "measure", "all"), "all", ""),
+        "--out": (str, None, ""),
+        "--spot-checks": (_non_negative_int, 0,
+                          "random point tuples per entry that must respect the gap"),
+    }),
+    "export": (cmd_export, "export points or pictures", ("tree",), {
+        "--format": (("svg", "csv", "points"), _REQUIRED, ""),
+        "--out": (str, _REQUIRED, ""),
+        "--decimals": (_non_negative_int, 12, ""),
+    }),
+    "app": (cmd_app, "run an application spec end to end", ("spec",), {
+        "--out-dir": (str, "app-out", ""),
+    }),
+    "oracle": (cmd_oracle, "exhaustive pattern search over a point file", ("points",), {
+        "--patterns": (str, _REQUIRED, ""),
+        "--tol": (str, "0", ""),
+        "--out": (str, None, ""),
+    }),
+}
+
+_HELP = ("-h", "--help")
+_DESCRIPTION = (
+    "Build nested cube sets in [1,2]^d that avoid linear patterns, "
+    "with exact rational certificates for the avoidance gaps and the "
+    "generalized Hausdorff measure lower bound."
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="lacuna",
-        description=(
-            "Build nested cube sets in [1,2]^d that avoid linear patterns, "
-            "with exact rational certificates for the avoidance gaps and the "
-            "generalized Hausdorff measure lower bound."
-        ),
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _option(arg: str, names) -> tuple[str, str | None] | None:
+    """How argparse reads one argument against the option names of a
+    command: None for a value, else the option and the value after its
+    '=' (None without one).  A long option may be cut to a unique prefix.
+    An argument that starts with a dash is a value only if it looks like a
+    negative number or holds a space; otherwise it is an option, and one
+    that is not in names comes back as itself."""
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    if arg in names:
+        return arg, None
+    key, eq, value = arg.partition("=")
+    if eq and key in names:
+        return key, value
+    if arg[1] == "-":
+        hits = [name for name in names if name.startswith(key)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {key} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return arg, None
 
-    b = sub.add_parser("build", help="build a tree from a pattern file")
-    b.add_argument("patterns", help="pattern JSON file")
-    b.add_argument("--dimfn", required=True, help="gauge, e.g. pow:1/2 or powlog:1/1")
-    b.add_argument("--depth", type=_non_negative_int, required=True)
-    b.add_argument("--out", default="tree.json")
-    b.set_defaults(func=cmd_build)
 
-    c = sub.add_parser("certify", help="re-derive certificates from a tree file")
-    c.add_argument("tree")
-    c.add_argument("--mode", choices=("gap", "measure", "all"), default="all")
-    c.add_argument("--out", default=None)
-    c.add_argument("--spot-checks", type=_non_negative_int, default=0,
-                   help="random point tuples per entry that must respect the gap")
-    c.set_defaults(func=cmd_certify)
+def _usage(command: str | None) -> str:
+    if command is None:
+        rows = [f"  {name:<8} {row[1]}" for name, row in COMMANDS.items()]
+        return "\n".join(
+            [f"usage: lacuna {{{','.join(COMMANDS)}}} ...", "", _DESCRIPTION, "", *rows]
+        )
+    _, about, positionals, options = COMMANDS[command]
+    words, rows = ["lacuna", command, *positionals], []
+    for name, (kind, default, text) in options.items():
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
+        words.append(f"{name} {value}" if default is _REQUIRED else f"[{name} {value}]")
+        if default is not None:
+            note = "required" if default is _REQUIRED else f"default: {default}"
+            text += f"; {note}" if text else note
+        rows.append(f"  {name:<14} {text}".rstrip())
+    rows.append(f"  {'-h, --help':<14} show this help and exit")
+    return "\n".join(["usage: " + " ".join(words), "", about, "", *rows])
 
-    e = sub.add_parser("export", help="export points or pictures")
-    e.add_argument("tree")
-    e.add_argument("--format", choices=("svg", "csv", "points"), required=True)
-    e.add_argument("--out", required=True)
-    e.add_argument("--decimals", type=_non_negative_int, default=12)
-    e.set_defaults(func=cmd_export)
 
-    a = sub.add_parser("app", help="run an application spec end to end")
-    a.add_argument("spec")
-    a.add_argument("--out-dir", default="app-out")
-    a.set_defaults(func=cmd_app)
-
-    o = sub.add_parser("oracle", help="exhaustive pattern search over a point file")
-    o.add_argument("points")
-    o.add_argument("--patterns", required=True)
-    o.add_argument("--tol", default="0")
-    o.add_argument("--out", default=None)
-    o.set_defaults(func=cmd_oracle)
-    return p
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv by COMMANDS, as argparse read it: options before or after
+    the positionals, `--opt value` or `--opt=value`, a unique prefix of a
+    long option, the last of a repeated option.  Returns the command's
+    function as `func`, its name as `command` and one attribute per
+    positional and option.  Every argument error raises UsageError;
+    -h/--help prints the usage to stdout and exits 0."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        opt = _option(command, _HELP)
+        if opt and opt[0] in _HELP:
+            print(_usage(None))
+            raise SystemExit(0)
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    func, _, positionals, options = COMMANDS[command]
+    names = [*options, *_HELP]
+    args = {"command": command, "func": func}
+    given = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        opt = _option(arg, names)
+        if opt is None:
+            given.append(arg)
+            continue
+        name, value = opt
+        if name in _HELP:
+            print(_usage(command))
+            raise SystemExit(0)
+        if name not in options:
+            raise UsageError(f"unrecognized argument: {arg}")
+        if value is None:
+            value = next(rest, None)
+            if value is None or _option(value, names):
+                raise UsageError(f"argument {name}: expected one value")
+        kind = options[name][0]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise UsageError(f"argument {name}: {value!r} is not one of {', '.join(kind)}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError as exc:
+                raise UsageError(f"argument {name}: {exc}") from None
+        args[name[2:].replace("-", "_")] = value
+    if len(given) != len(positionals):
+        raise UsageError(f"lacuna {command} takes {' '.join(positionals)}, got {given}")
+    args.update(zip(positionals, given))
+    for name, (_, default, _) in options.items():
+        dest = name[2:].replace("-", "_")
+        if dest not in args:
+            if default is _REQUIRED:
+                raise UsageError(f"lacuna {command} needs {name}")
+            args[dest] = default
+    return SimpleNamespace(**args)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -196,7 +291,7 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
         _emit_error(exc)

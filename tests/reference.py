@@ -3,7 +3,8 @@
 None of these is on a command's path.  They re-derive from first principles
 what the certified code relies on: psi in Fraction arithmetic, the lattice
 maps and the key inequality of a normalized pattern, and whether oracle
-instances fall among the tuples a gap certificate covers.  The per-cube
+instances fall among the tuples a gap certificate covers.  build_parser is
+the argparse grammar the CLI's command table replaced.  The per-cube
 kernels below work on the tuple layout (one d-tuple of numerators per cube),
 or on Fractions where lacuna works on scaled integers (the spot check, the
 center cross-check and the atanh and exp series); lacuna's integer kernels
@@ -13,6 +14,7 @@ refinement starts at, so a test can compare lacuna's start with another.
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,6 +22,7 @@ from operator import add
 from typing import Sequence
 
 from lacuna.certify import GapCertificate, _entry_of, _partial_sums, brute_oracle, placed_blocks
+from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
 from lacuna.dimfn import PRECISION_CAP, DimensionFunction
 from lacuna.engine import BlockLattice, ConstructionState, Vector
 from lacuna.errors import (
@@ -27,6 +30,7 @@ from lacuna.errors import (
     GapViolated,
     PlacementFailure,
     Undecidable,
+    UsageError,
     ZeroPattern,
 )
 from lacuna.pattern import LinearPattern, NormalizedPattern
@@ -426,3 +430,71 @@ def covered_instance_scan(
             if j not in combo:
                 hits.append(combo + (j,))
     return hits
+
+
+def _non_negative_int(text: str) -> int:
+    """The type of --depth, --spot-checks and --decimals.  A bad value
+    becomes a UsageError through _Parser.error, before any command opens
+    a file."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises UsageError, so it gets the JSON envelope
+    and exit 2 like every other usage error; subparsers inherit this."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(
+        prog="lacuna",
+        description=(
+            "Build nested cube sets in [1,2]^d that avoid linear patterns, "
+            "with exact rational certificates for the avoidance gaps and the "
+            "generalized Hausdorff measure lower bound."
+        ),
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    b = sub.add_parser("build", help="build a tree from a pattern file")
+    b.add_argument("patterns", help="pattern JSON file")
+    b.add_argument("--dimfn", required=True, help="gauge, e.g. pow:1/2 or powlog:1/1")
+    b.add_argument("--depth", type=_non_negative_int, required=True)
+    b.add_argument("--out", default="tree.json")
+    b.set_defaults(func=cmd_build)
+
+    c = sub.add_parser("certify", help="re-derive certificates from a tree file")
+    c.add_argument("tree")
+    c.add_argument("--mode", choices=("gap", "measure", "all"), default="all")
+    c.add_argument("--out", default=None)
+    c.add_argument("--spot-checks", type=_non_negative_int, default=0,
+                   help="random point tuples per entry that must respect the gap")
+    c.set_defaults(func=cmd_certify)
+
+    e = sub.add_parser("export", help="export points or pictures")
+    e.add_argument("tree")
+    e.add_argument("--format", choices=("svg", "csv", "points"), required=True)
+    e.add_argument("--out", required=True)
+    e.add_argument("--decimals", type=_non_negative_int, default=12)
+    e.set_defaults(func=cmd_export)
+
+    a = sub.add_parser("app", help="run an application spec end to end")
+    a.add_argument("spec")
+    a.add_argument("--out-dir", default="app-out")
+    a.set_defaults(func=cmd_app)
+
+    o = sub.add_parser("oracle", help="exhaustive pattern search over a point file")
+    o.add_argument("points")
+    o.add_argument("--patterns", required=True)
+    o.add_argument("--tol", default="0")
+    o.add_argument("--out", default=None)
+    o.set_defaults(func=cmd_oracle)
+    return p

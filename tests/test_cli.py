@@ -17,10 +17,11 @@ from hypothesis import strategies as hs
 
 import lacuna
 from lacuna import engine
-from lacuna.cli import main
+from lacuna.cli import main, parse_args
 from lacuna.engine import build_tree, doc_to_state, read_tree, state_to_doc
-from lacuna.errors import FormatError
+from lacuna.errors import FormatError, UsageError
 from lacuna.export import read_points
+import reference
 from reference import leaf_centers
 
 F = Fraction
@@ -118,6 +119,24 @@ class TestBuild:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "UnsupportedDimension"
 
 
+#: The options of each command, and its help line (the argparse grammar
+#: the command table replaced: reference.build_parser).
+_OPTIONS = {
+    "build": ["--dimfn", "--depth", "--out"],
+    "certify": ["--mode", "--out", "--spot-checks"],
+    "export": ["--format", "--out", "--decimals"],
+    "app": ["--out-dir"],
+    "oracle": ["--patterns", "--tol", "--out"],
+}
+_HELP_LINES = {
+    "build": "build a tree from a pattern file",
+    "certify": "re-derive certificates from a tree file",
+    "export": "export points or pictures",
+    "app": "run an application spec end to end",
+    "oracle": "exhaustive pattern search over a point file",
+}
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
@@ -138,14 +157,109 @@ class TestUsage:
         assert out == "" and "usage:" not in err
         assert json.loads(err)["error"]["type"] == "UsageError"
 
-    @pytest.mark.parametrize("command", ["build", "app"])
+    @pytest.mark.parametrize("command", [None, *_OPTIONS], ids=lambda c: c or "top")
     def test_help_exits_zero(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
+            main([command, "--help"] if command else ["--help"])
         assert exc.value.code == 0
-        text = capsys.readouterr().out
-        assert "--out" in text
-        assert "--level-cap" not in text and "--schedule-log" not in text
+        out, err = capsys.readouterr()
+        assert err == ""
+        # the help line and every option of the command; every command's
+        # name and help line at the top
+        if command:
+            assert all(word in out for word in [_HELP_LINES[command], *_OPTIONS[command]])
+        else:
+            assert all(f"{c}  " in out and _HELP_LINES[c] in out for c in _OPTIONS)
+        assert "--level-cap" not in out and "--schedule-log" not in out
+
+
+#: The differential parser test's vocabulary.  Left out: "--", which ends
+#: the options for argparse and is refused by parse_args; "-", a value to
+#: both; and -h/--help, which print the usage and exit.  argparse 3.10 and
+#: 3.11 read every argv drawn from it alike (their _parse_optional and
+#: _get_option_tuples are the same code).
+_COMMAND_WORDS = list(_OPTIONS)
+_OPTION_WORDS = [
+    "--dimfn", "--depth", "--out", "--mode", "--spot-checks", "--format", "--decimals",
+    "--out-dir", "--patterns", "--tol",
+    # unique prefixes; --d is ambiguous in build (--dimfn, --depth) and
+    # selects --decimals in export, --out selects --out-dir in app
+    "--di", "--de", "--d", "--dec", "--o", "--ou", "--m", "--s", "--spot", "--f", "--p",
+    "--t",
+]
+# the choices of --mode and --format, so that certify and export can pass
+_VALUE_WORDS = ["7", "0", "-5", "abc", "-1/2", "x.json", "", "gap", "all", "svg", "points"]
+_PASSING = {"--depth": "7", "--spot-checks": "0", "--decimals": "0", "--mode": "gap",
+            "--format": "points"}
+_WORD = hs.one_of(
+    hs.sampled_from(_COMMAND_WORDS + _OPTION_WORDS + _VALUE_WORDS),
+    hs.builds("{}={}".format, hs.sampled_from(_OPTION_WORDS), hs.sampled_from(_VALUE_WORDS)),
+)
+
+
+@hs.composite
+def _argvs(draw):
+    """A command, or a word that names none, then in a drawn order: a value
+    (the positional), each option of the command none, one or two times,
+    spelled in full or as a prefix, with a value after it or after '=',
+    and at most one word of any kind."""
+    command = draw(hs.sampled_from(_COMMAND_WORDS + ["", "-5", "--out", "x.json"]))
+    value = hs.sampled_from(_VALUE_WORDS)
+    chunks = [(draw(value),)]
+    for name in _OPTIONS.get(command, []):
+        spellings = hs.sampled_from([w for w in _OPTION_WORDS if name.startswith(w)])
+        # half the time a value that passes the option's type or choices
+        option_value = hs.one_of(value, hs.just(_PASSING.get(name, "x.json")))
+        for _ in range(draw(hs.integers(0, 2))):
+            spelled, given = draw(spellings), draw(option_value)
+            chunks.append((spelled, given) if draw(hs.booleans()) else (f"{spelled}={given}",))
+    chunks += draw(hs.lists(hs.tuples(_WORD), max_size=1))
+    return [command, *(word for chunk in draw(hs.permutations(chunks)) for word in chunk)]
+
+
+def _decision(parse, argv):
+    """The namespace parse gives for argv, or "UsageError"."""
+    try:
+        return vars(parse(argv))
+    except UsageError:
+        return "UsageError"
+
+
+@pytest.fixture(scope="module")
+def argparse_parser():
+    return reference.build_parser()
+
+
+class TestParserMatchesArgparse:
+    """parse_args reads every argv of the vocabulary as the argparse
+    grammar it replaced (reference.build_parser): the same namespace when
+    argparse accepts it, a UsageError when argparse refuses it."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=_argvs())
+    def test_drawn_argv(self, argparse_parser, argv):
+        want = _decision(argparse_parser.parse_args, argv)
+        assert _decision(parse_args, argv) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["app", "s.json", "--out", "x"],
+            ["build", "--de=3", "q.json", "--di", "pow:1/2", "--depth", "4"],
+            ["certify", "t.json", "--spot", "5", "--m=gap"],
+            ["certify", "t.json", "--spot-checks", "-5"],
+            ["oracle", "-5", "--patterns", "q.json", "--tol", "-1"],
+            ["oracle", "p.txt", "--patterns", "q.json", "--tol", "-1/2"],
+            ["oracle", "p.txt", "--patterns=", "--tol=-1/2"],
+            ["export", "t.json", "--out", "--format", "svg"],
+            ["export", "t.json", "--out", "x", "--format", "pdf"],
+            ["export", "t.json", "--d", "3", "--f", "csv", "--o", "x"],
+            ["build", "q.json", "--d", "3"],
+        ],
+    )
+    def test_fixed_argv(self, argparse_parser, argv):
+        want = _decision(argparse_parser.parse_args, argv)
+        assert _decision(parse_args, argv) == want
 
 
 class TestCertify:
@@ -754,6 +868,12 @@ class TestAppCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
 
+    def test_refused_app_leaves_no_out_dir(self, tmp_path, capsys):
+        spec = _spec_file(tmp_path, h="pow:7")
+        assert main(["app", spec, "--out-dir", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "RejectNotDominated"
+        assert not (tmp_path / "o").exists()
+
 
 # Runs one command in a fresh interpreter and lists the lacuna modules it
 # loaded; in-process tests cannot see this, since other tests import them all.
@@ -763,12 +883,13 @@ _FOOTPRINT = (
     "code = main(sys.argv[2:])\n"
     "with open(sys.argv[1], 'w') as fh:\n"
     "    fh.write(' '.join(m for m in sys.modules\n"
-    "                      if m.startswith('lacuna.') or m in ('dataclasses', 'inspect')))\n"
+    "                      if m.startswith('lacuna.')\n"
+    "                      or m in ('argparse', 'dataclasses', 'gettext', 'inspect', 'locale')))\n"
     "sys.exit(code)\n"
 )
 
 
-#: What every command loads: argument parsing, errors, JSON and pattern files.
+#: What every command loads: the command table, errors, JSON and pattern files.
 _CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
 #: The build's layers, which certify and export load to rebuild a tree.
 _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
@@ -776,7 +897,8 @@ _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
 
 class TestImportFootprint:
     """Each command loads exactly the layers it runs, and none loads
-    dataclasses or inspect (a few milliseconds of start-up per step)."""
+    dataclasses or inspect, or argparse, gettext or locale (each a few
+    milliseconds of start-up per step)."""
 
     def loaded(self, tmp_path, argv, code=0):
         out = tmp_path / "modules.txt"
