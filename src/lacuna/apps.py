@@ -113,14 +113,11 @@ def split_vector_pattern(
 
 
 def parallelogram_patterns(d: int) -> list[LinearPattern]:
-    """x1 - x2 + x3 - x4 = 0 per coordinate: no parallelogram vertices."""
-    rows = []
-    for v in range(d):
-        row = [Fraction(0)] * (4 * d)
-        for block, sign in enumerate((1, -1, 1, -1)):
-            row[block * d + v] = Fraction(sign)
-        rows.append(row)
-    return split_vector_pattern(d, 4, rows)
+    """x1 - x2 + x3 - x4 = 0 per coordinate: no parallelogram vertices.
+
+    It is the trapezoid pattern of proportion -1.
+    """
+    return trapezoid_patterns(d, [-1])
 
 
 def trapezoid_patterns(d: int, alphas: Sequence[Fraction]) -> list[LinearPattern]:

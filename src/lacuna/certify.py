@@ -100,15 +100,9 @@ class MeasureCertificate(Record):
     conditional: str
 
 
-def _entry_of(state: ConstructionState, entry: ScheduleEntry | int) -> ScheduleEntry:
-    if isinstance(entry, int):
-        for e in state.entries:
-            if e.index == entry:
-                return e
-        raise EntryNotProcessed(f"no processed schedule entry with index {entry}")
+def _check_processed(state: ConstructionState, entry: ScheduleEntry) -> None:
     if entry not in state.entries:
         raise EntryNotProcessed(f"entry {entry.index} was not processed by this build")
-    return entry
 
 
 def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[int]]:
@@ -179,7 +173,7 @@ def _min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
     return Fraction(best, 2), True
 
 
-def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCertificate:
+def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificate:
     """Recompute the avoidance gap of one processed entry from the geometry.
 
     Verifies the lattice form of every placed cube, the half-integer value
@@ -188,7 +182,7 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry | int) -> GapCert
     """
     from . import engine, schedule
 
-    entry = _entry_of(state, entry)
+    _check_processed(state, entry)
     np_ = state.normalized[entry.pattern_id]
     delta = state.side(entry.m_level)
     side = state.side_num(entry.m_level)
@@ -263,7 +257,7 @@ def _cross_check_centers(state, entry, np_, blocks, sample=32):
 
 def spot_check_gap(
     state: ConstructionState,
-    entry: ScheduleEntry | int,
+    entry: ScheduleEntry,
     cert: GapCertificate,
     count: int = 100,
     seed: int = 2024,
@@ -279,7 +273,7 @@ def spot_check_gap(
     integer total, and |psi| < gap is one cross-multiplied integer
     comparison.
     """
-    entry = _entry_of(state, entry)
+    _check_processed(state, entry)
     np_ = state.normalized[entry.pattern_id]
     d = state.d
     den = state.levels[entry.m_level].den

@@ -86,27 +86,8 @@ class DimensionFunction(Record):
             guard *= 2
 
     def ge(self, r: Fraction, threshold: Fraction) -> bool:
-        """Certified h(r) >= threshold.
-
-        Exact for pow; for powlog the interval is refined from
-        START_PRECISION until it clears the threshold one way or the other
-        (Undecidable at the precision cap).
-        """
-        self._check_domain(r)
-        if threshold <= 0:
-            return True
-        p, q = self.s.numerator, self.s.denominator
-        if self.family == POWER:
-            return r**p >= threshold**q
-        precision = START_PRECISION
-        while precision <= PRECISION_CAP:
-            lo, hi = self.eval_bounds(r, precision)
-            if lo >= threshold:
-                return True
-            if hi < threshold:
-                return False
-            precision *= 2
-        raise Undecidable(f"h(r) vs {threshold} undecided at {PRECISION_CAP} bits")
+        """Certified h(r) >= threshold."""
+        return self._certified_ge(r, self.s.numerator, threshold)
 
     def ratio_ge(self, r: Fraction, threshold: Fraction) -> bool:
         """Certified h(r)/r^d >= threshold.
@@ -114,30 +95,41 @@ class DimensionFunction(Record):
         By the monotone-ratio witness a True answer at r extends to every
         smaller argument in (0, domain_cap].
         """
+        return self._certified_ge(r, self.s.numerator - self.d * self.s.denominator, threshold)
+
+    def _certified_ge(self, r: Fraction, a: int, threshold: Fraction) -> bool:
+        """Certified r^(a/q) * L(r) >= threshold, with q the denominator of s
+        and L = 1 for pow, L = -ln r for powlog.
+
+        Exact for pow.  For powlog the enclosures of -ln r and of the root
+        r^(|a|/q) are refined from START_PRECISION until they clear the
+        threshold one way or the other (Undecidable at the precision cap).
+        """
         self._check_domain(r)
         if threshold <= 0:
             return True
-        p, q = self.s.numerator, self.s.denominator
+        q = self.s.denominator
         if self.family == POWER:
-            # r^((p-dq)/q) >= t  <=>  r^(p-dq) >= t^q  (both sides positive)
-            return r ** (p - self.d * q) >= threshold**q
-        # powlog: ratio = (-ln r) * r^(s-d) = (-ln r) / r^((dq-p)/q)
-        e = self.d * q - p
+            # r^(a/q) >= t  <=>  r^a >= t^q  (both sides positive)
+            return r**a >= threshold**q
         precision = START_PRECISION
         while precision <= PRECISION_CAP:
             ln_lo, ln_hi = ln_bounds(r, precision)
-            if e == 0:
-                den_lo = den_hi = 1
+            root_lo, root_hi = nth_root_bounds(r ** abs(a), q, precision)
+            # -ln r >= 0 on the domain; the root multiplies it for a >= 0 and
+            # the threshold for a < 0, so that a root below 2**-precision,
+            # whose lower bound is 0, bounds the comparison from one side only
+            lo, hi, t_lo, t_hi = -ln_hi, -ln_lo, threshold, threshold
+            if a >= 0:
+                lo, hi = lo * root_lo, hi * root_hi
             else:
-                den_lo, den_hi = nth_root_bounds(r**e, q, precision)
-            # cross-multiplied, so that a root below 2**-precision, whose
-            # lower bound is 0, bounds the ratio from below only
-            if -ln_hi >= threshold * den_hi:
+                t_lo, t_hi = threshold * root_lo, threshold * root_hi
+            if lo >= t_hi:
                 return True
-            if -ln_lo < threshold * den_lo:
+            if hi < t_lo:
                 return False
             precision *= 2
-        raise Undecidable(f"ratio vs {threshold} undecided at {PRECISION_CAP} bits")
+        raise Undecidable(f"comparison with {threshold} undecided at {PRECISION_CAP} bits")
 
 
 def _powlog_cap(s: Fraction) -> Fraction:
@@ -149,12 +141,7 @@ def _powlog_cap(s: Fraction) -> Fraction:
     return min(half, lo)
 
 
-def make_dimfn(
-    family: str,
-    s: Fraction | int | str,
-    d: int,
-    domain_cap: Fraction | None = None,
-) -> DimensionFunction:
+def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunction:
     """Validate parameters and build a gauge with its witness.
 
     Raises RejectNonPositive for s <= 0 and RejectNotDominated when the
@@ -168,16 +155,13 @@ def make_dimfn(
     if family == POWER:
         if s >= d:
             raise RejectNotDominated(f"x^{s} is not strictly below x^{d}")
-        cap_max = Fraction(1)
+        cap = Fraction(1)
     elif family == POWERLOG:
         if s > d:
             raise RejectNotDominated(f"-x^{s} ln x is not below x^{d}")
-        cap_max = _powlog_cap(s)
+        cap = _powlog_cap(s)
     else:
         raise RejectNotDominated(f"unknown gauge family {family!r}")
-    cap = cap_max if domain_cap is None else min(Fraction(domain_cap), cap_max)
-    if cap <= 0:
-        raise RejectNonPositive("domain_cap must be positive")
     return DimensionFunction(family=family, s=s, d=d, domain_cap=cap)
 
 

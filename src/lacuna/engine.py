@@ -52,7 +52,6 @@ from .errors import (
     FormatError,
     PlacementFailure,
     ScheduleOverflow,
-    Starved,
     StructureViolation,
     UnsupportedDimension,
     ZeroPattern,
@@ -140,7 +139,6 @@ class ConstructionState(Record, frozen=False):
     levels: list[Level]
     entries: list[ScheduleEntry] = Fresh(list)
     scheduler: Scheduler | None = None
-    pending: ScheduleEntry | None = None
 
     @property
     def depth(self) -> int:
@@ -161,13 +159,13 @@ class ConstructionState(Record, frozen=False):
         applied = [e.beta for e in self.entries if e.m_level <= level]
         return delta_candidate(level, applied)
 
-    def inv_side(self, level: int) -> int:
-        """1/side of the level: 2^level times the betas active there."""
-        return self.side(level).denominator
-
     def side_num(self, level: int) -> int:
-        """The side of the level as a numerator over its denominator."""
-        return self.levels[level].den // self.inv_side(level)
+        """The side of the level as a numerator over its denominator.
+
+        It is the level-0 denominator Q at every level: a level's
+        denominator grows by exactly the factor its side shrinks.
+        """
+        return self.levels[0].den
 
     def expected_count(self, level: int) -> int:
         return 1 << (self.d * self.ndigits(level))
@@ -332,8 +330,8 @@ def _dyadic_children(lowers: list[int], side: int, d: int) -> list[int]:
 def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> None:
     """Append level k: the avoidance level of `entry`, or a dyadic level.
 
-    The one per-level step: the build passes the entry the scheduler landed
-    at k, the tree reader the stored entry with M_i = k.
+    The one per-level step: the build passes the entry the scheduler lands
+    at k (Scheduler.entry_at), the tree reader the stored entry with M_i = k.
     """
     d, prev = state.d, state.levels[-1]
     side = state.side_num(k - 1)  # the child side over the new denominator
@@ -356,40 +354,28 @@ def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> N
     state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
 
 
-def advance_level(state: ConstructionState) -> None:
-    """Construct the next level, pulling a schedule entry when one is due.
-
-    The pending entry lands on the first level at or above its floor where
-    its ratio condition holds (Scheduler.land), so the search for an
-    avoidance level never tests a level past the one being built.
-    """
-    k = state.depth + 1
-    if k > state.level_cap:
-        raise ScheduleOverflow(f"depth {k} exceeds the level cap {state.level_cap}")
-    if state.scheduler is None:
-        raise StructureViolation("state was loaded from a tree file; rebuild instead")
-    if state.pending is None:
-        try:
-            state.pending = state.scheduler.next_entry(
-                [state.count(j) for j in range(k)], step=k
-            )
-        except Starved:
-            state.pending = None
-    entry = state.scheduler.land(k) if state.pending else None
-    _advance(state, k, entry)
-    if entry is not None:
-        state.entries.append(entry)
-        state.pending = None
-    if state.count(k) != state.expected_count(k):
-        raise StructureViolation(f"cube count at level {k} disagrees with the profile")
-
-
 def build(state: ConstructionState, depth: int) -> ConstructionState:
-    """Advance to the requested depth; deterministic in all inputs."""
+    """Advance to the requested depth; deterministic in all inputs.
+
+    A depth above the state's level cap is refused before any level is
+    built.  Each new level k is the avoidance level of the entry the
+    scheduler lands at k (Scheduler.entry_at), or a dyadic level, so the
+    search for an avoidance level never tests a level past the one being
+    built.
+    """
     if depth < 0:
         raise StructureViolation("depth must be >= 0")
-    while state.depth < depth:
-        advance_level(state)
+    if depth > state.level_cap:
+        raise ScheduleOverflow(f"depth {depth} exceeds the level cap {state.level_cap}")
+    if depth > state.depth and state.scheduler is None:
+        raise StructureViolation("state was loaded from a tree file; rebuild instead")
+    for k in range(state.depth + 1, depth + 1):
+        entry = state.scheduler.entry_at(k, [state.count(j) for j in range(k)])
+        _advance(state, k, entry)
+        if entry is not None:
+            state.entries.append(entry)
+        if state.count(k) != state.expected_count(k):
+            raise StructureViolation(f"cube count at level {k} disagrees with the profile")
     return state
 
 
@@ -400,8 +386,6 @@ def build_tree(
     depth: int,
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> ConstructionState:
-    if depth > level_cap:
-        raise ScheduleOverflow(f"depth {depth} exceeds the level cap {level_cap}")
     return build(init_state(d, patterns, h, level_cap), depth)
 
 

@@ -56,10 +56,6 @@ class ScheduleOverflow(UsageError):
     (engine.MAX_LEAF_CUBES)."""
 
 
-class Starved(LacunaError):
-    """No admissible cube tuple exists yet; the build must advance first."""
-
-
 class PlacementFailure(LacunaError):
     """A lattice cube escaped its parent.
 

@@ -117,11 +117,6 @@ def nth_root_bounds(x: Fraction, q: int, precision: int) -> tuple[Fraction, Frac
     return Fraction(lo_i, s), Fraction(hi_i, s)
 
 
-def sqrt_bounds(n: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(n) for integer n >= 0; exact for perfect squares."""
-    return nth_root_bounds(Fraction(n), 2, precision)
-
-
 def _round_down(x: Fraction, shift: int) -> Fraction:
     return Fraction((x.numerator << shift) // x.denominator, 1 << shift)
 

@@ -16,15 +16,15 @@ is enforced:
   them without re-running the scheduler.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
-  new beta_i.  ratio_condition is the one test of it.  A build tests it
-  as it reaches each level from the entry's floor and lands the entry at
-  the first level that passes (Scheduler.land), so M_i is the least such
-  level and no level past the build's depth is tested; compute_levels
-  runs the same search eagerly for given betas, up to a level cap.
-  certify_measure re-checks it at every level from the first avoidance
-  level to the depth.  The gauge's monotone-ratio witness extends the
-  check at M_i to every k >= M_i (deeper levels shrink delta, which can
-  only raise the ratio).
+  new beta_i.  ratio_condition is the one test of it.  The scheduler holds
+  the entry in flight and tests it at each level the build reaches from the
+  entry's floor (Scheduler.entry_at); the entry lands at the first level
+  that passes, so M_i is the least such level and no level past the
+  build's depth is tested.  compute_levels runs the same search eagerly for
+  given betas, up to a level cap.  certify_measure re-checks it at every
+  level from the first avoidance level to the depth.  The gauge's
+  monotone-ratio witness extends the check at M_i to every k >= M_i
+  (deeper levels shrink delta, which can only raise the ratio).
 
 sqrt(d) is handled by a fixed rational enclosure; the upper bound is the
 conservative direction both for beta (larger beta only helps the fit) and
@@ -43,9 +43,9 @@ from fractions import Fraction
 from math import ceil, perm
 
 from .dimfn import DimensionFunction
-from .errors import OutOfDomain, ScheduleOverflow, Starved, Undecidable
+from .errors import OutOfDomain, ScheduleOverflow, Undecidable
 from .pattern import NormalizedPattern
-from .qmath import sqrt_bounds
+from .qmath import nth_root_bounds
 from .record import Record
 
 #: Enclosure width for sqrt(d): hi - lo < 2**-SQRT_PRECISION.
@@ -55,7 +55,7 @@ DEFAULT_LEVEL_CAP = 96
 
 
 def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
-    return sqrt_bounds(d, SQRT_PRECISION)
+    return nth_root_bounds(Fraction(d), 2, SQRT_PRECISION)
 
 
 class ScheduleEntry(Record):
@@ -63,8 +63,8 @@ class ScheduleEntry(Record):
 
     tuple_codes are indices of cubes of one level (an index read as a
     base-2^d digit string is the cube's address), pairwise distinct, at a
-    level <= m_level - 2.  While an entry is served but has not landed,
-    m_level is its floor (Scheduler.next_entry, Scheduler.land).
+    level <= m_level - 2.  While an entry is in flight (served but not
+    landed), m_level is its floor (Scheduler.next_entry, Scheduler.entry_at).
     """
 
     index: int
@@ -187,12 +187,12 @@ class TupleEnumerator:
 class Scheduler:
     """Serves schedule entries in (U_j) order against a growing cube tree.
 
-    Owns the cursor and the served-entry bookkeeping.  The engine asks for
-    the next entry once the previous one has landed, then offers it each
-    level it builds (land); the entry lands on the first level at or above
-    its floor where the ratio condition holds.  No level past the one being
-    built is ever tested.  Single-owner mutable state: not safe for
-    concurrent use.
+    Owns the cursor, the served entries and the one entry in flight: served
+    but not yet landed.  The build asks entry_at for the entry of each level
+    it builds; the entry in flight lands on the first level at or above its
+    floor where the ratio condition holds, and the next one is served on the
+    level after.  No level past the one being built is ever tested.
+    Single-owner mutable state: not safe for concurrent use.
     """
 
     def __init__(
@@ -205,27 +205,28 @@ class Scheduler:
         self.enum = TupleEnumerator(len(self.normalized))
         self.betas: list[int] = [compute_beta(np_, h.d) for np_ in self.normalized]
         self.served: list[ScheduleEntry] = []
+        self.in_flight: ScheduleEntry | None = None
 
-    def _min_m(self) -> int:
-        return min(np_.m for np_ in self.normalized)
-
-    def next_entry(self, level_sizes: list[int], step: int) -> ScheduleEntry:
-        """Serve the next entry; raises Starved when no tuple is admissible.
+    def next_entry(self, level_sizes: list[int], step: int) -> ScheduleEntry | None:
+        """Serve the next entry and put it in flight; None when no level
+        holds enough distinct cubes for a tuple yet.
 
         level_sizes[L] is the cube count of the already-built level L; step
         is the level about to be built, so tuples may only come from levels
         <= step - 1.  The entry's m_level is its floor, the first level it
-        may land on, until land places it.
+        may land on.
         """
+        min_m = min(np_.m for np_ in self.normalized)
+        if not any(n >= min_m for n in level_sizes):
+            return None
         built = len(level_sizes) - 1
-        if not any(n >= self._min_m() for n in level_sizes):
-            raise Starved("no level holds enough distinct cubes yet")
         while True:
             level, rank, pid = self.enum.peek()
+            self.enum.advance()
             np_ = self.normalized[pid]
             if level <= built and rank < perm(level_sizes[level], np_.m):
                 prev = self.served[-1].m_level if self.served else 0
-                entry = ScheduleEntry(
+                self.in_flight = ScheduleEntry(
                     index=len(self.served) + 1,
                     pattern_id=pid,
                     level=level,
@@ -233,22 +234,23 @@ class Scheduler:
                     m_level=max(2, prev + 2, step, level + 2),
                     beta=self.betas[pid],
                 )
-                self.enum.advance()
-                self.served.append(entry)
-                return entry
-            self.enum.advance()
+                self.served.append(self.in_flight)
+                return self.in_flight
 
-    def land(self, k: int) -> ScheduleEntry | None:
-        """The last served entry placed at level k, or None if it is not due.
+    def entry_at(self, k: int, level_sizes: list[int]) -> ScheduleEntry | None:
+        """The entry that lands at level k, or None.
 
-        It is due at the first level k >= its floor where ratio_condition
-        holds; callers offer levels in increasing order and stop offering
-        once it has landed.  k becomes its m_level.
+        Serves the next entry first when none is in flight (see next_entry;
+        level_sizes are the cube counts of levels 0..k-1).  The entry in
+        flight lands at k when k is at or above its floor and ratio_condition
+        holds there; k becomes its m_level.  Callers ask for levels in
+        increasing order.
         """
-        entry = self.served[-1]
-        if k < entry.m_level or not ratio_condition(
+        entry = self.in_flight or self.next_entry(level_sizes, step=k)
+        if entry is None or k < entry.m_level or not ratio_condition(
             self.h, k, [e.beta for e in self.served]
         ):
             return None
         self.served[-1] = entry = entry.replace(m_level=k)
+        self.in_flight = None
         return entry

@@ -21,7 +21,13 @@ from itertools import product
 from operator import add
 from typing import Sequence
 
-from lacuna.certify import GapCertificate, _entry_of, _partial_sums, brute_oracle, placed_blocks
+from lacuna.certify import (
+    GapCertificate,
+    _check_processed,
+    _partial_sums,
+    brute_oracle,
+    placed_blocks,
+)
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
 from lacuna.dimfn import PRECISION_CAP, DimensionFunction
 from lacuna.engine import BlockLattice, ConstructionState, Vector
@@ -143,7 +149,7 @@ def _recover_residue(lattice: BlockLattice, signs: list[int], lower: IntVector) 
 
 def spot_check_gap(
     state: ConstructionState,
-    entry: ScheduleEntry | int,
+    entry: ScheduleEntry,
     cert: GapCertificate,
     count: int = 100,
     seed: int = 2024,
@@ -151,7 +157,7 @@ def spot_check_gap(
 ) -> None:
     """Random rational point tuples from the placed cubes must respect the
     gap: the Fraction form of certify.spot_check_gap, with the same draws."""
-    entry = _entry_of(state, entry)
+    _check_processed(state, entry)
     np_ = state.normalized[entry.pattern_id]
     den = state.levels[entry.m_level].den
     delta = state.side(entry.m_level)
@@ -399,7 +405,7 @@ def covered_violations(
 def covered_instance_scan(
     state: ConstructionState,
     points: list[Vector],
-    entry: ScheduleEntry | int,
+    entry: ScheduleEntry,
 ) -> list[tuple[int, ...]]:
     """Exact zeros of psi over the full covered product of one entry.
 
@@ -408,7 +414,7 @@ def covered_instance_scan(
     builds stay tractable where the all-tuples oracle would not.  Returns
     instances as point-index tuples in normalized block order.
     """
-    entry = _entry_of(state, entry)
+    _check_processed(state, entry)
     np_ = state.normalized[entry.pattern_id]
     blocks = placed_blocks(state, entry)
     den = state.levels[entry.m_level].den

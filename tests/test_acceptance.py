@@ -192,7 +192,7 @@ class TestAcceptance:
         oracle_failed = False
         try:
             validate_structure(mutated)
-            certify_gap(mutated, entry.index)
+            certify_gap(mutated, entry)
         except (GapViolated, StructureViolation):
             gap_failed = True
         if not gap_failed:
@@ -246,7 +246,7 @@ class TestAcceptance:
         st = build_tree(1, [make_pattern(1, [[2], [-1]])], h, 18)
         ok = bool(st.m_levels) and st.depth >= st.m_levels[0] == 18
         validate_structure(st)
-        cert = certify_gap(st, 1)
+        cert = certify_gap(st, st.entries[0])
         ok = ok and cert.gap >= cert.threshold
         measure = certify_measure(st)
         ok = ok and all(v.mass_ok and v.ratio_ok for v in measure.per_level)

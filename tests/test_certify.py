@@ -13,7 +13,9 @@ from hypothesis import strategies as hs
 
 from lacuna import engine
 from lacuna.certify import (
+    COMBO_CAP,
     brute_oracle,
+    certificates_to_doc,
     certify_gap,
     certify_measure,
     placed_blocks,
@@ -50,14 +52,14 @@ def placed_points(st, entry):
 
 class TestGapCertificates:
     def test_first_ap_entry_threshold(self, ap_tree_12):
-        cert = certify_gap(ap_tree_12, 1)
+        cert = certify_gap(ap_tree_12, ap_tree_12.entries[0])
         assert cert.threshold == F(1, 288)  # peak * side = 2/576
         assert cert.gap >= cert.threshold
         assert cert.placed_counts == (8, 8, 8)
         assert cert.exact_min
 
     def test_second_entry(self, ap_tree_12):
-        cert = certify_gap(ap_tree_12, 2)
+        cert = certify_gap(ap_tree_12, ap_tree_12.entries[1])
         assert cert.threshold == F(1, 82944)
         assert cert.gap >= cert.threshold
 
@@ -124,8 +126,29 @@ class TestGapCertificates:
             assert (q_min - F(1, 2)).denominator == 1  # half-integer ladder
 
     def test_unprocessed_entry_rejected(self, ap_tree_12):
+        # entry 3 is served, with its floor 13 past the depth, but never lands
+        in_flight = ap_tree_12.scheduler.in_flight
+        assert in_flight.index == 3
         with pytest.raises(EntryNotProcessed):
-            certify_gap(ap_tree_12, 99)
+            certify_gap(ap_tree_12, in_flight)
+
+    def test_combo_cap_falls_back_to_the_structural_bound(self):
+        # quotient 2 under pow:41/50 lands entry 1, the level-1 tuple (0, 1),
+        # at M_1 = 19 over 2^18 leaves: each block holds 2^17 distinct
+        # residues, more than COMBO_CAP, and the cap test runs even on the
+        # first fold, so the gap is the structural bound
+        # 4*peak*delta/2 - peak*delta
+        h = make_dimfn("pow", F(41, 50), 1)
+        st = build_tree(1, [make_pattern(1, [[2], [-1]])], h, 19)
+        assert st.m_levels == [19] and st.count(19) == 2**18
+        entry = st.entries[0]
+        assert (entry.level, entry.tuple_codes) == (1, (0, 1))
+        cert = certify_gap(st, entry)
+        assert cert.placed_counts == (2**17, 2**17) and 2**17 > COMBO_CAP
+        assert not cert.exact_min
+        assert cert.gap == cert.threshold == F(3, 7 * 2**20)
+        spot_check_gap(st, entry, cert, count=20)
+        assert certificates_to_doc([cert], None)["gaps"][0]["exact_min"] is False
 
     def test_corrupted_placement_fails(self, ap_tree_12, move_cube):
         # Shift one placed cube off the lattice by side/4.
@@ -133,7 +156,7 @@ class TestGapCertificates:
         x = F(level.lowers[0], level.den)
         broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
-            certify_gap(broken, 1)
+            certify_gap(broken, broken.entries[0])
 
     def test_unshifted_lattice_fails_the_cross_check(self, ap_pattern, sqrt_gauge, monkeypatch):
         """Without the half-step pivot shift of the last block, placement and
@@ -148,7 +171,7 @@ class TestGapCertificates:
         monkeypatch.setattr(engine, "block_lattice", unshifted)
         st = build_tree(1, [ap_pattern], sqrt_gauge, 7)
         with pytest.raises(GapViolated, match="is not a half-integer multiple"):
-            certify_gap(st, 1)
+            certify_gap(st, st.entries[0])
 
 
 class TestMeasureCertificate:
@@ -174,6 +197,15 @@ class TestMeasureCertificate:
         for k in range(6, 13):
             lo, _ = st.h.eval_bounds(st.side(k), 64)
             assert len(st.levels[k].lowers) * lo >= 1
+
+    def test_radius_outside_the_gauge_domain_fails_the_mass_bound(self, ap_tree_12):
+        # With the gauge certified only on (0, 10^-6], h at the level-6
+        # radius 1/576 is not certified: the mass bound fails at k0 rather
+        # than the OutOfDomain escaping
+        capped = ap_tree_12.replace(h=ap_tree_12.h.replace(domain_cap=F(1, 10**6)))
+        with pytest.raises(MeasureViolated) as exc:
+            certify_measure(capped)
+        assert exc.value.level == 6
 
     def test_truncated_build_rejected(self, ap_pattern, sqrt_gauge):
         st = build_tree(1, [ap_pattern], sqrt_gauge, 5)  # below M_1 = 6
@@ -302,7 +334,7 @@ class TestOracle:
         )
         # and the same corruption breaks the gap certificate
         with pytest.raises(GapViolated):
-            certify_gap(broken, 1)
+            certify_gap(broken, broken.entries[0])
 
 
 def fraction_oracle(points, pattern, tolerance):

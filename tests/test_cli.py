@@ -75,7 +75,10 @@ class TestBuild:
     def test_depth_over_cap_is_config_error(self, ap_file, tmp_path, capsys):
         # the level cap is 96: refused before any level is built
         assert main(build_args(ap_file, tmp_path, depth=97)) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ScheduleOverflow"
+        # not the leaf cap, which a build reaches only at level 26
+        assert err["message"] == "depth 97 exceeds the level cap 96"
 
     def test_depth_over_leaf_cap_is_config_error(
         self, ap_file, tmp_path, capsys, monkeypatch
@@ -436,6 +439,24 @@ def _pattern_file(tmp_path, **fields):
     return str(pat)
 
 
+def _tampered_tree(tmp_path, ap_file, mutate):
+    """The path of the depth-12 AP tree (M_i = 6, 11), mutated in place."""
+    assert main(build_args(ap_file, tmp_path, depth=12)) == 0
+    tree = tmp_path / "tree.json"
+    doc = json.loads(tree.read_text())
+    mutate(doc)
+    tree.write_text(json.dumps(doc))
+    return str(tree)
+
+
+def _entry_index_2(doc):
+    doc["schedule"][0]["i"] = 2
+
+
+def _depth_below_m_2(doc):
+    doc["depth"] = 10
+
+
 def _build_argv(pattern_file, tmp_path):
     return ["build", pattern_file, "--dimfn", "pow:1/2", "--depth", "3",
             "--out", str(tmp_path / "tree.json")]
@@ -495,6 +516,46 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (lambda t, ap: ["certify", _tampered_tree(t, ap, _entry_index_2)],
+             "schedule entry 1 is stored with index 2"),
+            (lambda t, ap: ["certify", _tampered_tree(t, ap, _depth_below_m_2)],
+             "entry 2: M_i=11 exceeds the depth 10"),
+            (lambda t, ap: ["oracle", _points_file(t, "d=2", b"1 1\n"), "--patterns", ap],
+             "points are d=2 but patterns are d=1"),
+            (lambda t, ap: ["app", _spec_file(t, kind="vector_split", params={
+                "d": 1, "m": 2, "rows": [["2", "-1", "1"]]}), "--out-dir", str(t / "o")],
+             "component row must have 2 coefficients"),
+            (lambda t, ap: ["app", _spec_file(t, kind="differences", params=[
+                {"kind": "log_of", "value": "-2"}]), "--out-dir", str(t / "o")],
+             "log_of target needs a positive rational"),
+            (lambda t, ap: ["app", _spec_file(t, kind="differences", params=[
+                {"kind": "log_of"}]), "--out-dir", str(t / "o")],
+             'a differences target needs a "value"'),
+            (lambda t, ap: ["app", _spec_file(t, kind="differences", params=[]),
+                            "--out-dir", str(t / "o")],
+             "differences app needs at least one target"),
+            (lambda t, ap: ["app", _spec_file(t, kind="differences", params=[
+                {"kind": "sqrt", "value": "2"}]), "--out-dir", str(t / "o")],
+             "unknown difference target kind 'sqrt'"),
+        ],
+        ids=["tree-entry-index", "tree-m-past-depth", "oracle-d-mismatch",
+             "app-row-length", "app-log-of-negative", "app-target-no-value",
+             "app-no-targets", "app-unknown-target-kind"],
+    )
+    def test_format_error_message(self, ap_file, tmp_path, capsys, argv, message):
+        argv = argv(tmp_path, ap_file)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormatError"
+        assert message in error["message"]
 
     def test_value_too_large_to_write(self, tmp_path, capsys):
         # the report of e^5000 needs more digits than the interpreter renders

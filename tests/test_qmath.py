@@ -18,7 +18,6 @@ from lacuna.qmath import (
     nth_root_bounds,
     parse_rational,
     perfect_root,
-    sqrt_bounds,
 )
 
 mpmath.mp.dps = 60
@@ -81,8 +80,8 @@ class TestRoots:
         assert lo**q <= x <= hi**q
 
     def test_sqrt_bounds_exact_square(self):
-        assert sqrt_bounds(4, 20) == (Fraction(2), Fraction(2))
-        lo, hi = sqrt_bounds(2, 30)
+        assert nth_root_bounds(Fraction(4), 2, 20) == (Fraction(2), Fraction(2))
+        lo, hi = nth_root_bounds(Fraction(2), 2, 30)
         assert lo < hi and lo * lo < 2 < hi * hi
 
 

@@ -8,16 +8,15 @@ from math import perm
 import pytest
 
 from lacuna import schedule
-from lacuna.dimfn import make_dimfn
+from lacuna.dimfn import DimensionFunction, make_dimfn
 from lacuna.engine import (
-    advance_level,
     build,
     build_tree,
     doc_to_state,
     init_state,
     state_to_doc,
 )
-from lacuna.errors import ScheduleOverflow, Starved
+from lacuna.errors import ScheduleOverflow
 from lacuna.pattern import make_pattern, normalize
 from lacuna.schedule import (
     Scheduler,
@@ -97,7 +96,7 @@ class TestLevels:
         assert compute_levels(h, [7]) == [18]
 
     def test_ratio_condition_is_false_outside_the_domain(self, sqrt_gauge):
-        capped = make_dimfn("pow", F(1, 2), 1, domain_cap=F(1, 10**4))
+        capped = DimensionFunction(family="pow", s=F(1, 2), d=1, domain_cap=F(1, 10**4))
         assert ratio_condition(sqrt_gauge, 9, [9])  # r = 1/4608
         assert not ratio_condition(capped, 9, [9])
 
@@ -188,20 +187,20 @@ class TestScheduler:
         assert entry.level == 2
         assert entry.tuple_codes == (0, 1, 2)
         assert entry.beta == 9
-        # it is offered levels from its floor max(2, 0+2, 3, 2+2) = 4 up and
-        # lands at the first one where the ratio condition holds
-        assert entry.m_level == 4
-        assert [s.land(k) for k in (4, 5)] == [None, None]
-        landed = s.land(6)
+        # it is in flight from its floor max(2, 0+2, 3, 2+2) = 4 up and
+        # lands at the first level where the ratio condition holds
+        assert entry.m_level == 4 and s.in_flight == entry
+        assert [s.entry_at(k, self.sizes(1, 2, 4)) for k in (4, 5)] == [None, None]
+        landed = s.entry_at(6, self.sizes(1, 2, 4))
         assert landed.m_level == 6
-        assert landed == s.served[-1]
+        assert landed == s.served[-1] and s.in_flight is None
 
     def test_starved_before_tuples_exist(self, ap_norm, sqrt_gauge):
         s = Scheduler([ap_norm], sqrt_gauge)
-        with pytest.raises(Starved):
-            s.next_entry(self.sizes(1), step=1)
-        with pytest.raises(Starved):
-            s.next_entry(self.sizes(1, 2), step=2)
+        assert s.next_entry(self.sizes(1), step=1) is None
+        assert s.next_entry(self.sizes(1, 2), step=2) is None
+        assert s.entry_at(2, self.sizes(1, 2)) is None
+        assert s.served == [] and s.in_flight is None
 
     def test_pair_exhaustion_in_first_cycle(self, q2_norm, sqrt_gauge):
         # One m=2 pattern, two cubes at level 1: both ordered pairs appear
@@ -281,9 +280,11 @@ class TestScheduler:
         assert state.m_levels == [6]
         assert compute_levels(sqrt_gauge, [9, 9]) == [6, 11]
         # entry 2 is served with floor 8 > cap, so it never lands (M_2 = 11)
-        assert state.pending.index == 2 and state.pending.m_level == 8
+        assert state.scheduler.in_flight.index == 2
+        assert state.scheduler.in_flight.m_level == 8
         with pytest.raises(ScheduleOverflow):
-            advance_level(state)
+            build(state, 8)
+        assert state.depth == 7
 
 
 class TestDeferredLevelSearch:
@@ -306,7 +307,7 @@ class TestDeferredLevelSearch:
         assert state.m_levels == [13]
         # floor of entry 1 is max(2, 0+2, 2, 1+2) = 3; entry 2's floor is 15
         assert tested == list(range(3, 14))
-        assert state.pending.m_level == 15
+        assert state.scheduler.in_flight.m_level == 15
 
     def test_one_level_per_call_matches_build_tree(
         self, powlog_build, ap_pattern, sqrt_gauge
