@@ -6,10 +6,19 @@ instance was found or a certificate failed, 2 = usage or configuration
 error (errors.UsageError, argument errors included, or an OSError).
 Failures emit a JSON error envelope on stderr for machine use.
 
+run() is the process entry (the console script and `python -m lacuna.cli`):
+it calls main(), flushes the standard streams and ends the process without
+interpreter teardown.  main(argv) is the in-process API, and returns the
+exit code.
+
 Each command imports the layers it runs (engine, apps, certify, export)
 itself, so a step loads no module it does not use: the oracle, for one,
-loads no engine, schedule or gauge code.  Commands reach layer functions
-through module attributes (engine.build_tree, certify.certify_gap, ...).
+loads no engine, schedule or gauge code.  Deeper down the same holds: the
+tree reader (lacuna.reader), the ln and exp series (lacuna.lnexp) and the
+difference app (lacuna.differences) are imported only by the code paths
+that call them, since every module a step loads is compiled in that step
+when no bytecode cache is written.  Commands reach layer functions through
+module attributes (engine.build_tree, certify.certify_gap, ...).
 
 The argument grammar is one table, COMMANDS, that parse_args reads with
 argparse's rules: options before or after the positionals, a unique
@@ -23,6 +32,7 @@ every step, as much as the work of an oracle step.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -290,6 +300,9 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command from argv (default sys.argv[1:]) and return its exit
+    code.  The in-process API: it never ends the process, except that
+    -h/--help raises SystemExit(0)."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
@@ -304,5 +317,26 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of the console script and of `python -m lacuna.cli`.
+
+    Runs main(), flushes stdout and stderr and ends the process with
+    os._exit, skipping the interpreter teardown, which frees every module
+    and object one by one.  Every file a command writes is closed by its
+    `with` block before main returns, so the flush is all that teardown
+    would still do.  A stream may be None (a closed descriptor); one whose
+    flush fails (a pipe with no reader) falls back to sys.exit, so the
+    interpreter reports the error and sets the exit code as it always did.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -17,7 +17,9 @@ e^(-1/s), which is why the domain cap is clamped below that point.
 All comparisons are certified: exact for pow, directed-rounded rational
 intervals for powlog, refined by doubling the precision from
 START_PRECISION bits until they decide.  A certified interval never
-decides wrongly, so the starting precision changes only the work.
+decides wrongly, so the starting precision changes only the work.  The ln
+and exp series (lnexp) are imported on the powlog paths only, so a step
+with a pow gauge never loads them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OutOfDomain, RejectNonPositive, RejectNotDominated, Undecidable
-from .qmath import exp_bounds, ln_bounds, nth_root_bounds, parse_rational
+from .qmath import nth_root_bounds, parse_rational
 from .record import Record
 
 POWER = "pow"
@@ -73,6 +75,8 @@ class DimensionFunction(Record):
         p, q = self.s.numerator, self.s.denominator
         if self.family == POWER:
             return nth_root_bounds(r**p, q, precision)
+        from .lnexp import ln_bounds
+
         guard = precision + 4
         while True:
             rs_lo, rs_hi = nth_root_bounds(r**p, q, guard)
@@ -112,6 +116,8 @@ class DimensionFunction(Record):
         if self.family == POWER:
             # r^(a/q) >= t  <=>  r^a >= t^q  (both sides positive)
             return r**a >= threshold**q
+        from .lnexp import ln_bounds
+
         precision = START_PRECISION
         while precision <= PRECISION_CAP:
             ln_lo, ln_hi = ln_bounds(r, precision)
@@ -137,6 +143,8 @@ def _powlog_cap(s: Fraction) -> Fraction:
     half = Fraction(1, 2)
     if s >= Fraction(3, 2):  # e^(-1/s) >= e^(-2/3) > 1/2
         return half
+    from .lnexp import exp_bounds
+
     lo, _ = exp_bounds(-1 / s, 48)
     return min(half, lo)
 

@@ -35,9 +35,10 @@ The tree file (lacuna-tree/3) is the recipe of a build, not its geometry:
 d, the gauge h, the depth, the patterns and the realized schedule.  Every
 corner follows from those (dyadic children sit at fixed offsets, free cubes
 are their parents scaled, placed cubes come from the deterministic lattice
-rule), so the reader checks the recipe and rebuilds the levels with the
-build's own per-level step, _advance.  A build and a read refuse a tree of
-more than MAX_LEAF_CUBES deepest-level cubes.
+rule), so the reader (lacuna.reader, loaded by read_tree) checks the recipe
+and rebuilds the levels with the build's own per-level step, _advance.  A
+build and a read refuse a tree of more than MAX_LEAF_CUBES deepest-level
+cubes.
 """
 
 from __future__ import annotations
@@ -47,21 +48,19 @@ from math import lcm
 from pathlib import Path
 from typing import Sequence
 
-from .dimfn import DimensionFunction, parse_dimfn
+from .dimfn import DimensionFunction
 from .errors import (
-    FormatError,
     PlacementFailure,
     ScheduleOverflow,
     StructureViolation,
     UnsupportedDimension,
     ZeroPattern,
 )
-from .jsonfile import int_field, read_json, write_json
+from .jsonfile import read_json, write_json
 from .pattern import (
     LinearPattern,
     NormalizedPattern,
     normalize,
-    patterns_from_doc,
     patterns_to_doc,
 )
 from .record import Fresh, Record
@@ -69,7 +68,6 @@ from .schedule import (
     DEFAULT_LEVEL_CAP,
     ScheduleEntry,
     Scheduler,
-    compute_beta,
     delta_candidate,
     sqrt_d_bounds,
 )
@@ -92,17 +90,6 @@ def render_address(code: int, ndigits: int, d: int) -> str:
         out.append(_ADDRESS_ALPHABET[code & ((1 << d) - 1)])
         code >>= d
     return "".join(reversed(out))
-
-
-def parse_address(text: str, d: int) -> int:
-    base = 1 << d
-    code = 0
-    for ch in text:
-        v = _ADDRESS_ALPHABET.index(ch)
-        if v >= base:
-            raise FormatError(f"address digit {ch!r} out of range for d={d}")
-        code = (code << d) | v
-    return code
 
 
 def lattice_denominator(normalized: Sequence[NormalizedPattern]) -> int:
@@ -446,98 +433,14 @@ def entry_to_doc(state: ConstructionState, e: ScheduleEntry) -> dict:
     }
 
 
-def _entries_from_doc(
-    recs: list, d: int, normalized: tuple[NormalizedPattern, ...], depth: int
-) -> list[ScheduleEntry]:
-    """Schedule entries, checked for types, ranges, order and the schedule
-    invariants: beta_i >= compute_beta, M_1 >= 2, M_{i+1} >= M_i + 2 and a
-    tuple level <= M_i - 2."""
-    entries: list[ScheduleEntry] = []
-    for pos, rec in enumerate(recs, start=1):
-        if int_field(rec["i"], "entry index", 1) != pos:
-            raise FormatError(f"schedule entry {pos} is stored with index {rec['i']}")
-        pid = int_field(rec["pattern_id"], "pattern_id", 0)
-        if pid >= len(normalized):
-            raise FormatError(f"entry {pos}: pattern_id {pid} out of range")
-        prev_m = entries[-1].m_level if entries else 0
-        m_level = int_field(rec["M_i"], "M_i", prev_m + 2)
-        if m_level > depth:
-            raise FormatError(f"entry {pos}: M_i={m_level} exceeds the depth {depth}")
-        level = int_field(rec["level"], "tuple level", 0)
-        if level > m_level - 2:
-            raise FormatError(f"entry {pos}: tuple level {level} is not above M_i={m_level}")
-        # the tuple level lies above M_i, so only earlier entries act there
-        nd = level - sum(1 for e in entries if e.m_level <= level)
-        names = rec["tuple"]
-        codes = tuple(parse_address(a, d) for a in names)
-        if (
-            len(codes) != normalized[pid].m
-            or len(set(codes)) != len(codes)
-            or [render_address(c, nd, d) for c in codes] != names
-        ):
-            raise FormatError(
-                f"entry {pos}: tuple is not {normalized[pid].m} distinct "
-                f"level-{level} addresses"
-            )
-        entries.append(
-            ScheduleEntry(
-                index=pos,
-                pattern_id=pid,
-                level=level,
-                tuple_codes=codes,
-                m_level=m_level,
-                beta=int_field(
-                    rec["beta_i"], "beta_i", compute_beta(normalized[pid], d)
-                ),
-            )
-        )
-    return entries
-
-
-def doc_to_state(doc: dict) -> ConstructionState:
-    """Rebuild a state from a tree document (read-only: no scheduler).
-
-    Types, ranges, the cross-field consistency of the document and the
-    schedule invariants (beta_i >= compute_beta, M_1 >= 2,
-    M_{i+1} >= M_i + 2, tuple level <= M_i - 2, canonical addresses) are
-    checked here and fail with FormatError, as does a recipe of more than
-    MAX_LEAF_CUBES deepest-level cubes, before any level is built.  The
-    levels are then rebuilt by _advance, the build's own step, from the
-    stored entries; the scheduler is not re-run, so any schedule that
-    passes these checks is rebuilt as written.
-    """
-    try:
-        if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
-            raise FormatError(
-                f"not a {TREE_FORMAT} document "
-                "(lacuna-tree/1 and lacuna-tree/2 files must be rebuilt)"
-            )
-        d = int_field(doc["d"], "d", 1)
-        _, patterns = patterns_from_doc({"d": d, "patterns": doc["patterns"]})
-        h = parse_dimfn(doc["h"], d)
-        depth = int_field(doc["depth"], "depth", 0)
-        state = init_state(d, patterns, h)
-        state.scheduler = None
-        state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise FormatError(f"malformed tree document: {exc}") from exc
-    # 2^(d * ndigits) cubes at the depth, compared by exponent: a forged
-    # depth must not make this check itself expensive
-    if d * state.ndigits(depth) > MAX_LEAF_CUBES.bit_length() - 1:
-        raise FormatError(
-            f"the tree asks for 2^{d * state.ndigits(depth)} cubes at depth {depth}, "
-            f"more than {MAX_LEAF_CUBES}"
-        )
-    by_level = {e.m_level: e for e in state.entries}
-    for k in range(1, depth + 1):
-        _advance(state, k, by_level.get(k))
-    return state
-
-
 def write_tree(state: ConstructionState, path: str | Path) -> None:
     write_json(state_to_doc(state), path)
 
 
 def read_tree(path: str | Path) -> ConstructionState:
+    """The state a tree file describes, checked and rebuilt by
+    reader.doc_to_state; only the steps that read a tree load the reader."""
+    from .reader import doc_to_state
+
     return doc_to_state(read_json(path))
 

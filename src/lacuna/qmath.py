@@ -1,10 +1,10 @@
 """Exact rational arithmetic with directed rounding.
 
-Everything the certified paths need that is not a plain Fraction operation
-lives here: integer q-th roots, rational enclosures of q-th roots, natural
-logarithms, exponentials, and square roots of integers.  All enclosures are
-pairs of Fractions (lo, hi) with lo <= true value <= hi and the rounding
-always outward.  No floating point is used anywhere.
+Every step needs these: the parsing and rendering of rationals, integer
+q-th roots and rational enclosures of q-th roots.  Enclosures of ln and exp,
+which only powlog gauges and the difference app need, are in lnexp.  All
+enclosures are pairs of Fractions (lo, hi) with lo <= true value <= hi and
+the rounding always outward.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -115,135 +115,3 @@ def nth_root_bounds(x: Fraction, q: int, precision: int) -> tuple[Fraction, Frac
     hi_i = iroot(-(-scaled // x.denominator), q) + 1
     s = 1 << shift
     return Fraction(lo_i, s), Fraction(hi_i, s)
-
-
-def _round_down(x: Fraction, shift: int) -> Fraction:
-    return Fraction((x.numerator << shift) // x.denominator, 1 << shift)
-
-
-def _round_up(x: Fraction, shift: int) -> Fraction:
-    return Fraction(-((-x.numerator << shift) // x.denominator), 1 << shift)
-
-
-def _atanh_series(t: Fraction, tail_target: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of atanh(t) for 0 <= t < 1/2 by the odd power series.
-
-    Partial sums underestimate; the geometric tail bound is added on top.
-    With t = a/b, the sum of n terms is one integer over b^(2n-1) *
-    lcm(1, 3, ..., 2n-1), and the tail a^(2n+1) / (b^(2n-1) * (2n+1) *
-    (b^2 - a^2)) is compared with the target in integers; Fractions are
-    built only for the result.
-    """
-    a, b = t.numerator, t.denominator
-    a2, b2 = a * a, b * b
-    gap = b2 - a2  # b^2 * (1 - t^2)
-    tp, tq = tail_target.numerator, tail_target.denominator
-    num, bpow, odd = a, b, 1  # sum = num / (bpow * odd)
-    power = a * a2  # numerator of t^(2n+1)
-    m = 3  # 2n+1
-    while True:
-        tail_den = bpow * m * gap
-        if power * tq <= tp * tail_den:
-            return (
-                Fraction(num, bpow * odd),
-                Fraction(num * m * gap + power * odd, tail_den * odd),
-            )
-        g = gcd(odd, m)
-        num = num * b2 * (m // g) + power * (odd // g)
-        odd *= m // g
-        bpow *= b2
-        power *= a2
-        m += 2
-
-
-_LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
-
-
-def ln2_bounds(precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of ln 2 = 2*atanh(1/3) with width <= 2**-precision."""
-    cached = _LN2_CACHE.get(precision)
-    if cached is None:
-        lo, hi = _atanh_series(Fraction(1, 3), Fraction(1, 1 << (precision + 2)))
-        cached = _LN2_CACHE[precision] = (2 * lo, 2 * hi)
-    return cached
-
-
-def ln_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of ln(x) for rational x > 0 with width <= 2**-precision."""
-    if x <= 0:
-        raise ValueError("ln needs a positive argument")
-    if x == 1:
-        return Fraction(0), Fraction(0)
-    # Split x = m * 2**e with m in [1, 2).
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** e
-    if m < 1:
-        e -= 1
-        m *= 2
-    elif m >= 2:
-        e += 1
-        m /= 2
-    guard = precision + 3
-    l2lo, l2hi = ln2_bounds(guard + max(0, abs(e).bit_length()))
-    if e >= 0:
-        part_lo, part_hi = e * l2lo, e * l2hi
-    else:
-        part_lo, part_hi = e * l2hi, e * l2lo
-    if m == 1:
-        return part_lo, part_hi
-    # ln m = 2*atanh(t) with t = (m-1)/(m+1) in (0, 1/3); round t outward first
-    # so the series works on small power-of-two denominators.
-    t = (m - 1) / (m + 1)
-    t_lo = _round_down(t, guard + 4)
-    t_hi = _round_up(t, guard + 4)
-    tail = Fraction(1, 1 << (guard + 2))
-    s_lo, _ = _atanh_series(t_lo, tail)
-    _, s_hi = _atanh_series(t_hi, tail)
-    return part_lo + 2 * s_lo, part_hi + 2 * s_hi
-
-
-def _exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
-    """One-shot enclosure of exp(x) for x >= 0, working at scale 2**-shift.
-
-    The argument is halved k times to y = a/b <= 1/2; the series over y is
-    one integer over b^n * n!, with the geometric tail (ratio <= 1/2)
-    compared with 2**-shift in integers; the enclosure is then squared back
-    k times as numerators over 2**shift, rounding outward.
-    """
-    a, b = x.numerator, x.denominator
-    k = 0
-    while 2 * a > b << k:
-        k += 1
-    y = Fraction(a, b << k)
-    a, b = y.numerator, y.denominator
-    num = den = power = 1  # sum = num / den with den = b^n * n!; power = a^n
-    n = 0
-    while True:
-        n += 1
-        power *= a
-        den *= b * n
-        num = num * b * n + power
-        tail_den = den * b * (n + 1)  # tail = 2 * power * a / tail_den
-        if (power * a) << (shift + 1) <= tail_den:
-            break
-    hi_num = num * b * (n + 1) + 2 * power * a  # sum + tail = hi_num / tail_den
-    if k == 0:
-        return Fraction(num, den), Fraction(hi_num, tail_den)
-    lo = (num * num << shift) // (den * den)
-    hi = -((-hi_num * hi_num << shift) // (tail_den * tail_den))
-    for _ in range(k - 1):
-        lo, hi = lo * lo >> shift, -(-hi * hi >> shift)
-    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
-
-
-def exp_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of exp(x) for rational x with width <= 2**-precision."""
-    target = Fraction(1, 1 << precision)
-    guard = precision + 8
-    while True:
-        lo, hi = _exp_pos_attempt(abs(x), guard)
-        if x < 0:
-            lo, hi = 1 / hi, 1 / lo
-        if hi - lo <= target:
-            return lo, hi
-        guard *= 2

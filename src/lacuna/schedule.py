@@ -8,7 +8,7 @@ is enforced:
 * beta_i >= m_i and beta_i/2 >= max_scale * 2*peak*sqrt(d) + sqrt(d)/2
   (arity and ball fitting: a lattice cell plus slack fits inside the shrunk
   parent).  compute_beta returns the least such integer; a build uses it,
-  and the tree reader (engine.doc_to_state) rejects a smaller beta_i.
+  and the tree reader (reader.doc_to_state) rejects a smaller beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
   The scheduler serves each entry with the floor max(2, M_{i-1} + 2,
   level being built, tuple level + 2); the tree reader rejects a schedule

@@ -21,6 +21,7 @@ from itertools import product
 from operator import add
 from typing import Sequence
 
+from lacuna.apps import GaussianRational
 from lacuna.certify import (
     GapCertificate,
     _check_processed,
@@ -40,7 +41,8 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.pattern import LinearPattern, NormalizedPattern
-from lacuna.qmath import _round_down, _round_up, ln_bounds, nth_root_bounds
+from lacuna.lnexp import _round_down, _round_up, ln_bounds
+from lacuna.qmath import nth_root_bounds
 from lacuna.schedule import ScheduleEntry
 
 IntVector = tuple[int, ...]
@@ -77,6 +79,16 @@ def eval_pattern(
             if b:
                 total += b * xv
     return total
+
+
+def gaussian_add(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    """a + b for Gaussian rationals, which the app itself never adds."""
+    return GaussianRational(a.re + b.re, a.im + b.im)
+
+
+def gaussian_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    """a * b for Gaussian rationals, which the app itself never multiplies."""
+    return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
 
 # -- per-cube kernels in the tuple layout ---------------------------------------
@@ -252,7 +264,7 @@ def key_inequality_check(np_: NormalizedPattern, window: int) -> bool:
 # -- series kernels and gauge comparisons in Fraction arithmetic ---------------
 
 def atanh_series(t: Fraction, tail_target: Fraction) -> tuple[Fraction, Fraction]:
-    """qmath._atanh_series one Fraction operation at a time: the partial
+    """lnexp._atanh_series one Fraction operation at a time: the partial
     sum of the odd power series and that sum plus its geometric tail."""
     total = Fraction(0)
     power = t
@@ -269,7 +281,7 @@ def atanh_series(t: Fraction, tail_target: Fraction) -> tuple[Fraction, Fraction
 
 
 def exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
-    """qmath._exp_pos_attempt one Fraction operation at a time: halve x
+    """lnexp._exp_pos_attempt one Fraction operation at a time: halve x
     to at most 1/2, sum the series, square back with outward rounding."""
     k = 0
     y = x

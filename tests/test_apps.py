@@ -8,12 +8,10 @@ import pytest
 
 from lacuna.apps import (
     AppSpec,
-    DifferenceTarget,
     GaussianRational,
     app_patterns,
     app_spec_from_doc,
     complex_triplet_patterns,
-    difference_points,
     parallelogram_patterns,
     plane_patterns,
     quotient_patterns,
@@ -22,6 +20,7 @@ from lacuna.apps import (
     split_vector_pattern,
     trapezoid_patterns,
 )
+from lacuna.differences import DifferenceTarget, difference_points
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build_tree, read_tree
 from lacuna.errors import (
@@ -32,7 +31,7 @@ from lacuna.errors import (
     RejectUnit,
     ZeroPattern,
 )
-from reference import covered_violations, eval_pattern, leaf_centers
+from reference import covered_violations, eval_pattern, gaussian_add, gaussian_mul, leaf_centers
 
 F = Fraction
 mpmath.mp.dps = 50
@@ -140,7 +139,7 @@ class TestComplexTriplets:
     def test_similar_copy_vanishes(self):
         pats = complex_triplet_patterns([[G(0), G(1), G(1, 1)]])
         a, b = G(2, 1), G(5, -3)
-        copy = [a * z + b for z in (G(0), G(1), G(1, 1))]
+        copy = [gaussian_add(gaussian_mul(a, z), b) for z in (G(0), G(1), G(1, 1))]
         pts = [(w.re, w.im) for w in copy]
         for p in pats:
             assert eval_pattern(p, pts) == 0
@@ -166,7 +165,7 @@ class TestComplexTriplets:
             zs = [rand_g() for _ in range(3)]
             complex_val = G(0)
             for c, z in zip(coeffs, zs):
-                complex_val = complex_val + c * z
+                complex_val = gaussian_add(complex_val, gaussian_mul(c, z))
             pts = [(z.re, z.im) for z in zs]
             assert eval_pattern(pats[0], pts) == complex_val.re
             assert eval_pattern(pats[1], pts) == complex_val.im
@@ -228,12 +227,12 @@ class TestDifferences:
     def test_enclosure_too_wide_contract(self, sqrt_gauge, monkeypatch):
         # An enclosure that never shrinks below the gap must be reported,
         # not silently accepted.
-        import lacuna.apps as apps_mod
+        import lacuna.differences as differences_mod
 
         def stuck_bounds(x, precision):
             return F(3, 2), F(9, 5)
 
-        monkeypatch.setattr(apps_mod, "exp_bounds", stuck_bounds)
+        monkeypatch.setattr(differences_mod, "exp_bounds", stuck_bounds)
         with pytest.raises(EnclosureTooWide):
             difference_points(
                 [DifferenceTarget("rational", F(1, 2))], sqrt_gauge, depth=5

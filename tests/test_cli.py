@@ -18,9 +18,10 @@ from hypothesis import strategies as hs
 import lacuna
 from lacuna import engine
 from lacuna.cli import main, parse_args
-from lacuna.engine import build_tree, doc_to_state, read_tree, state_to_doc
+from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError, UsageError
 from lacuna.export import read_points
+from lacuna.reader import doc_to_state
 import reference
 from reference import leaf_centers
 
@@ -950,10 +951,19 @@ _FOOTPRINT = (
 )
 
 
+def _src_env() -> dict:
+    """The environment for a child interpreter that imports this lacuna."""
+    src = str(Path(lacuna.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 #: What every command loads: the command table, errors, JSON and pattern files.
 _CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
 #: The build's layers, which certify and export load to rebuild a tree.
 _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
+#: A step that reads a tree loads the tree reader too; a build does not.
+_READ = _BUILD | {"reader"}
 
 
 class TestImportFootprint:
@@ -963,28 +973,98 @@ class TestImportFootprint:
 
     def loaded(self, tmp_path, argv, code=0):
         out = tmp_path / "modules.txt"
-        src = str(Path(lacuna.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         run = subprocess.run(
             [sys.executable, "-c", _FOOTPRINT, str(out), *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == code, run.stderr
         return {m.removeprefix("lacuna.") for m in out.read_text().split()}
 
     def test_each_command_loads_only_its_layers(self, ap_file, tmp_path):
         tree, pts = str(tmp_path / "tree.json"), str(tmp_path / "pts.txt")
+        # a pow gauge needs neither the ln and exp series nor, in a build,
+        # the tree reader
         assert self.loaded(tmp_path, build_args(ap_file, tmp_path)) == _BUILD
-        assert self.loaded(tmp_path, ["certify", tree]) == _BUILD | {"certify"}
+        assert self.loaded(tmp_path, ["certify", tree]) == _READ | {"certify"}
         export = ["export", tree, "--format", "points", "--out", pts]
-        assert self.loaded(tmp_path, export) == _BUILD | {"export"}
+        assert self.loaded(tmp_path, export) == _READ | {"export"}
         # a depth-7 tree leaves uncovered progressions: the oracle finds them;
         # it reads points and patterns only, so no engine, schedule or gauge
         oracle = ["oracle", pts, "--patterns", ap_file]
         assert self.loaded(tmp_path, oracle, code=1) == _CLI_CORE | {"certify", "export"}
         app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
         assert self.loaded(tmp_path, app) == _BUILD | {"apps", "certify"}
+
+    def test_ln_exp_and_differences_load_only_where_called(self, ap_file, tmp_path):
+        powlog = build_args(ap_file, tmp_path, dimfn="powlog:1/1", out="plog.json")
+        assert self.loaded(tmp_path, powlog) == _BUILD | {"lnexp"}
+        certify = ["certify", str(tmp_path / "plog.json"), "--mode", "gap"]
+        assert self.loaded(tmp_path, certify) == _READ | {"certify", "lnexp"}
+        out = ["--out-dir", str(tmp_path / "app-out")]
+        spec = _spec_file(tmp_path, kind="parallelogram", params=[], h="pow:1/4")
+        assert self.loaded(tmp_path, ["app", spec, *out]) == _BUILD | {"apps", "certify"}
+        targets = [{"kind": "log_of", "value": "2"}]
+        spec = _spec_file(tmp_path, kind="differences", params=targets, depth=5)
+        assert self.loaded(tmp_path, ["app", spec, *out]) == _BUILD | {
+            "apps", "certify", "differences", "lnexp"
+        }
+
+
+def _child(tmp_path, args, prefix=(), **kwargs):
+    """`python -m lacuna.cli args` in a child, started through the command
+    prefix if one is given.  Its stdout is block-buffered: PYTHONUNBUFFERED
+    is removed from its environment, so a summary line reaches a pipe only
+    if the process flushes it before it ends."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [*prefix, sys.executable, "-m", "lacuna.cli", *args],
+        cwd=tmp_path, env=env, text=True, timeout=120, **kwargs,
+    )
+
+
+class TestProcessExit:
+    """run(), the process entry, ends without interpreter teardown; the
+    exit code, the buffered output and the errors of a closed or broken
+    stdout stay as they were with teardown."""
+
+    def test_exit_codes_and_summary_through_a_pipe(self, ap_file, tmp_path):
+        run = _child(tmp_path, build_args(ap_file, tmp_path), capture_output=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("built d=1 depth=7: ")
+        pts = tmp_path / "pts.txt"
+        pts.write_text("# lacuna-points/1 d=1\n1\n5/4\n3/2\n")
+        oracle = ["oracle", str(pts), "--patterns", ap_file]
+        run = _child(tmp_path, oracle, capture_output=True)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "pattern 0: 2 instance(s)\n", "")
+        run = _child(tmp_path, ["certify", str(tmp_path / "missing.json")], capture_output=True)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert json.loads(run.stderr)["error"]["type"] == "FileNotFoundError"
+
+    def test_broken_pipe_is_reported_as_with_teardown(self, ap_file, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = _child(tmp_path, build_args(ap_file, tmp_path), stdout=write_end,
+                         stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        # the interpreter's own report of an unflushable stdout, exit 120
+        assert run.returncode == 120
+        first, second = run.stderr.splitlines()
+        assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert second == "BrokenPipeError: [Errno 32] Broken pipe"
+
+    def test_closed_stdout(self, ap_file, tmp_path):
+        closed = ["sh", "-c", '"$@" >&-', "sh"]  # runs the child with fd 1 closed
+        run = _child(tmp_path, build_args(ap_file, tmp_path), closed, stderr=subprocess.PIPE)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert (tmp_path / "tree.json").is_file()
+
+    def test_help(self, tmp_path):
+        run = _child(tmp_path, ["--help"], capture_output=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("usage: lacuna {build,")
 
 
 class TestDeterminism:

@@ -11,7 +11,6 @@ from lacuna.engine import (
     block_lattice,
     build_tree,
     init_state,
-    parse_address,
     place_on_lattice,
     render_address,
     state_to_doc,
@@ -25,6 +24,7 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.pattern import make_pattern, normalize
+from lacuna.reader import parse_address
 from reference import corners
 
 F = Fraction

@@ -23,8 +23,9 @@ import pytest
 from lacuna.apps import app_patterns, app_spec_from_doc
 from lacuna.cli import main
 from lacuna.dimfn import parse_dimfn
-from lacuna.engine import build_tree, doc_to_state, state_to_doc
+from lacuna.engine import build_tree, state_to_doc
 from lacuna.pattern import patterns_from_doc
+from lacuna.reader import doc_to_state
 
 AP_DOC = {"d": 1, "patterns": [{"m": 3, "coeffs": [["1"], ["-2"], ["1"]]}]}
 PARALLELOGRAM = {"kind": "parallelogram", "params": [], "h": "pow:1/4", "d": 2, "depth": 6}

@@ -27,7 +27,7 @@ from lacuna.certify import (
     placed_blocks,
     spot_check_gap,
 )
-from lacuna import dimfn
+from lacuna import lnexp
 from lacuna.dimfn import START_PRECISION, make_dimfn, parse_dimfn
 from lacuna.engine import (
     _dyadic_children,
@@ -37,8 +37,8 @@ from lacuna.engine import (
     place_on_lattice,
 )
 from lacuna.errors import GapViolated, PlacementFailure
+from lacuna.lnexp import _atanh_series, _exp_pos_attempt, ln_bounds
 from lacuna.pattern import make_pattern, normalize
-from lacuna.qmath import _atanh_series, _exp_pos_attempt, ln_bounds
 from lacuna.schedule import compute_beta, sqrt_d_bounds
 from test_golden import PARALLELOGRAM, TRAPEZOIDS, _ap_state, _app_state
 
@@ -320,7 +320,7 @@ class TestPowlogComparisons:
             tried.append(precision)
             return ln_bounds(x, precision)
 
-        monkeypatch.setattr(dimfn, "ln_bounds", counting)
+        monkeypatch.setattr(lnexp, "ln_bounds", counting)
         assert h.ratio_ge(r, threshold) is not above
         assert tried[:5] == [START_PRECISION << i for i in range(5)]
         assert tried[-1] > 64

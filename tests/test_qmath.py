@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.errors import FormatError
+from lacuna.lnexp import exp_bounds, ln2_bounds, ln_bounds
 from lacuna.qmath import (
     decimal_ratio,
-    exp_bounds,
     format_rational,
     iroot,
-    ln2_bounds,
-    ln_bounds,
     nth_root_bounds,
     parse_rational,
     perfect_root,

@@ -12,12 +12,12 @@ from lacuna.dimfn import DimensionFunction, make_dimfn
 from lacuna.engine import (
     build,
     build_tree,
-    doc_to_state,
     init_state,
     state_to_doc,
 )
 from lacuna.errors import ScheduleOverflow
 from lacuna.pattern import make_pattern, normalize
+from lacuna.reader import doc_to_state
 from lacuna.schedule import (
     Scheduler,
     TupleEnumerator,
