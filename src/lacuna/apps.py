@@ -14,8 +14,12 @@ patterns for the engine:
                 C = R^2 identification
 * vector_split  generic N-component linear form, one pattern per nonzero row
 
-The difference app, the one place irrational targets appear, is in
-lacuna.differences; run_app imports it for that kind only.
+run_app takes every kind down one path: the patterns, one build, then
+certify.certify_tree, the routine of `lacuna certify`, with 100 spot
+checks per entry.  The difference app, the one place irrational targets
+appear, is in lacuna.differences; run_app imports it for that kind only,
+to get the quotient targets before the build and report.json after the
+certificates.
 """
 
 from __future__ import annotations
@@ -267,45 +271,35 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
 
 
 def run_app(app: AppSpec, out_dir: str | Path) -> dict:
-    """Build, certify and write the standard artifact files for one app.
+    """Build one app, then certify it as `lacuna certify --spot-checks 100`
+    would, and write tree.json and cert.json (plus report.json for
+    differences) into out_dir.
 
-    Writes tree.json and cert.json (and report.json for differences) into
-    out_dir, which is created just before the first write (report.json,
-    else tree.json), so an app refused before then leaves no directory;
-    returns a summary dict with counts and certificate verdicts.
+    An app whose build processes no entry certifies no gap and has no
+    measure.  Every document is rendered before out_dir is created, so an
+    app refused before its files are written leaves no directory; returns
+    a summary dict with counts and certificate verdicts.
     """
     out = Path(out_dir)
     if app.kind == "differences":
-        from .differences import (
-            _difference_targets,
-            difference_points,
-            difference_report_to_doc,
-        )
+        from . import differences
 
-        h = parse_dimfn(app.h_spec, 1)
-        state, report = difference_points(
-            _difference_targets(app.params),
-            h,
-            app.depth,
-            precision=app.precision,
-        )
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(difference_report_to_doc(report), out / "report.json")
-        gaps = list(report.certificates)
+        params = _param_list(app.params, "differences params")
+        targets, mids = differences.difference_targets(params, app.precision)
+        d, patterns = 1, quotient_patterns(mids)
     else:
         d, patterns = app_patterns(app)
-        h = parse_dimfn(app.h_spec, d)
-        state = engine.build_tree(d, patterns, h, app.depth)
-        gaps = [certify.certify_gap(state, e) for e in state.entries]
-    engine.validate_structure(state)
-    for e, g in zip(state.entries, gaps):
-        certify.spot_check_gap(state, e, g)
-    measure = None
-    if state.entries:
-        measure = certify.certify_measure(state)
+    state = engine.build_tree(d, patterns, parse_dimfn(app.h_spec, d), app.depth)
+    gaps, measure = certify.certify_tree(state, "all" if state.entries else "gap", 100)
+    docs = {"cert.json": certify.certificates_to_doc(gaps, measure)}
+    if app.kind == "differences":
+        docs["report.json"] = differences.difference_report(
+            targets, mids, state, gaps, app.precision
+        )
     out.mkdir(parents=True, exist_ok=True)
     engine.write_tree(state, out / "tree.json")
-    write_json(certify.certificates_to_doc(gaps, measure), out / "cert.json")
+    for name, doc in docs.items():
+        write_json(doc, out / name)
     return {
         "kind": app.kind,
         "d": state.d,

@@ -33,6 +33,11 @@ level) gives H^h(E) >= 1/c3 with c3 = 2^d * (2*sqrt(d)+3)^d, conditional on
 the construction continuing by the same schedule.  Directed rounding is
 centralized: lower bounds of h and sqrt(d) certify ">=" goals, upper bounds
 enter c3.
+
+certify_tree is the one sequence of these checks for a whole tree, run by
+both `lacuna certify` and `lacuna app`.  It calls the checks through this
+module's globals, so a caller that replaces certify.certify_gap (say, to
+time it) sees every call.
 """
 
 from __future__ import annotations
@@ -100,26 +105,19 @@ class MeasureCertificate(Record):
     conditional: str
 
 
-def _check_processed(state: ConstructionState, entry: ScheduleEntry) -> None:
-    if entry not in state.entries:
-        raise EntryNotProcessed(f"entry {entry.index} was not processed by this build")
-
-
 def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[int]]:
     """Flat lower corners (d numerators per cube) of the avoidance-level
-    cubes under each tuple member.
+    cubes under each tuple member of a processed entry.
 
     Corners are numerators over the denominator of level entry.m_level.
+    An entry of state.entries lies within the depth (the reader refuses
+    M_i > depth) and every tuple member has cubes below it, so each block
+    is non-empty.
     """
-    if entry.m_level > state.depth:
-        raise EntryNotProcessed(
-            f"entry {entry.index} schedules level {entry.m_level}, build stops at {state.depth}"
-        )
+    if entry not in state.entries:
+        raise EntryNotProcessed(f"entry {entry.index} was not processed by this build")
     lowers = state.levels[entry.m_level].lowers
-    out = [lowers[span] for span in state.tuple_spans(entry)]
-    if any(not blk for blk in out):
-        raise EntryNotProcessed(f"entry {entry.index} has an empty tuple block")
-    return out
+    return [lowers[span] for span in state.tuple_spans(entry)]
 
 
 def _recover_residue(lattice: BlockLattice, signs: list[int], block: list[int]) -> list[int]:
@@ -182,12 +180,11 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
     """
     from . import engine, schedule
 
-    _check_processed(state, entry)
+    blocks = placed_blocks(state, entry)
     np_ = state.normalized[entry.pattern_id]
     delta = state.side(entry.m_level)
     side = state.side_num(entry.m_level)
     _, sqrt_hi = schedule.sqrt_d_bounds(state.d)
-    blocks = placed_blocks(state, entry)
     residues = []
     for b, blk in enumerate(blocks):
         lattice = engine.block_lattice(np_, b, side, sqrt_hi)
@@ -273,15 +270,13 @@ def spot_check_gap(
     integer total, and |psi| < gap is one cross-multiplied integer
     comparison.
     """
-    _check_processed(state, entry)
+    blocks = placed_blocks(state, entry)
     np_ = state.normalized[entry.pattern_id]
     d = state.d
     den = state.levels[entry.m_level].den
     side = state.side_num(entry.m_level)
     lcd, rows = _scaled_rows(np_)
-    members = [
-        (row, blk, len(blk) // d) for row, blk in zip(rows, placed_blocks(state, entry))
-    ]
+    members = [(row, blk, len(blk) // d) for row, blk in zip(rows, blocks)]
     scale = lcd * den * grid
     gap_den = cert.gap.denominator
     bound = cert.gap.numerator * scale  # |total| * gap.den < bound <=> |psi| < gap
@@ -346,6 +341,33 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
             "avoidance is certified for the tuples of processed entries only"
         ),
     )
+
+
+def certify_tree(
+    state: ConstructionState, mode: str = "all", spot_checks: int = 0
+) -> tuple[list[GapCertificate], MeasureCertificate | None]:
+    """(gaps, measure): every check of one tree, for `lacuna certify` and
+    `lacuna app` alike.
+
+    Validates the structure, then certifies the gap of each processed
+    entry and draws spot_checks point tuples against it, then certifies
+    the measure.  mode "gap" skips the measure (None) and "measure" the
+    gaps.  On a tree with no processed entry, mode "gap" returns no gaps:
+    `lacuna certify` refuses that, while an app writes it as it is.
+    The engine is imported here, since the oracle step loads this module
+    and no engine code.
+    """
+    from . import engine
+
+    engine.validate_structure(state)
+    gaps = []
+    if mode != "measure":
+        for entry in state.entries:
+            cert = certify_gap(state, entry)
+            if spot_checks:
+                spot_check_gap(state, entry, cert, count=spot_checks)
+            gaps.append(cert)
+    return gaps, None if mode == "gap" else certify_measure(state)
 
 
 # -- brute-force oracle -----------------------------------------------------

@@ -18,7 +18,7 @@ tree reader (lacuna.reader), the ln and exp series (lacuna.lnexp) and the
 difference app (lacuna.differences) are imported only by the code paths
 that call them, since every module a step loads is compiled in that step
 when no bytecode cache is written.  Commands reach layer functions through
-module attributes (engine.build_tree, certify.certify_gap, ...).
+module attributes (engine.build_tree, certify.certify_tree, ...).
 
 The argument grammar is one table, COMMANDS, that parse_args reads with
 argparse's rules: options before or after the positionals, a unique
@@ -37,7 +37,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .errors import FormatError, LacunaError, UsageError
+from .errors import EntryNotProcessed, FormatError, LacunaError, UsageError
 from .jsonfile import read_json, write_json
 from .pattern import load_patterns
 from .qmath import parse_rational
@@ -62,17 +62,10 @@ def cmd_certify(args) -> int:
     from . import certify, engine
 
     state = engine.read_tree(args.tree)
-    gaps = []
-    measure = None
-    engine.validate_structure(state)
-    if args.mode in ("all", "gap"):
-        for entry in state.entries:
-            cert = certify.certify_gap(state, entry)
-            if args.spot_checks:
-                certify.spot_check_gap(state, entry, cert, count=args.spot_checks)
-            gaps.append(cert)
-    if args.mode in ("all", "measure"):
-        measure = certify.certify_measure(state)
+    gaps, measure = certify.certify_tree(state, args.mode, args.spot_checks)
+    if args.mode == "gap" and not gaps:
+        # exit 0 means everything certified; an empty list certifies nothing
+        raise EntryNotProcessed("no avoidance level was processed; build deeper")
     if args.out:
         write_json(certify.certificates_to_doc(gaps, measure), args.out)
     for g in gaps:
@@ -295,8 +288,16 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def _emit_error(exc: Exception) -> None:
-    envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(envelope), file=sys.stderr)
+    """The JSON error envelope on stderr.  With stderr closed (None) it is
+    dropped rather than left to print's fallback, stdout.  A stderr that
+    fails the write (a pipe with no reader) is dropped as if closed, so
+    neither the write nor run()'s flush changes the command's exit code."""
+    if sys.stderr is not None:
+        envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        try:
+            print(json.dumps(envelope), file=sys.stderr)
+        except OSError:
+            sys.stderr = None
 
 
 def main(argv=None) -> int:

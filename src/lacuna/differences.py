@@ -10,23 +10,26 @@ margin.  A target ln(a) for a rational a takes an exact path: the quotient
 target is a itself.
 
 apps.run_app imports this module for the differences kind only, so no
-other app step loads it or the ln and exp series of lnexp.  The build and
-the gap certificates go through the module attributes engine.build_tree
-and certify.certify_gap.
+other app step loads it or the ln and exp series of lnexp.  It takes two
+steps of that app: difference_targets turns the spec's params into the
+quotient targets that run_app builds like any other app, and
+difference_report turns the built state and its gap certificates into the
+document report.json.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import certify, engine
-from .apps import _param_list, quotient_patterns
-from .dimfn import DimensionFunction
 from .errors import EnclosureTooWide, FormatError, RejectUnit
 from .lnexp import exp_bounds, ln_bounds
 from .qmath import format_rational, parse_rational
 from .record import Record
+
+if TYPE_CHECKING:
+    from .certify import GapCertificate
+    from .engine import ConstructionState
 
 
 class DifferenceTarget(Record):
@@ -40,32 +43,6 @@ class DifferenceTarget(Record):
     def describe(self) -> str:
         v = format_rational(self.value)
         return f"ln({v})" if self.kind == "log_of" else v
-
-
-class TargetReport(Record):
-    target: DifferenceTarget
-    quotient_mid: Fraction
-    enclosure: tuple[Fraction, Fraction] | None
-    gap: Fraction | None
-    difference_margin: Fraction | None
-
-
-class DifferenceReport(Record):
-    """Certified outputs of the difference app.
-
-    points are ln-enclosures of the deepest-level cube centers; pairwise
-    differences of the underlying exact points miss each target by its
-    difference_margin whenever the pair is covered by a processed entry.
-    Bilipschitz constants of ln on [1,2] are (1/2, 1).  certificates holds
-    the gap certificate of every processed entry, in schedule order.
-    """
-
-    targets: tuple[TargetReport, ...]
-    certificates: tuple[certify.GapCertificate, ...]
-    points: tuple[tuple[Fraction, Fraction], ...]
-    bilipschitz: tuple[Fraction, Fraction]
-    depth: int
-    entries: int
 
 
 _ENCLOSURE_PRECISION_CAP = 4096
@@ -86,30 +63,52 @@ def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:
     return (lo + hi) / 2
 
 
-def difference_points(
-    targets: Sequence[DifferenceTarget],
-    h: DimensionFunction,
-    depth: int,
-    precision: int = 64,
-    point_precision: int = 48,
-) -> tuple[engine.ConstructionState, DifferenceReport]:
-    """Build the quotient-avoiding set and push it through the logarithm.
+def difference_targets(
+    params: list, precision: int
+) -> tuple[list[DifferenceTarget], list[Fraction]]:
+    """The targets of a differences spec's params (a JSON list) and the
+    rational quotient target of each, the values its patterns avoid."""
+    targets = []
+    for item in params:
+        if isinstance(item, dict):
+            if "value" not in item:
+                raise FormatError(f'a differences target needs a "value", got {item!r}')
+            kind = item.get("kind", "rational")
+            if kind not in ("rational", "log_of"):
+                raise FormatError(f"unknown difference target kind {kind!r}")
+            targets.append(DifferenceTarget(kind=kind, value=parse_rational(item["value"])))
+        else:
+            targets.append(DifferenceTarget(kind="rational", value=parse_rational(item)))
+    if not targets:
+        raise FormatError("differences app needs at least one target")
+    return targets, [_difference_target(t, precision) for t in targets]
 
-    Raises EnclosureTooWide when an enclosure of some e^t cannot be made
-    thinner than half the certified gap of its pattern.
+
+def difference_report(
+    targets: Sequence[DifferenceTarget],
+    mids: Sequence[Fraction],
+    state: ConstructionState,
+    gaps: Sequence[GapCertificate],
+    precision: int,
+    point_precision: int = 48,
+) -> dict:
+    """The document report.json of a built and certified difference app.
+
+    Per target, the smallest certified gap of its pattern and, when there
+    is one, the margin by which the log image's differences miss it; for a
+    rational exponent the enclosure of e^t is refined from precision bits
+    until its radius is below half that gap.  points_ln are ln-enclosures
+    of the deepest-level cube centers; pairwise differences of the
+    underlying exact points miss each target by its difference_margin
+    whenever the pair is covered by a processed entry.  Bilipschitz
+    constants of ln on [1,2] are (1/2, 1).  Raises EnclosureTooWide when
+    an enclosure of some e^t cannot be made thinner than half the
+    certified gap of its pattern.
     """
-    mids = [_difference_target(t, precision) for t in targets]
-    state = engine.build_tree(1, quotient_patterns(mids), h, depth)
-    certificates = tuple(certify.certify_gap(state, e) for e in state.entries)
-    gaps: dict[int, Fraction] = {}
-    for c in certificates:
-        if c.pattern_id not in gaps or c.gap < gaps[c.pattern_id]:
-            gaps[c.pattern_id] = c.gap
-    reports = []
+    rows = []
     for pid, (raw, mid) in enumerate(zip(targets, mids)):
-        gap = gaps.get(pid)
-        enclosure = None
-        margin = None
+        gap = min((c.gap for c in gaps if c.pattern_id == pid), default=None)
+        enclosure = margin = None
         if gap is not None:
             if raw.kind == "rational":
                 p = precision
@@ -117,7 +116,7 @@ def difference_points(
                     lo, hi = exp_bounds(raw.value, p)
                     rho = max(abs(mid - lo), abs(hi - mid))
                     if 2 * rho < gap:
-                        enclosure = (lo, hi)
+                        enclosure = [format_rational(lo), format_rational(hi)]
                         margin = (gap / 2 - rho) / max(2, hi)
                         break
                     p *= 2
@@ -127,75 +126,23 @@ def difference_points(
                         )
             else:
                 margin = gap / (2 * max(Fraction(2), mid))
-        reports.append(
-            TargetReport(
-                target=raw,
-                quotient_mid=mid,
-                enclosure=enclosure,
-                gap=gap,
-                difference_margin=margin,
-            )
+        rows.append(
+            {
+                "target": raw.describe(),
+                "kind": raw.kind,
+                "value": format_rational(raw.value),
+                "quotient_mid": format_rational(mid),
+                "enclosure": enclosure,
+                "gap": None if gap is None else format_rational(gap),
+                "difference_margin": None if margin is None else format_rational(margin),
+            }
         )
     den, centers = state.leaf_center_numerators()
-    points = tuple(ln_bounds(Fraction(c, den), point_precision) for c in centers)
-    report = DifferenceReport(
-        targets=tuple(reports),
-        certificates=certificates,
-        points=points,
-        bilipschitz=(Fraction(1, 2), Fraction(1)),
-        depth=state.depth,
-        entries=len(state.entries),
-    )
-    return state, report
-
-
-def difference_report_to_doc(report: DifferenceReport) -> dict:
+    points = [ln_bounds(Fraction(c, den), point_precision) for c in centers]
     return {
-        "targets": [
-            {
-                "target": t.target.describe(),
-                "kind": t.target.kind,
-                "value": format_rational(t.target.value),
-                "quotient_mid": format_rational(t.quotient_mid),
-                "enclosure": None
-                if t.enclosure is None
-                else [format_rational(t.enclosure[0]), format_rational(t.enclosure[1])],
-                "gap": None if t.gap is None else format_rational(t.gap),
-                "difference_margin": None
-                if t.difference_margin is None
-                else format_rational(t.difference_margin),
-            }
-            for t in report.targets
-        ],
-        "points_ln": [
-            [format_rational(lo), format_rational(hi)] for lo, hi in report.points
-        ],
-        "bilipschitz": [
-            format_rational(report.bilipschitz[0]),
-            format_rational(report.bilipschitz[1]),
-        ],
-        "depth": report.depth,
-        "entries": report.entries,
+        "targets": rows,
+        "points_ln": [[format_rational(lo), format_rational(hi)] for lo, hi in points],
+        "bilipschitz": ["1/2", "1"],
+        "depth": state.depth,
+        "entries": len(state.entries),
     }
-
-
-def _difference_targets(params: object) -> list[DifferenceTarget]:
-    out = []
-    for item in _param_list(params, "differences params"):
-        if isinstance(item, dict):
-            if "value" not in item:
-                raise FormatError(f'a differences target needs a "value", got {item!r}')
-            out.append(
-                DifferenceTarget(
-                    kind=item.get("kind", "rational"),
-                    value=parse_rational(item["value"]),
-                )
-            )
-        else:
-            out.append(DifferenceTarget(kind="rational", value=parse_rational(item)))
-    if not out:
-        raise FormatError("differences app needs at least one target")
-    for t in out:
-        if t.kind not in ("rational", "log_of"):
-            raise FormatError(f"unknown difference target kind {t.kind!r}")
-    return out

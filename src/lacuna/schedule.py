@@ -40,7 +40,9 @@ a computable first index and recurs forever.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, product
 from math import ceil, perm
+from typing import Iterator
 
 from .dimfn import DimensionFunction
 from .errors import OutOfDomain, ScheduleOverflow, Undecidable
@@ -155,33 +157,14 @@ def unrank_tuple(n: int, m: int, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class TupleEnumerator:
-    """Deterministic dovetailing cursor over (level, rank, pattern) triples.
+def dovetail(n_patterns: int) -> Iterator[tuple[int, int, int]]:
+    """Deterministic dovetailing over (level, rank, pattern) triples.
 
     Round T yields (L, r, p) for L in 0..T, r in 0..T, p in 0..P-1 in
     lexicographic order; every triple recurs in all rounds >= max(L, r).
-    The cursor only moves on explicit advance, so callers may peek, test
-    admissibility, and skip dead triples without losing fairness.
     """
-
-    def __init__(self, n_patterns: int):
-        if n_patterns < 1:
-            raise ValueError("need at least one pattern")
-        self.n_patterns = n_patterns
-        self.round = 0
-        self.pos = 0
-
-    def peek(self) -> tuple[int, int, int]:
-        per_level = (self.round + 1) * self.n_patterns
-        level, rest = divmod(self.pos, per_level)
-        rank, pattern = divmod(rest, self.n_patterns)
-        return level, rank, pattern
-
-    def advance(self) -> None:
-        self.pos += 1
-        if self.pos >= (self.round + 1) ** 2 * self.n_patterns:
-            self.round += 1
-            self.pos = 0
+    for t in count():
+        yield from product(range(t + 1), range(t + 1), range(n_patterns))
 
 
 class Scheduler:
@@ -202,7 +185,7 @@ class Scheduler:
     ):
         self.normalized = list(normalized)
         self.h = h
-        self.enum = TupleEnumerator(len(self.normalized))
+        self.enum = dovetail(len(self.normalized))
         self.betas: list[int] = [compute_beta(np_, h.d) for np_ in self.normalized]
         self.served: list[ScheduleEntry] = []
         self.in_flight: ScheduleEntry | None = None
@@ -220,9 +203,7 @@ class Scheduler:
         if not any(n >= min_m for n in level_sizes):
             return None
         built = len(level_sizes) - 1
-        while True:
-            level, rank, pid = self.enum.peek()
-            self.enum.advance()
+        for level, rank, pid in self.enum:
             np_ = self.normalized[pid]
             if level <= built and rank < perm(level_sizes[level], np_.m):
                 prev = self.served[-1].m_level if self.served else 0

@@ -24,7 +24,6 @@ from typing import Sequence
 from lacuna.apps import GaussianRational
 from lacuna.certify import (
     GapCertificate,
-    _check_processed,
     _partial_sums,
     brute_oracle,
     placed_blocks,
@@ -169,11 +168,10 @@ def spot_check_gap(
 ) -> None:
     """Random rational point tuples from the placed cubes must respect the
     gap: the Fraction form of certify.spot_check_gap, with the same draws."""
-    _check_processed(state, entry)
+    blocks = [corners(blk, state.d) for blk in placed_blocks(state, entry)]
     np_ = state.normalized[entry.pattern_id]
     den = state.levels[entry.m_level].den
     delta = state.side(entry.m_level)
-    blocks = [corners(blk, state.d) for blk in placed_blocks(state, entry)]
     rng = random.Random(seed * 1_000_003 + entry.index)
     for _ in range(count):
         points = []
@@ -426,9 +424,8 @@ def covered_instance_scan(
     builds stay tractable where the all-tuples oracle would not.  Returns
     instances as point-index tuples in normalized block order.
     """
-    _check_processed(state, entry)
-    np_ = state.normalized[entry.pattern_id]
     blocks = placed_blocks(state, entry)
+    np_ = state.normalized[entry.pattern_id]
     den = state.levels[entry.m_level].den
     side = state.side_num(entry.m_level)
     groups = [

@@ -20,7 +20,8 @@ from lacuna.apps import (
     split_vector_pattern,
     trapezoid_patterns,
 )
-from lacuna.differences import DifferenceTarget, difference_points
+from lacuna.certify import certify_tree
+from lacuna.differences import DifferenceTarget, difference_report, difference_targets
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build_tree, read_tree
 from lacuna.errors import (
@@ -31,6 +32,7 @@ from lacuna.errors import (
     RejectUnit,
     ZeroPattern,
 )
+from lacuna.qmath import format_rational
 from reference import covered_violations, eval_pattern, gaussian_add, gaussian_mul, leaf_centers
 
 F = Fraction
@@ -175,37 +177,55 @@ class TestComplexTriplets:
             complex_triplet_patterns([[G(0), G(0), G(1)]])
 
 
+def difference_app(targets, h, depth, precision=64, point_precision=48):
+    """A difference app as run_app takes it: the quotient targets, one
+    build, the gap certificates, then report.json's document."""
+    params = [{"kind": t.kind, "value": format_rational(t.value)} for t in targets]
+    targets, mids = difference_targets(params, precision)
+    state = build_tree(1, quotient_patterns(mids), h, depth)
+    gaps, _ = certify_tree(state, "gap")
+    return state, difference_report(targets, mids, state, gaps, precision, point_precision)
+
+
+def rational(text):
+    """A "p/q" string of a document as a Fraction; None stays None."""
+    return None if text is None else F(text)
+
+
 class TestDifferences:
     def test_exact_log_target(self, sqrt_gauge):
-        state, rep = difference_points(
+        state, rep = difference_app(
             [DifferenceTarget("log_of", F(2))], sqrt_gauge, depth=5
         )
-        t = rep.targets[0]
-        assert t.quotient_mid == 2
-        assert t.enclosure is None  # exact path
-        assert t.gap is not None and t.difference_margin == t.gap / 4
-        assert rep.bilipschitz == (F(1, 2), F(1))
+        t = rep["targets"][0]
+        gap, margin = rational(t["gap"]), rational(t["difference_margin"])
+        assert rational(t["quotient_mid"]) == 2
+        assert t["enclosure"] is None  # exact path
+        assert gap is not None and margin == gap / 4
+        assert tuple(map(rational, rep["bilipschitz"])) == (F(1, 2), F(1))
 
     def test_irrational_target_margin(self, sqrt_gauge):
-        state, rep = difference_points(
+        state, rep = difference_app(
             [DifferenceTarget("rational", F(1, 2))], sqrt_gauge, depth=5
         )
-        t = rep.targets[0]
-        lo, hi = t.enclosure
+        t = rep["targets"][0]
+        lo, hi = map(rational, t["enclosure"])
+        mid = rational(t["quotient_mid"])
         true = mpmath.e ** mpmath.mpf(0.5)
         assert mpmath.mpf(lo.numerator) / lo.denominator <= true
         assert true <= mpmath.mpf(hi.numerator) / hi.denominator
-        assert t.difference_margin > 0
-        assert 2 * max(abs(t.quotient_mid - lo), abs(hi - t.quotient_mid)) < t.gap
+        assert rational(t["difference_margin"]) > 0
+        assert 2 * max(abs(mid - lo), abs(hi - mid)) < rational(t["gap"])
 
     def test_margin_transfers_to_log_points(self, sqrt_gauge):
         # ln-enclosures of certified pairs stay margin-away from ln 2.
-        state, rep = difference_points(
+        state, rep = difference_app(
             [DifferenceTarget("log_of", F(2))], sqrt_gauge, depth=5, point_precision=60
         )
-        t = rep.targets[0]
+        t = rep["targets"][0]
         ln2 = mpmath.log(2)
-        margin = mpmath.mpf(t.difference_margin.numerator) / t.difference_margin.denominator
+        difference_margin = rational(t["difference_margin"])
+        margin = mpmath.mpf(difference_margin.numerator) / difference_margin.denominator
         from lacuna.certify import placed_blocks
 
         entry = state.entries[0]
@@ -220,9 +240,9 @@ class TestDifferences:
 
     def test_zero_target_rejected(self, sqrt_gauge):
         with pytest.raises(RejectUnit):
-            difference_points([DifferenceTarget("rational", F(0))], sqrt_gauge, 5)
+            difference_app([DifferenceTarget("rational", F(0))], sqrt_gauge, 5)
         with pytest.raises(RejectUnit):
-            difference_points([DifferenceTarget("log_of", F(1))], sqrt_gauge, 5)
+            difference_app([DifferenceTarget("log_of", F(1))], sqrt_gauge, 5)
 
     def test_enclosure_too_wide_contract(self, sqrt_gauge, monkeypatch):
         # An enclosure that never shrinks below the gap must be reported,
@@ -234,7 +254,7 @@ class TestDifferences:
 
         monkeypatch.setattr(differences_mod, "exp_bounds", stuck_bounds)
         with pytest.raises(EnclosureTooWide):
-            difference_points(
+            difference_app(
                 [DifferenceTarget("rational", F(1, 2))], sqrt_gauge, depth=5
             )
 
@@ -249,9 +269,12 @@ class TestDifferences:
             DifferenceTarget("rational", F(1, 3)),
             DifferenceTarget("log_of", F(2)),
         ]
-        state, rep = difference_points(targets, h, depth=9)
+        state, rep = difference_app(targets, h, depth=9)
         assert {e.pattern_id for e in state.entries} == {0, 1, 2, 3}
-        assert all(t.difference_margin and t.difference_margin > 0 for t in rep.targets)
+        assert all(
+            t["difference_margin"] and rational(t["difference_margin"]) > 0
+            for t in rep["targets"]
+        )
 
 
 class TestAppRunner:

@@ -292,6 +292,22 @@ class TestCertify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "EntryNotProcessed"
 
+    def test_gap_mode_refuses_a_tree_with_no_entry(self, ap_file, tmp_path, capsys):
+        # depth 3 is below M_1 = 6: no gap to certify, so exit 0 would
+        # claim what nothing checked; --mode gap fails as --mode all does
+        main(build_args(ap_file, tmp_path, depth=3))
+        tree, cert = str(tmp_path / "tree.json"), tmp_path / "cert.json"
+        capsys.readouterr()
+        errors = []
+        for mode in ("all", "gap"):
+            assert main(["certify", tree, "--mode", mode, "--out", str(cert)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(json.loads(err)["error"])
+        assert errors[0] == errors[1]
+        assert errors[1]["type"] == "EntryNotProcessed"
+        assert not cert.exists()
+
     def test_corrupted_coordinate_fails(
         self, ap_file, tmp_path, capsys, monkeypatch, move_cube
     ):
@@ -566,6 +582,8 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
+        # report.json is rendered before the directory is made
+        assert not (tmp_path / "o").exists()
 
     def test_oracle_negative_tolerance(self, ap_file, tmp_path, capsys):
         pts = _points_file(tmp_path, "d=1", b"1\n3/2\n")
@@ -937,6 +955,39 @@ class TestAppCommand:
         assert not (tmp_path / "o").exists()
 
 
+#: One spec per app kind, each small and deep enough to process an entry.
+_APPS_WITH_ENTRIES = {
+    "quotients": {"kind": "quotients", "params": ["2"], "h": "pow:1/2", "depth": 7},
+    "differences": {"kind": "differences", "params": [{"kind": "log_of", "value": "2"}],
+                    "h": "pow:1/2", "depth": 5},
+    "planes": {"kind": "planes", "params": [["1", "-3", "2"]], "h": "pow:1/2", "depth": 7},
+    "ratios": {"kind": "ratios", "params": ["2"], "h": "pow:1/2", "depth": 7},
+    "parallelogram": {"kind": "parallelogram", "h": "pow:1/4", "depth": 3},
+    "trapezoids": {"kind": "trapezoids", "params": ["2"], "h": "pow:1/4", "depth": 3},
+    "complex_triplets": {"kind": "complex_triplets",
+                         "params": [[["0", "0"], ["1", "0"], ["2", "0"]]],
+                         "h": "pow:1/4", "depth": 3},
+    "vector_split": {"kind": "vector_split",
+                     "params": {"m": 2, "d": 1, "rows": [["0", "0"], ["2", "-1"]]},
+                     "h": "pow:1/2", "depth": 5},
+}
+
+
+class TestAppCertifiesAsCertify:
+    @pytest.mark.parametrize("kind", sorted(_APPS_WITH_ENTRIES))
+    def test_cert_matches_certify_of_its_tree(self, tmp_path, capsys, kind):
+        # app is build, then `certify --mode all --spot-checks 100`
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_APPS_WITH_ENTRIES[kind]))
+        out = tmp_path / "out"
+        assert main(["app", str(spec), "--out-dir", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] >= 1
+        again = tmp_path / "cert.json"
+        assert main(["certify", str(out / "tree.json"), "--mode", "all",
+                     "--spot-checks", "100", "--out", str(again)]) == 0
+        assert (out / "cert.json").read_bytes() == again.read_bytes()
+
+
 # Runs one command in a fresh interpreter and lists the lacuna modules it
 # loaded; in-process tests cannot see this, since other tests import them all.
 _FOOTPRINT = (
@@ -995,8 +1046,10 @@ class TestImportFootprint:
         app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
         assert self.loaded(tmp_path, app) == _BUILD | {"apps", "certify"}
 
-    def test_ln_exp_and_differences_load_only_where_called(self, ap_file, tmp_path):
-        powlog = build_args(ap_file, tmp_path, dimfn="powlog:1/1", out="plog.json")
+    def test_ln_exp_and_differences_load_only_where_called(self, q_file, tmp_path):
+        # quotient 2 under powlog:1/1 lands entry 1 at level 18, so the
+        # gap-only certify has a gap to certify
+        powlog = build_args(q_file, tmp_path, depth=18, dimfn="powlog:1/1", out="plog.json")
         assert self.loaded(tmp_path, powlog) == _BUILD | {"lnexp"}
         certify = ["certify", str(tmp_path / "plog.json"), "--mode", "gap"]
         assert self.loaded(tmp_path, certify) == _READ | {"certify", "lnexp"}
@@ -1060,6 +1113,23 @@ class TestProcessExit:
         run = _child(tmp_path, build_args(ap_file, tmp_path), closed, stderr=subprocess.PIPE)
         assert (run.returncode, run.stderr) == (0, "")
         assert (tmp_path / "tree.json").is_file()
+
+    def test_closed_stderr(self, tmp_path):
+        # the envelope has nowhere to go: it must not land on stdout
+        closed = ["sh", "-c", '"$@" 2>&-', "sh"]  # runs the child with fd 2 closed
+        args = ["build", "missing.json", "--dimfn", "pow:1/2", "--depth", "5"]
+        run = _child(tmp_path, args, closed, stdout=subprocess.PIPE)
+        assert (run.returncode, run.stdout) == (2, "")
+
+    def test_stderr_with_no_reader_keeps_the_exit_code(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        args = ["build", "missing.json", "--dimfn", "pow:1/2", "--depth", "5"]
+        try:
+            run = _child(tmp_path, args, stdout=subprocess.PIPE, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stdout) == (2, "")
 
     def test_help(self, tmp_path):
         run = _child(tmp_path, ["--help"], capture_output=True)

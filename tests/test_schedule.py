@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import perm
 
 import pytest
@@ -20,10 +20,10 @@ from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import doc_to_state
 from lacuna.schedule import (
     Scheduler,
-    TupleEnumerator,
     compute_beta,
     compute_levels,
     delta_candidate,
+    dovetail,
     ratio_condition,
     ratio_threshold,
     sqrt_d_bounds,
@@ -152,11 +152,7 @@ class TestUnranking:
 
 class TestEnumerator:
     def test_round_structure(self):
-        e = TupleEnumerator(2)
-        seen = []
-        for _ in range(2 * 1 + 2 * 4):
-            seen.append(e.peek())
-            e.advance()
+        seen = list(islice(dovetail(2), 2 * 1 + 2 * 4))
         # round 0: L=0, r=0, both patterns; round 1: (L, r) over {0,1}^2.
         assert seen[:2] == [(0, 0, 0), (0, 0, 1)]
         assert seen[2:] == [
@@ -165,12 +161,7 @@ class TestEnumerator:
         ]
 
     def test_every_triple_recurs(self):
-        e = TupleEnumerator(1)
-        hits = 0
-        for _ in range(1 + 4 + 9 + 16):
-            if e.peek() == (1, 0, 0):
-                hits += 1
-            e.advance()
+        hits = list(islice(dovetail(1), 1 + 4 + 9 + 16)).count((1, 0, 0))
         assert hits >= 3  # once per round from round 1 on
 
 
