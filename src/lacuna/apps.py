@@ -11,7 +11,7 @@ patterns for the engine:
 * parallelogram / trapezoids   vertex configurations in R^d, one scalar
                 pattern per coordinate of the vector-valued form
 * complex_triplets   no similar copy of given complex triplets, via the
-                C = R^2 identification
+                C = R^2 identification (lacuna.triplets)
 * vector_split  generic N-component linear form, one pattern per nonzero row
 
 run_app takes every kind down one path: the patterns, one build, then
@@ -19,7 +19,9 @@ certify.certify_tree, the routine of `lacuna certify`, with 100 spot
 checks per entry.  The difference app, the one place irrational targets
 appear, is in lacuna.differences; run_app imports it for that kind only,
 to get the quotient targets before the build and report.json after the
-certificates.
+certificates.  Likewise the Gaussian rationals and the builder of the
+complex_triplets kind are in lacuna.triplets, which app_patterns imports
+for that kind only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from . import certify, engine
 from .dimfn import parse_dimfn
 from .errors import (
     AllRowsZero,
-    DegenerateTriplet,
     FormatError,
     RejectRange,
     RejectUnit,
@@ -136,49 +137,6 @@ def trapezoid_patterns(d: int, alphas: Sequence[Fraction]) -> list[LinearPattern
     return out
 
 
-class GaussianRational(Record):
-    """Exact complex rational a + b*i."""
-
-    re: Fraction
-    im: Fraction
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-
-def complex_triplet_patterns(
-    triplets: Sequence[Sequence[GaussianRational]],
-) -> list[LinearPattern]:
-    """Two real d=2, m=3 patterns per triplet so no similar copy survives.
-
-    For a triplet (x, y, z) let a = (z-x)/(z-y); the complex linear form
-    x - a*y + (a-1)*z vanishes exactly on similar copies of the triplet,
-    and its real and imaginary parts become patterns over R^2.
-    """
-    out = []
-    for x, y, z in triplets:
-        if x == y or y == z or x == z:
-            raise DegenerateTriplet("triplet entries must be pairwise distinct")
-        alpha = (z - x) / (z - y)
-        one = GaussianRational(Fraction(1), Fraction(0))
-        coeffs = (one, GaussianRational(Fraction(0), Fraction(0)) - alpha, alpha - one)
-        rows = [[], []]
-        for g in coeffs:  # (g.re + g.im*i) * (u + v*i): re = g.re*u - g.im*v
-            rows[0].extend([g.re, -g.im])
-            rows[1].extend([g.im, g.re])
-        out.extend(split_vector_pattern(2, 3, rows))
-    return out
-
-
 # -- app spec files ---------------------------------------------------------------
 
 class AppSpec(Record):
@@ -247,6 +205,8 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
     if app.kind == "trapezoids":
         return app.d, trapezoid_patterns(app.d, _rationals(app.params, "trapezoids params"))
     if app.kind == "complex_triplets":
+        from .triplets import GaussianRational, complex_triplet_patterns
+
         triplets = [
             [
                 GaussianRational(*_rationals(p, "a complex number", 2))

@@ -15,16 +15,19 @@ The geometry arrives as the engine holds it: per level one denominator
 and one flat list of integer numerators, d per lower corner, the cubes in
 implicit address order, so the placed cubes under a tuple member are one
 contiguous slice.  Recovering lattice vectors is one divisibility pass per
-axis over that slice.  The sampled center cross-check, the independent
+axis over that slice, against the state's block lattices
+(ConstructionState.block_lattices, made once per pattern from the patterns
+and the cube side alone).  The sampled center cross-check, the independent
 route, evaluates psi from the pattern's coefficients scaled to integers and
 tests the half-integer ladder with one divmod.  The spot check draws points
 on a grid inside the placed cubes and compares |psi| with the gap in
-integers.  The oracle takes rational points; it scales them once to a
-common denominator and then works on integers too, as a sorted join: the
-first m-1 tuple members are walked, and the last is found by bisection in
-its block's sorted partial sums, so the search is complete without
-evaluating every ordered m-tuple.  Fractions remain in the measure code and
-in the messages of failed checks.
+integers.  Both sample with _draws, which takes the draws of
+random.Random.randrange straight from getrandbits.  The oracle takes
+rational points; it scales them once to a common denominator and then
+works on integers too, as a sorted join: the first m-1 tuple members are
+walked, and the last is found by bisection in its block's sorted partial
+sums, so the search is complete without evaluating every ordered m-tuple.
+Fractions remain in the measure code and in the messages of failed checks.
 
 The measure certificate is the mass-distribution principle made concrete:
 with the uniform cube mass mu(I_k) = 1/N_k, the per-level bound
@@ -46,10 +49,10 @@ import bisect
 import random
 import warnings
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import lcm, perm
-from operator import mul
-from typing import TYPE_CHECKING
+from operator import add, mul
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     EntryNotProcessed,
@@ -122,52 +125,91 @@ def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[i
 
 def _recover_residue(lattice: BlockLattice, signs: list[int], block: list[int]) -> list[int]:
     """Signed lattice residue sum of every placed cube of a flat block;
-    exact or GapViolated."""
+    exact or GapViolated.
+
+    On axis v a placed lower corner is steps[v]*z + shifts[v] - side/2, so
+    x + off with off = side/2 - shifts[v] must be a multiple of the step,
+    and z is the quotient.  Once every quotient is exact,
+    sign*(x + off) // step is sign*z.
+    """
     d = len(lattice.steps)
     half = lattice.side // 2
-    residues = [0] * (len(block) // d)
+    residues = None
     for v, (step, shift, sign) in enumerate(zip(lattice.steps, lattice.shifts, signs)):
-        t = [x + half - shift for x in block[v::d]]
-        if any(x % step for x in t):
-            i = next(i for i, x in enumerate(t) if x % step)
+        off = half - shift
+        axis = block[v::d]
+        if any([(x + off) % step for x in axis]):
+            i = next(i for i, x in enumerate(axis) if (x + off) % step)
             raise GapViolated(
                 f"placed cube {tuple(block[i * d : (i + 1) * d])} is off the "
                 f"avoidance lattice on axis {v}"
             )
         if sign:
-            residues = [r + sign * (x // step) for r, x in zip(residues, t)]
-    return residues
+            zs = [sign * (x + off) // step for x in axis]
+            residues = zs if residues is None else list(map(add, residues, zs))
+    return [0] * (len(block) // d) if residues is None else residues
+
+
+def _distinct(residues: list[int]) -> list[int] | None:
+    """The sorted distinct residues, or None if there are more than
+    COMBO_CAP.  The set lives only inside this call, so a caller holds at
+    most one set at a time."""
+    s = set(residues)
+    return sorted(s) if len(s) <= COMBO_CAP else None
+
+
+def _sumset(a: list[int], b: list[int]) -> list[int]:
+    """The sorted sumset of two sorted distinct lists; {0} + b is b."""
+    return b if a == [0] else sorted({x + y for x in a for y in b})
 
 
 def _min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
     """min |n_1 + ... + n_m + 1/2| over per-block residue choices.
 
-    All blocks but the largest are folded into an exact sumset; the largest
-    is resolved by binary search around the half-integer target.  Returns
-    (minimum, exact); exact=False falls back to the structural bound 1/2
-    when a fold would form more than COMBO_CAP sums (len(acc) * len(s)).
-    Residue sets need not be small or contiguous: for quotient 2
-    (coefficients 2, -1) under pow:1/2 at d=1, depth 25, entry 5 has
-    262,144 distinct residues per block, and since the cap test runs even
-    on the first fold, where acc = [0] and m = 2 needs no sumset, that
-    entry certifies with exact_min false.
+    The distinct residue sets, smallest first, are folded into an exact
+    sumset acc, all but the two largest.  The second largest is then folded
+    in too, or joined with the largest, whichever forms fewer sums
+    (len(acc) against the largest set's size); each element of acc is then
+    resolved by binary search around the half-integer target in the sorted
+    remainder.  Returns (minimum, exact); exact=False falls back to the
+    structural bound 1/2 when a fold of acc with a set would form more
+    than COMBO_CAP sums (len(acc) * len(s)).  That test is made for the
+    second largest set whether it is folded or joined, so the choice never
+    changes exact_min.  Residue sets need not be small or contiguous: for
+    quotient 2 (coefficients 2, -1) under pow:1/2 at d=1, depth 25, entry 5
+    has 262,144 distinct residues per block, and since the cap test runs
+    even on the first fold, where acc = [0] and m = 2 needs no sumset,
+    that entry certifies with exact_min false.  Every set but the largest
+    is folded or joined, so two sets of more than COMBO_CAP residues decide
+    the fallback from their sizes, before anything is sorted.
     """
-    sets = sorted((sorted(set(r)) for r in residues), key=len)
+    distinct = [_distinct(r) for r in residues]
+    if distinct.count(None) > 1:
+        return Fraction(1, 2), False
+    # one set past the cap is the largest, which is searched, never folded
+    distinct = [s or sorted(set(r)) for s, r in zip(distinct, residues)]
+    *folds, pair, last = sorted(distinct, key=len)
     acc: list[int] = [0]
-    for s in sets[:-1]:
+    for s in folds:
         if len(acc) * len(s) > COMBO_CAP:
             return Fraction(1, 2), False
-        acc = sorted({a + b for a in acc for b in s})
-    last = sets[-1]
-    best = None  # min |2*(n_1 + ... + n_m) + 1|
+        acc = _sumset(acc, s)
+    if len(acc) * len(pair) > COMBO_CAP:
+        return Fraction(1, 2), False
+    if len(acc) <= len(last):
+        acc = _sumset(acc, pair)
+    else:
+        last = _sumset(pair, last)
+    n = len(last)
+    best = abs(2 * (acc[0] + last[0]) + 1)  # min |2*(n_1 + ... + n_m) + 1|
     for a in acc:
-        # n_last closest to -1/2 - a lies at one of these two positions
+        # the n_last nearest -1/2 - a: last[i - 1] < -a <= last[i]
         i = bisect.bisect_left(last, -a)
-        for j in (i - 1, i):
-            if 0 <= j < len(last):
-                v = abs(2 * (a + last[j]) + 1)
-                if best is None or v < best:
-                    best = v
+        below = -2 * (a + last[i - 1]) - 1 if i else best
+        above = 2 * (a + last[i]) + 1 if i < n else best
+        best = min(best, below, above)
+        if best == 1:  # the least odd value: nothing is smaller
+            break
     return Fraction(best, 2), True
 
 
@@ -178,17 +220,13 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
     of psi on center combinations, and returns gap >= peak*delta as the
     certified bound over all point tuples drawn from the placed cubes.
     """
-    from . import engine, schedule
-
     blocks = placed_blocks(state, entry)
     np_ = state.normalized[entry.pattern_id]
     delta = state.side(entry.m_level)
-    side = state.side_num(entry.m_level)
-    _, sqrt_hi = schedule.sqrt_d_bounds(state.d)
+    lattices = state.block_lattices(entry.pattern_id)
     residues = []
-    for b, blk in enumerate(blocks):
-        lattice = engine.block_lattice(np_, b, side, sqrt_hi)
-        signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
+    for lattice, row, blk in zip(lattices, np_.base.coeffs, blocks):
+        signs = [(c > 0) - (c < 0) for c in row]
         residues.append(_recover_residue(lattice, signs, blk))
     q_min, exact = _min_half_offset(residues)
     _cross_check_centers(state, entry, np_, blocks)
@@ -217,6 +255,28 @@ def _scaled_rows(np_: NormalizedPattern) -> tuple[int, list[list[int]]]:
     return lcd, [[c.numerator * (lcd // c.denominator) for c in row] for row in coeffs]
 
 
+def _draws(seed: int, bounds: Sequence[int]) -> Iterator[list[int]]:
+    """Rounds of random.Random(seed).randrange(n) for n in bounds: the
+    first list holds one draw for each bound in order, the next the draws
+    after those, and so on for ever.
+
+    randrange(n) is getrandbits(k) with k = n.bit_length(), drawn again
+    while it is n or more; this draws the bits the same way, so every
+    value is the one randrange gives, without its two Python frames per
+    draw.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    shapes = [(n, n.bit_length()) for n in bounds]
+    while True:
+        drawn = []
+        for n, k in shapes:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            drawn.append(r)
+        yield drawn
+
+
 def _cross_check_centers(state, entry, np_, blocks, sample=32):
     """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2).
 
@@ -235,12 +295,11 @@ def _cross_check_centers(state, entry, np_, blocks, sample=32):
     p, q = np_.peak.numerator, np_.peak.denominator
     unit = 4 * lcd * p * side
     offset = side * sum(map(sum, rows))  # sum c'*(2x + side) = 2*sum c'*x + offset
-    members = [(row, blk, len(blk) // d) for row, blk in zip(rows, blocks)]
-    rng = random.Random(entry.index)
-    for _ in range(sample):
+    members = list(zip(rows, blocks))
+    for drawn in islice(_draws(entry.index, [len(blk) // d for blk in blocks]), sample):
         total = 0
-        for row, blk, n in members:
-            i = d * rng.randrange(n)
+        for (row, blk), j in zip(members, drawn):
+            i = d * j
             total += sum(map(mul, row, blk[i : i + d]))
         total = 2 * total + offset
         k, rem = divmod(total * q, unit)
@@ -264,7 +323,7 @@ def spot_check_gap(
 
     Coordinate v of a point drawn from the cube with lower corner x is
     (x_v*grid + g_v*side) / (den*grid) for a random integer g_v in
-    [0, grid], drawn as randrange(grid + 1), the same draw as
+    [0, grid], drawn as randrange(grid + 1) (_draws), the same draw as
     randint(0, grid).  psi is scaled by the lcm L of its coefficients'
     denominators (_scaled_rows), so psi = total / (L*den*grid) with an
     integer total, and |psi| < gap is one cross-multiplied integer
@@ -276,18 +335,19 @@ def spot_check_gap(
     den = state.levels[entry.m_level].den
     side = state.side_num(entry.m_level)
     lcd, rows = _scaled_rows(np_)
-    members = [(row, blk, len(blk) // d) for row, blk in zip(rows, blocks)]
     scale = lcd * den * grid
     gap_den = cert.gap.denominator
     bound = cert.gap.numerator * scale  # |total| * gap.den < bound <=> |psi| < gap
-    randrange = random.Random(seed * 1_000_003 + entry.index).randrange
-    span = grid + 1
-    for _ in range(count):
-        total = 0
-        for row, blk, n in members:
-            i = d * randrange(n)
-            for c, x in zip(row, blk[i : i + d]):
-                total += c * (x * grid + randrange(span) * side)
+    # a tuple's draws: per member its cube, then the d grid offsets, which
+    # side times the member's row weighs; the cube draws weigh 0
+    bounds = [n for blk in blocks for n in [len(blk) // d] + [grid + 1] * d]
+    weights = [side * c for row in rows for c in [0, *row]]
+    members = [(row, blk, b * (d + 1)) for b, (row, blk) in enumerate(zip(rows, blocks))]
+    for drawn in islice(_draws(seed * 1_000_003 + entry.index, bounds), count):
+        total = sum(map(mul, weights, drawn))
+        for row, blk, j in members:
+            i = d * drawn[j]
+            total += grid * sum(map(mul, row, blk[i : i + d]))
         if abs(total) * gap_den < bound:
             raise GapViolated(
                 f"entry {entry.index}: sampled tuple gives |psi| = "

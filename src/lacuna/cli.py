@@ -14,11 +14,13 @@ exit code.
 Each command imports the layers it runs (engine, apps, certify, export)
 itself, so a step loads no module it does not use: the oracle, for one,
 loads no engine, schedule or gauge code.  Deeper down the same holds: the
-tree reader (lacuna.reader), the ln and exp series (lacuna.lnexp) and the
-difference app (lacuna.differences) are imported only by the code paths
-that call them, since every module a step loads is compiled in that step
-when no bytecode cache is written.  Commands reach layer functions through
-module attributes (engine.build_tree, certify.certify_tree, ...).
+tree reader (lacuna.reader), the ln and exp series (lacuna.lnexp), the
+difference and complex-triplet apps (lacuna.differences, lacuna.triplets)
+and the usage text of -h/--help (lacuna.usage) are imported only by the
+code paths that call them, since every module a step loads is compiled in
+that step when no bytecode cache is written.  Commands reach layer
+functions through module attributes (engine.build_tree,
+certify.certify_tree, ...).
 
 The argument grammar is one table, COMMANDS, that parse_args reads with
 argparse's rules: options before or after the positionals, a unique
@@ -180,11 +182,6 @@ COMMANDS = {
 }
 
 _HELP = ("-h", "--help")
-_DESCRIPTION = (
-    "Build nested cube sets in [1,2]^d that avoid linear patterns, "
-    "with exact rational certificates for the avoidance gaps and the "
-    "generalized Hausdorff measure lower bound."
-)
 
 
 def _option(arg: str, names) -> tuple[str, str | None] | None:
@@ -212,23 +209,13 @@ def _option(arg: str, names) -> tuple[str, str | None] | None:
     return arg, None
 
 
-def _usage(command: str | None) -> str:
-    if command is None:
-        rows = [f"  {name:<8} {row[1]}" for name, row in COMMANDS.items()]
-        return "\n".join(
-            [f"usage: lacuna {{{','.join(COMMANDS)}}} ...", "", _DESCRIPTION, "", *rows]
-        )
-    _, about, positionals, options = COMMANDS[command]
-    words, rows = ["lacuna", command, *positionals], []
-    for name, (kind, default, text) in options.items():
-        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
-        words.append(f"{name} {value}" if default is _REQUIRED else f"[{name} {value}]")
-        if default is not None:
-            note = "required" if default is _REQUIRED else f"default: {default}"
-            text += f"; {note}" if text else note
-        rows.append(f"  {name:<14} {text}".rstrip())
-    rows.append(f"  {'-h, --help':<14} show this help and exit")
-    return "\n".join(["usage: " + " ".join(words), "", about, "", *rows])
+def _print_usage(command: str | None) -> None:
+    """Print the usage of a command (None: of lacuna) and exit 0.  The
+    usage text is built in lacuna.usage, which no other step loads."""
+    from .usage import usage
+
+    print(usage(COMMANDS, command, _REQUIRED))
+    raise SystemExit(0)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
@@ -242,8 +229,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if command not in COMMANDS:
         opt = _option(command, _HELP)
         if opt and opt[0] in _HELP:
-            print(_usage(None))
-            raise SystemExit(0)
+            _print_usage(None)
         raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
     func, _, positionals, options = COMMANDS[command]
     names = [*options, *_HELP]
@@ -257,8 +243,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             continue
         name, value = opt
         if name in _HELP:
-            print(_usage(command))
-            raise SystemExit(0)
+            _print_usage(command)
         if name not in options:
             raise UsageError(f"unrecognized argument: {arg}")
         if value is None:

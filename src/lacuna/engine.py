@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from pathlib import Path
 from typing import Sequence
 
@@ -127,6 +128,9 @@ class ConstructionState(Record, frozen=False):
     entries: list[ScheduleEntry] = Fresh(list)
     scheduler: Scheduler | None = None
 
+    def __post_init__(self) -> None:
+        self._lattices: dict[int, list[BlockLattice]] = {}  # not a field
+
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
@@ -153,6 +157,19 @@ class ConstructionState(Record, frozen=False):
         denominator grows by exactly the factor its side shrinks.
         """
         return self.levels[0].den
+
+    def block_lattices(self, pattern_id: int) -> list[BlockLattice]:
+        """The lattice of each block of a pattern, made once per state: every
+        level's cube side is the same integer Q (side_num), so every
+        avoidance level of the pattern, in the build and in certify_gap,
+        uses the same lattices."""
+        if pattern_id not in self._lattices:
+            np_ = self.normalized[pattern_id]
+            _, sqrt_hi = sqrt_d_bounds(self.d)
+            self._lattices[pattern_id] = [
+                block_lattice(np_, b, self.levels[0].den, sqrt_hi) for b in range(np_.m)
+            ]
+        return self._lattices[pattern_id]
 
     def expected_count(self, level: int) -> int:
         return 1 << (self.d * self.ndigits(level))
@@ -251,36 +268,40 @@ def block_lattice(
 
 def place_on_lattice(
     parent_lowers: list[int], parent_side: int, lattice: BlockLattice
-) -> tuple[list[int], list[int]]:
+) -> list[int]:
     """Lattice children of a block of tuple-descendant cubes.
 
     parent_lowers holds the flat lower corners of the parents (d per cube);
-    returns the flat lower corners of the children and their flat lattice
-    vectors z.  Lengths are integer numerators over the child level's
-    denominator.  Each child center is the lattice point nearest to its
-    parent center; rounding ties go up.  The per-axis miss bound
-    2*peak*scale*side (hence the Euclidean bound 2*peak*max_scale*sqrt(d)*side)
-    and containment in the parent are asserted exactly on every placement.
+    returns the flat lower corners of the children, as integer numerators
+    over the child level's denominator.  Each child center is the lattice
+    point steps[v]*z + shifts[v] nearest to its parent center; rounding
+    ties go up.  z is not returned: it is (lower + side/2 - shift) / step,
+    which is what certify recovers.  The per-axis miss bound
+    2*peak*scale*side (hence the Euclidean bound
+    2*peak*max_scale*sqrt(d)*side) and containment in the parent are
+    asserted exactly on every placement.
 
-    Per axis only z, the child lower corner lo and room = lo - parent lower
-    are computed.  With slack = parent_side - side, twice the miss of the
-    child center from the parent center is slack - 2*room (side is even),
-    so the miss bound and containment (0 <= room <= slack) are bounds on
-    min(room) and max(room), and the ball check sums (slack - 2*room)^2.
+    Per axis one pass computes the child lower corners lo, and room =
+    lo - parent lower is one subtraction per cube.  With
+    slack = parent_side - side, twice the miss of the child center from the
+    parent center is slack - 2*room (side is even), so the miss bound and
+    containment (0 <= room <= slack) are bounds on min(room) and
+    max(room).  The ball check bounds the sum over cubes of
+    (slack - 2*room)^2 by the sum over axes of the worst square; only if
+    that bound exceeds the radius are the per-cube sums formed.  On a
+    pattern's own lattice it never does: each square is at most
+    steps[v]^2, and their sum is within the certified ball.
     """
     d = len(lattice.steps)
     side = lattice.side
     slack = parent_side - side
-    n = len(parent_lowers)
-    lowers = [0] * n
-    zs = [0] * n
-    err_sq = [0] * (n // d)
+    lowers = [0] * len(parent_lowers)
+    worst = 0  # the sum over axes of the largest (slack - 2*room)^2
     for v, (step, shift) in enumerate(zip(lattice.steps, lattice.shifts)):
         parents = parent_lowers[v::d]
         up, step2, base = parent_side + step - 2 * shift, 2 * step, shift - side // 2
-        z = [(2 * p + up) // step2 for p in parents]
-        lo = [step * zv + base for zv in z]
-        room = [x - p for x, p in zip(lo, parents)]
+        lo = [step * ((2 * p + up) // step2) + base for p in parents]
+        room = list(map(sub, lo, parents))
         low, high = min(room), max(room)
         if 2 * low < slack - step or 2 * high > slack + step:
             i = next(i for i, r in enumerate(room) if abs(slack - 2 * r) > step)
@@ -293,12 +314,16 @@ def place_on_lattice(
             raise PlacementFailure(
                 f"lattice cube {i} escapes its parent on axis {v} (lower {lo[i]})"
             )
-        err_sq = [a + (slack - 2 * r) ** 2 for a, r in zip(err_sq, room)]
+        worst += max(slack - 2 * low, 2 * high - slack) ** 2
         lowers[v::d] = lo
-        zs[v::d] = z
-    if max(err_sq) * lattice.ball_den > lattice.ball_num:
-        raise PlacementFailure("lattice offset exceeds the certified ball radius")
-    return lowers, zs
+    if worst * lattice.ball_den > lattice.ball_num:
+        err_sq = [0] * (len(lowers) // d)
+        for v in range(d):
+            pairs = zip(err_sq, lowers[v::d], parent_lowers[v::d])
+            err_sq = [a + (slack - 2 * (x - p)) ** 2 for a, x, p in pairs]
+        if max(err_sq) * lattice.ball_den > lattice.ball_num:
+            raise PlacementFailure("lattice offset exceeds the certified ball radius")
+    return lowers
 
 
 def _dyadic_children(lowers: list[int], side: int, d: int) -> list[int]:
@@ -330,14 +355,12 @@ def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> N
         lowers = _dyadic_children(prev.lowers, side, d)
         state.levels.append(Level(den=2 * prev.den, lowers=lowers))
         return
-    np_ = state.normalized[entry.pattern_id]
     ratio = 2 * entry.beta
-    _, sqrt_hi = sqrt_d_bounds(d)
     # free cubes keep their lower-corner anchor
     lowers = [ratio * x for x in prev.lowers]
-    for block, span in enumerate(state.tuple_spans(entry)):
-        lattice = block_lattice(np_, block, side, sqrt_hi)
-        lowers[span], _ = place_on_lattice(lowers[span], ratio * side, lattice)
+    lattices = state.block_lattices(entry.pattern_id)
+    for span, lattice in zip(state.tuple_spans(entry), lattices):
+        lowers[span] = place_on_lattice(lowers[span], ratio * side, lattice)
     state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
 
 

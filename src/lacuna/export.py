@@ -11,11 +11,12 @@ and build no Fraction.
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .errors import FormatError, UnsupportedDimension
+from .errors import FormatError, UnsupportedDimension, UsageError
 from .qmath import decimal_ratio, format_ratio, parse_rational
 
 if TYPE_CHECKING:
@@ -84,7 +85,17 @@ def read_points(path: str | Path) -> tuple[int, list[Vector]]:
 def write_points_csv(
     state: ConstructionState, path: str | Path, decimals: int = 12
 ) -> None:
-    """Deepest-level cube centers as decimals (convenience, not certified)."""
+    """Deepest-level cube centers as decimals (convenience, not certified).
+
+    More decimals than the interpreter converts from int to str
+    (sys.get_int_max_str_digits()) is a request past a fixed limit: a
+    UsageError, raised before the file is opened.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and decimals > limit:
+        raise UsageError(
+            f"{decimals} decimals are more digits than the interpreter renders ({limit})"
+        )
     header = ",".join(f"x{v}" for v in range(state.d))
     _write_leaf_rows(
         state, path, header, lambda c, den: decimal_ratio(c, den, decimals), ","

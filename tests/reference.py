@@ -15,13 +15,14 @@ refinement starts at, so a test can compare lacuna's start with another.
 from __future__ import annotations
 
 import argparse
+import bisect
 import random
 from fractions import Fraction
 from itertools import product
 from operator import add
 from typing import Sequence
 
-from lacuna.apps import GaussianRational
+from lacuna import certify as _certify
 from lacuna.certify import (
     GapCertificate,
     _partial_sums,
@@ -43,6 +44,7 @@ from lacuna.pattern import LinearPattern, NormalizedPattern
 from lacuna.lnexp import _round_down, _round_up, ln_bounds
 from lacuna.qmath import nth_root_bounds
 from lacuna.schedule import ScheduleEntry
+from lacuna.triplets import GaussianRational
 
 IntVector = tuple[int, ...]
 
@@ -130,6 +132,18 @@ def place_on_lattice(
     return tuple(lower), tuple(z)
 
 
+def lattice_vectors(lowers: Sequence[int], lattice: BlockLattice) -> list[int]:
+    """z of each flat placed lower corner, which on axis v is
+    steps[v]*z + shifts[v] - side/2 exactly (AssertionError otherwise)."""
+    d = len(lattice.steps)
+    zs = []
+    for j, x in enumerate(lowers):
+        z, off = divmod(x + lattice.side // 2 - lattice.shifts[j % d], lattice.steps[j % d])
+        assert off == 0
+        zs.append(z)
+    return zs
+
+
 def _dyadic_children(lowers: list[IntVector], side: int, d: int) -> list[IntVector]:
     """The 2^d children of every cube in index order, over the doubled
     denominator: digit bit v moves the child up by `side` on axis v."""
@@ -156,6 +170,29 @@ def _recover_residue(lattice: BlockLattice, signs: list[int], lower: IntVector) 
             raise GapViolated(f"placed cube {lower} is off the avoidance lattice on axis {v}")
         residue += sign * z
     return residue
+
+
+def min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
+    """certify._min_half_offset as it was before the two largest sets could
+    be joined: every set but the largest folded into one sumset, then a
+    binary search in the largest.  It reads certify.COMBO_CAP when called,
+    so a test may lower the cap."""
+    sets = sorted((sorted(set(r)) for r in residues), key=len)
+    acc: list[int] = [0]
+    for s in sets[:-1]:
+        if len(acc) * len(s) > _certify.COMBO_CAP:
+            return Fraction(1, 2), False
+        acc = sorted({a + b for a in acc for b in s})
+    last = sets[-1]
+    best = None  # min |2*(n_1 + ... + n_m) + 1|
+    for a in acc:
+        i = bisect.bisect_left(last, -a)
+        for j in (i - 1, i):
+            if 0 <= j < len(last):
+                v = abs(2 * (a + last[j]) + 1)
+                if best is None or v < best:
+                    best = v
+    return Fraction(best, 2), True
 
 
 def spot_check_gap(

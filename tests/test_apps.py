@@ -8,10 +8,8 @@ import pytest
 
 from lacuna.apps import (
     AppSpec,
-    GaussianRational,
     app_patterns,
     app_spec_from_doc,
-    complex_triplet_patterns,
     parallelogram_patterns,
     plane_patterns,
     quotient_patterns,
@@ -33,6 +31,7 @@ from lacuna.errors import (
     ZeroPattern,
 )
 from lacuna.qmath import format_rational
+from lacuna.triplets import GaussianRational, complex_triplet_patterns
 from reference import covered_violations, eval_pattern, gaussian_add, gaussian_mul, leaf_centers
 
 F = Fraction

@@ -848,6 +848,22 @@ class TestExport:
         rows = csv.read_text().splitlines()
         assert rows[0] == "x0" and len(rows) == 65
 
+    def test_csv_decimals_past_the_digit_limit(self, ap_file, tmp_path, capsys):
+        # sys.get_int_max_str_digits() is 4300 by default: one decimal more
+        # is refused with the envelope, before the file is opened
+        main(build_args(ap_file, tmp_path))
+        capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        csv = tmp_path / "pts.csv"
+        argv = ["export", str(tmp_path / "tree.json"), "--format", "csv", "--out", str(csv)]
+        assert main([*argv, "--decimals", str(limit + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["type"] == "UsageError"
+        assert not csv.exists()
+        assert main([*argv, "--decimals", str(limit)]) == 0
+        rows = csv.read_text().splitlines()
+        assert len(rows) == 65 and len(rows[1].partition(".")[2]) == limit
+
     def test_svg_rect_count_matches_levels(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path, depth=5))
         svg = tmp_path / "tree.svg"
@@ -993,7 +1009,10 @@ class TestAppCertifiesAsCertify:
 _FOOTPRINT = (
     "import sys\n"
     "from lacuna.cli import main\n"
-    "code = main(sys.argv[2:])\n"
+    "try:\n"
+    "    code = main(sys.argv[2:])\n"
+    "except SystemExit as exc:  # --help\n"
+    "    code = exc.code\n"
     "with open(sys.argv[1], 'w') as fh:\n"
     "    fh.write(' '.join(m for m in sys.modules\n"
     "                      if m.startswith('lacuna.')\n"
@@ -1045,6 +1064,22 @@ class TestImportFootprint:
         assert self.loaded(tmp_path, oracle, code=1) == _CLI_CORE | {"certify", "export"}
         app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
         assert self.loaded(tmp_path, app) == _BUILD | {"apps", "certify"}
+
+    @pytest.mark.parametrize("kind", sorted(_APPS_WITH_ENTRIES))
+    def test_each_app_kind_loads_only_its_layers(self, tmp_path, kind):
+        # the difference app loads its module and the ln/exp series, the
+        # complex triplets their module; no other kind loads any of them
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_APPS_WITH_ENTRIES[kind]))
+        extra = {"differences": {"differences", "lnexp"}, "complex_triplets": {"triplets"}}
+        app = ["app", str(spec), "--out-dir", str(tmp_path / "app-out")]
+        expected = _BUILD | {"apps", "certify"} | extra.get(kind, set())
+        assert self.loaded(tmp_path, app) == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["oracle", "-h"]])
+    def test_only_help_loads_the_usage_text(self, tmp_path, argv):
+        # every other step's set above leaves lacuna.usage out
+        assert self.loaded(tmp_path, argv) == _CLI_CORE | {"usage"}
 
     def test_ln_exp_and_differences_load_only_where_called(self, q_file, tmp_path):
         # quotient 2 under powlog:1/1 lands entry 1 at level 18, so the

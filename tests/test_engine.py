@@ -25,7 +25,7 @@ from lacuna.errors import (
 )
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import parse_address
-from reference import corners
+from reference import corners, lattice_vectors
 
 F = Fraction
 
@@ -83,14 +83,16 @@ class TestPlacement:
         # the shifted lattice 8z + 4 rounds to z = 73, child [1175, 1177]/1152.
         # Over the denominator 1152 the parent is 1152 + [0, 36], child side 2.
         n = normalize(ap_pattern)
-        lower, z = place_on_lattice([1152], 36, block_lattice(n, 2, 2, F(1)))
-        assert z == [73]
+        lattice = block_lattice(n, 2, 2, F(1))
+        lower = place_on_lattice([1152], 36, lattice)
+        assert lattice_vectors(lower, lattice) == [73]
         assert lower == [1175]  # 1175/1152
 
     def test_first_block_unshifted(self, ap_pattern):
         n = normalize(ap_pattern)
-        lower, z = place_on_lattice([1152], 36, block_lattice(n, 0, 2, F(1)))
-        assert z == [73]  # lattice 8z, center 584, offset 1
+        lattice = block_lattice(n, 0, 2, F(1))
+        lower = place_on_lattice([1152], 36, lattice)
+        assert lattice_vectors(lower, lattice) == [73]  # lattice 8z, center 584, offset 1
         assert lower == [1167]  # 1167/1152
 
     def test_exact_lattice_hit_keeps_center(self, ap_pattern):
@@ -99,8 +101,9 @@ class TestPlacement:
         n = normalize(ap_pattern)
         delta = 2
         parent = [584 * delta - 18]  # center at 584*delta
-        lower, z = place_on_lattice(parent, 36, block_lattice(n, 0, delta, F(1)))
-        assert z == [73]
+        lattice = block_lattice(n, 0, delta, F(1))
+        lower = place_on_lattice(parent, 36, lattice)
+        assert lattice_vectors(lower, lattice) == [73]
         assert lower == [584 * delta - delta // 2]
 
     def test_lattice_needs_the_lattice_denominator(self, ap_pattern):

@@ -13,15 +13,21 @@ as a refinement started at 64 bits does.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import islice, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import reference as ref
+from lacuna import certify
 from lacuna.certify import (
     _cross_check_centers,
+    _draws,
+    _min_half_offset,
     _recover_residue,
     certify_gap,
     placed_blocks,
@@ -62,9 +68,17 @@ def _outcome(fn):
 
 
 def _reference_placement(parents, parent_side, lattice, d):
-    """place_on_lattice in the tuple layout, cube by cube, flattened."""
+    """place_on_lattice in the tuple layout, cube by cube, flattened: the
+    lower corners and the lattice vectors z."""
     placed = [ref.place_on_lattice(c, parent_side, lattice) for c in ref.corners(parents, d)]
     return ref.flatten(lo for lo, _ in placed), ref.flatten(z for _, z in placed)
+
+
+def _placement(parents, parent_side, lattice):
+    """place_on_lattice's lower corners, and the lattice vectors z derived
+    from them."""
+    lowers = place_on_lattice(parents, parent_side, lattice)
+    return lowers, ref.lattice_vectors(lowers, lattice)
 
 
 def _reference_residues(lattice, signs, block, d):
@@ -107,7 +121,7 @@ class TestRandomCorners:
         parents = data.draw(hs.lists(COORD, min_size=d * cubes, max_size=d * cubes))
         parent_side = ratio * lattice.side
         assert _outcome(
-            lambda: place_on_lattice(parents, parent_side, lattice)
+            lambda: _placement(parents, parent_side, lattice)
         ) == _outcome(lambda: _reference_placement(parents, parent_side, lattice, d))
 
     @settings(max_examples=200, deadline=None)
@@ -126,6 +140,43 @@ class TestRandomCorners:
         assert _outcome(lambda: _recover_residue(lattice, signs, block)) == _outcome(
             lambda: _reference_residues(lattice, signs, block, d)
         )
+
+
+#: randrange bounds: anywhere up to 2^20 (the most cubes a level holds),
+#: powers of two (where nearly half the draws are redrawn) and 65537, the
+#: spot check's grid span.
+_BOUND = hs.one_of(
+    hs.integers(1, 1 << 20), hs.integers(0, 20).map(lambda k: 1 << k), hs.just(65537)
+)
+
+#: Per-block residue lists: m = 2..5 blocks of 1..8 residues.
+_RESIDUES = hs.lists(
+    hs.lists(hs.integers(-40, 40), min_size=1, max_size=8), min_size=2, max_size=5
+)
+
+
+class TestGapSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=hs.integers(0, 2**64), bounds=hs.lists(_BOUND, min_size=1, max_size=4))
+    def test_draws_are_randrange(self, seed, bounds):
+        """Three rounds through the bounds, as randrange draws them."""
+        rng = random.Random(seed)
+        expected = [[rng.randrange(n) for n in bounds] for _ in range(3)]
+        assert list(islice(_draws(seed, bounds), 3)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(residues=_RESIDUES)
+    def test_min_half_offset_is_the_minimum(self, residues):
+        best = min(abs(2 * sum(choice) + 1) for choice in product(*residues))
+        assert _min_half_offset(residues) == (Fraction(best, 2), True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(residues=_RESIDUES, cap=hs.integers(1, 80))
+    def test_exact_min_matches_the_fold_of_all_sets(self, residues, cap):
+        """Under a small COMBO_CAP the fallback and the minimum are those of
+        folding every set but the largest, joined or not."""
+        with mock.patch.object(certify, "COMBO_CAP", cap):
+            assert _min_half_offset(residues) == ref.min_half_offset(residues)
 
 
 @pytest.fixture(
