@@ -290,7 +290,7 @@ def _cross_check_centers(state, entry, np_, blocks, sample=32):
     message of a failed check.
     """
     d = state.d
-    side = state.side_num(entry.m_level)
+    side = state.side_num
     lcd, rows = _scaled_rows(np_)
     p, q = np_.peak.numerator, np_.peak.denominator
     unit = 4 * lcd * p * side
@@ -333,7 +333,7 @@ def spot_check_gap(
     np_ = state.normalized[entry.pattern_id]
     d = state.d
     den = state.levels[entry.m_level].den
-    side = state.side_num(entry.m_level)
+    side = state.side_num
     lcd, rows = _scaled_rows(np_)
     scale = lcd * den * grid
     gap_den = cert.gap.denominator

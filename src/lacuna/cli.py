@@ -88,10 +88,8 @@ def cmd_export(args) -> int:
         export.write_points_exact(state, args.out)
     elif args.format == "csv":
         export.write_points_csv(state, args.out, decimals=args.decimals)
-    elif args.format == "svg":
+    else:
         export.write_svg(state, args.out)
-    else:  # pragma: no cover - parse_args allows only the formats above
-        raise FormatError(f"unknown format {args.format!r}")
     print(f"wrote {args.format} -> {args.out}")
     return 0
 

@@ -69,26 +69,6 @@ class DimensionFunction(Record):
                 f"argument {r} outside (0, {self.domain_cap}] for {self.spec_string()}"
             )
 
-    def eval_bounds(self, r: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-        """Enclosure of h(r) with width <= 2**-precision; exact when possible."""
-        self._check_domain(r)
-        p, q = self.s.numerator, self.s.denominator
-        if self.family == POWER:
-            return nth_root_bounds(r**p, q, precision)
-        from .lnexp import ln_bounds
-
-        guard = precision + 4
-        while True:
-            rs_lo, rs_hi = nth_root_bounds(r**p, q, guard)
-            ln_lo, ln_hi = ln_bounds(r, guard)
-            # h(r) = r^s * (-ln r); both factors are >= 0 on (0, 1).
-            lo, hi = rs_lo * (-ln_hi), rs_hi * (-ln_lo)
-            if lo > hi:  # r == 1 edge: -ln r == 0
-                lo, hi = hi, lo
-            if hi - lo <= Fraction(1, 1 << precision):
-                return lo, hi
-            guard *= 2
-
     def ge(self, r: Fraction, threshold: Fraction) -> bool:
         """Certified h(r) >= threshold."""
         return self._certified_ge(r, self.s.numerator, threshold)

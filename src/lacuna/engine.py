@@ -35,10 +35,11 @@ The tree file (lacuna-tree/3) is the recipe of a build, not its geometry:
 d, the gauge h, the depth, the patterns and the realized schedule.  Every
 corner follows from those (dyadic children sit at fixed offsets, free cubes
 are their parents scaled, placed cubes come from the deterministic lattice
-rule), so the reader (lacuna.reader, loaded by read_tree) checks the recipe
-and rebuilds the levels with the build's own per-level step, _advance.  A
-build and a read refuse a tree of more than MAX_LEAF_CUBES deepest-level
-cubes.
+rule).  So a build walks the schedule from level counts alone
+(schedule.walk_schedule) and then makes the levels from it, and the reader
+(lacuna.reader, loaded by read_tree) checks the recipe and makes the levels
+with the same loop, build_levels.  A build and a read refuse a tree of more
+than MAX_LEAF_CUBES deepest-level cubes before any level is made.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ from .record import Fresh, Record
 from .schedule import (
     DEFAULT_LEVEL_CAP,
     ScheduleEntry,
-    Scheduler,
     delta_candidate,
     sqrt_d_bounds,
+    walk_schedule,
 )
 
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
@@ -126,7 +127,6 @@ class ConstructionState(Record, frozen=False):
     level_cap: int
     levels: list[Level]
     entries: list[ScheduleEntry] = Fresh(list)
-    scheduler: Scheduler | None = None
 
     def __post_init__(self) -> None:
         self._lattices: dict[int, list[BlockLattice]] = {}  # not a field
@@ -150,8 +150,9 @@ class ConstructionState(Record, frozen=False):
         applied = [e.beta for e in self.entries if e.m_level <= level]
         return delta_candidate(level, applied)
 
-    def side_num(self, level: int) -> int:
-        """The side of the level as a numerator over its denominator.
+    @property
+    def side_num(self) -> int:
+        """The side of every level as a numerator over its denominator.
 
         It is the level-0 denominator Q at every level: a level's
         denominator grows by exactly the factor its side shrinks.
@@ -167,7 +168,7 @@ class ConstructionState(Record, frozen=False):
             np_ = self.normalized[pattern_id]
             _, sqrt_hi = sqrt_d_bounds(self.d)
             self._lattices[pattern_id] = [
-                block_lattice(np_, b, self.levels[0].den, sqrt_hi) for b in range(np_.m)
+                block_lattice(np_, b, self.side_num, sqrt_hi) for b in range(np_.m)
             ]
         return self._lattices[pattern_id]
 
@@ -182,15 +183,12 @@ class ConstructionState(Record, frozen=False):
         """(den, centers): deepest-level cube centers as numerators over den,
         flat like the lower corners (d per cube, in index order)."""
         leaf = self.levels[self.depth]
-        s = self.side_num(self.depth)
+        s = self.side_num
         return 2 * leaf.den, [2 * x + s for x in leaf.lowers]
 
     def tuple_spans(self, entry: ScheduleEntry) -> list[slice]:
         """Per tuple member of the entry, the slice of the flat numerators of
         levels M_i - 1 and M_i (which share indices) under that member.
-
-        ndigits(M_i - 1) equals ndigits(M_i) once the entry is recorded, and
-        is also right in a build, which records the entry after its level.
         """
         d = self.d
         shift = d * (self.ndigits(entry.m_level - 1) - self.ndigits(entry.level))
@@ -215,7 +213,7 @@ def init_state(
             raise StructureViolation("pattern dimension does not match the build")
     normalized = tuple(normalize(p) for p in patterns)
     q = lattice_denominator(normalized)
-    state = ConstructionState(
+    return ConstructionState(
         d=d,
         h=h,
         patterns=tuple(patterns),
@@ -223,8 +221,6 @@ def init_state(
         level_cap=level_cap,
         levels=[Level(den=q, lowers=[q] * d)],
     )
-    state.scheduler = Scheduler(list(normalized), h)
-    return state
 
 
 class BlockLattice(Record):
@@ -340,18 +336,9 @@ def _dyadic_children(lowers: list[int], side: int, d: int) -> list[int]:
 
 
 def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> None:
-    """Append level k: the avoidance level of `entry`, or a dyadic level.
-
-    The one per-level step: the build passes the entry the scheduler lands
-    at k (Scheduler.entry_at), the tree reader the stored entry with M_i = k.
-    """
-    d, prev = state.d, state.levels[-1]
-    side = state.side_num(k - 1)  # the child side over the new denominator
+    """Append level k: the avoidance level of `entry`, or a dyadic level."""
+    d, prev, side = state.d, state.levels[-1], state.side_num
     if entry is None:
-        if state.count(k - 1) << d > MAX_LEAF_CUBES:
-            raise ScheduleOverflow(
-                f"level {k} would hold more than {MAX_LEAF_CUBES} cubes"
-            )
         lowers = _dyadic_children(prev.lowers, side, d)
         state.levels.append(Level(den=2 * prev.den, lowers=lowers))
         return
@@ -364,28 +351,38 @@ def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> N
     state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
 
 
+def build_levels(state: ConstructionState, depth: int) -> None:
+    """Append levels state.depth + 1 .. depth from the state's entries: the
+    one geometry loop, which build and the tree reader both run.  Level k
+    is the avoidance level of the entry with M_i = k, or a dyadic level."""
+    by_level = {e.m_level: e for e in state.entries}
+    for k in range(state.depth + 1, depth + 1):
+        _advance(state, k, by_level.get(k))
+
+
 def build(state: ConstructionState, depth: int) -> ConstructionState:
     """Advance to the requested depth; deterministic in all inputs.
 
     A depth above the state's level cap is refused before any level is
-    built.  Each new level k is the avoidance level of the entry the
-    scheduler lands at k (Scheduler.entry_at), or a dyadic level, so the
-    search for an avoidance level never tests a level past the one being
-    built.
+    built, and so is a level of more than MAX_LEAF_CUBES cubes: the
+    schedule (schedule.walk_schedule) is walked from the level counts
+    alone, and no level past the depth is tested.  The state's entries
+    must be the walked entries that land at levels up to the state's depth
+    (StructureViolation otherwise, as for a tree whose schedule was
+    edited); the new levels are then built by build_levels.
     """
     if depth < 0:
         raise StructureViolation("depth must be >= 0")
     if depth > state.level_cap:
         raise ScheduleOverflow(f"depth {depth} exceeds the level cap {state.level_cap}")
-    if depth > state.depth and state.scheduler is None:
-        raise StructureViolation("state was loaded from a tree file; rebuild instead")
-    for k in range(state.depth + 1, depth + 1):
-        entry = state.scheduler.entry_at(k, [state.count(j) for j in range(k)])
-        _advance(state, k, entry)
-        if entry is not None:
-            state.entries.append(entry)
-        if state.count(k) != state.expected_count(k):
-            raise StructureViolation(f"cube count at level {k} disagrees with the profile")
+    depth = max(depth, state.depth)
+    entries = walk_schedule(state.normalized, state.h, depth, MAX_LEAF_CUBES)
+    if [e for e in entries if e.m_level <= state.depth] != state.entries:
+        raise StructureViolation(
+            f"the schedule to depth {state.depth} is not the one a build serves"
+        )
+    state.entries = entries
+    build_levels(state, depth)
     return state
 
 
@@ -416,7 +413,7 @@ def validate_structure(state: ConstructionState) -> None:
     for k in state.m_levels:
         level, parent = state.levels[k], state.levels[k - 1]
         ratio = level.den // parent.den
-        slack = ratio * state.side_num(k - 1) - state.side_num(k)
+        slack = (ratio - 1) * state.side_num
         # an avoidance level keeps its parent level's indices, so numerator
         # j of the level lies over numerator j of its parent level
         offsets = [x - ratio * p for x, p in zip(level.lowers, parent.lowers)]

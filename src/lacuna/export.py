@@ -120,7 +120,7 @@ def write_svg(state: ConstructionState, path: str | Path, size: int = 720) -> No
             f'width="{size}" height="{height}" viewBox="0 0 {size} {height}">\n'
         )
         for k, level in enumerate(state.levels):
-            den, s = level.den, state.side_num(k)
+            den, s = level.den, state.side_num
             w = decimal_ratio(s * size, den, 2)
             tail = f'" width="{w}" height="{band - 8 if d == 1 else w}"/>\n'
             fh.write(f'<g id="level-{k}" fill="none" stroke="#1f3a5f" stroke-width="0.6">\n')

@@ -2,8 +2,10 @@
 
 A tree file is a recipe, and a trust boundary: every field is checked, and
 so are the schedule invariants, before the levels are rebuilt with the
-build's own per-level step (engine._advance).  Only the steps that read a
-tree (certify, export) load this module, through engine.read_tree.
+build's own geometry loop (engine.build_levels).  The schedule is not
+re-walked: any schedule that passes the checks is rebuilt as written.
+Only the steps that read a tree (certify, export) load this module,
+through engine.read_tree.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .engine import (
     MAX_LEAF_CUBES,
     TREE_FORMAT,
     ConstructionState,
-    _advance,
+    build_levels,
     init_state,
     render_address,
 )
@@ -84,16 +86,16 @@ def _entries_from_doc(
 
 
 def doc_to_state(doc: dict) -> ConstructionState:
-    """Rebuild a state from a tree document (read-only: no scheduler).
+    """Rebuild a state from a tree document.
 
     Types, ranges, the cross-field consistency of the document and the
     schedule invariants (beta_i >= compute_beta, M_1 >= 2,
     M_{i+1} >= M_i + 2, tuple level <= M_i - 2, canonical addresses) are
     checked here and fail with FormatError, as does a recipe of more than
     MAX_LEAF_CUBES deepest-level cubes, before any level is built.  The
-    levels are then rebuilt by _advance, the build's own step, from the
-    stored entries; the scheduler is not re-run, so any schedule that
-    passes these checks is rebuilt as written.
+    levels are then rebuilt by build_levels, the build's own loop, from the
+    stored entries.  engine.build extends the state only if its schedule is
+    the one a build serves.
     """
     try:
         if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
@@ -106,7 +108,6 @@ def doc_to_state(doc: dict) -> ConstructionState:
         h = parse_dimfn(doc["h"], d)
         depth = int_field(doc["depth"], "depth", 0)
         state = init_state(d, patterns, h)
-        state.scheduler = None
         state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
@@ -117,7 +118,5 @@ def doc_to_state(doc: dict) -> ConstructionState:
             f"the tree asks for 2^{d * state.ndigits(depth)} cubes at depth {depth}, "
             f"more than {MAX_LEAF_CUBES}"
         )
-    by_level = {e.m_level: e for e in state.entries}
-    for k in range(1, depth + 1):
-        _advance(state, k, by_level.get(k))
+    build_levels(state, depth)
     return state

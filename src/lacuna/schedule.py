@@ -10,21 +10,25 @@ is enforced:
   parent).  compute_beta returns the least such integer; a build uses it,
   and the tree reader (reader.doc_to_state) rejects a smaller beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
-  The scheduler serves each entry with the floor max(2, M_{i-1} + 2,
-  level being built, tuple level + 2); the tree reader rejects a schedule
-  that breaks these, and rebuilds the levels from any schedule that keeps
-  them without re-running the scheduler.
+  walk_schedule serves each entry with the floor max(2, M_{i-1} + 2,
+  level at which it is served, tuple level + 2); the tree reader rejects a
+  schedule that breaks these, and rebuilds the levels from any schedule
+  that keeps them without re-walking it.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
-  new beta_i.  ratio_condition is the one test of it.  The scheduler holds
-  the entry in flight and tests it at each level the build reaches from the
-  entry's floor (Scheduler.entry_at); the entry lands at the first level
-  that passes, so M_i is the least such level and no level past the
-  build's depth is tested.  compute_levels runs the same search eagerly for
-  given betas, up to a level cap.  certify_measure re-checks it at every
-  level from the first avoidance level to the depth.  The gauge's
-  monotone-ratio witness extends the check at M_i to every k >= M_i
-  (deeper levels shrink delta, which can only raise the ratio).
+  new beta_i.  ratio_condition is the one test of it.  walk_schedule tests
+  a served entry at each level it reaches from the entry's floor; the entry
+  lands at the first level that passes, so M_i is the least such level and
+  no level past the walk's depth is tested.  compute_levels runs the same
+  search eagerly for given betas, up to a level cap.  certify_measure
+  re-checks it at every level from the first avoidance level to the depth.
+  The gauge's monotone-ratio witness extends the check at M_i to every
+  k >= M_i (deeper levels shrink delta, which can only raise the ratio).
+
+None of this reads a cube's position: the condition reads only delta_k,
+and the tuples read only level counts, which follow from the schedule
+itself (x 2^d at a dyadic level, x 1 at an avoidance level).  So the
+schedule is walked from counts alone, before any geometry is made.
 
 sqrt(d) is handled by a fixed rational enclosure; the upper bound is the
 conservative direction both for beta (larger beta only helps the fit) and
@@ -65,8 +69,7 @@ class ScheduleEntry(Record):
 
     tuple_codes are indices of cubes of one level (an index read as a
     base-2^d digit string is the cube's address), pairwise distinct, at a
-    level <= m_level - 2.  While an entry is in flight (served but not
-    landed), m_level is its floor (Scheduler.next_entry, Scheduler.entry_at).
+    level <= m_level - 2.
     """
 
     index: int
@@ -167,71 +170,57 @@ def dovetail(n_patterns: int) -> Iterator[tuple[int, int, int]]:
         yield from product(range(t + 1), range(t + 1), range(n_patterns))
 
 
-class Scheduler:
-    """Serves schedule entries in (U_j) order against a growing cube tree.
+def walk_schedule(
+    normalized: list[NormalizedPattern] | tuple[NormalizedPattern, ...],
+    h: DimensionFunction,
+    depth: int,
+    max_cubes: int,
+) -> list[ScheduleEntry]:
+    """The entries that land at levels 1..depth, in (U_j) order.
 
-    Owns the cursor, the served entries and the one entry in flight: served
-    but not yet landed.  The build asks entry_at for the entry of each level
-    it builds; the entry in flight lands on the first level at or above its
-    floor where the ratio condition holds, and the next one is served on the
-    level after.  No level past the one being built is ever tested.
-    Single-owner mutable state: not safe for concurrent use.
+    A pure walk over the level counts, which follow from the schedule
+    alone: level k holds 2^d times the cubes of level k - 1 at a dyadic
+    level and as many at an avoidance level.  At each level k, with no
+    entry served but not yet landed, the next entry is served unless
+    starved (no level below k holds m cubes for the smallest arity m): the
+    cursor's next (level, rank, pattern) triple with level <= k - 1 and a
+    rank below the count of ordered tuples there, with the floor
+    max(2, M_{i-1} + 2, k, tuple level + 2).  It lands at k when k is at
+    or above its floor and ratio_condition holds there; k becomes its
+    m_level.  Otherwise level k is dyadic, and ScheduleOverflow is raised
+    when it would hold more than max_cubes cubes.  No level past the depth
+    is tested, and an entry served but not landed by the depth is dropped.
     """
-
-    def __init__(
-        self,
-        normalized: list[NormalizedPattern] | tuple[NormalizedPattern, ...],
-        h: DimensionFunction,
-    ):
-        self.normalized = list(normalized)
-        self.h = h
-        self.enum = dovetail(len(self.normalized))
-        self.betas: list[int] = [compute_beta(np_, h.d) for np_ in self.normalized]
-        self.served: list[ScheduleEntry] = []
-        self.in_flight: ScheduleEntry | None = None
-
-    def next_entry(self, level_sizes: list[int], step: int) -> ScheduleEntry | None:
-        """Serve the next entry and put it in flight; None when no level
-        holds enough distinct cubes for a tuple yet.
-
-        level_sizes[L] is the cube count of the already-built level L; step
-        is the level about to be built, so tuples may only come from levels
-        <= step - 1.  The entry's m_level is its floor, the first level it
-        may land on.
-        """
-        min_m = min(np_.m for np_ in self.normalized)
-        if not any(n >= min_m for n in level_sizes):
-            return None
-        built = len(level_sizes) - 1
-        for level, rank, pid in self.enum:
-            np_ = self.normalized[pid]
-            if level <= built and rank < perm(level_sizes[level], np_.m):
-                prev = self.served[-1].m_level if self.served else 0
-                self.in_flight = ScheduleEntry(
-                    index=len(self.served) + 1,
-                    pattern_id=pid,
-                    level=level,
-                    tuple_codes=unrank_tuple(level_sizes[level], np_.m, rank),
-                    m_level=max(2, prev + 2, step, level + 2),
-                    beta=self.betas[pid],
-                )
-                self.served.append(self.in_flight)
-                return self.in_flight
-
-    def entry_at(self, k: int, level_sizes: list[int]) -> ScheduleEntry | None:
-        """The entry that lands at level k, or None.
-
-        Serves the next entry first when none is in flight (see next_entry;
-        level_sizes are the cube counts of levels 0..k-1).  The entry in
-        flight lands at k when k is at or above its floor and ratio_condition
-        holds there; k becomes its m_level.  Callers ask for levels in
-        increasing order.
-        """
-        entry = self.in_flight or self.next_entry(level_sizes, step=k)
-        if entry is None or k < entry.m_level or not ratio_condition(
-            self.h, k, [e.beta for e in self.served]
+    d = h.d
+    betas = [compute_beta(np_, d) for np_ in normalized]
+    min_m = min(np_.m for np_ in normalized)
+    cursor = dovetail(len(normalized))
+    counts = [1]
+    landed: list[ScheduleEntry] = []
+    served: ScheduleEntry | None = None
+    for k in range(1, depth + 1):
+        if served is None and counts[-1] >= min_m:  # counts never fall
+            for level, rank, pid in cursor:
+                m = normalized[pid].m
+                if level < k and rank < perm(counts[level], m):
+                    prev = landed[-1].m_level if landed else 0
+                    served = ScheduleEntry(
+                        index=len(landed) + 1,
+                        pattern_id=pid,
+                        level=level,
+                        tuple_codes=unrank_tuple(counts[level], m, rank),
+                        m_level=max(2, prev + 2, k, level + 2),
+                        beta=betas[pid],
+                    )
+                    break
+        if served is not None and k >= served.m_level and ratio_condition(
+            h, k, [e.beta for e in landed] + [served.beta]
         ):
-            return None
-        self.served[-1] = entry = entry.replace(m_level=k)
-        self.in_flight = None
-        return entry
+            landed.append(served.replace(m_level=k))
+            served = None
+            counts.append(counts[-1])
+        elif counts[-1] << d > max_cubes:
+            raise ScheduleOverflow(f"level {k} would hold more than {max_cubes} cubes")
+        else:
+            counts.append(counts[-1] << d)
+    return landed

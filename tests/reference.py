@@ -8,7 +8,8 @@ the argparse grammar the CLI's command table replaced.  The per-cube
 kernels below work on the tuple layout (one d-tuple of numerators per cube),
 or on Fractions where lacuna works on scaled integers (the spot check, the
 center cross-check and the atanh and exp series); lacuna's integer kernels
-are tested against them.  The gauge comparisons take the precision their
+are tested against them.  eval_bounds encloses h(r) itself, which no
+command needs.  The gauge comparisons take the precision their
 refinement starts at, so a test can compare lacuna's start with another.
 """
 
@@ -30,7 +31,7 @@ from lacuna.certify import (
     placed_blocks,
 )
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
-from lacuna.dimfn import PRECISION_CAP, DimensionFunction
+from lacuna.dimfn import POWER, PRECISION_CAP, DimensionFunction
 from lacuna.engine import BlockLattice, ConstructionState, Vector
 from lacuna.errors import (
     DimensionMismatch,
@@ -234,7 +235,7 @@ def cross_check_centers(state, entry, np_, blocks, sample=32):
     and the same messages."""
     d = state.d
     den = 2 * state.levels[entry.m_level].den
-    side = state.side_num(entry.m_level)
+    side = state.side_num
     delta = state.side(entry.m_level)
     rng = random.Random(entry.index)
     for _ in range(sample):
@@ -340,12 +341,31 @@ def exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def eval_bounds(h: DimensionFunction, r: Fraction, precision: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of h(r) with width <= 2**-precision; exact when possible."""
+    h._check_domain(r)
+    p, q = h.s.numerator, h.s.denominator
+    if h.family == POWER:
+        return nth_root_bounds(r**p, q, precision)
+    guard = precision + 4
+    while True:
+        rs_lo, rs_hi = nth_root_bounds(r**p, q, guard)
+        ln_lo, ln_hi = ln_bounds(r, guard)
+        # h(r) = r^s * (-ln r); both factors are >= 0 on (0, 1).
+        lo, hi = rs_lo * (-ln_hi), rs_hi * (-ln_lo)
+        if lo > hi:  # r == 1 edge: -ln r == 0
+            lo, hi = hi, lo
+        if hi - lo <= Fraction(1, 1 << precision):
+            return lo, hi
+        guard *= 2
+
+
 def gauge_ge(h: DimensionFunction, r: Fraction, threshold: Fraction, precision: int) -> bool:
     """h.ge(r, threshold) with its refinement started at `precision` bits."""
     if threshold <= 0:
         return True
     while precision <= PRECISION_CAP:
-        lo, hi = h.eval_bounds(r, precision)
+        lo, hi = eval_bounds(h, r, precision)
         if lo >= threshold:
             return True
         if hi < threshold:
@@ -418,7 +438,7 @@ def instance_covered(
         if _cache is not None:
             _cache[key] = blocks
     den = state.levels[entry.m_level].den
-    side = state.side_num(entry.m_level)
+    side = state.side_num
     return all(
         _in_some_cube(points[instance[np_.perm[b]]], blocks[b], side, den)
         for b in range(np_.m)
@@ -464,7 +484,7 @@ def covered_instance_scan(
     blocks = placed_blocks(state, entry)
     np_ = state.normalized[entry.pattern_id]
     den = state.levels[entry.m_level].den
-    side = state.side_num(entry.m_level)
+    side = state.side_num
     groups = [
         [i for i, x in enumerate(points) if _in_some_cube(x, blk, side, den)]
         for blk in blocks

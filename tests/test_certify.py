@@ -23,17 +23,19 @@ from lacuna.certify import (
 )
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree, state_to_doc
+from lacuna.engine import MAX_LEAF_CUBES, build_tree, state_to_doc
 from lacuna.errors import (
     EntryNotProcessed,
     GapViolated,
     MeasureViolated,
 )
 from lacuna.pattern import make_pattern
+from lacuna.schedule import walk_schedule
 from reference import (
     corners,
     covered_instance_scan,
     covered_violations,
+    eval_bounds,
     eval_pattern,
     instance_covered,
     leaf_centers,
@@ -126,11 +128,13 @@ class TestGapCertificates:
             assert (q_min - F(1, 2)).denominator == 1  # half-integer ladder
 
     def test_unprocessed_entry_rejected(self, ap_tree_12):
-        # entry 3 is served, with its floor 13 past the depth, but never lands
-        in_flight = ap_tree_12.scheduler.in_flight
-        assert in_flight.index == 3
+        # entry 3 is served at level 12, with its floor 13 past the depth,
+        # and lands at 16 in a deeper schedule
+        st = ap_tree_12
+        entry = walk_schedule(st.normalized, st.h, 16, MAX_LEAF_CUBES)[2]
+        assert (entry.index, entry.m_level) == (3, 16)
         with pytest.raises(EntryNotProcessed):
-            certify_gap(ap_tree_12, in_flight)
+            certify_gap(st, entry)
 
     def test_combo_cap_falls_back_to_the_structural_bound(self):
         # quotient 2 under pow:41/50 lands entry 1, the level-1 tuple (0, 1),
@@ -195,7 +199,7 @@ class TestMeasureCertificate:
         # of the actual level never drops below the mass it must carry.
         st = ap_tree_12
         for k in range(6, 13):
-            lo, _ = st.h.eval_bounds(st.side(k), 64)
+            lo, _ = eval_bounds(st.h, st.side(k), 64)
             assert len(st.levels[k].lowers) * lo >= 1
 
     def test_radius_outside_the_gauge_domain_fails_the_mass_bound(self, ap_tree_12):

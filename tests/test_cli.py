@@ -81,17 +81,31 @@ class TestBuild:
         # not the leaf cap, which a build reaches only at level 26
         assert err["message"] == "depth 97 exceeds the level cap 96"
 
+    @pytest.mark.parametrize(
+        "pattern, cap, message",
+        [
+            ("ap_file", 2**10, "level 13 would hold more than 1024 cubes"),
+            ("ap_file", engine.MAX_LEAF_CUBES, "level 25 would hold more than 1048576 cubes"),
+            ("q_file", engine.MAX_LEAF_CUBES, "level 26 would hold more than 1048576 cubes"),
+        ],
+        ids=["ap-1024", "ap", "quotient-2"],
+    )
     def test_depth_over_leaf_cap_is_config_error(
-        self, ap_file, tmp_path, capsys, monkeypatch
+        self, request, tmp_path, capsys, monkeypatch, pattern, cap, message
     ):
-        # The real cap (2^20 cubes) is reached at level 26 of this build
-        # after seconds and hundreds of MB; a cap of 2^10 shows the same
-        # refusal at level 13, the first level past it.
-        monkeypatch.setattr(engine, "MAX_LEAF_CUBES", 2**10)
-        assert main(build_args(ap_file, tmp_path, depth=40)) == 2
+        # The schedule is walked from the level counts, so the first level
+        # past the cap is refused before any level's geometry is made.
+        advanced = []
+        advance = engine._advance
+        monkeypatch.setattr(
+            engine, "_advance", lambda *args: advanced.append(args[1]) or advance(*args)
+        )
+        monkeypatch.setattr(engine, "MAX_LEAF_CUBES", cap)
+        pattern_file = request.getfixturevalue(pattern)
+        assert main(build_args(pattern_file, tmp_path, depth=40)) == 2
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ScheduleOverflow"
-        assert err["message"].startswith("level 13 ")
+        assert err == {"type": "ScheduleOverflow", "message": message}
+        assert advanced == []
         assert not (tmp_path / "tree.json").exists()
 
     def test_d3_powlog_build(self, tmp_path):
@@ -474,6 +488,10 @@ def _depth_below_m_2(doc):
     doc["depth"] = 10
 
 
+def _address_digit_2(doc):
+    doc["schedule"][0]["tuple"][0] = "02"
+
+
 def _build_argv(pattern_file, tmp_path):
     return ["build", pattern_file, "--dimfn", "pow:1/2", "--depth", "3",
             "--out", str(tmp_path / "tree.json")]
@@ -541,6 +559,8 @@ class TestMalformedInput:
              "schedule entry 1 is stored with index 2"),
             (lambda t, ap: ["certify", _tampered_tree(t, ap, _depth_below_m_2)],
              "entry 2: M_i=11 exceeds the depth 10"),
+            (lambda t, ap: ["certify", _tampered_tree(t, ap, _address_digit_2)],
+             "address digit '2' out of range for d=1"),
             (lambda t, ap: ["oracle", _points_file(t, "d=2", b"1 1\n"), "--patterns", ap],
              "points are d=2 but patterns are d=1"),
             (lambda t, ap: ["app", _spec_file(t, kind="vector_split", params={
@@ -559,7 +579,7 @@ class TestMalformedInput:
                 {"kind": "sqrt", "value": "2"}]), "--out-dir", str(t / "o")],
              "unknown difference target kind 'sqrt'"),
         ],
-        ids=["tree-entry-index", "tree-m-past-depth", "oracle-d-mismatch",
+        ids=["tree-entry-index", "tree-m-past-depth", "tree-address-digit", "oracle-d-mismatch",
              "app-row-length", "app-log-of-negative", "app-target-no-value",
              "app-no-targets", "app-unknown-target-kind"],
     )

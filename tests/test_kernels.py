@@ -198,7 +198,7 @@ def test_golden_levels_match_the_tuple_kernels(golden):
     by_level = {e.m_level: e for e in st.entries}
     for k in range(1, st.depth + 1):
         prev = ref.corners(st.levels[k - 1].lowers, d)
-        side = st.side_num(k - 1)
+        side = st.side_num
         entry = by_level.get(k)
         if entry is None:
             lowers = ref._dyadic_children(prev, side, d)
@@ -221,7 +221,7 @@ def test_golden_residues_match_the_tuple_kernel(golden):
     assert st.entries
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
-        side = st.side_num(entry.m_level)
+        side = st.side_num
         for b, blk in enumerate(placed_blocks(st, entry)):
             lattice = block_lattice(np_, b, side, sqrt_hi)
             signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
@@ -349,7 +349,7 @@ class TestPowlogComparisons:
             value = data.draw(hs.fractions(min_value=0, max_value=50, max_denominator=10**6))
             ratio = value
         else:
-            bounds = h.eval_bounds(r, data.draw(hs.integers(4, 200)))
+            bounds = ref.eval_bounds(h, r, data.draw(hs.integers(4, 200)))
             value = data.draw(hs.sampled_from(bounds))
             ratio = value / r**h.d  # h(r)/r^d, with r^d exact
         assert h.ge(r, value) == ref.gauge_ge(h, r, value, 64)

@@ -10,16 +10,17 @@ import pytest
 from lacuna import schedule
 from lacuna.dimfn import DimensionFunction, make_dimfn
 from lacuna.engine import (
+    MAX_LEAF_CUBES,
     build,
     build_tree,
     init_state,
     state_to_doc,
 )
-from lacuna.errors import ScheduleOverflow
+from lacuna.errors import ScheduleOverflow, StructureViolation
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import doc_to_state
 from lacuna.schedule import (
-    Scheduler,
+    ScheduleEntry,
     compute_beta,
     compute_levels,
     delta_candidate,
@@ -28,6 +29,7 @@ from lacuna.schedule import (
     ratio_threshold,
     sqrt_d_bounds,
     unrank_tuple,
+    walk_schedule,
 )
 
 F = Fraction
@@ -165,55 +167,71 @@ class TestEnumerator:
         assert hits >= 3  # once per round from round 1 on
 
 
+def walk(normalized, h, depth, max_cubes=MAX_LEAF_CUBES):
+    return walk_schedule(normalized, h, depth, max_cubes)
+
+
+@pytest.fixture
+def ratio_tests(monkeypatch):
+    """The levels at which the walk tests the ratio condition, in order."""
+    tested = []
+
+    def counting(h, k, betas):
+        tested.append(k)
+        return ratio_condition(h, k, betas)
+
+    monkeypatch.setattr(schedule, "ratio_condition", counting)
+    return tested
+
+
 class TestScheduler:
-    def sizes(self, *sizes):
-        return list(sizes)
+    """walk_schedule: the entries that land at levels 1..depth, from the
+    level counts alone."""
 
-    def test_first_ap_entry(self, ap_norm, sqrt_gauge):
-        s = Scheduler([ap_norm], sqrt_gauge)
-        # levels 0..2 built with 1, 2, 4 cubes: first admissible tuple is the
-        # lexicographically first ordered triple at level 2.
-        entry = s.next_entry(self.sizes(1, 2, 4), step=3)
-        assert entry.index == 1
-        assert entry.level == 2
-        assert entry.tuple_codes == (0, 1, 2)
-        assert entry.beta == 9
-        # it is in flight from its floor max(2, 0+2, 3, 2+2) = 4 up and
-        # lands at the first level where the ratio condition holds
-        assert entry.m_level == 4 and s.in_flight == entry
-        assert [s.entry_at(k, self.sizes(1, 2, 4)) for k in (4, 5)] == [None, None]
-        landed = s.entry_at(6, self.sizes(1, 2, 4))
-        assert landed.m_level == 6
-        assert landed == s.served[-1] and s.in_flight is None
+    def test_first_ap_entry(self, ap_norm, sqrt_gauge, ratio_tests):
+        # levels 0..2 hold 1, 2 and 4 cubes: the first entry is served at
+        # level 3 with the lexicographically first ordered triple of level
+        # 2; from its floor max(2, 0+2, 3, 2+2) = 4 it is tested at each
+        # level the walk reaches, and lands at the first that passes
+        assert walk([ap_norm], sqrt_gauge, 5) == []
+        assert ratio_tests == [4, 5]
+        ratio_tests.clear()
+        assert walk([ap_norm], sqrt_gauge, 6) == [
+            ScheduleEntry(
+                index=1, pattern_id=0, level=2, tuple_codes=(0, 1, 2), m_level=6, beta=9
+            )
+        ]
+        assert ratio_tests == [4, 5, 6]
 
-    def test_starved_before_tuples_exist(self, ap_norm, sqrt_gauge):
-        s = Scheduler([ap_norm], sqrt_gauge)
-        assert s.next_entry(self.sizes(1), step=1) is None
-        assert s.next_entry(self.sizes(1, 2), step=2) is None
-        assert s.entry_at(2, self.sizes(1, 2)) is None
-        assert s.served == [] and s.in_flight is None
+    def test_starved_before_tuples_exist(self, ap_norm, sqrt_gauge, ratio_tests, monkeypatch):
+        # no level below 3 holds 3 cubes: nothing is served (the cursor
+        # does not move) until level 3, which serves from level 2's 4 cubes
+        unranked = []
+
+        def recording(n, m, rank):
+            unranked.append((n, m, rank))
+            return unrank_tuple(n, m, rank)
+
+        monkeypatch.setattr(schedule, "unrank_tuple", recording)
+        assert walk([ap_norm], sqrt_gauge, 2) == []
+        assert unranked == [] and ratio_tests == []
+        assert walk([ap_norm], sqrt_gauge, 3) == []
+        assert unranked == [(4, 3, 0)] and ratio_tests == []
 
     def test_pair_exhaustion_in_first_cycle(self, q2_norm, sqrt_gauge):
         # One m=2 pattern, two cubes at level 1: both ordered pairs appear
         # within the first full round that can serve them.
-        s = Scheduler([q2_norm], sqrt_gauge)
-        sizes = self.sizes(1, 2)
-        first = s.next_entry(sizes, step=2)
-        second = s.next_entry(sizes, step=first.m_level + 1)
-        assert first.tuple_codes == (0, 1)
-        assert second.tuple_codes == (1, 0)
+        first, second = walk([q2_norm], sqrt_gauge, 10)
+        assert (first.level, first.tuple_codes) == (1, (0, 1))
+        assert (second.level, second.tuple_codes) == (1, (1, 0))
 
     def test_pair_reserved_later(self, q2_norm, sqrt_gauge):
         # Cycling contract: a served (pattern, tuple) pair recurs at a
         # later entry index.
-        s = Scheduler([q2_norm], sqrt_gauge)
-        sizes = self.sizes(1, 2)
-        step = 2
         seen: dict[tuple, list[int]] = {}
-        for _ in range(5):
-            e = s.next_entry(sizes, step=step)
+        for e in walk([q2_norm], sqrt_gauge, 25):
             seen.setdefault((e.pattern_id, e.level, e.tuple_codes), []).append(e.index)
-            step = e.m_level + 1
+        assert len(seen) < 5
         assert any(len(v) >= 2 for v in seen.values())
 
     def test_pattern_fairness(self, sqrt_gauge):
@@ -221,84 +239,92 @@ class TestScheduler:
         # entry 2 serves pattern 1.
         n0 = normalize(make_pattern(1, [[2], [-1]]))
         n1 = normalize(make_pattern(1, [[F(3, 2)], [-1]]))
-        s = Scheduler([n0, n1], sqrt_gauge)
-        sizes = self.sizes(1, 2)
-        e1 = s.next_entry(sizes, step=2)
-        e2 = s.next_entry(sizes, step=e1.m_level + 1)
+        e1, e2 = walk([n0, n1], sqrt_gauge, 10)
         assert (e1.pattern_id, e2.pattern_id) == (0, 1)
 
     def test_serving_matches_direct_diagonal_walk(self, ap_norm, q2_norm, sqrt_gauge):
-        """Dual route: replay the documented diagonal order by hand."""
+        """Dual route: replay the documented diagonal order by hand, over
+        the cube counts that the walked schedule implies."""
         normalized = [ap_norm, q2_norm]
-        s = Scheduler(normalized, sqrt_gauge)
-        sizes = self.sizes(1, 2, 4)
-        served = []
-        step = 3
-        for _ in range(6):
-            e = s.next_entry(sizes, step=step)
-            served.append((e.level, e.tuple_codes, e.pattern_id))
-            step = e.m_level + 1
-        expect = []
+        entries = walk(normalized, sqrt_gauge, 40, 2**40)
+        assert len(entries) == 8
+        m_levels = [e.m_level for e in entries]
+
+        def cubes(level):  # d = 1: one digit per dyadic level
+            return 2 ** (level - sum(M <= level for M in m_levels))
+
+        P = len(normalized)
         T, pos = 0, 0
-        while len(expect) < 6:
-            per = (T + 1) * len(normalized)
-            L, rest = divmod(pos, per)
-            r, p = divmod(rest, len(normalized))
-            m = normalized[p].m
-            if L <= 2 and r < perm(sizes[L], m):
-                expect.append((L, unrank_tuple(sizes[L], m, r), p))
-            pos += 1
-            if pos >= (T + 1) ** 2 * len(normalized):
-                T, pos = T + 1, 0
-        assert [(L, t, p) for L, t, p in served] == expect
+        for i, e in enumerate(entries):
+            # served at the level after M_{i-1}; the first entry at the first
+            # level above one that holds 2 cubes (the least arity)
+            step = entries[i - 1].m_level + 1 if i else 2
+            while True:
+                L, rest = divmod(pos, (T + 1) * P)
+                r, p = divmod(rest, P)
+                pos += 1
+                if pos >= (T + 1) ** 2 * P:
+                    T, pos = T + 1, 0
+                m = normalized[p].m
+                if L < step and r < perm(cubes(L), m):
+                    break
+            assert (e.index, e.level, e.tuple_codes, e.pattern_id) == (
+                i + 1, L, unrank_tuple(cubes(L), m, r), p
+            )
+            # it lands at the first level from its floor where the ratio holds
+            floor = max(2, entries[i - 1].m_level + 2 if i else 2, step, L + 2)
+            betas = [x.beta for x in entries[: i + 1]]
+            passing = [k for k in range(floor, e.m_level + 1) if ratio_condition(sqrt_gauge, k, betas)]
+            assert passing == [e.m_level]
 
     def test_first_index_consistency(self, ap_norm, sqrt_gauge):
         # Fairness: the pair (pattern 0, level-2 tuple (0,1,3)) is served at
-        # a finite index of the realized schedule.
-        s = Scheduler([ap_norm], sqrt_gauge)
-        sizes = self.sizes(1, 2, 4)
-        step = 3
-        for _ in range(20):
-            e = s.next_entry(sizes, step=step)
-            if (e.pattern_id, e.level, e.tuple_codes) == (0, 2, (0, 1, 3)):
-                break
-            step = e.m_level + 1
-        else:
-            pytest.fail("pair not served within 20 entries")
+        # a finite index of the realized schedule, and served again later.
+        hits = [
+            e.index
+            for e in walk([ap_norm], sqrt_gauge, 30, 2**30)
+            if (e.pattern_id, e.level, e.tuple_codes) == (0, 2, (0, 1, 3))
+        ]
+        assert hits == [2, 5]
 
-    def test_exhaustion_under_cap(self, ap_pattern, sqrt_gauge):
+    def test_exhaustion_under_cap(self, ap_pattern, sqrt_gauge, ratio_tests):
         state = build_tree(1, [ap_pattern], sqrt_gauge, 7, level_cap=7)
         assert state.m_levels == [6]
         assert compute_levels(sqrt_gauge, [9, 9]) == [6, 11]
-        # entry 2 is served with floor 8 > cap, so it never lands (M_2 = 11)
-        assert state.scheduler.in_flight.index == 2
-        assert state.scheduler.in_flight.m_level == 8
+        # entry 2 is served at level 7 with floor 8 > cap, so it never lands
+        # in this state; walked on to its level, it is tested from 8 on
+        ratio_tests.clear()
+        assert [e.m_level for e in walk(state.normalized, sqrt_gauge, 11)] == [6, 11]
+        assert ratio_tests == [4, 5, 6, 8, 9, 10, 11]
         with pytest.raises(ScheduleOverflow):
             build(state, 8)
         assert state.depth == 7
 
+    def test_leaf_cap(self, q2_norm, sqrt_gauge):
+        # quotient 2 lands at 5, 10, 15, 20 and 25: level 25 holds 2^20 cubes
+        assert len(walk([q2_norm], sqrt_gauge, 25)) == 5
+        with pytest.raises(ScheduleOverflow, match="^level 26 would hold more than 1048576 cubes$"):
+            walk([q2_norm], sqrt_gauge, 26)
+        with pytest.raises(ScheduleOverflow, match="^level 13 would hold more than 1024 cubes$"):
+            walk([q2_norm], sqrt_gauge, 40, 2**10)
+
 
 class TestDeferredLevelSearch:
-    """An avoidance level is searched for only as the build reaches it."""
+    """An avoidance level is searched for only as the walk reaches it."""
 
     @pytest.fixture
     def powlog_build(self):
         pattern = make_pattern(1, [[F(3, 2)], [-1]])
         return 1, [pattern], make_dimfn("powlog", F(63, 64), 1), 14
 
-    def test_no_level_past_the_depth_is_tested(self, powlog_build, monkeypatch):
-        tested = []
-
-        def counting(h, k, betas):
-            tested.append(k)
-            return ratio_condition(h, k, betas)
-
-        monkeypatch.setattr(schedule, "ratio_condition", counting)
+    def test_no_level_past_the_depth_is_tested(self, powlog_build, ratio_tests):
         state = build_tree(*powlog_build)
         assert state.m_levels == [13]
         # floor of entry 1 is max(2, 0+2, 2, 1+2) = 3; entry 2's floor is 15
-        assert tested == list(range(3, 14))
-        assert state.scheduler.in_flight.m_level == 15
+        assert ratio_tests == list(range(3, 14))
+        ratio_tests.clear()
+        walk(state.normalized, state.h, 15)
+        assert ratio_tests == [*range(3, 14), 15]
 
     def test_one_level_per_call_matches_build_tree(
         self, powlog_build, ap_pattern, sqrt_gauge
@@ -308,6 +334,36 @@ class TestDeferredLevelSearch:
             for k in range(1, depth + 1):
                 build(state, k)
             assert state_to_doc(state) == state_to_doc(build_tree(d, patterns, h, depth))
+
+
+class TestBuildFromARead:
+    """build extends a state only along the schedule a build serves."""
+
+    def test_read_tree_extends_to_a_fresh_deeper_build(self, ap_tree_12, ap_pattern, sqrt_gauge):
+        st = doc_to_state(json.loads(json.dumps(state_to_doc(ap_tree_12))))
+        build(st, 17)
+        fresh = build_tree(1, [ap_pattern], sqrt_gauge, 17)
+        assert state_to_doc(st) == state_to_doc(fresh)
+        assert st.levels == fresh.levels
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["schedule"][1].update(tuple=["01", "00", "11"]),
+            lambda doc: doc["schedule"][1].update(M_i=12),
+            lambda doc: doc["schedule"][0].update(beta_i=10),
+            lambda doc: doc["schedule"].pop(),
+        ],
+        ids=["tuple", "M_i", "beta_i", "dropped"],
+    )
+    def test_edited_schedule_is_refused(self, ap_tree_12, edit):
+        doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
+        edit(doc)
+        st = doc_to_state(doc)  # within the reader's invariants
+        depth, levels = st.depth, list(st.levels)
+        with pytest.raises(StructureViolation, match="not the one a build serves"):
+            build(st, 13)
+        assert (st.depth, st.levels) == (depth, levels)
 
 
 class TestParams:
