@@ -76,6 +76,14 @@ COMBO_CAP = 100_000
 #: The oracle warns above this many (m-1)-prefixes to join.
 ORACLE_TUPLE_WARN = 5_000_000
 
+#: Center tuples the cross-check samples per entry.
+CROSS_CHECK_SAMPLE = 32
+
+#: The spot check's draws come from random.Random(SPOT_SEED * 1_000_003 +
+#: entry index); a point coordinate is a multiple of side / SPOT_GRID.
+SPOT_SEED = 2024
+SPOT_GRID = 1 << 16
+
 
 class GapCertificate(Record):
     """Certified lower bound for |psi| over the placed cubes of one entry."""
@@ -277,7 +285,7 @@ def _draws(seed: int, bounds: Sequence[int]) -> Iterator[list[int]]:
         yield drawn
 
 
-def _cross_check_centers(state, entry, np_, blocks, sample=32):
+def _cross_check_centers(state, entry, np_, blocks):
     """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2).
 
     psi is evaluated from the pattern's own coefficients, never from the
@@ -296,7 +304,8 @@ def _cross_check_centers(state, entry, np_, blocks, sample=32):
     unit = 4 * lcd * p * side
     offset = side * sum(map(sum, rows))  # sum c'*(2x + side) = 2*sum c'*x + offset
     members = list(zip(rows, blocks))
-    for drawn in islice(_draws(entry.index, [len(blk) // d for blk in blocks]), sample):
+    draws = _draws(entry.index, [len(blk) // d for blk in blocks])
+    for drawn in islice(draws, CROSS_CHECK_SAMPLE):
         total = 0
         for (row, blk), j in zip(members, drawn):
             i = d * j
@@ -316,17 +325,15 @@ def spot_check_gap(
     entry: ScheduleEntry,
     cert: GapCertificate,
     count: int = 100,
-    seed: int = 2024,
-    grid: int = 1 << 16,
 ) -> None:
     """Random rational point tuples from the placed cubes must respect the gap.
 
-    Coordinate v of a point drawn from the cube with lower corner x is
-    (x_v*grid + g_v*side) / (den*grid) for a random integer g_v in
-    [0, grid], drawn as randrange(grid + 1) (_draws), the same draw as
-    randint(0, grid).  psi is scaled by the lcm L of its coefficients'
-    denominators (_scaled_rows), so psi = total / (L*den*grid) with an
-    integer total, and |psi| < gap is one cross-multiplied integer
+    With grid = SPOT_GRID, coordinate v of a point drawn from the cube with
+    lower corner x is (x_v*grid + g_v*side) / (den*grid) for a random
+    integer g_v in [0, grid], drawn as randrange(grid + 1) (_draws), the
+    same draw as randint(0, grid).  psi is scaled by the lcm L of its
+    coefficients' denominators (_scaled_rows), so psi = total / (L*den*grid)
+    with an integer total, and |psi| < gap is one cross-multiplied integer
     comparison.
     """
     blocks = placed_blocks(state, entry)
@@ -334,6 +341,7 @@ def spot_check_gap(
     d = state.d
     den = state.levels[entry.m_level].den
     side = state.side_num
+    grid = SPOT_GRID
     lcd, rows = _scaled_rows(np_)
     scale = lcd * den * grid
     gap_den = cert.gap.denominator
@@ -343,7 +351,7 @@ def spot_check_gap(
     bounds = [n for blk in blocks for n in [len(blk) // d] + [grid + 1] * d]
     weights = [side * c for row in rows for c in [0, *row]]
     members = [(row, blk, b * (d + 1)) for b, (row, blk) in enumerate(zip(rows, blocks))]
-    for drawn in islice(_draws(seed * 1_000_003 + entry.index, bounds), count):
+    for drawn in islice(_draws(SPOT_SEED * 1_000_003 + entry.index, bounds), count):
         total = sum(map(mul, weights, drawn))
         for row, blk, j in members:
             i = d * drawn[j]
@@ -448,7 +456,7 @@ def _partial_sums(
 
 def brute_oracle(
     points: list[Vector],
-    pattern: LinearPattern | NormalizedPattern,
+    pattern: LinearPattern,
     tolerance: Fraction = Fraction(0),
 ) -> list[tuple[int, ...]]:
     """All ordered m-tuples of distinct points with |psi| <= tolerance, in
@@ -467,7 +475,7 @@ def brute_oracle(
         raise ValueError("tolerance must be >= 0")
     if len(set(points)) != len(points):
         raise ValueError("oracle points must be pairwise distinct")
-    coeffs = pattern.coeffs if isinstance(pattern, LinearPattern) else pattern.base.coeffs
+    coeffs = pattern.coeffs
     m = len(coeffs)
     n = len(points)
     prefixes = perm(n, m - 1)

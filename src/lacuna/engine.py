@@ -15,8 +15,9 @@ All geometry is exact integer arithmetic.  Level k stores one denominator
 den_k and one flat list of d * N_k integer numerators over it, the lower
 corners in index order: cube i is lowers[i*d:(i+1)*d] and axis v is
 lowers[v::d].  The per-level kernels (_dyadic_children, place_on_lattice,
-the containment check of validate_structure) work on such strided slices,
-one axis at a time, and build no per-cube tuples.  A build uses
+and _escape, the one containment test, which place_on_lattice and
+validate_structure share) work on such strided slices, one axis at a
+time, and build no per-cube tuples.  A build uses
 den_k = Q * 2^k * prod(beta applied), where Q is the lattice denominator of
 the patterns (lattice_denominator): every cube side is then the integer Q
 and every lattice step and shift an integer, so placement, validation, gap
@@ -65,14 +66,8 @@ from .pattern import (
     normalize,
     patterns_to_doc,
 )
-from .record import Fresh, Record
-from .schedule import (
-    DEFAULT_LEVEL_CAP,
-    ScheduleEntry,
-    delta_candidate,
-    sqrt_d_bounds,
-    walk_schedule,
-)
+from .record import Record
+from .schedule import DEFAULT_LEVEL_CAP, ScheduleEntry, delta_candidate, walk_schedule
 
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
 #: Largest d whose 2^d address digits the alphabet holds.
@@ -126,7 +121,7 @@ class ConstructionState(Record, frozen=False):
     normalized: tuple[NormalizedPattern, ...]
     level_cap: int
     levels: list[Level]
-    entries: list[ScheduleEntry] = Fresh(list)
+    entries: list[ScheduleEntry]
 
     def __post_init__(self) -> None:
         self._lattices: dict[int, list[BlockLattice]] = {}  # not a field
@@ -166,9 +161,8 @@ class ConstructionState(Record, frozen=False):
         uses the same lattices."""
         if pattern_id not in self._lattices:
             np_ = self.normalized[pattern_id]
-            _, sqrt_hi = sqrt_d_bounds(self.d)
             self._lattices[pattern_id] = [
-                block_lattice(np_, b, self.side_num, sqrt_hi) for b in range(np_.m)
+                block_lattice(np_, b, self.side_num) for b in range(np_.m)
             ]
         return self._lattices[pattern_id]
 
@@ -220,27 +214,24 @@ def init_state(
         normalized=normalized,
         level_cap=level_cap,
         levels=[Level(den=q, lowers=[q] * d)],
+        entries=[],
     )
 
 
 class BlockLattice(Record):
     """4*peak*phi_block(Z^d) in integer units for cubes of side `side`.
 
-    The lattice centers on axis v are steps[v]*z + shifts[v].  A placement
-    may miss its parent's center by steps[v]/2 on axis v (2*peak*scale
-    side lengths), and by sqrt(ball_num/ball_den)/2 in Euclidean norm.
+    The lattice centers on axis v are steps[v]*z + shifts[v], where
+    steps[v] = 4*peak*scale_v*side: the nearest of them to any point is at
+    most steps[v]/2 away on axis v (place_on_lattice).
     """
 
     side: int
     steps: tuple[int, ...]
     shifts: tuple[int, ...]
-    ball_num: int
-    ball_den: int
 
 
-def block_lattice(
-    np_: NormalizedPattern, block: int, side: int, sqrt_d_hi: Fraction
-) -> BlockLattice:
+def block_lattice(np_: NormalizedPattern, block: int, side: int) -> BlockLattice:
     """The lattice of one pattern block for an integer cube side.
 
     The side must be a multiple of lattice_denominator(patterns).
@@ -251,15 +242,24 @@ def block_lattice(
         shifts[np_.pivot] = 2 * np_.peak * side
     if side % 2 or any(x.denominator != 1 for x in steps + shifts):
         raise StructureViolation(f"cube side {side} is off the lattice of the pattern")
-    # twice the certified radius 2*peak*max_scale*sqrt(d)*side, squared
-    ball = (4 * np_.peak * np_.max_scale * sqrt_d_hi * side) ** 2
     return BlockLattice(
         side=side,
         steps=tuple(int(x) for x in steps),
         shifts=tuple(int(x) for x in shifts),
-        ball_num=ball.numerator,
-        ball_den=ball.denominator,
     )
+
+
+def _escape(offsets: list[int], slack: int) -> int | None:
+    """The nestedness test, for place_on_lattice and validate_structure
+    alike: the index of the first offset outside [0, slack], or None.
+
+    An offset is a child's lower corner less its parent's on one axis, and
+    slack is the parent's side less the child's, so a child lies inside its
+    parent exactly when its offset on every axis is in [0, slack].
+    """
+    if min(offsets) >= 0 and max(offsets) <= slack:
+        return None
+    return next(i for i, t in enumerate(offsets) if not 0 <= t <= slack)
 
 
 def place_on_lattice(
@@ -270,55 +270,41 @@ def place_on_lattice(
     parent_lowers holds the flat lower corners of the parents (d per cube);
     returns the flat lower corners of the children, as integer numerators
     over the child level's denominator.  Each child center is the lattice
-    point steps[v]*z + shifts[v] nearest to its parent center; rounding
-    ties go up.  z is not returned: it is (lower + side/2 - shift) / step,
-    which is what certify recovers.  The per-axis miss bound
-    2*peak*scale*side (hence the Euclidean bound
-    2*peak*max_scale*sqrt(d)*side) and containment in the parent are
-    asserted exactly on every placement.
+    point c = step*z + shift nearest to its parent center pc; rounding ties
+    go up.  z is not returned: it is (lower + side/2 - shift) / step, which
+    is what certify recovers.  Per axis one pass computes the child lower
+    corners, and containment in the parent (_escape of lower - parent
+    lower, with slack = parent_side - side) is asserted exactly on every
+    placement: it is what the nestedness of the tree and the
+    mass-distribution bound need.  It holds whenever beta >= compute_beta
+    (ball fitting), so PlacementFailure is a self-check.
 
-    Per axis one pass computes the child lower corners lo, and room =
-    lo - parent lower is one subtraction per cube.  With
-    slack = parent_side - side, twice the miss of the child center from the
-    parent center is slack - 2*room (side is even), so the miss bound and
-    containment (0 <= room <= slack) are bounds on min(room) and
-    max(room).  The ball check bounds the sum over cubes of
-    (slack - 2*room)^2 by the sum over axes of the worst square; only if
-    that bound exceeds the radius are the per-cube sums formed.  On a
-    pattern's own lattice it never does: each square is at most
-    steps[v]^2, and their sum is within the certified ball.
+    Nothing else is asserted, because the rounding makes it true:
+
+    * the code computes z = floor((2*(pc - shift) + step) / (2*step)), so
+      2*step*z <= 2*(pc - shift) + step < 2*step*z + 2*step, that is
+      -step <= 2*(pc - c) < step: the miss |2*(pc - c)| is at most step on
+      every axis, for any positive integer step;
+    * every lattice block_lattice makes has step_v = 4*peak*scale_v*side
+      <= 4*peak*max_scale*side, so with sqrt(d) <= sqrt_hi the squares of
+      2*(pc - c) sum over the axes to at most d*(4*peak*max_scale*side)^2
+      <= (4*peak*max_scale*sqrt_hi*side)^2: every placement is within the
+      certified radius 2*peak*max_scale*sqrt(d)*side of its parent center.
     """
     d = len(lattice.steps)
     side = lattice.side
     slack = parent_side - side
     lowers = [0] * len(parent_lowers)
-    worst = 0  # the sum over axes of the largest (slack - 2*room)^2
     for v, (step, shift) in enumerate(zip(lattice.steps, lattice.shifts)):
         parents = parent_lowers[v::d]
         up, step2, base = parent_side + step - 2 * shift, 2 * step, shift - side // 2
         lo = [step * ((2 * p + up) // step2) + base for p in parents]
-        room = list(map(sub, lo, parents))
-        low, high = min(room), max(room)
-        if 2 * low < slack - step or 2 * high > slack + step:
-            i = next(i for i, r in enumerate(room) if abs(slack - 2 * r) > step)
-            raise PlacementFailure(
-                f"lattice point misses the center of parent {i} by "
-                f"{Fraction(slack - 2 * room[i], 2 * side)} sides on axis {v}"
-            )
-        if low < 0 or high > slack:
-            i = next(i for i, r in enumerate(room) if not 0 <= r <= slack)
+        i = _escape(list(map(sub, lo, parents)), slack)
+        if i is not None:
             raise PlacementFailure(
                 f"lattice cube {i} escapes its parent on axis {v} (lower {lo[i]})"
             )
-        worst += max(slack - 2 * low, 2 * high - slack) ** 2
         lowers[v::d] = lo
-    if worst * lattice.ball_den > lattice.ball_num:
-        err_sq = [0] * (len(lowers) // d)
-        for v in range(d):
-            pairs = zip(err_sq, lowers[v::d], parent_lowers[v::d])
-            err_sq = [a + (slack - 2 * (x - p)) ** 2 for a, x, p in pairs]
-        if max(err_sq) * lattice.ball_den > lattice.ball_num:
-            raise PlacementFailure("lattice offset exceeds the certified ball radius")
     return lowers
 
 
@@ -417,8 +403,8 @@ def validate_structure(state: ConstructionState) -> None:
         # an avoidance level keeps its parent level's indices, so numerator
         # j of the level lies over numerator j of its parent level
         offsets = [x - ratio * p for x, p in zip(level.lowers, parent.lowers)]
-        if min(offsets) < 0 or max(offsets) > slack:
-            j = next(j for j, t in enumerate(offsets) if not 0 <= t <= slack)
+        j = _escape(offsets, slack)
+        if j is not None:
             raise StructureViolation(
                 f"level {k}: cube {j // d} escapes its parent on axis {j % d}"
             )

@@ -57,10 +57,12 @@ class ScheduleOverflow(UsageError):
 
 
 class PlacementFailure(LacunaError):
-    """A lattice cube escaped its parent.
+    """A lattice cube escaped its parent: the one geometric assertion of a
+    placement (engine.place_on_lattice).
 
-    This cannot happen when the ball-fitting certificate for beta holds, so
-    it is treated as an internal-consistency fatal error.
+    It cannot happen while beta >= compute_beta (ball fitting), which a
+    build uses and the tree reader enforces, so it is an engine self-check,
+    treated as an internal-consistency fatal error.
     """
 
 

@@ -27,6 +27,9 @@ POINTS_HEADER = "# lacuna-points/1 d="
 #: Cubes rendered per write: an export holds one chunk of text at a time.
 CHUNK = 1 << 16
 
+#: Width of an SVG picture, in user units: [1,2] is drawn on [0, SVG_SIZE].
+SVG_SIZE = 720
+
 
 def _write_leaf_rows(
     state: ConstructionState,
@@ -36,16 +39,27 @@ def _write_leaf_rows(
     sep: str,
 ) -> None:
     """The header, then one line per deepest-level cube center: its d
-    coordinates, each rendered by cell(numerator, den), joined by sep."""
+    coordinates, each rendered by cell(numerator, den), joined by sep.
+
+    The first chunk is rendered before the file is opened.  Every leaf has
+    the same denominator, so coordinates too long to write (a UsageError
+    from format_ratio) already fail there, and the refusal leaves no file.
+    """
     d = state.d
     den, centers = state.leaf_center_numerators()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+
+    def chunks():
         for i in range(0, len(centers), d * CHUNK):
             cells = [cell(c, den) for c in centers[i : i + d * CHUNK]]
             if d > 1:
                 cells = [sep.join(cells[j : j + d]) for j in range(0, len(cells), d)]
-            fh.write("\n".join(cells) + "\n")
+            yield "\n".join(cells) + "\n"
+
+    rows = chunks()
+    first = next(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + first)
+        fh.writelines(rows)
 
 
 def write_points_exact(state: ConstructionState, path: str | Path) -> None:
@@ -102,16 +116,17 @@ def write_points_csv(
     )
 
 
-def write_svg(state: ConstructionState, path: str | Path, size: int = 720) -> None:
+def write_svg(state: ConstructionState, path: str | Path) -> None:
     """Cube outlines, one group per level; requires d <= 2.
 
     d=1 stacks the levels as horizontal bands, d=2 overlays the outlines on
     the unit square [1,2]^2.  A corner x/den of [1,2] is drawn at
-    (x/den - 1) * size, truncated to hundredths.
+    (x/den - 1) * SVG_SIZE, truncated to hundredths.
     """
     d = state.d
     if d > 2:
         raise UnsupportedDimension("SVG export exists for d <= 2 only")
+    size = SVG_SIZE
     band = 24
     height = (state.depth + 1) * band if d == 1 else size
     with open(path, "w", encoding="utf-8") as fh:

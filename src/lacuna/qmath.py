@@ -42,9 +42,13 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_ratio(n: int, den: int) -> str:
-    """format_rational(n/den) for integers n and den > 0, without a Fraction."""
+    """format_rational(n/den) for integers n and den > 0, without a
+    Fraction, and with its refusal of a value too large to write."""
     g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+    try:
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+    except ValueError as exc:
+        raise UsageError(f"rational too large to write: {exc}") from exc
 
 
 def decimal_ratio(n: int, den: int, digits: int) -> str:

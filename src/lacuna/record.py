@@ -14,9 +14,9 @@ defaults as class attributes, much like a dataclass:
 A record is built from positional or keyword arguments, runs the class's
 __post_init__ (if any), compares equal to a record of the same class with
 equal fields, and has a dataclass-style repr.  A frozen record (the default)
-refuses attribute assignment and hashes by its fields; a mutable one is
-unhashable.  A default given as Fresh(factory) is made anew for every
-instance.  replace(**changes) builds a new record through __init__.
+refuses attribute assignment.  No record is hashable: lacuna keys no set
+or dict by one.  A default is shared by every instance, so a mutable
+field has none.  replace(**changes) builds a new record through __init__.
 
 It stands in for the standard library's dataclass decorator, whose module
 import (with inspect, ast, dis and tokenize) and per-class code generation
@@ -24,15 +24,6 @@ cost a few milliseconds in every CLI step.
 """
 
 from __future__ import annotations
-
-
-class Fresh:
-    """A default made anew for each instance: Fresh(list) gives each its own list."""
-
-    __slots__ = ("factory",)
-
-    def __init__(self, factory):
-        self.factory = factory
 
 
 class Record:
@@ -44,9 +35,6 @@ class Record:
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
-            cls.__hash__ = _hash
-        else:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -62,8 +50,7 @@ class Record:
             if name not in values:
                 if name not in self._defaults:
                     raise TypeError(f"{type(self).__name__} is missing field {name!r}")
-                default = self._defaults[name]
-                values[name] = default.factory() if isinstance(default, Fresh) else default
+                values[name] = self._defaults[name]
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -89,7 +76,3 @@ class Record:
 
 def _refuse(self, name, *value):
     raise AttributeError(f"cannot assign to field {name!r} of frozen {type(self).__name__}")
-
-
-def _hash(self) -> int:
-    return hash(self._values())

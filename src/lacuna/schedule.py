@@ -10,8 +10,8 @@ is enforced:
   parent).  compute_beta returns the least such integer; a build uses it,
   and the tree reader (reader.doc_to_state) rejects a smaller beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
-  walk_schedule serves each entry with the floor max(2, M_{i-1} + 2,
-  level at which it is served, tuple level + 2); the tree reader rejects a
+  walk_schedule serves each entry with the floor
+  2 + max(M_{i-1}, tuple level), with M_0 = 0; the tree reader rejects a
   schedule that breaks these, and rebuilds the levels from any schedule
   that keeps them without re-walking it.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
@@ -185,11 +185,15 @@ def walk_schedule(
     starved (no level below k holds m cubes for the smallest arity m): the
     cursor's next (level, rank, pattern) triple with level <= k - 1 and a
     rank below the count of ordered tuples there, with the floor
-    max(2, M_{i-1} + 2, k, tuple level + 2).  It lands at k when k is at
-    or above its floor and ratio_condition holds there; k becomes its
-    m_level.  Otherwise level k is dyadic, and ScheduleOverflow is raised
-    when it would hold more than max_cubes cubes.  No level past the depth
-    is tested, and an entry served but not landed by the depth is dropped.
+    2 + max(M_{i-1}, tuple level) (M_0 = 0).  The floor is always above
+    k, the level at which the entry is served: a later entry is served at
+    M_{i-1} + 1, and the first at the level after the first one that
+    holds m cubes for the smallest arity m, which is then its tuple level.
+    The entry lands at k when k is at or above its floor and
+    ratio_condition holds there; k becomes its m_level.  Otherwise level k
+    is dyadic, and ScheduleOverflow is raised when it would hold more than
+    max_cubes cubes.  No level past the depth is tested, and an entry
+    served but not landed by the depth is dropped.
     """
     d = h.d
     betas = [compute_beta(np_, d) for np_ in normalized]
@@ -203,13 +207,12 @@ def walk_schedule(
             for level, rank, pid in cursor:
                 m = normalized[pid].m
                 if level < k and rank < perm(counts[level], m):
-                    prev = landed[-1].m_level if landed else 0
                     served = ScheduleEntry(
                         index=len(landed) + 1,
                         pattern_id=pid,
                         level=level,
                         tuple_codes=unrank_tuple(counts[level], m, rank),
-                        m_level=max(2, prev + 2, k, level + 2),
+                        m_level=2 + max(landed[-1].m_level if landed else 0, level),
                         beta=betas[pid],
                     )
                     break

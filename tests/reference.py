@@ -102,14 +102,12 @@ def place_on_lattice(
 
     Lengths are integer numerators over the child level's denominator.  The
     child center is the lattice point nearest to the parent center; rounding
-    ties go up.  The per-axis miss bound 2*peak*scale*side (hence the
-    Euclidean bound 2*peak*max_scale*sqrt(d)*side) and containment in the
-    parent are asserted exactly on every placement.
+    ties go up.  The per-axis miss bound 2*peak*scale*side and containment
+    in the parent are asserted exactly on every placement.
     """
     side = lattice.side
     z: list[int] = []
     lower: list[int] = []
-    err_sq = 0
     for v, (pl, step, shift) in enumerate(zip(parent_lower, lattice.steps, lattice.shifts)):
         x2 = 2 * pl + parent_side  # twice the parent center
         z_v = (x2 - 2 * shift + step) // (2 * step)
@@ -120,7 +118,6 @@ def place_on_lattice(
                 f"lattice point misses the parent center by {Fraction(err2, 2 * side)} "
                 f"sides on axis {v}"
             )
-        err_sq += err2 * err2
         lo = center - side // 2
         if lo < pl or lo + side > pl + parent_side:
             raise PlacementFailure(
@@ -128,8 +125,6 @@ def place_on_lattice(
             )
         z.append(z_v)
         lower.append(lo)
-    if err_sq * lattice.ball_den > lattice.ball_num:
-        raise PlacementFailure("lattice offset exceeds the certified ball radius")
     return tuple(lower), tuple(z)
 
 

@@ -168,8 +168,8 @@ class TestGapCertificates:
         cross-check sees psi land on whole multiples of 4*peak*delta."""
         real = engine.block_lattice
 
-        def unshifted(np_, block, side, sqrt_d_hi):
-            lattice = real(np_, block, side, sqrt_d_hi)
+        def unshifted(np_, block, side):
+            lattice = real(np_, block, side)
             return lattice.replace(shifts=(0,) * len(lattice.shifts))
 
         monkeypatch.setattr(engine, "block_lattice", unshifted)

@@ -884,6 +884,23 @@ class TestExport:
         rows = csv.read_text().splitlines()
         assert len(rows) == 65 and len(rows[1].partition(".")[2]) == limit
 
+    def test_points_too_long_to_write(self, ap_file, tmp_path, capsys):
+        # a beta_i of 4,299 digits is a JSON integer the reader accepts
+        # (it is >= compute_beta), but the leaf coordinates then have more
+        # digits than the interpreter renders: refused, and no file is left
+        main(build_args(ap_file, tmp_path))
+        tree = tmp_path / "tree.json"
+        doc = json.loads(tree.read_text())
+        doc["schedule"][0]["beta_i"] = int("9" * 4299)
+        tree.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pts = tmp_path / "pts.txt"
+        assert main(["export", str(tree), "--format", "points", "--out", str(pts)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["type"] == "UsageError"
+        assert "too large to write" in json.loads(err)["error"]["message"]
+        assert not pts.exists()
+
     def test_svg_rect_count_matches_levels(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path, depth=5))
         svg = tmp_path / "tree.svg"

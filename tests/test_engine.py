@@ -83,14 +83,14 @@ class TestPlacement:
         # the shifted lattice 8z + 4 rounds to z = 73, child [1175, 1177]/1152.
         # Over the denominator 1152 the parent is 1152 + [0, 36], child side 2.
         n = normalize(ap_pattern)
-        lattice = block_lattice(n, 2, 2, F(1))
+        lattice = block_lattice(n, 2, 2)
         lower = place_on_lattice([1152], 36, lattice)
         assert lattice_vectors(lower, lattice) == [73]
         assert lower == [1175]  # 1175/1152
 
     def test_first_block_unshifted(self, ap_pattern):
         n = normalize(ap_pattern)
-        lattice = block_lattice(n, 0, 2, F(1))
+        lattice = block_lattice(n, 0, 2)
         lower = place_on_lattice([1152], 36, lattice)
         assert lattice_vectors(lower, lattice) == [73]  # lattice 8z, center 584, offset 1
         assert lower == [1167]  # 1167/1152
@@ -101,7 +101,7 @@ class TestPlacement:
         n = normalize(ap_pattern)
         delta = 2
         parent = [584 * delta - 18]  # center at 584*delta
-        lattice = block_lattice(n, 0, delta, F(1))
+        lattice = block_lattice(n, 0, delta)
         lower = place_on_lattice(parent, 36, lattice)
         assert lattice_vectors(lower, lattice) == [73]
         assert lower == [584 * delta - delta // 2]
@@ -109,7 +109,7 @@ class TestPlacement:
     def test_lattice_needs_the_lattice_denominator(self, ap_pattern):
         # A side of 1 cannot carry the AP lattice (Q = 2): no rounding, a raise.
         with pytest.raises(StructureViolation):
-            block_lattice(normalize(ap_pattern), 0, 1, F(1))
+            block_lattice(normalize(ap_pattern), 0, 1)
 
     def test_child_inside_parent_everywhere(self, ap_tree_12):
         st = ap_tree_12
@@ -138,20 +138,13 @@ class TestPlacement:
         for i in free:
             assert children[i] == parents[i]
 
-    def test_ball_radius_is_checked(self, ap_pattern):
-        # The worked example misses its parent center by 6/1152; a lattice
-        # with a zero ball radius must refuse it.
-        lattice = block_lattice(normalize(ap_pattern), 2, 2, F(1))
-        with pytest.raises(PlacementFailure):
-            place_on_lattice([1152], 36, lattice.replace(ball_num=0))
-
     def test_impossible_fit_raises(self, ap_pattern):
         # Feed a parent far too small for the lattice spacing: over the
         # denominator 2048 the parent is 2048 + [0, 4] (side 1/512), the
         # child side 1/1024 is 2.
         n = normalize(ap_pattern)
         with pytest.raises(PlacementFailure):
-            place_on_lattice([2048], 4, block_lattice(n, 0, 2, F(1)))
+            place_on_lattice([2048], 4, block_lattice(n, 0, 2))
 
 
 class TestBuild:
@@ -231,6 +224,18 @@ class TestValidation:
         st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
         with pytest.raises(StructureViolation, match="escapes its parent"):
             validate_structure(move_cube(st, 6, 0, [F(33, 32)]))
+
+    def test_containment_is_exact_at_both_faces(self, ap_pattern, sqrt_gauge, move_cube):
+        # Over the level-6 denominator 1152 the parent of cube 0 is
+        # [1152, 1188] and the child side is 2: lower corners 1152 and 1186
+        # touch the faces and are inside; one unit further is out.
+        st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
+        assert st.levels[6].den == 1152
+        for lower in (1152, 1186):
+            validate_structure(move_cube(st, 6, 0, [F(lower, 1152)]))
+        for lower in (1151, 1187):
+            with pytest.raises(StructureViolation, match="cube 0 escapes its parent"):
+                validate_structure(move_cube(st, 6, 0, [F(lower, 1152)]))
 
 
 class TestAddresses:

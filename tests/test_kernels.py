@@ -86,14 +86,25 @@ def _reference_residues(lattice, signs, block, d):
 
 
 @hs.composite
+def _pattern(draw):
+    """A normalized pattern of d = 1..3 and m = 2..4 with small rational
+    coefficients, not all zero."""
+    d, m = draw(hs.integers(1, 3)), draw(hs.integers(2, 4))
+    coeff = hs.fractions(min_value=-4, max_value=4, max_denominator=4)
+    rows = draw(
+        hs.lists(hs.lists(coeff, min_size=d, max_size=d), min_size=m, max_size=m).filter(
+            lambda rows: any(map(any, rows))
+        )
+    )
+    return normalize(make_pattern(d, rows))
+
+
+@hs.composite
 def _lattice(draw, d):
-    """A pattern block's lattice for a random admissible side; the ball
-    radius is sometimes shrunk, so the ball check can fail."""
+    """A pattern block's lattice for a random admissible side."""
     np_ = PATTERNS[d]
     side = lattice_denominator([np_]) * draw(hs.integers(1, 3))
-    lattice = block_lattice(np_, draw(hs.integers(0, np_.m - 1)), side, sqrt_d_bounds(d)[1])
-    eighths = draw(hs.integers(0, 8))
-    return np_, lattice.replace(ball_num=lattice.ball_num * eighths // 8)
+    return np_, block_lattice(np_, draw(hs.integers(0, np_.m - 1)), side)
 
 
 class TestRandomCorners:
@@ -123,6 +134,29 @@ class TestRandomCorners:
         assert _outcome(
             lambda: _placement(parents, parent_side, lattice)
         ) == _outcome(lambda: _reference_placement(parents, parent_side, lattice, d))
+
+    @settings(max_examples=200, deadline=None)
+    @given(np_=_pattern(), cubes=hs.integers(1, 6), data=hs.data())
+    def test_placement_is_within_the_certified_ball(self, np_, cubes, data):
+        """The bounds place_on_lattice leaves to its rounding, on random
+        patterns and admissible sides: each child center misses its parent
+        center by at most steps[v]/2 on axis v, and the steps fit the
+        certified ball, sum steps_v^2 <= (4*peak*max_scale*sqrt_hi*side)^2.
+        With a shrink factor 2*beta of at least 2*compute_beta, every child
+        lies in its parent."""
+        d = np_.d
+        side = lattice_denominator([np_]) * data.draw(hs.integers(1, 3))
+        lattice = block_lattice(np_, data.draw(hs.integers(0, np_.m - 1)), side)
+        _, sqrt_hi = sqrt_d_bounds(d)
+        radius = 4 * np_.peak * np_.max_scale * sqrt_hi * side
+        assert sum(s * s for s in lattice.steps) <= radius**2
+        beta = compute_beta(np_, d)
+        parent_side = 2 * data.draw(hs.integers(beta, 2 * beta)) * side
+        parents = data.draw(hs.lists(COORD, min_size=d * cubes, max_size=d * cubes))
+        lowers = place_on_lattice(parents, parent_side, lattice)
+        for j, (x, p) in enumerate(zip(lowers, parents)):
+            # twice the miss: twice the parent center less twice the child's
+            assert abs((2 * p + parent_side) - (2 * x + side)) <= lattice.steps[j % d]
 
     @settings(max_examples=200, deadline=None)
     @given(d=hs.sampled_from([1, 2, 3]), cubes=hs.integers(1, 6), data=hs.data())
@@ -194,7 +228,6 @@ def test_golden_levels_match_the_tuple_kernels(golden):
     kernels, is the flat level the build holds."""
     st = golden
     d = st.d
-    _, sqrt_hi = sqrt_d_bounds(d)
     by_level = {e.m_level: e for e in st.entries}
     for k in range(1, st.depth + 1):
         prev = ref.corners(st.levels[k - 1].lowers, d)
@@ -208,7 +241,7 @@ def test_golden_levels_match_the_tuple_kernels(golden):
             lowers = [tuple(ratio * x for x in lower) for lower in prev]
             shift = d * (st.ndigits(k - 1) - st.ndigits(entry.level))
             for block, member in enumerate(entry.tuple_codes):
-                lattice = block_lattice(np_, block, side, sqrt_hi)
+                lattice = block_lattice(np_, block, side)
                 for i in range(member << shift, (member + 1) << shift):
                     lowers[i], _ = ref.place_on_lattice(lowers[i], ratio * side, lattice)
         assert ref.flatten(lowers) == st.levels[k].lowers, f"level {k}"
@@ -217,13 +250,12 @@ def test_golden_levels_match_the_tuple_kernels(golden):
 def test_golden_residues_match_the_tuple_kernel(golden):
     st = golden
     d = st.d
-    _, sqrt_hi = sqrt_d_bounds(d)
     assert st.entries
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
         side = st.side_num
         for b, blk in enumerate(placed_blocks(st, entry)):
-            lattice = block_lattice(np_, b, side, sqrt_hi)
+            lattice = block_lattice(np_, b, side)
             signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
             assert _recover_residue(lattice, signs, blk) == _reference_residues(
                 lattice, signs, blk, d

@@ -60,10 +60,6 @@ class TestFrozen:
             del entry.beta
         assert entry.m_level == 3
 
-    def test_equal_instances_hash_equal(self):
-        assert _entry() == _entry() and hash(_entry()) == hash(_entry())
-        assert len({_entry(), _entry(), _entry(m_level=5)}) == 2
-
     def test_classes_with_equal_fields_differ(self):
         assert Point(1, 2) != Pair(1, 2)
 
@@ -75,19 +71,25 @@ class TestFrozen:
 
 class TestMutable:
     def test_unhashable(self, ap_pattern, sqrt_gauge):
+        """No record hashes, frozen or mutable: lacuna keys no set or dict
+        by one."""
         level = Level(2, [2])
         level.lowers = [3]
         assert level == Level(2, [3])
         state = init_state(1, [ap_pattern], sqrt_gauge)
-        for record in (level, state):
+        frozen = (_entry(), Point(1), ap_pattern, sqrt_gauge, state.normalized[0])
+        for record in (level, state, *frozen):
             with pytest.raises(TypeError):
                 hash(record)
 
     def test_states_do_not_share_entries(self, ap_pattern, sqrt_gauge):
         a = init_state(1, [ap_pattern], sqrt_gauge)
-        b = ConstructionState(
-            d=1, h=sqrt_gauge, patterns=a.patterns, normalized=a.normalized,
-            level_cap=a.level_cap, levels=[],
-        )
+        b = init_state(1, [ap_pattern], sqrt_gauge)
         a.entries.append(_entry())
         assert a.entries is not b.entries and b.entries == []
+        # entries has no default, which would be one list shared by every state
+        with pytest.raises(TypeError, match="missing field 'entries'"):
+            ConstructionState(
+                d=1, h=sqrt_gauge, patterns=a.patterns, normalized=a.normalized,
+                level_cap=a.level_cap, levels=[],
+            )
