@@ -66,7 +66,8 @@ from .qmath import format_rational
 from .record import Record
 
 if TYPE_CHECKING:
-    from .engine import BlockLattice, ConstructionState, Vector
+    from .engine import ConstructionState, Vector
+    from .geometry import BlockLattice
     from .schedule import ScheduleEntry
 
 #: Above this many center combinations the exact minimum search falls back

@@ -14,12 +14,15 @@ exit code.
 Each command imports the layers it runs (engine, apps, certify, export)
 itself, so a step loads no module it does not use: the oracle, for one,
 loads no engine, schedule or gauge code.  Deeper down the same holds: the
-tree reader (lacuna.reader), the ln and exp series (lacuna.lnexp), the
-difference and complex-triplet apps (lacuna.differences, lacuna.triplets)
-and the usage text of -h/--help (lacuna.usage) are imported only by the
-code paths that call them, since every module a step loads is compiled in
-that step when no bytecode cache is written.  Commands reach layer
-functions through module attributes (engine.build_tree,
+tree reader (lacuna.reader), the cube geometry (lacuna.geometry), the ln
+and exp series (lacuna.lnexp), the difference and complex-triplet apps
+(lacuna.differences, lacuna.triplets) and the usage text of -h/--help
+(lacuna.usage) are imported only by the code paths that call them, since
+every module a step loads is compiled in that step when no bytecode cache
+is written.  build writes its recipe from the schedule walk alone
+(engine.build_tree), so it loads neither the reader nor the geometry;
+certify, export and app make every level and load the geometry.  Commands
+reach layer functions through module attributes (engine.build_tree,
 certify.certify_tree, ...).
 
 The argument grammar is one table, COMMANDS, that parse_args reads with
@@ -54,7 +57,7 @@ def cmd_build(args) -> int:
     state = engine.build_tree(d, patterns, h, args.depth)
     engine.write_tree(state, args.out)
     print(
-        f"built d={d} depth={args.depth}: {state.count(state.depth)} leaf cubes, "
+        f"built d={d} depth={args.depth}: {state.expected_count(state.depth)} leaf cubes, "
         f"{len(state.entries)} schedule entries -> {args.out}"
     )
     return 0

@@ -1,11 +1,11 @@
 """The tree reader: a lacuna-tree/3 document back to a ConstructionState.
 
 A tree file is a recipe, and a trust boundary: every field is checked, and
-so are the schedule invariants, before the levels are rebuilt with the
-build's own geometry loop (engine.build_levels).  The schedule is not
-re-walked: any schedule that passes the checks is rebuilt as written.
-Only the steps that read a tree (certify, export) load this module,
-through engine.read_tree.
+so are the schedule invariants, before the levels are made with the one
+geometry loop (geometry.build_levels).  The schedule is not re-walked: any
+schedule that passes the checks is rebuilt as written.  Only the steps
+that read a tree (certify, export) load this module, through
+engine.read_tree; both read levels, so both load lacuna.geometry too.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from .engine import (
     MAX_LEAF_CUBES,
     TREE_FORMAT,
     ConstructionState,
-    build_levels,
     init_state,
     render_address,
 )
 from .errors import FormatError
+from .geometry import build_levels
 from .jsonfile import int_field
 from .pattern import NormalizedPattern, patterns_from_doc
 from .schedule import ScheduleEntry, compute_beta
@@ -93,7 +93,7 @@ def doc_to_state(doc: dict) -> ConstructionState:
     M_{i+1} >= M_i + 2, tuple level <= M_i - 2, canonical addresses) are
     checked here and fail with FormatError, as does a recipe of more than
     MAX_LEAF_CUBES deepest-level cubes, before any level is built.  The
-    levels are then rebuilt by build_levels, the build's own loop, from the
+    levels are then made by build_levels, the one geometry loop, from the
     stored entries.  engine.build extends the state only if its schedule is
     the one a build serves.
     """
@@ -118,5 +118,6 @@ def doc_to_state(doc: dict) -> ConstructionState:
             f"the tree asks for 2^{d * state.ndigits(depth)} cubes at depth {depth}, "
             f"more than {MAX_LEAF_CUBES}"
         )
-    build_levels(state, depth)
+    state.depth = depth
+    build_levels(state)
     return state

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import Level, build_tree
+from lacuna.engine import Level, build, init_state
 from lacuna.pattern import make_pattern
 
 
@@ -47,9 +47,9 @@ def sqrt_gauge():
 @pytest.fixture(scope="session")
 def ap_tree_12(ap_pattern, sqrt_gauge):
     """Depth-12 build for the 3-term AP pattern under h = x^(1/2)."""
-    return build_tree(1, [ap_pattern], sqrt_gauge, 12)
+    return build(init_state(1, [ap_pattern], sqrt_gauge), 12)
 
 
 @pytest.fixture(scope="session")
 def ap_tree_7(ap_pattern, sqrt_gauge):
-    return build_tree(1, [ap_pattern], sqrt_gauge, 7)
+    return build(init_state(1, [ap_pattern], sqrt_gauge), 7)

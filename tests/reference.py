@@ -32,7 +32,7 @@ from lacuna.certify import (
 )
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
 from lacuna.dimfn import POWER, PRECISION_CAP, DimensionFunction
-from lacuna.engine import BlockLattice, ConstructionState, Vector
+from lacuna.engine import ConstructionState, Vector
 from lacuna.errors import (
     DimensionMismatch,
     GapViolated,
@@ -41,6 +41,7 @@ from lacuna.errors import (
     UsageError,
     ZeroPattern,
 )
+from lacuna.geometry import BlockLattice
 from lacuna.pattern import LinearPattern, NormalizedPattern
 from lacuna.lnexp import _round_down, _round_up, ln_bounds
 from lacuna.qmath import nth_root_bounds

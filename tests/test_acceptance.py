@@ -18,7 +18,7 @@ from lacuna.apps import AppSpec, app_patterns
 from lacuna.certify import brute_oracle, certify_gap, certify_measure, spot_check_gap
 from lacuna.cli import main as cli_main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree, validate_structure
+from lacuna.engine import build, build_tree, init_state, validate_structure
 from lacuna.errors import GapViolated, StructureViolation
 from lacuna.pattern import make_pattern, normalize
 from lacuna.qmath import parse_rational
@@ -72,7 +72,7 @@ class TestAcceptance:
     def test_3_structure_invariants_depth_12(self):
         start = time.perf_counter()
         h = make_dimfn("pow", F(1, 2), 1)
-        st = build_tree(1, [make_pattern(1, [[1], [-2], [1]])], h, 12)
+        st = build(init_state(1, [make_pattern(1, [[1], [-2], [1]])], h), 12)
         betas = st.processed_betas()
         ok = st.m_levels == [6, 11]
         for k in range(13):
@@ -96,15 +96,17 @@ class TestAcceptance:
         h2 = make_dimfn("pow", F(1, 2), 1)
         h10 = make_dimfn("pow", F(1, 10), 1)
         builds = [
-            build_tree(1, [make_pattern(1, [[1], [-2], [1]])], h2, 12),
-            build_tree(
-                1,
-                [make_pattern(1, [[2], [-1]]), make_pattern(1, [[F(3, 2)], [-1]])],
-                h2,
+            build(init_state(1, [make_pattern(1, [[1], [-2], [1]])], h2), 12),
+            build(
+                init_state(
+                    1,
+                    [make_pattern(1, [[2], [-1]]), make_pattern(1, [[F(3, 2)], [-1]])],
+                    h2,
+                ),
                 10,
             ),
-            build_tree(1, [make_pattern(1, [[2], [-1]])], h10, 21),
-            build_tree(1, [make_pattern(1, [[3], [-1]])], h10, 21),
+            build(init_state(1, [make_pattern(1, [[2], [-1]])], h10), 21),
+            build(init_state(1, [make_pattern(1, [[3], [-1]])], h10), 21),
         ]
         entries = 0
         ok = True
@@ -175,7 +177,7 @@ class TestAcceptance:
         for name, spec in apps:
             d, pats = app_patterns(spec)
             h = make_dimfn(spec.h_spec.split(":")[0], parse_rational(spec.h_spec.split(":")[1]), d)
-            st = build_tree(d, pats, h, spec.depth)
+            st = build(init_state(d, pats, h), spec.depth)
             centers = leaf_centers(st)
             bad = covered_violations(st, centers)
             ok = ok and st.entries and bad == {}
@@ -243,7 +245,7 @@ class TestAcceptance:
     def test_8_full_dimension_powlog(self):
         start = time.perf_counter()
         h = make_dimfn("powlog", F(1), 1)  # h(x) = -x ln x, full dimension in d=1
-        st = build_tree(1, [make_pattern(1, [[2], [-1]])], h, 18)
+        st = build(init_state(1, [make_pattern(1, [[2], [-1]])], h), 18)
         ok = bool(st.m_levels) and st.depth >= st.m_levels[0] == 18
         validate_structure(st)
         cert = certify_gap(st, st.entries[0])

@@ -21,7 +21,7 @@ from lacuna.apps import (
 from lacuna.certify import certify_tree
 from lacuna.differences import DifferenceTarget, difference_report, difference_targets
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build_tree, read_tree
+from lacuna.engine import build, init_state, read_tree
 from lacuna.errors import (
     AllRowsZero,
     DegenerateTriplet,
@@ -54,7 +54,7 @@ class TestQuotients:
 
     def test_build_avoids_doublings(self, sqrt_gauge):
         pats = quotient_patterns([F(2), F(3, 2)])
-        st = build_tree(1, pats, sqrt_gauge, 10)
+        st = build(init_state(1, pats, sqrt_gauge), 10)
         assert len(st.entries) >= 2
         # both registered patterns get served before depth 10
         assert {e.pattern_id for e in st.entries} == {0, 1}
@@ -93,7 +93,7 @@ class TestRatios:
 
     def test_ratio_three_build_covered_clean(self, sqrt_gauge):
         pats = ratio_patterns([F(3)])
-        st = build_tree(1, pats, sqrt_gauge, 6)
+        st = build(init_state(1, pats, sqrt_gauge), 6)
         assert st.entries  # M_1 = 6 for beta = 13
         assert covered_violations(st, leaf_centers(st)) == {}
 
@@ -181,7 +181,7 @@ def difference_app(targets, h, depth, precision=64, point_precision=48):
     build, the gap certificates, then report.json's document."""
     params = [{"kind": t.kind, "value": format_rational(t.value)} for t in targets]
     targets, mids = difference_targets(params, precision)
-    state = build_tree(1, quotient_patterns(mids), h, depth)
+    state = build(init_state(1, quotient_patterns(mids), h), depth)
     gaps, _ = certify_tree(state, "gap")
     return state, difference_report(targets, mids, state, gaps, precision, point_precision)
 

@@ -11,23 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from lacuna import engine
+from lacuna import geometry
 from lacuna.certify import (
     COMBO_CAP,
     brute_oracle,
     certificates_to_doc,
     certify_gap,
     certify_measure,
+    certify_tree,
     placed_blocks,
     spot_check_gap,
 )
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import MAX_LEAF_CUBES, build_tree, state_to_doc
+from lacuna.engine import MAX_LEAF_CUBES, build, build_tree, init_state, state_to_doc
 from lacuna.errors import (
     EntryNotProcessed,
     GapViolated,
     MeasureViolated,
+    StructureViolation,
 )
 from lacuna.pattern import make_pattern
 from lacuna.schedule import walk_schedule
@@ -143,8 +145,8 @@ class TestGapCertificates:
         # first fold, so the gap is the structural bound
         # 4*peak*delta/2 - peak*delta
         h = make_dimfn("pow", F(41, 50), 1)
-        st = build_tree(1, [make_pattern(1, [[2], [-1]])], h, 19)
-        assert st.m_levels == [19] and st.count(19) == 2**18
+        st = build(init_state(1, [make_pattern(1, [[2], [-1]])], h), 19)
+        assert st.m_levels == [19] and len(st.levels[19].lowers) // st.d == 2**18
         entry = st.entries[0]
         assert (entry.level, entry.tuple_codes) == (1, (0, 1))
         cert = certify_gap(st, entry)
@@ -166,14 +168,14 @@ class TestGapCertificates:
         """Without the half-step pivot shift of the last block, placement and
         residue recovery still agree with each other; only the center
         cross-check sees psi land on whole multiples of 4*peak*delta."""
-        real = engine.block_lattice
+        real = geometry.block_lattice
 
         def unshifted(np_, block, side):
             lattice = real(np_, block, side)
             return lattice.replace(shifts=(0,) * len(lattice.shifts))
 
-        monkeypatch.setattr(engine, "block_lattice", unshifted)
-        st = build_tree(1, [ap_pattern], sqrt_gauge, 7)
+        monkeypatch.setattr(geometry, "block_lattice", unshifted)
+        st = build(init_state(1, [ap_pattern], sqrt_gauge), 7)
         with pytest.raises(GapViolated, match="is not a half-integer multiple"):
             certify_gap(st, st.entries[0])
 
@@ -246,6 +248,22 @@ class TestMeasureCertificate:
         tree.write_text(json.dumps(doc))
         assert main(["certify", str(tree), "--mode", "all"]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "MeasureViolated"
+
+
+class TestCertifyTree:
+    @pytest.mark.parametrize("mode", ["all", "gap", "measure"])
+    def test_levels_short_of_the_depth_are_refused(
+        self, ap_pattern, sqrt_gauge, ap_tree_12, mode
+    ):
+        # build_tree holds level 0 only; without the check, certify_gap
+        # would index level 6 and fail with an IndexError, and the measure
+        # would certify levels that were never made
+        recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        with pytest.raises(StructureViolation, match=r"levels 0\.\.0, not 0\.\.12$"):
+            certify_tree(recipe, mode)
+        cut = ap_tree_12.replace(levels=ap_tree_12.levels[:8])
+        with pytest.raises(StructureViolation, match=r"levels 0\.\.7, not 0\.\.12$"):
+            certify_tree(cut, mode)
 
 
 class TestCoverage:

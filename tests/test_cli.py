@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import lacuna
-from lacuna import engine
+from lacuna import engine, geometry
 from lacuna.cli import main, parse_args
 from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError, UsageError
@@ -96,9 +96,9 @@ class TestBuild:
         # The schedule is walked from the level counts, so the first level
         # past the cap is refused before any level's geometry is made.
         advanced = []
-        advance = engine._advance
+        advance = geometry._advance
         monkeypatch.setattr(
-            engine, "_advance", lambda *args: advanced.append(args[1]) or advance(*args)
+            geometry, "_advance", lambda *args: advanced.append(args[1]) or advance(*args)
         )
         monkeypatch.setattr(engine, "MAX_LEAF_CUBES", cap)
         pattern_file = request.getfixturevalue(pattern)
@@ -1067,10 +1067,12 @@ def _src_env() -> dict:
 
 #: What every command loads: the command table, errors, JSON and pattern files.
 _CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
-#: The build's layers, which certify and export load to rebuild a tree.
+#: The build's layers: it writes its recipe from the schedule walk alone.
 _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
+#: A step that makes levels (certify, export, app) loads the geometry too.
+_LEVELS = _BUILD | {"geometry"}
 #: A step that reads a tree loads the tree reader too; a build does not.
-_READ = _BUILD | {"reader"}
+_READ = _LEVELS | {"reader"}
 
 
 class TestImportFootprint:
@@ -1090,7 +1092,7 @@ class TestImportFootprint:
     def test_each_command_loads_only_its_layers(self, ap_file, tmp_path):
         tree, pts = str(tmp_path / "tree.json"), str(tmp_path / "pts.txt")
         # a pow gauge needs neither the ln and exp series nor, in a build,
-        # the tree reader
+        # the tree reader or the geometry
         assert self.loaded(tmp_path, build_args(ap_file, tmp_path)) == _BUILD
         assert self.loaded(tmp_path, ["certify", tree]) == _READ | {"certify"}
         export = ["export", tree, "--format", "points", "--out", pts]
@@ -1100,7 +1102,7 @@ class TestImportFootprint:
         oracle = ["oracle", pts, "--patterns", ap_file]
         assert self.loaded(tmp_path, oracle, code=1) == _CLI_CORE | {"certify", "export"}
         app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
-        assert self.loaded(tmp_path, app) == _BUILD | {"apps", "certify"}
+        assert self.loaded(tmp_path, app) == _LEVELS | {"apps", "certify"}
 
     @pytest.mark.parametrize("kind", sorted(_APPS_WITH_ENTRIES))
     def test_each_app_kind_loads_only_its_layers(self, tmp_path, kind):
@@ -1110,7 +1112,7 @@ class TestImportFootprint:
         spec.write_text(json.dumps(_APPS_WITH_ENTRIES[kind]))
         extra = {"differences": {"differences", "lnexp"}, "complex_triplets": {"triplets"}}
         app = ["app", str(spec), "--out-dir", str(tmp_path / "app-out")]
-        expected = _BUILD | {"apps", "certify"} | extra.get(kind, set())
+        expected = _LEVELS | {"apps", "certify"} | extra.get(kind, set())
         assert self.loaded(tmp_path, app) == expected
 
     @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["oracle", "-h"]])
@@ -1127,10 +1129,10 @@ class TestImportFootprint:
         assert self.loaded(tmp_path, certify) == _READ | {"certify", "lnexp"}
         out = ["--out-dir", str(tmp_path / "app-out")]
         spec = _spec_file(tmp_path, kind="parallelogram", params=[], h="pow:1/4")
-        assert self.loaded(tmp_path, ["app", spec, *out]) == _BUILD | {"apps", "certify"}
+        assert self.loaded(tmp_path, ["app", spec, *out]) == _LEVELS | {"apps", "certify"}
         targets = [{"kind": "log_of", "value": "2"}]
         spec = _spec_file(tmp_path, kind="differences", params=targets, depth=5)
-        assert self.loaded(tmp_path, ["app", spec, *out]) == _BUILD | {
+        assert self.loaded(tmp_path, ["app", spec, *out]) == _LEVELS | {
             "apps", "certify", "differences", "lnexp"
         }
 

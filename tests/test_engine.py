@@ -8,10 +8,9 @@ import pytest
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
     Level,
-    block_lattice,
+    build,
     build_tree,
     init_state,
-    place_on_lattice,
     render_address,
     state_to_doc,
     validate_structure,
@@ -23,6 +22,7 @@ from lacuna.errors import (
     StructureViolation,
     ZeroPattern,
 )
+from lacuna.geometry import block_lattice, place_on_lattice
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import parse_address
 from reference import corners, lattice_vectors
@@ -61,13 +61,13 @@ class TestInit:
 
 class TestDyadicSplit:
     def test_first_level(self, ap_pattern, sqrt_gauge):
-        st = build_tree(1, [ap_pattern], sqrt_gauge, 1)
+        st = build(init_state(1, [ap_pattern], sqrt_gauge), 1)
         assert fracs(st, 1) == [(F(1),), (F(3, 2),)]
 
     def test_d2_digit_semantics(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
-        st = build_tree(2, [p], h, 1)
+        st = build(init_state(2, [p], h), 1)
         # digit = sum of bit_v * 2^v, bit selects the upper half on axis v.
         assert fracs(st, 1) == [
             (F(1), F(1)),
@@ -187,9 +187,9 @@ class TestBuild:
     def test_d2_avoidance_level(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
-        st = build_tree(2, [p], h, 3)
+        st = build(init_state(2, [p], h), 3)
         assert st.m_levels == [3]
-        assert st.count(3) == 16
+        assert len(st.levels[3].lowers) // st.d == 16
         validate_structure(st)
 
 
@@ -221,7 +221,7 @@ class TestValidation:
     ):
         # Parent [1, 33/32], child side 1/576: the top face pokes out, and no
         # deeper level exposes it through a dyadic slot.
-        st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
+        st = build(init_state(1, [ap_pattern], sqrt_gauge), 6)
         with pytest.raises(StructureViolation, match="escapes its parent"):
             validate_structure(move_cube(st, 6, 0, [F(33, 32)]))
 
@@ -229,7 +229,7 @@ class TestValidation:
         # Over the level-6 denominator 1152 the parent of cube 0 is
         # [1152, 1188] and the child side is 2: lower corners 1152 and 1186
         # touch the faces and are inside; one unit further is out.
-        st = build_tree(1, [ap_pattern], sqrt_gauge, 6)
+        st = build(init_state(1, [ap_pattern], sqrt_gauge), 6)
         assert st.levels[6].den == 1152
         for lower in (1152, 1186):
             validate_structure(move_cube(st, 6, 0, [F(lower, 1152)]))

@@ -23,7 +23,7 @@ import pytest
 from lacuna.apps import app_patterns, app_spec_from_doc
 from lacuna.cli import main
 from lacuna.dimfn import parse_dimfn
-from lacuna.engine import build_tree, state_to_doc
+from lacuna.engine import build, build_tree, init_state, state_to_doc, write_tree
 from lacuna.pattern import patterns_from_doc
 from lacuna.reader import doc_to_state
 
@@ -192,15 +192,26 @@ def test_differences_app(tmp_path):
     )
 
 
+def test_leaf_cap_tree_from_the_schedule_alone(tmp_path):
+    """The leaf-cap build (quotient 2, pow:1/2, depth 25, 2^20 leaves)
+    holds level 0 only, and writes the tree file CI pins."""
+    d, patterns = patterns_from_doc({"d": 1, "patterns": [{"m": 2, "coeffs": [["2"], ["-1"]]}]})
+    state = build_tree(d, patterns, parse_dimfn("pow:1/2", d), 25)
+    assert (state.depth, state.m_levels, len(state.levels)) == (25, [5, 10, 15, 20, 25], 1)
+    tree = tmp_path / "tree.json"
+    write_tree(state, tree)
+    assert _sha(tree) == "072d778206d28b5101185ae1d2f65741c9817d1cb34951c7270f219ca601d28e"
+
+
 def _ap_state():
     d, patterns = patterns_from_doc(AP_DOC)
-    return build_tree(d, patterns, parse_dimfn("pow:1/2", d), 12)
+    return build(init_state(d, patterns, parse_dimfn("pow:1/2", d)), 12)
 
 
 def _app_state(doc):
     spec = app_spec_from_doc(doc)
     d, patterns = app_patterns(spec)
-    return build_tree(d, patterns, parse_dimfn(spec.h_spec, d), spec.depth)
+    return build(init_state(d, patterns, parse_dimfn(spec.h_spec, d)), spec.depth)
 
 
 @pytest.mark.parametrize(

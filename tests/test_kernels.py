@@ -35,14 +35,9 @@ from lacuna.certify import (
 )
 from lacuna import lnexp
 from lacuna.dimfn import START_PRECISION, make_dimfn, parse_dimfn
-from lacuna.engine import (
-    _dyadic_children,
-    block_lattice,
-    build_tree,
-    lattice_denominator,
-    place_on_lattice,
-)
+from lacuna.engine import build, init_state, lattice_denominator
 from lacuna.errors import GapViolated, PlacementFailure
+from lacuna.geometry import _dyadic_children, block_lattice, place_on_lattice
 from lacuna.lnexp import _atanh_series, _exp_pos_attempt, ln_bounds
 from lacuna.pattern import make_pattern, normalize
 from lacuna.schedule import compute_beta, sqrt_d_bounds
@@ -318,7 +313,8 @@ def test_cross_check_matches_on_a_quotient_build():
     """Quotient 2 (coefficients 2, -1), whose coefficients, unlike those of
     the golden patterns, do not sum to zero."""
     pattern = make_pattern(1, [[2], [-1]])
-    _assert_cross_checks_agree(build_tree(1, [pattern], parse_dimfn("pow:1/2", 1), 12))
+    state = init_state(1, [pattern], parse_dimfn("pow:1/2", 1))
+    _assert_cross_checks_agree(build(state, 12))
 
 
 # -- ln/exp series and powlog comparisons ---------------------------------------

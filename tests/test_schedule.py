@@ -342,7 +342,7 @@ class TestBuildFromARead:
     def test_read_tree_extends_to_a_fresh_deeper_build(self, ap_tree_12, ap_pattern, sqrt_gauge):
         st = doc_to_state(json.loads(json.dumps(state_to_doc(ap_tree_12))))
         build(st, 17)
-        fresh = build_tree(1, [ap_pattern], sqrt_gauge, 17)
+        fresh = build(init_state(1, [ap_pattern], sqrt_gauge), 17)
         assert state_to_doc(st) == state_to_doc(fresh)
         assert st.levels == fresh.levels
 
