@@ -14,12 +14,12 @@ patterns for the engine:
                 C = R^2 identification (lacuna.triplets)
 * vector_split  generic N-component linear form, one pattern per nonzero row
 
-run_app takes every kind down one path: the patterns, the recipe of one
-build (engine.build_tree), its levels (geometry.build_levels), then
-certify.certify_tree, the routine of `lacuna certify`, with 100 spot
-checks per entry.  The difference app, the one place irrational targets
-appear, is in lacuna.differences; run_app imports it for that kind only,
-to get the quotient targets before the build and report.json after the
+run_app takes every kind down one path: the patterns, one build
+(engine.build_tree), then certify.certify_tree, the routine of `lacuna
+certify`, with 100 spot checks per entry, which reads the build's levels.
+The difference app, the one place irrational targets appear, is in
+lacuna.differences; run_app imports it for that kind only, to get the
+quotient targets before the build and report.json after the
 certificates.  Likewise the Gaussian rationals and the builder of the
 complex_triplets kind are in lacuna.triplets, which app_patterns imports
 for that kind only.
@@ -250,10 +250,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
         d, patterns = 1, quotient_patterns(mids)
     else:
         d, patterns = app_patterns(app)
-    from .geometry import build_levels
-
     state = engine.build_tree(d, patterns, parse_dimfn(app.h_spec, d), app.depth)
-    build_levels(state)
     gaps, measure = certify.certify_tree(state, "all" if state.entries else "gap", 100)
     docs = {"cert.json": certify.certificates_to_doc(gaps, measure)}
     if app.kind == "differences":

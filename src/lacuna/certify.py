@@ -5,11 +5,11 @@ point tuple drawn from the entry's placed cubes keeps |psi| at least
 peak * delta_M, because each placed center is a lattice image (value in
 4*peak*delta*(Z + 1/2), so at least 2*peak*delta in magnitude) and moving
 from centers to arbitrary points inside the cubes costs at most peak*delta.
-certify_gap re-derives all of that from the geometry, built or rebuilt from
-a tree file: it recovers the integer lattice vector of every placed cube
-exactly and either minimizes |psi| over center combinations exactly or
-falls back to the structural bound.  Nothing is trusted from the placement
-code.
+certify_gap re-derives all of that from the geometry, which the state makes
+from its recipe, built or read from a tree file: it recovers the integer
+lattice vector of every placed cube exactly and either minimizes |psi| over
+center combinations exactly or falls back to the structural bound.  Nothing
+is trusted from the placement code.
 
 The geometry arrives as the engine holds it: per level one denominator
 and one flat list of integer numerators, d per lower corner, the cubes in
@@ -38,9 +38,10 @@ centralized: lower bounds of h and sqrt(d) certify ">=" goals, upper bounds
 enter c3.
 
 certify_tree is the one sequence of these checks for a whole tree, run by
-both `lacuna certify` and `lacuna app`.  It calls the checks through this
-module's globals, so a caller that replaces certify.certify_gap (say, to
-time it) sees every call.
+both `lacuna certify` and `lacuna app`.  It settles the measure, which
+needs no geometry, before anything reads a level.  It calls the checks
+through this module's globals, so a caller that replaces
+certify.certify_gap (say, to time it) sees every call.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
             mass_ok = state.h.ge(lo * side, Fraction(1, count))
         except (OutOfDomain, Undecidable):
             mass_ok = False
-        active = sum(1 for M in state.m_levels if M <= k)
+        active = k - state.ndigits(k)  # the entries with M_i <= k
         ratio_ok = schedule.ratio_condition(state.h, k, betas[:active])
         verdicts.append(
             LevelVerdict(level=k, count=count, side=side, mass_ok=mass_ok, ratio_ok=ratio_ok)
@@ -418,16 +419,19 @@ def certify_tree(
     """(gaps, measure): every check of one tree, for `lacuna certify` and
     `lacuna app` alike.
 
-    Validates the structure, then certifies the gap of each processed
-    entry and draws spot_checks point tuples against it, then certifies
-    the measure.  mode "gap" skips the measure (None) and "measure" the
-    gaps.  On a tree with no processed entry, mode "gap" returns no gaps:
-    `lacuna certify` refuses that, while an app writes it as it is.
-    The engine is imported here, since the oracle step loads this module
-    and no engine code.
+    Certifies the measure first, which reads only the recipe (level counts,
+    sides and the schedule), so a recipe whose measure fails is refused
+    before any level is made.  Then it validates the structure, which makes
+    the levels, certifies the gap of each processed entry and draws
+    spot_checks point tuples against it.  mode "gap" skips the measure
+    (None) and "measure" the gaps.  On a tree with no processed entry,
+    mode "gap" returns no gaps: `lacuna certify` refuses that, while an app
+    writes it as it is.  The engine is imported here, since the oracle
+    step loads this module and no engine code.
     """
     from . import engine
 
+    measure = None if mode == "gap" else certify_measure(state)
     engine.validate_structure(state)
     gaps = []
     if mode != "measure":
@@ -436,7 +440,7 @@ def certify_tree(
             if spot_checks:
                 spot_check_gap(state, entry, cert, count=spot_checks)
             gaps.append(cert)
-    return gaps, None if mode == "gap" else certify_measure(state)
+    return gaps, measure
 
 
 # -- brute-force oracle -----------------------------------------------------

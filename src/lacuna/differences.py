@@ -47,6 +47,9 @@ class DifferenceTarget(Record):
 
 _ENCLOSURE_PRECISION_CAP = 4096
 
+#: Bits of the ln-enclosures of the points in report.json (points_ln).
+POINT_PRECISION = 48
+
 
 def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:
     """Rational quotient target standing in for e^t (or exactly a)."""
@@ -90,20 +93,19 @@ def difference_report(
     state: ConstructionState,
     gaps: Sequence[GapCertificate],
     precision: int,
-    point_precision: int = 48,
 ) -> dict:
     """The document report.json of a built and certified difference app.
 
     Per target, the smallest certified gap of its pattern and, when there
     is one, the margin by which the log image's differences miss it; for a
     rational exponent the enclosure of e^t is refined from precision bits
-    until its radius is below half that gap.  points_ln are ln-enclosures
-    of the deepest-level cube centers; pairwise differences of the
-    underlying exact points miss each target by its difference_margin
-    whenever the pair is covered by a processed entry.  Bilipschitz
-    constants of ln on [1,2] are (1/2, 1).  Raises EnclosureTooWide when
-    an enclosure of some e^t cannot be made thinner than half the
-    certified gap of its pattern.
+    until its radius is below half that gap.  points_ln are ln-enclosures,
+    to POINT_PRECISION bits, of the deepest-level cube centers; pairwise
+    differences of the underlying exact points miss each target by its
+    difference_margin whenever the pair is covered by a processed entry.
+    Bilipschitz constants of ln on [1,2] are (1/2, 1).  Raises
+    EnclosureTooWide when an enclosure of some e^t cannot be made thinner
+    than half the certified gap of its pattern.
     """
     rows = []
     for pid, (raw, mid) in enumerate(zip(targets, mids)):
@@ -138,7 +140,7 @@ def difference_report(
             }
         )
     den, centers = state.leaf_center_numerators()
-    points = [ln_bounds(Fraction(c, den), point_precision) for c in centers]
+    points = [ln_bounds(Fraction(c, den), POINT_PRECISION) for c in centers]
     return {
         "targets": rows,
         "points_ln": [[format_rational(lo), format_rational(hi)] for lo, hi in points],

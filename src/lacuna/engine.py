@@ -10,17 +10,17 @@ every other cube keeps a child anchored at its own lower corner.
 
 This module holds the recipe of a build and what reads or writes it: the
 state (ConstructionState), the schedule walk that fills in its entries and
-depth (build_tree), the structural validation and the tree file.  The
-geometry (the per-level kernels and build_levels, the one loop that makes
-the levels) is in lacuna.geometry, which only code that reads levels
-loads: build, validate_structure, the tree reader, run_app and
-ConstructionState.block_lattices.  There every placement is asserted to
-stay inside its parent (PlacementFailure, a self-check: it cannot fire
-while beta >= compute_beta, which the reader enforces on files), so a
-build that makes geometry verifies itself against the shrink factor 2*beta
-between an avoidance level and its parent level.  build_tree makes none,
-and so runs no placement and no self-check: certify, export and app make
-every level from the file and run it.
+depth (build), the structural validation and the tree file.  A state is its
+recipe: ConstructionState.levels, the one loop that makes levels, makes
+them from the recipe the first time they are read, with the per-level
+kernel geometry.advance, and keeps them.  lacuna.geometry is loaded only
+by code that reads levels.  There every placement is asserted to stay
+inside its parent (PlacementFailure, a self-check: it cannot fire while
+beta >= compute_beta, which the reader enforces on files), so reading the
+levels verifies them against the shrink factor 2*beta between an
+avoidance level and its parent level.  `lacuna build` reads no level, and
+so runs no placement and no self-check: certify, export and app read
+every level of the file's recipe and run it.
 
 All geometry is exact integer arithmetic.  Level k stores one denominator
 den_k and one flat list of d * N_k integer numerators over it, the lower
@@ -43,11 +43,11 @@ The tree file (lacuna-tree/3) is the recipe of a build, not its geometry:
 d, the gauge h, the depth, the patterns and the realized schedule.  Every
 corner follows from those (dyadic children sit at fixed offsets, free cubes
 are their parents scaled, placed cubes come from the deterministic lattice
-rule).  So build_tree walks the schedule from level counts alone
-(schedule.walk_schedule) and writes the file from that, and the reader
-(lacuna.reader, loaded by read_tree) checks the recipe and makes the
-levels with build_levels.  A build and a read refuse a tree of more than
-MAX_LEAF_CUBES deepest-level cubes before any level is made.
+rule).  So build walks the schedule from level counts alone
+(schedule.walk_schedule), and the reader (lacuna.reader, loaded by
+read_tree) checks the recipe and makes no level.  A build and a read
+refuse a tree of more than schedule.MAX_LEAF_CUBES deepest-level cubes,
+and certify settles the measure, before any level is made.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ if TYPE_CHECKING:
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
 #: Largest d whose 2^d address digits the alphabet holds.
 MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
-
-#: Most cubes a level may hold, in a build and in a tree read from a file.
-#: A tree file is a few hundred bytes however many cubes it asks for, so
-#: this bound, not the file's size, bounds the work of reading it.
-MAX_LEAF_CUBES = 2**20
 
 Vector = tuple[Fraction, ...]
 
@@ -121,11 +116,12 @@ class Level(Record, frozen=False):
 
 
 class ConstructionState(Record, frozen=False):
-    """The whole build: the recipe (d, h, the patterns, the realized
-    schedule and the depth) and the levels made from it so far.
+    """The whole build: its recipe (d, h, the patterns, the realized
+    schedule and the depth) and the levels 0..depth that the recipe fixes.
 
-    levels holds levels 0 .. len(levels) - 1; geometry.build_levels extends
-    them to the depth.  build_tree returns a state holding level 0 only.
+    The fields are the recipe alone.  Level 0 is made with the state, and
+    the other levels the first time levels is read (the levels property).
+    replace makes a state that holds level 0 only.
     """
 
     d: int
@@ -133,12 +129,30 @@ class ConstructionState(Record, frozen=False):
     patterns: tuple[LinearPattern, ...]
     normalized: tuple[NormalizedPattern, ...]
     level_cap: int
-    levels: list[Level]
     entries: list[ScheduleEntry]
     depth: int
 
     def __post_init__(self) -> None:
-        self._lattices: dict[int, list[BlockLattice]] = {}  # not a field
+        # not fields: the levels made so far, and the lattices
+        q = lattice_denominator(self.normalized)
+        self._levels = [Level(den=q, lowers=[q] * self.d)]
+        self._lattices: dict[int, list[BlockLattice]] = {}
+
+    @property
+    def levels(self) -> list[Level]:
+        """Levels 0..depth, the one loop that makes levels: each level the
+        state lacks is made from the one above it by geometry.advance, as
+        the avoidance level of the entry with M_i = k or as a dyadic level,
+        and kept.  build only ever deepens a recipe along the schedule, so
+        the levels kept stay those of the recipe."""
+        levels = self._levels
+        if len(levels) <= self.depth:
+            from .geometry import advance
+
+            by_level = {e.m_level: e for e in self.entries}
+            for k in range(len(levels), self.depth + 1):
+                levels.append(advance(self, levels[-1], by_level.get(k)))
+        return levels
 
     @property
     def m_levels(self) -> list[int]:
@@ -160,9 +174,11 @@ class ConstructionState(Record, frozen=False):
         """The side of every level as a numerator over its denominator.
 
         It is the level-0 denominator Q at every level: a level's
-        denominator grows by exactly the factor its side shrinks.
+        denominator grows by exactly the factor its side shrinks.  It reads
+        level 0 alone, which the state holds from the start, since making
+        the other levels reads it.
         """
-        return self.levels[0].den
+        return self._levels[0].den
 
     def block_lattices(self, pattern_id: int) -> list[BlockLattice]:
         """The lattice of each block of a pattern, made once per state: every
@@ -213,54 +229,42 @@ def init_state(
     for p in patterns:
         if p.d != d:
             raise StructureViolation("pattern dimension does not match the build")
-    normalized = tuple(normalize(p) for p in patterns)
-    q = lattice_denominator(normalized)
     return ConstructionState(
         d=d,
         h=h,
         patterns=tuple(patterns),
-        normalized=normalized,
+        normalized=tuple(normalize(p) for p in patterns),
         level_cap=level_cap,
-        levels=[Level(den=q, lowers=[q] * d)],
         entries=[],
         depth=0,
     )
 
 
-def _walk_to(state: ConstructionState, depth: int) -> None:
-    """Extend the state's recipe to the requested depth: its entries and
-    depth, no level.
+def build(state: ConstructionState, depth: int) -> ConstructionState:
+    """Extend the state's recipe to the requested depth, its entries and
+    its depth; deterministic in all inputs.  No level is made here: the
+    levels follow from the recipe when they are read.
 
     A depth above the state's level cap is refused, and so is a level of
-    more than MAX_LEAF_CUBES cubes: the schedule (schedule.walk_schedule)
-    is walked from the level counts alone, and no level past the depth is
-    tested.  The state's entries must be the walked entries that land at
-    levels up to the state's depth (StructureViolation otherwise, as for a
-    tree whose schedule was edited).  A refused state is left as it was.
+    more than schedule.MAX_LEAF_CUBES cubes: the schedule
+    (schedule.walk_schedule) is walked from the level counts alone, and no
+    level past the depth is tested.  The state's entries must be the walked
+    entries that land at levels up to the state's depth (StructureViolation
+    otherwise, as for a tree whose schedule was edited).  A refused state
+    is left as it was.
     """
     if depth < 0:
         raise StructureViolation("depth must be >= 0")
     if depth > state.level_cap:
         raise ScheduleOverflow(f"depth {depth} exceeds the level cap {state.level_cap}")
     depth = max(depth, state.depth)
-    entries = walk_schedule(state.normalized, state.h, depth, MAX_LEAF_CUBES)
+    entries = walk_schedule(state.normalized, state.h, depth)
     if [e for e in entries if e.m_level <= state.depth] != state.entries:
         raise StructureViolation(
             f"the schedule to depth {state.depth} is not the one a build serves"
         )
     state.entries = entries
     state.depth = depth
-
-
-def build(state: ConstructionState, depth: int) -> ConstructionState:
-    """Advance to the requested depth, geometry included; deterministic in
-    all inputs.  The recipe is extended as build_tree extends it (with the
-    same refusals), then the missing levels are made by
-    geometry.build_levels."""
-    from .geometry import build_levels
-
-    _walk_to(state, depth)
-    build_levels(state)
     return state
 
 
@@ -271,12 +275,9 @@ def build_tree(
     depth: int,
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> ConstructionState:
-    """The recipe of a build to the given depth: a state whose entries and
-    depth are set and which holds level 0 only.  It is what write_tree
-    writes; build_levels (or build) makes its geometry."""
-    state = init_state(d, patterns, h, level_cap)
-    _walk_to(state, depth)
-    return state
+    """A fresh state (init_state) built to the given depth: what
+    `lacuna build` writes with write_tree, and what run_app certifies."""
+    return build(init_state(d, patterns, h, level_cap), depth)
 
 
 # -- structural validation --------------------------------------------------
@@ -284,20 +285,15 @@ def build_tree(
 def validate_structure(state: ConstructionState) -> None:
     """Exact re-verification of the cube counts and of nestedness.
 
-    The state must hold every level down to its depth, every level must
-    hold the profile's cube count, and every avoidance child must lie
-    inside its unique parent: the mass-distribution argument rests on the
-    tree being nested.  Dyadic children sit at their offsets by
-    construction (geometry._dyadic_children), in a build and in a read
-    alike.
+    Every level (levels 0..depth, made from the recipe if they were not
+    read yet) must hold the profile's cube count, and every avoidance
+    child must lie inside its unique parent: the mass-distribution
+    argument rests on the tree being nested.  Dyadic children sit at their
+    offsets by construction (geometry._dyadic_children).
     """
     from .geometry import _escape
 
     d = state.d
-    if len(state.levels) != state.depth + 1:
-        raise StructureViolation(
-            f"the state holds levels 0..{len(state.levels) - 1}, not 0..{state.depth}"
-        )
     for k, level in enumerate(state.levels):
         if len(level.lowers) != d * state.expected_count(k):
             raise StructureViolation(f"level {k}: cube count != profile value")
@@ -349,7 +345,7 @@ def write_tree(state: ConstructionState, path: str | Path) -> None:
 
 
 def read_tree(path: str | Path) -> ConstructionState:
-    """The state a tree file describes, checked and rebuilt by
+    """The state a tree file describes, its recipe checked by
     reader.doc_to_state; only the steps that read a tree load the reader."""
     from .reader import doc_to_state
 

@@ -1,22 +1,23 @@
-"""Cube geometry: the per-level kernels and the one loop that makes levels.
+"""Cube geometry: the per-level kernels.
 
 A state's recipe (engine: d, the gauge, the patterns, the depth and the
 realized schedule) fixes every corner: dyadic children sit at fixed offsets,
 free avoidance children are their parents scaled, and placed children come
-from the deterministic lattice rule.  build_levels makes the levels from the
-recipe, one level per step (_advance), with the kernels below.  They work
-on the flat layout of engine.Level, one axis at a time over strided slices
-(lowers[v::d]), and build no per-cube tuples.
+from the deterministic lattice rule.  advance makes one level from the one
+above it and the recipe; ConstructionState.levels, the one loop that makes
+levels, runs it for each level the first time the levels are read.  The
+kernels work on the flat layout of engine.Level, one axis at a time over
+strided slices (lowers[v::d]), and build no per-cube tuples.
 
 Every placement is asserted to stay inside its parent (_escape, the one
 containment test, which place_on_lattice and engine.validate_structure
 share), so the geometry is self-verifying against the shrink factor 2*beta
 between an avoidance level and its parent level.
 
-Only the code that reads levels loads this module: engine.build,
-engine.validate_structure, the tree reader, run_app before it certifies,
-and ConstructionState.block_lattices.  `lacuna build` writes its recipe
-from the schedule walk alone (engine.build_tree), and never loads it.
+Only the code that reads levels loads this module: ConstructionState.levels,
+engine.validate_structure and ConstructionState.block_lattices.  `lacuna
+build` writes its recipe from the schedule walk alone (engine.build_tree),
+reads no level, and never loads it.
 """
 
 from __future__ import annotations
@@ -134,27 +135,16 @@ def _dyadic_children(lowers: list[int], side: int, d: int) -> list[int]:
     return out
 
 
-def _advance(state: ConstructionState, k: int, entry: ScheduleEntry | None) -> None:
-    """Append level k: the avoidance level of `entry`, or a dyadic level."""
-    d, prev, side = state.d, state.levels[-1], state.side_num
+def advance(state: ConstructionState, prev: Level, entry: ScheduleEntry | None) -> Level:
+    """The level after `prev`: the avoidance level of `entry`, or a dyadic
+    level when entry is None."""
+    d, side = state.d, state.side_num
     if entry is None:
-        lowers = _dyadic_children(prev.lowers, side, d)
-        state.levels.append(Level(den=2 * prev.den, lowers=lowers))
-        return
+        return Level(den=2 * prev.den, lowers=_dyadic_children(prev.lowers, side, d))
     ratio = 2 * entry.beta
     # free cubes keep their lower-corner anchor
     lowers = [ratio * x for x in prev.lowers]
     lattices = state.block_lattices(entry.pattern_id)
     for span, lattice in zip(state.tuple_spans(entry), lattices):
         lowers[span] = place_on_lattice(lowers[span], ratio * side, lattice)
-    state.levels.append(Level(den=ratio * prev.den, lowers=lowers))
-
-
-def build_levels(state: ConstructionState) -> None:
-    """Append the levels the state lacks, up to state.depth, from its
-    entries: the one geometry loop, which engine.build, the tree reader and
-    run_app run.  Level k is the avoidance level of the entry with M_i = k,
-    or a dyadic level."""
-    by_level = {e.m_level: e for e in state.entries}
-    for k in range(len(state.levels), state.depth + 1):
-        _advance(state, k, by_level.get(k))
+    return Level(den=ratio * prev.den, lowers=lowers)

@@ -1,11 +1,11 @@
 """The tree reader: a lacuna-tree/3 document back to a ConstructionState.
 
 A tree file is a recipe, and a trust boundary: every field is checked, and
-so are the schedule invariants, before the levels are made with the one
-geometry loop (geometry.build_levels).  The schedule is not re-walked: any
-schedule that passes the checks is rebuilt as written.  Only the steps
-that read a tree (certify, export) load this module, through
-engine.read_tree; both read levels, so both load lacuna.geometry too.
+so are the schedule invariants.  The reader makes no level: the state it
+returns makes its levels from the checked recipe when they are read
+(ConstructionState.levels).  The schedule is not re-walked: any schedule
+that passes the checks is rebuilt as written.  Only the steps that read a
+tree (certify, export) load this module, through engine.read_tree.
 """
 
 from __future__ import annotations
@@ -13,17 +13,15 @@ from __future__ import annotations
 from .dimfn import parse_dimfn
 from .engine import (
     _ADDRESS_ALPHABET,
-    MAX_LEAF_CUBES,
     TREE_FORMAT,
     ConstructionState,
     init_state,
     render_address,
 )
 from .errors import FormatError
-from .geometry import build_levels
 from .jsonfile import int_field
-from .pattern import NormalizedPattern, patterns_from_doc
-from .schedule import ScheduleEntry, compute_beta
+from .pattern import patterns_from_doc
+from .schedule import MAX_LEAF_CUBES, ScheduleEntry, compute_beta
 
 
 def parse_address(text: str, d: int) -> int:
@@ -37,13 +35,12 @@ def parse_address(text: str, d: int) -> int:
     return code
 
 
-def _entries_from_doc(
-    recs: list, d: int, normalized: tuple[NormalizedPattern, ...], depth: int
-) -> list[ScheduleEntry]:
-    """Schedule entries, checked for types, ranges, order and the schedule
-    invariants: beta_i >= compute_beta, M_1 >= 2, M_{i+1} >= M_i + 2 and a
-    tuple level <= M_i - 2."""
-    entries: list[ScheduleEntry] = []
+def _entries_from_doc(recs: list, state: ConstructionState, depth: int) -> None:
+    """Append the schedule entries to state.entries, each checked for
+    types, ranges, order and the schedule invariants: beta_i >=
+    compute_beta, M_1 >= 2, M_{i+1} >= M_i + 2 and a tuple level <=
+    M_i - 2."""
+    d, normalized, entries = state.d, state.normalized, state.entries
     for pos, rec in enumerate(recs, start=1):
         if int_field(rec["i"], "entry index", 1) != pos:
             raise FormatError(f"schedule entry {pos} is stored with index {rec['i']}")
@@ -58,7 +55,7 @@ def _entries_from_doc(
         if level > m_level - 2:
             raise FormatError(f"entry {pos}: tuple level {level} is not above M_i={m_level}")
         # the tuple level lies above M_i, so only earlier entries act there
-        nd = level - sum(1 for e in entries if e.m_level <= level)
+        nd = state.ndigits(level)
         names = rec["tuple"]
         codes = tuple(parse_address(a, d) for a in names)
         if (
@@ -82,7 +79,6 @@ def _entries_from_doc(
                 ),
             )
         )
-    return entries
 
 
 def doc_to_state(doc: dict) -> ConstructionState:
@@ -92,10 +88,10 @@ def doc_to_state(doc: dict) -> ConstructionState:
     schedule invariants (beta_i >= compute_beta, M_1 >= 2,
     M_{i+1} >= M_i + 2, tuple level <= M_i - 2, canonical addresses) are
     checked here and fail with FormatError, as does a recipe of more than
-    MAX_LEAF_CUBES deepest-level cubes, before any level is built.  The
-    levels are then made by build_levels, the one geometry loop, from the
-    stored entries.  engine.build extends the state only if its schedule is
-    the one a build serves.
+    MAX_LEAF_CUBES deepest-level cubes.  No level is made here: the state
+    makes its levels from the stored entries when they are read.
+    engine.build extends the state only if its schedule is the one a build
+    serves.
     """
     try:
         if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
@@ -108,7 +104,7 @@ def doc_to_state(doc: dict) -> ConstructionState:
         h = parse_dimfn(doc["h"], d)
         depth = int_field(doc["depth"], "depth", 0)
         state = init_state(d, patterns, h)
-        state.entries = _entries_from_doc(doc["schedule"], d, state.normalized, depth)
+        _entries_from_doc(doc["schedule"], state, depth)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
     # 2^(d * ndigits) cubes at the depth, compared by exponent: a forged
@@ -119,5 +115,4 @@ def doc_to_state(doc: dict) -> ConstructionState:
             f"more than {MAX_LEAF_CUBES}"
         )
     state.depth = depth
-    build_levels(state)
     return state

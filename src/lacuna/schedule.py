@@ -59,6 +59,11 @@ SQRT_PRECISION = 21
 
 DEFAULT_LEVEL_CAP = 96
 
+#: Most cubes a level may hold, in a build and in a tree read from a file.
+#: A tree file is a few hundred bytes however many cubes it asks for, so
+#: this bound, not the file's size, bounds the work of reading it.
+MAX_LEAF_CUBES = 2**20
+
 
 def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
     return nth_root_bounds(Fraction(d), 2, SQRT_PRECISION)
@@ -174,7 +179,6 @@ def walk_schedule(
     normalized: list[NormalizedPattern] | tuple[NormalizedPattern, ...],
     h: DimensionFunction,
     depth: int,
-    max_cubes: int,
 ) -> list[ScheduleEntry]:
     """The entries that land at levels 1..depth, in (U_j) order.
 
@@ -192,7 +196,7 @@ def walk_schedule(
     The entry lands at k when k is at or above its floor and
     ratio_condition holds there; k becomes its m_level.  Otherwise level k
     is dyadic, and ScheduleOverflow is raised when it would hold more than
-    max_cubes cubes.  No level past the depth is tested, and an entry
+    MAX_LEAF_CUBES cubes.  No level past the depth is tested, and an entry
     served but not landed by the depth is dropped.
     """
     d = h.d
@@ -222,8 +226,8 @@ def walk_schedule(
             landed.append(served.replace(m_level=k))
             served = None
             counts.append(counts[-1])
-        elif counts[-1] << d > max_cubes:
-            raise ScheduleOverflow(f"level {k} would hold more than {max_cubes} cubes")
+        elif counts[-1] << d > MAX_LEAF_CUBES:
+            raise ScheduleOverflow(f"level {k} would hold more than {MAX_LEAF_CUBES} cubes")
         else:
             counts.append(counts[-1] << d)
     return landed

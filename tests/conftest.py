@@ -10,6 +10,14 @@ from lacuna.engine import Level, build, init_state
 from lacuna.pattern import make_pattern
 
 
+def with_levels(state, levels):
+    """A copy of a state holding the given levels in place of the ones its
+    recipe makes: the one way a test corrupts geometry."""
+    copy = state.replace()
+    copy._levels[:] = levels
+    return copy
+
+
 def _move_cube(state, k, i, lower):
     """A copy of a built state with cube i of level k moved to the rational
     lower corner `lower`.  When the corner is off level k's denominator,
@@ -19,7 +27,7 @@ def _move_cube(state, k, i, lower):
     f = lcm(*(Fraction(x * den).denominator for x in lower))
     levels = [Level(lvl.den * f, [f * x for x in lvl.lowers]) for lvl in state.levels]
     levels[k].lowers[i * d : (i + 1) * d] = [int(x * den * f) for x in lower]
-    return state.replace(levels=levels)
+    return with_levels(state, levels)
 
 
 @pytest.fixture(scope="session")

@@ -176,14 +176,14 @@ class TestComplexTriplets:
             complex_triplet_patterns([[G(0), G(0), G(1)]])
 
 
-def difference_app(targets, h, depth, precision=64, point_precision=48):
+def difference_app(targets, h, depth, precision=64):
     """A difference app as run_app takes it: the quotient targets, one
     build, the gap certificates, then report.json's document."""
     params = [{"kind": t.kind, "value": format_rational(t.value)} for t in targets]
     targets, mids = difference_targets(params, precision)
     state = build(init_state(1, quotient_patterns(mids), h), depth)
     gaps, _ = certify_tree(state, "gap")
-    return state, difference_report(targets, mids, state, gaps, precision, point_precision)
+    return state, difference_report(targets, mids, state, gaps, precision)
 
 
 def rational(text):
@@ -219,7 +219,7 @@ class TestDifferences:
     def test_margin_transfers_to_log_points(self, sqrt_gauge):
         # ln-enclosures of certified pairs stay margin-away from ln 2.
         state, rep = difference_app(
-            [DifferenceTarget("log_of", F(2))], sqrt_gauge, depth=5, point_precision=60
+            [DifferenceTarget("log_of", F(2))], sqrt_gauge, depth=5
         )
         t = rep["targets"][0]
         ln2 = mpmath.log(2)

@@ -24,12 +24,11 @@ from lacuna.certify import (
 )
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import MAX_LEAF_CUBES, build, build_tree, init_state, state_to_doc
+from lacuna.engine import build, build_tree, init_state, state_to_doc
 from lacuna.errors import (
     EntryNotProcessed,
     GapViolated,
     MeasureViolated,
-    StructureViolation,
 )
 from lacuna.pattern import make_pattern
 from lacuna.schedule import walk_schedule
@@ -133,7 +132,7 @@ class TestGapCertificates:
         # entry 3 is served at level 12, with its floor 13 past the depth,
         # and lands at 16 in a deeper schedule
         st = ap_tree_12
-        entry = walk_schedule(st.normalized, st.h, 16, MAX_LEAF_CUBES)[2]
+        entry = walk_schedule(st.normalized, st.h, 16)[2]
         assert (entry.index, entry.m_level) == (3, 16)
         with pytest.raises(EntryNotProcessed):
             certify_gap(st, entry)
@@ -252,18 +251,30 @@ class TestMeasureCertificate:
 
 class TestCertifyTree:
     @pytest.mark.parametrize("mode", ["all", "gap", "measure"])
-    def test_levels_short_of_the_depth_are_refused(
+    def test_a_recipe_certifies_as_its_built_state(
         self, ap_pattern, sqrt_gauge, ap_tree_12, mode
     ):
-        # build_tree holds level 0 only; without the check, certify_gap
-        # would index level 6 and fail with an IndexError, and the measure
-        # would certify levels that were never made
+        # build_tree makes no level; certify_tree reads them, so they are
+        # made then, and certify as the levels of a state read beforehand
         recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
-        with pytest.raises(StructureViolation, match=r"levels 0\.\.0, not 0\.\.12$"):
+        assert len(ap_tree_12.levels) == 13
+        assert certificates_to_doc(*certify_tree(recipe, mode, 5)) == certificates_to_doc(
+            *certify_tree(ap_tree_12, mode, 5)
+        )
+
+    @pytest.mark.parametrize("mode", ["all", "measure"])
+    def test_the_measure_is_settled_before_any_level_is_made(
+        self, ap_pattern, sqrt_gauge, monkeypatch, mode
+    ):
+        # a beta_i of 51 digits shrinks every side past the mass bound; the
+        # recipe alone decides it, so no level's numerators that long are made
+        recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        recipe.entries[0] = recipe.entries[0].replace(beta=10**50)
+        made = []
+        monkeypatch.setattr(geometry, "advance", lambda *args: made.append(args))
+        with pytest.raises(MeasureViolated, match="^mass/ratio bound fails at level 6$"):
             certify_tree(recipe, mode)
-        cut = ap_tree_12.replace(levels=ap_tree_12.levels[:8])
-        with pytest.raises(StructureViolation, match=r"levels 0\.\.7, not 0\.\.12$"):
-            certify_tree(cut, mode)
+        assert made == []
 
 
 class TestCoverage:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import lacuna
-from lacuna import engine, geometry
+from lacuna import engine, geometry, schedule
 from lacuna.cli import main, parse_args
 from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError, UsageError
@@ -85,8 +85,8 @@ class TestBuild:
         "pattern, cap, message",
         [
             ("ap_file", 2**10, "level 13 would hold more than 1024 cubes"),
-            ("ap_file", engine.MAX_LEAF_CUBES, "level 25 would hold more than 1048576 cubes"),
-            ("q_file", engine.MAX_LEAF_CUBES, "level 26 would hold more than 1048576 cubes"),
+            ("ap_file", schedule.MAX_LEAF_CUBES, "level 25 would hold more than 1048576 cubes"),
+            ("q_file", schedule.MAX_LEAF_CUBES, "level 26 would hold more than 1048576 cubes"),
         ],
         ids=["ap-1024", "ap", "quotient-2"],
     )
@@ -96,11 +96,11 @@ class TestBuild:
         # The schedule is walked from the level counts, so the first level
         # past the cap is refused before any level's geometry is made.
         advanced = []
-        advance = geometry._advance
+        advance = geometry.advance
         monkeypatch.setattr(
-            geometry, "_advance", lambda *args: advanced.append(args[1]) or advance(*args)
+            geometry, "advance", lambda *args: advanced.append(args[1]) or advance(*args)
         )
-        monkeypatch.setattr(engine, "MAX_LEAF_CUBES", cap)
+        monkeypatch.setattr(schedule, "MAX_LEAF_CUBES", cap)
         pattern_file = request.getfixturevalue(pattern)
         assert main(build_args(pattern_file, tmp_path, depth=40)) == 2
         err = json.loads(capsys.readouterr().err)["error"]

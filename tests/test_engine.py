@@ -25,6 +25,7 @@ from lacuna.errors import (
 from lacuna.geometry import block_lattice, place_on_lattice
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import parse_address
+from conftest import with_levels
 from reference import corners, lattice_vectors
 
 F = Fraction
@@ -196,7 +197,7 @@ class TestBuild:
 def _without_last_cube(st, k):
     """A copy of a built state of depth k whose level k lacks its last cube."""
     leaf = st.levels[k]
-    return st.replace(levels=[*st.levels[:k], Level(leaf.den, leaf.lowers[: -st.d])])
+    return with_levels(st, [*st.levels[:k], Level(leaf.den, leaf.lowers[: -st.d])])
 
 
 class TestValidation:

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from lacuna import geometry
 from lacuna.apps import app_patterns, app_spec_from_doc
 from lacuna.cli import main
 from lacuna.dimfn import parse_dimfn
@@ -192,15 +193,18 @@ def test_differences_app(tmp_path):
     )
 
 
-def test_leaf_cap_tree_from_the_schedule_alone(tmp_path):
+def test_leaf_cap_tree_from_the_schedule_alone(tmp_path, monkeypatch):
     """The leaf-cap build (quotient 2, pow:1/2, depth 25, 2^20 leaves)
-    holds level 0 only, and writes the tree file CI pins."""
+    makes no level, and writes the tree file CI pins."""
+    made = []
+    monkeypatch.setattr(geometry, "advance", lambda *args: made.append(args))
     d, patterns = patterns_from_doc({"d": 1, "patterns": [{"m": 2, "coeffs": [["2"], ["-1"]]}]})
     state = build_tree(d, patterns, parse_dimfn("pow:1/2", d), 25)
-    assert (state.depth, state.m_levels, len(state.levels)) == (25, [5, 10, 15, 20, 25], 1)
+    assert (state.depth, state.m_levels) == (25, [5, 10, 15, 20, 25])
     tree = tmp_path / "tree.json"
     write_tree(state, tree)
     assert _sha(tree) == "072d778206d28b5101185ae1d2f65741c9817d1cb34951c7270f219ca601d28e"
+    assert made == []
 
 
 def _ap_state():

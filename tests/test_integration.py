@@ -7,8 +7,9 @@ random point sampling.  This is the whole contract exercised at once.
 
 The trust property runs the same through the CLI: `lacuna build` writes
 its recipe without making geometry, so it runs no placement; a build that
-exits 0 must be followed by a `certify --mode all` that exits 0, and the
-recipe must be the one a build with geometry writes.
+exits 0 must be followed by a `certify --mode all` that exits 0, and by an
+`export --format points` whose points read back as the leaf centers of
+the built state.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from hypothesis import strategies as st
 from lacuna.certify import certify_gap, certify_measure, spot_check_gap
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build, build_tree, init_state, state_to_doc, validate_structure
+from lacuna.engine import build, build_tree, init_state, validate_structure
 from lacuna.errors import LacunaError, ScheduleOverflow
+from lacuna.export import read_points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
 from lacuna.schedule import compute_beta, compute_levels
 
@@ -119,13 +121,6 @@ def _budget_depth(d, patterns, h) -> int:
     return max(k for k in range(top + 1) if recipe.expected_count(k) <= LEAF_BUDGET)
 
 
-def _doc_or_error(make):
-    try:
-        return state_to_doc(make())
-    except LacunaError as exc:
-        return type(exc).__name__, str(exc)
-
-
 class TestTrustProperty:
     @given(recipe=recipes())
     @settings(max_examples=40, deadline=None)
@@ -133,12 +128,8 @@ class TestTrustProperty:
         d, patterns, spec = recipe
         h = make_dimfn(*spec.split(":"), d)
         depth = _budget_depth(d, patterns, h)
-        # the recipe path equals the geometry path, refusals included
-        assert _doc_or_error(lambda: build_tree(d, patterns, h, depth)) == _doc_or_error(
-            lambda: build(init_state(d, patterns, h), depth)
-        )
         with tempfile.TemporaryDirectory() as tmp:
-            pfile, tree = Path(tmp, "patterns.json"), Path(tmp, "tree.json")
+            pfile, tree, pts = (Path(tmp, name) for name in ("p.json", "tree.json", "pts.txt"))
             pfile.write_text(json.dumps(patterns_to_doc(d, patterns)))
             argv = ["build", str(pfile), "--dimfn", spec, "--depth", str(depth)]
             if main([*argv, "--out", str(tree)]) != 0:
@@ -146,3 +137,8 @@ class TestTrustProperty:
             code = main(["certify", str(tree), "--mode", "all", "--spot-checks", "10"])
             # a tree with no entry has nothing to certify, and says so
             assert code == (0 if json.loads(tree.read_text())["schedule"] else 1)
+            assert main(["export", str(tree), "--format", "points", "--out", str(pts)]) == 0
+            den, centers = build_tree(d, patterns, h, depth).leaf_center_numerators()
+            leaves = [Fraction(c, den) for c in centers]
+            points = [tuple(leaves[i : i + d]) for i in range(0, len(leaves), d)]
+            assert read_points(pts) == (d, points)

@@ -91,5 +91,5 @@ class TestMutable:
         with pytest.raises(TypeError, match="missing field 'entries'"):
             ConstructionState(
                 d=1, h=sqrt_gauge, patterns=a.patterns, normalized=a.normalized,
-                level_cap=a.level_cap, levels=[],
+                level_cap=a.level_cap,
             )

@@ -4,22 +4,18 @@ import json
 from fractions import Fraction
 from itertools import islice, permutations
 from math import perm
+from unittest import mock
 
 import pytest
 
 from lacuna import schedule
 from lacuna.dimfn import DimensionFunction, make_dimfn
-from lacuna.engine import (
-    MAX_LEAF_CUBES,
-    build,
-    build_tree,
-    init_state,
-    state_to_doc,
-)
+from lacuna.engine import build, build_tree, init_state, state_to_doc
 from lacuna.errors import ScheduleOverflow, StructureViolation
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import doc_to_state
 from lacuna.schedule import (
+    MAX_LEAF_CUBES,
     ScheduleEntry,
     compute_beta,
     compute_levels,
@@ -168,7 +164,9 @@ class TestEnumerator:
 
 
 def walk(normalized, h, depth, max_cubes=MAX_LEAF_CUBES):
-    return walk_schedule(normalized, h, depth, max_cubes)
+    """walk_schedule with the leaf cap set to max_cubes for the call."""
+    with mock.patch.object(schedule, "MAX_LEAF_CUBES", max_cubes):
+        return walk_schedule(normalized, h, depth)
 
 
 @pytest.fixture
