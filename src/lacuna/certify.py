@@ -39,9 +39,9 @@ enter c3.
 
 certify_tree is the one sequence of these checks for a whole tree, run by
 both `lacuna certify` and `lacuna app`.  It settles the measure, which
-needs no geometry, before anything reads a level.  It calls the checks
-through this module's globals, so a caller that replaces
-certify.certify_gap (say, to time it) sees every call.
+needs no geometry, before anything reads a level (in mode measure, it
+reads none).  It calls the checks through this module's globals, so a
+caller that replaces certify.certify_gap (say, to time it) sees every call.
 """
 
 from __future__ import annotations
@@ -229,6 +229,8 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
     Verifies the lattice form of every placed cube, the half-integer value
     of psi on center combinations, and returns gap >= peak*delta as the
     certified bound over all point tuples drawn from the placed cubes.
+    It needs no check: _min_half_offset returns 1/2 or half a positive odd
+    integer, so gap = peak*delta*(4*q_min - 1) >= peak*delta = threshold.
     """
     blocks = placed_blocks(state, entry)
     np_ = state.normalized[entry.pattern_id]
@@ -242,10 +244,6 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
     _cross_check_centers(state, entry, np_, blocks)
     threshold = np_.peak * delta
     gap = 4 * np_.peak * delta * q_min - threshold
-    if gap < threshold:
-        raise GapViolated(
-            f"entry {entry.index}: center gap {gap} below threshold {threshold}"
-        )
     return GapCertificate(
         entry_index=entry.index,
         pattern_id=entry.pattern_id,
@@ -421,20 +419,20 @@ def certify_tree(
 
     Certifies the measure first, which reads only the recipe (level counts,
     sides and the schedule), so a recipe whose measure fails is refused
-    before any level is made.  Then it validates the structure, which makes
-    the levels, certifies the gap of each processed entry and draws
-    spot_checks point tuples against it.  mode "gap" skips the measure
-    (None) and "measure" the gaps.  On a tree with no processed entry,
-    mode "gap" returns no gaps: `lacuna certify` refuses that, while an app
-    writes it as it is.  The engine is imported here, since the oracle
-    step loads this module and no engine code.
+    before any level is made.  Then it makes the levels (validate_structure),
+    certifies the gap of each processed entry and draws spot_checks point
+    tuples against it.  mode "gap" skips the measure (None) and "measure"
+    the levels and the gaps.  On a tree with no processed entry, mode "gap"
+    returns no gaps: `lacuna certify` refuses that, while an app writes it
+    as it is.  The engine is imported here, since the oracle step loads
+    this module and no engine code.
     """
     from . import engine
 
     measure = None if mode == "gap" else certify_measure(state)
-    engine.validate_structure(state)
     gaps = []
     if mode != "measure":
+        engine.validate_structure(state)
         for entry in state.entries:
             cert = certify_gap(state, entry)
             if spot_checks:

@@ -10,17 +10,17 @@ every other cube keeps a child anchored at its own lower corner.
 
 This module holds the recipe of a build and what reads or writes it: the
 state (ConstructionState), the schedule walk that fills in its entries and
-depth (build), the structural validation and the tree file.  A state is its
+depth (build), validate_structure and the tree file.  A state is its
 recipe: ConstructionState.levels, the one loop that makes levels, makes
 them from the recipe the first time they are read, with the per-level
 kernel geometry.advance, and keeps them.  lacuna.geometry is loaded only
 by code that reads levels.  There every placement is asserted to stay
-inside its parent (PlacementFailure, a self-check: it cannot fire while
-beta >= compute_beta, which the reader enforces on files), so reading the
-levels verifies them against the shrink factor 2*beta between an
-avoidance level and its parent level.  `lacuna build` reads no level, and
-so runs no placement and no self-check: certify, export and app read
-every level of the file's recipe and run it.
+inside its parent as it is made (PlacementFailure, a self-check: it cannot
+fire while beta >= compute_beta, which the reader enforces on files), and
+the rest of nestedness holds by construction (validate_structure).
+`lacuna build` and `certify --mode measure` read no level, and so run no
+self-check: certify's other modes, export and app read every level of
+the file's recipe and run it.
 
 All geometry is exact integer arithmetic.  Level k stores one denominator
 den_k and one flat list of d * N_k integer numerators over it, the lower
@@ -144,7 +144,8 @@ class ConstructionState(Record, frozen=False):
         state lacks is made from the one above it by geometry.advance, as
         the avoidance level of the entry with M_i = k or as a dyadic level,
         and kept.  build only ever deepens a recipe along the schedule, so
-        the levels kept stay those of the recipe."""
+        the levels kept stay those of the recipe, each checked once, as it
+        is made (validate_structure)."""
         levels = self._levels
         if len(levels) <= self.depth:
             from .geometry import advance
@@ -283,32 +284,26 @@ def build_tree(
 # -- structural validation --------------------------------------------------
 
 def validate_structure(state: ConstructionState) -> None:
-    """Exact re-verification of the cube counts and of nestedness.
+    """Make levels 0..depth from the recipe if they were not read yet, so
+    that every placed cube is asserted inside its parent as it is made.
 
-    Every level (levels 0..depth, made from the recipe if they were not
-    read yet) must hold the profile's cube count, and every avoidance
-    child must lie inside its unique parent: the mass-distribution
-    argument rests on the tree being nested.  Dyadic children sit at their
-    offsets by construction (geometry._dyadic_children).
+    The mass-distribution argument rests on a nested tree whose level k
+    holds expected_count(k) cubes.  Both hold by construction of the one
+    loop that makes levels (the levels property), so nothing is re-walked:
+
+    * a dyadic cube's 2^d children sit at offsets 0 or side inside the
+      doubled parent (geometry._dyadic_children);
+    * an avoidance level keeps its parent level's indices, its free
+      children are their parents scaled (offset 0), and its placed children
+      are asserted as they are made (place_on_lattice, PlacementFailure);
+    * the measure reads its counts from the recipe (expected_count).
+
+    PlacementFailure cannot fire while every beta >= compute_beta, which the
+    reader enforces on files.  certify_tree calls this in modes all and gap.
+    The name stays while bench/replay.py wraps it (span engine.validate);
+    ROADMAP item 5 retires it.
     """
-    from .geometry import _escape
-
-    d = state.d
-    for k, level in enumerate(state.levels):
-        if len(level.lowers) != d * state.expected_count(k):
-            raise StructureViolation(f"level {k}: cube count != profile value")
-    for k in state.m_levels:
-        level, parent = state.levels[k], state.levels[k - 1]
-        ratio = level.den // parent.den
-        slack = (ratio - 1) * state.side_num
-        # an avoidance level keeps its parent level's indices, so numerator
-        # j of the level lies over numerator j of its parent level
-        offsets = [x - ratio * p for x, p in zip(level.lowers, parent.lowers)]
-        j = _escape(offsets, slack)
-        if j is not None:
-            raise StructureViolation(
-                f"level {k}: cube {j // d} escapes its parent on axis {j % d}"
-            )
+    state.levels  # the property makes each level it lacks
 
 
 # -- tree (de)serialization -----------------------------------------------------

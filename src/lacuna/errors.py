@@ -58,7 +58,7 @@ class ScheduleOverflow(UsageError):
 
 class PlacementFailure(LacunaError):
     """A lattice cube escaped its parent: the one geometric assertion of a
-    placement (engine.place_on_lattice).
+    placement (geometry.place_on_lattice).
 
     It cannot happen while beta >= compute_beta (ball fitting), which a
     build uses and the tree reader enforces, so it is an engine self-check,
@@ -67,7 +67,8 @@ class PlacementFailure(LacunaError):
 
 
 class StructureViolation(LacunaError):
-    """Nestedness, counts, side lengths or tiling of the cube tree are broken."""
+    """The recipe does not fit together: dimensions that differ, a negative
+    depth, an edited schedule or a cube side off a pattern's lattice."""
 
 
 # --- certification ----------------------------------------------------------

@@ -9,15 +9,14 @@ levels, runs it for each level the first time the levels are read.  The
 kernels work on the flat layout of engine.Level, one axis at a time over
 strided slices (lowers[v::d]), and build no per-cube tuples.
 
-Every placement is asserted to stay inside its parent (_escape, the one
-containment test, which place_on_lattice and engine.validate_structure
-share), so the geometry is self-verifying against the shrink factor 2*beta
-between an avoidance level and its parent level.
+Every placement is asserted to stay inside its parent as it is made
+(_escape, the one containment test), so the geometry is self-verifying
+against the shrink factor 2*beta between an avoidance level and its parent
+level; dyadic and free children lie inside their parents by construction.
 
-Only the code that reads levels loads this module: ConstructionState.levels,
-engine.validate_structure and ConstructionState.block_lattices.  `lacuna
-build` writes its recipe from the schedule walk alone (engine.build_tree),
-reads no level, and never loads it.
+Only the code that reads levels loads this module: ConstructionState.levels
+and ConstructionState.block_lattices.  `lacuna build` and `lacuna certify
+--mode measure` read only the recipe, and never load it.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def block_lattice(np_: NormalizedPattern, block: int, side: int) -> BlockLattice
 
 
 def _escape(offsets: list[int], slack: int) -> int | None:
-    """The nestedness test, for place_on_lattice and validate_structure
-    alike: the index of the first offset outside [0, slack], or None.
+    """The nestedness test of place_on_lattice: the index of the first
+    offset outside [0, slack], or None.
 
     An offset is a child's lower corner less its parent's on one axis, and
     slack is the parent's side less the child's, so a child lies inside its

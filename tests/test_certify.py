@@ -276,6 +276,18 @@ class TestCertifyTree:
             certify_tree(recipe, mode)
         assert made == []
 
+    def test_mode_measure_makes_no_level(
+        self, ap_pattern, sqrt_gauge, ap_tree_12, monkeypatch
+    ):
+        # the measure reads only the recipe, so mode measure certifies a
+        # recipe as its built state without making a cube
+        recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        made = []
+        monkeypatch.setattr(geometry, "advance", lambda *args: made.append(args))
+        gaps, measure = certify_tree(recipe, "measure")
+        assert gaps == [] and made == []
+        assert measure == certify_tree(ap_tree_12, "measure")[1]
+
 
 class TestCoverage:
     def test_cube_faces_are_closed_and_tight(self, ap_tree_12):

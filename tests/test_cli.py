@@ -335,7 +335,7 @@ class TestCertify:
         code = main(["certify", str(tmp_path / "tree.json"), "--mode", "all"])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] in ("GapViolated", "StructureViolation")
+        assert err["error"]["type"] == "GapViolated"
 
 
 def _pattern_id_out_of_range(doc):
@@ -1069,7 +1069,8 @@ def _src_env() -> dict:
 _CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
 #: The build's layers: it writes its recipe from the schedule walk alone.
 _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
-#: A step that makes levels (certify, export, app) loads the geometry too.
+#: A step that makes levels (certify but in mode measure, export, app)
+#: loads the geometry too.
 _LEVELS = _BUILD | {"geometry"}
 #: A step that reads a tree loads the tree reader too; a build does not.
 _READ = _LEVELS | {"reader"}
@@ -1095,6 +1096,9 @@ class TestImportFootprint:
         # the tree reader or the geometry
         assert self.loaded(tmp_path, build_args(ap_file, tmp_path)) == _BUILD
         assert self.loaded(tmp_path, ["certify", tree]) == _READ | {"certify"}
+        # the measure reads only the recipe: no level is made, no geometry
+        measure = ["certify", tree, "--mode", "measure"]
+        assert self.loaded(tmp_path, measure) == _BUILD | {"reader", "certify"}
         export = ["export", tree, "--format", "points", "--out", pts]
         assert self.loaded(tmp_path, export) == _READ | {"export"}
         # a depth-7 tree leaves uncovered progressions: the oracle finds them;

@@ -7,7 +7,6 @@ import pytest
 
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
-    Level,
     build,
     build_tree,
     init_state,
@@ -22,10 +21,9 @@ from lacuna.errors import (
     StructureViolation,
     ZeroPattern,
 )
-from lacuna.geometry import block_lattice, place_on_lattice
+from lacuna.geometry import _escape, block_lattice, place_on_lattice
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import parse_address
-from conftest import with_levels
 from reference import corners, lattice_vectors
 
 F = Fraction
@@ -112,6 +110,16 @@ class TestPlacement:
         with pytest.raises(StructureViolation):
             block_lattice(normalize(ap_pattern), 0, 1)
 
+    def test_escape_is_exact_at_both_faces(self):
+        # Over the level-6 denominator 1152 of the depth-6 AP tree, cube 0's
+        # parent is [1152, 1188] and the child side is 2, so the slack is 34:
+        # offsets 0 and 34 touch the faces and are inside; one unit further
+        # is out, and the first such offset is the one named.
+        assert _escape([0, 34, 17], 34) is None
+        for t in (-1, 35):
+            assert _escape([t], 34) == 0
+            assert _escape([0, 34, t, 0, t], 34) == 2
+
     def test_child_inside_parent_everywhere(self, ap_tree_12):
         st = ap_tree_12
         for entry in st.entries:
@@ -194,49 +202,9 @@ class TestBuild:
         validate_structure(st)
 
 
-def _without_last_cube(st, k):
-    """A copy of a built state of depth k whose level k lacks its last cube."""
-    leaf = st.levels[k]
-    return with_levels(st, [*st.levels[:k], Level(leaf.den, leaf.lowers[: -st.d])])
-
-
 class TestValidation:
     def test_valid_tree_passes(self, ap_tree_12):
         validate_structure(ap_tree_12)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda st, move: move(st, 6, 0, [F(1, 2)]),
-            lambda st, move: _without_last_cube(st, 12),
-        ],
-        ids=["escapes-parent", "missing-cube"],
-    )
-    def test_corruption_detected(self, ap_tree_12, move_cube, mutate):
-        with pytest.raises(StructureViolation):
-            validate_structure(mutate(ap_tree_12, move_cube))
-
-
-    def test_escape_above_parent_at_the_deepest_level(
-        self, ap_pattern, sqrt_gauge, move_cube
-    ):
-        # Parent [1, 33/32], child side 1/576: the top face pokes out, and no
-        # deeper level exposes it through a dyadic slot.
-        st = build(init_state(1, [ap_pattern], sqrt_gauge), 6)
-        with pytest.raises(StructureViolation, match="escapes its parent"):
-            validate_structure(move_cube(st, 6, 0, [F(33, 32)]))
-
-    def test_containment_is_exact_at_both_faces(self, ap_pattern, sqrt_gauge, move_cube):
-        # Over the level-6 denominator 1152 the parent of cube 0 is
-        # [1152, 1188] and the child side is 2: lower corners 1152 and 1186
-        # touch the faces and are inside; one unit further is out.
-        st = build(init_state(1, [ap_pattern], sqrt_gauge), 6)
-        assert st.levels[6].den == 1152
-        for lower in (1152, 1186):
-            validate_structure(move_cube(st, 6, 0, [F(lower, 1152)]))
-        for lower in (1151, 1187):
-            with pytest.raises(StructureViolation, match="cube 0 escapes its parent"):
-                validate_structure(move_cube(st, 6, 0, [F(lower, 1152)]))
 
 
 class TestAddresses:
