@@ -22,9 +22,9 @@ route, evaluates psi from the pattern's coefficients scaled to integers and
 tests the half-integer ladder with one divmod.  The spot check draws points
 on a grid inside the placed cubes and compares |psi| with the gap in
 integers.  Both sample with _draws, which takes the draws of
-random.Random.randrange straight from getrandbits.  The oracle takes
-rational points; it scales them once to a common denominator and then
-works on integers too, as a sorted join: the first m-1 tuple members are
+random.Random.randrange straight from getrandbits.  The oracle works on
+integers from the points file up (read_points scales the coordinates to
+one denominator), as a sorted join: the first m-1 tuple members are
 walked, and the last is found by bisection in its block's sorted partial
 sums, so the search is complete without evaluating every ordered m-tuple.
 Fractions remain in the measure code and in the messages of failed checks.
@@ -62,12 +62,12 @@ from .errors import (
     OutOfDomain,
     Undecidable,
 )
-from .pattern import LinearPattern, NormalizedPattern
+from .pattern import LinearPattern
 from .qmath import format_rational
 from .record import Record
 
 if TYPE_CHECKING:
-    from .engine import ConstructionState, Vector
+    from .engine import ConstructionState
     from .geometry import BlockLattice
     from .schedule import ScheduleEntry
 
@@ -255,10 +255,9 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
     )
 
 
-def _scaled_rows(np_: NormalizedPattern) -> tuple[int, list[list[int]]]:
-    """(L, rows): the lcm L of the denominators of the pattern's
-    coefficients, and the coefficients times L as integers."""
-    coeffs = np_.base.coeffs
+def _scaled_rows(coeffs) -> tuple[int, list[list[int]]]:
+    """(L, rows): the lcm L of the denominators of a pattern's coefficient
+    rows, and the coefficients times L as integers."""
     lcd = lcm(*(c.denominator for row in coeffs for c in row))
     return lcd, [[c.numerator * (lcd // c.denominator) for c in row] for row in coeffs]
 
@@ -299,7 +298,7 @@ def _cross_check_centers(state, entry, np_, blocks):
     """
     d = state.d
     side = state.side_num
-    lcd, rows = _scaled_rows(np_)
+    lcd, rows = _scaled_rows(np_.base.coeffs)
     p, q = np_.peak.numerator, np_.peak.denominator
     unit = 4 * lcd * p * side
     offset = side * sum(map(sum, rows))  # sum c'*(2x + side) = 2*sum c'*x + offset
@@ -342,7 +341,7 @@ def spot_check_gap(
     den = state.levels[entry.m_level].den
     side = state.side_num
     grid = SPOT_GRID
-    lcd, rows = _scaled_rows(np_)
+    lcd, rows = _scaled_rows(np_.base.coeffs)
     scale = lcd * den * grid
     gap_den = cert.gap.denominator
     bound = cert.gap.numerator * scale  # |total| * gap.den < bound <=> |psi| < gap
@@ -423,9 +422,10 @@ def certify_tree(
     certifies the gap of each processed entry and draws spot_checks point
     tuples against it.  mode "gap" skips the measure (None) and "measure"
     the levels and the gaps.  On a tree with no processed entry, mode "gap"
-    returns no gaps: `lacuna certify` refuses that, while an app writes it
-    as it is.  The engine is imported here, since the oracle step loads
-    this module and no engine code.
+    returns no gaps: an app writes that as it is, while `lacuna certify`
+    refuses such a tree from its recipe before calling this.  The engine is
+    imported here, since the oracle step loads this module and no engine
+    code.
     """
     from . import engine
 
@@ -443,49 +443,38 @@ def certify_tree(
 
 # -- brute-force oracle -----------------------------------------------------
 
-def _partial_sums(
-    points: list[Vector], coeffs, tolerance: Fraction = Fraction(0)
-) -> tuple[list[list[int]], int]:
-    """Per-block linear part of psi at each point, and the tolerance, as
-    integer numerators over one common denominator."""
-    partial = [
-        [sum((b * x[v] for v, b in enumerate(row) if b), Fraction(0)) for x in points]
-        for row in coeffs
-    ]
-    den = lcm(tolerance.denominator, *(p.denominator for row in partial for p in row))
-    scaled = [[p.numerator * (den // p.denominator) for p in row] for row in partial]
-    return scaled, tolerance.numerator * (den // tolerance.denominator)
-
-
 def brute_oracle(
-    points: list[Vector],
+    points: list[tuple[int, ...]],
     pattern: LinearPattern,
-    tolerance: Fraction = Fraction(0),
+    tolerance: Fraction | int = 0,
 ) -> list[tuple[int, ...]]:
     """All ordered m-tuples of distinct points with |psi| <= tolerance, in
     lexicographic order.
 
     Complete and exact; completely independent of the engine's lattice
-    bookkeeping, which is what makes it the oracle.  psi(tuple) is a sum of
-    per-block partial sums, which are scaled once to integers.  The search
-    is a sorted join: the last block's sums are sorted once, and for each of
-    the perm(n, m-1) prefixes the last members that bring psi within the
-    tolerance are one bisected slice.  That costs
-    O(perm(n, m-1) * log n) plus the hits, not perm(n, m) evaluations.
+    bookkeeping, which is what makes it the oracle.  The points are the
+    integer numerators of read_points, with the tolerance times their
+    denominator (rational points work alike).  With the rows c' = L*c of
+    _scaled_rows and a tolerance p/q, |psi| <= p/q is |q*sum c'*x| <= p*L,
+    a sum of per-block partial sums.  The search is a sorted join: the last
+    block's sums are sorted once, and for each of the perm(n, m-1) prefixes
+    the last members that bring psi within the tolerance are one bisected
+    slice.  That costs O(perm(n, m-1) * log n) plus the hits, not
+    perm(n, m) evaluations.
     """
-    tolerance = Fraction(tolerance)
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     if len(set(points)) != len(points):
         raise ValueError("oracle points must be pairwise distinct")
-    coeffs = pattern.coeffs
-    m = len(coeffs)
+    m = pattern.m
     n = len(points)
     prefixes = perm(n, m - 1)
     if prefixes > ORACLE_TUPLE_WARN:
         warnings.warn(f"oracle will walk {prefixes} prefixes", stacklevel=2)
-    partial, tol = _partial_sums(points, coeffs, tolerance)
-    *heads, last = partial
+    lcd, rows = _scaled_rows(pattern.coeffs)
+    p, q = tolerance.as_integer_ratio()
+    tol = p * lcd
+    *heads, last = [[q * sum(map(mul, row, x)) for x in points] for row in rows]
     ranked = sorted(zip(last, range(n)))
     values = [v for v, _ in ranked]
     pick = list.__getitem__

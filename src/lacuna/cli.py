@@ -67,10 +67,11 @@ def cmd_certify(args) -> int:
     from . import certify, engine
 
     state = engine.read_tree(args.tree)
-    gaps, measure = certify.certify_tree(state, args.mode, args.spot_checks)
-    if args.mode == "gap" and not gaps:
-        # exit 0 means everything certified; an empty list certifies nothing
+    if not state.entries:
+        # exit 0 means everything certified; with no entry nothing is, so
+        # the recipe alone refuses the tree, before any level is made
         raise EntryNotProcessed("no avoidance level was processed; build deeper")
+    gaps, measure = certify.certify_tree(state, args.mode, args.spot_checks)
     if args.out:
         write_json(certify.certificates_to_doc(gaps, measure), args.out)
     for g in gaps:
@@ -109,7 +110,7 @@ def cmd_app(args) -> int:
 def cmd_oracle(args) -> int:
     from . import certify, export
 
-    d, points = export.read_points(args.points)
+    d, den, points = export.read_points(args.points)
     pat_d, patterns = load_patterns(args.patterns)
     if pat_d != d:
         raise FormatError(f"points are d={d} but patterns are d={pat_d}")
@@ -119,7 +120,7 @@ def cmd_oracle(args) -> int:
     runs = []
     total = 0
     for pid, pattern in enumerate(patterns):
-        hits = certify.brute_oracle(points, pattern, tol)
+        hits = certify.brute_oracle(points, pattern, tol * den)
         total += len(hits)
         runs.append(
             {

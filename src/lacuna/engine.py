@@ -81,8 +81,6 @@ _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
 #: Largest d whose 2^d address digits the alphabet holds.
 MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
 
-Vector = tuple[Fraction, ...]
-
 
 def render_address(code: int, ndigits: int, d: int) -> str:
     out = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from itertools import repeat
+from math import lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -20,7 +21,7 @@ from .errors import FormatError, UnsupportedDimension, UsageError
 from .qmath import decimal_ratio, format_ratio, parse_rational
 
 if TYPE_CHECKING:
-    from .engine import ConstructionState, Vector
+    from .engine import ConstructionState
 
 POINTS_HEADER = "# lacuna-points/1 d="
 
@@ -67,9 +68,11 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
     _write_leaf_rows(state, path, f"{POINTS_HEADER}{state.d}", format_ratio, " ")
 
 
-def read_points(path: str | Path) -> tuple[int, list[Vector]]:
-    """d and the points of a lacuna-points file; the points are pairwise
-    distinct, as the oracle requires."""
+def read_points(path: str | Path) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(d, den, points) of a lacuna-points file: each point is a tuple of
+    integer numerators over den, the lcm of the reduced denominators.  The
+    points are pairwise distinct, as the oracle requires: repeats are found
+    on reduced (p, q) pairs, so 2/4 repeats 1/2."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().strip()
@@ -78,22 +81,21 @@ def read_points(path: str | Path) -> tuple[int, list[Vector]]:
             d = int(header[len(POINTS_HEADER):])
             if d < 1:
                 raise FormatError(f"points header gives d={d}, need d >= 1")
-            points = []
-            seen = set()
+            seen = {}  # a dict keeps the file's order
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                coords = tuple(parse_rational(tok) for tok in line.split())
+                coords = tuple(parse_rational(tok).as_integer_ratio() for tok in line.split())
                 if len(coords) != d:
                     raise FormatError(f"point {line!r} does not have {d} coordinates")
                 if coords in seen:
                     raise FormatError(f"point {line!r} repeats an earlier point")
-                seen.add(coords)
-                points.append(coords)
+                seen[coords] = None
         except ValueError as exc:  # a non-integer d, or bytes that are not UTF-8
             raise FormatError(f"malformed points file: {exc}") from exc
-    return d, points
+    den = lcm(*{q for coords in seen for _, q in coords})
+    return d, den, [tuple([p * (den // q) for p, q in coords]) for coords in seen]
 
 
 def write_points_csv(

@@ -20,19 +20,18 @@ import bisect
 import random
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from lacuna import certify as _certify
 from lacuna.certify import (
     GapCertificate,
-    _partial_sums,
     brute_oracle,
     placed_blocks,
 )
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
 from lacuna.dimfn import POWER, PRECISION_CAP, DimensionFunction
-from lacuna.engine import ConstructionState, Vector
+from lacuna.engine import ConstructionState
 from lacuna.errors import (
     DimensionMismatch,
     GapViolated,
@@ -48,6 +47,7 @@ from lacuna.qmath import nth_root_bounds
 from lacuna.schedule import ScheduleEntry
 from lacuna.triplets import GaussianRational
 
+Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
@@ -485,8 +485,8 @@ def covered_instance_scan(
         [i for i, x in enumerate(points) if _in_some_cube(x, blk, side, den)]
         for blk in blocks
     ]
-    partial, _ = _partial_sums(points, np_.base.coeffs)
-    by_value: dict[int, list[int]] = {}
+    partial = [[sum(map(mul, row, x)) for x in points] for row in np_.base.coeffs]
+    by_value: dict[Fraction, list[int]] = {}
     for i in groups[-1]:
         by_value.setdefault(partial[-1][i], []).append(i)
     hits = []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from lacuna import geometry
+from lacuna import certify, geometry
 from lacuna.certify import (
     COMBO_CAP,
     brute_oracle,
@@ -30,6 +30,7 @@ from lacuna.errors import (
     GapViolated,
     MeasureViolated,
 )
+from lacuna.export import read_points
 from lacuna.pattern import make_pattern
 from lacuna.schedule import walk_schedule
 from reference import (
@@ -400,9 +401,9 @@ def fraction_oracle(points, pattern, tolerance):
 
 
 @hs.composite
-def oracle_inputs(draw):
+def oracle_inputs(draw, max_m=4):
     d = draw(hs.integers(1, 2))
-    m = draw(hs.integers(2, 4))
+    m = draw(hs.integers(2, max_m))
     coef = hs.fractions(min_value=-3, max_value=3, max_denominator=3)
     coeffs = draw(hs.lists(hs.lists(coef, min_size=d, max_size=d), min_size=m, max_size=m))
     # a few coordinates on a coarse grid make many partial sums tie
@@ -426,6 +427,35 @@ class TestIntegerOracle:
         assert brute_oracle(points, pattern, tolerance) == fraction_oracle(
             points, pattern, tolerance
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_inputs(max_m=3), hs.data())
+    def test_from_a_points_file_matches_fraction_reference(
+        self, tmp_path_factory, inputs, data
+    ):
+        # the CLI's path: coordinates spelled reduced or not ("3/2", "6/4",
+        # "2/1"), read back as integers over the file's one denominator
+        pattern, points, tolerance = inputs
+
+        def spell(x):
+            k = data.draw(hs.integers(0, 3))
+            return f"{x.numerator * k}/{x.denominator * k}" if k else str(x)
+
+        path = tmp_path_factory.mktemp("oracle-file") / "pts.txt"
+        lines = [" ".join(spell(x) for x in point) + "\n" for point in points]
+        path.write_text(f"# lacuna-points/1 d={pattern.d}\n" + "".join(lines))
+        d, den, ints = read_points(path)
+        assert d == pattern.d
+        assert [tuple(F(x, den) for x in point) for point in ints] == points
+        assert brute_oracle(ints, pattern, tolerance * den) == fraction_oracle(
+            points, pattern, tolerance
+        )
+
+    def test_warns_past_the_prefix_count(self, ap_pattern, monkeypatch):
+        monkeypatch.setattr(certify, "ORACLE_TUPLE_WARN", 0)
+        pts = [(F(1),), (F(5, 4),), (F(3, 2),)]
+        with pytest.warns(UserWarning, match="^oracle will walk 6 prefixes$"):
+            assert brute_oracle(pts, ap_pattern) == [(0, 1, 2), (2, 1, 0)]
 
     def test_ap_grid_300(self, ap_pattern):
         # every ordered (i - t, i, i + t); a scan of all perm(300, 3) = 26,730,600

@@ -306,21 +306,29 @@ class TestCertify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "EntryNotProcessed"
 
-    def test_gap_mode_refuses_a_tree_with_no_entry(self, ap_file, tmp_path, capsys):
+    def test_gap_mode_refuses_a_tree_with_no_entry(
+        self, ap_file, tmp_path, capsys, monkeypatch
+    ):
         # depth 3 is below M_1 = 6: no gap to certify, so exit 0 would
-        # claim what nothing checked; --mode gap fails as --mode all does
+        # claim what nothing checked; --mode gap fails as --mode all does,
+        # from the recipe alone, before any level is made
         main(build_args(ap_file, tmp_path, depth=3))
         tree, cert = str(tmp_path / "tree.json"), tmp_path / "cert.json"
         capsys.readouterr()
+        made = []
+        monkeypatch.setattr(geometry, "advance", lambda *args: made.append(args))
         errors = []
         for mode in ("all", "gap"):
             assert main(["certify", tree, "--mode", mode, "--out", str(cert)]) == 1
             out, err = capsys.readouterr()
             assert out == ""
             errors.append(json.loads(err)["error"])
-        assert errors[0] == errors[1]
-        assert errors[1]["type"] == "EntryNotProcessed"
+        assert errors[0] == errors[1] == {
+            "type": "EntryNotProcessed",
+            "message": "no avoidance level was processed; build deeper",
+        }
         assert not cert.exists()
+        assert made == []
 
     def test_corrupted_coordinate_fails(
         self, ap_file, tmp_path, capsys, monkeypatch, move_cube
@@ -850,9 +858,9 @@ class TestExport:
         main(build_args(ap_file, tmp_path))
         pts = str(tmp_path / "pts.txt")
         assert main(["export", str(tmp_path / "tree.json"), "--format", "points", "--out", pts]) == 0
-        d, points = read_points(pts)
+        d, den, points = read_points(pts)
         st = read_tree(tmp_path / "tree.json")
-        assert d == 1 and points == leaf_centers(st)
+        assert d == 1 and [tuple(F(x, den) for x in p) for p in points] == leaf_centers(st)
 
     def test_points_header_needs_positive_d(self, tmp_path):
         with pytest.raises(FormatError):
@@ -961,6 +969,15 @@ class TestOracleCommand:
         assert code == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["runs"][0]["instances"] == [[0, 1, 2], [2, 1, 0]]
+
+    def test_unreduced_repeat_is_refused(self, ap_file, tmp_path, capsys):
+        # 2/4 is 1/2: the repeat is found on reduced coordinates
+        pts = _points_file(tmp_path, "d=1", b"2/4\n3/2\n1/2\n")
+        assert main(["oracle", pts, "--patterns", ap_file]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "FormatError",
+            "message": "point '1/2' repeats an earlier point",
+        }
 
     def test_clean_quotient_build_exits_zero(self, q_file, tmp_path):
         assert main([
@@ -1107,6 +1124,15 @@ class TestImportFootprint:
         assert self.loaded(tmp_path, oracle, code=1) == _CLI_CORE | {"certify", "export"}
         app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
         assert self.loaded(tmp_path, app) == _LEVELS | {"apps", "certify"}
+
+    @pytest.mark.parametrize("mode", ["gap", "measure", "all"])
+    def test_a_tree_with_no_entry_is_refused_before_the_geometry(
+        self, ap_file, tmp_path, mode
+    ):
+        # depth 3 is below M_1 = 6: the recipe alone refuses the tree
+        assert main(build_args(ap_file, tmp_path, depth=3)) == 0
+        certify = ["certify", str(tmp_path / "tree.json"), "--mode", mode]
+        assert self.loaded(tmp_path, certify, code=1) == _BUILD | {"reader", "certify"}
 
     @pytest.mark.parametrize("kind", sorted(_APPS_WITH_ENTRIES))
     def test_each_app_kind_loads_only_its_layers(self, tmp_path, kind):

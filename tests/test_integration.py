@@ -138,7 +138,8 @@ class TestTrustProperty:
             # a tree with no entry has nothing to certify, and says so
             assert code == (0 if json.loads(tree.read_text())["schedule"] else 1)
             assert main(["export", str(tree), "--format", "points", "--out", str(pts)]) == 0
-            den, centers = build_tree(d, patterns, h, depth).leaf_center_numerators()
-            leaves = [Fraction(c, den) for c in centers]
-            points = [tuple(leaves[i : i + d]) for i in range(0, len(leaves), d)]
-            assert read_points(pts) == (d, points)
+            leaf_den, centers = build_tree(d, patterns, h, depth).leaf_center_numerators()
+            got_d, den, points = read_points(pts)
+            # X / den == c / leaf_den for each coordinate, cross-multiplied
+            assert got_d == d
+            assert [x * leaf_den for point in points for x in point] == [c * den for c in centers]

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lacuna
 from lacuna.errors import FormatError
 from lacuna.lnexp import exp_bounds, ln2_bounds, ln_bounds
 from lacuna.qmath import (
@@ -111,3 +114,54 @@ class TestTranscendentals:
 
     def test_ln_of_one_is_zero(self):
         assert ln_bounds(Fraction(1), 30) == (Fraction(0), Fraction(0))
+
+
+#: The math functions the package may call: each is exact on integers.
+EXACT_MATH = {"ceil", "gcd", "isqrt", "lcm", "perm"}
+
+
+def float_uses(tree: ast.AST) -> list[str]:
+    """Where a module's syntax reaches a float: a float literal, the name
+    float, or a math name outside EXACT_MATH, imported or as an attribute
+    of an imported math module."""
+    found = []
+    math_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_names |= {a.asname or a.name for a in node.names if a.name == "math"}
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"line {line}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {line}: the name float")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {line}: math.{a.name}" for a in node.names
+                      if a.name not in EXACT_MATH]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_names and node.attr not in EXACT_MATH):
+            found.append(f"line {line}: math.{node.attr}")
+    return found
+
+
+def test_no_float_reaches_the_package():
+    # exactness is not up for trade: no float on any path, certified or not
+    package = Path(lacuna.__file__).parent
+    found = {
+        path.name: uses
+        for path in sorted(package.glob("*.py"))
+        if (uses := float_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("x = 0.5", True),
+    ("y = float(1)", True),
+    ("from math import sqrt", True),
+    ("import math\nz = math.log(2)", True),
+    ("import math as m\nz = m.floor(1)", True),
+    ("from math import ceil, gcd\nimport math\nz = math.lcm(2, 3)", False),
+])
+def test_float_guard_sees_each_kind(source, flagged):
+    assert bool(float_uses(ast.parse(source))) == flagged
