@@ -67,9 +67,8 @@ from .qmath import format_rational
 from .record import Record
 
 if TYPE_CHECKING:
-    from .engine import ConstructionState
+    from .engine import ConstructionState, ScheduleEntry
     from .geometry import BlockLattice
-    from .schedule import ScheduleEntry
 
 #: Above this many center combinations the exact minimum search falls back
 #: to the structural half-integer bound (still a valid certificate).
@@ -370,12 +369,12 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
     ratio condition, with the betas active at the built level (the "for all
     k >= M_i" side).
     """
-    from . import schedule
+    from . import engine
 
     if not state.entries:
         raise EntryNotProcessed("no avoidance level was processed; build deeper")
     k0 = state.m_levels[0]
-    lo, hi = schedule.sqrt_d_bounds(state.d)
+    lo, hi = engine.sqrt_d_bounds(state.d)
     betas = state.processed_betas()
     verdicts = []
     for k in range(k0, state.depth + 1):
@@ -386,7 +385,7 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
         except (OutOfDomain, Undecidable):
             mass_ok = False
         active = k - state.ndigits(k)  # the entries with M_i <= k
-        ratio_ok = schedule.ratio_condition(state.h, k, betas[:active])
+        ratio_ok = engine.ratio_condition(state.h, k, betas[:active])
         verdicts.append(
             LevelVerdict(level=k, count=count, side=side, mass_ok=mass_ok, ratio_ok=ratio_ok)
         )

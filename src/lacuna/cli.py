@@ -11,19 +11,32 @@ it calls main(), flushes the standard streams and ends the process without
 interpreter teardown.  main(argv) is the in-process API, and returns the
 exit code.
 
-Each command imports the layers it runs (engine, apps, certify, export)
-itself, so a step loads no module it does not use: the oracle, for one,
-loads no engine, schedule or gauge code.  Deeper down the same holds: the
-tree reader (lacuna.reader), the cube geometry (lacuna.geometry), the ln
-and exp series (lacuna.lnexp), the difference and complex-triplet apps
-(lacuna.differences, lacuna.triplets) and the usage text of -h/--help
-(lacuna.usage) are imported only by the code paths that call them, since
-every module a step loads is compiled in that step when no bytecode cache
-is written.  build writes its recipe from the schedule walk alone
-(engine.build_tree), so it loads neither the reader nor the geometry;
-certify, export and app make every level and load the geometry.  Commands
-reach layer functions through module attributes (engine.build_tree,
-certify.certify_tree, ...).
+Each command imports the layers it runs (engine, apps, certify, export,
+svg) itself, so a step loads no module it does not use: the oracle, for
+one, loads no engine, schedule or gauge code.  Deeper down the same holds,
+since every module a step loads is compiled in that step when no bytecode
+cache is written.  Each of these is imported only by the code paths that
+call it:
+
+* the schedule walk (lacuna.schedule): build and app, through
+  engine.build; certify and export read the schedule's records from
+  engine and never walk it;
+* the tree reader (lacuna.reader): certify and export, through
+  engine.read_tree;
+* the cube geometry (lacuna.geometry): the steps that make levels,
+  certify (but in mode measure), export and app, never build;
+* the ln and exp series (lacuna.lnexp): a powlog gauge that is evaluated
+  (build past depth 0, certify's measure) and the difference app; a
+  powlog gauge makes its domain cap on its first domain check, so export,
+  a depth-0 build and certify --mode gap load no lnexp;
+* the SVG writer (lacuna.svg): export --format svg, and the points and
+  CSV writers (lacuna.export) every other export;
+* the difference and complex-triplet apps (lacuna.differences,
+  lacuna.triplets): their app kinds;
+* the usage text of -h/--help (lacuna.usage): -h and --help.
+
+Commands reach layer functions through module attributes
+(engine.build_tree, certify.certify_tree, ...).
 
 The argument grammar is one table, COMMANDS, that parse_args reads with
 argparse's rules: options before or after the positionals, a unique
@@ -85,15 +98,20 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from . import engine, export
+    from . import engine
 
     state = engine.read_tree(args.tree)
-    if args.format == "points":
-        export.write_points_exact(state, args.out)
-    elif args.format == "csv":
-        export.write_points_csv(state, args.out, decimals=args.decimals)
+    if args.format == "svg":
+        from . import svg
+
+        svg.write_svg(state, args.out)
     else:
-        export.write_svg(state, args.out)
+        from . import export
+
+        if args.format == "points":
+            export.write_points_exact(state, args.out)
+        else:
+            export.write_points_csv(state, args.out, decimals=args.decimals)
     print(f"wrote {args.format} -> {args.out}")
     return 0
 

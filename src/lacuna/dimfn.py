@@ -19,7 +19,10 @@ intervals for powlog, refined by doubling the precision from
 START_PRECISION bits until they decide.  A certified interval never
 decides wrongly, so the starting precision changes only the work.  The ln
 and exp series (lnexp) are imported on the powlog paths only, so a step
-with a pow gauge never loads them.
+with a pow gauge never loads them.  A powlog gauge makes its domain cap,
+an exp enclosure, the first time it is read (normally when the gauge first
+checks its domain), so a step that never evaluates the gauge (export, a
+depth-0 build, a gap-only certify) loads no lnexp either.
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ class DimensionFunction(Record):
 
     domain_cap is the rational right end of the certified region: h is
     strictly increasing and h(r)/r^d non-increasing on (0, domain_cap].
+    Given as None (as make_dimfn gives it), it is made on its first read
+    and kept (_domain_cap): for powlog that costs an exp enclosure.
     """
 
     family: str
     s: Fraction
     d: int
-    domain_cap: Fraction
+    domain_cap: Fraction | None
 
     # -- identity -----------------------------------------------------------
 
@@ -64,10 +69,10 @@ class DimensionFunction(Record):
     # -- certified evaluation -------------------------------------------------
 
     def _check_domain(self, r: Fraction) -> None:
+        # no number is rendered: a powlog cap for a small s, and an argument
+        # near it, have more digits than the interpreter converts to a string
         if not (0 < r <= self.domain_cap):
-            raise OutOfDomain(
-                f"argument {r} outside (0, {self.domain_cap}] for {self.spec_string()}"
-            )
+            raise OutOfDomain(f"argument outside (0, domain_cap] of {self.spec_string()}")
 
     def ge(self, r: Fraction, threshold: Fraction) -> bool:
         """Certified h(r) >= threshold."""
@@ -118,6 +123,20 @@ class DimensionFunction(Record):
         raise Undecidable(f"comparison with {threshold} undecided at {PRECISION_CAP} bits")
 
 
+def _domain_cap(h: DimensionFunction) -> Fraction:
+    """h.domain_cap: the field as given or, given as None, the family's cap,
+    made on the first read and kept."""
+    cap = h.__dict__["domain_cap"]
+    if cap is None:
+        cap = h.__dict__["domain_cap"] = Fraction(1) if h.family == POWER else _powlog_cap(h.s)
+    return cap
+
+
+# A property over the field, which Record keeps in the instance dict; set
+# after the class body, where Record would take it for the field's default.
+DimensionFunction.domain_cap = property(_domain_cap)
+
+
 def _powlog_cap(s: Fraction) -> Fraction:
     """Largest certified cap for powlog: min(1/2, lower bound of e^(-1/s))."""
     half = Fraction(1, 2)
@@ -134,6 +153,7 @@ def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunctio
 
     Raises RejectNonPositive for s <= 0 and RejectNotDominated when the
     family does not sit strictly below x^d (pow needs s < d, powlog s <= d).
+    The domain cap is made on its first read, not here.
     """
     if d < 1:
         raise RejectNotDominated("ambient dimension must be >= 1")
@@ -143,14 +163,12 @@ def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunctio
     if family == POWER:
         if s >= d:
             raise RejectNotDominated(f"x^{s} is not strictly below x^{d}")
-        cap = Fraction(1)
     elif family == POWERLOG:
         if s > d:
             raise RejectNotDominated(f"-x^{s} ln x is not below x^{d}")
-        cap = _powlog_cap(s)
     else:
         raise RejectNotDominated(f"unknown gauge family {family!r}")
-    return DimensionFunction(family=family, s=s, d=d, domain_cap=cap)
+    return DimensionFunction(family=family, s=s, d=d, domain_cap=None)
 
 
 def parse_dimfn(spec: str, d: int) -> DimensionFunction:

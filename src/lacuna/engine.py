@@ -9,11 +9,13 @@ cube exactly one child: cubes below a tuple member get the lattice cube
 every other cube keeps a child anchored at its own lower corner.
 
 This module holds the recipe of a build and what reads or writes it: the
-state (ConstructionState), the schedule walk that fills in its entries and
-depth (build), validate_structure and the tree file.  A state is its
-recipe: ConstructionState.levels, the one loop that makes levels, makes
-them from the recipe the first time they are read, with the per-level
-kernel geometry.advance, and keeps them.  lacuna.geometry is loaded only
+state (ConstructionState), the records of its schedule (ScheduleEntry,
+compute_beta, the ratio condition and the caps, which the reader, the
+geometry and certify_measure check against), build, which fills in its
+entries and depth by the schedule walk, validate_structure and the tree
+file.  A state is its recipe: ConstructionState.levels, the one loop that
+makes levels, makes them from the recipe the first time they are read,
+with the per-level kernel geometry.advance, and keeps them.  lacuna.geometry is loaded only
 by code that reads levels.  There every placement is asserted to stay
 inside its parent as it is made (PlacementFailure, a self-check: it cannot
 fire while beta >= compute_beta, which the reader enforces on files), and
@@ -44,23 +46,26 @@ d, the gauge h, the depth, the patterns and the realized schedule.  Every
 corner follows from those (dyadic children sit at fixed offsets, free cubes
 are their parents scaled, placed cubes come from the deterministic lattice
 rule).  So build walks the schedule from level counts alone
-(schedule.walk_schedule), and the reader (lacuna.reader, loaded by
-read_tree) checks the recipe and makes no level.  A build and a read
-refuse a tree of more than schedule.MAX_LEAF_CUBES deepest-level cubes,
-and certify settles the measure, before any level is made.
+(schedule.walk_schedule, loaded by build only), and the reader
+(lacuna.reader, loaded by read_tree) checks the recipe and makes no level.
+A build and a read refuse a tree of more than MAX_LEAF_CUBES
+deepest-level cubes, and certify settles the measure, before any level is
+made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .dimfn import DimensionFunction
 from .errors import (
+    OutOfDomain,
     ScheduleOverflow,
     StructureViolation,
+    Undecidable,
     UnsupportedDimension,
     ZeroPattern,
 )
@@ -71,8 +76,8 @@ from .pattern import (
     normalize,
     patterns_to_doc,
 )
+from .qmath import nth_root_bounds
 from .record import Record
-from .schedule import DEFAULT_LEVEL_CAP, ScheduleEntry, delta_candidate, walk_schedule
 
 if TYPE_CHECKING:
     from .geometry import BlockLattice
@@ -80,6 +85,94 @@ if TYPE_CHECKING:
 _ADDRESS_ALPHABET = "0123456789abcdefghijklmnopqrstuv"
 #: Largest d whose 2^d address digits the alphabet holds.
 MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
+
+# -- the schedule's records ---------------------------------------------------
+# What a recipe's schedule is made of, and the conditions that every step
+# checks against it (the tree reader, the geometry and certify_measure).
+# The walk that serves the entries is in lacuna.schedule, which only the
+# steps that build (build, app) load, through build.
+
+#: Enclosure width for sqrt(d): hi - lo < 2**-SQRT_PRECISION.
+SQRT_PRECISION = 21
+
+DEFAULT_LEVEL_CAP = 96
+
+#: Most cubes a level may hold, in a build and in a tree read from a file.
+#: A tree file is a few hundred bytes however many cubes it asks for, so
+#: this bound, not the file's size, bounds the work of reading it.
+MAX_LEAF_CUBES = 2**20
+
+
+def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
+    """A fixed rational enclosure of sqrt(d).  The upper bound is the
+    conservative direction both for beta (a larger beta only helps the fit)
+    and for the ratio condition (the ratio is non-increasing, so certifying
+    at an over-approximated radius certifies the true one)."""
+    return nth_root_bounds(Fraction(d), 2, SQRT_PRECISION)
+
+
+class ScheduleEntry(Record):
+    """One served occurrence: pattern, tuple of cube labels, avoidance level.
+
+    tuple_codes are indices of cubes of one level (an index read as a
+    base-2^d digit string is the cube's address), pairwise distinct, at a
+    level <= m_level - 2.
+    """
+
+    index: int
+    pattern_id: int
+    level: int
+    tuple_codes: tuple[int, ...]
+    m_level: int
+    beta: int
+
+
+def compute_beta(np_: NormalizedPattern, d: int) -> int:
+    """Smallest integer beta meeting the arity and ball-fitting constraints:
+    beta >= m and beta/2 >= max_scale * 2*peak*sqrt(d) + sqrt(d)/2 (a
+    lattice cell plus slack fits inside the shrunk parent).  A build uses
+    it, and the tree reader rejects a smaller beta_i."""
+    _, hi = sqrt_d_bounds(d)
+    need = hi * (4 * np_.peak * np_.max_scale + 1)
+    return max(np_.m, ceil(need))
+
+
+def ratio_threshold(i: int, betas: list[int] | tuple[int, ...], d: int) -> int:
+    """2^(i*d) * (beta_1 * ... * beta_i)^d for the i-th served entry."""
+    prod = 1
+    for b in betas[:i]:
+        prod *= b
+    return (2**i * prod) ** d
+
+
+def delta_candidate(k: int, betas_applied: list[int] | tuple[int, ...]) -> Fraction:
+    """Side length 2^-k * prod(1/beta) once the given betas are all active."""
+    prod = 1
+    for b in betas_applied:
+        prod *= b
+    return Fraction(1, (1 << k) * prod)
+
+
+def ratio_condition(
+    h: DimensionFunction, k: int, betas: list[int] | tuple[int, ...]
+) -> bool:
+    """Certified ratio condition of entry i = len(betas) at level k: the
+    ratio h(r)/r^d clears 2^(i*d) * prod_j<=i beta_j^d.
+
+    The radius r is sqrt(d) (rounded up) times the side 2^-k /
+    (beta_1...beta_i): the entry's own beta is already active at its level.
+    It is the one test of the condition: the schedule walk tests it at the
+    levels it reaches, and certify_measure at every level from the first
+    avoidance level to the depth.  The gauge's monotone-ratio witness
+    extends a pass at M_i to every k >= M_i.  Arguments above the gauge's
+    certified cap and comparisons left undecided do not satisfy it.
+    """
+    _, hi = sqrt_d_bounds(h.d)
+    r = hi * delta_candidate(k, betas)
+    try:
+        return h.ratio_ge(r, Fraction(ratio_threshold(len(betas), betas, h.d)))
+    except (OutOfDomain, Undecidable):
+        return False
 
 
 def render_address(code: int, ndigits: int, d: int) -> str:
@@ -245,13 +338,15 @@ def build(state: ConstructionState, depth: int) -> ConstructionState:
     levels follow from the recipe when they are read.
 
     A depth above the state's level cap is refused, and so is a level of
-    more than schedule.MAX_LEAF_CUBES cubes: the schedule
+    more than MAX_LEAF_CUBES cubes: the schedule
     (schedule.walk_schedule) is walked from the level counts alone, and no
     level past the depth is tested.  The state's entries must be the walked
     entries that land at levels up to the state's depth (StructureViolation
     otherwise, as for a tree whose schedule was edited).  A refused state
     is left as it was.
     """
+    from .schedule import walk_schedule
+
     if depth < 0:
         raise StructureViolation("depth must be >= 0")
     if depth > state.level_cap:

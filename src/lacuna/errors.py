@@ -53,7 +53,7 @@ class DimensionMismatch(LacunaError):
 
 class ScheduleOverflow(UsageError):
     """A build would go past the level cap or hold too many cubes
-    (schedule.MAX_LEAF_CUBES)."""
+    (engine.MAX_LEAF_CUBES)."""
 
 
 class PlacementFailure(LacunaError):

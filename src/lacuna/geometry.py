@@ -24,11 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import sub
 
-from .engine import ConstructionState, Level
+from .engine import ConstructionState, Level, ScheduleEntry
 from .errors import PlacementFailure, StructureViolation
 from .pattern import NormalizedPattern
 from .record import Record
-from .schedule import ScheduleEntry
 
 
 class BlockLattice(Record):

@@ -1,12 +1,14 @@
 """Rational enclosures of ln and exp, with directed rounding.
 
 The powlog gauge (dimfn) and the difference app are the only callers, so
-only their steps load this module.  ln x = e ln 2 + 2 atanh((m-1)/(m+1))
-for x = m * 2**e with m in [1, 2), and exp by halving the argument and
-squaring back.  Each series is summed as one integer numerator over one
-growing denominator, with the tail compared with its target in integers;
-Fractions are built only for the results.  Every enclosure (lo, hi) has
-lo <= true value <= hi, rounded outward.
+only their steps load this module, and of the powlog steps only those that
+evaluate the gauge: its domain cap is made on the first domain check.
+ln x = e ln 2 + 2 atanh((m-1)/(m+1)) for x = m * 2**e with m in [1, 2),
+and exp by halving the argument and squaring back.  Each series is summed
+as one integer numerator over one growing denominator, with the tail
+compared with its target in integers; Fractions are built only for the
+results.  Every enclosure (lo, hi) has lo <= true value <= hi, rounded
+outward.
 """
 
 from __future__ import annotations

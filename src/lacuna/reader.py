@@ -13,15 +13,17 @@ from __future__ import annotations
 from .dimfn import parse_dimfn
 from .engine import (
     _ADDRESS_ALPHABET,
+    MAX_LEAF_CUBES,
     TREE_FORMAT,
     ConstructionState,
+    ScheduleEntry,
+    compute_beta,
     init_state,
     render_address,
 )
 from .errors import FormatError
 from .jsonfile import int_field
 from .pattern import patterns_from_doc
-from .schedule import MAX_LEAF_CUBES, ScheduleEntry, compute_beta
 
 
 def parse_address(text: str, d: int) -> int:

@@ -1,4 +1,4 @@
-"""Schedule machinery: beta constants, avoidance levels, tuple enumeration.
+"""The schedule walk: which entries land at which avoidance levels.
 
 Each served schedule entry i pairs a pattern occurrence with a tuple of
 distinct same-level cube labels and an avoidance level M_i at which the
@@ -7,8 +7,9 @@ is enforced:
 
 * beta_i >= m_i and beta_i/2 >= max_scale * 2*peak*sqrt(d) + sqrt(d)/2
   (arity and ball fitting: a lattice cell plus slack fits inside the shrunk
-  parent).  compute_beta returns the least such integer; a build uses it,
-  and the tree reader (reader.doc_to_state) rejects a smaller beta_i.
+  parent).  engine.compute_beta returns the least such integer; a build
+  uses it, and the tree reader (reader.doc_to_state) rejects a smaller
+  beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
   walk_schedule serves each entry with the floor
   2 + max(M_{i-1}, tuple level), with M_0 = 0; the tree reader rejects a
@@ -16,113 +17,47 @@ is enforced:
   that keeps them without re-walking it.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
-  new beta_i.  ratio_condition is the one test of it.  walk_schedule tests
-  a served entry at each level it reaches from the entry's floor; the entry
-  lands at the first level that passes, so M_i is the least such level and
-  no level past the walk's depth is tested.  compute_levels runs the same
-  search eagerly for given betas, up to a level cap.  certify_measure
-  re-checks it at every level from the first avoidance level to the depth.
-  The gauge's monotone-ratio witness extends the check at M_i to every
-  k >= M_i (deeper levels shrink delta, which can only raise the ratio).
+  new beta_i.  engine.ratio_condition is the one test of it.  walk_schedule
+  tests a served entry at each level it reaches from the entry's floor; the
+  entry lands at the first level that passes, so M_i is the least such
+  level and no level past the walk's depth is tested.  compute_levels runs
+  the same search eagerly for given betas, up to a level cap.
+  certify_measure re-checks it at every level from the first avoidance
+  level to the depth.
 
 None of this reads a cube's position: the condition reads only delta_k,
 and the tuples read only level counts, which follow from the schedule
 itself (x 2^d at a dyadic level, x 1 at an avoidance level).  So the
 schedule is walked from counts alone, before any geometry is made.
 
-sqrt(d) is handled by a fixed rational enclosure; the upper bound is the
-conservative direction both for beta (larger beta only helps the fit) and
-for the ratio condition (the ratio is non-increasing, so certifying at an
-over-approximated radius certifies the true one).
-
 Tuple fairness follows a dovetailing cursor over (level, rank, pattern)
 triples: round T serves all triples with level <= T and rank <= T, every
 round re-serves earlier triples, so each (pattern, tuple) pair is served at
 a computable first index and recurs forever.
+
+Only the steps that build (build and app, through engine.build) load this
+module.  The records of a schedule, which every step that reads a recipe
+needs (ScheduleEntry, compute_beta, ratio_condition, sqrt_d_bounds,
+MAX_LEAF_CUBES, DEFAULT_LEVEL_CAP), are in engine, so certify and export
+compile no walk.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, product
-from math import ceil, perm
+from math import perm
 from typing import Iterator
 
 from .dimfn import DimensionFunction
-from .errors import OutOfDomain, ScheduleOverflow, Undecidable
+from .engine import (
+    DEFAULT_LEVEL_CAP,
+    MAX_LEAF_CUBES,
+    ScheduleEntry,
+    compute_beta,
+    ratio_condition,
+)
+from .errors import ScheduleOverflow
 from .pattern import NormalizedPattern
-from .qmath import nth_root_bounds
-from .record import Record
-
-#: Enclosure width for sqrt(d): hi - lo < 2**-SQRT_PRECISION.
-SQRT_PRECISION = 21
-
-DEFAULT_LEVEL_CAP = 96
-
-#: Most cubes a level may hold, in a build and in a tree read from a file.
-#: A tree file is a few hundred bytes however many cubes it asks for, so
-#: this bound, not the file's size, bounds the work of reading it.
-MAX_LEAF_CUBES = 2**20
-
-
-def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
-    return nth_root_bounds(Fraction(d), 2, SQRT_PRECISION)
-
-
-class ScheduleEntry(Record):
-    """One served occurrence: pattern, tuple of cube labels, avoidance level.
-
-    tuple_codes are indices of cubes of one level (an index read as a
-    base-2^d digit string is the cube's address), pairwise distinct, at a
-    level <= m_level - 2.
-    """
-
-    index: int
-    pattern_id: int
-    level: int
-    tuple_codes: tuple[int, ...]
-    m_level: int
-    beta: int
-
-
-def compute_beta(np_: NormalizedPattern, d: int) -> int:
-    """Smallest integer beta meeting the arity and ball-fitting constraints."""
-    _, hi = sqrt_d_bounds(d)
-    need = hi * (4 * np_.peak * np_.max_scale + 1)
-    return max(np_.m, ceil(need))
-
-
-def ratio_threshold(i: int, betas: list[int] | tuple[int, ...], d: int) -> int:
-    """2^(i*d) * (beta_1 * ... * beta_i)^d for the i-th served entry."""
-    prod = 1
-    for b in betas[:i]:
-        prod *= b
-    return (2**i * prod) ** d
-
-
-def delta_candidate(k: int, betas_applied: list[int] | tuple[int, ...]) -> Fraction:
-    """Side length 2^-k * prod(1/beta) once the given betas are all active."""
-    prod = 1
-    for b in betas_applied:
-        prod *= b
-    return Fraction(1, (1 << k) * prod)
-
-
-def ratio_condition(
-    h: DimensionFunction, k: int, betas: list[int] | tuple[int, ...]
-) -> bool:
-    """Certified ratio condition of entry i = len(betas) at level k.
-
-    The radius is sqrt(d) (rounded up) times the side 2^-k / (beta_1...beta_i):
-    the entry's own beta is already active at its level.  Arguments above the
-    gauge's certified cap and comparisons left undecided do not satisfy it.
-    """
-    _, hi = sqrt_d_bounds(h.d)
-    r = hi * delta_candidate(k, betas)
-    try:
-        return h.ratio_ge(r, Fraction(ratio_threshold(len(betas), betas, h.d)))
-    except (OutOfDomain, Undecidable):
-        return False
 
 
 def compute_levels(

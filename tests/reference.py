@@ -31,7 +31,7 @@ from lacuna.certify import (
 )
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
 from lacuna.dimfn import POWER, PRECISION_CAP, DimensionFunction
-from lacuna.engine import ConstructionState
+from lacuna.engine import ConstructionState, ScheduleEntry
 from lacuna.errors import (
     DimensionMismatch,
     GapViolated,
@@ -44,7 +44,6 @@ from lacuna.geometry import BlockLattice
 from lacuna.pattern import LinearPattern, NormalizedPattern
 from lacuna.lnexp import _round_down, _round_up, ln_bounds
 from lacuna.qmath import nth_root_bounds
-from lacuna.schedule import ScheduleEntry
 from lacuna.triplets import GaussianRational
 
 Vector = tuple[Fraction, ...]

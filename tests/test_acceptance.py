@@ -18,11 +18,11 @@ from lacuna.apps import AppSpec, app_patterns
 from lacuna.certify import brute_oracle, certify_gap, certify_measure, spot_check_gap
 from lacuna.cli import main as cli_main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build, build_tree, init_state, validate_structure
+from lacuna.engine import build, build_tree, compute_beta, init_state, validate_structure
 from lacuna.errors import GapViolated
 from lacuna.pattern import make_pattern, normalize
 from lacuna.qmath import parse_rational
-from lacuna.schedule import compute_beta, compute_levels
+from lacuna.schedule import compute_levels
 from reference import (
     covered_violations,
     instance_covered,

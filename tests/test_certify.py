@@ -219,7 +219,7 @@ class TestMeasureCertificate:
             certify_measure(st)
 
     def test_d2_constants(self):
-        from lacuna.schedule import sqrt_d_bounds
+        from lacuna.engine import sqrt_d_bounds
 
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         st = build_tree(2, [p], make_dimfn("pow", F(1, 4), 2), 3)
@@ -457,11 +457,15 @@ class TestIntegerOracle:
         with pytest.warns(UserWarning, match="^oracle will walk 6 prefixes$"):
             assert brute_oracle(pts, ap_pattern) == [(0, 1, 2), (2, 1, 0)]
 
-    def test_ap_grid_300(self, ap_pattern):
+    def test_ap_grid_300(self, ap_pattern, tmp_path):
         # every ordered (i - t, i, i + t); a scan of all perm(300, 3) = 26,730,600
-        # ordered triples would take seconds
+        # ordered triples would take seconds.  The points take the CLI's
+        # path: a points file read back as integers over one denominator
         n = 300
-        pts = [(1 + F(i, n),) for i in range(n)]
+        path = tmp_path / "pts.txt"
+        path.write_text("# lacuna-points/1 d=1\n" + "".join(f"{n + i}/{n}\n" for i in range(n)))
+        _, den, pts = read_points(path)
+        assert (den, pts) == (n, [(n + i,) for i in range(n)])
         expected = sorted(
             (i - t, i, i + t)
             for i in range(n)
@@ -469,7 +473,7 @@ class TestIntegerOracle:
             if t and 0 <= i - t < n and 0 <= i + t < n
         )
         start = time.perf_counter()
-        hits = brute_oracle(pts, ap_pattern, F(0))
+        hits = brute_oracle(pts, ap_pattern, F(0) * den)
         elapsed = time.perf_counter() - start
         assert len(hits) == 44_700
         assert hits == expected

@@ -118,6 +118,16 @@ class TestBuild:
         ))
         assert main(build_args(str(patterns), tmp_path, dimfn="powlog:1/2")) == 0
 
+    def test_small_powlog_exponent_lands_no_entry(self, q_file, tmp_path):
+        # the cap of powlog:1/10000 (a 14,482-bit denominator) lies far below
+        # the radius the walk tests at level 3: the ratio condition is out of
+        # the domain, so no entry lands, and the refusal renders no cap
+        run = _child(tmp_path, build_args(q_file, tmp_path, depth=3, dimfn="powlog:1/10000"),
+                     capture_output=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("built d=1 depth=3: 8 leaf cubes, 0 schedule entries")
+        assert read_tree(tmp_path / "tree.json").entries == []
+
     def test_d6_is_config_error(self, tmp_path, capsys):
         # Tuple addresses have 32 digits, so d <= 5: refused before a level
         # is built, by build and by the tree reader alike.
@@ -286,6 +296,19 @@ class TestCertify:
         tree = str(tmp_path / "tree.json")
         for mode in ("gap", "measure", "all"):
             assert main(["certify", tree, "--mode", mode]) == 0
+
+    def test_edited_small_powlog_gauge_fails_the_measure(self, q_file, tmp_path):
+        # a pow:1/2 tree whose h is edited to powlog:1/10000: every radius
+        # is outside the gauge's domain, so the mass bound fails at k0 = 5
+        assert main(build_args(q_file, tmp_path, depth=10)) == 0
+        doc = json.loads((tmp_path / "tree.json").read_text())
+        doc["h"] = "powlog:1/10000"
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        run = _child(tmp_path, ["certify", "bad.json", "--mode", "measure"], capture_output=True)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert json.loads(run.stderr)["error"] == {
+            "type": "MeasureViolated", "message": "mass/ratio bound fails at level 5"
+        }
 
     def test_cert_file_content(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path, depth=12))
@@ -1086,11 +1109,14 @@ def _src_env() -> dict:
 _CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
 #: The build's layers: it writes its recipe from the schedule walk alone.
 _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
-#: A step that makes levels (certify but in mode measure, export, app)
-#: loads the geometry too.
+#: An app builds, then makes every level: it loads the geometry too.
 _LEVELS = _BUILD | {"geometry"}
-#: A step that reads a tree loads the tree reader too; a build does not.
-_READ = _LEVELS | {"reader"}
+#: A step that reads a tree loads the tree reader, and no schedule walk;
+#: a build does the reverse.
+_RECIPE = _CLI_CORE | {"dimfn", "engine", "reader"}
+#: A step that reads a tree and makes its levels (certify but in mode
+#: measure, export) loads the geometry too.
+_READ = _RECIPE | {"geometry"}
 
 
 class TestImportFootprint:
@@ -1112,10 +1138,19 @@ class TestImportFootprint:
         # a pow gauge needs neither the ln and exp series nor, in a build,
         # the tree reader or the geometry
         assert self.loaded(tmp_path, build_args(ap_file, tmp_path)) == _BUILD
-        assert self.loaded(tmp_path, ["certify", tree]) == _READ | {"certify"}
+        # a step that reads a tree walks no schedule (_RECIPE): certify and
+        # export load no lacuna.schedule, whatever the mode or format
+        for mode in ("gap", "all"):
+            certify = ["certify", tree, "--mode", mode]
+            assert self.loaded(tmp_path, certify) == _READ | {"certify"}
         # the measure reads only the recipe: no level is made, no geometry
         measure = ["certify", tree, "--mode", "measure"]
-        assert self.loaded(tmp_path, measure) == _BUILD | {"reader", "certify"}
+        assert self.loaded(tmp_path, measure) == _RECIPE | {"certify"}
+        # each export format loads its writer alone: only svg loads lacuna.svg
+        csv = ["export", tree, "--format", "csv", "--out", str(tmp_path / "pts.csv")]
+        assert self.loaded(tmp_path, csv) == _READ | {"export"}
+        svg = ["export", tree, "--format", "svg", "--out", str(tmp_path / "tree.svg")]
+        assert self.loaded(tmp_path, svg) == _READ | {"svg"}
         export = ["export", tree, "--format", "points", "--out", pts]
         assert self.loaded(tmp_path, export) == _READ | {"export"}
         # a depth-7 tree leaves uncovered progressions: the oracle finds them;
@@ -1132,7 +1167,7 @@ class TestImportFootprint:
         # depth 3 is below M_1 = 6: the recipe alone refuses the tree
         assert main(build_args(ap_file, tmp_path, depth=3)) == 0
         certify = ["certify", str(tmp_path / "tree.json"), "--mode", mode]
-        assert self.loaded(tmp_path, certify, code=1) == _BUILD | {"reader", "certify"}
+        assert self.loaded(tmp_path, certify, code=1) == _RECIPE | {"certify"}
 
     @pytest.mark.parametrize("kind", sorted(_APPS_WITH_ENTRIES))
     def test_each_app_kind_loads_only_its_layers(self, tmp_path, kind):
@@ -1155,8 +1190,9 @@ class TestImportFootprint:
         # gap-only certify has a gap to certify
         powlog = build_args(q_file, tmp_path, depth=18, dimfn="powlog:1/1", out="plog.json")
         assert self.loaded(tmp_path, powlog) == _BUILD | {"lnexp"}
+        # the gap reads no gauge value, so the powlog cap is never made
         certify = ["certify", str(tmp_path / "plog.json"), "--mode", "gap"]
-        assert self.loaded(tmp_path, certify) == _READ | {"certify", "lnexp"}
+        assert self.loaded(tmp_path, certify) == _READ | {"certify"}
         out = ["--out-dir", str(tmp_path / "app-out")]
         spec = _spec_file(tmp_path, kind="parallelogram", params=[], h="pow:1/4")
         assert self.loaded(tmp_path, ["app", spec, *out]) == _LEVELS | {"apps", "certify"}
@@ -1165,6 +1201,21 @@ class TestImportFootprint:
         assert self.loaded(tmp_path, ["app", spec, *out]) == _LEVELS | {
             "apps", "certify", "differences", "lnexp"
         }
+
+    def test_a_powlog_cap_is_made_only_where_the_gauge_is_evaluated(self, q_file, tmp_path):
+        # the cap is an exp enclosure: a depth-0 build tests no ratio and an
+        # export reads no gauge value, so neither loads the ln/exp series
+        setup = build_args(q_file, tmp_path, depth=0, dimfn="powlog:63/64", out="setup.json")
+        assert self.loaded(tmp_path, setup) == _BUILD
+        powlog = build_args(q_file, tmp_path, depth=18, dimfn="powlog:1/1", out="plog.json")
+        assert main(powlog) == 0
+        plog = str(tmp_path / "plog.json")
+        export = ["export", plog, "--format", "points", "--out", str(tmp_path / "plog.txt")]
+        assert self.loaded(tmp_path, export) == _READ | {"export"}
+        # the measure evaluates the gauge at every level from k0 on
+        for mode, layers in (("measure", _RECIPE), ("all", _READ)):
+            certify = ["certify", plog, "--mode", mode]
+            assert self.loaded(tmp_path, certify) == layers | {"certify", "lnexp"}
 
 
 def _child(tmp_path, args, prefix=(), **kwargs):

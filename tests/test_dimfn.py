@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import dimfn
 from lacuna.dimfn import POWER, POWERLOG, make_dimfn, parse_dimfn
 from lacuna.errors import OutOfDomain, RejectNonPositive, RejectNotDominated
 from reference import eval_bounds
@@ -47,6 +48,19 @@ class TestConstruction:
         for s in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
             h = make_dimfn(POWERLOG, s, 1)
             assert as_mpf(h.domain_cap) <= mpmath.e ** (-1 / as_mpf(s))
+
+    def test_powlog_cap_is_made_once_on_first_use(self, monkeypatch):
+        # parsing a gauge makes no cap; its first domain check makes it, as
+        # before, and every later read keeps that one
+        made, cap = [], dimfn._powlog_cap
+        monkeypatch.setattr(dimfn, "_powlog_cap", lambda s: made.append(s) or cap(s))
+        h = parse_dimfn("powlog:63/64", 1)
+        assert made == []
+        assert h.ratio_ge(Fraction(1, 4096), Fraction(1))
+        assert h.ge(Fraction(1, 8), Fraction(1, 4))
+        assert made == [Fraction(63, 64)]
+        assert h.domain_cap == cap(Fraction(63, 64))
+        assert made == [Fraction(63, 64)]
 
     def test_parse_spec_strings(self):
         assert parse_dimfn("pow:1/2", 1).family == POWER

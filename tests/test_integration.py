@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 from lacuna.certify import certify_gap, certify_measure, spot_check_gap
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build, build_tree, init_state, validate_structure
+from lacuna.engine import build, build_tree, compute_beta, init_state, validate_structure
 from lacuna.errors import LacunaError, ScheduleOverflow
 from lacuna.export import read_points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
-from lacuna.schedule import compute_beta, compute_levels
+from lacuna.schedule import compute_levels
 
 F = Fraction
 

@@ -35,12 +35,11 @@ from lacuna.certify import (
 )
 from lacuna import lnexp
 from lacuna.dimfn import START_PRECISION, make_dimfn, parse_dimfn
-from lacuna.engine import build, init_state, lattice_denominator
+from lacuna.engine import build, compute_beta, init_state, lattice_denominator, sqrt_d_bounds
 from lacuna.errors import GapViolated, PlacementFailure
 from lacuna.geometry import _dyadic_children, block_lattice, place_on_lattice
 from lacuna.lnexp import _atanh_series, _exp_pos_attempt, ln_bounds
 from lacuna.pattern import make_pattern, normalize
-from lacuna.schedule import compute_beta, sqrt_d_bounds
 from test_golden import PARALLELOGRAM, TRAPEZOIDS, _ap_state, _app_state
 
 #: One normalized pattern per dimension, with distinct steps per axis and

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from lacuna.apps import AppSpec
-from lacuna.engine import ConstructionState, Level, init_state
+from lacuna.engine import ConstructionState, Level, ScheduleEntry, init_state
 from lacuna.errors import DimensionMismatch
 from lacuna.record import Record
-from lacuna.schedule import ScheduleEntry
 
 F = Fraction
 

@@ -10,23 +10,23 @@ import pytest
 
 from lacuna import schedule
 from lacuna.dimfn import DimensionFunction, make_dimfn
-from lacuna.engine import build, build_tree, init_state, state_to_doc
-from lacuna.errors import ScheduleOverflow, StructureViolation
-from lacuna.pattern import make_pattern, normalize
-from lacuna.reader import doc_to_state
-from lacuna.schedule import (
+from lacuna.engine import (
     MAX_LEAF_CUBES,
     ScheduleEntry,
+    build,
+    build_tree,
     compute_beta,
-    compute_levels,
     delta_candidate,
-    dovetail,
+    init_state,
     ratio_condition,
     ratio_threshold,
     sqrt_d_bounds,
-    unrank_tuple,
-    walk_schedule,
+    state_to_doc,
 )
+from lacuna.errors import ScheduleOverflow, StructureViolation
+from lacuna.pattern import make_pattern, normalize
+from lacuna.reader import doc_to_state
+from lacuna.schedule import compute_levels, dovetail, unrank_tuple, walk_schedule
 
 F = Fraction
 
