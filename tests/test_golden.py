@@ -1,6 +1,6 @@
 """Golden bytes: tree and certificate files of three fixed builds, the
-oracle files of two, the CSV and SVG exports of three, and the files of one
-differences app run.
+oracle files of two, the CSV and SVG exports of three, the files of one
+differences app run, and the files of three powlog builds.
 
 The certificate digests were recorded from the rational-geometry
 implementation that preceded the integer lattice core, the tree digests
@@ -9,8 +9,10 @@ bench/run.py pins for its ap-oracle workload, and the export and
 differences digests were recorded from the Fraction-based writers that
 preceded rendering from integer numerators, except the d=2 SVG digest,
 re-pinned when its y axis was mended to draw every cube inside the
-viewBox; any change in these bytes is a format change and must be
-deliberate.
+viewBox.  The powlog digests are the quotient-powlog ones bench/run.py
+pins and a d=3 tree and certificate, both recorded while the powlog
+comparison still enclosed q-th roots.  Any change in these bytes is a
+format change and must be deliberate.
 """
 
 from __future__ import annotations
@@ -232,3 +234,52 @@ def test_tree_round_trip(make):
         (lvl.den, lvl.lowers) for lvl in built.levels
     ]
     assert back.entries == built.entries
+
+
+@pytest.mark.parametrize(
+    "coeffs, cert_sha, points_sha",
+    [
+        (
+            [["3/2"], ["-1"]],
+            "8ef1883619c8837a4b980dec069cb9b5efeb2be7e3ef8908b9622a81b2d43052",
+            "abdecc1490cff7df2ff0e4c878d0bbacae03cff58cdfef06e4a047ed2f0151a7",
+        ),
+        (
+            [["4/3"], ["-1"]],
+            "d72aea92191f6bd47d0cce76c3845e1858354e533b1a61edd4ccf22ef0eefea1",
+            "fe9525eb50c9a47930c0535e28ec102afe6328214dde236122092b8094bf9119",
+        ),
+    ],
+    ids=["quotient-3/2", "quotient-4/3"],
+)
+def test_quotient_powlog_depth_14(tmp_path, coeffs, cert_sha, points_sha):
+    """The steps of bench/run.py's quotient-powlog workload, with the
+    digests it pins."""
+    pat = tmp_path / "patterns.json"
+    pat.write_text(json.dumps({"d": 1, "patterns": [{"m": 2, "coeffs": coeffs}]}))
+    tree, cert, pts = tmp_path / "tree.json", tmp_path / "cert.json", tmp_path / "points.txt"
+    assert main([
+        "build", str(pat), "--dimfn", "powlog:63/64", "--depth", "14", "--out", str(tree)
+    ]) == 0
+    assert main([
+        "certify", str(tree), "--mode", "all", "--spot-checks", "100", "--out", str(cert)
+    ]) == 0
+    assert main(["export", str(tree), "--format", "points", "--out", str(pts)]) == 0
+    assert _sha(cert) == cert_sha
+    assert _sha(pts) == points_sha
+
+
+def test_powlog_d3_depth_7(tmp_path):
+    """powlog:1/2 in d=3 compares ratios -ln(r)/r^(5/2), an exponent a < 0."""
+    pat = tmp_path / "q3.json"
+    pat.write_text(json.dumps(
+        {"d": 3, "patterns": [{"m": 2, "coeffs": [["2", "0", "0"], ["-1", "0", "0"]]}]}
+    ))
+    tree, cert = tmp_path / "tree.json", tmp_path / "cert.json"
+    assert main([
+        "build", str(pat), "--dimfn", "powlog:1/2", "--depth", "7", "--out", str(tree)
+    ]) == 0
+    assert len(json.loads(tree.read_text())["schedule"]) == 3
+    assert main(["certify", str(tree), "--out", str(cert)]) == 0
+    assert _sha(tree) == "eb4183f5e6e362d8a6ccc02daf8f2c5bf43048338e12c857fff4babf16fc3a88"
+    assert _sha(cert) == "22889644ee3882490377c5e7bc7685c22c252e9abb39a2e228ad8f3f2acc230c"
