@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroPattern,
 )
-from .jsonfile import int_field, write_json
+from .jsonfile import int_field, list_field, write_json
 from .pattern import LinearPattern, make_pattern
 from .qmath import format_rational, parse_rational
 from .record import Record
@@ -177,16 +177,8 @@ def app_spec_from_doc(doc: dict) -> AppSpec:
     return spec
 
 
-def _param_list(value: object, what: str, length: int | None = None) -> list:
-    """value if it is a JSON list (of the given length); FormatError otherwise."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        size = "" if length is None else f" of {length}"
-        raise FormatError(f"{what} must be a list{size}, got {value!r}")
-    return value
-
-
 def _rationals(value: object, what: str, length: int | None = None) -> list[Fraction]:
-    return [parse_rational(v) for v in _param_list(value, what, length)]
+    return [parse_rational(v) for v in list_field(value, what, length)]
 
 
 def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
@@ -197,7 +189,7 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
     if app.kind == "quotients":
         return 1, quotient_patterns(_rationals(app.params, "quotients params"))
     if app.kind == "planes":
-        rows = _param_list(app.params, "planes params")
+        rows = list_field(app.params, "planes params")
         return 1, plane_patterns([_rationals(row, "a plane", 3) for row in rows])
     if app.kind == "ratios":
         return 1, ratio_patterns(_rationals(app.params, "ratios params"))
@@ -211,9 +203,9 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
         triplets = [
             [
                 GaussianRational(*_rationals(p, "a complex number", 2))
-                for p in _param_list(trip, "a complex triplet", 3)
+                for p in list_field(trip, "a complex triplet", 3)
             ]
-            for trip in _param_list(app.params, "complex_triplets params")
+            for trip in list_field(app.params, "complex_triplets params")
         ]
         return 2, complex_triplet_patterns(triplets)
     if app.kind == "vector_split":
@@ -225,7 +217,7 @@ def app_patterns(app: AppSpec) -> tuple[int, list[LinearPattern]]:
         d = _check_dimension(int_field(p["d"], "vector_split d", 1))
         rows = [
             _rationals(row, "a vector_split row")
-            for row in _param_list(p["rows"], "vector_split rows")
+            for row in list_field(p["rows"], "vector_split rows")
         ]
         return d, split_vector_pattern(d, int_field(p["m"], "vector_split m", 2), rows)
     raise FormatError(f"app kind {app.kind!r} has no direct pattern list")
@@ -245,7 +237,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
     if app.kind == "differences":
         from . import differences
 
-        params = _param_list(app.params, "differences params")
+        params = list_field(app.params, "differences params")
         targets, mids = differences.difference_targets(params, app.precision)
         d, patterns = 1, quotient_patterns(mids)
     else:

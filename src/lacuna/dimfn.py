@@ -14,15 +14,17 @@ r^(s-d) with s-d < 0); for powlog the derivative of -r^(s-d) ln r is
 r^(s-d-1) ((d-s) ln r - 1) < 0 on (0,1), and h itself increases up to
 e^(-1/s), which is why the domain cap is clamped below that point.
 
-All comparisons are certified: exact for pow, directed-rounded rational
-intervals for powlog, refined by doubling the precision from
-START_PRECISION bits until they decide.  A certified interval never
-decides wrongly, so the starting precision changes only the work.  The ln
-and exp series (lnexp) are imported on the powlog paths only, so a step
-with a pow gauge never loads them.  A powlog gauge makes its domain cap,
-an exp enclosure, the first time it is read (normally when the gauge first
-checks its domain), so a step that never evaluates the gauge (export, a
-depth-0 build, a gap-only certify) loads no lnexp either.
+All comparisons are certified and take no root: r^(a/q) * L >= t is
+decided as r^a * L^q >= t^q, both sides raised to the q-th power of the
+exponent's denominator.  It is exact for pow (L = 1).  For powlog (L =
+-ln r) the q-th powers of a directed-rounded enclosure of L decide it,
+refined by doubling the precision from START_PRECISION bits.  A certified
+interval never decides wrongly, so the starting precision changes only the
+work.  The ln and exp series (lnexp) are imported on the powlog paths
+only, so a step with a pow gauge never loads them.  A powlog gauge makes
+its domain cap, an exp enclosure, the first time it is read (normally when
+the gauge first checks its domain), so a step that never evaluates the
+gauge (export, a depth-0 build, a gap-only certify) loads no lnexp either.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OutOfDomain, RejectNonPositive, RejectNotDominated, Undecidable
-from .qmath import nth_root_bounds, parse_rational
+from .qmath import parse_rational
 from .record import Record
 
 POWER = "pow"
@@ -52,14 +54,21 @@ class DimensionFunction(Record):
 
     domain_cap is the rational right end of the certified region: h is
     strictly increasing and h(r)/r^d non-increasing on (0, domain_cap].
-    Given as None (as make_dimfn gives it), it is made on its first read
-    and kept (_domain_cap): for powlog that costs an exp enclosure.
     """
 
     family: str
     s: Fraction
     d: int
-    domain_cap: Fraction | None
+
+    @property
+    def domain_cap(self) -> Fraction:
+        """The family's cap, made on the first read and kept in the
+        instance: for powlog that costs an exp enclosure."""
+        cap = self.__dict__.get("_domain_cap")
+        if cap is None:
+            cap = Fraction(1) if self.family == POWER else _powlog_cap(self.s)
+            self.__dict__["_domain_cap"] = cap
+        return cap
 
     # -- identity -----------------------------------------------------------
 
@@ -90,9 +99,12 @@ class DimensionFunction(Record):
         """Certified r^(a/q) * L(r) >= threshold, with q the denominator of s
         and L = 1 for pow, L = -ln r for powlog.
 
-        Exact for pow.  For powlog the enclosures of -ln r and of the root
-        r^(|a|/q) are refined from START_PRECISION until they clear the
-        threshold one way or the other (Undecidable at the precision cap).
+        Both sides are positive, so raising them to the q-th power decides
+        the same inequality with no root: r^a * L^q >= threshold^q.  Exact
+        for pow.  For powlog, L^q >= threshold^q * r^-a is decided by the
+        q-th powers of the two ends of an enclosure of L, refined from
+        START_PRECISION until they clear the target one way or the other
+        (Undecidable at the precision cap).
         """
         self._check_domain(r)
         if threshold <= 0:
@@ -103,38 +115,25 @@ class DimensionFunction(Record):
             return r**a >= threshold**q
         from .lnexp import ln_bounds
 
+        target = threshold**q * r**-a
+        tn, td = target.numerator, target.denominator
         precision = START_PRECISION
         while precision <= PRECISION_CAP:
             ln_lo, ln_hi = ln_bounds(r, precision)
-            root_lo, root_hi = nth_root_bounds(r ** abs(a), q, precision)
-            # -ln r >= 0 on the domain; the root multiplies it for a >= 0 and
-            # the threshold for a < 0, so that a root below 2**-precision,
-            # whose lower bound is 0, bounds the comparison from one side only
-            lo, hi, t_lo, t_hi = -ln_hi, -ln_lo, threshold, threshold
-            if a >= 0:
-                lo, hi = lo * root_lo, hi * root_hi
-            else:
-                t_lo, t_hi = threshold * root_lo, threshold * root_hi
-            if lo >= t_hi:
+            # L >= ln 2 on the domain, so both ends stay positive, where x^q
+            # increases.  Rounded outward to numerators lo <= L * 2**shift <=
+            # hi, they keep the q-th powers small, and widen the enclosure by
+            # at most half the 2**-precision that ln_bounds allows it.
+            shift = precision + 2
+            lo = (-ln_hi.numerator << shift) // ln_hi.denominator
+            hi = -((ln_lo.numerator << shift) // ln_lo.denominator)
+            scaled = tn << shift * q
+            if lo**q * td >= scaled:
                 return True
-            if hi < t_lo:
+            if hi**q * td < scaled:
                 return False
             precision *= 2
         raise Undecidable(f"comparison with {threshold} undecided at {PRECISION_CAP} bits")
-
-
-def _domain_cap(h: DimensionFunction) -> Fraction:
-    """h.domain_cap: the field as given or, given as None, the family's cap,
-    made on the first read and kept."""
-    cap = h.__dict__["domain_cap"]
-    if cap is None:
-        cap = h.__dict__["domain_cap"] = Fraction(1) if h.family == POWER else _powlog_cap(h.s)
-    return cap
-
-
-# A property over the field, which Record keeps in the instance dict; set
-# after the class body, where Record would take it for the field's default.
-DimensionFunction.domain_cap = property(_domain_cap)
 
 
 def _powlog_cap(s: Fraction) -> Fraction:
@@ -168,7 +167,7 @@ def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunctio
             raise RejectNotDominated(f"-x^{s} ln x is not below x^{d}")
     else:
         raise RejectNotDominated(f"unknown gauge family {family!r}")
-    return DimensionFunction(family=family, s=s, d=d, domain_cap=None)
+    return DimensionFunction(family=family, s=s, d=d)
 
 
 def parse_dimfn(spec: str, d: int) -> DimensionFunction:

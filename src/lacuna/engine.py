@@ -56,7 +56,7 @@ made.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, isqrt, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -76,7 +76,6 @@ from .pattern import (
     normalize,
     patterns_to_doc,
 )
-from .qmath import nth_root_bounds
 from .record import Record
 
 if TYPE_CHECKING:
@@ -104,11 +103,16 @@ MAX_LEAF_CUBES = 2**20
 
 
 def sqrt_d_bounds(d: int) -> tuple[Fraction, Fraction]:
-    """A fixed rational enclosure of sqrt(d).  The upper bound is the
-    conservative direction both for beta (a larger beta only helps the fit)
-    and for the ratio condition (the ratio is non-increasing, so certifying
-    at an over-approximated radius certifies the true one)."""
-    return nth_root_bounds(Fraction(d), 2, SQRT_PRECISION)
+    """A fixed rational enclosure of sqrt(d): consecutive numerators over
+    2**(SQRT_PRECISION + 1), exact (lo == hi) when d is a square.  The
+    upper bound is the conservative direction both for beta (a larger beta
+    only helps the fit) and for the ratio condition (the ratio is
+    non-increasing, so certifying at an over-approximated radius certifies
+    the true one)."""
+    shift = SQRT_PRECISION + 1
+    n = d << 2 * shift
+    lo = isqrt(n)
+    return Fraction(lo, 1 << shift), Fraction(lo + (lo * lo < n), 1 << shift)
 
 
 class ScheduleEntry(Record):

@@ -1,5 +1,6 @@
 """The one reader and the one writer of JSON files (indent 1, UTF-8,
-trailing newline on write), and the one check of an integer field in them."""
+trailing newline on write), and the one check of an integer field and of a
+list field in them."""
 
 from __future__ import annotations
 
@@ -28,4 +29,13 @@ def int_field(value: object, what: str, low: int) -> int:
     """value if it is a JSON integer >= low; bools, floats and strings fail."""
     if type(value) is not int or value < low:
         raise FormatError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def list_field(value: object, what: str, length: int | None = None) -> list:
+    """value if it is a JSON list (of the given length); strings and objects
+    fail."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise FormatError(f"{what} must be a list{size}, got {value!r}")
     return value

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FormatError, ZeroPattern
-from .jsonfile import int_field, read_json
+from .jsonfile import int_field, list_field, read_json
 from .qmath import format_rational, parse_rational
 from .record import Record
 
@@ -142,8 +142,11 @@ def patterns_from_doc(doc: dict) -> tuple[int, list[LinearPattern]]:
     try:
         d = int_field(doc["d"], "d", 1)
         out = []
-        for entry in doc["patterns"]:
-            rows = [[parse_rational(b) for b in row] for row in entry["coeffs"]]
+        for entry in list_field(doc["patterns"], "patterns"):
+            rows = [
+                [parse_rational(b) for b in list_field(row, "a coefficient row")]
+                for row in list_field(entry["coeffs"], "coeffs")
+            ]
             if len(rows) != int_field(entry["m"], "m", 2):
                 raise FormatError("pattern arity does not match coefficient rows")
             out.append(make_pattern(d, rows))

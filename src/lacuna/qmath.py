@@ -1,17 +1,15 @@
-"""Exact rational arithmetic with directed rounding.
+"""Parsing and rendering of exact rationals.
 
-Every step needs these: the parsing and rendering of rationals, integer
-q-th roots and rational enclosures of q-th roots.  Enclosures of ln and exp,
-which only powlog gauges and the difference app need, are in lnexp.  All
-enclosures are pairs of Fractions (lo, hi) with lo <= true value <= hi and
-the rounding always outward.  No floating point is used anywhere.
+Every step needs these.  Enclosures of ln and exp, which only powlog gauges
+and the difference app need, are in lnexp.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import FormatError, UsageError
 
@@ -64,58 +62,3 @@ def decimal_ratio(n: int, den: int, digits: int) -> str:
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{rem * 10**digits // den:0{digits}d}"
-
-
-def iroot(n: int, q: int) -> int:
-    """floor(n ** (1/q)) for n >= 0, q >= 1."""
-    if n < 0 or q < 1:
-        raise ValueError("iroot needs n >= 0, q >= 1")
-    if q == 1 or n in (0, 1):
-        return n
-    if q == 2:
-        return isqrt(n)
-    if n.bit_length() <= q:
-        return 1
-    # Newton iteration on integers, then clamp to the exact floor.
-    x = 1 << -(-n.bit_length() // q)
-    while True:
-        y = ((q - 1) * x + n // x ** (q - 1)) // q
-        if y >= x:
-            break
-        x = y
-    while x**q > n:
-        x -= 1
-    while (x + 1) ** q <= n:
-        x += 1
-    return x
-
-
-def perfect_root(x: Fraction, q: int) -> Fraction | None:
-    """Exact q-th root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    rn = iroot(x.numerator, q)
-    rd = iroot(x.denominator, q)
-    if rn**q == x.numerator and rd**q == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def nth_root_bounds(x: Fraction, q: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of x**(1/q) for x >= 0 with width <= 2**-precision.
-
-    Exact (lo == hi) whenever the root is rational.
-    """
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    exact = perfect_root(x, q)
-    if exact is not None:
-        return exact, exact
-    shift = precision + 1
-    scaled = x.numerator << (q * shift)
-    lo_i = iroot(scaled // x.denominator, q)
-    hi_i = iroot(-(-scaled // x.denominator), q) + 1
-    s = 1 << shift
-    return Fraction(lo_i, s), Fraction(hi_i, s)

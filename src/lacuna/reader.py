@@ -22,7 +22,7 @@ from .engine import (
     render_address,
 )
 from .errors import FormatError
-from .jsonfile import int_field
+from .jsonfile import int_field, list_field
 from .pattern import patterns_from_doc
 
 
@@ -106,7 +106,7 @@ def doc_to_state(doc: dict) -> ConstructionState:
         h = parse_dimfn(doc["h"], d)
         depth = int_field(doc["depth"], "depth", 0)
         state = init_state(d, patterns, h)
-        _entries_from_doc(doc["schedule"], state, depth)
+        _entries_from_doc(list_field(doc["schedule"], "schedule"), state, depth)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed tree document: {exc}") from exc
     # 2^(d * ndigits) cubes at the depth, compared by exponent: a forged

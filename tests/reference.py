@@ -9,8 +9,10 @@ kernels below work on the tuple layout (one d-tuple of numerators per cube),
 or on Fractions where lacuna works on scaled integers (the spot check, the
 center cross-check and the atanh and exp series); lacuna's integer kernels
 are tested against them.  eval_bounds encloses h(r) itself, which no
-command needs.  The gauge comparisons take the precision their
-refinement starts at, so a test can compare lacuna's start with another.
+command needs.  The gauge comparisons enclose the q-th root r^(|a|/q)
+(nth_root_bounds), where lacuna raises both sides to the q-th power
+instead, and take the precision their refinement starts at, so a test can
+compare lacuna's start with another.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import bisect
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from operator import add, mul
 from typing import Sequence
 
@@ -43,7 +46,6 @@ from lacuna.errors import (
 from lacuna.geometry import BlockLattice
 from lacuna.pattern import LinearPattern, NormalizedPattern
 from lacuna.lnexp import _round_down, _round_up, ln_bounds
-from lacuna.qmath import nth_root_bounds
 from lacuna.triplets import GaussianRational
 
 Vector = tuple[Fraction, ...]
@@ -290,6 +292,63 @@ def key_inequality_check(np_: NormalizedPattern, window: int) -> bool:
         if abs(val) < half:
             return False
     return True
+
+
+# -- q-th roots: integer floors and rational enclosures -------------------------
+
+def iroot(n: int, q: int) -> int:
+    """floor(n ** (1/q)) for n >= 0, q >= 1."""
+    if n < 0 or q < 1:
+        raise ValueError("iroot needs n >= 0, q >= 1")
+    if q == 1 or n in (0, 1):
+        return n
+    if q == 2:
+        return isqrt(n)
+    if n.bit_length() <= q:
+        return 1
+    # Newton iteration on integers, then clamp to the exact floor.
+    x = 1 << -(-n.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            break
+        x = y
+    while x**q > n:
+        x -= 1
+    while (x + 1) ** q <= n:
+        x += 1
+    return x
+
+
+def perfect_root(x: Fraction, q: int) -> Fraction | None:
+    """Exact q-th root of a nonnegative rational, or None if irrational."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    rn = iroot(x.numerator, q)
+    rd = iroot(x.denominator, q)
+    if rn**q == x.numerator and rd**q == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def nth_root_bounds(x: Fraction, q: int, precision: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of x**(1/q) for x >= 0 with width <= 2**-precision.
+
+    Exact (lo == hi) whenever the root is rational.
+    """
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    exact = perfect_root(x, q)
+    if exact is not None:
+        return exact, exact
+    shift = precision + 1
+    scaled = x.numerator << (q * shift)
+    lo_i = iroot(scaled // x.denominator, q)
+    hi_i = iroot(-(-scaled // x.denominator), q) + 1
+    s = 1 << shift
+    return Fraction(lo_i, s), Fraction(hi_i, s)
 
 
 # -- series kernels and gauge comparisons in Fraction arithmetic ---------------

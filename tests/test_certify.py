@@ -205,10 +205,10 @@ class TestMeasureCertificate:
             assert len(st.levels[k].lowers) * lo >= 1
 
     def test_radius_outside_the_gauge_domain_fails_the_mass_bound(self, ap_tree_12):
-        # With the gauge certified only on (0, 10^-6], h at the level-6
-        # radius 1/576 is not certified: the mass bound fails at k0 rather
-        # than the OutOfDomain escaping
-        capped = ap_tree_12.replace(h=ap_tree_12.h.replace(domain_cap=F(1, 10**6)))
+        # With a gauge certified only below e^-100 (powlog:1/100), h at the
+        # level-6 radius 1/576 is not certified: the mass bound fails at k0
+        # rather than the OutOfDomain escaping
+        capped = ap_tree_12.replace(h=make_dimfn("powlog", F(1, 100), 1))
         with pytest.raises(MeasureViolated) as exc:
             certify_measure(capped)
         assert exc.value.level == 6

@@ -109,9 +109,8 @@ class TestBuild:
         assert not (tmp_path / "tree.json").exists()
 
     def test_d3_powlog_build(self, tmp_path):
-        """powlog:1/2 in d=3 tests ratios -ln(r)/r^(5/2) whose root part
-        falls below 2**-33 by level 7, where a 32-bit enclosure of the root
-        has lower bound 0."""
+        """powlog:1/2 in d=3 tests ratios -ln(r)/r^(5/2) whose power part
+        falls below 2**-33 by level 7, decided as (-ln r)^2 >= t^2 * r^5."""
         patterns = tmp_path / "q3.json"
         patterns.write_text(json.dumps(
             {"d": 3, "patterns": [{"m": 2, "coeffs": [["2", "0", "0"], ["-1", "0", "0"]]}]}
@@ -474,6 +473,26 @@ class TestTamperedTree:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
 
+    def test_long_beta_under_a_large_q_gauge_fails_the_measure(self, tmp_path, capsys):
+        # powlog:999/1000 with a beta_i of 1,000 digits: the mass bound
+        # compares radii r of 3,300-bit denominators, raised to the 999th
+        # power, which a q-th root of r^999 took minutes to enclose
+        pat = tmp_path / "q.json"
+        pat.write_text(json.dumps({"d": 1, "patterns": [{"m": 2, "coeffs": [["3/2"], ["-1"]]}]}))
+        assert main(build_args(str(pat), tmp_path, depth=14, dimfn="powlog:63/64")) == 0
+        tree = tmp_path / "tree.json"
+        doc = json.loads(tree.read_text())
+        doc["h"] = "powlog:999/1000"
+        doc["schedule"][0]["beta_i"] = int("9" * 1000)
+        tree.write_text(json.dumps(doc))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["certify", str(tree), "--mode", "measure"]) == 1
+        assert time.perf_counter() - start < 10.0
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "MeasureViolated",
+                         "message": "mass/ratio bound fails at level 13"}
+
     def test_truncated_file(self, ap_file, tmp_path, capsys):
         assert main(build_args(ap_file, tmp_path, depth=7)) == 0
         tree = tmp_path / "tree.json"
@@ -624,6 +643,42 @@ class TestMalformedInput:
         error = json.loads(err)["error"]
         assert error["type"] == "FormatError"
         assert message in error["message"]
+
+    @pytest.mark.parametrize(
+        "step, field, value",
+        [
+            ("export", "schedule", {}),
+            ("export", "schedule", ""),
+            ("build", "coeffs", "31"),
+            ("build", "a coefficient row", ["3", "1"]),
+        ],
+        ids=["tree-schedule-object", "tree-schedule-string", "pattern-coeffs-string",
+             "pattern-rows-strings"],
+    )
+    def test_a_string_or_object_for_a_list_is_refused(self, tmp_path, capsys, step, field,
+                                                      value):
+        # the quotient-2 tree of depth 10 read with no schedule would export
+        # 1,024 points, and "31" or ["3", "1"] would read as [["3"], ["1"]]
+        pat = tmp_path / "q.json"
+        pat.write_text(json.dumps({"d": 1, "patterns": [{"m": 2, "coeffs": [["2"], ["-1"]]}]}))
+        out = tmp_path / "out"
+        if step == "export":
+            assert main(build_args(str(pat), tmp_path, depth=10)) == 0
+            tree = tmp_path / "tree.json"
+            doc = json.loads(tree.read_text())
+            assert doc["schedule"]
+            doc["schedule"] = value
+            tree.write_text(json.dumps(doc))
+            argv = ["export", str(tree), "--format", "points", "--out", str(out)]
+        else:
+            pat.write_text(json.dumps({"d": 1, "patterns": [{"m": 2, "coeffs": value}]}))
+            argv = ["build", str(pat), "--dimfn", "pow:1/2", "--depth", "10", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "FormatError"
+        assert error["message"].startswith(f"{field} must be a list")
+        assert not out.exists()
 
     def test_value_too_large_to_write(self, tmp_path, capsys):
         # the report of e^5000 needs more digits than the interpreter renders

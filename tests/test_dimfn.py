@@ -138,7 +138,8 @@ class TestRatioGe:
 
     def test_powlog_root_below_the_working_precision(self):
         # ratio = -ln(r) / r^(5/2) = 5.786e12 at r = 1/(3*2^14): r^(5/2) is
-        # about 2^-39, so its enclosure has lower bound 0 up to 32 bits
+        # about 2^-39, below every precision up to 32 bits, and is decided
+        # as (-ln r)^2 >= t^2 * r^5, with no root of r
         h = make_dimfn(POWERLOG, Fraction(1, 2), 3)
         r = Fraction(1, 3 * 2**14)
         assert h.ratio_ge(r, Fraction(10))

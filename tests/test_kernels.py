@@ -353,12 +353,17 @@ class TestSeries:
         assert _exp_pos_attempt(x, shift) == ref.exp_pos_attempt(x, shift)
 
 
-#: Powlog gauges up to full dimension (s = d) for d = 1, 2, 3.
+#: Powlog gauges up to full dimension (s = d) for d = 1, 2, 3, and
+#: exponents with large denominators q, where the q-th powers of lacuna's
+#: comparison are largest.
 POWLOG = [
     make_dimfn("powlog", Fraction(s), d)
     for d in (1, 2, 3)
     for s in ("1/2", "63/64", "1", "3/2", "2", "3")
     if Fraction(s) <= d
+] + [
+    make_dimfn("powlog", Fraction(s), d)
+    for s, d in (("99/100", 1), ("5/7", 1), ("7/3", 3))
 ]
 
 

@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 import lacuna
 from lacuna.errors import FormatError
 from lacuna.lnexp import exp_bounds, ln2_bounds, ln_bounds
-from lacuna.qmath import (
-    decimal_ratio,
-    format_rational,
-    iroot,
-    nth_root_bounds,
-    parse_rational,
-    perfect_root,
-)
+from lacuna.engine import SQRT_PRECISION, sqrt_d_bounds
+from lacuna.qmath import decimal_ratio, format_rational, parse_rational
+from reference import iroot, nth_root_bounds, perfect_root
 
 mpmath.mp.dps = 60
 
@@ -84,6 +79,11 @@ class TestRoots:
         assert nth_root_bounds(Fraction(4), 2, 20) == (Fraction(2), Fraction(2))
         lo, hi = nth_root_bounds(Fraction(2), 2, 30)
         assert lo < hi and lo * lo < 2 < hi * hi
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_sqrt_d_bounds_are_the_root_enclosure(self, d):
+        # integer square roots give the enclosure the q-th root code gave
+        assert sqrt_d_bounds(d) == nth_root_bounds(Fraction(d), 2, SQRT_PRECISION)
 
 
 class TestTranscendentals:

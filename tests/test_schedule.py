@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from lacuna import schedule
-from lacuna.dimfn import DimensionFunction, make_dimfn
+from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
     MAX_LEAF_CUBES,
     ScheduleEntry,
@@ -94,7 +94,8 @@ class TestLevels:
         assert compute_levels(h, [7]) == [18]
 
     def test_ratio_condition_is_false_outside_the_domain(self, sqrt_gauge):
-        capped = DimensionFunction(family="pow", s=F(1, 2), d=1, domain_cap=F(1, 10**4))
+        # the cap of powlog:1/100 lies below e^-100, far below r = 1/4608
+        capped = make_dimfn("powlog", F(1, 100), 1)
         assert ratio_condition(sqrt_gauge, 9, [9])  # r = 1/4608
         assert not ratio_condition(capped, 9, [9])
 
