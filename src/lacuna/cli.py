@@ -25,10 +25,10 @@ call it:
   engine.read_tree;
 * the cube geometry (lacuna.geometry): the steps that make levels,
   certify (but in mode measure), export and app, never build;
-* the ln and exp series (lacuna.lnexp): a powlog gauge that is evaluated
-  (build past depth 0, certify's measure) and the difference app; a
-  powlog gauge makes its domain cap on its first domain check, so export,
-  a depth-0 build and certify --mode gap load no lnexp;
+* the ln series (lacuna.lnexp): a powlog gauge that is evaluated (build
+  past depth 0, certify's measure) and the difference app, so export, a
+  depth-0 build and certify --mode gap load no lnexp; the difference
+  app's exp series is in lacuna.differences;
 * the SVG writer (lacuna.svg): export --format svg, and the points and
   CSV writers (lacuna.export) every other export;
 * the difference and complex-triplet apps (lacuna.differences,

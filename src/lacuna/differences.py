@@ -9,12 +9,13 @@ is avoided, and the logarithmic image's differences miss t by an explicit
 margin.  A target ln(a) for a rational a takes an exact path: the quotient
 target is a itself.
 
-apps.run_app imports this module for the differences kind only, so no
-other app step loads it or the ln and exp series of lnexp.  It takes two
-steps of that app: difference_targets turns the spec's params into the
-quotient targets that run_app builds like any other app, and
-difference_report turns the built state and its gap certificates into the
-document report.json.
+The exp enclosure (exp_bounds) lives here, with its one caller; the ln
+enclosure of the points comes from lnexp.  apps.run_app imports this
+module for the differences kind only, so no other app step loads it, its
+exp series or the ln series of lnexp.  It takes two steps of that app:
+difference_targets turns the spec's params into the quotient targets that
+run_app builds like any other app, and difference_report turns the built
+state and its gap certificates into the document report.json.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import EnclosureTooWide, FormatError, RejectUnit
-from .lnexp import exp_bounds, ln_bounds
+from .lnexp import ln_bounds
 from .qmath import format_rational, parse_rational
 from .record import Record
 
@@ -49,6 +50,53 @@ _ENCLOSURE_PRECISION_CAP = 4096
 
 #: Bits of the ln-enclosures of the points in report.json (points_ln).
 POINT_PRECISION = 48
+
+
+def _exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
+    """One-shot enclosure of exp(x) for x >= 0, working at scale 2**-shift.
+
+    The argument is halved k times to y = a/b <= 1/2; the series over y is
+    one integer over b^n * n!, with the geometric tail (ratio <= 1/2)
+    compared with 2**-shift in integers; the enclosure is then squared back
+    k times as numerators over 2**shift, rounding outward.
+    """
+    a, b = x.numerator, x.denominator
+    k = 0
+    while 2 * a > b << k:
+        k += 1
+    y = Fraction(a, b << k)
+    a, b = y.numerator, y.denominator
+    num = den = power = 1  # sum = num / den with den = b^n * n!; power = a^n
+    n = 0
+    while True:
+        n += 1
+        power *= a
+        den *= b * n
+        num = num * b * n + power
+        tail_den = den * b * (n + 1)  # tail = 2 * power * a / tail_den
+        if (power * a) << (shift + 1) <= tail_den:
+            break
+    hi_num = num * b * (n + 1) + 2 * power * a  # sum + tail = hi_num / tail_den
+    if k == 0:
+        return Fraction(num, den), Fraction(hi_num, tail_den)
+    lo = (num * num << shift) // (den * den)
+    hi = -((-hi_num * hi_num << shift) // (tail_den * tail_den))
+    for _ in range(k - 1):
+        lo, hi = lo * lo >> shift, -(-hi * hi >> shift)
+    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
+
+
+def exp_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of exp(x) for rational x with width <= 2**-precision."""
+    target = Fraction(1, 1 << precision)
+    guard = precision + 8
+    while True:
+        lo, hi = _exp_pos_attempt(abs(x), guard)
+        if x < 0:
+            lo, hi = 1 / hi, 1 / lo
+        if hi - lo <= target:
+            return lo, hi
+        guard *= 2
 
 
 def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:

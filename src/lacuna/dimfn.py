@@ -5,14 +5,16 @@ Two parametric families are supported:
 * ``pow:s``     h(x) = x^s          (needs s < d)
 * ``powlog:s``  h(x) = -x^s ln x    (needs s <= d; s = d gives full dimension)
 
-Both families come with a monotone-ratio witness: on (0, domain_cap] the map
+Both families come with a monotone-ratio witness: on their domain the map
 r -> h(r)/r^d is non-increasing and h itself is strictly increasing.  That
 witness is what lets a single certified check at level M_i stand in for the
 "for all k >= M_i" quantifier of the schedule (every deeper level only makes
 the ratio larger).  For pow the witness is elementary (the ratio is
-r^(s-d) with s-d < 0); for powlog the derivative of -r^(s-d) ln r is
-r^(s-d-1) ((d-s) ln r - 1) < 0 on (0,1), and h itself increases up to
-e^(-1/s), which is why the domain cap is clamped below that point.
+r^(s-d) with s-d < 0) and the domain is 0 < r <= 1.  For powlog the
+derivative of -r^(s-d) ln r is r^(s-d-1) ((d-s) ln r - 1) < 0 on (0,1),
+and h itself increases up to e^(-1/s), so the domain is 0 < r <= 1/2 with
+-ln r >= 1/s.  No cap is stored: each comparison decides the domain
+first, from the enclosure of -ln r it makes anyway.
 
 All comparisons are certified and take no root: r^(a/q) * L >= t is
 decided as r^a * L^q >= t^q, both sides raised to the q-th power of the
@@ -20,11 +22,9 @@ exponent's denominator.  It is exact for pow (L = 1).  For powlog (L =
 -ln r) the q-th powers of a directed-rounded enclosure of L decide it,
 refined by doubling the precision from START_PRECISION bits.  A certified
 interval never decides wrongly, so the starting precision changes only the
-work.  The ln and exp series (lnexp) are imported on the powlog paths
-only, so a step with a pow gauge never loads them.  A powlog gauge makes
-its domain cap, an exp enclosure, the first time it is read (normally when
-the gauge first checks its domain), so a step that never evaluates the
-gauge (export, a depth-0 build, a gap-only certify) loads no lnexp either.
+work.  The ln series (lnexp) is imported on the powlog comparison path
+only, so a step with a pow gauge, or one that never evaluates its gauge
+(export, a depth-0 build, a gap-only certify), never loads it.
 """
 
 from __future__ import annotations
@@ -52,23 +52,14 @@ START_PRECISION = 8
 class DimensionFunction(Record):
     """A gauge function with a certified monotone-ratio witness for exponent d.
 
-    domain_cap is the rational right end of the certified region: h is
-    strictly increasing and h(r)/r^d non-increasing on (0, domain_cap].
+    h is strictly increasing and h(r)/r^d non-increasing on the family's
+    domain: 0 < r <= 1 for pow, and 0 < r <= 1/2 with -ln r >= 1/s for
+    powlog.  Every comparison raises OutOfDomain outside it.
     """
 
     family: str
     s: Fraction
     d: int
-
-    @property
-    def domain_cap(self) -> Fraction:
-        """The family's cap, made on the first read and kept in the
-        instance: for powlog that costs an exp enclosure."""
-        cap = self.__dict__.get("_domain_cap")
-        if cap is None:
-            cap = Fraction(1) if self.family == POWER else _powlog_cap(self.s)
-            self.__dict__["_domain_cap"] = cap
-        return cap
 
     # -- identity -----------------------------------------------------------
 
@@ -76,12 +67,6 @@ class DimensionFunction(Record):
         return f"{self.family}:{self.s.numerator}/{self.s.denominator}"
 
     # -- certified evaluation -------------------------------------------------
-
-    def _check_domain(self, r: Fraction) -> None:
-        # no number is rendered: a powlog cap for a small s, and an argument
-        # near it, have more digits than the interpreter converts to a string
-        if not (0 < r <= self.domain_cap):
-            raise OutOfDomain(f"argument outside (0, domain_cap] of {self.spec_string()}")
 
     def ge(self, r: Fraction, threshold: Fraction) -> bool:
         """Certified h(r) >= threshold."""
@@ -91,32 +76,37 @@ class DimensionFunction(Record):
         """Certified h(r)/r^d >= threshold.
 
         By the monotone-ratio witness a True answer at r extends to every
-        smaller argument in (0, domain_cap].
+        smaller argument of the domain.
         """
         return self._certified_ge(r, self.s.numerator - self.d * self.s.denominator, threshold)
 
     def _certified_ge(self, r: Fraction, a: int, threshold: Fraction) -> bool:
-        """Certified r^(a/q) * L(r) >= threshold, with q the denominator of s
-        and L = 1 for pow, L = -ln r for powlog.
+        """Certified r^(a/q) * L(r) >= threshold, with s = p/q and L = 1 for
+        pow, L = -ln r for powlog.
 
         Both sides are positive, so raising them to the q-th power decides
         the same inequality with no root: r^a * L^q >= threshold^q.  Exact
-        for pow.  For powlog, L^q >= threshold^q * r^-a is decided by the
-        q-th powers of the two ends of an enclosure of L, refined from
-        START_PRECISION until they clear the target one way or the other
-        (Undecidable at the precision cap).
+        for pow.  For powlog, the two ends of an enclosure of L, refined
+        from START_PRECISION, first decide the domain condition L >= 1/s,
+        then whether their q-th powers clear L^q >= threshold^q * r^-a one
+        way or the other (Undecidable at the precision cap).  The domain
+        comes before any answer and before the q-th power of threshold is
+        formed, which is large when q is.  No number is rendered in the
+        refusal: an argument can have more digits than the interpreter
+        converts to a string.
         """
-        self._check_domain(r)
-        if threshold <= 0:
-            return True
-        q = self.s.denominator
+        bound = 1 if self.family == POWER else Fraction(1, 2)
+        if not 0 < r <= bound:
+            raise OutOfDomain(f"argument outside the domain of {self.spec_string()}")
+        p, q = self.s.numerator, self.s.denominator
         if self.family == POWER:
+            if threshold <= 0:
+                return True
             # r^(a/q) >= t  <=>  r^a >= t^q  (both sides positive)
             return r**a >= threshold**q
         from .lnexp import ln_bounds
 
-        target = threshold**q * r**-a
-        tn, td = target.numerator, target.denominator
+        target = None  # threshold^q * r^-a, once the domain is certified
         precision = START_PRECISION
         while precision <= PRECISION_CAP:
             ln_lo, ln_hi = ln_bounds(r, precision)
@@ -127,24 +117,22 @@ class DimensionFunction(Record):
             shift = precision + 2
             lo = (-ln_hi.numerator << shift) // ln_hi.denominator
             hi = -((ln_lo.numerator << shift) // ln_lo.denominator)
-            scaled = tn << shift * q
-            if lo**q * td >= scaled:
-                return True
-            if hi**q * td < scaled:
-                return False
+            if target is None:
+                # h increases where L >= 1/s = q/p
+                if hi * p < q << shift:
+                    raise OutOfDomain(f"argument outside the domain of {self.spec_string()}")
+                if lo * p >= q << shift:
+                    if threshold <= 0:
+                        return True
+                    target = threshold**q * r**-a
+            if target is not None:
+                scaled = target.numerator << shift * q
+                if lo**q * target.denominator >= scaled:
+                    return True
+                if hi**q * target.denominator < scaled:
+                    return False
             precision *= 2
         raise Undecidable(f"comparison with {threshold} undecided at {PRECISION_CAP} bits")
-
-
-def _powlog_cap(s: Fraction) -> Fraction:
-    """Largest certified cap for powlog: min(1/2, lower bound of e^(-1/s))."""
-    half = Fraction(1, 2)
-    if s >= Fraction(3, 2):  # e^(-1/s) >= e^(-2/3) > 1/2
-        return half
-    from .lnexp import exp_bounds
-
-    lo, _ = exp_bounds(-1 / s, 48)
-    return min(half, lo)
 
 
 def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunction:
@@ -152,7 +140,7 @@ def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunctio
 
     Raises RejectNonPositive for s <= 0 and RejectNotDominated when the
     family does not sit strictly below x^d (pow needs s < d, powlog s <= d).
-    The domain cap is made on its first read, not here.
+    Nothing is evaluated here: each comparison decides its own domain.
     """
     if d < 1:
         raise RejectNotDominated("ambient dimension must be >= 1")

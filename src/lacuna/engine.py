@@ -168,8 +168,8 @@ def ratio_condition(
     It is the one test of the condition: the schedule walk tests it at the
     levels it reaches, and certify_measure at every level from the first
     avoidance level to the depth.  The gauge's monotone-ratio witness
-    extends a pass at M_i to every k >= M_i.  Arguments above the gauge's
-    certified cap and comparisons left undecided do not satisfy it.
+    extends a pass at M_i to every k >= M_i.  Arguments outside the gauge's
+    domain and comparisons left undecided do not satisfy it.
     """
     _, hi = sqrt_d_bounds(h.d)
     r = hi * delta_candidate(k, betas)

@@ -29,7 +29,8 @@ class RejectNotDominated(UsageError):
 
 
 class OutOfDomain(LacunaError):
-    """Evaluation argument outside (0, domain_cap]."""
+    """Evaluation argument outside the gauge's domain, which each comparison
+    decides: 0 < r <= 1 for pow, 0 < r <= 1/2 with -ln r >= 1/s for powlog."""
 
 
 class Undecidable(LacunaError):

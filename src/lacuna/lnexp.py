@@ -1,14 +1,12 @@
-"""Rational enclosures of ln and exp, with directed rounding.
+"""Rational enclosures of ln, with directed rounding.
 
 The powlog gauge (dimfn) and the difference app are the only callers, so
 only their steps load this module, and of the powlog steps only those that
-evaluate the gauge: its domain cap is made on the first domain check.
-ln x = e ln 2 + 2 atanh((m-1)/(m+1)) for x = m * 2**e with m in [1, 2),
-and exp by halving the argument and squaring back.  Each series is summed
-as one integer numerator over one growing denominator, with the tail
-compared with its target in integers; Fractions are built only for the
-results.  Every enclosure (lo, hi) has lo <= true value <= hi, rounded
-outward.
+evaluate the gauge.  ln x = e ln 2 + 2 atanh((m-1)/(m+1)) for x = m * 2**e
+with m in [1, 2).  The series is summed as one integer numerator over one
+growing denominator, with the tail compared with its target in integers;
+Fractions are built only for the results.  Every enclosure (lo, hi) has
+lo <= true value <= hi, rounded outward.
 """
 
 from __future__ import annotations
@@ -99,50 +97,3 @@ def ln_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     s_lo, _ = _atanh_series(t_lo, tail)
     _, s_hi = _atanh_series(t_hi, tail)
     return part_lo + 2 * s_lo, part_hi + 2 * s_hi
-
-
-def _exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
-    """One-shot enclosure of exp(x) for x >= 0, working at scale 2**-shift.
-
-    The argument is halved k times to y = a/b <= 1/2; the series over y is
-    one integer over b^n * n!, with the geometric tail (ratio <= 1/2)
-    compared with 2**-shift in integers; the enclosure is then squared back
-    k times as numerators over 2**shift, rounding outward.
-    """
-    a, b = x.numerator, x.denominator
-    k = 0
-    while 2 * a > b << k:
-        k += 1
-    y = Fraction(a, b << k)
-    a, b = y.numerator, y.denominator
-    num = den = power = 1  # sum = num / den with den = b^n * n!; power = a^n
-    n = 0
-    while True:
-        n += 1
-        power *= a
-        den *= b * n
-        num = num * b * n + power
-        tail_den = den * b * (n + 1)  # tail = 2 * power * a / tail_den
-        if (power * a) << (shift + 1) <= tail_den:
-            break
-    hi_num = num * b * (n + 1) + 2 * power * a  # sum + tail = hi_num / tail_den
-    if k == 0:
-        return Fraction(num, den), Fraction(hi_num, tail_den)
-    lo = (num * num << shift) // (den * den)
-    hi = -((-hi_num * hi_num << shift) // (tail_den * tail_den))
-    for _ in range(k - 1):
-        lo, hi = lo * lo >> shift, -(-hi * hi >> shift)
-    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
-
-
-def exp_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of exp(x) for rational x with width <= 2**-precision."""
-    target = Fraction(1, 1 << precision)
-    guard = precision + 8
-    while True:
-        lo, hi = _exp_pos_attempt(abs(x), guard)
-        if x < 0:
-            lo, hi = 1 / hi, 1 / lo
-        if hi - lo <= target:
-            return lo, hi
-        guard *= 2

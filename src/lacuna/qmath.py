@@ -1,8 +1,8 @@
 """Parsing and rendering of exact rationals.
 
-Every step needs these.  Enclosures of ln and exp, which only powlog gauges
-and the difference app need, are in lnexp.  No floating point is used
-anywhere.
+Every step needs these.  The ln enclosure, which only powlog gauges and
+the difference app need, is in lnexp, and the difference app's exp
+enclosure in differences.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -30,18 +30,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """'p/q', or 'p' for an integer.  A value with more digits than the
-    interpreter renders (sys.get_int_max_str_digits()) is a request past a
-    fixed limit, such as an app's e^t for a large t."""
-    try:
-        return str(Fraction(x))
-    except ValueError as exc:
-        raise UsageError(f"rational too large to write: {exc}") from exc
+    """'p/q', or 'p' for an integer, as format_ratio renders it."""
+    return format_ratio(*Fraction(x).as_integer_ratio())
 
 
 def format_ratio(n: int, den: int) -> str:
-    """format_rational(n/den) for integers n and den > 0, without a
-    Fraction, and with its refusal of a value too large to write."""
+    """'p/q' in lowest terms for integers n and den > 0, or 'p' for an
+    integer, without a Fraction.  A value with more digits than the
+    interpreter renders (sys.get_int_max_str_digits()) is a request past a
+    fixed limit, such as an app's e^t for a large t."""
     g = gcd(n, den)
     try:
         return str(n // g) if g == den else f"{n // g}/{den // g}"

@@ -9,7 +9,10 @@ kernels below work on the tuple layout (one d-tuple of numerators per cube),
 or on Fractions where lacuna works on scaled integers (the spot check, the
 center cross-check and the atanh and exp series); lacuna's integer kernels
 are tested against them.  eval_bounds encloses h(r) itself, which no
-command needs.  The gauge comparisons enclose the q-th root r^(|a|/q)
+command needs.  Its gauge domain ends at a rational cap, for powlog a
+48-bit lower bound of e^(-1/s) (powlog_cap), where lacuna decides -ln r >=
+1/s in each comparison; the two differ only for a radius within 2**-48 of
+e^(-1/s).  The gauge comparisons enclose the q-th root r^(|a|/q)
 (nth_root_bounds), where lacuna raises both sides to the q-th power
 instead, and take the precision their refinement starts at, so a test can
 compare lacuna's start with another.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -33,11 +37,13 @@ from lacuna.certify import (
     placed_blocks,
 )
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
+from lacuna.differences import exp_bounds
 from lacuna.dimfn import POWER, PRECISION_CAP, DimensionFunction
 from lacuna.engine import ConstructionState, ScheduleEntry
 from lacuna.errors import (
     DimensionMismatch,
     GapViolated,
+    OutOfDomain,
     PlacementFailure,
     Undecidable,
     UsageError,
@@ -371,7 +377,7 @@ def atanh_series(t: Fraction, tail_target: Fraction) -> tuple[Fraction, Fraction
 
 
 def exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
-    """lnexp._exp_pos_attempt one Fraction operation at a time: halve x
+    """differences._exp_pos_attempt one Fraction operation at a time: halve x
     to at most 1/2, sum the series, square back with outward rounding."""
     k = 0
     y = x
@@ -395,9 +401,27 @@ def exp_pos_attempt(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+@functools.cache
+def powlog_cap(s: Fraction) -> Fraction:
+    """A rational cap of the powlog domain: min(1/2, a 48-bit lower bound
+    of e^(-1/s)), where h = -x^s ln x stops increasing."""
+    half = Fraction(1, 2)
+    if s >= Fraction(3, 2):  # e^(-1/s) >= e^(-2/3) > 1/2
+        return half
+    lo, _ = exp_bounds(-1 / s, 48)
+    return min(half, lo)
+
+
+def check_domain(h: DimensionFunction, r: Fraction) -> None:
+    """OutOfDomain unless 0 < r <= 1 (pow) or 0 < r <= powlog_cap(s)."""
+    cap = Fraction(1) if h.family == POWER else powlog_cap(h.s)
+    if not 0 < r <= cap:
+        raise OutOfDomain(f"argument outside the reference domain of {h.spec_string()}")
+
+
 def eval_bounds(h: DimensionFunction, r: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     """Enclosure of h(r) with width <= 2**-precision; exact when possible."""
-    h._check_domain(r)
+    check_domain(h, r)
     p, q = h.s.numerator, h.s.denominator
     if h.family == POWER:
         return nth_root_bounds(r**p, q, precision)
@@ -416,6 +440,7 @@ def eval_bounds(h: DimensionFunction, r: Fraction, precision: int) -> tuple[Frac
 
 def gauge_ge(h: DimensionFunction, r: Fraction, threshold: Fraction, precision: int) -> bool:
     """h.ge(r, threshold) with its refinement started at `precision` bits."""
+    check_domain(h, r)
     if threshold <= 0:
         return True
     while precision <= PRECISION_CAP:
@@ -433,6 +458,7 @@ def gauge_ratio_ge(
 ) -> bool:
     """h.ratio_ge(r, threshold) for a powlog gauge, with its refinement
     started at `precision` bits."""
+    check_domain(h, r)
     if threshold <= 0:
         return True
     p, q = h.s.numerator, h.s.denominator

@@ -118,14 +118,16 @@ class TestBuild:
         assert main(build_args(str(patterns), tmp_path, dimfn="powlog:1/2")) == 0
 
     def test_small_powlog_exponent_lands_no_entry(self, q_file, tmp_path):
-        # the cap of powlog:1/10000 (a 14,482-bit denominator) lies far below
-        # the radius the walk tests at level 3: the ratio condition is out of
-        # the domain, so no entry lands, and the refusal renders no cap
-        run = _child(tmp_path, build_args(q_file, tmp_path, depth=3, dimfn="powlog:1/10000"),
-                     capture_output=True)
-        assert (run.returncode, run.stderr) == (0, "")
-        assert run.stdout.startswith("built d=1 depth=3: 8 leaf cubes, 0 schedule entries")
-        assert read_tree(tmp_path / "tree.json").entries == []
+        # the powlog domain ends at e^(-1/s), far below the radius the walk
+        # tests at level 3: -ln r < 1/s there, so the ratio condition is out
+        # of the domain and no entry lands.  Each comparison refuses from its
+        # first ln enclosure, whatever 1/s is, and renders no number
+        for spec in ("powlog:1/10000", "powlog:1/10000000"):
+            run = _child(tmp_path, build_args(q_file, tmp_path, depth=3, dimfn=spec),
+                         capture_output=True, timeout=30)
+            assert (run.returncode, run.stderr) == (0, "")
+            assert run.stdout.startswith("built d=1 depth=3: 8 leaf cubes, 0 schedule entries")
+            assert read_tree(tmp_path / "tree.json").entries == []
 
     def test_d6_is_config_error(self, tmp_path, capsys):
         # Tuple addresses have 32 digits, so d <= 5: refused before a level
@@ -297,17 +299,20 @@ class TestCertify:
             assert main(["certify", tree, "--mode", mode]) == 0
 
     def test_edited_small_powlog_gauge_fails_the_measure(self, q_file, tmp_path):
-        # a pow:1/2 tree whose h is edited to powlog:1/10000: every radius
-        # is outside the gauge's domain, so the mass bound fails at k0 = 5
+        # a pow:1/2 tree whose h is edited to a powlog gauge with a small s:
+        # every radius is outside the gauge's domain, so the mass bound
+        # fails at k0 = 5, for s = 10^-7 as fast as for s = 10^-4
         assert main(build_args(q_file, tmp_path, depth=10)) == 0
         doc = json.loads((tmp_path / "tree.json").read_text())
-        doc["h"] = "powlog:1/10000"
-        (tmp_path / "bad.json").write_text(json.dumps(doc))
-        run = _child(tmp_path, ["certify", "bad.json", "--mode", "measure"], capture_output=True)
-        assert (run.returncode, run.stdout) == (1, "")
-        assert json.loads(run.stderr)["error"] == {
-            "type": "MeasureViolated", "message": "mass/ratio bound fails at level 5"
-        }
+        for spec in ("powlog:1/10000", "powlog:1/10000000"):
+            doc["h"] = spec
+            (tmp_path / "bad.json").write_text(json.dumps(doc))
+            run = _child(tmp_path, ["certify", "bad.json", "--mode", "measure"],
+                         capture_output=True, timeout=30)
+            assert (run.returncode, run.stdout) == (1, "")
+            assert json.loads(run.stderr)["error"] == {
+                "type": "MeasureViolated", "message": "mass/ratio bound fails at level 5"
+            }
 
     def test_cert_file_content(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path, depth=12))
@@ -685,9 +690,10 @@ class TestMalformedInput:
         spec = _spec_file(tmp_path, kind="differences", h="pow:1/10", d=1, depth=4,
                           params=[{"kind": "rational", "value": "5000"}])
         code = main(["app", spec, "--out-dir", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+        error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2
-        assert json.loads(err)["error"]["type"] == "UsageError"
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith("rational too large to write: ")
         # report.json is rendered before the directory is made
         assert not (tmp_path / "o").exists()
 
@@ -1226,8 +1232,9 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize("kind", sorted(_APPS_WITH_ENTRIES))
     def test_each_app_kind_loads_only_its_layers(self, tmp_path, kind):
-        # the difference app loads its module and the ln/exp series, the
-        # complex triplets their module; no other kind loads any of them
+        # the difference app loads its module (with the exp series) and the
+        # ln series, the complex triplets their module; no other kind loads
+        # any of them
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(_APPS_WITH_ENTRIES[kind]))
         extra = {"differences": {"differences", "lnexp"}, "complex_triplets": {"triplets"}}
@@ -1245,7 +1252,7 @@ class TestImportFootprint:
         # gap-only certify has a gap to certify
         powlog = build_args(q_file, tmp_path, depth=18, dimfn="powlog:1/1", out="plog.json")
         assert self.loaded(tmp_path, powlog) == _BUILD | {"lnexp"}
-        # the gap reads no gauge value, so the powlog cap is never made
+        # the gap reads no gauge value, so the ln series is never loaded
         certify = ["certify", str(tmp_path / "plog.json"), "--mode", "gap"]
         assert self.loaded(tmp_path, certify) == _READ | {"certify"}
         out = ["--out-dir", str(tmp_path / "app-out")]
@@ -1257,9 +1264,11 @@ class TestImportFootprint:
             "apps", "certify", "differences", "lnexp"
         }
 
-    def test_a_powlog_cap_is_made_only_where_the_gauge_is_evaluated(self, q_file, tmp_path):
-        # the cap is an exp enclosure: a depth-0 build tests no ratio and an
-        # export reads no gauge value, so neither loads the ln/exp series
+    def test_the_ln_series_loads_only_where_a_powlog_gauge_is_evaluated(
+        self, q_file, tmp_path
+    ):
+        # a depth-0 build tests no ratio and an export reads no gauge value,
+        # so neither loads the ln series
         setup = build_args(q_file, tmp_path, depth=0, dimfn="powlog:63/64", out="setup.json")
         assert self.loaded(tmp_path, setup) == _BUILD
         powlog = build_args(q_file, tmp_path, depth=18, dimfn="powlog:1/1", out="plog.json")
@@ -1273,7 +1282,7 @@ class TestImportFootprint:
             assert self.loaded(tmp_path, certify) == layers | {"certify", "lnexp"}
 
 
-def _child(tmp_path, args, prefix=(), **kwargs):
+def _child(tmp_path, args, prefix=(), timeout=120, **kwargs):
     """`python -m lacuna.cli args` in a child, started through the command
     prefix if one is given.  Its stdout is block-buffered: PYTHONUNBUFFERED
     is removed from its environment, so a summary line reaches a pipe only
@@ -1282,7 +1291,7 @@ def _child(tmp_path, args, prefix=(), **kwargs):
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [*prefix, sys.executable, "-m", "lacuna.cli", *args],
-        cwd=tmp_path, env=env, text=True, timeout=120, **kwargs,
+        cwd=tmp_path, env=env, text=True, timeout=timeout, **kwargs,
     )
 
 

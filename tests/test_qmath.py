@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import lacuna
 from lacuna.errors import FormatError
-from lacuna.lnexp import exp_bounds, ln2_bounds, ln_bounds
+from lacuna.differences import exp_bounds
+from lacuna.lnexp import ln2_bounds, ln_bounds
 from lacuna.engine import SQRT_PRECISION, sqrt_d_bounds
 from lacuna.qmath import decimal_ratio, format_rational, parse_rational
 from reference import iroot, nth_root_bounds, perfect_root
@@ -33,6 +34,12 @@ class TestParsing:
         assert parse_rational("3/2") == Fraction(3, 2)
         assert parse_rational("-7") == Fraction(-7)
         assert format_rational(Fraction(6, 4)) == "3/2"
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.one_of(st.fractions(max_denominator=10**30), st.integers(-(10**30), 10**30)))
+    def test_format_rational_writes_the_fraction(self, x):
+        # one renderer (format_ratio) for both: 'p' or 'p/q' in lowest terms
+        assert format_rational(x) == str(Fraction(x))
 
     @pytest.mark.parametrize("bad", ["1.5", "1e3", "3/0", "", "a/b", "1/-2"])
     def test_rejects_non_rationals(self, bad):
