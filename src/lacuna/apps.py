@@ -16,7 +16,8 @@ patterns for the engine:
 
 run_app takes every kind down one path: the patterns, one build
 (engine.build_tree), then certify.certify_tree, the routine of `lacuna
-certify`, with 100 spot checks per entry, which reads the build's levels.
+certify`, with 100 spot checks per entry, which walks the build's levels
+to its last avoidance level.
 The difference app, the one place irrational targets appear, is in
 lacuna.differences; run_app imports it for that kind only, to get the
 quotient targets before the build and report.json after the

@@ -40,8 +40,12 @@ enter c3.
 certify_tree is the one sequence of these checks for a whole tree, run by
 both `lacuna certify` and `lacuna app`.  It settles the measure, which
 needs no geometry, before anything reads a level (in mode measure, it
-reads none).  It calls the checks through this module's globals, so a
-caller that replaces certify.certify_gap (say, to time it) sees every call.
+reads none).  Then it walks the levels once, down to the last avoidance
+level, and checks each entry on its level M_i as the walk reaches it:
+each check takes that level as an argument, and no level is kept once
+its checks have run.  It calls the checks through this module's globals,
+so a caller that replaces certify.certify_gap (say, to time it) sees
+every call.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .qmath import format_rational
 from .record import Record
 
 if TYPE_CHECKING:
-    from .engine import ConstructionState, ScheduleEntry
+    from .engine import ConstructionState, Level, ScheduleEntry
     from .geometry import BlockLattice
 
 #: Above this many center combinations the exact minimum search falls back
@@ -117,19 +121,20 @@ class MeasureCertificate(Record):
     conditional: str
 
 
-def placed_blocks(state: ConstructionState, entry: ScheduleEntry) -> list[list[int]]:
+def placed_blocks(
+    state: ConstructionState, entry: ScheduleEntry, level: Level
+) -> list[list[int]]:
     """Flat lower corners (d numerators per cube) of the avoidance-level
     cubes under each tuple member of a processed entry.
 
-    Corners are numerators over the denominator of level entry.m_level.
-    An entry of state.entries lies within the depth (the reader refuses
-    M_i > depth) and every tuple member has cubes below it, so each block
-    is non-empty.
+    level is the state's level entry.m_level, and the corners are
+    numerators over its denominator.  An entry of state.entries lies
+    within the depth (the reader refuses M_i > depth) and every tuple
+    member has cubes below it, so each block is non-empty.
     """
     if entry not in state.entries:
         raise EntryNotProcessed(f"entry {entry.index} was not processed by this build")
-    lowers = state.levels[entry.m_level].lowers
-    return [lowers[span] for span in state.tuple_spans(entry)]
+    return [level.lowers[span] for span in state.tuple_spans(entry)]
 
 
 def _recover_residue(lattice: BlockLattice, signs: list[int], block: list[int]) -> list[int]:
@@ -222,8 +227,11 @@ def _min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
     return Fraction(best, 2), True
 
 
-def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificate:
-    """Recompute the avoidance gap of one processed entry from the geometry.
+def certify_gap(
+    state: ConstructionState, entry: ScheduleEntry, level: Level
+) -> GapCertificate:
+    """Recompute the avoidance gap of one processed entry from its level
+    M_i (level).
 
     Verifies the lattice form of every placed cube, the half-integer value
     of psi on center combinations, and returns gap >= peak*delta as the
@@ -231,7 +239,7 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
     It needs no check: _min_half_offset returns 1/2 or half a positive odd
     integer, so gap = peak*delta*(4*q_min - 1) >= peak*delta = threshold.
     """
-    blocks = placed_blocks(state, entry)
+    blocks = placed_blocks(state, entry, level)
     np_ = state.normalized[entry.pattern_id]
     delta = state.side(entry.m_level)
     lattices = state.block_lattices(entry.pattern_id)
@@ -240,7 +248,7 @@ def certify_gap(state: ConstructionState, entry: ScheduleEntry) -> GapCertificat
         signs = [(c > 0) - (c < 0) for c in row]
         residues.append(_recover_residue(lattice, signs, blk))
     q_min, exact = _min_half_offset(residues)
-    _cross_check_centers(state, entry, np_, blocks)
+    _cross_check_centers(state, entry, np_, blocks, level.den)
     threshold = np_.peak * delta
     gap = 4 * np_.peak * delta * q_min - threshold
     return GapCertificate(
@@ -283,17 +291,17 @@ def _draws(seed: int, bounds: Sequence[int]) -> Iterator[list[int]]:
         yield drawn
 
 
-def _cross_check_centers(state, entry, np_, blocks):
+def _cross_check_centers(state, entry, np_, blocks, den):
     """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2).
 
     psi is evaluated from the pattern's own coefficients, never from the
-    lattice.  A center is (2x + side) / (2*den), so with the rows c' = L*c
-    of _scaled_rows, psi = total / (2*L*den) for the integer
-    total = sum c'*(2x + side).  With peak = p/q and delta = side/den, psi
-    is 4*peak*delta*(n + 1/2) exactly when total*q = 4*L*p*side*(2n + 1):
-    one divmod and a parity test.  An odd multiple also gives
-    |psi| >= 2*peak*delta.  psi is rendered as a Fraction only in the
-    message of a failed check.
+    lattice.  A center is (2x + side) / (2*den), over the denominator den
+    of the entry's level, so with the rows c' = L*c of _scaled_rows,
+    psi = total / (2*L*den) for the integer total = sum c'*(2x + side).
+    With peak = p/q and delta = side/den, psi is 4*peak*delta*(n + 1/2)
+    exactly when total*q = 4*L*p*side*(2n + 1): one divmod and a parity
+    test.  An odd multiple also gives |psi| >= 2*peak*delta.  psi is
+    rendered as a Fraction only in the message of a failed check.
     """
     d = state.d
     side = state.side_num
@@ -311,7 +319,7 @@ def _cross_check_centers(state, entry, np_, blocks):
         total = 2 * total + offset
         k, rem = divmod(total * q, unit)
         if rem or not k % 2:
-            val = Fraction(total, 2 * lcd * state.levels[entry.m_level].den)
+            val = Fraction(total, 2 * lcd * den)
             raise GapViolated(
                 f"entry {entry.index}: psi(centers) = {val} is not a half-integer "
                 "multiple of 4*peak*delta"
@@ -321,10 +329,12 @@ def _cross_check_centers(state, entry, np_, blocks):
 def spot_check_gap(
     state: ConstructionState,
     entry: ScheduleEntry,
+    level: Level,
     cert: GapCertificate,
     count: int = 100,
 ) -> None:
-    """Random rational point tuples from the placed cubes must respect the gap.
+    """Random rational point tuples from the placed cubes of an entry's
+    level M_i (level) must respect the gap.
 
     With grid = SPOT_GRID, coordinate v of a point drawn from the cube with
     lower corner x is (x_v*grid + g_v*side) / (den*grid) for a random
@@ -334,10 +344,10 @@ def spot_check_gap(
     with an integer total, and |psi| < gap is one cross-multiplied integer
     comparison.
     """
-    blocks = placed_blocks(state, entry)
+    blocks = placed_blocks(state, entry, level)
     np_ = state.normalized[entry.pattern_id]
     d = state.d
-    den = state.levels[entry.m_level].den
+    den = level.den
     side = state.side_num
     grid = SPOT_GRID
     lcd, rows = _scaled_rows(np_.base.coeffs)
@@ -417,26 +427,33 @@ def certify_tree(
 
     Certifies the measure first, which reads only the recipe (level counts,
     sides and the schedule), so a recipe whose measure fails is refused
-    before any level is made.  Then it makes the levels (validate_structure),
-    certifies the gap of each processed entry and draws spot_checks point
-    tuples against it.  mode "gap" skips the measure (None) and "measure"
-    the levels and the gaps.  On a tree with no processed entry, mode "gap"
-    returns no gaps: an app writes that as it is, while `lacuna certify`
-    refuses such a tree from its recipe before calling this.  The engine is
-    imported here, since the oracle step loads this module and no engine
-    code.
-    """
-    from . import engine
+    before any level is made.  Then one walk over the levels
+    (ConstructionState.walk) stops at the last avoidance level: at each
+    entry's M_i it certifies the entry's gap and draws spot_checks point
+    tuples against it, on the level in hand, which is dropped once the
+    walk moves on.  The reader refuses M_{i+1} < M_i + 2, so the entries
+    come in increasing M_i and the gaps in their order.  mode "gap" skips
+    the measure (None) and "measure" the levels and the gaps.  On a tree
+    with no processed entry, mode "gap" makes no level and returns no gaps:
+    an app writes that as it is, while `lacuna certify` refuses such a tree
+    from its recipe before calling this.
 
+    Stopping there skips no check: every level through the last M_i is
+    made, with every placed cube asserted inside its parent as it is made,
+    and a level past the last M_i is dyadic, since no entry lands there,
+    and asserts nothing.
+    """
     measure = None if mode == "gap" else certify_measure(state)
     gaps = []
-    if mode != "measure":
-        engine.validate_structure(state)
-        for entry in state.entries:
-            cert = certify_gap(state, entry)
-            if spot_checks:
-                spot_check_gap(state, entry, cert, count=spot_checks)
-            gaps.append(cert)
+    if mode != "measure" and state.entries:
+        due = {e.m_level: e for e in state.entries}
+        for k, level in state.walk(state.m_levels[-1]):
+            entry = due.get(k)
+            if entry is not None:
+                cert = certify_gap(state, entry, level)
+                if spot_checks:
+                    spot_check_gap(state, entry, level, cert, count=spot_checks)
+                gaps.append(cert)
     return gaps, measure
 
 

@@ -7,9 +7,9 @@ error (errors.UsageError, argument errors included, or an OSError).
 Failures emit a JSON error envelope on stderr for machine use.
 
 run() is the process entry (the console script and `python -m lacuna.cli`):
-it calls main(), flushes the standard streams and ends the process without
-interpreter teardown.  main(argv) is the in-process API, and returns the
-exit code.
+it turns the cyclic garbage collector off, calls main(), flushes the
+standard streams and ends the process without interpreter teardown.
+main(argv) is the in-process API, and returns the exit code.
 
 Each command imports the layers it runs (engine, apps, certify, export,
 svg) itself, so a step loads no module it does not use: the oracle, for
@@ -24,7 +24,8 @@ call it:
 * the tree reader (lacuna.reader): certify and export, through
   engine.read_tree;
 * the cube geometry (lacuna.geometry): the steps that make levels,
-  certify (but in mode measure), export and app, never build;
+  certify (but in mode measure), export and an app with an entry, never
+  build;
 * the ln series (lacuna.lnexp): a powlog gauge that is evaluated (build
   past depth 0, certify's measure) and the difference app, so export, a
   depth-0 build and certify --mode gap load no lnexp; the difference
@@ -49,6 +50,7 @@ every step, as much as the work of an oracle step.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -326,14 +328,22 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry of the console script and of `python -m lacuna.cli`.
 
-    Runs main(), flushes stdout and stderr and ends the process with
-    os._exit, skipping the interpreter teardown, which frees every module
-    and object one by one.  Every file a command writes is closed by its
-    `with` block before main returns, so the flush is all that teardown
-    would still do.  A stream may be None (a closed descriptor); one whose
-    flush fails (a pipe with no reader) falls back to sys.exit, so the
-    interpreter reports the error and sets the exit code as it always did.
+    Turns the cyclic garbage collector off, runs main(), flushes stdout and
+    stderr and ends the process with os._exit, skipping the interpreter
+    teardown, which frees every module and object one by one.  Every file a
+    command writes is closed by its `with` block before main returns, so
+    the flush is all that teardown would still do.  A stream may be None (a
+    closed descriptor); one whose flush fails (a pipe with no reader) falls
+    back to sys.exit, so the interpreter reports the error and sets the
+    exit code as it always did.
+
+    lacuna's data are acyclic, so reference counting frees them, while
+    each collection would walk the new lists a level makes; a step leaves
+    at most about a hundred cyclic objects (from imports and class set-up)
+    uncollected, and the process end drops them.  main leaves the collector
+    as it is, for the callers that run in process.
     """
+    gc.disable()
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

@@ -13,16 +13,19 @@ state (ConstructionState), the records of its schedule (ScheduleEntry,
 compute_beta, the ratio condition and the caps, which the reader, the
 geometry and certify_measure check against), build, which fills in its
 entries and depth by the schedule walk, validate_structure and the tree
-file.  A state is its recipe: ConstructionState.levels, the one loop that
-makes levels, makes them from the recipe the first time they are read,
-with the per-level kernel geometry.advance, and keeps them.  lacuna.geometry is loaded only
-by code that reads levels.  There every placement is asserted to stay
-inside its parent as it is made (PlacementFailure, a self-check: it cannot
-fire while beta >= compute_beta, which the reader enforces on files), and
-the rest of nestedness holds by construction (validate_structure).
-`lacuna build` and `certify --mode measure` read no level, and so run no
-self-check: certify's other modes, export and app read every level of
-the file's recipe and run it.
+file.  A state is its recipe: ConstructionState.walk, the one loop that
+makes levels, makes each from the one before it with the per-level kernel
+geometry.advance.  certify walks the levels to the last avoidance level
+and holds one at a time; ConstructionState.levels keeps every level
+0..depth, for the exports and the difference report.  lacuna.geometry is
+loaded only by code that makes a level past 0.  There every placement is
+asserted to stay inside its parent as it is made (PlacementFailure, a
+self-check: it cannot fire while beta >= compute_beta, which the reader
+enforces on files), and the rest of nestedness holds by construction
+(validate_structure).  `lacuna build` and `certify --mode measure` make
+no level, and so run no self-check: certify's other modes and app make
+every level through the last avoidance level, and export every level,
+and run it.
 
 All geometry is exact integer arithmetic.  Level k stores one denominator
 den_k and one flat list of d * N_k integer numerators over it, the lower
@@ -58,7 +61,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, isqrt, lcm
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .dimfn import DimensionFunction
 from .errors import (
@@ -214,9 +217,10 @@ class ConstructionState(Record, frozen=False):
     """The whole build: its recipe (d, h, the patterns, the realized
     schedule and the depth) and the levels 0..depth that the recipe fixes.
 
-    The fields are the recipe alone.  Level 0 is made with the state, and
-    the other levels the first time levels is read (the levels property).
-    replace makes a state that holds level 0 only.
+    The fields are the recipe alone.  Level 0 is made with the state and
+    kept.  walk makes the other levels one at a time, and the levels
+    property keeps them all the first time it is read.  replace makes a
+    state that holds level 0 only.
     """
 
     d: int
@@ -235,20 +239,38 @@ class ConstructionState(Record, frozen=False):
 
     @property
     def levels(self) -> list[Level]:
-        """Levels 0..depth, the one loop that makes levels: each level the
-        state lacks is made from the one above it by geometry.advance, as
-        the avoidance level of the entry with M_i = k or as a dyadic level,
-        and kept.  build only ever deepens a recipe along the schedule, so
-        the levels kept stay those of the recipe, each checked once, as it
-        is made (validate_structure)."""
+        """Levels 0..depth, made by walk the first time they are read, and
+        kept.  The exports, the difference report and the tests read them
+        here; certify_tree walks the levels it checks instead.  build only
+        ever deepens a recipe along the schedule, so the levels kept stay
+        those of the recipe, each checked once, as it is made."""
         levels = self._levels
         if len(levels) <= self.depth:
+            levels[:] = [level for _, level in self.walk(self.depth)]
+        return levels
+
+    def walk(self, stop: int) -> Iterator[tuple[int, Level]]:
+        """(k, level) for k = 0..stop, the one loop that makes levels.
+
+        The levels the state keeps (level 0, and any the levels property
+        made) come as they are.  Each other level is made from the one
+        before it by geometry.advance, as the avoidance level of the entry
+        with M_i = k or as a dyadic level, and the walk holds it only until
+        the next one is made.  Every placed cube is asserted inside its
+        parent as it is made (PlacementFailure).  lacuna.geometry is loaded
+        only when a level past those kept is made, so a walk that stops at
+        level 0 loads none.
+        """
+        kept = self._levels
+        yield from enumerate(kept[: stop + 1])
+        if stop >= len(kept):
             from .geometry import advance
 
             by_level = {e.m_level: e for e in self.entries}
-            for k in range(len(levels), self.depth + 1):
-                levels.append(advance(self, levels[-1], by_level.get(k)))
-        return levels
+            level = kept[-1]
+            for k in range(len(kept), stop + 1):
+                level = advance(self, level, by_level.get(k))
+                yield k, level
 
     @property
     def m_levels(self) -> list[int]:
@@ -386,7 +408,8 @@ def validate_structure(state: ConstructionState) -> None:
 
     The mass-distribution argument rests on a nested tree whose level k
     holds expected_count(k) cubes.  Both hold by construction of the one
-    loop that makes levels (the levels property), so nothing is re-walked:
+    loop that makes levels (ConstructionState.walk), so nothing is
+    re-walked:
 
     * a dyadic cube's 2^d children sit at offsets 0 or side inside the
       doubled parent (geometry._dyadic_children);
@@ -396,9 +419,11 @@ def validate_structure(state: ConstructionState) -> None:
     * the measure reads its counts from the recipe (expected_count).
 
     PlacementFailure cannot fire while every beta >= compute_beta, which the
-    reader enforces on files.  certify_tree calls this in modes all and gap.
-    The name stays while bench/replay.py wraps it (span engine.validate);
-    ROADMAP item 5 retires it.
+    reader enforces on files.  No command calls this: certify_tree asserts
+    the same placements in its walk to the last avoidance level, past which
+    every level is dyadic and asserts nothing.  The name stays while
+    bench/replay.py wraps it (span engine.validate); ROADMAP item 4
+    retires it.
     """
     state.levels  # the property makes each level it lacks
 

@@ -4,19 +4,20 @@ A state's recipe (engine: d, the gauge, the patterns, the depth and the
 realized schedule) fixes every corner: dyadic children sit at fixed offsets,
 free avoidance children are their parents scaled, and placed children come
 from the deterministic lattice rule.  advance makes one level from the one
-above it and the recipe; ConstructionState.levels, the one loop that makes
-levels, runs it for each level the first time the levels are read.  The
-kernels work on the flat layout of engine.Level, one axis at a time over
-strided slices (lowers[v::d]), and build no per-cube tuples.
+above it and the recipe; ConstructionState.walk, the one loop that makes
+levels, runs it for each level it makes.  The kernels work on the flat
+layout of engine.Level, one axis at a time over strided slices
+(lowers[v::d]), and build no per-cube tuples.
 
 Every placement is asserted to stay inside its parent as it is made
 (_escape, the one containment test), so the geometry is self-verifying
 against the shrink factor 2*beta between an avoidance level and its parent
 level; dyadic and free children lie inside their parents by construction.
 
-Only the code that reads levels loads this module: ConstructionState.levels
-and ConstructionState.block_lattices.  `lacuna build` and `lacuna certify
---mode measure` read only the recipe, and never load it.
+Only the code that makes a level past 0 loads this module:
+ConstructionState.walk and ConstructionState.block_lattices.  `lacuna
+build`, `lacuna certify --mode measure` and an app with no entry read
+only the recipe, and never load it.
 """
 
 from __future__ import annotations

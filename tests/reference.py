@@ -3,8 +3,10 @@
 None of these is on a command's path.  They re-derive from first principles
 what the certified code relies on: psi in Fraction arithmetic, the lattice
 maps and the key inequality of a normalized pattern, and whether oracle
-instances fall among the tuples a gap certificate covers.  build_parser is
-the argparse grammar the CLI's command table replaced.  The per-cube
+instances fall among the tuples a gap certificate covers.  certify_tree
+runs certify's checks over every level, made and held first: the route
+that certify.certify_tree's walk must agree with.  build_parser is the
+argparse grammar the CLI's command table replaced.  The per-cube
 kernels below work on the tuple layout (one d-tuple of numerators per cube),
 or on Fractions where lacuna works on scaled integers (the spot check, the
 center cross-check and the atanh and exp series); lacuna's integer kernels
@@ -33,6 +35,7 @@ from typing import Sequence
 from lacuna import certify as _certify
 from lacuna.certify import (
     GapCertificate,
+    MeasureCertificate,
     brute_oracle,
     placed_blocks,
 )
@@ -199,6 +202,25 @@ def min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
     return Fraction(best, 2), True
 
 
+def certify_tree(
+    state: ConstructionState, mode: str = "all", spot_checks: int = 0
+) -> tuple[list[GapCertificate], MeasureCertificate | None]:
+    """certify.certify_tree over state.levels: every level 0..depth made
+    and held first, then each entry's checks run on its level M_i, in the
+    order of the entries."""
+    measure = None if mode == "gap" else _certify.certify_measure(state)
+    gaps = []
+    if mode != "measure":
+        levels = state.levels
+        for entry in state.entries:
+            level = levels[entry.m_level]
+            cert = _certify.certify_gap(state, entry, level)
+            if spot_checks:
+                _certify.spot_check_gap(state, entry, level, cert, count=spot_checks)
+            gaps.append(cert)
+    return gaps, measure
+
+
 def spot_check_gap(
     state: ConstructionState,
     entry: ScheduleEntry,
@@ -209,9 +231,10 @@ def spot_check_gap(
 ) -> None:
     """Random rational point tuples from the placed cubes must respect the
     gap: the Fraction form of certify.spot_check_gap, with the same draws."""
-    blocks = [corners(blk, state.d) for blk in placed_blocks(state, entry)]
+    level = state.levels[entry.m_level]
+    blocks = [corners(blk, state.d) for blk in placed_blocks(state, entry, level)]
     np_ = state.normalized[entry.pattern_id]
-    den = state.levels[entry.m_level].den
+    den = level.den
     delta = state.side(entry.m_level)
     rng = random.Random(seed * 1_000_003 + entry.index)
     for _ in range(count):
@@ -514,7 +537,7 @@ def instance_covered(
     if _cache is not None and key in _cache:
         blocks = _cache[key]
     else:
-        blocks = placed_blocks(state, entry)
+        blocks = placed_blocks(state, entry, state.levels[entry.m_level])
         if _cache is not None:
             _cache[key] = blocks
     den = state.levels[entry.m_level].den
@@ -561,7 +584,7 @@ def covered_instance_scan(
     builds stay tractable where the all-tuples oracle would not.  Returns
     instances as point-index tuples in normalized block order.
     """
-    blocks = placed_blocks(state, entry)
+    blocks = placed_blocks(state, entry, state.levels[entry.m_level])
     np_ = state.normalized[entry.pattern_id]
     den = state.levels[entry.m_level].den
     side = state.side_num

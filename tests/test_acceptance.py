@@ -123,12 +123,12 @@ class TestAcceptance:
         ap_threshold_seen = None
         for st in builds:
             for entry in st.entries:
-                cert = certify_gap(st, entry)
+                cert = certify_gap(st, entry, st.levels[entry.m_level])
                 ok = ok and cert.gap >= cert.threshold
                 ok = ok and cert.threshold == st.normalized[
                     entry.pattern_id
                 ].peak * st.side(entry.m_level)
-                spot_check_gap(st, entry, cert, count=100)
+                spot_check_gap(st, entry, st.levels[entry.m_level], cert, count=100)
                 entries += 1
                 if st is builds[0] and entry.m_level == 6:
                     ap_threshold_seen = cert.threshold
@@ -203,7 +203,7 @@ class TestAcceptance:
         gap_failed = False
         oracle_failed = False
         try:
-            certify_gap(mutated, entry)
+            certify_gap(mutated, entry, mutated.levels[entry.m_level])
         except GapViolated:
             gap_failed = True
         if not gap_failed:
@@ -257,7 +257,7 @@ class TestAcceptance:
         st = build(init_state(1, [make_pattern(1, [[2], [-1]])], h), 18)
         ok = bool(st.m_levels) and st.depth >= st.m_levels[0] == 18
         validate_structure(st)
-        cert = certify_gap(st, st.entries[0])
+        cert = certify_gap(st, st.entries[0], st.levels[18])
         ok = ok and cert.gap >= cert.threshold
         measure = certify_measure(st)
         ok = ok and all(v.mass_ok and v.ratio_ok for v in measure.per_level)

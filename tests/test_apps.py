@@ -228,7 +228,7 @@ class TestDifferences:
         from lacuna.certify import placed_blocks
 
         entry = state.entries[0]
-        blocks = placed_blocks(state, entry)
+        blocks = placed_blocks(state, entry, state.levels[entry.m_level])
         den = state.levels[entry.m_level].den
         side = state.side(entry.m_level)
         xs = [F(blk[0], den) + side / 2 for blk in blocks]

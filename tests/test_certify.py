@@ -4,6 +4,7 @@ import copy
 import json
 import random
 import time
+import traceback
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,6 +30,7 @@ from lacuna.errors import (
     EntryNotProcessed,
     GapViolated,
     MeasureViolated,
+    PlacementFailure,
 )
 from lacuna.export import read_points
 from lacuna.pattern import make_pattern
@@ -50,20 +52,23 @@ def placed_points(st, entry):
     """placed_blocks with the lower corners as exact rationals."""
     den = st.levels[entry.m_level].den
     return [
-        corners([F(x, den) for x in blk], st.d) for blk in placed_blocks(st, entry)
+        corners([F(x, den) for x in blk], st.d)
+        for blk in placed_blocks(st, entry, st.levels[entry.m_level])
     ]
 
 
 class TestGapCertificates:
     def test_first_ap_entry_threshold(self, ap_tree_12):
-        cert = certify_gap(ap_tree_12, ap_tree_12.entries[0])
+        st = ap_tree_12
+        cert = certify_gap(st, st.entries[0], st.levels[6])
         assert cert.threshold == F(1, 288)  # peak * side = 2/576
         assert cert.gap >= cert.threshold
         assert cert.placed_counts == (8, 8, 8)
         assert cert.exact_min
 
     def test_second_entry(self, ap_tree_12):
-        cert = certify_gap(ap_tree_12, ap_tree_12.entries[1])
+        st = ap_tree_12
+        cert = certify_gap(st, st.entries[1], st.levels[11])
         assert cert.threshold == F(1, 82944)
         assert cert.gap >= cert.threshold
 
@@ -87,15 +92,15 @@ class TestGapCertificates:
 
     def test_spot_checks(self, ap_tree_12):
         for entry in ap_tree_12.entries:
-            cert = certify_gap(ap_tree_12, entry)
-            spot_check_gap(ap_tree_12, entry, cert, count=100)
+            cert = certify_gap(ap_tree_12, entry, ap_tree_12.levels[entry.m_level])
+            spot_check_gap(ap_tree_12, entry, ap_tree_12.levels[entry.m_level], cert, count=100)
 
     def test_oracle_cross_check_below_gap(self, ap_tree_12):
         # Random points from the placed cubes, oracle tolerance one ulp
         # below the certified gap: any hit would contradict the certificate.
         st = ap_tree_12
         entry = st.entries[0]
-        cert = certify_gap(st, entry)
+        cert = certify_gap(st, entry, st.levels[entry.m_level])
         blocks = placed_points(st, entry)
         side = st.side(entry.m_level)
         rng = random.Random(5)
@@ -122,7 +127,7 @@ class TestGapCertificates:
         # (gap + threshold) / (4*peak*side) recovers min|n + 1/2| >= 1/2.
         st = ap_tree_12
         for entry in st.entries:
-            cert = certify_gap(st, entry)
+            cert = certify_gap(st, entry, st.levels[entry.m_level])
             np_ = st.normalized[entry.pattern_id]
             side = st.side(entry.m_level)
             q_min = (cert.gap + cert.threshold) / (4 * np_.peak * side)
@@ -136,7 +141,7 @@ class TestGapCertificates:
         entry = walk_schedule(st.normalized, st.h, 16)[2]
         assert (entry.index, entry.m_level) == (3, 16)
         with pytest.raises(EntryNotProcessed):
-            certify_gap(st, entry)
+            certify_gap(st, entry, st.levels[st.depth])
 
     def test_combo_cap_falls_back_to_the_structural_bound(self):
         # quotient 2 under pow:41/50 lands entry 1, the level-1 tuple (0, 1),
@@ -149,11 +154,11 @@ class TestGapCertificates:
         assert st.m_levels == [19] and len(st.levels[19].lowers) // st.d == 2**18
         entry = st.entries[0]
         assert (entry.level, entry.tuple_codes) == (1, (0, 1))
-        cert = certify_gap(st, entry)
+        cert = certify_gap(st, entry, st.levels[entry.m_level])
         assert cert.placed_counts == (2**17, 2**17) and 2**17 > COMBO_CAP
         assert not cert.exact_min
         assert cert.gap == cert.threshold == F(3, 7 * 2**20)
-        spot_check_gap(st, entry, cert, count=20)
+        spot_check_gap(st, entry, st.levels[entry.m_level], cert, count=20)
         assert certificates_to_doc([cert], None)["gaps"][0]["exact_min"] is False
 
     def test_corrupted_placement_fails(self, ap_tree_12, move_cube):
@@ -162,7 +167,7 @@ class TestGapCertificates:
         x = F(level.lowers[0], level.den)
         broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
-            certify_gap(broken, broken.entries[0])
+            certify_gap(broken, broken.entries[0], broken.levels[6])
 
     def test_unshifted_lattice_fails_the_cross_check(self, ap_pattern, sqrt_gauge, monkeypatch):
         """Without the half-step pivot shift of the last block, placement and
@@ -177,7 +182,7 @@ class TestGapCertificates:
         monkeypatch.setattr(geometry, "block_lattice", unshifted)
         st = build(init_state(1, [ap_pattern], sqrt_gauge), 7)
         with pytest.raises(GapViolated, match="is not a half-integer multiple"):
-            certify_gap(st, st.entries[0])
+            certify_gap(st, st.entries[0], st.levels[6])
 
 
 class TestMeasureCertificate:
@@ -276,6 +281,34 @@ class TestCertifyTree:
         with pytest.raises(MeasureViolated, match="^mass/ratio bound fails at level 6$"):
             certify_tree(recipe, mode)
         assert made == []
+
+    def test_spot_checks_run_on_each_entrys_level(
+        self, ap_pattern, sqrt_gauge, ap_tree_12, monkeypatch
+    ):
+        # certify_tree calls the checks through the module's globals, with
+        # the level M_i that its walk holds when it reaches the entry
+        recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        seen = []
+
+        def spot(state, entry, level, cert, count):
+            seen.append((entry.index, level == ap_tree_12.levels[entry.m_level], count))
+
+        monkeypatch.setattr(certify, "spot_check_gap", spot)
+        certify_tree(recipe, "all", 7)
+        assert seen == [(1, True, 7), (2, True, 7)]
+
+    @pytest.mark.parametrize("mode", ["gap", "all"])
+    def test_a_placement_failure_is_raised_inside_the_walk(
+        self, ap_pattern, sqrt_gauge, mode
+    ):
+        # beta 2 < compute_beta 9 (which the reader refuses in a file): the
+        # lattice cubes of entry 1 escape their parents as level 6 is made
+        recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        recipe.entries[0] = recipe.entries[0].replace(beta=2)
+        with pytest.raises(PlacementFailure, match="escapes its parent") as raised:
+            certify_tree(recipe, mode)
+        frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(raised.tb)]
+        assert frames[-3:] == ["walk", "advance", "place_on_lattice"]
 
     def test_mode_measure_makes_no_level(
         self, ap_pattern, sqrt_gauge, ap_tree_12, monkeypatch
@@ -380,7 +413,7 @@ class TestOracle:
         )
         # and the same corruption breaks the gap certificate
         with pytest.raises(GapViolated):
-            certify_gap(broken, broken.entries[0])
+            certify_gap(broken, broken.entries[0], broken.levels[6])
 
 
 def fraction_oracle(points, pattern, tolerance):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import lacuna
-from lacuna import engine, geometry, schedule
+from lacuna import cli, engine, geometry, schedule
 from lacuna.cli import main, parse_args
 from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError, UsageError
@@ -47,6 +48,20 @@ def q_file(tmp_path):
     p = tmp_path / "q.json"
     p.write_text(json.dumps(Q_DOC))
     return str(p)
+
+
+def _count_levels_made(monkeypatch) -> list[int | None]:
+    """Per call of geometry.advance from now on, the M_i of the entry it
+    makes the avoidance level of, or None for a dyadic level."""
+    made = []
+    advance = geometry.advance
+
+    def counted(state, prev, entry):
+        made.append(entry and entry.m_level)
+        return advance(state, prev, entry)
+
+    monkeypatch.setattr(geometry, "advance", counted)
+    return made
 
 
 def build_args(ap_file, tmp_path, depth=7, out="tree.json", dimfn="pow:1/2"):
@@ -356,6 +371,23 @@ class TestCertify:
         }
         assert not cert.exists()
         assert made == []
+
+    @pytest.mark.parametrize("mode", ["gap", "all"])
+    def test_certify_makes_the_levels_to_the_last_avoidance_level(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # the quotient-powlog tree of bench/run.py: M_1 = 13 at depth 14, so
+        # levels 1..13 are made, each once, and level 14 is not
+        patterns = tmp_path / "q.json"
+        patterns.write_text(json.dumps(
+            {"d": 1, "patterns": [{"m": 2, "coeffs": [["3/2"], ["-1"]]}]}
+        ))
+        tree = str(tmp_path / "tree.json")
+        build = ["build", str(patterns), "--dimfn", "powlog:63/64", "--depth", "14"]
+        assert main([*build, "--out", tree]) == 0
+        made = _count_levels_made(monkeypatch)
+        assert main(["certify", tree, "--mode", mode, "--spot-checks", "5"]) == 0
+        assert made == [None] * 12 + [13]
 
     def test_corrupted_coordinate_fails(
         self, ap_file, tmp_path, capsys, monkeypatch, move_cube
@@ -1102,6 +1134,18 @@ class TestAppCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ScheduleOverflow"
 
+    def test_app_makes_the_levels_to_the_last_avoidance_level(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the parallelogram app of bench/run.py: entries at M = 3, 5, ..., 11
+        # at depth 12, so levels 1..11 are made, each once, and level 12
+        # (16,384 cubes that no check reads) is not
+        spec = _spec_file(tmp_path, kind="parallelogram", params=[], h="pow:1/4", d=2,
+                          depth=12)
+        made = _count_levels_made(monkeypatch)
+        assert main(["app", spec, "--out-dir", str(tmp_path / "o")]) == 0
+        assert made == [None, None, 3, None, 5, None, 7, None, 9, None, 11]
+
     def test_refused_app_leaves_no_out_dir(self, tmp_path, capsys):
         spec = _spec_file(tmp_path, h="pow:7")
         assert main(["app", spec, "--out-dir", str(tmp_path / "o")]) == 2
@@ -1170,7 +1214,8 @@ def _src_env() -> dict:
 _CLI_CORE = {"cli", "errors", "jsonfile", "pattern", "qmath", "record"}
 #: The build's layers: it writes its recipe from the schedule walk alone.
 _BUILD = _CLI_CORE | {"dimfn", "engine", "schedule"}
-#: An app builds, then makes every level: it loads the geometry too.
+#: An app with an entry builds, then makes its levels: it loads the
+#: geometry too.
 _LEVELS = _BUILD | {"geometry"}
 #: A step that reads a tree loads the tree reader, and no schedule walk;
 #: a build does the reverse.
@@ -1218,7 +1263,12 @@ class TestImportFootprint:
         # it reads points and patterns only, so no engine, schedule or gauge
         oracle = ["oracle", pts, "--patterns", ap_file]
         assert self.loaded(tmp_path, oracle, code=1) == _CLI_CORE | {"certify", "export"}
+        # an app certifies by walking to its last avoidance level: the
+        # ratios spec at depth 3 has no entry, makes no level and loads no
+        # geometry, while at depth 7 it has one and loads it
         app = ["app", _spec_file(tmp_path), "--out-dir", str(tmp_path / "app-out")]
+        assert self.loaded(tmp_path, app) == _BUILD | {"apps", "certify"}
+        app = ["app", _spec_file(tmp_path, depth=7), "--out-dir", str(tmp_path / "app-7")]
         assert self.loaded(tmp_path, app) == _LEVELS | {"apps", "certify"}
 
     @pytest.mark.parametrize("mode", ["gap", "measure", "all"])
@@ -1349,6 +1399,21 @@ class TestProcessExit:
         finally:
             os.close(write_end)
         assert (run.returncode, run.stdout) == (2, "")
+
+    def test_run_turns_the_collector_off_and_main_does_not(
+        self, ap_file, tmp_path, monkeypatch
+    ):
+        assert gc.isenabled()
+        assert main(build_args(ap_file, tmp_path)) == 0
+        assert gc.isenabled()
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+        monkeypatch.setattr(os, "_exit", seen.append)
+        try:
+            cli.run()
+        finally:
+            gc.enable()
+        assert seen == [False, 0]
 
     def test_help(self, tmp_path):
         run = _child(tmp_path, ["--help"], capture_output=True)

@@ -9,7 +9,9 @@ The trust property runs the same through the CLI: `lacuna build` writes
 its recipe without making geometry, so it runs no placement; a build that
 exits 0 must be followed by a `certify --mode all` that exits 0, and by an
 `export --format points` whose points read back as the leaf centers of
-the built state.
+the built state.  certify_tree, which walks the levels to the last
+avoidance level, must certify as the reference route over every level
+(reference.certify_tree).
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lacuna.certify import certify_gap, certify_measure, spot_check_gap
+from lacuna.certify import (
+    certificates_to_doc,
+    certify_gap,
+    certify_measure,
+    certify_tree,
+    spot_check_gap,
+)
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build, build_tree, compute_beta, init_state, validate_structure
@@ -30,6 +38,7 @@ from lacuna.errors import LacunaError, ScheduleOverflow
 from lacuna.export import read_points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
 from lacuna.schedule import compute_levels
+import reference
 
 F = Fraction
 
@@ -64,9 +73,11 @@ class TestRandomPipelines:
         st_ = build(init_state(1, [p], h, level_cap=12), depth)
         validate_structure(st_)
         assume(st_.entries)  # starvation pushes small-m schedules past 12
-        cert = certify_gap(st_, st_.entries[0])
+        entry = st_.entries[0]
+        level = st_.levels[entry.m_level]
+        cert = certify_gap(st_, entry, level)
         assert cert.gap >= cert.threshold > 0
-        spot_check_gap(st_, st_.entries[0], cert, count=20)
+        spot_check_gap(st_, entry, level, cert, count=20)
         measure = certify_measure(st_)
         assert all(v.mass_ok and v.ratio_ok for v in measure.per_level)
 
@@ -86,10 +97,10 @@ LEAF_BUDGET = 2**14
 
 
 @st.composite
-def recipes(draw):
-    """(d, patterns, gauge spec): d <= 3, one or two patterns of arity 2-3
-    with rational coefficients, and a pow or powlog gauge for d."""
-    d = draw(st.integers(min_value=1, max_value=3))
+def recipes(draw, max_d=3):
+    """(d, patterns, gauge spec): d <= max_d, one or two patterns of arity
+    2-3 with rational coefficients, and a pow or powlog gauge for d."""
+    d = draw(st.integers(min_value=1, max_value=max_d))
     value = st.builds(
         Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
     )
@@ -143,3 +154,30 @@ class TestTrustProperty:
             # X / den == c / leaf_den for each coordinate, cross-multiplied
             assert got_d == d
             assert [x * leaf_den for point in points for x in point] == [c * den for c in centers]
+
+
+class TestOnePassCertify:
+    @given(recipe=recipes(max_d=2), mode=st.sampled_from(["all", "gap"]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_certifies_as_over_every_level(self, recipe, mode, data):
+        # certify_tree walks to the last M_i and holds one level; the
+        # reference makes and holds every level 0..depth first: the same
+        # certificates, or the same refusal, at any depth from M_1 to the
+        # leaf budget
+        d, patterns, spec = recipe
+        h = make_dimfn(*spec.split(":"), d)
+        budget = _budget_depth(d, patterns, h)
+        try:
+            m_levels = build_tree(d, patterns, h, budget).m_levels
+        except LacunaError:
+            m_levels = []
+        assume(m_levels)
+        state = build_tree(d, patterns, h, data.draw(st.integers(m_levels[0], budget)))
+
+        def doc(route):
+            try:
+                return certificates_to_doc(*route(state, mode, 10))
+            except LacunaError as exc:
+                return type(exc), str(exc)
+
+        assert doc(certify_tree) == doc(reference.certify_tree)

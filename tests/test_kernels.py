@@ -249,7 +249,7 @@ def test_golden_residues_match_the_tuple_kernel(golden):
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
         side = st.side_num
-        for b, blk in enumerate(placed_blocks(st, entry)):
+        for b, blk in enumerate(placed_blocks(st, entry, st.levels[entry.m_level])):
             lattice = block_lattice(np_, b, side)
             signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
             assert _recover_residue(lattice, signs, blk) == _reference_residues(
@@ -274,12 +274,13 @@ def test_spot_check_matches_the_fraction_reference(golden):
     st = golden
     failed = 0
     for entry in st.entries:
-        cert = certify_gap(st, entry)
-        spot_check_gap(st, entry, cert)
+        level = st.levels[entry.m_level]
+        cert = certify_gap(st, entry, level)
+        spot_check_gap(st, entry, level, cert)
         ref.spot_check_gap(st, entry, cert)
         for factor in (2, 4, 8, 64):
             raised = cert.replace(gap=cert.gap * factor)
-            message = _message(spot_check_gap, st, entry, raised)
+            message = _message(spot_check_gap, st, entry, level, raised)
             assert message == _message(ref.spot_check_gap, st, entry, raised)
             failed += message is not None
     assert failed
@@ -292,14 +293,15 @@ def _assert_cross_checks_agree(st):
     failed = 0
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
-        blocks = placed_blocks(st, entry)
-        assert _message(_cross_check_centers, st, entry, np_, blocks) is None
+        level = st.levels[entry.m_level]
+        blocks = placed_blocks(st, entry, level)
+        assert _message(_cross_check_centers, st, entry, np_, blocks, level.den) is None
         assert _message(ref.cross_check_centers, st, entry, np_, blocks) is None
         for b, blk in enumerate(blocks):
             for v in range(st.d):
                 moved = list(blocks)
                 moved[b] = [x + (j % st.d == v) for j, x in enumerate(blk)]
-                message = _message(_cross_check_centers, st, entry, np_, moved)
+                message = _message(_cross_check_centers, st, entry, np_, moved, level.den)
                 assert message == _message(ref.cross_check_centers, st, entry, np_, moved)
                 failed += message is not None
     assert failed
