@@ -15,17 +15,16 @@ geometry and certify_measure check against), build, which fills in its
 entries and depth by the schedule walk, validate_structure and the tree
 file.  A state is its recipe: ConstructionState.walk, the one loop that
 makes levels, makes each from the one before it with the per-level kernel
-geometry.advance.  certify walks the levels to the last avoidance level
-and holds one at a time; ConstructionState.levels keeps every level
-0..depth, for the exports and the difference report.  lacuna.geometry is
-loaded only by code that makes a level past 0.  There every placement is
-asserted to stay inside its parent as it is made (PlacementFailure, a
-self-check: it cannot fire while beta >= compute_beta, which the reader
-enforces on files), and the rest of nestedness holds by construction
-(validate_structure).  `lacuna build` and `certify --mode measure` make
-no level, and so run no self-check: certify's other modes and app make
-every level through the last avoidance level, and export every level,
-and run it.
+geometry.advance; the state holds level 0 alone.  Every reader of levels
+walks, and holds one level at a time (two while the next is made): certify
+to the last avoidance level, the exports and the difference report to the
+depth.  lacuna.geometry is loaded only by code that makes a level past 0.
+There every placement is asserted to stay inside its parent as it is made
+(PlacementFailure, a self-check: it cannot fire while beta >= compute_beta,
+which the reader enforces on files), and the rest of nestedness holds by
+construction.  `lacuna build` and `certify --mode measure` make no level,
+and so run no self-check: certify's other modes and app make every level
+through the last avoidance level, and export every level, and run it.
 
 All geometry is exact integer arithmetic.  Level k stores one denominator
 den_k and one flat list of d * N_k integer numerators over it, the lower
@@ -215,12 +214,11 @@ class Level(Record, frozen=False):
 
 class ConstructionState(Record, frozen=False):
     """The whole build: its recipe (d, h, the patterns, the realized
-    schedule and the depth) and the levels 0..depth that the recipe fixes.
+    schedule and the depth), which fixes the levels 0..depth.
 
     The fields are the recipe alone.  Level 0 is made with the state and
-    kept.  walk makes the other levels one at a time, and the levels
-    property keeps them all the first time it is read.  replace makes a
-    state that holds level 0 only.
+    kept; walk makes the other levels, one at a time, each time they are
+    read.  replace makes a state from the same recipe.
     """
 
     d: int
@@ -232,43 +230,35 @@ class ConstructionState(Record, frozen=False):
     depth: int
 
     def __post_init__(self) -> None:
-        # not fields: the levels made so far, and the lattices
+        # not fields: level 0, and the lattices
         q = lattice_denominator(self.normalized)
-        self._levels = [Level(den=q, lowers=[q] * self.d)]
+        self._level0 = Level(den=q, lowers=[q] * self.d)
         self._lattices: dict[int, list[BlockLattice]] = {}
 
     @property
     def levels(self) -> list[Level]:
-        """Levels 0..depth, made by walk the first time they are read, and
-        kept.  The exports, the difference report and the tests read them
-        here; certify_tree walks the levels it checks instead.  build only
-        ever deepens a recipe along the schedule, so the levels kept stay
-        those of the recipe, each checked once, as it is made."""
-        levels = self._levels
-        if len(levels) <= self.depth:
-            levels[:] = [level for _, level in self.walk(self.depth)]
-        return levels
+        """Levels 0..depth, walked on every read and not kept.  Only
+        bench/replay.py reads them; ROADMAP item 12 deletes this property."""
+        return [level for _, level in self.walk(self.depth)]
 
     def walk(self, stop: int) -> Iterator[tuple[int, Level]]:
         """(k, level) for k = 0..stop, the one loop that makes levels.
 
-        The levels the state keeps (level 0, and any the levels property
-        made) come as they are.  Each other level is made from the one
-        before it by geometry.advance, as the avoidance level of the entry
-        with M_i = k or as a dyadic level, and the walk holds it only until
-        the next one is made.  Every placed cube is asserted inside its
-        parent as it is made (PlacementFailure).  lacuna.geometry is loaded
-        only when a level past those kept is made, so a walk that stops at
+        Level 0 comes as the state holds it.  Each later level is made from
+        the one before it by geometry.advance, as the avoidance level of the
+        entry with M_i = k or as a dyadic level, and the walk holds it only
+        until the next one is made.  Every placed cube is asserted inside
+        its parent as it is made (PlacementFailure).  lacuna.geometry is
+        loaded only when a level past 0 is made, so a walk that stops at
         level 0 loads none.
         """
-        kept = self._levels
-        yield from enumerate(kept[: stop + 1])
-        if stop >= len(kept):
+        level = self._level0
+        yield 0, level
+        if stop > 0:
             from .geometry import advance
 
             by_level = {e.m_level: e for e in self.entries}
-            level = kept[-1]
-            for k in range(len(kept), stop + 1):
+            for k in range(1, stop + 1):
                 level = advance(self, level, by_level.get(k))
                 yield k, level
 
@@ -293,10 +283,10 @@ class ConstructionState(Record, frozen=False):
 
         It is the level-0 denominator Q at every level: a level's
         denominator grows by exactly the factor its side shrinks.  It reads
-        level 0 alone, which the state holds from the start, since making
-        the other levels reads it.
+        level 0, which the state holds from the start, since making the
+        other levels reads it.
         """
-        return self._levels[0].den
+        return self._level0.den
 
     def block_lattices(self, pattern_id: int) -> list[BlockLattice]:
         """The lattice of each block of a pattern, made once per state: every
@@ -317,8 +307,10 @@ class ConstructionState(Record, frozen=False):
 
     def leaf_center_numerators(self) -> tuple[int, list[int]]:
         """(den, centers): deepest-level cube centers as numerators over den,
-        flat like the lower corners (d per cube, in index order)."""
-        leaf = self.levels[self.depth]
+        flat like the lower corners (d per cube, in index order).  The walk
+        to the depth holds one level at a time; only the leaves are kept."""
+        for _, leaf in self.walk(self.depth):
+            pass
         s = self.side_num
         return 2 * leaf.den, [2 * x + s for x in leaf.lowers]
 
@@ -361,7 +353,7 @@ def init_state(
 def build(state: ConstructionState, depth: int) -> ConstructionState:
     """Extend the state's recipe to the requested depth, its entries and
     its depth; deterministic in all inputs.  No level is made here: the
-    levels follow from the recipe when they are read.
+    levels follow from the recipe, walked each time they are read.
 
     A depth above the state's level cap is refused, and so is a level of
     more than MAX_LEAF_CUBES cubes: the schedule
@@ -403,8 +395,8 @@ def build_tree(
 # -- structural validation --------------------------------------------------
 
 def validate_structure(state: ConstructionState) -> None:
-    """Make levels 0..depth from the recipe if they were not read yet, so
-    that every placed cube is asserted inside its parent as it is made.
+    """Walk levels 0..depth and keep none, so that every placed cube is
+    asserted inside its parent as it is made.
 
     The mass-distribution argument rests on a nested tree whose level k
     holds expected_count(k) cubes.  Both hold by construction of the one
@@ -421,11 +413,11 @@ def validate_structure(state: ConstructionState) -> None:
     PlacementFailure cannot fire while every beta >= compute_beta, which the
     reader enforces on files.  No command calls this: certify_tree asserts
     the same placements in its walk to the last avoidance level, past which
-    every level is dyadic and asserts nothing.  The name stays while
-    bench/replay.py wraps it (span engine.validate); ROADMAP item 4
-    retires it.
+    every level is dyadic and asserts nothing.  Only bench/replay.py reads
+    it (it wraps it as span engine.validate); ROADMAP item 12 deletes it.
     """
-    state.levels  # the property makes each level it lacks
+    for _ in state.walk(state.depth):
+        pass
 
 
 # -- tree (de)serialization -----------------------------------------------------

@@ -2,8 +2,8 @@
 
 A tree file is a recipe, and a trust boundary: every field is checked, and
 so are the schedule invariants.  The reader makes no level: the state it
-returns makes its levels from the checked recipe when they are read
-(ConstructionState.levels).  The schedule is not re-walked: any schedule
+returns walks its levels from the checked recipe each time they are read
+(ConstructionState.walk).  The schedule is not re-walked: any schedule
 that passes the checks is rebuilt as written.  Only the steps that read a
 tree (certify, export) load this module, through engine.read_tree.
 """
@@ -91,7 +91,7 @@ def doc_to_state(doc: dict) -> ConstructionState:
     M_{i+1} >= M_i + 2, tuple level <= M_i - 2, canonical addresses) are
     checked here and fail with FormatError, as does a recipe of more than
     MAX_LEAF_CUBES deepest-level cubes.  No level is made here: the state
-    makes its levels from the stored entries when they are read.
+    walks its levels from the stored entries each time they are read.
     engine.build extends the state only if its schedule is the one a build
     serves.
     """

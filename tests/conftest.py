@@ -10,11 +10,20 @@ from lacuna.engine import Level, build, init_state
 from lacuna.pattern import make_pattern
 
 
+def walk_levels(state):
+    """Levels 0..depth of a state, walked once and returned: the one way a
+    test reads a state's levels.  A test that reads several levels walks
+    once and indexes the list."""
+    return [level for _, level in state.walk(state.depth)]
+
+
 def with_levels(state, levels):
-    """A copy of a state holding the given levels in place of the ones its
-    recipe makes: the one way a test corrupts geometry."""
+    """A copy of a state whose walk yields the given levels in place of the
+    ones its recipe makes: the one way a test corrupts geometry.  Its level
+    0 is levels[0], so side_num reads a scaled level 0's denominator."""
     copy = state.replace()
-    copy._levels[:] = levels
+    copy._level0 = levels[0]
+    copy.walk = lambda stop: enumerate(levels[: stop + 1])
     return copy
 
 
@@ -23,9 +32,10 @@ def _move_cube(state, k, i, lower):
     lower corner `lower`.  When the corner is off level k's denominator,
     every level's denominator and corners are scaled by one factor, so the
     sides and the ratios between levels stay as built."""
-    den, d = state.levels[k].den, state.d
+    levels, d = walk_levels(state), state.d
+    den = levels[k].den
     f = lcm(*(Fraction(x * den).denominator for x in lower))
-    levels = [Level(lvl.den * f, [f * x for x in lvl.lowers]) for lvl in state.levels]
+    levels = [Level(lvl.den * f, [f * x for x in lvl.lowers]) for lvl in levels]
     levels[k].lowers[i * d : (i + 1) * d] = [int(x * den * f) for x in lower]
     return with_levels(state, levels)
 

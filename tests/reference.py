@@ -32,6 +32,7 @@ from math import isqrt
 from operator import add, mul
 from typing import Sequence
 
+from conftest import walk_levels
 from lacuna import certify as _certify
 from lacuna.certify import (
     GapCertificate,
@@ -42,7 +43,7 @@ from lacuna.certify import (
 from lacuna.cli import cmd_app, cmd_build, cmd_certify, cmd_export, cmd_oracle
 from lacuna.differences import exp_bounds
 from lacuna.dimfn import POWER, PRECISION_CAP, DimensionFunction
-from lacuna.engine import ConstructionState, ScheduleEntry
+from lacuna.engine import ConstructionState, Level, ScheduleEntry
 from lacuna.errors import (
     DimensionMismatch,
     GapViolated,
@@ -205,13 +206,13 @@ def min_half_offset(residues: list[list[int]]) -> tuple[Fraction, bool]:
 def certify_tree(
     state: ConstructionState, mode: str = "all", spot_checks: int = 0
 ) -> tuple[list[GapCertificate], MeasureCertificate | None]:
-    """certify.certify_tree over state.levels: every level 0..depth made
-    and held first, then each entry's checks run on its level M_i, in the
-    order of the entries."""
+    """certify.certify_tree over walk_levels(state): every level 0..depth
+    made and held first, then each entry's checks run on its level M_i, in
+    the order of the entries."""
     measure = None if mode == "gap" else _certify.certify_measure(state)
     gaps = []
     if mode != "measure":
-        levels = state.levels
+        levels = walk_levels(state)
         for entry in state.entries:
             level = levels[entry.m_level]
             cert = _certify.certify_gap(state, entry, level)
@@ -224,14 +225,15 @@ def certify_tree(
 def spot_check_gap(
     state: ConstructionState,
     entry: ScheduleEntry,
+    level: Level,
     cert: GapCertificate,
     count: int = 100,
     seed: int = 2024,
     grid: int = 1 << 16,
 ) -> None:
     """Random rational point tuples from the placed cubes must respect the
-    gap: the Fraction form of certify.spot_check_gap, with the same draws."""
-    level = state.levels[entry.m_level]
+    gap: the Fraction form of certify.spot_check_gap, with the same draws
+    and the same arguments."""
     blocks = [corners(blk, state.d) for blk in placed_blocks(state, entry, level)]
     np_ = state.normalized[entry.pattern_id]
     den = level.den
@@ -254,13 +256,12 @@ def spot_check_gap(
             )
 
 
-def cross_check_centers(state, entry, np_, blocks, sample=32):
+def cross_check_centers(state, entry, np_, blocks, den, sample=32):
     """Dual route: psi on sampled center tuples must be 4*peak*delta*(n+1/2).
 
-    The Fraction form of certify._cross_check_centers, with the same draws
-    and the same messages."""
+    The Fraction form of certify._cross_check_centers, with the same draws,
+    arguments and messages: den is level M_i's denominator."""
     d = state.d
-    den = 2 * state.levels[entry.m_level].den
     side = state.side_num
     delta = state.side(entry.m_level)
     rng = random.Random(entry.index)
@@ -268,7 +269,7 @@ def cross_check_centers(state, entry, np_, blocks, sample=32):
         centers = []
         for blk in blocks:
             i = d * rng.randrange(len(blk) // d)
-            centers.append(tuple(Fraction(2 * x + side, den) for x in blk[i : i + d]))
+            centers.append(tuple(Fraction(2 * x + side, 2 * den) for x in blk[i : i + d]))
         val = eval_pattern(np_, centers)
         ratio = val / (4 * np_.peak * delta) - Fraction(1, 2)
         if ratio.denominator != 1:
@@ -535,12 +536,12 @@ def instance_covered(
     np_ = state.normalized[entry.pattern_id]
     key = ("blocks", entry.index)
     if _cache is not None and key in _cache:
-        blocks = _cache[key]
+        blocks, den = _cache[key]
     else:
-        blocks = placed_blocks(state, entry, state.levels[entry.m_level])
+        level = walk_levels(state)[entry.m_level]
+        blocks, den = placed_blocks(state, entry, level), level.den
         if _cache is not None:
-            _cache[key] = blocks
-    den = state.levels[entry.m_level].den
+            _cache[key] = blocks, den
     side = state.side_num
     return all(
         _in_some_cube(points[instance[np_.perm[b]]], blocks[b], side, den)
@@ -584,9 +585,10 @@ def covered_instance_scan(
     builds stay tractable where the all-tuples oracle would not.  Returns
     instances as point-index tuples in normalized block order.
     """
-    blocks = placed_blocks(state, entry, state.levels[entry.m_level])
+    level = walk_levels(state)[entry.m_level]
+    blocks = placed_blocks(state, entry, level)
     np_ = state.normalized[entry.pattern_id]
-    den = state.levels[entry.m_level].den
+    den = level.den
     side = state.side_num
     groups = [
         [i for i, x in enumerate(points) if _in_some_cube(x, blk, side, den)]

@@ -23,6 +23,7 @@ from lacuna.errors import GapViolated
 from lacuna.pattern import make_pattern, normalize
 from lacuna.qmath import parse_rational
 from lacuna.schedule import compute_levels
+from conftest import walk_levels
 from reference import (
     covered_violations,
     instance_covered,
@@ -75,17 +76,18 @@ class TestAcceptance:
         st = build(init_state(1, [make_pattern(1, [[1], [-2], [1]])], h), 12)
         betas = st.processed_betas()
         ok = st.m_levels == [6, 11]
+        levels = walk_levels(st)
         for k in range(13):
             applied = [b for M, b in zip(st.m_levels, betas) if M <= k]
             prod = 1
             for b in applied:
                 prod *= b
             ok = ok and st.side(k) == F(1, 2**k * prod)
-            ok = ok and len(st.levels[k].lowers) == 2 ** (k - len(applied))
+            ok = ok and len(levels[k].lowers) == 2 ** (k - len(applied))
         # nestedness and non-overlap, exact: d = 1, so a cube is one
         # numerator, and a dyadic cube i has parent i >> 1
         for k in range(1, 13):
-            level, parent = st.levels[k], st.levels[k - 1]
+            level, parent = levels[k], levels[k - 1]
             side, parent_side = st.side(k), st.side(k - 1)
             shift = 0 if k in st.m_levels else 1
             lowers = [F(x, level.den) for x in level.lowers]
@@ -122,13 +124,14 @@ class TestAcceptance:
         ok = True
         ap_threshold_seen = None
         for st in builds:
+            levels = walk_levels(st)
             for entry in st.entries:
-                cert = certify_gap(st, entry, st.levels[entry.m_level])
+                cert = certify_gap(st, entry, levels[entry.m_level])
                 ok = ok and cert.gap >= cert.threshold
                 ok = ok and cert.threshold == st.normalized[
                     entry.pattern_id
                 ].peak * st.side(entry.m_level)
-                spot_check_gap(st, entry, st.levels[entry.m_level], cert, count=100)
+                spot_check_gap(st, entry, levels[entry.m_level], cert, count=100)
                 entries += 1
                 if st is builds[0] and entry.m_level == 6:
                     ap_threshold_seen = cert.threshold
@@ -197,13 +200,13 @@ class TestAcceptance:
         # mutation: shove one placed cube off the lattice by side/4
         entry = ratios_state.entries[0]
         shift = ratios_state.side(entry.m_level) / 4
-        level = ratios_state.levels[entry.m_level]
+        level = walk_levels(ratios_state)[entry.m_level]
         x = F(level.lowers[0], level.den)
         mutated = move_cube(ratios_state, entry.m_level, 0, [x + shift])
         gap_failed = False
         oracle_failed = False
         try:
-            certify_gap(mutated, entry, mutated.levels[entry.m_level])
+            certify_gap(mutated, entry, walk_levels(mutated)[entry.m_level])
         except GapViolated:
             gap_failed = True
         if not gap_failed:
@@ -257,7 +260,8 @@ class TestAcceptance:
         st = build(init_state(1, [make_pattern(1, [[2], [-1]])], h), 18)
         ok = bool(st.m_levels) and st.depth >= st.m_levels[0] == 18
         validate_structure(st)
-        cert = certify_gap(st, st.entries[0], st.levels[18])
+        leaf = walk_levels(st)[18]
+        cert = certify_gap(st, st.entries[0], leaf)
         ok = ok and cert.gap >= cert.threshold
         measure = certify_measure(st)
         ok = ok and all(v.mass_ok and v.ratio_ok for v in measure.per_level)
@@ -265,7 +269,7 @@ class TestAcceptance:
         verdict(
             8,
             ok and elapsed < 60.0,
-            f"powlog:1/1 quotient build reaches M_1=18 ({len(st.levels[18].lowers)} "
+            f"powlog:1/1 quotient build reaches M_1=18 ({len(leaf.lowers)} "
             f"cubes), gap and all per-level measure checks certified under "
             f"directed rounding, {elapsed:.1f}s",
         )

@@ -32,6 +32,7 @@ from lacuna.errors import (
 )
 from lacuna.qmath import format_rational
 from lacuna.triplets import GaussianRational, complex_triplet_patterns
+from conftest import walk_levels
 from reference import covered_violations, eval_pattern, gaussian_add, gaussian_mul, leaf_centers
 
 F = Fraction
@@ -228,8 +229,9 @@ class TestDifferences:
         from lacuna.certify import placed_blocks
 
         entry = state.entries[0]
-        blocks = placed_blocks(state, entry, state.levels[entry.m_level])
-        den = state.levels[entry.m_level].den
+        level = walk_levels(state)[entry.m_level]
+        blocks = placed_blocks(state, entry, level)
+        den = level.den
         side = state.side(entry.m_level)
         xs = [F(blk[0], den) + side / 2 for blk in blocks]
         diff = mpmath.log(mpmath.mpf(xs[1].numerator) / xs[1].denominator) - mpmath.log(
@@ -306,7 +308,7 @@ class TestAppRunner:
         assert report["targets"][0]["target"] == "ln(2)"
         assert report["targets"][0]["difference_margin"] is not None
         assert len(report["points_ln"]) == summary["entries"] * 0 + len(
-            read_tree(tmp_path / "tree.json").levels[5].lowers
+            walk_levels(read_tree(tmp_path / "tree.json"))[5].lowers
         )
 
     def test_parallelogram_app(self, tmp_path):

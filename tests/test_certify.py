@@ -35,6 +35,7 @@ from lacuna.errors import (
 from lacuna.export import read_points
 from lacuna.pattern import make_pattern
 from lacuna.schedule import walk_schedule
+from conftest import walk_levels
 from reference import (
     corners,
     covered_instance_scan,
@@ -50,17 +51,17 @@ F = Fraction
 
 def placed_points(st, entry):
     """placed_blocks with the lower corners as exact rationals."""
-    den = st.levels[entry.m_level].den
+    level = walk_levels(st)[entry.m_level]
     return [
-        corners([F(x, den) for x in blk], st.d)
-        for blk in placed_blocks(st, entry, st.levels[entry.m_level])
+        corners([F(x, level.den) for x in blk], st.d)
+        for blk in placed_blocks(st, entry, level)
     ]
 
 
 class TestGapCertificates:
     def test_first_ap_entry_threshold(self, ap_tree_12):
         st = ap_tree_12
-        cert = certify_gap(st, st.entries[0], st.levels[6])
+        cert = certify_gap(st, st.entries[0], walk_levels(st)[6])
         assert cert.threshold == F(1, 288)  # peak * side = 2/576
         assert cert.gap >= cert.threshold
         assert cert.placed_counts == (8, 8, 8)
@@ -68,7 +69,7 @@ class TestGapCertificates:
 
     def test_second_entry(self, ap_tree_12):
         st = ap_tree_12
-        cert = certify_gap(st, st.entries[1], st.levels[11])
+        cert = certify_gap(st, st.entries[1], walk_levels(st)[11])
         assert cert.threshold == F(1, 82944)
         assert cert.gap >= cert.threshold
 
@@ -91,16 +92,17 @@ class TestGapCertificates:
             assert abs(scaled) >= 2 * np_.peak
 
     def test_spot_checks(self, ap_tree_12):
+        levels = walk_levels(ap_tree_12)
         for entry in ap_tree_12.entries:
-            cert = certify_gap(ap_tree_12, entry, ap_tree_12.levels[entry.m_level])
-            spot_check_gap(ap_tree_12, entry, ap_tree_12.levels[entry.m_level], cert, count=100)
+            cert = certify_gap(ap_tree_12, entry, levels[entry.m_level])
+            spot_check_gap(ap_tree_12, entry, levels[entry.m_level], cert, count=100)
 
     def test_oracle_cross_check_below_gap(self, ap_tree_12):
         # Random points from the placed cubes, oracle tolerance one ulp
         # below the certified gap: any hit would contradict the certificate.
         st = ap_tree_12
         entry = st.entries[0]
-        cert = certify_gap(st, entry, st.levels[entry.m_level])
+        cert = certify_gap(st, entry, walk_levels(st)[entry.m_level])
         blocks = placed_points(st, entry)
         side = st.side(entry.m_level)
         rng = random.Random(5)
@@ -119,15 +121,17 @@ class TestGapCertificates:
         inst = [0] * len(blocks)
         for b, x in enumerate(drawn[0]):
             inst[perm[b]] = pts.index(x)
-        assert instance_covered(st, entry, pts, tuple(inst))
+        cache = {}  # placed blocks, made from one walk
+        assert instance_covered(st, entry, pts, tuple(inst), cache)
         hits = brute_oracle(pts, st.patterns[entry.pattern_id], cert.gap - F(1, 2**40))
-        assert not any(instance_covered(st, entry, pts, h) for h in hits)
+        assert not any(instance_covered(st, entry, pts, h, cache) for h in hits)
 
     def test_gap_matches_lattice_minimum(self, ap_tree_12):
         # (gap + threshold) / (4*peak*side) recovers min|n + 1/2| >= 1/2.
         st = ap_tree_12
+        levels = walk_levels(st)
         for entry in st.entries:
-            cert = certify_gap(st, entry, st.levels[entry.m_level])
+            cert = certify_gap(st, entry, levels[entry.m_level])
             np_ = st.normalized[entry.pattern_id]
             side = st.side(entry.m_level)
             q_min = (cert.gap + cert.threshold) / (4 * np_.peak * side)
@@ -141,7 +145,7 @@ class TestGapCertificates:
         entry = walk_schedule(st.normalized, st.h, 16)[2]
         assert (entry.index, entry.m_level) == (3, 16)
         with pytest.raises(EntryNotProcessed):
-            certify_gap(st, entry, st.levels[st.depth])
+            certify_gap(st, entry, walk_levels(st)[st.depth])
 
     def test_combo_cap_falls_back_to_the_structural_bound(self):
         # quotient 2 under pow:41/50 lands entry 1, the level-1 tuple (0, 1),
@@ -151,23 +155,24 @@ class TestGapCertificates:
         # 4*peak*delta/2 - peak*delta
         h = make_dimfn("pow", F(41, 50), 1)
         st = build(init_state(1, [make_pattern(1, [[2], [-1]])], h), 19)
-        assert st.m_levels == [19] and len(st.levels[19].lowers) // st.d == 2**18
+        levels = walk_levels(st)
+        assert st.m_levels == [19] and len(levels[19].lowers) // st.d == 2**18
         entry = st.entries[0]
         assert (entry.level, entry.tuple_codes) == (1, (0, 1))
-        cert = certify_gap(st, entry, st.levels[entry.m_level])
+        cert = certify_gap(st, entry, levels[entry.m_level])
         assert cert.placed_counts == (2**17, 2**17) and 2**17 > COMBO_CAP
         assert not cert.exact_min
         assert cert.gap == cert.threshold == F(3, 7 * 2**20)
-        spot_check_gap(st, entry, st.levels[entry.m_level], cert, count=20)
+        spot_check_gap(st, entry, levels[entry.m_level], cert, count=20)
         assert certificates_to_doc([cert], None)["gaps"][0]["exact_min"] is False
 
     def test_corrupted_placement_fails(self, ap_tree_12, move_cube):
         # Shift one placed cube off the lattice by side/4.
-        level = ap_tree_12.levels[6]
+        level = walk_levels(ap_tree_12)[6]
         x = F(level.lowers[0], level.den)
         broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
-            certify_gap(broken, broken.entries[0], broken.levels[6])
+            certify_gap(broken, broken.entries[0], walk_levels(broken)[6])
 
     def test_unshifted_lattice_fails_the_cross_check(self, ap_pattern, sqrt_gauge, monkeypatch):
         """Without the half-step pivot shift of the last block, placement and
@@ -182,7 +187,7 @@ class TestGapCertificates:
         monkeypatch.setattr(geometry, "block_lattice", unshifted)
         st = build(init_state(1, [ap_pattern], sqrt_gauge), 7)
         with pytest.raises(GapViolated, match="is not a half-integer multiple"):
-            certify_gap(st, st.entries[0], st.levels[6])
+            certify_gap(st, st.entries[0], walk_levels(st)[6])
 
 
 class TestMeasureCertificate:
@@ -205,9 +210,10 @@ class TestMeasureCertificate:
         # N_k * h(sqrt(d) * side_k) >= 1 for k >= k0: the greedy cover sum
         # of the actual level never drops below the mass it must carry.
         st = ap_tree_12
+        levels = walk_levels(st)
         for k in range(6, 13):
             lo, _ = eval_bounds(st.h, st.side(k), 64)
-            assert len(st.levels[k].lowers) * lo >= 1
+            assert len(levels[k].lowers) * lo >= 1
 
     def test_radius_outside_the_gauge_domain_fails_the_mass_bound(self, ap_tree_12):
         # With a gauge certified only below e^-100 (powlog:1/100), h at the
@@ -260,10 +266,10 @@ class TestCertifyTree:
     def test_a_recipe_certifies_as_its_built_state(
         self, ap_pattern, sqrt_gauge, ap_tree_12, mode
     ):
-        # build_tree makes no level; certify_tree reads them, so they are
-        # made then, and certify as the levels of a state read beforehand
+        # build_tree makes no level; certify_tree walks them, and certifies
+        # as a state whose levels were walked beforehand
         recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
-        assert len(ap_tree_12.levels) == 13
+        assert len(walk_levels(ap_tree_12)) == 13
         assert certificates_to_doc(*certify_tree(recipe, mode, 5)) == certificates_to_doc(
             *certify_tree(ap_tree_12, mode, 5)
         )
@@ -288,10 +294,11 @@ class TestCertifyTree:
         # certify_tree calls the checks through the module's globals, with
         # the level M_i that its walk holds when it reaches the entry
         recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        levels = walk_levels(ap_tree_12)
         seen = []
 
         def spot(state, entry, level, cert, count):
-            seen.append((entry.index, level == ap_tree_12.levels[entry.m_level], count))
+            seen.append((entry.index, level == levels[entry.m_level], count))
 
         monkeypatch.setattr(certify, "spot_check_gap", spot)
         certify_tree(recipe, "all", 7)
@@ -374,10 +381,11 @@ class TestOracle:
         entry = st.entries[0]
         oracle_hits = brute_oracle(centers, st.patterns[entry.pattern_id], F(0))
         np_ = st.normalized[entry.pattern_id]
+        cache = {}  # placed blocks, made from one walk
         covered = {
             tuple(h[np_.perm[b]] for b in range(np_.m))
             for h in oracle_hits
-            if instance_covered(st, entry, centers, h)
+            if instance_covered(st, entry, centers, h, cache)
         }
         scanned = set(covered_instance_scan(st, centers, entry))
         assert covered == scanned == set()
@@ -398,7 +406,7 @@ class TestOracle:
         b = blocks[1][0][0] + side / 2
         target_center = 2 * b - a  # completes psi = x - 2y + z = 0
         old_lower = blocks[2][0][0]
-        level = st.levels[6]
+        level = walk_levels(st)[6]
         for i, x in enumerate(level.lowers):
             if F(x, level.den) == old_lower:
                 broken = move_cube(st, 6, i, [target_center - side / 2])
@@ -413,7 +421,7 @@ class TestOracle:
         )
         # and the same corruption breaks the gap certificate
         with pytest.raises(GapViolated):
-            certify_gap(broken, broken.entries[0], broken.levels[6])
+            certify_gap(broken, broken.entries[0], walk_levels(broken)[6])
 
 
 def fraction_oracle(points, pattern, tolerance):
@@ -519,6 +527,7 @@ class TestCoveringConstant:
         c2*(2*sqrt(d)+3)^d cubes of level k+1 (the covering-lemma constant)."""
         st = ap_tree_12
         cap = 2 * (2 + 3)  # d = 1
+        levels = walk_levels(st)
         rng = random.Random(42)
         for _ in range(200):
             k = rng.randint(6, 11)
@@ -527,7 +536,7 @@ class TestCoveringConstant:
             )
             left = F(1) + F(rng.randint(0, 10**6), 10**6)
             right = left + dia
-            level = st.levels[k + 1]
+            level = levels[k + 1]
             side = st.side(k + 1)
             hits = sum(
                 1

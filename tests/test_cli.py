@@ -24,6 +24,7 @@ from lacuna.errors import FormatError, UsageError
 from lacuna.export import read_points
 from lacuna.reader import doc_to_state
 import reference
+from conftest import walk_levels
 from reference import leaf_centers
 
 F = Fraction
@@ -75,7 +76,7 @@ class TestBuild:
     def test_depth_seven(self, ap_file, tmp_path, capsys):
         assert main(build_args(ap_file, tmp_path)) == 0
         st = read_tree(tmp_path / "tree.json")
-        assert len(st.levels[7].lowers) == 64
+        assert len(walk_levels(st)[7].lowers) == 64
 
     def test_depth_zero(self, ap_file, tmp_path):
         assert main(build_args(ap_file, tmp_path, depth=0)) == 0
@@ -435,7 +436,7 @@ def _d_changed_to_2(doc):
 
 def _tree_v1(doc):
     """The same d=1 tree in the lacuna-tree/1 layout."""
-    levels = doc_to_state(doc).levels
+    levels = walk_levels(doc_to_state(doc))
     schedule = doc["schedule"]
     doc["format"] = "lacuna-tree/1"
     doc["betas"] = [e["beta_i"] for e in schedule]
@@ -452,7 +453,7 @@ def _tree_v1(doc):
 
 def _tree_v2(doc):
     """The same tree in the lacuna-tree/2 layout."""
-    levels = doc_to_state(doc).levels
+    levels = walk_levels(doc_to_state(doc))
     doc["format"] = "lacuna-tree/2"
     doc["level_cap"] = 96
     doc["levels"] = [
@@ -970,6 +971,16 @@ class TestOracleAndBuildFuzz:
 
 
 class TestExport:
+    @pytest.mark.parametrize("fmt", ["points", "csv", "svg"])
+    def test_export_makes_each_level_once(self, ap_file, tmp_path, monkeypatch, fmt):
+        # an export walks the levels to the depth and keeps none: levels
+        # 1..12 are made once each, with the avoidance levels M = 6 and 11
+        main(build_args(ap_file, tmp_path, depth=12))
+        made = _count_levels_made(monkeypatch)
+        out = str(tmp_path / f"out.{fmt}")
+        assert main(["export", str(tmp_path / "tree.json"), "--format", fmt, "--out", out]) == 0
+        assert made == [None] * 5 + [6] + [None] * 4 + [11, None]
+
     def test_points_roundtrip(self, ap_file, tmp_path):
         main(build_args(ap_file, tmp_path))
         pts = str(tmp_path / "pts.txt")
@@ -1145,6 +1156,16 @@ class TestAppCommand:
         made = _count_levels_made(monkeypatch)
         assert main(["app", spec, "--out-dir", str(tmp_path / "o")]) == 0
         assert made == [None, None, 3, None, 5, None, 7, None, 9, None, 11]
+
+    def test_difference_app_walks_once_per_reader(self, tmp_path, capsys, monkeypatch):
+        # quotient target 2 lands its one entry at M_1 = 5: certify_tree
+        # makes levels 1..5, then report.json's leaf centers walk 1..7, each
+        # level made once per walk
+        spec = _spec_file(tmp_path, kind="differences",
+                          params=[{"kind": "log_of", "value": "2"}], depth=7)
+        made = _count_levels_made(monkeypatch)
+        assert main(["app", spec, "--out-dir", str(tmp_path / "o")]) == 0
+        assert made == [None] * 4 + [5] + [None] * 4 + [5, None, None]
 
     def test_refused_app_leaves_no_out_dir(self, tmp_path, capsys):
         spec = _spec_file(tmp_path, h="pow:7")

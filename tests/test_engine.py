@@ -7,6 +7,7 @@ import pytest
 
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
+    Level,
     build,
     build_tree,
     init_state,
@@ -24,29 +25,30 @@ from lacuna.errors import (
 from lacuna.geometry import _escape, block_lattice, place_on_lattice
 from lacuna.pattern import make_pattern, normalize
 from lacuna.reader import parse_address
+from lacuna.svg import write_svg
+from conftest import walk_levels
 from reference import corners, lattice_vectors
 
 F = Fraction
 
 
-def fracs(st, k):
-    """Lower corners of level k as exact rationals, one d-tuple per cube."""
-    level = st.levels[k]
-    return corners([F(x, level.den) for x in level.lowers], st.d)
+def fracs(level, d):
+    """Lower corners of a level as exact rationals, one d-tuple per cube."""
+    return corners([F(x, level.den) for x in level.lowers], d)
 
 
 class TestInit:
     def test_unit_interval(self, ap_pattern, sqrt_gauge):
         st = init_state(1, [ap_pattern], sqrt_gauge)
         assert st.depth == 0
-        assert fracs(st, 0) == [(F(1),)]
+        assert fracs(walk_levels(st)[0], st.d) == [(F(1),)]
         assert st.side(0) == 1
 
     def test_unit_square(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = init_state(2, [p], h)
-        assert fracs(st, 0) == [(F(1), F(1))]
+        assert fracs(walk_levels(st)[0], st.d) == [(F(1), F(1))]
 
     def test_no_patterns_rejected(self, sqrt_gauge):
         with pytest.raises(ZeroPattern):
@@ -61,14 +63,14 @@ class TestInit:
 class TestDyadicSplit:
     def test_first_level(self, ap_pattern, sqrt_gauge):
         st = build(init_state(1, [ap_pattern], sqrt_gauge), 1)
-        assert fracs(st, 1) == [(F(1),), (F(3, 2),)]
+        assert fracs(walk_levels(st)[1], st.d) == [(F(1),), (F(3, 2),)]
 
     def test_d2_digit_semantics(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = build(init_state(2, [p], h), 1)
         # digit = sum of bit_v * 2^v, bit selects the upper half on axis v.
-        assert fracs(st, 1) == [
+        assert fracs(walk_levels(st)[1], st.d) == [
             (F(1), F(1)),
             (F(3, 2), F(1)),
             (F(1), F(3, 2)),
@@ -122,11 +124,12 @@ class TestPlacement:
 
     def test_child_inside_parent_everywhere(self, ap_tree_12):
         st = ap_tree_12
+        levels = walk_levels(st)
         for entry in st.entries:
             k = entry.m_level
             delta, parent_side = st.side(k), st.side(k - 1)
-            prev = fracs(st, k - 1)
-            for i, lower in enumerate(fracs(st, k)):
+            prev = fracs(levels[k - 1], st.d)
+            for i, lower in enumerate(fracs(levels[k], st.d)):
                 plo = prev[i]
                 assert all(
                     plo[v] <= lower[v] and lower[v] + delta <= plo[v] + parent_side
@@ -140,10 +143,11 @@ class TestPlacement:
         entry = st.entries[0]
         members = set(entry.tuple_codes)
         shift = st.ndigits(5) - st.ndigits(entry.level)
-        parents = fracs(st, 5)
+        levels = walk_levels(st)
+        parents = fracs(levels[5], st.d)
         free = [i for i in range(len(parents)) if (i >> shift) not in members]
         assert free  # address "11" has 8 level-5 descendants
-        children = fracs(st, 6)
+        children = fracs(levels[6], st.d)
         for i in free:
             assert children[i] == parents[i]
 
@@ -162,22 +166,23 @@ class TestBuild:
         assert st.depth == 0 and st.entries == []
 
     def test_depth_seven_counts(self, ap_tree_7):
-        assert len(ap_tree_7.levels[7].lowers) == 64
+        assert len(walk_levels(ap_tree_7)[7].lowers) == 64
         assert ap_tree_7.side(7) == F(1, 1152)
         assert ap_tree_7.m_levels == [6]
 
     def test_depth_twelve_counts(self, ap_tree_12):
         st = ap_tree_12
         assert st.m_levels == [6, 11]
-        assert len(st.levels[12].lowers) == 1024
+        assert len(walk_levels(st)[12].lowers) == 1024
         assert st.side(12) == F(1, 2**12 * 81)
 
     def test_profile_matches_at_every_level(self, ap_tree_12):
         st = ap_tree_12
+        levels = walk_levels(st)
         for k in range(13):
             applied = [e.beta for e in st.entries if e.m_level <= k]
             assert st.side(k) == F(1, 2**k * prod(applied))
-            assert len(st.levels[k].lowers) == st.expected_count(k) == 2 ** (k - len(applied))
+            assert len(levels[k].lowers) == st.expected_count(k) == 2 ** (k - len(applied))
 
     def test_first_entry_matches_enumerator(self, ap_tree_12):
         e = ap_tree_12.entries[0]
@@ -198,8 +203,34 @@ class TestBuild:
         h = make_dimfn("pow", F(1, 4), 2)
         st = build(init_state(2, [p], h), 3)
         assert st.m_levels == [3]
-        assert len(st.levels[3].lowers) // st.d == 16
+        assert len(walk_levels(st)[3].lowers) // st.d == 16
         validate_structure(st)
+
+
+def _levels_held(state):
+    """Every Level among the state's attributes, or inside a list, tuple or
+    dict that one of them is."""
+    held = []
+    for value in vars(state).values():
+        if isinstance(value, dict):
+            value = list(value.values())
+        held += [v for v in (value if isinstance(value, (list, tuple)) else [value])
+                 if isinstance(v, Level)]
+    return held
+
+
+class TestStateHoldsItsRecipe:
+    @pytest.mark.parametrize(
+        "read",
+        [lambda st, path: st.leaf_center_numerators(), write_svg],
+        ids=["leaf_center_numerators", "write_svg"],
+    )
+    def test_a_reader_keeps_no_level_past_0(self, ap_pattern, sqrt_gauge, tmp_path, read):
+        st = build_tree(1, [ap_pattern], sqrt_gauge, 12)
+        (_, level0), = st.walk(0)
+        read(st, tmp_path / "tree.svg")
+        held = _levels_held(st)
+        assert held == [level0] and held[0] is level0
 
 
 class TestValidation:
@@ -227,6 +258,6 @@ class TestSerialization:
         from lacuna.engine import read_tree
 
         st = read_tree(path)
-        assert st.levels[12].lowers == ap_tree_12.levels[12].lowers
+        assert walk_levels(st)[12].lowers == walk_levels(ap_tree_12)[12].lowers
         assert st.m_levels == ap_tree_12.m_levels
         assert state_to_doc(st) == state_to_doc(ap_tree_12)

@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from conftest import walk_levels
 from lacuna import geometry
 from lacuna.apps import app_patterns, app_spec_from_doc
 from lacuna.cli import main
@@ -230,8 +231,8 @@ def test_tree_round_trip(make):
     doc = json.loads(json.dumps(state_to_doc(built)))
     assert set(doc) == {"format", "d", "h", "depth", "patterns", "schedule"}
     back = doc_to_state(doc)
-    assert [(lvl.den, lvl.lowers) for lvl in back.levels] == [
-        (lvl.den, lvl.lowers) for lvl in built.levels
+    assert [(lvl.den, lvl.lowers) for lvl in walk_levels(back)] == [
+        (lvl.den, lvl.lowers) for lvl in walk_levels(built)
     ]
     assert back.entries == built.entries
 

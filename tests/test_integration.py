@@ -39,6 +39,7 @@ from lacuna.export import read_points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
 from lacuna.schedule import compute_levels
 import reference
+from conftest import walk_levels
 
 F = Fraction
 
@@ -74,7 +75,7 @@ class TestRandomPipelines:
         validate_structure(st_)
         assume(st_.entries)  # starvation pushes small-m schedules past 12
         entry = st_.entries[0]
-        level = st_.levels[entry.m_level]
+        level = walk_levels(st_)[entry.m_level]
         cert = certify_gap(st_, entry, level)
         assert cert.gap >= cert.threshold > 0
         spot_check_gap(st_, entry, level, cert, count=20)

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import reference as ref
+from conftest import walk_levels
 from lacuna import certify
 from lacuna.certify import (
     _cross_check_centers,
@@ -223,9 +224,10 @@ def test_golden_levels_match_the_tuple_kernels(golden):
     kernels, is the flat level the build holds."""
     st = golden
     d = st.d
+    levels = walk_levels(st)
     by_level = {e.m_level: e for e in st.entries}
     for k in range(1, st.depth + 1):
-        prev = ref.corners(st.levels[k - 1].lowers, d)
+        prev = ref.corners(levels[k - 1].lowers, d)
         side = st.side_num
         entry = by_level.get(k)
         if entry is None:
@@ -239,17 +241,18 @@ def test_golden_levels_match_the_tuple_kernels(golden):
                 lattice = block_lattice(np_, block, side)
                 for i in range(member << shift, (member + 1) << shift):
                     lowers[i], _ = ref.place_on_lattice(lowers[i], ratio * side, lattice)
-        assert ref.flatten(lowers) == st.levels[k].lowers, f"level {k}"
+        assert ref.flatten(lowers) == levels[k].lowers, f"level {k}"
 
 
 def test_golden_residues_match_the_tuple_kernel(golden):
     st = golden
     d = st.d
     assert st.entries
+    levels = walk_levels(st)
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
         side = st.side_num
-        for b, blk in enumerate(placed_blocks(st, entry, st.levels[entry.m_level])):
+        for b, blk in enumerate(placed_blocks(st, entry, levels[entry.m_level])):
             lattice = block_lattice(np_, b, side)
             signs = [(c > 0) - (c < 0) for c in np_.base.coeffs[b]]
             assert _recover_residue(lattice, signs, blk) == _reference_residues(
@@ -273,15 +276,16 @@ def test_spot_check_matches_the_fraction_reference(golden):
     anywhere from the 1st to the 54th of 100), or both pass."""
     st = golden
     failed = 0
+    levels = walk_levels(st)
     for entry in st.entries:
-        level = st.levels[entry.m_level]
+        level = levels[entry.m_level]
         cert = certify_gap(st, entry, level)
         spot_check_gap(st, entry, level, cert)
-        ref.spot_check_gap(st, entry, cert)
+        ref.spot_check_gap(st, entry, level, cert)
         for factor in (2, 4, 8, 64):
             raised = cert.replace(gap=cert.gap * factor)
             message = _message(spot_check_gap, st, entry, level, raised)
-            assert message == _message(ref.spot_check_gap, st, entry, raised)
+            assert message == _message(ref.spot_check_gap, st, entry, level, raised)
             failed += message is not None
     assert failed
 
@@ -291,18 +295,21 @@ def _assert_cross_checks_agree(st):
     tuple block moved by one numerator unit on one axis, they give the same
     verdict and the same message, and some of the moved blocks fail."""
     failed = 0
+    levels = walk_levels(st)
     for entry in st.entries:
         np_ = st.normalized[entry.pattern_id]
-        level = st.levels[entry.m_level]
+        level = levels[entry.m_level]
         blocks = placed_blocks(st, entry, level)
         assert _message(_cross_check_centers, st, entry, np_, blocks, level.den) is None
-        assert _message(ref.cross_check_centers, st, entry, np_, blocks) is None
+        assert _message(ref.cross_check_centers, st, entry, np_, blocks, level.den) is None
         for b, blk in enumerate(blocks):
             for v in range(st.d):
                 moved = list(blocks)
                 moved[b] = [x + (j % st.d == v) for j, x in enumerate(blk)]
                 message = _message(_cross_check_centers, st, entry, np_, moved, level.den)
-                assert message == _message(ref.cross_check_centers, st, entry, np_, moved)
+                assert message == _message(
+                    ref.cross_check_centers, st, entry, np_, moved, level.den
+                )
                 failed += message is not None
     assert failed
 

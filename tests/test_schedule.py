@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import walk_levels
 from lacuna import schedule
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import (
@@ -343,7 +344,7 @@ class TestBuildFromARead:
         build(st, 17)
         fresh = build(init_state(1, [ap_pattern], sqrt_gauge), 17)
         assert state_to_doc(st) == state_to_doc(fresh)
-        assert st.levels == fresh.levels
+        assert walk_levels(st) == walk_levels(fresh)
 
     @pytest.mark.parametrize(
         "edit",
@@ -359,10 +360,10 @@ class TestBuildFromARead:
         doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
         edit(doc)
         st = doc_to_state(doc)  # within the reader's invariants
-        depth, levels = st.depth, list(st.levels)
+        depth, levels = st.depth, walk_levels(st)
         with pytest.raises(StructureViolation, match="not the one a build serves"):
             build(st, 13)
-        assert (st.depth, st.levels) == (depth, levels)
+        assert (st.depth, walk_levels(st)) == (depth, levels)
 
 
 class TestParams:
