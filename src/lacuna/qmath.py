@@ -50,12 +50,14 @@ def decimal_ratio(n: int, den: int, digits: int) -> str:
     """Decimal rendering of n/den for integers n and den > 0, truncated
     toward zero.
 
-    Pure integer arithmetic so renderings are identical across platforms.
+    Pure integer arithmetic so renderings are identical across platforms:
+    one floor division by den counts the units of 10**-digits, and the
+    count is split into its whole and fractional digits.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
     sign = "-" if n < 0 else ""
-    whole, rem = divmod(abs(n), den)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{rem * 10**digits // den:0{digits}d}"
+        return f"{sign}{abs(n) // den}"
+    whole, frac = divmod(abs(n) * 10**digits // den, 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import UnsupportedDimension
+from .qmath import decimal_ratio
 
 if TYPE_CHECKING:
     from .engine import ConstructionState
@@ -31,8 +32,7 @@ def write_svg(state: ConstructionState, path: str | Path) -> None:
 
     d=1 stacks the levels as horizontal bands, d=2 overlays the outlines on
     the unit square [1,2]^2.  A corner x/den of [1,2] is drawn at
-    (x/den - 1) * SVG_SIZE, truncated to hundredths by one floor division
-    (every value drawn is non-negative).
+    (x/den - 1) * SVG_SIZE, truncated to hundredths.
     """
     d = state.d
     if d > 2:
@@ -45,26 +45,21 @@ def write_svg(state: ConstructionState, path: str | Path) -> None:
             '<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{size}" height="{height}" viewBox="0 0 {size} {height}">\n'
         )
-        s, c = state.side_num, 100 * size
+        s = state.side_num
         for k, level in state.walk(state.depth):
             den = level.den
-            (w,) = _hundredths([s * c // den])
+            w = decimal_ratio(s * size, den, 2)
             tail = f'" width="{w}" height="{band - 8 if d == 1 else w}"/>\n'
             fh.write(f'<g id="level-{k}" fill="none" stroke="#1f3a5f" stroke-width="0.6">\n')
             for i in range(0, len(level.lowers), d * CHUNK):
                 lowers = level.lowers[i : i + d * CHUNK]
-                xs = _hundredths([(x - den) * c // den for x in lowers[::d]])
+                xs = [decimal_ratio((x - den) * size, den, 2) for x in lowers[::d]]
                 if d == 1:
                     ys = repeat(str(k * band + 4))
                 else:
                     # SVG y grows downward: the top edge y + side of a cube
                     # on [1,2] is drawn at (2 - (y + side)/den) * size
-                    ys = _hundredths([(2 * den - s - y) * c // den for y in lowers[1::2]])
+                    ys = [decimal_ratio((2 * den - s - y) * size, den, 2) for y in lowers[1::2]]
                 fh.write("".join([f'<rect x="{x}" y="{y}{tail}' for x, y in zip(xs, ys)]))
             fh.write("</g>\n")
         fh.write("</svg>\n")
-
-
-def _hundredths(values: list[int]) -> list[str]:
-    """Counts of hundredths, each >= 0, as decimals with two places."""
-    return [f"{v // 100}.{v % 100:02d}" for v in values]

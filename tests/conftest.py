@@ -10,11 +10,13 @@ from lacuna.engine import Level, build, init_state
 from lacuna.pattern import make_pattern
 
 
-def walk_levels(state):
-    """Levels 0..depth of a state, walked once and returned: the one way a
-    test reads a state's levels.  A test that reads several levels walks
-    once and indexes the list."""
-    return [level for _, level in state.walk(state.depth)]
+def walk_levels(state, stop=None):
+    """Levels 0..stop of a state (stop defaults to its depth), walked once
+    and returned: the one way a test reads a state's levels.  A test that
+    reads several levels walks once and indexes the list; a test that reads
+    one level k walks only as far as k and takes the last."""
+    stop = state.depth if stop is None else stop
+    return [level for _, level in state.walk(stop)]
 
 
 def with_levels(state, levels):

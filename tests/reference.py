@@ -538,7 +538,7 @@ def instance_covered(
     if _cache is not None and key in _cache:
         blocks, den = _cache[key]
     else:
-        level = walk_levels(state)[entry.m_level]
+        level = walk_levels(state, entry.m_level)[-1]
         blocks, den = placed_blocks(state, entry, level), level.den
         if _cache is not None:
             _cache[key] = blocks, den
@@ -585,7 +585,7 @@ def covered_instance_scan(
     builds stay tractable where the all-tuples oracle would not.  Returns
     instances as point-index tuples in normalized block order.
     """
-    level = walk_levels(state)[entry.m_level]
+    level = walk_levels(state, entry.m_level)[-1]
     blocks = placed_blocks(state, entry, level)
     np_ = state.normalized[entry.pattern_id]
     den = level.den

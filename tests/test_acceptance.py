@@ -200,13 +200,13 @@ class TestAcceptance:
         # mutation: shove one placed cube off the lattice by side/4
         entry = ratios_state.entries[0]
         shift = ratios_state.side(entry.m_level) / 4
-        level = walk_levels(ratios_state)[entry.m_level]
+        level = walk_levels(ratios_state, entry.m_level)[-1]
         x = F(level.lowers[0], level.den)
         mutated = move_cube(ratios_state, entry.m_level, 0, [x + shift])
         gap_failed = False
         oracle_failed = False
         try:
-            certify_gap(mutated, entry, walk_levels(mutated)[entry.m_level])
+            certify_gap(mutated, entry, walk_levels(mutated, entry.m_level)[-1])
         except GapViolated:
             gap_failed = True
         if not gap_failed:
@@ -260,7 +260,7 @@ class TestAcceptance:
         st = build(init_state(1, [make_pattern(1, [[2], [-1]])], h), 18)
         ok = bool(st.m_levels) and st.depth >= st.m_levels[0] == 18
         validate_structure(st)
-        leaf = walk_levels(st)[18]
+        leaf = walk_levels(st, 18)[-1]
         cert = certify_gap(st, st.entries[0], leaf)
         ok = ok and cert.gap >= cert.threshold
         measure = certify_measure(st)

@@ -229,7 +229,7 @@ class TestDifferences:
         from lacuna.certify import placed_blocks
 
         entry = state.entries[0]
-        level = walk_levels(state)[entry.m_level]
+        level = walk_levels(state, entry.m_level)[-1]
         blocks = placed_blocks(state, entry, level)
         den = level.den
         side = state.side(entry.m_level)
@@ -308,7 +308,7 @@ class TestAppRunner:
         assert report["targets"][0]["target"] == "ln(2)"
         assert report["targets"][0]["difference_margin"] is not None
         assert len(report["points_ln"]) == summary["entries"] * 0 + len(
-            walk_levels(read_tree(tmp_path / "tree.json"))[5].lowers
+            walk_levels(read_tree(tmp_path / "tree.json"), 5)[-1].lowers
         )
 
     def test_parallelogram_app(self, tmp_path):

@@ -51,7 +51,7 @@ F = Fraction
 
 def placed_points(st, entry):
     """placed_blocks with the lower corners as exact rationals."""
-    level = walk_levels(st)[entry.m_level]
+    level = walk_levels(st, entry.m_level)[-1]
     return [
         corners([F(x, level.den) for x in blk], st.d)
         for blk in placed_blocks(st, entry, level)
@@ -61,7 +61,7 @@ def placed_points(st, entry):
 class TestGapCertificates:
     def test_first_ap_entry_threshold(self, ap_tree_12):
         st = ap_tree_12
-        cert = certify_gap(st, st.entries[0], walk_levels(st)[6])
+        cert = certify_gap(st, st.entries[0], walk_levels(st, 6)[-1])
         assert cert.threshold == F(1, 288)  # peak * side = 2/576
         assert cert.gap >= cert.threshold
         assert cert.placed_counts == (8, 8, 8)
@@ -69,7 +69,7 @@ class TestGapCertificates:
 
     def test_second_entry(self, ap_tree_12):
         st = ap_tree_12
-        cert = certify_gap(st, st.entries[1], walk_levels(st)[11])
+        cert = certify_gap(st, st.entries[1], walk_levels(st, 11)[-1])
         assert cert.threshold == F(1, 82944)
         assert cert.gap >= cert.threshold
 
@@ -102,7 +102,7 @@ class TestGapCertificates:
         # below the certified gap: any hit would contradict the certificate.
         st = ap_tree_12
         entry = st.entries[0]
-        cert = certify_gap(st, entry, walk_levels(st)[entry.m_level])
+        cert = certify_gap(st, entry, walk_levels(st, entry.m_level)[-1])
         blocks = placed_points(st, entry)
         side = st.side(entry.m_level)
         rng = random.Random(5)
@@ -145,7 +145,7 @@ class TestGapCertificates:
         entry = walk_schedule(st.normalized, st.h, 16)[2]
         assert (entry.index, entry.m_level) == (3, 16)
         with pytest.raises(EntryNotProcessed):
-            certify_gap(st, entry, walk_levels(st)[st.depth])
+            certify_gap(st, entry, walk_levels(st, st.depth)[-1])
 
     def test_combo_cap_falls_back_to_the_structural_bound(self):
         # quotient 2 under pow:41/50 lands entry 1, the level-1 tuple (0, 1),
@@ -168,11 +168,11 @@ class TestGapCertificates:
 
     def test_corrupted_placement_fails(self, ap_tree_12, move_cube):
         # Shift one placed cube off the lattice by side/4.
-        level = walk_levels(ap_tree_12)[6]
+        level = walk_levels(ap_tree_12, 6)[-1]
         x = F(level.lowers[0], level.den)
         broken = move_cube(ap_tree_12, 6, 0, [x + F(1, 4 * 576)])
         with pytest.raises(GapViolated):
-            certify_gap(broken, broken.entries[0], walk_levels(broken)[6])
+            certify_gap(broken, broken.entries[0], walk_levels(broken, 6)[-1])
 
     def test_unshifted_lattice_fails_the_cross_check(self, ap_pattern, sqrt_gauge, monkeypatch):
         """Without the half-step pivot shift of the last block, placement and
@@ -187,7 +187,7 @@ class TestGapCertificates:
         monkeypatch.setattr(geometry, "block_lattice", unshifted)
         st = build(init_state(1, [ap_pattern], sqrt_gauge), 7)
         with pytest.raises(GapViolated, match="is not a half-integer multiple"):
-            certify_gap(st, st.entries[0], walk_levels(st)[6])
+            certify_gap(st, st.entries[0], walk_levels(st, 6)[-1])
 
 
 class TestMeasureCertificate:
@@ -406,7 +406,7 @@ class TestOracle:
         b = blocks[1][0][0] + side / 2
         target_center = 2 * b - a  # completes psi = x - 2y + z = 0
         old_lower = blocks[2][0][0]
-        level = walk_levels(st)[6]
+        level = walk_levels(st, 6)[-1]
         for i, x in enumerate(level.lowers):
             if F(x, level.den) == old_lower:
                 broken = move_cube(st, 6, i, [target_center - side / 2])
@@ -421,7 +421,7 @@ class TestOracle:
         )
         # and the same corruption breaks the gap certificate
         with pytest.raises(GapViolated):
-            certify_gap(broken, broken.entries[0], walk_levels(broken)[6])
+            certify_gap(broken, broken.entries[0], walk_levels(broken, 6)[-1])
 
 
 def fraction_oracle(points, pattern, tolerance):

@@ -76,7 +76,7 @@ class TestBuild:
     def test_depth_seven(self, ap_file, tmp_path, capsys):
         assert main(build_args(ap_file, tmp_path)) == 0
         st = read_tree(tmp_path / "tree.json")
-        assert len(walk_levels(st)[7].lowers) == 64
+        assert len(walk_levels(st, 7)[-1].lowers) == 64
 
     def test_depth_zero(self, ap_file, tmp_path):
         assert main(build_args(ap_file, tmp_path, depth=0)) == 0

@@ -41,14 +41,14 @@ class TestInit:
     def test_unit_interval(self, ap_pattern, sqrt_gauge):
         st = init_state(1, [ap_pattern], sqrt_gauge)
         assert st.depth == 0
-        assert fracs(walk_levels(st)[0], st.d) == [(F(1),)]
+        assert fracs(walk_levels(st, 0)[-1], st.d) == [(F(1),)]
         assert st.side(0) == 1
 
     def test_unit_square(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = init_state(2, [p], h)
-        assert fracs(walk_levels(st)[0], st.d) == [(F(1), F(1))]
+        assert fracs(walk_levels(st, 0)[-1], st.d) == [(F(1), F(1))]
 
     def test_no_patterns_rejected(self, sqrt_gauge):
         with pytest.raises(ZeroPattern):
@@ -63,14 +63,14 @@ class TestInit:
 class TestDyadicSplit:
     def test_first_level(self, ap_pattern, sqrt_gauge):
         st = build(init_state(1, [ap_pattern], sqrt_gauge), 1)
-        assert fracs(walk_levels(st)[1], st.d) == [(F(1),), (F(3, 2),)]
+        assert fracs(walk_levels(st, 1)[-1], st.d) == [(F(1),), (F(3, 2),)]
 
     def test_d2_digit_semantics(self):
         p = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
         h = make_dimfn("pow", F(1, 4), 2)
         st = build(init_state(2, [p], h), 1)
         # digit = sum of bit_v * 2^v, bit selects the upper half on axis v.
-        assert fracs(walk_levels(st)[1], st.d) == [
+        assert fracs(walk_levels(st, 1)[-1], st.d) == [
             (F(1), F(1)),
             (F(3, 2), F(1)),
             (F(1), F(3, 2)),
@@ -166,14 +166,14 @@ class TestBuild:
         assert st.depth == 0 and st.entries == []
 
     def test_depth_seven_counts(self, ap_tree_7):
-        assert len(walk_levels(ap_tree_7)[7].lowers) == 64
+        assert len(walk_levels(ap_tree_7, 7)[-1].lowers) == 64
         assert ap_tree_7.side(7) == F(1, 1152)
         assert ap_tree_7.m_levels == [6]
 
     def test_depth_twelve_counts(self, ap_tree_12):
         st = ap_tree_12
         assert st.m_levels == [6, 11]
-        assert len(walk_levels(st)[12].lowers) == 1024
+        assert len(walk_levels(st, 12)[-1].lowers) == 1024
         assert st.side(12) == F(1, 2**12 * 81)
 
     def test_profile_matches_at_every_level(self, ap_tree_12):
@@ -203,7 +203,7 @@ class TestBuild:
         h = make_dimfn("pow", F(1, 4), 2)
         st = build(init_state(2, [p], h), 3)
         assert st.m_levels == [3]
-        assert len(walk_levels(st)[3].lowers) // st.d == 16
+        assert len(walk_levels(st, 3)[-1].lowers) // st.d == 16
         validate_structure(st)
 
 
@@ -258,6 +258,6 @@ class TestSerialization:
         from lacuna.engine import read_tree
 
         st = read_tree(path)
-        assert walk_levels(st)[12].lowers == walk_levels(ap_tree_12)[12].lowers
+        assert walk_levels(st, 12)[-1].lowers == walk_levels(ap_tree_12, 12)[-1].lowers
         assert st.m_levels == ap_tree_12.m_levels
         assert state_to_doc(st) == state_to_doc(ap_tree_12)

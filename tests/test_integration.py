@@ -75,7 +75,7 @@ class TestRandomPipelines:
         validate_structure(st_)
         assume(st_.entries)  # starvation pushes small-m schedules past 12
         entry = st_.entries[0]
-        level = walk_levels(st_)[entry.m_level]
+        level = walk_levels(st_, entry.m_level)[-1]
         cert = certify_gap(st_, entry, level)
         assert cert.gap >= cert.threshold > 0
         spot_check_gap(st_, entry, level, cert, count=20)
