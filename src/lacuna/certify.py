@@ -111,14 +111,24 @@ class LevelVerdict(Record):
 
 
 class MeasureCertificate(Record):
-    c1: int
+    """Per-level verdicts from k0 to the depth, and H^h(E) >= lower_bound =
+    1/c3_upper, made with the record; c1 and conditional are constants."""
+
     c2: int
     c3_upper: Fraction
     k0: int
     depth: int
     per_level: tuple[LevelVerdict, ...]
-    lower_bound: Fraction
-    conditional: str
+
+    c1 = 1
+    conditional = (
+        "lower bound for the h-Hausdorff measure of the limit set, "
+        "conditional on the construction continuing by the same schedule; "
+        "avoidance is certified for the tuples of processed entries only"
+    )
+
+    def __post_init__(self) -> None:
+        self.__dict__["lower_bound"] = 1 / self.c3_upper
 
 
 def placed_blocks(
@@ -396,27 +406,12 @@ def certify_measure(state: ConstructionState) -> MeasureCertificate:
             mass_ok = False
         active = k - state.ndigits(k)  # the entries with M_i <= k
         ratio_ok = engine.ratio_condition(state.h, k, betas[:active])
-        verdicts.append(
-            LevelVerdict(level=k, count=count, side=side, mass_ok=mass_ok, ratio_ok=ratio_ok)
-        )
+        verdicts.append(LevelVerdict(k, count, side, mass_ok, ratio_ok))
         if not (mass_ok and ratio_ok):
             raise MeasureViolated(k, f"mass/ratio bound fails at level {k}")
     c2 = 1 << state.d
     c3 = c2 * (2 * hi + 3) ** state.d
-    return MeasureCertificate(
-        c1=1,
-        c2=c2,
-        c3_upper=c3,
-        k0=k0,
-        depth=state.depth,
-        per_level=tuple(verdicts),
-        lower_bound=1 / c3,
-        conditional=(
-            "lower bound for the h-Hausdorff measure of the limit set, "
-            "conditional on the construction continuing by the same schedule; "
-            "avoidance is certified for the tuples of processed entries only"
-        ),
-    )
+    return MeasureCertificate(c2, c3, k0, state.depth, tuple(verdicts))
 
 
 def certify_tree(

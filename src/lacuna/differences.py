@@ -20,10 +20,11 @@ state and its gap certificates into the document report.json.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import EnclosureTooWide, FormatError, RejectUnit
+from .errors import EnclosureTooWide, FormatError, RejectUnit, UsageError
 from .lnexp import ln_bounds
 from .qmath import format_rational, parse_rational
 from .record import Record
@@ -110,6 +111,12 @@ def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:
         return a
     if raw.value == 0:
         raise RejectUnit("difference target 0 is excluded by hypothesis")
+    # the endpoint denominators of a 2**-precision wide enclosure multiply to
+    # 2**precision or more: past 6.644 > 2*log2(10) bits a digit, one is unwritable
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and precision * 1000 >= limit * 6644:
+        raise UsageError(f"precision {precision}: an enclosure of e^{raw.describe()} that "
+                         f"narrow has more digits than the interpreter writes ({limit})")
     lo, hi = exp_bounds(raw.value, precision)
     return (lo + hi) / 2
 

@@ -58,7 +58,9 @@ made.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import ceil, isqrt, lcm
+from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -145,18 +147,12 @@ def compute_beta(np_: NormalizedPattern, d: int) -> int:
 
 def ratio_threshold(i: int, betas: list[int] | tuple[int, ...], d: int) -> int:
     """2^(i*d) * (beta_1 * ... * beta_i)^d for the i-th served entry."""
-    prod = 1
-    for b in betas[:i]:
-        prod *= b
-    return (2**i * prod) ** d
+    return (2**i * reduce(mul, betas[:i], 1)) ** d
 
 
 def delta_candidate(k: int, betas_applied: list[int] | tuple[int, ...]) -> Fraction:
     """Side length 2^-k * prod(1/beta) once the given betas are all active."""
-    prod = 1
-    for b in betas_applied:
-        prod *= b
-    return Fraction(1, (1 << k) * prod)
+    return Fraction(1, (1 << k) * reduce(mul, betas_applied, 1))
 
 
 def ratio_condition(
@@ -213,27 +209,31 @@ class Level(Record, frozen=False):
 
 
 class ConstructionState(Record, frozen=False):
-    """The whole build: its recipe (d, h, the patterns, the realized
-    schedule and the depth), which fixes the levels 0..depth.
+    """The whole build: its recipe (h, the patterns, the realized schedule
+    and the depth), which fixes the levels 0..depth.
 
-    The fields are the recipe alone.  Level 0 is made with the state and
-    kept; walk makes the other levels, one at a time, each time they are
-    read.  replace makes a state from the same recipe.
+    The fields are the recipe alone; d is the gauge's.  The normal forms of
+    the patterns and level 0 are made with the state and kept; walk makes
+    the other levels, one at a time, each time they are read.  replace
+    makes a state from a recipe; build extends its entries and depth.
     """
 
-    d: int
     h: DimensionFunction
     patterns: tuple[LinearPattern, ...]
-    normalized: tuple[NormalizedPattern, ...]
     level_cap: int
     entries: list[ScheduleEntry]
     depth: int
 
     def __post_init__(self) -> None:
-        # not fields: level 0, and the lattices
+        # not fields: the normal forms, level 0, and the lattices
+        self.normalized = tuple(normalize(p) for p in self.patterns)
         q = lattice_denominator(self.normalized)
         self._level0 = Level(den=q, lowers=[q] * self.d)
         self._lattices: dict[int, list[BlockLattice]] = {}
+
+    @property
+    def d(self) -> int:
+        return self.h.d
 
     @property
     def levels(self) -> list[Level]:
@@ -274,8 +274,7 @@ class ConstructionState(Record, frozen=False):
         return level - sum(1 for M in self.m_levels if M <= level)
 
     def side(self, level: int) -> Fraction:
-        applied = [e.beta for e in self.entries if e.m_level <= level]
-        return delta_candidate(level, applied)
+        return delta_candidate(level, [e.beta for e in self.entries if e.m_level <= level])
 
     @property
     def side_num(self) -> int:
@@ -340,13 +339,7 @@ def init_state(
         if p.d != d:
             raise StructureViolation("pattern dimension does not match the build")
     return ConstructionState(
-        d=d,
-        h=h,
-        patterns=tuple(patterns),
-        normalized=tuple(normalize(p) for p in patterns),
-        level_cap=level_cap,
-        entries=[],
-        depth=0,
+        h=h, patterns=tuple(patterns), level_cap=level_cap, entries=[], depth=0
     )
 
 
@@ -396,23 +389,10 @@ def build_tree(
 
 def validate_structure(state: ConstructionState) -> None:
     """Walk levels 0..depth and keep none, so that every placed cube is
-    asserted inside its parent as it is made.
-
-    The mass-distribution argument rests on a nested tree whose level k
-    holds expected_count(k) cubes.  Both hold by construction of the one
-    loop that makes levels (ConstructionState.walk), so nothing is
-    re-walked:
-
-    * a dyadic cube's 2^d children sit at offsets 0 or side inside the
-      doubled parent (geometry._dyadic_children);
-    * an avoidance level keeps its parent level's indices, its free
-      children are their parents scaled (offset 0), and its placed children
-      are asserted as they are made (place_on_lattice, PlacementFailure);
-    * the measure reads its counts from the recipe (expected_count).
-
-    PlacementFailure cannot fire while every beta >= compute_beta, which the
-    reader enforces on files.  No command calls this: certify_tree asserts
-    the same placements in its walk to the last avoidance level, past which
+    asserted inside its parent as it is made; the rest of nestedness, and
+    the counts the measure reads from the recipe, hold by construction (see
+    the module docstring).  No command calls this: certify_tree asserts the
+    same placements in its walk to the last avoidance level, past which
     every level is dyadic and asserts nothing.  Only bench/replay.py reads
     it (it wraps it as span engine.validate); ROADMAP item 12 deletes it.
     """

@@ -12,12 +12,14 @@ build no Fraction.  The SVG picture is written by lacuna.svg, which only
 from __future__ import annotations
 
 import sys
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import FormatError, UsageError
-from .qmath import decimal_ratio, format_ratio, parse_rational
+from .qmath import _RATIONAL_RE, decimal_ratio, format_ratio, parse_rational
 
 if TYPE_CHECKING:
     from .engine import ConstructionState
@@ -67,8 +69,17 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
 def read_points(path: str | Path) -> tuple[int, int, list[tuple[int, ...]]]:
     """(d, den, points) of a lacuna-points file: each point is a tuple of
     integer numerators over den, the lcm of the reduced denominators.  The
-    points are pairwise distinct, as the oracle requires: repeats are found
-    on reduced (p, q) pairs, so 2/4 repeats 1/2."""
+    points are pairwise distinct, as the oracle requires: 2/4 repeats 1/2.
+
+    One pass reads each coordinate p/q as the ints p and q; a line that is
+    not d literals within the int/str digit limit goes through
+    parse_rational, which refuses a bad token with its message.  The
+    numerators are scaled to L = lcm(q) and divided by g = gcd(L, all of
+    them), so den = L/g and equal points have equal numerators.  A repeat
+    before a refused line is refused first, as a line-by-line read would.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
+    match, nums, qs, distinct, refusal = _RATIONAL_RE.match, [], [], {}, None
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().strip()
@@ -77,21 +88,39 @@ def read_points(path: str | Path) -> tuple[int, int, list[tuple[int, ...]]]:
             d = int(header[len(POINTS_HEADER):])
             if d < 1:
                 raise FormatError(f"points header gives d={d}, need d >= 1")
-            seen = {}  # a dict keeps the file's order
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                coords = tuple(parse_rational(tok).as_integer_ratio() for tok in line.split())
-                if len(coords) != d:
-                    raise FormatError(f"point {line!r} does not have {d} coordinates")
-                if coords in seen:
-                    raise FormatError(f"point {line!r} repeats an earlier point")
-                seen[coords] = None
         except ValueError as exc:  # a non-integer d, or bytes that are not UTF-8
             raise FormatError(f"malformed points file: {exc}") from exc
-    den = lcm(*{q for coords in seen for _, q in coords})
-    return d, den, [tuple([p * (den // q) for p, q in coords]) for coords in seen]
+        try:
+            for line in fh:
+                tokens = line.split()
+                if len(tokens) != d or len(line) > limit or not all(map(match, tokens)):
+                    # a bad token is refused first; a blank line passes
+                    if [parse_rational(tok) for tok in tokens] and len(tokens) != d:
+                        line = line.strip()
+                        raise FormatError(f"point {line!r} does not have {d} coordinates")
+                for tok in tokens:
+                    p, _, q = tok.partition("/")
+                    q = int(q or 1)
+                    nums.append(int(p))
+                    qs.append(distinct.setdefault(q, q))
+        except FormatError as exc:
+            refusal = exc
+        except ValueError as exc:  # bytes that are not UTF-8
+            refusal = FormatError(f"malformed points file: {exc}")
+    den = lcm(*distinct)
+    nums = list(map(mul, nums, map({q: den // q for q in distinct}.__getitem__, qs)))
+    g = gcd(den, *nums)
+    points = list(zip(*[iter(nums if g == 1 else [x // g for x in nums])] * d))
+    del nums, qs
+    if len(set(points)) < len(points):
+        seen = set()
+        i = next(i for i, x in enumerate(points) if x in seen or seen.add(x))
+        with open(path, "r", encoding="utf-8") as fh:
+            line = next(islice(filter(None, map(str.strip, islice(fh, 1, None))), i, None))
+        refusal = FormatError(f"point {line!r} repeats an earlier point")
+    if refusal:
+        raise refusal
+    return d, den // g, points
 
 
 def write_points_csv(

@@ -6,8 +6,8 @@ pattern if psi vanishes on some tuple of distinct points of the set; the
 engine builds sets on which that never happens for scheduled tuples.
 
 Normalization mirrors what the avoidance construction needs: permute the
-blocks and rescale so that one coefficient is exactly 1 (the pivot), and
-record
+blocks and rescale so that one coefficient is exactly 1 (the pivot).  The
+normal form then fixes, from its coefficients alone,
 
 * peak: max of |psi| over the centered unit box [-1/2,1/2]^(m*d), which
   equals half the L1 norm of the coefficients,
@@ -40,7 +40,6 @@ class LinearPattern(Record):
     """m x d rational coefficient matrix of a linear form on m points of R^d."""
 
     d: int
-    m: int
     coeffs: Coeffs
 
     def __post_init__(self):
@@ -48,16 +47,17 @@ class LinearPattern(Record):
             raise DimensionMismatch("ambient dimension must be >= 1")
         if self.m < 2:
             raise DimensionMismatch("patterns need arity m >= 2")
-        if len(self.coeffs) != self.m or any(len(row) != self.d for row in self.coeffs):
+        if any(len(row) != self.d for row in self.coeffs):
             raise DimensionMismatch("coefficient matrix must be m blocks of d entries")
 
-    def is_zero(self) -> bool:
-        return all(b == 0 for row in self.coeffs for b in row)
+    @property
+    def m(self) -> int:
+        return len(self.coeffs)
 
 
 def make_pattern(d: int, rows: Sequence[Sequence[Fraction | int | str]]) -> LinearPattern:
     coeffs = tuple(tuple(Fraction(b) for b in row) for row in rows)
-    return LinearPattern(d=d, m=len(coeffs), coeffs=coeffs)
+    return LinearPattern(d=d, coeffs=coeffs)
 
 
 class NormalizedPattern(Record):
@@ -65,16 +65,20 @@ class NormalizedPattern(Record):
 
     base.coeffs[i] == original.coeffs[perm[i]] / divisor and the zero set is
     preserved:  psi_base(x[perm[0]], ..., x[perm[m-1]]) == scale * psi(x)
-    with scale = 1/divisor.
+    with scale = 1/divisor.  peak, scales and max_scale follow from base
+    alone and are made from it with the record.
     """
 
     base: LinearPattern
     perm: tuple[int, ...]
     scale: Fraction
     pivot: int
-    peak: Fraction
-    scales: Coeffs
-    max_scale: Fraction
+
+    def __post_init__(self):
+        rows = self.base.coeffs
+        scales = tuple(tuple(1 / abs(b) if b else Fraction(1) for b in row) for row in rows)
+        peak = sum(abs(b) for row in rows for b in row) / 2
+        self.__dict__.update(peak=peak, scales=scales, max_scale=max(map(max, scales)))
 
     @property
     def d(self) -> int:
@@ -86,41 +90,23 @@ class NormalizedPattern(Record):
 
 
 def normalize(p: LinearPattern) -> NormalizedPattern:
-    """Pick the pivot, swap its block last, rescale, and compute constants.
+    """Pick the pivot, swap its block last and rescale.
 
     The pivot is the nonzero coefficient of smallest magnitude (ties broken
     by smallest block then coordinate); minimizing the pivot keeps peak and
     the lattice scales small, which keeps beta and the schedule shallow.
     """
-    if p.is_zero():
+    nonzero = [
+        (abs(b), ell, v) for ell, row in enumerate(p.coeffs) for v, b in enumerate(row) if b
+    ]
+    if not nonzero:
         raise ZeroPattern("all pattern coefficients vanish")
-    best = None
-    for ell in range(p.m):
-        for v in range(p.d):
-            b = p.coeffs[ell][v]
-            if b != 0 and (best is None or abs(b) < abs(p.coeffs[best[0]][best[1]])):
-                best = (ell, v)
-    ell_star, pivot = best
+    _, ell_star, pivot = min(nonzero)
     perm = list(range(p.m))
-    perm[ell_star], perm[p.m - 1] = perm[p.m - 1], perm[ell_star]
+    perm[ell_star], perm[-1] = perm[-1], perm[ell_star]
     divisor = p.coeffs[ell_star][pivot]
-    rows = tuple(
-        tuple(p.coeffs[perm[i]][v] / divisor for v in range(p.d)) for i in range(p.m)
-    )
-    base = LinearPattern(d=p.d, m=p.m, coeffs=rows)
-    peak = sum(abs(b) for row in rows for b in row) / 2
-    scales = tuple(
-        tuple(1 / abs(b) if b != 0 else Fraction(1) for b in row) for row in rows
-    )
-    return NormalizedPattern(
-        base=base,
-        perm=tuple(perm),
-        scale=1 / divisor,
-        pivot=pivot,
-        peak=peak,
-        scales=scales,
-        max_scale=max(s for row in scales for s in row),
-    )
+    rows = tuple(tuple(b / divisor for b in p.coeffs[i]) for i in perm)
+    return NormalizedPattern(LinearPattern(p.d, rows), tuple(perm), 1 / divisor, pivot)
 
 
 # -- pattern file I/O ------------------------------------------------------

@@ -13,10 +13,13 @@ defaults as class attributes, much like a dataclass:
 
 A record is built from positional or keyword arguments, runs the class's
 __post_init__ (if any), compares equal to a record of the same class with
-equal fields, and has a dataclass-style repr.  A frozen record (the default)
-refuses attribute assignment.  No record is hashable: lacuna keys no set
-or dict by one.  A default is shared by every instance, so a mutable
-field has none.  replace(**changes) builds a new record through __init__.
+equal fields, and has a dataclass-style repr.  The fields are the record's
+inputs only: a value that follows from them is made once in __post_init__
+(into __dict__, which a frozen record allows) or is a property, so no
+constructor takes one, and replace(**changes) builds a new record through
+__init__, which derives it afresh.  A frozen record (the default) refuses
+attribute assignment.  No record is hashable: lacuna keys no set or dict
+by one.  A default is shared by every instance, so a mutable field has none.
 
 It stands in for the standard library's dataclass decorator, whose module
 import (with inspect, ast, dis and tokenize) and per-class code generation

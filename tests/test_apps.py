@@ -28,6 +28,7 @@ from lacuna.errors import (
     EnclosureTooWide,
     RejectRange,
     RejectUnit,
+    UsageError,
     ZeroPattern,
 )
 from lacuna.qmath import format_rational
@@ -276,6 +277,69 @@ class TestDifferences:
             t["difference_margin"] and rational(t["difference_margin"]) > 0
             for t in rep["targets"]
         )
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestPrecisionBound:
+    """A rational target's precision is refused before exp_bounds runs once
+    its enclosure could not be written: the endpoint denominators of an
+    enclosure of width 2**-precision multiply to at least 2**precision, so
+    at the default digit limit of 4,300 one of them has more digits from
+    precision 28,570 (28,570 / 2 > 4,300 * log2(10)).  A log_of target
+    takes no bound: its quotient target is exact."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        """run(kind, value, precision) -> (the precisions exp_bounds was
+        called with, what run_app raised or None, whether out-dir exists)
+        for a depth-5 difference app at the default digit limit.  exp_bounds
+        stops the run at its first call, so no enclosure is made."""
+        import sys
+
+        import lacuna.differences as differences_mod
+
+        calls = []
+
+        def stop(x, precision):
+            calls.append(precision)
+            raise _Stop
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        monkeypatch.setattr(differences_mod, "exp_bounds", stop)
+
+        def run(kind, value, precision):
+            calls.clear()
+            out = tmp_path / f"{kind}-{precision}"
+            params = [{"kind": kind, "value": value}]
+            spec = AppSpec("differences", params, "pow:1/2", 5, 1, precision)
+            try:
+                run_app(spec, out)
+                error = None
+            except (_Stop, UsageError) as exc:
+                error = exc
+            return calls[:], error, out.exists()
+
+        return run
+
+    def test_rational_below_the_bound_runs(self, run):
+        calls, error, made = run("rational", "1", 28_569)
+        assert calls == [28_569] and isinstance(error, _Stop) and not made
+
+    @pytest.mark.parametrize("precision", [28_570, 1_000_000])
+    def test_rational_past_the_bound_is_refused_first(self, run, precision):
+        calls, error, made = run("rational", "1", precision)
+        assert calls == [] and not made and type(error) is UsageError
+        assert str(error) == (
+            f"precision {precision}: an enclosure of e^1 that narrow has more "
+            "digits than the interpreter writes (4300)"
+        )
+
+    @pytest.mark.parametrize("precision", [28_569, 28_570, 100_000])
+    def test_log_of_takes_no_bound(self, run, precision):
+        assert run("log_of", "2", precision) == ([], None, True)
 
 
 class TestAppRunner:

@@ -1106,6 +1106,33 @@ class TestOracleCommand:
             "message": "point '1/2' repeats an earlier point",
         }
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # a repeat before a refused line is refused first, as a
+            # line-by-line read finds it
+            (b"1\n\n 3/2 \n2/2\nx\n", "point '2/2' repeats an earlier point"),
+            (b"1\nx\n1\n", "not a rational 'p/q' literal: 'x'"),
+            (b"1\n3/2 2\n1\n", "point '3/2 2' does not have 1 coordinates"),
+            # a bad token is refused before the coordinate count
+            (b"1\n3/2 x\n", "not a rational 'p/q' literal: 'x'"),
+            (b"1\n" + b"1" * 4301 + b"\n", "rational literal too long"),
+        ],
+        ids=["repeat-then-bad-token", "bad-token", "count",
+             "bad-token-before-count", "too-many-digits"],
+    )
+    def test_points_refusals(self, tmp_path, body, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_points(_points_file(tmp_path, "d=1", body))
+
+    def test_points_long_blank_and_unreduced_lines(self, tmp_path):
+        # a line longer than the digit limit, of tokens within it, is read
+        long = b"0" * 4299 + b"1/2"
+        assert len(long) > sys.get_int_max_str_digits()
+        # with -2/8, L = lcm(1, 2, 8) = 8 and g = gcd(8, 8, 4, -2) = 2
+        pts = _points_file(tmp_path, "d=1", b"\n1\n \t\n" + long + b"\n-2/8\n")
+        assert read_points(pts) == (1, 4, [(4,), (2,), (-1,)])
+
     def test_clean_quotient_build_exits_zero(self, q_file, tmp_path):
         assert main([
             "build", q_file, "--dimfn", "pow:1/2", "--depth", "10",
