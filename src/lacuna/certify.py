@@ -486,8 +486,9 @@ def brute_oracle(
     p, q = tolerance.as_integer_ratio()
     tol = p * lcd
     *heads, last = [[q * sum(map(mul, row, x)) for x in points] for row in rows]
-    ranked = sorted(zip(last, range(n)))
-    values = [v for v, _ in ranked]
+    ranked = sorted(range(n), key=last.__getitem__)  # stable: ties in index order
+    values = list(map(last.__getitem__, ranked))
+    del last
     pick = list.__getitem__
     hits = []
     for prefix in permutations(range(n), m - 1):
@@ -495,7 +496,7 @@ def brute_oracle(
         lo = bisect.bisect_left(values, -tol - s)
         hi = bisect.bisect_right(values, tol - s, lo)
         if lo < hi:
-            last_members = sorted(j for _, j in ranked[lo:hi])
+            last_members = sorted(ranked[lo:hi])
             hits.extend(prefix + (j,) for j in last_members if j not in prefix)
     return hits
 

@@ -117,6 +117,13 @@ def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:
     if limit and precision * 1000 >= limit * 6644:
         raise UsageError(f"precision {precision}: an enclosure of e^{raw.describe()} that "
                          f"narrow has more digits than the interpreter writes ({limit})")
+    # the midpoint, always written, has a numerator of at least e^t - 1/2, more
+    # than 10^limit once t * 0.4342944 >= limit + 1 (0.4342944 < log10(e)).  For
+    # t < 0 its denominator is at least the lower end of the enclosure of e^-t,
+    # which exp_bounds' reciprocal form bounds only by 2**precision: no refusal
+    if limit and raw.value * 4342944 >= (limit + 1) * 10**7:
+        raise UsageError(f"difference target {raw.describe()}: e^{raw.describe()} has "
+                         f"more digits than the interpreter writes ({limit})")
     lo, hi = exp_bounds(raw.value, precision)
     return (lo + hi) / 2
 

@@ -54,12 +54,30 @@ class DimensionFunction(Record):
 
     h is strictly increasing and h(r)/r^d non-increasing on the family's
     domain: 0 < r <= 1 for pow, and 0 < r <= 1/2 with -ln r >= 1/s for
-    powlog.  Every comparison raises OutOfDomain outside it.
+    powlog.  Every comparison raises OutOfDomain outside it.  A gauge
+    without that witness is refused as it is made: RejectNonPositive for
+    s <= 0, RejectNotDominated for d < 1, an unknown family, or one not
+    below x^d (pow needs s < d, powlog s <= d).
     """
 
     family: str
     s: Fraction
     d: int
+
+    def __post_init__(self) -> None:
+        s, d = self.s, self.d
+        if d < 1:
+            raise RejectNotDominated("ambient dimension must be >= 1")
+        if s <= 0:
+            raise RejectNonPositive(f"exponent must be positive, got {s}")
+        if self.family == POWER:
+            if s >= d:
+                raise RejectNotDominated(f"x^{s} is not strictly below x^{d}")
+        elif self.family == POWERLOG:
+            if s > d:
+                raise RejectNotDominated(f"-x^{s} ln x is not below x^{d}")
+        else:
+            raise RejectNotDominated(f"unknown gauge family {self.family!r}")
 
     # -- identity -----------------------------------------------------------
 
@@ -136,26 +154,9 @@ class DimensionFunction(Record):
 
 
 def make_dimfn(family: str, s: Fraction | int | str, d: int) -> DimensionFunction:
-    """Validate parameters and build a gauge with its witness.
-
-    Raises RejectNonPositive for s <= 0 and RejectNotDominated when the
-    family does not sit strictly below x^d (pow needs s < d, powlog s <= d).
-    Nothing is evaluated here: each comparison decides its own domain.
-    """
-    if d < 1:
-        raise RejectNotDominated("ambient dimension must be >= 1")
-    s = Fraction(s)
-    if s <= 0:
-        raise RejectNonPositive(f"exponent must be positive, got {s}")
-    if family == POWER:
-        if s >= d:
-            raise RejectNotDominated(f"x^{s} is not strictly below x^{d}")
-    elif family == POWERLOG:
-        if s > d:
-            raise RejectNotDominated(f"-x^{s} ln x is not below x^{d}")
-    else:
-        raise RejectNotDominated(f"unknown gauge family {family!r}")
-    return DimensionFunction(family=family, s=s, d=d)
+    """A gauge with its witness (DimensionFunction), s read as a Fraction.
+    Nothing is evaluated here: each comparison decides its own domain."""
+    return DimensionFunction(family=family, s=Fraction(s), d=d)
 
 
 def parse_dimfn(spec: str, d: int) -> DimensionFunction:

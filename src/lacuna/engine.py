@@ -13,8 +13,10 @@ state (ConstructionState), the records of its schedule (ScheduleEntry,
 compute_beta, the ratio condition and the caps, which the reader, the
 geometry and certify_measure check against), build, which fills in its
 entries and depth by the schedule walk, validate_structure and the tree
-file.  A state is its recipe: ConstructionState.walk, the one loop that
-makes levels, makes each from the one before it with the per-level kernel
+file.  A state and its gauge check themselves as they are made, by
+init_state, replace or the reader; build checks what it extends a state by.
+A state is its recipe: ConstructionState.walk, the one loop that makes
+levels, makes each from the one before it with the per-level kernel
 geometry.advance; the state holds level 0 alone.  Every reader of levels
 walks, and holds one level at a time (two while the next is made): certify
 to the last avoidance level, the exports and the difference report to the
@@ -41,7 +43,7 @@ implicit: the cube at index i of an ordinary level is child digit
 i & (2^d - 1) of parent i >> d, and an avoidance level keeps its parent
 level's indices.  An address is the base-2^d digit string of the index,
 one digit per ordinary level; only schedule tuples are written as
-addresses, with 32 digit symbols, so a state has d <= 5 (init_state).
+addresses, with 32 digit symbols, so a state has d <= 5 (ConstructionState).
 
 The tree file (lacuna-tree/3) is the recipe of a build, not its geometry:
 d, the gauge h, the depth, the patterns and the realized schedule.  Every
@@ -200,7 +202,7 @@ def lattice_denominator(normalized: Sequence[NormalizedPattern]) -> int:
     return q
 
 
-class Level(Record, frozen=False):
+class Level(Record):
     """Cubes of one level in address order: cube i has the lower corner
     lowers[i*d:(i+1)*d] / den."""
 
@@ -208,14 +210,15 @@ class Level(Record, frozen=False):
     lowers: list[int]
 
 
-class ConstructionState(Record, frozen=False):
+class ConstructionState(Record):
     """The whole build: its recipe (h, the patterns, the realized schedule
     and the depth), which fixes the levels 0..depth.
 
-    The fields are the recipe alone; d is the gauge's.  The normal forms of
+    The fields are the recipe alone; d is the gauge's, and a state refuses
+    d > MAX_D, no pattern, or a pattern of another d.  The normal forms of
     the patterns and level 0 are made with the state and kept; walk makes
-    the other levels, one at a time, each time they are read.  replace
-    makes a state from a recipe; build extends its entries and depth.
+    the other levels, one at a time, each time they are read.  build
+    extends its entries and depth in place.
     """
 
     h: DimensionFunction
@@ -225,11 +228,17 @@ class ConstructionState(Record, frozen=False):
     depth: int
 
     def __post_init__(self) -> None:
+        d = self.d
+        if d > MAX_D:
+            raise UnsupportedDimension(f"d={d}: tuple addresses exist for d <= {MAX_D} only")
+        if not self.patterns:
+            raise ZeroPattern("at least one pattern is required")
+        if any(p.d != d for p in self.patterns):
+            raise StructureViolation("pattern dimension does not match the build")
         # not fields: the normal forms, level 0, and the lattices
-        self.normalized = tuple(normalize(p) for p in self.patterns)
-        q = lattice_denominator(self.normalized)
-        self._level0 = Level(den=q, lowers=[q] * self.d)
-        self._lattices: dict[int, list[BlockLattice]] = {}
+        normalized = tuple(normalize(p) for p in self.patterns)
+        q = lattice_denominator(normalized)
+        self.__dict__.update(normalized=normalized, _level0=Level(q, [q] * d), _lattices={})
 
     @property
     def d(self) -> int:
@@ -328,16 +337,10 @@ def init_state(
     h: DimensionFunction,
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> ConstructionState:
-    """Fresh state holding the single level-0 cube [1,2]^d."""
-    if d > MAX_D:
-        raise UnsupportedDimension(f"d={d}: tuple addresses exist for d <= {MAX_D} only")
-    if not patterns:
-        raise ZeroPattern("at least one pattern is required")
+    """Fresh state holding the single level-0 cube [1,2]^d; the state
+    checks the rest of its recipe (ConstructionState)."""
     if h.d != d:
         raise StructureViolation(f"gauge certified for d={h.d}, build is d={d}")
-    for p in patterns:
-        if p.d != d:
-            raise StructureViolation("pattern dimension does not match the build")
     return ConstructionState(
         h=h, patterns=tuple(patterns), level_cap=level_cap, entries=[], depth=0
     )
@@ -354,7 +357,8 @@ def build(state: ConstructionState, depth: int) -> ConstructionState:
     level past the depth is tested.  The state's entries must be the walked
     entries that land at levels up to the state's depth (StructureViolation
     otherwise, as for a tree whose schedule was edited).  A refused state
-    is left as it was.
+    is left as it was.  The one in-place change of a record: the caller
+    reads the state it passed in.
     """
     from .schedule import walk_schedule
 
@@ -368,8 +372,7 @@ def build(state: ConstructionState, depth: int) -> ConstructionState:
         raise StructureViolation(
             f"the schedule to depth {state.depth} is not the one a build serves"
         )
-    state.entries = entries
-    state.depth = depth
+    state.__dict__.update(entries=entries, depth=depth)
     return state
 
 

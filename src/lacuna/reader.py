@@ -116,5 +116,4 @@ def doc_to_state(doc: dict) -> ConstructionState:
             f"the tree asks for 2^{d * state.ndigits(depth)} cubes at depth {depth}, "
             f"more than {MAX_LEAF_CUBES}"
         )
-    state.depth = depth
-    return state
+    return state.replace(depth=depth)

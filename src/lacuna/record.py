@@ -7,19 +7,18 @@ defaults as class attributes, much like a dataclass:
         index: int
         codes: tuple[int, ...] = ()
 
-    class Level(Record, frozen=False):
-        den: int
-        lowers: list[int]
-
 A record is built from positional or keyword arguments, runs the class's
 __post_init__ (if any), compares equal to a record of the same class with
 equal fields, and has a dataclass-style repr.  The fields are the record's
 inputs only: a value that follows from them is made once in __post_init__
-(into __dict__, which a frozen record allows) or is a property, so no
-constructor takes one, and replace(**changes) builds a new record through
-__init__, which derives it afresh.  A frozen record (the default) refuses
-attribute assignment.  No record is hashable: lacuna keys no set or dict
-by one.  A default is shared by every instance, so a mutable field has none.
+(written into __dict__) or is a property, so no constructor takes one.
+A record whose inputs can be inconsistent refuses them in __post_init__,
+so replace(**changes), which builds a new record through __init__, derives
+and checks it afresh.  Every record refuses attribute assignment and
+deletion; the one in-place change is engine.build, which extends a state's
+entries and depth through its __dict__.  No record is hashable: lacuna
+keys no set or dict by one.  A default is shared by every instance, so a
+mutable field has none.
 
 It stands in for the standard library's dataclass decorator, whose module
 import (with inspect, ast, dis and tokenize) and per-class code generation
@@ -33,11 +32,9 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 
-    def __init_subclass__(cls, frozen: bool = True) -> None:
+    def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -76,6 +73,7 @@ class Record:
         """A new record with the given fields changed, built through __init__."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign or delete {name!r} of a {type(self).__name__}")
 
-def _refuse(self, name, *value):
-    raise AttributeError(f"cannot assign to field {name!r} of frozen {type(self).__name__}")
+    __delattr__ = __setattr__

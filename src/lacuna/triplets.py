@@ -28,8 +28,6 @@ class GaussianRational(Record):
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,

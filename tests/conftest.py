@@ -24,8 +24,7 @@ def with_levels(state, levels):
     ones its recipe makes: the one way a test corrupts geometry.  Its level
     0 is levels[0], so side_num reads a scaled level 0's denominator."""
     copy = state.replace()
-    copy._level0 = levels[0]
-    copy.walk = lambda stop: enumerate(levels[: stop + 1])
+    copy.__dict__.update(_level0=levels[0], walk=lambda stop: enumerate(levels[: stop + 1]))
     return copy
 
 

@@ -341,6 +341,50 @@ class TestPrecisionBound:
     def test_log_of_takes_no_bound(self, run, precision):
         assert run("log_of", "2", precision) == ([], None, True)
 
+    # The midpoint of e^t, always written, has a numerator of at least
+    # e^t - 1/2: from t * 4342944 >= 4301 * 10**7 (4342944 < 10**7 * log10(e))
+    # it has more than 4,300 digits, and the target is refused first.
+    BOUND = F(4301 * 10**7, 4342944)
+
+    @pytest.mark.parametrize("t", [BOUND - F(1, 4342944), F(9903), F(-100_000)],
+                             ids=["just-below", "9903", "negative"])
+    def test_target_below_the_digit_bound_runs(self, run, t):
+        calls, error, made = run("rational", format_rational(t), 64)
+        assert calls == [64] and isinstance(error, _Stop) and not made
+
+    @pytest.mark.parametrize("t", [BOUND, F(9904), F(1_000_000)],
+                             ids=["at-the-bound", "9904", "1000000"])
+    def test_target_past_the_digit_bound_is_refused_first(self, run, t):
+        text = format_rational(t)
+        calls, error, made = run("rational", text, 64)
+        assert calls == [] and not made and type(error) is UsageError
+        assert str(error) == (
+            f"difference target {text}: e^{text} has more digits than the "
+            "interpreter writes (4300)"
+        )
+
+    def test_no_digit_limit_refuses_nothing(self, run, monkeypatch):
+        """PYTHONINTMAXSTRDIGITS=0 lifts the limit: sys.get_int_max_str_digits()
+        reads 0, and neither bound refuses."""
+        import sys
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        calls, error, made = run("rational", "1000000", 1_000_000)
+        assert calls == [1_000_000] and isinstance(error, _Stop) and not made
+
+    def test_target_3000_keeps_its_bytes(self, tmp_path):
+        """Digests of the run before the target bound was added."""
+        import hashlib
+
+        params = [{"kind": "rational", "value": "3000"}]
+        run_app(AppSpec("differences", params, "pow:1/10", 4, 1), tmp_path)
+        assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("tree.json", "cert.json", "report.json")} == {
+            "tree.json": "a7441d65609888d418d9efa81b16660ecc400cfe47cd199a5eb0fc44fb00c83a",
+            "cert.json": "3caad7060c8baddb510cb02e29a5e4a72186d5a65cadfeb8ff98e7e441001006",
+            "report.json": "7a0153c894c5b4278a7ade3c624a645f5fec0365c0fb69361456fff6a32da175",
+        }
+
 
 class TestAppRunner:
     def test_spec_parsing(self):

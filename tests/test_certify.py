@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import json
 import random
 import time
@@ -244,11 +243,9 @@ class TestMeasureCertificate:
     def test_wrong_schedule_detected(self, ap_tree_12, tmp_path, capsys):
         # Pretend the first avoidance level had been 5: level-5 counts stay
         # dyadic (32 cubes) but the side would shrink to 2^-5/9, failing mass.
-        broken = copy.copy(ap_tree_12)
-        broken.entries = [
-            ap_tree_12.entries[0].replace(m_level=5),
-            ap_tree_12.entries[1],
-        ]
+        broken = ap_tree_12.replace(
+            entries=[ap_tree_12.entries[0].replace(m_level=5), ap_tree_12.entries[1]]
+        )
         with pytest.raises(MeasureViolated):
             certify_measure(broken)
         # A tree file is rebuilt from its schedule: with M_1 = 5 in the file,

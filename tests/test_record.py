@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import lacuna
 from lacuna.apps import AppSpec
-from lacuna.certify import certify_measure, measure_to_doc
-from lacuna.dimfn import make_dimfn
+from lacuna.certify import certify_gap, certify_measure, measure_to_doc
+from lacuna.differences import DifferenceTarget
+from lacuna.dimfn import make_dimfn, parse_dimfn
 from lacuna.engine import (
     ConstructionState,
     Level,
@@ -14,9 +18,15 @@ from lacuna.engine import (
     init_state,
     lattice_denominator,
 )
-from lacuna.errors import DimensionMismatch
+from lacuna.errors import (
+    DimensionMismatch,
+    RejectNotDominated,
+    StructureViolation,
+    ZeroPattern,
+)
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
 from lacuna.record import Record
+from lacuna.triplets import GaussianRational
 from conftest import walk_levels
 
 F = Fraction
@@ -61,7 +71,47 @@ class TestConstruction:
             ap_pattern.replace(coeffs=ap_pattern.coeffs[:1])
 
 
+def _lacuna_records() -> list[str]:
+    """The name of every Record subclass in src/lacuna, each module imported."""
+    for module in pkgutil.iter_modules(lacuna.__path__):
+        importlib.import_module(f"lacuna.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("lacuna."):
+                found.add(cls.__name__)
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def record_of(ap_pattern, sqrt_gauge, ap_tree_12):
+    """One instance of each record class of lacuna, by class name; the state
+    is a fresh one, so a broken refusal changes no shared fixture."""
+    entry = ap_tree_12.entries[0]
+    measure = certify_measure(ap_tree_12)
+    return {
+        "AppSpec": AppSpec("ratios", ["2"], "pow:1/2", 3),
+        "BlockLattice": ap_tree_12.block_lattices(0)[0],
+        "ConstructionState": init_state(1, [ap_pattern], sqrt_gauge),
+        "DifferenceTarget": DifferenceTarget("rational", F(1)),
+        "DimensionFunction": sqrt_gauge,
+        "GapCertificate": certify_gap(
+            ap_tree_12, entry, walk_levels(ap_tree_12, entry.m_level)[-1]
+        ),
+        "GaussianRational": GaussianRational(F(1), F(2)),
+        "Level": Level(2, [2]),
+        "LevelVerdict": measure.per_level[0],
+        "LinearPattern": ap_pattern,
+        "MeasureCertificate": measure,
+        "NormalizedPattern": normalize(ap_pattern),
+        "ScheduleEntry": _entry(),
+    }
+
+
 class TestFrozen:
+    """Every record refuses assignment and deletion."""
+
     def test_assignment_raises(self):
         entry = _entry()
         with pytest.raises(AttributeError):
@@ -78,17 +128,23 @@ class TestFrozen:
         moved = entry.replace(m_level=5)
         assert moved == _entry(m_level=5) and entry.m_level == 3
 
+    @pytest.mark.parametrize("name", _lacuna_records())
+    def test_every_record_refuses_assignment_and_deletion(self, record_of, name):
+        record = record_of[name]
+        assert type(record).__name__ == name
+        before = record._values()
+        for field in (*record._fields, "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign or delete {field!r}"):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError, match=f"cannot assign or delete {field!r}"):
+                delattr(record, field)
+        assert record._values() == before and not hasattr(record, "extra")
 
-class TestMutable:
     def test_unhashable(self, ap_pattern, sqrt_gauge):
-        """No record hashes, frozen or mutable: lacuna keys no set or dict
-        by one."""
-        level = Level(2, [2])
-        level.lowers = [3]
-        assert level == Level(2, [3])
+        """No record hashes: lacuna keys no set or dict by one."""
         state = init_state(1, [ap_pattern], sqrt_gauge)
-        frozen = (_entry(), Point(1), ap_pattern, sqrt_gauge, state.normalized[0])
-        for record in (level, state, *frozen):
+        records = (Level(2, [2]), _entry(), Point(1), ap_pattern, sqrt_gauge, state.normalized[0])
+        for record in (state, *records):
             with pytest.raises(TypeError):
                 hash(record)
 
@@ -100,6 +156,39 @@ class TestMutable:
         # entries has no default, which would be one list shared by every state
         with pytest.raises(TypeError, match="missing field 'entries'"):
             ConstructionState(h=sqrt_gauge, patterns=a.patterns, level_cap=a.level_cap)
+
+
+class TestReplaceChecks:
+    """replace builds through the constructor, so it refuses what the
+    record's maker refuses, with the same error."""
+
+    def test_state_assignment_is_refused(self, ap_pattern, sqrt_gauge, quotient2_pattern):
+        state = init_state(1, [ap_pattern], sqrt_gauge)
+        with pytest.raises(AttributeError):
+            state.patterns = (quotient2_pattern,)
+        with pytest.raises(AttributeError):
+            state.h = make_dimfn("pow", F(1, 3), 1)
+        assert state.normalized[0].m == 3 and state.h == sqrt_gauge
+
+    def test_state_replace_checks_its_patterns(self, ap_pattern, sqrt_gauge):
+        state = init_state(1, [ap_pattern], sqrt_gauge)
+        with pytest.raises(ZeroPattern, match="^at least one pattern is required$"):
+            state.replace(patterns=())
+        p2 = make_pattern(2, [[1, 0], [-1, 0]])
+        with pytest.raises(StructureViolation, match="^pattern dimension does not match"):
+            state.replace(patterns=(p2,))
+
+    @pytest.mark.parametrize(
+        "changes, made",
+        [({"s": F(2)}, ("pow", F(2), 1)), ({"family": "nope"}, ("nope", F(1, 2), 1))],
+        ids=["s-above-d", "unknown-family"],
+    )
+    def test_gauge_replace_refuses_as_make_dimfn(self, changes, made):
+        with pytest.raises(RejectNotDominated) as expected:
+            make_dimfn(*made)
+        with pytest.raises(RejectNotDominated) as raised:
+            parse_dimfn("pow:1/2", 1).replace(**changes)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestDerivedValues:
