@@ -130,7 +130,7 @@ def cmd_app(args) -> int:
 def cmd_oracle(args) -> int:
     from . import certify, export
 
-    d, den, points = export.read_points(args.points)
+    d, den, points = export.read_points(args.points)  # d numerators a point
     pat_d, patterns = load_patterns(args.patterns)
     if pat_d != d:
         raise FormatError(f"points are d={d} but patterns are d={pat_d}")
@@ -146,7 +146,7 @@ def cmd_oracle(args) -> int:
             {
                 "pattern_id": pid,
                 "tolerance": args.tol,
-                "points": len(points),
+                "points": len(points) // d,
                 "instances": [list(h) for h in hits],
             }
         )

@@ -66,10 +66,11 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
     _write_leaf_rows(state, path, f"{POINTS_HEADER}{state.d}", format_ratio, " ")
 
 
-def read_points(path: str | Path) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(d, den, points) of a lacuna-points file: each point is a tuple of
-    integer numerators over den, the lcm of the reduced denominators.  The
-    points are pairwise distinct, as the oracle requires: 2/4 repeats 1/2.
+def read_points(path: str | Path) -> tuple[int, int, list[int]]:
+    """(d, den, flat) of a lacuna-points file: flat holds d integer
+    numerators over den per point, in file order, den being the lcm of the
+    reduced denominators (the layout of Level.lowers).  The points are
+    pairwise distinct, as the oracle requires: 2/4 repeats 1/2.
 
     One pass reads each coordinate p/q as the ints p and q; a line that is
     not d literals within the int/str digit limit goes through
@@ -110,17 +111,19 @@ def read_points(path: str | Path) -> tuple[int, int, list[tuple[int, ...]]]:
     den = lcm(*distinct)
     nums = list(map(mul, nums, map({q: den // q for q in distinct}.__getitem__, qs)))
     g = gcd(den, *nums)
-    points = list(zip(*[iter(nums if g == 1 else [x // g for x in nums])] * d))
+    flat = nums if g == 1 else [x // g for x in nums]
     del nums, qs
+    points = flat if d == 1 else list(zip(*[iter(flat)] * d))
     if len(set(points)) < len(points):
         seen = set()
         i = next(i for i, x in enumerate(points) if x in seen or seen.add(x))
         with open(path, "r", encoding="utf-8") as fh:
             line = next(islice(filter(None, map(str.strip, islice(fh, 1, None))), i, None))
         refusal = FormatError(f"point {line!r} repeats an earlier point")
+    del points
     if refusal:
         raise refusal
-    return d, den // g, points
+    return d, den // g, flat
 
 
 def write_points_csv(

@@ -566,7 +566,7 @@ def covered_violations(
         entries = [e for e in state.entries if e.pattern_id == pid]
         if not entries:
             continue
-        for inst in brute_oracle(points, pat, tolerance):
+        for inst in brute_oracle(flatten(points), pat, tolerance):
             for e in entries:
                 if instance_covered(state, e, points, inst, cache):
                     bad.setdefault(e.index, []).append(inst)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +20,13 @@ from lacuna.apps import (
     trapezoid_patterns,
 )
 from lacuna.certify import certify_tree
-from lacuna.differences import DifferenceTarget, difference_report, difference_targets
+from lacuna.differences import (
+    DifferenceTarget,
+    _difference_target,
+    difference_report,
+    difference_targets,
+    exp_bounds,
+)
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import build, init_state, read_tree
 from lacuna.errors import (
@@ -297,8 +304,6 @@ class TestPrecisionBound:
         called with, what run_app raised or None, whether out-dir exists)
         for a depth-5 difference app at the default digit limit.  exp_bounds
         stops the run at its first call, so no enclosure is made."""
-        import sys
-
         import lacuna.differences as differences_mod
 
         calls = []
@@ -366,11 +371,59 @@ class TestPrecisionBound:
     def test_no_digit_limit_refuses_nothing(self, run, monkeypatch):
         """PYTHONINTMAXSTRDIGITS=0 lifts the limit: sys.get_int_max_str_digits()
         reads 0, and neither bound refuses."""
-        import sys
-
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         calls, error, made = run("rational", "1000000", 1_000_000)
         assert calls == [1_000_000] and isinstance(error, _Stop) and not made
+
+    def test_negative_target_with_an_unwritable_midpoint_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        """t = -20,000: the enclosure's upper end is below 10^-4300, so the
+        midpoint p/q <= hi (p >= 1) has q >= 10^4300, which the tree and
+        report.json would write.  Refused after exp_bounds, before the build."""
+        from lacuna import engine
+
+        built = []
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        monkeypatch.setattr(engine, "build_tree", lambda *args: built.append(args))
+        params = [{"kind": "rational", "value": "-20000"}]
+        with pytest.raises(UsageError) as raised:
+            run_app(AppSpec("differences", params, "pow:1/10", 4, 1), tmp_path / "out")
+        assert type(raised.value) is UsageError
+        assert str(raised.value) == (
+            "difference target -20000: the midpoint of an enclosure of e^-20000 has "
+            "more digits than the interpreter writes (4300)"
+        )
+        assert built == [] and not (tmp_path / "out").exists()
+
+    def test_negative_target_5000_is_refused_at_the_write(self, tmp_path):
+        """Below the new bound, as before: the midpoint's denominator has
+        more digits than the interpreter writes, refused as it is rendered."""
+        params = [{"kind": "rational", "value": "-5000"}]
+        with pytest.raises(UsageError) as raised:
+            run_app(AppSpec("differences", params, "pow:1/10", 4, 1), tmp_path / "out")
+        assert str(raised.value).startswith("rational too large to write: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_digit_limit_makes_the_negative_midpoint(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        target = DifferenceTarget("rational", F(-20_000))
+        lo, hi = exp_bounds(F(-20_000), 64)
+        assert _difference_target(target, 64) == (lo + hi) / 2
+        assert hi.numerator * 10**4300 <= hi.denominator
+
+    def test_target_minus_3000_keeps_its_bytes(self, tmp_path):
+        """Digests of the run before the negative-target bound was added."""
+        import hashlib
+
+        params = [{"kind": "rational", "value": "-3000"}]
+        run_app(AppSpec("differences", params, "pow:1/10", 4, 1), tmp_path)
+        assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("tree.json", "cert.json", "report.json")} == {
+            "tree.json": "9afc4adaa9d3a41bcfbc9dd527fe7a22583fcf96e32a63b74110be4c8aca3782",
+            "cert.json": "3caad7060c8baddb510cb02e29a5e4a72186d5a65cadfeb8ff98e7e441001006",
+            "report.json": "bac492dad79fbac9764746e005495d1948691ecb5bac162c0834d2a80219e2d3",
+        }
 
     def test_target_3000_keeps_its_bytes(self, tmp_path):
         """Digests of the run before the target bound was added."""

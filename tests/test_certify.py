@@ -41,6 +41,7 @@ from reference import (
     covered_violations,
     eval_bounds,
     eval_pattern,
+    flatten,
     instance_covered,
     leaf_centers,
 )
@@ -122,7 +123,7 @@ class TestGapCertificates:
             inst[perm[b]] = pts.index(x)
         cache = {}  # placed blocks, made from one walk
         assert instance_covered(st, entry, pts, tuple(inst), cache)
-        hits = brute_oracle(pts, st.patterns[entry.pattern_id], cert.gap - F(1, 2**40))
+        hits = brute_oracle(flatten(pts), st.patterns[entry.pattern_id], cert.gap - F(1, 2**40))
         assert not any(instance_covered(st, entry, pts, h, cache) for h in hits)
 
     def test_gap_matches_lattice_minimum(self, ap_tree_12):
@@ -350,21 +351,21 @@ class TestCoverage:
 
 class TestOracle:
     def test_finds_explicit_progression(self, ap_pattern):
-        pts = [(F(1),), (F(5, 4),), (F(3, 2),)]
+        pts = [F(1), F(5, 4), F(3, 2)]
         assert brute_oracle(pts, ap_pattern, F(0)) == [(0, 1, 2), (2, 1, 0)]
 
     def test_tolerance_window(self, ap_pattern):
-        pts = [(F(1),), (F(5, 4),), (F(3, 2) + F(1, 100),)]
+        pts = [F(1), F(5, 4), F(3, 2) + F(1, 100)]
         assert brute_oracle(pts, ap_pattern, F(0)) == []
         hits = brute_oracle(pts, ap_pattern, F(1, 100))
         assert (0, 1, 2) in hits
 
     def test_single_point_empty(self, ap_pattern):
-        assert brute_oracle([(F(1),)], ap_pattern, F(0)) == []
+        assert brute_oracle([F(1)], ap_pattern, F(0)) == []
 
     def test_duplicate_points_rejected(self, ap_pattern):
         with pytest.raises(ValueError):
-            brute_oracle([(F(1),), (F(1),)], ap_pattern)
+            brute_oracle([F(1), F(1)], ap_pattern)
 
     def test_covered_tuples_clean_depth7(self, ap_tree_7):
         centers = leaf_centers(ap_tree_7)
@@ -376,7 +377,7 @@ class TestOracle:
         st = ap_tree_7
         centers = leaf_centers(st)
         entry = st.entries[0]
-        oracle_hits = brute_oracle(centers, st.patterns[entry.pattern_id], F(0))
+        oracle_hits = brute_oracle(flatten(centers), st.patterns[entry.pattern_id], F(0))
         np_ = st.normalized[entry.pattern_id]
         cache = {}  # placed blocks, made from one walk
         covered = {
@@ -411,7 +412,7 @@ class TestOracle:
         else:
             pytest.fail("the placed cube to move is not in level 6")
         pts = [(a,), (b,), (target_center,)]
-        hits = brute_oracle(pts, st.patterns[0], F(0))
+        hits = brute_oracle(flatten(pts), st.patterns[0], F(0))
         assert hits
         assert any(
             instance_covered(broken, broken.entries[0], pts, h) for h in hits
@@ -462,7 +463,7 @@ class TestIntegerOracle:
     @given(oracle_inputs())
     def test_matches_fraction_reference(self, inputs):
         pattern, points, tolerance = inputs
-        assert brute_oracle(points, pattern, tolerance) == fraction_oracle(
+        assert brute_oracle(flatten(points), pattern, tolerance) == fraction_oracle(
             points, pattern, tolerance
         )
 
@@ -484,14 +485,14 @@ class TestIntegerOracle:
         path.write_text(f"# lacuna-points/1 d={pattern.d}\n" + "".join(lines))
         d, den, ints = read_points(path)
         assert d == pattern.d
-        assert [tuple(F(x, den) for x in point) for point in ints] == points
+        assert corners([F(x, den) for x in ints], d) == points
         assert brute_oracle(ints, pattern, tolerance * den) == fraction_oracle(
             points, pattern, tolerance
         )
 
     def test_warns_past_the_prefix_count(self, ap_pattern, monkeypatch):
         monkeypatch.setattr(certify, "ORACLE_TUPLE_WARN", 0)
-        pts = [(F(1),), (F(5, 4),), (F(3, 2),)]
+        pts = [F(1), F(5, 4), F(3, 2)]
         with pytest.warns(UserWarning, match="^oracle will walk 6 prefixes$"):
             assert brute_oracle(pts, ap_pattern) == [(0, 1, 2), (2, 1, 0)]
 
@@ -503,7 +504,7 @@ class TestIntegerOracle:
         path = tmp_path / "pts.txt"
         path.write_text("# lacuna-points/1 d=1\n" + "".join(f"{n + i}/{n}\n" for i in range(n)))
         _, den, pts = read_points(path)
-        assert (den, pts) == (n, [(n + i,) for i in range(n)])
+        assert (den, pts) == (n, [n + i for i in range(n)])
         expected = sorted(
             (i - t, i, i + t)
             for i in range(n)

@@ -987,7 +987,7 @@ class TestExport:
         assert main(["export", str(tmp_path / "tree.json"), "--format", "points", "--out", pts]) == 0
         d, den, points = read_points(pts)
         st = read_tree(tmp_path / "tree.json")
-        assert d == 1 and [tuple(F(x, den) for x in p) for p in points] == leaf_centers(st)
+        assert d == 1 and [(F(x, den),) for x in points] == leaf_centers(st)
 
     def test_points_header_needs_positive_d(self, tmp_path):
         with pytest.raises(FormatError):
@@ -1096,6 +1096,19 @@ class TestOracleCommand:
         assert code == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["runs"][0]["instances"] == [[0, 1, 2], [2, 1, 0]]
+        assert report["runs"][0]["points"] == 3
+
+    def test_d2_counts_points_not_coordinates(self, tmp_path):
+        # x - 2y + z = 0 on the first axis only: (1,1), (3/2,2), (2,1)
+        pat = tmp_path / "ap2.json"
+        rows = [["1", "0"], ["-2", "0"], ["1", "0"]]
+        pat.write_text(json.dumps({"d": 2, "patterns": [{"m": 3, "coeffs": rows}]}))
+        pts = _points_file(tmp_path, "d=2", b"1 1\n3/2 2\n2 1\n2 2\n")
+        out = tmp_path / "report.json"
+        assert main(["oracle", pts, "--patterns", str(pat), "--out", str(out)]) == 1
+        run = json.loads(out.read_text())["runs"][0]
+        assert run["points"] == 4
+        assert run["instances"] == [[0, 1, 2], [0, 1, 3], [2, 1, 0], [3, 1, 0]]
 
     def test_unreduced_repeat_is_refused(self, ap_file, tmp_path, capsys):
         # 2/4 is 1/2: the repeat is found on reduced coordinates
@@ -1131,7 +1144,7 @@ class TestOracleCommand:
         assert len(long) > sys.get_int_max_str_digits()
         # with -2/8, L = lcm(1, 2, 8) = 8 and g = gcd(8, 8, 4, -2) = 2
         pts = _points_file(tmp_path, "d=1", b"\n1\n \t\n" + long + b"\n-2/8\n")
-        assert read_points(pts) == (1, 4, [(4,), (2,), (-1,)])
+        assert read_points(pts) == (1, 4, [4, 2, -1])
 
     def test_clean_quotient_build_exits_zero(self, q_file, tmp_path):
         assert main([

@@ -154,7 +154,7 @@ class TestTrustProperty:
             got_d, den, points = read_points(pts)
             # X / den == c / leaf_den for each coordinate, cross-multiplied
             assert got_d == d
-            assert [x * leaf_den for point in points for x in point] == [c * den for c in centers]
+            assert [x * leaf_den for x in points] == [c * den for c in centers]
 
 
 class TestOnePassCertify:

@@ -1,16 +1,19 @@
 """Refusals that no other in-process test reaches, one case each: the call
-raises its exception type with its message."""
+raises its exception type with its message.  Then the refusals that bound
+work, each of which must come before any level is made."""
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
-from lacuna import dimfn
+from lacuna import dimfn, engine, geometry, schedule
 from lacuna.apps import AppSpec, app_patterns
 from lacuna.certify import brute_oracle
+from lacuna.cli import main
 from lacuna.differences import difference_targets
 from lacuna.engine import build, init_state
 from lacuna.errors import DimensionMismatch, FormatError, StructureViolation, Undecidable
@@ -27,7 +30,7 @@ def _negative_depth(tmp_path, monkeypatch, ap_pattern, sqrt_gauge):
 
 
 def _negative_tolerance(tmp_path, monkeypatch, ap_pattern, sqrt_gauge):
-    brute_oracle([(1,), (2,), (3,)], ap_pattern, F(-1, 2))
+    brute_oracle([1, 2, 3], ap_pattern, F(-1, 2))
 
 
 def _undecided_at_the_cap(tmp_path, monkeypatch, ap_pattern, sqrt_gauge):
@@ -76,3 +79,55 @@ def test_refusal(tmp_path, monkeypatch, ap_pattern, sqrt_gauge, call, error, mes
         assert str(raised.value) == message
     else:
         assert message.fullmatch(str(raised.value))
+
+
+Q_DOC = {"d": 1, "patterns": [{"m": 2, "coeffs": [["2"], ["-1"]]}]}
+
+
+def _differences(value, **extra):
+    params = [{"kind": "rational", "value": value}]
+    return {"kind": "differences", "params": params, "h": "pow:1/10", "d": 1, "depth": 4, **extra}
+
+
+@pytest.mark.parametrize(
+    "argv, spec, spied, error",
+    [
+        (["build", "q.json", "--dimfn", "pow:1/2", "--depth", "97"], None,
+         ["schedule.walk_schedule"], "ScheduleOverflow"),
+        (["export", "tree.json", "--format", "csv", "--decimals", "4301", "--out", "x.csv"],
+         None, [], "UsageError"),
+        (["certify", "deep.json"], None, [], "FormatError"),
+        (["app", "spec.json", "--out-dir", "out"],
+         {"kind": "parallelogram", "params": [], "h": "pow:1/2", "d": 6, "depth": 3},
+         ["engine.build_tree"], "UnsupportedDimension"),
+        (["app", "spec.json", "--out-dir", "out"], _differences("1", precision=28_570),
+         ["engine.build_tree"], "UsageError"),
+        (["app", "spec.json", "--out-dir", "out"], _differences("9904"),
+         ["engine.build_tree"], "UsageError"),
+    ],
+    ids=["level-cap", "csv-decimals", "tree-past-the-leaf-cap", "app-d-past-max-d",
+         "app-precision", "app-positive-target"],
+)
+def test_refusal_makes_no_level(tmp_path, monkeypatch, capsys, argv, spec, spied, error):
+    """Each refusal exits 2 with its envelope before geometry.advance makes
+    a level (and before the schedule walk or an app's build, where spied).
+    The leaf cap's test is TestBuild.test_depth_over_leaf_cap_is_config_error
+    in test_cli.py, a negative difference target's is in test_apps.py's
+    TestPrecisionBound."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps(Q_DOC))
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["build", "q.json", "--dimfn", "pow:1/2", "--depth", "10", "--out", "tree.json"]) == 0
+    deep = json.loads((tmp_path / "tree.json").read_text())
+    (tmp_path / "deep.json").write_text(json.dumps({**deep, "depth": 40}))
+    capsys.readouterr()
+    calls = []
+    modules = {"engine": engine, "geometry": geometry, "schedule": schedule}
+    for name in ["geometry.advance", *spied]:
+        module, attr = name.split(".")
+        monkeypatch.setattr(modules[module], attr, lambda *args, name=name: calls.append(name))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["type"] == error
+    assert calls == []
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
