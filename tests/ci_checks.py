@@ -13,8 +13,8 @@ lacuna.cli` with this checkout's src/ on PYTHONPATH.  The checks:
 * the CLI contract: exit codes, the JSON error envelope on the last line of
   stderr, no file left by a refused command, and a timeout on each run that
   once ran for minutes;
-* the leaf-cap tree (quotient 2, pow:1/2, depth 25, 2^20 leaves): the peak
-  RSS of each step and the sha256 of each output;
+* every row of tests/pins.py, the leaf-cap trees' peak RSS included, and
+  refusals on the d=1 leaf-cap tree, each before any level is made;
 * bench/run.py: every workload correct with no failed operation on seeds 0
   and 1, and its traced replay with non-zero layer counters on seed 0.
 
@@ -23,7 +23,7 @@ Every run is started by os.posix_spawn from a small `python -S` parent
 high-water mark inherited from this process.  Its stdout and stderr go to
 files, so stdout is block-buffered, and its stderr must hold no traceback.
 pytest does not collect this file; tests/test_ci_checks.py tests its
-helpers.
+helpers and its row runner.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ import time
 from importlib import metadata
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
+
+from pins import AP_DOC, PINS, Q_DOC, Row, differences
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = Path(sysconfig.get_path("scripts")) / "lacuna"
@@ -199,34 +201,34 @@ def edit_json(src: str, dst: str, edit: Callable[[dict], object]) -> None:
         json.dump(doc, fh)
 
 
-def check_sha256(pins: dict[str, str]) -> None:
-    for path, want in pins.items():
-        got = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        if got != want:
-            raise CheckFailed(f"sha256 of {path}: {got}, pinned {want}")
-        print(f"sha256 of {path}: {got[:16]}... as pinned", flush=True)
-
-
 def write(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-Q_DOC = {"d": 1, "patterns": [{"m": 2, "coeffs": [["2"], ["-1"]]}]}
-AP_DOC = {"d": 1, "patterns": [{"m": 3, "coeffs": [["1"], ["-2"], ["1"]]}]}
+def check_row(name: str, row: Row) -> None:
+    """Run a row of tests/pins.py in the current directory: its inputs, each
+    step (exit code, no traceback, RSS bound), then each pinned sha256."""
+    for path, doc in row.files.items():
+        write(path, doc)
+    for step in row.steps:
+        lacuna(*step.args, code=step.code, max_mb=step.max_mb)
+    for path, want in row.sha256.items():
+        file = Path(path)
+        got = hashlib.sha256(file.read_bytes()).hexdigest() if file.exists() else "missing"
+        if got != want:
+            raise CheckFailed(f"{name}: sha256 of {path}: {got}, pinned {want}")
+    print(f"{name}: {len(row.sha256)} sha256 as pinned", flush=True)
+
+
 USAGE = {"type": "UsageError"}
 # the measure fails at level 5: a 1,000-digit beta_i on entry 1, or a gauge
 # powlog:1/10000000 on a pow:1/2 tree
 MEASURE_FAILS = {"type": "MeasureViolated", "message": "mass/ratio bound fails at level 5"}
 
 
-def differences(value: str, **spec) -> dict:
-    params = [{"kind": "rational", "value": value}]
-    return {"kind": "differences", "params": params, "h": "pow:1/10", "d": 1, "depth": 4, **spec}
-
-
 def contract() -> None:
     """The CLI contract on small inputs: build -> certify -> export ->
-    oracle, the apps, and the refusals."""
+    oracle, and the refusals."""
     print(f"lacuna is {' '.join(LACUNA)}", flush=True)
     for command in ([], ["certify"], ["oracle"]):
         lacuna(*command, "--help")
@@ -256,19 +258,6 @@ def contract() -> None:
     edit_json("tree.json", "small-h.json", lambda doc: doc.update(h="powlog:1/10000000"))
     lacuna("certify", "small-h.json", "--mode", "measure", code=1, error=MEASURE_FAILS,
            timeout=30)
-    write("spec.json", {"kind": "ratios", "params": ["2"], "h": "pow:1/2", "depth": 7})
-    lacuna("app", "spec.json", "--out-dir", "app-out")
-    # the differences app imports its module and the ln/exp series only
-    # when it runs: they must be in the installed package
-    write("diff.json", {"kind": "differences", "params": [{"kind": "log_of", "value": "2"}],
-                        "h": "pow:1/2", "depth": 5})
-    lacuna("app", "diff.json", "--out-dir", "diff-out")
-    # both certificates, byte for byte: the gap search (m = 3 and m = 2)
-    # and the sampled checks behind them
-    check_sha256({
-        "app-out/cert.json": "b679c612b30cb3435acc2706c72a54078a428ce82d6d8b6e3145df1602d49101",
-        "diff-out/cert.json": "b43c1b68e142bfb801c4deefd2afb0c7a5af9f8c6435cc80ce2aa81b5a2936e6",
-    })
     # e^5000 has more digits than the interpreter renders: refused while the
     # documents are rendered, before out-dir is made
     write("huge.json", differences("5000"))
@@ -326,25 +315,7 @@ def contract() -> None:
 
 
 def leaf_cap() -> None:
-    """The largest tree a build allows, quotient 2 at depth 25 (2^20
-    leaves): peak RSS of every step, and the bytes of every output."""
-    write("q.json", Q_DOC)
-    # build writes the recipe from the schedule walk alone and makes no level
-    lacuna("build", "q.json", "--dimfn", "pow:1/2", "--depth", "25", "--out", "tree.json",
-           max_mb=64)
-    # certify and each export walk the levels and hold one at a time (two
-    # while the next is made), where holding every level took 200-250 MB
-    lacuna("certify", "tree.json", "--mode", "all", "--spot-checks", "100", "--out", "cert.json",
-           max_mb=180)
-    for fmt, out in (("points", "pts.txt"), ("csv", "pts.csv"), ("svg", "tree.svg")):
-        lacuna("export", "tree.json", "--format", fmt, "--out", out, max_mb=180)
-    check_sha256({
-        "tree.json": "072d778206d28b5101185ae1d2f65741c9817d1cb34951c7270f219ca601d28e",
-        "cert.json": "9a98a6651c4edc52c012b1dbdafedcdcc1cdc835596237e1e4d811d551e0dfe5",
-        "pts.txt": "15770624b3b036d9c1086e31540b7d63c03957eae2f9f3e7b61e1406492f2a94",
-        "pts.csv": "33bc02d475fbfbad381508bd9329879f993089c37eb3f856102f7a64636fcaa7",
-        "tree.svg": "0e7f07d903dcc51ecddb8e3bedc8f582ad4976b07e3455839f5fe383d4358384",
-    })
+    """Refusals on the d=1 leaf-cap tree, in the directory of its row."""
     # a 1,000-digit beta_i on entry 1 fails the measure, settled from the
     # recipe, and csv decimals past the digit limit are refused: both before
     # any level is made
@@ -358,12 +329,16 @@ def leaf_cap() -> None:
     with open("cert.json") as full, open("measure.json") as measure:
         if json.load(measure)["measure"] != json.load(full)["measure"]:
             raise CheckFailed("measure.json certifies another measure than cert.json")
-    # the oracle reads pts.txt as one flat list of integers over one
-    # denominator and sorts point indices by their last-block sums
-    lacuna("oracle", "pts.txt", "--patterns", "q.json", "--out", "oracle.json", max_mb=300)
-    check_sha256({
-        "oracle.json": "5da03fd77513204c2b8bb3fd484c10d81104b7b68c8f3b593fba490f81d7e249",
-    })
+
+
+def pins() -> None:
+    """Every row of tests/pins.py, each in a directory of its own."""
+    for name, row in PINS.items():
+        os.chdir(tempfile.mkdtemp(dir="."))
+        check_row(name, row)
+        if name == "leaf-cap-d1":
+            leaf_cap()
+        os.chdir("..")
 
 
 WORKLOADS = ("quotient-powlog", "parallelogram-app", "ap-oracle")
@@ -400,7 +375,7 @@ def benchmark() -> None:
 
 def main() -> int:
     start = time.perf_counter()
-    for section in (contract, leaf_cap, benchmark):
+    for section in (contract, pins, benchmark):
         print(f"== {section.__name__}", flush=True)
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)

@@ -5,9 +5,11 @@ from math import lcm
 
 import pytest
 
+from ci_checks import check_row
 from lacuna.dimfn import make_dimfn
 from lacuna.engine import Level, build, init_state
 from lacuna.pattern import make_pattern
+from pins import PINS
 
 
 def walk_levels(state, stop=None):
@@ -46,6 +48,13 @@ def move_cube():
     """Corrupt the geometry of a built state in memory: tree files hold only
     the recipe, so a corrupted cube can no longer come from a file."""
     return _move_cube
+
+
+@pytest.fixture
+def check_pin(tmp_path, monkeypatch):
+    """Run a row of tests/pins.py, by name, in tmp_path as ci_checks does."""
+    monkeypatch.chdir(tmp_path)
+    return lambda name: check_row(name, PINS[name])
 
 
 @pytest.fixture(scope="session")

@@ -412,31 +412,11 @@ class TestPrecisionBound:
         assert _difference_target(target, 64) == (lo + hi) / 2
         assert hi.numerator * 10**4300 <= hi.denominator
 
-    def test_target_minus_3000_keeps_its_bytes(self, tmp_path):
-        """Digests of the run before the negative-target bound was added."""
-        import hashlib
+    def test_target_minus_3000_keeps_its_bytes(self, check_pin):
+        check_pin("differences-minus-3000")
 
-        params = [{"kind": "rational", "value": "-3000"}]
-        run_app(AppSpec("differences", params, "pow:1/10", 4, 1), tmp_path)
-        assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                for f in ("tree.json", "cert.json", "report.json")} == {
-            "tree.json": "9afc4adaa9d3a41bcfbc9dd527fe7a22583fcf96e32a63b74110be4c8aca3782",
-            "cert.json": "3caad7060c8baddb510cb02e29a5e4a72186d5a65cadfeb8ff98e7e441001006",
-            "report.json": "bac492dad79fbac9764746e005495d1948691ecb5bac162c0834d2a80219e2d3",
-        }
-
-    def test_target_3000_keeps_its_bytes(self, tmp_path):
-        """Digests of the run before the target bound was added."""
-        import hashlib
-
-        params = [{"kind": "rational", "value": "3000"}]
-        run_app(AppSpec("differences", params, "pow:1/10", 4, 1), tmp_path)
-        assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                for f in ("tree.json", "cert.json", "report.json")} == {
-            "tree.json": "a7441d65609888d418d9efa81b16660ecc400cfe47cd199a5eb0fc44fb00c83a",
-            "cert.json": "3caad7060c8baddb510cb02e29a5e4a72186d5a65cadfeb8ff98e7e441001006",
-            "report.json": "7a0153c894c5b4278a7ade3c624a645f5fec0365c0fb69361456fff6a32da175",
-        }
+    def test_target_3000_keeps_its_bytes(self, check_pin):
+        check_pin("differences-3000")
 
 
 class TestAppRunner:

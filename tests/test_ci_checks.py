@@ -1,6 +1,7 @@
-"""The helpers of tests/ci_checks.py fail when they should: each is fed a
-tiny `python -c` child, never a lacuna run, and each failure names its
-check."""
+"""The helpers of tests/ci_checks.py and its row runner fail when they
+should: each is fed a tiny `python -c` child, never a lacuna run, and the
+runner a throwaway row, never a row of tests/pins.py; each failure names
+its check."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import sys
 import pytest
 
 import ci_checks
-from ci_checks import CheckFailed, check_sha256, expect
+from ci_checks import CheckFailed, check_row, expect
+from pins import Row, step
 
 ENVELOPE = json.dumps({"error": {"type": "UsageError", "message": "no"}})
 
@@ -65,12 +67,30 @@ def test_file_left_behind():
         expect(child("open('out.json', 'w')"), label="leaves", absent=["out.json"])
 
 
-def test_digest_mismatch(tmp_path):
-    expect(child("open('a.txt', 'w').write('a')"), label="writes")
-    pin = hashlib.sha256(b"a").hexdigest()
-    check_sha256({"a.txt": pin})
-    with pytest.raises(CheckFailed, match=f"^sha256 of a.txt: {pin}, pinned 0{{64}}$"):
-        check_sha256({"a.txt": "0" * 64})
+#: A throwaway row's lacuna: writes "a" to a.txt, holds argv[1] MB, exits argv[2].
+WRITER = ("import sys; mb, code = sys.argv[1:]; open('a.txt', 'w').write('a'); "
+          "b = b'x' * (int(mb) << 20); sys.exit(int(code))")
+PIN = hashlib.sha256(b"a").hexdigest()
+
+
+def throwaway(monkeypatch, args="0 0", max_mb=None, sha256=None) -> Row:
+    monkeypatch.setattr(ci_checks, "LACUNA", child(WRITER))
+    return Row({}, (step(args, max_mb=max_mb),), sha256 or {"a.txt": PIN})
+
+
+def test_digest_mismatch(monkeypatch):
+    with pytest.raises(CheckFailed, match=f"^row: sha256 of a.txt: {PIN}, pinned 0{{64}}$"):
+        check_row("row", throwaway(monkeypatch, sha256={"a.txt": "0" * 64}))
+
+
+@pytest.mark.parametrize("args, max_mb, sha256, message", [
+    ("0 0", None, {"a.txt": PIN, "b.txt": PIN}, f"row: sha256 of b.txt: missing, pinned {PIN}$"),
+    ("0 2", None, None, "lacuna 0 2: exit 2, expected 0; stderr ends "),
+    ("64 0", 48, None, r"lacuna 64 0: peak RSS \d+\.\d MB, bound 48 MB$"),
+], ids=["pinned-file-not-written", "wrong-exit-code", "rss-past-its-bound"])
+def test_a_row_that_fails(monkeypatch, args, max_mb, sha256, message):
+    with pytest.raises(CheckFailed, match=f"^{message}"):
+        check_row("row", throwaway(monkeypatch, args, max_mb, sha256))
 
 
 def test_peak_rss_past_its_bound():
