@@ -24,10 +24,10 @@ on a grid inside the placed cubes and compares |psi| with the gap in
 integers.  Both sample with _draws, which takes the draws of
 random.Random.randrange straight from getrandbits.  The oracle works on
 integers from the points file up (read_points scales the coordinates to
-one denominator, in one flat list), as a sorted join: the first m-1 tuple
-members are walked, and the last is found by bisection in its block's
-sorted partial sums, so the search is complete without evaluating every
-ordered m-tuple.
+one denominator, in one flat list, and its Points record checks that they
+are distinct), as a sorted join: the first m-1 tuple members are walked,
+and the last is found by bisection in its block's sorted partial sums, so
+the search is complete without evaluating every ordered m-tuple.
 Fractions remain in the measure code and in the messages of failed checks.
 
 The measure certificate is the mass-distribution principle made concrete:
@@ -73,6 +73,7 @@ from .record import Record
 
 if TYPE_CHECKING:
     from .engine import ConstructionState, Level, ScheduleEntry
+    from .export import Points
     from .geometry import BlockLattice
 
 #: Above this many center combinations the exact minimum search falls back
@@ -456,7 +457,7 @@ def certify_tree(
 # -- brute-force oracle -----------------------------------------------------
 
 def brute_oracle(
-    points: list[int],
+    points: Points,
     pattern: LinearPattern,
     tolerance: Fraction | int = 0,
 ) -> list[tuple[int, ...]]:
@@ -464,30 +465,29 @@ def brute_oracle(
     lexicographic order of point indices.
 
     Complete and exact; completely independent of the engine's lattice
-    bookkeeping, which is what makes it the oracle.  The points are the
-    flat list of read_points: d = pattern.d integer numerators per point,
-    in order, with the tolerance times their denominator (rational points
-    work alike).  With the rows c' = L*c of _scaled_rows and a tolerance
-    p/q, |psi| <= p/q is |q*sum c'*x| <= p*L, a sum of per-block partial
-    sums.  The search is a sorted join: the last block's sums are sorted
-    once, and for each of the perm(n, m-1) prefixes the last members that
-    bring psi within the tolerance are one bisected slice.  That costs
+    bookkeeping, which is what makes it the oracle.  The points are a
+    Points record, so pairwise distinct, of pattern.d integer numerators a
+    point over points.den, and the tolerance is scaled by den here.  With
+    the rows c' = L*c of _scaled_rows and a scaled tolerance p/q,
+    |psi| <= p/q is |q*sum c'*x| <= p*L, a sum of per-block partial sums.
+    The search is a sorted join: the last block's sums are sorted once, and
+    for each of the perm(n, m-1) prefixes the last members that bring psi
+    within the tolerance are one bisected slice.  That costs
     O(perm(n, m-1) * log n) plus the hits, not perm(n, m) evaluations.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    d, m = pattern.d, pattern.m
-    n = len(points) // d
-    if len(set(points if d == 1 else zip(*[iter(points)] * d))) != n:
-        raise ValueError("oracle points must be pairwise distinct")
+    d, m, n = pattern.d, pattern.m, len(points)
+    if points.d != d:
+        raise ValueError(f"points are d={points.d} but the pattern is d={d}")
     prefixes = perm(n, m - 1)
     if prefixes > ORACLE_TUPLE_WARN:
         warnings.warn(f"oracle will walk {prefixes} prefixes", stacklevel=2)
     lcd, rows = _scaled_rows(pattern.coeffs)
-    p, q = tolerance.as_integer_ratio()
+    p, q = (tolerance * points.den).as_integer_ratio()
     tol = p * lcd
     *heads, last = [
-        [q * sum(map(mul, row, x)) for x in zip(*[iter(points)] * d)] for row in rows
+        [q * sum(map(mul, row, x)) for x in zip(*[iter(points.flat)] * d)] for row in rows
     ]
     ranked = sorted(range(n), key=last.__getitem__)  # stable: ties in index order
     values = list(map(last.__getitem__, ranked))

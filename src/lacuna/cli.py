@@ -130,23 +130,23 @@ def cmd_app(args) -> int:
 def cmd_oracle(args) -> int:
     from . import certify, export
 
-    d, den, points = export.read_points(args.points)  # d numerators a point
+    points = export.read_points(args.points)
     pat_d, patterns = load_patterns(args.patterns)
-    if pat_d != d:
-        raise FormatError(f"points are d={d} but patterns are d={pat_d}")
+    if pat_d != points.d:
+        raise FormatError(f"points are d={points.d} but patterns are d={pat_d}")
     tol = parse_rational(args.tol)
     if tol < 0:
         raise UsageError(f"--tol must be >= 0, got {args.tol}")
     runs = []
     total = 0
     for pid, pattern in enumerate(patterns):
-        hits = certify.brute_oracle(points, pattern, tol * den)
+        hits = certify.brute_oracle(points, pattern, tol)
         total += len(hits)
         runs.append(
             {
                 "pattern_id": pid,
                 "tolerance": args.tol,
-                "points": len(points) // d,
+                "points": len(points),
                 "instances": [list(h) for h in hits],
             }
         )

@@ -246,8 +246,9 @@ class ConstructionState(Record):
 
     @property
     def levels(self) -> list[Level]:
-        """Levels 0..depth, walked on every read and not kept.  Only
-        bench/replay.py reads them; ROADMAP item 12 deletes this property."""
+        """Levels 0..depth, walked on every read and not kept.  No command
+        reads them; the property stays while the benchmark's traced replay
+        (bench/replay.py) reads it."""
         return [level for _, level in self.walk(self.depth)]
 
     def walk(self, stop: int) -> Iterator[tuple[int, Level]]:
@@ -396,8 +397,9 @@ def validate_structure(state: ConstructionState) -> None:
     the counts the measure reads from the recipe, hold by construction (see
     the module docstring).  No command calls this: certify_tree asserts the
     same placements in its walk to the last avoidance level, past which
-    every level is dyadic and asserts nothing.  Only bench/replay.py reads
-    it (it wraps it as span engine.validate); ROADMAP item 12 deletes it.
+    every level is dyadic and asserts nothing.  It stays while the
+    benchmark's traced replay (bench/replay.py) wraps it as span
+    engine.validate.
     """
     for _ in state.walk(state.depth):
         pass

@@ -1,4 +1,5 @@
-"""Point exports of a built tree, and the points reader of the oracle.
+"""Point exports of a built tree, and the oracle's points: the Points
+record, which checks that they are distinct, and its reader read_points.
 
 Two point formats: 'points' keeps exact rationals (round-trippable, oracle
 food), 'csv' renders decimals at a chosen precision for spreadsheets and
@@ -19,7 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import FormatError, UsageError
-from .qmath import _RATIONAL_RE, decimal_ratio, format_ratio, parse_rational
+from .qmath import _RATIONAL_RE, decimal_ratio, digit_limit, format_ratio, parse_rational
+from .record import Record
 
 if TYPE_CHECKING:
     from .engine import ConstructionState
@@ -66,20 +68,46 @@ def write_points_exact(state: ConstructionState, path: str | Path) -> None:
     _write_leaf_rows(state, path, f"{POINTS_HEADER}{state.d}", format_ratio, " ")
 
 
-def read_points(path: str | Path) -> tuple[int, int, list[int]]:
-    """(d, den, flat) of a lacuna-points file: flat holds d integer
-    numerators over den per point, in file order, den being the lcm of the
-    reduced denominators (the layout of Level.lowers).  The points are
-    pairwise distinct, as the oracle requires: 2/4 repeats 1/2.
+class Points(Record):
+    """Points in R^d as d integer numerators over den per point, in order
+    (the layout of Level.lowers), pairwise distinct as the patterns' tuples
+    of distinct points require.  len() is the number of points.
+
+    The one check that points are distinct: a repeat, or a numerator count
+    that is not d per point, is a ValueError.
+    """
+
+    d: int
+    den: int
+    flat: list[int]
+
+    def __post_init__(self) -> None:
+        d, flat = self.d, self.flat
+        if d < 1 or self.den < 1:
+            raise ValueError(f"points need d >= 1 and den >= 1, got d={d}, den={self.den}")
+        if len(flat) % d:
+            raise ValueError(f"{len(flat)} numerators are not d={d} per point")
+        points = flat if d == 1 else list(zip(*[iter(flat)] * d))
+        if len(set(points)) < len(points):
+            raise ValueError("points must be pairwise distinct")
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.d
+
+
+def read_points(path: str | Path) -> Points:
+    """The Points of a lacuna-points file, in file order, den being the lcm
+    of the reduced denominators: 2/4 repeats 1/2.
 
     One pass reads each coordinate p/q as the ints p and q; a line that is
     not d literals within the int/str digit limit goes through
     parse_rational, which refuses a bad token with its message.  The
     numerators are scaled to L = lcm(q) and divided by g = gcd(L, all of
     them), so den = L/g and equal points have equal numerators.  A repeat
-    before a refused line is refused first, as a line-by-line read would.
+    before a refused line is refused first, as a line-by-line read would,
+    and only then is the repeated line looked up for the message.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
+    limit = digit_limit() or sys.maxsize
     match, nums, qs, distinct, refusal = _RATIONAL_RE.match, [], [], {}, None
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -113,17 +141,18 @@ def read_points(path: str | Path) -> tuple[int, int, list[int]]:
     g = gcd(den, *nums)
     flat = nums if g == 1 else [x // g for x in nums]
     del nums, qs
-    points = flat if d == 1 else list(zip(*[iter(flat)] * d))
-    if len(set(points)) < len(points):
+    try:
+        points = Points(d, den // g, flat)
+    except ValueError:  # a repeat: the lines read hold d numbers each
         seen = set()
-        i = next(i for i, x in enumerate(points) if x in seen or seen.add(x))
+        keys = flat if d == 1 else zip(*[iter(flat)] * d)
+        i = next(i for i, x in enumerate(keys) if x in seen or seen.add(x))
         with open(path, "r", encoding="utf-8") as fh:
             line = next(islice(filter(None, map(str.strip, islice(fh, 1, None))), i, None))
         refusal = FormatError(f"point {line!r} repeats an earlier point")
-    del points
     if refusal:
         raise refusal
-    return d, den // g, flat
+    return points
 
 
 def write_points_csv(
@@ -135,7 +164,7 @@ def write_points_csv(
     (sys.get_int_max_str_digits()) is a request past a fixed limit: a
     UsageError, raised before the file is opened.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = digit_limit()
     if limit and decimals > limit:
         raise UsageError(
             f"{decimals} decimals are more digits than the interpreter renders ({limit})"

@@ -8,12 +8,20 @@ enclosure in differences.  No floating point is used anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 from .errors import FormatError, UsageError
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+def digit_limit() -> int:
+    """The interpreter's int/str digit limit, sys.get_int_max_str_digits(),
+    or 0 where there is none: the limit is off, or the interpreter predates
+    it (3.10.0-3.10.6)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def parse_rational(text: str) -> Fraction:

@@ -175,8 +175,8 @@ PINS: dict[str, Row] = {
     }),
     # d=2 and d=3 at the leaf cap run the strided kernels and the reader's
     # d > 1 path; each bound is about 10% above the highest peak RSS read
-    # under 3.10-3.13 (d=2: 25.7, 198.4, 198.2, 115.9 and 351.9 MB; d=3:
-    # 63.1, 96.4, 89.7 and 123.0 MB), and SVG is refused for d=3.  No
+    # under 3.10-3.13 (d=2: 25.7, 198.4, 198.2, 115.9 and 327.1 MB; d=3:
+    # 63.1, 96.4, 89.7 and 106.6 MB), and SVG is refused for d=3.  No
     # leaf-cap oracle finds an instance, so d=1 and d=2 write one oracle.json.
     "leaf-cap-d2": Row({"q.json": patterns(2, [["2", "0"], ["-1", "0"]])}, (
         step("build q.json --dimfn pow:1/2 --depth 15 --out tree.json", max_mb=64),
@@ -184,7 +184,7 @@ PINS: dict[str, Row] = {
         step("export tree.json --format points --out pts.txt", max_mb=219),
         step("export tree.json --format csv --out pts.csv", max_mb=219),
         step("export tree.json --format svg --out tree.svg", max_mb=128),
-        step("oracle pts.txt --patterns q.json --out oracle.json", max_mb=388),
+        step("oracle pts.txt --patterns q.json --out oracle.json", max_mb=360),
     ), {
         "tree.json": "7780719a4f9682cf4c6f5abfc2820807678c523b336a226115531720197daab8",
         "cert.json": "2e8874217187724066656cb9dd98e8c5e8dd825ef4f213fba0c2eff0d9fb20b9",
@@ -198,7 +198,7 @@ PINS: dict[str, Row] = {
         step("certify tree.json --mode all --spot-checks 100 --out cert.json", max_mb=70),
         step("export tree.json --format points --out pts.txt", max_mb=107),
         step("export tree.json --format csv --out pts.csv", max_mb=99),
-        step("oracle pts.txt --patterns q.json --out oracle.json", max_mb=136),
+        step("oracle pts.txt --patterns q.json --out oracle.json", max_mb=117),
     ), {
         "tree.json": "f65c62c01c2dfccfb7bbd1ee6f464f406e83873f3577dc9253cc69f6b735b2d0",
         "cert.json": "86d29a1f6eef9ee2df0ca3f77ca9040488f417f94b493d0e7137b49af417acae",

@@ -28,7 +28,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, mul
 from typing import Sequence
 
@@ -53,6 +53,7 @@ from lacuna.errors import (
     UsageError,
     ZeroPattern,
 )
+from lacuna.export import Points
 from lacuna.geometry import BlockLattice
 from lacuna.pattern import LinearPattern, NormalizedPattern
 from lacuna.lnexp import _round_down, _round_up, ln_bounds
@@ -70,6 +71,14 @@ def corners(flat: Sequence[int], d: int) -> list[IntVector]:
 def flatten(lowers: Sequence[IntVector]) -> list[int]:
     """The flat layout of a list of d-tuples."""
     return [x for lower in lowers for x in lower]
+
+
+def exact_points(vectors: Sequence[Vector], d: int) -> Points:
+    """The oracle's Points of rational d-tuples: their numerators over the
+    lcm of their denominators."""
+    flat = flatten(vectors)
+    den = lcm(*(Fraction(x).denominator for x in flat))
+    return Points(d, den, [int(x * den) for x in flat])
 
 
 def leaf_centers(state: ConstructionState) -> list[Vector]:
@@ -566,7 +575,7 @@ def covered_violations(
         entries = [e for e in state.entries if e.pattern_id == pid]
         if not entries:
             continue
-        for inst in brute_oracle(flatten(points), pat, tolerance):
+        for inst in brute_oracle(exact_points(points, state.d), pat, tolerance):
             for e in entries:
                 if instance_covered(state, e, points, inst, cache):
                     bad.setdefault(e.index, []).append(inst)

@@ -26,7 +26,7 @@ from lacuna.schedule import compute_levels
 from conftest import walk_levels
 from reference import (
     covered_violations,
-    flatten,
+    exact_points,
     instance_covered,
     key_inequality_check,
     leaf_centers,
@@ -212,7 +212,7 @@ class TestAcceptance:
             gap_failed = True
         if not gap_failed:
             pts = leaf_centers(mutated)
-            hits = brute_oracle(flatten(pts), mutated.patterns[entry.pattern_id], F(0))
+            hits = brute_oracle(exact_points(pts, mutated.d), mutated.patterns[entry.pattern_id], F(0))
             oracle_failed = any(
                 instance_covered(mutated, mutated.entries[0], pts, inst)
                 for inst in hits

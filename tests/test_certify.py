@@ -31,7 +31,7 @@ from lacuna.errors import (
     MeasureViolated,
     PlacementFailure,
 )
-from lacuna.export import read_points
+from lacuna.export import Points, read_points
 from lacuna.pattern import make_pattern
 from lacuna.schedule import walk_schedule
 from conftest import walk_levels
@@ -41,6 +41,7 @@ from reference import (
     covered_violations,
     eval_bounds,
     eval_pattern,
+    exact_points,
     flatten,
     instance_covered,
     leaf_centers,
@@ -123,7 +124,7 @@ class TestGapCertificates:
             inst[perm[b]] = pts.index(x)
         cache = {}  # placed blocks, made from one walk
         assert instance_covered(st, entry, pts, tuple(inst), cache)
-        hits = brute_oracle(flatten(pts), st.patterns[entry.pattern_id], cert.gap - F(1, 2**40))
+        hits = brute_oracle(exact_points(pts, st.d), st.patterns[entry.pattern_id], cert.gap - F(1, 2**40))
         assert not any(instance_covered(st, entry, pts, h, cache) for h in hits)
 
     def test_gap_matches_lattice_minimum(self, ap_tree_12):
@@ -351,21 +352,25 @@ class TestCoverage:
 
 class TestOracle:
     def test_finds_explicit_progression(self, ap_pattern):
-        pts = [F(1), F(5, 4), F(3, 2)]
+        pts = Points(1, 4, [4, 5, 6])  # 1, 5/4, 3/2
         assert brute_oracle(pts, ap_pattern, F(0)) == [(0, 1, 2), (2, 1, 0)]
 
     def test_tolerance_window(self, ap_pattern):
-        pts = [F(1), F(5, 4), F(3, 2) + F(1, 100)]
+        pts = exact_points([(F(1),), (F(5, 4),), (F(3, 2) + F(1, 100),)], 1)
         assert brute_oracle(pts, ap_pattern, F(0)) == []
         hits = brute_oracle(pts, ap_pattern, F(1, 100))
         assert (0, 1, 2) in hits
 
     def test_single_point_empty(self, ap_pattern):
-        assert brute_oracle([F(1)], ap_pattern, F(0)) == []
+        assert brute_oracle(Points(1, 1, [1]), ap_pattern, F(0)) == []
 
     def test_duplicate_points_rejected(self, ap_pattern):
-        with pytest.raises(ValueError):
-            brute_oracle([F(1), F(1)], ap_pattern)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Points(1, 1, [1, 1])
+
+    def test_points_of_another_dimension_are_refused(self, ap_pattern):
+        with pytest.raises(ValueError, match="points are d=2 but the pattern is d=1"):
+            brute_oracle(Points(2, 1, [1, 1, 3, 2, 5, 1]), ap_pattern)
 
     def test_covered_tuples_clean_depth7(self, ap_tree_7):
         centers = leaf_centers(ap_tree_7)
@@ -377,7 +382,7 @@ class TestOracle:
         st = ap_tree_7
         centers = leaf_centers(st)
         entry = st.entries[0]
-        oracle_hits = brute_oracle(flatten(centers), st.patterns[entry.pattern_id], F(0))
+        oracle_hits = brute_oracle(exact_points(centers, st.d), st.patterns[entry.pattern_id], F(0))
         np_ = st.normalized[entry.pattern_id]
         cache = {}  # placed blocks, made from one walk
         covered = {
@@ -412,7 +417,7 @@ class TestOracle:
         else:
             pytest.fail("the placed cube to move is not in level 6")
         pts = [(a,), (b,), (target_center,)]
-        hits = brute_oracle(flatten(pts), st.patterns[0], F(0))
+        hits = brute_oracle(exact_points(pts, 1), st.patterns[0], F(0))
         assert hits
         assert any(
             instance_covered(broken, broken.entries[0], pts, h) for h in hits
@@ -422,13 +427,58 @@ class TestOracle:
             certify_gap(broken, broken.entries[0], walk_levels(broken, 6)[-1])
 
 
+@hs.composite
+def flat_numerators(draw):
+    """(d, flat) for d = 1, 2 or 3: small, also negative, numerators, with
+    points that differ from one point on one axis only, then up to d - 1
+    numerators that make no whole point."""
+    d = draw(hs.integers(1, 3))
+    coord = hs.integers(-2, 2)
+    base = draw(hs.tuples(*[coord] * d))
+    moves = draw(hs.lists(hs.tuples(hs.integers(0, d - 1), coord), max_size=4))
+    near = [base[:v] + (x,) + base[v + 1 :] for v, x in moves]
+    others = draw(hs.lists(hs.tuples(*[coord] * d), max_size=4))
+    points = draw(hs.permutations([base, *near, *others]))
+    return d, flatten(points) + draw(hs.lists(coord, max_size=d - 1))
+
+
+class TestPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(flat_numerators())
+    def test_refuses_what_a_tuple_set_refuses(self, drawn):
+        d, flat = drawn
+        tuples = corners(flat, d)
+        refused = len(flat) % d != 0 or len(set(tuples)) < len(tuples)
+        try:
+            points = Points(d, 1, flat)
+        except ValueError:
+            assert refused
+        else:
+            assert not refused and len(points) == len(tuples)
+
+    def test_len_is_the_number_of_points(self):
+        assert len(Points(2, 1, [1, 1, 3, 2, 5, 1])) == 3
+        assert len(Points(3, 7, [])) == 0
+
+    def test_a_trailing_numerator_is_refused(self):
+        with pytest.raises(ValueError, match="7 numerators are not d=2 per point"):
+            Points(2, 1, [1, 1, 3, 2, 5, 1, 7])
+
+    @pytest.mark.parametrize("d, den", [(0, 1), (1, 0), (-1, 1)])
+    def test_needs_positive_dimension_and_denominator(self, d, den):
+        with pytest.raises(ValueError, match="need d >= 1 and den >= 1"):
+            Points(d, den, [])
+
+
 def fraction_oracle(points, pattern, tolerance):
-    """The oracle in plain Fraction arithmetic: the reference for brute_oracle."""
+    """The oracle in plain Fraction arithmetic on the coordinates of a
+    Points record: the reference for brute_oracle."""
+    coords = corners([F(x, points.den) for x in points.flat], points.d)
     hits = []
     for combo in permutations(range(len(points)), pattern.m):
         val = sum(
             (
-                b * points[i][v]
+                b * coords[i][v]
                 for row, i in zip(pattern.coeffs, combo)
                 for v, b in enumerate(row)
             ),
@@ -463,9 +513,9 @@ class TestIntegerOracle:
     @given(oracle_inputs())
     def test_matches_fraction_reference(self, inputs):
         pattern, points, tolerance = inputs
-        assert brute_oracle(flatten(points), pattern, tolerance) == fraction_oracle(
-            points, pattern, tolerance
-        )
+        pts = exact_points(points, pattern.d)
+        assert corners([F(x, pts.den) for x in pts.flat], pattern.d) == points
+        assert brute_oracle(pts, pattern, tolerance) == fraction_oracle(pts, pattern, tolerance)
 
     @settings(max_examples=80, deadline=None)
     @given(oracle_inputs(max_m=3), hs.data())
@@ -483,16 +533,14 @@ class TestIntegerOracle:
         path = tmp_path_factory.mktemp("oracle-file") / "pts.txt"
         lines = [" ".join(spell(x) for x in point) + "\n" for point in points]
         path.write_text(f"# lacuna-points/1 d={pattern.d}\n" + "".join(lines))
-        d, den, ints = read_points(path)
-        assert d == pattern.d
-        assert corners([F(x, den) for x in ints], d) == points
-        assert brute_oracle(ints, pattern, tolerance * den) == fraction_oracle(
-            points, pattern, tolerance
-        )
+        pts = read_points(path)
+        assert pts.d == pattern.d
+        assert corners([F(x, pts.den) for x in pts.flat], pts.d) == points
+        assert brute_oracle(pts, pattern, tolerance) == fraction_oracle(pts, pattern, tolerance)
 
     def test_warns_past_the_prefix_count(self, ap_pattern, monkeypatch):
         monkeypatch.setattr(certify, "ORACLE_TUPLE_WARN", 0)
-        pts = [F(1), F(5, 4), F(3, 2)]
+        pts = Points(1, 4, [4, 5, 6])
         with pytest.warns(UserWarning, match="^oracle will walk 6 prefixes$"):
             assert brute_oracle(pts, ap_pattern) == [(0, 1, 2), (2, 1, 0)]
 
@@ -503,8 +551,8 @@ class TestIntegerOracle:
         n = 300
         path = tmp_path / "pts.txt"
         path.write_text("# lacuna-points/1 d=1\n" + "".join(f"{n + i}/{n}\n" for i in range(n)))
-        _, den, pts = read_points(path)
-        assert (den, pts) == (n, [n + i for i in range(n)])
+        pts = read_points(path)
+        assert pts == Points(1, n, [n + i for i in range(n)])
         expected = sorted(
             (i - t, i, i + t)
             for i in range(n)
@@ -512,7 +560,7 @@ class TestIntegerOracle:
             if t and 0 <= i - t < n and 0 <= i + t < n
         )
         start = time.perf_counter()
-        hits = brute_oracle(pts, ap_pattern, F(0) * den)
+        hits = brute_oracle(pts, ap_pattern, F(0))
         elapsed = time.perf_counter() - start
         assert len(hits) == 44_700
         assert hits == expected

@@ -21,7 +21,7 @@ from lacuna import cli, engine, geometry, schedule
 from lacuna.cli import main, parse_args
 from lacuna.engine import build_tree, read_tree, state_to_doc
 from lacuna.errors import FormatError, UsageError
-from lacuna.export import read_points
+from lacuna.export import Points, read_points
 from lacuna.reader import doc_to_state
 import reference
 from conftest import walk_levels
@@ -985,9 +985,9 @@ class TestExport:
         main(build_args(ap_file, tmp_path))
         pts = str(tmp_path / "pts.txt")
         assert main(["export", str(tmp_path / "tree.json"), "--format", "points", "--out", pts]) == 0
-        d, den, points = read_points(pts)
+        points = read_points(pts)
         st = read_tree(tmp_path / "tree.json")
-        assert d == 1 and [(F(x, den),) for x in points] == leaf_centers(st)
+        assert points.d == 1 and [(F(x, points.den),) for x in points.flat] == leaf_centers(st)
 
     def test_points_header_needs_positive_d(self, tmp_path):
         with pytest.raises(FormatError):
@@ -1144,7 +1144,7 @@ class TestOracleCommand:
         assert len(long) > sys.get_int_max_str_digits()
         # with -2/8, L = lcm(1, 2, 8) = 8 and g = gcd(8, 8, 4, -2) = 2
         pts = _points_file(tmp_path, "d=1", b"\n1\n \t\n" + long + b"\n-2/8\n")
-        assert read_points(pts) == (1, 4, [4, 2, -1])
+        assert read_points(pts) == Points(1, 4, [4, 2, -1])
 
     def test_clean_quotient_build_exits_zero(self, q_file, tmp_path):
         assert main([

@@ -151,10 +151,10 @@ class TestTrustProperty:
             assert code == (0 if json.loads(tree.read_text())["schedule"] else 1)
             assert main(["export", str(tree), "--format", "points", "--out", str(pts)]) == 0
             leaf_den, centers = build_tree(d, patterns, h, depth).leaf_center_numerators()
-            got_d, den, points = read_points(pts)
+            points = read_points(pts)
             # X / den == c / leaf_den for each coordinate, cross-multiplied
-            assert got_d == d
-            assert [x * leaf_den for x in points] == [c * den for c in centers]
+            assert points.d == d
+            assert [x * leaf_den for x in points.flat] == [c * points.den for c in centers]
 
 
 class TestOnePassCertify:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from lacuna.errors import FormatError
 from lacuna.differences import exp_bounds
 from lacuna.lnexp import ln2_bounds, ln_bounds
 from lacuna.engine import SQRT_PRECISION, sqrt_d_bounds
-from lacuna.qmath import decimal_ratio, format_rational, parse_rational
+from lacuna.qmath import decimal_ratio, digit_limit, format_rational, parse_rational
 from reference import iroot, nth_root_bounds, perfect_root
 
 mpmath.mp.dps = 60
@@ -51,6 +52,13 @@ class TestParsing:
         assert decimal_ratio(-1, 3, 4) == "-0.3333"
         assert decimal_ratio(5, 1, 0) == "5"
         assert decimal_ratio(2350, 2304, 6) == "1.019965"  # unreduced
+
+    def test_digit_limit_is_zero_without_the_interpreters_limit(self, monkeypatch):
+        # 3.10.0-3.10.6 have no sys.get_int_max_str_digits
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        assert digit_limit() == 4300
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert digit_limit() == 0
 
 
 class TestRoots:

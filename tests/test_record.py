@@ -24,6 +24,7 @@ from lacuna.errors import (
     StructureViolation,
     ZeroPattern,
 )
+from lacuna.export import Points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
 from lacuna.record import Record
 from lacuna.triplets import GaussianRational
@@ -96,6 +97,7 @@ def record_of(ap_pattern, sqrt_gauge, ap_tree_12):
         "ConstructionState": init_state(1, [ap_pattern], sqrt_gauge),
         "DifferenceTarget": DifferenceTarget("rational", F(1)),
         "DimensionFunction": sqrt_gauge,
+        "Points": Points(2, 1, [1, 1, 3, 2]),
         "GapCertificate": certify_gap(
             ap_tree_12, entry, walk_levels(ap_tree_12, entry.m_level)[-1]
         ),
@@ -143,7 +145,10 @@ class TestFrozen:
     def test_unhashable(self, ap_pattern, sqrt_gauge):
         """No record hashes: lacuna keys no set or dict by one."""
         state = init_state(1, [ap_pattern], sqrt_gauge)
-        records = (Level(2, [2]), _entry(), Point(1), ap_pattern, sqrt_gauge, state.normalized[0])
+        records = (
+            Level(2, [2]), _entry(), Point(1), Points(1, 1, [1]), ap_pattern, sqrt_gauge,
+            state.normalized[0],
+        )
         for record in (state, *records):
             with pytest.raises(TypeError):
                 hash(record)

@@ -17,7 +17,7 @@ from lacuna.cli import main
 from lacuna.differences import difference_targets
 from lacuna.engine import build, init_state
 from lacuna.errors import DimensionMismatch, FormatError, StructureViolation, Undecidable
-from lacuna.export import read_points
+from lacuna.export import Points, read_points
 from lacuna.lnexp import ln_bounds
 from lacuna.pattern import LinearPattern
 from lacuna.qmath import decimal_ratio
@@ -30,7 +30,7 @@ def _negative_depth(tmp_path, monkeypatch, ap_pattern, sqrt_gauge):
 
 
 def _negative_tolerance(tmp_path, monkeypatch, ap_pattern, sqrt_gauge):
-    brute_oracle([1, 2, 3], ap_pattern, F(-1, 2))
+    brute_oracle(Points(1, 1, [1, 2, 3]), ap_pattern, F(-1, 2))
 
 
 def _undecided_at_the_cap(tmp_path, monkeypatch, ap_pattern, sqrt_gauge):
