@@ -239,7 +239,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
         from . import differences
 
         params = list_field(app.params, "differences params")
-        targets, mids = differences.difference_targets(params, app.precision)
+        targets, mids, enclosures = differences.difference_targets(params, app.precision)
         d, patterns = 1, quotient_patterns(mids)
     else:
         d, patterns = app_patterns(app)
@@ -248,7 +248,7 @@ def run_app(app: AppSpec, out_dir: str | Path) -> dict:
     docs = {"cert.json": certify.certificates_to_doc(gaps, measure)}
     if app.kind == "differences":
         docs["report.json"] = differences.difference_report(
-            targets, mids, state, gaps, app.precision
+            targets, mids, enclosures, state, gaps, app.precision
         )
     out.mkdir(parents=True, exist_ok=True)
     engine.write_tree(state, out / "tree.json")

@@ -141,7 +141,7 @@ def placed_blocks(
 
     level is the state's level entry.m_level, and the corners are
     numerators over its denominator.  An entry of state.entries lies
-    within the depth (the reader refuses M_i > depth) and every tuple
+    within the depth (every state refuses M_i > depth) and every tuple
     member has cubes below it, so each block is non-empty.
     """
     if entry not in state.entries:
@@ -428,7 +428,7 @@ def certify_tree(
     (ConstructionState.walk) stops at the last avoidance level: at each
     entry's M_i it certifies the entry's gap and draws spot_checks point
     tuples against it, on the level in hand, which is dropped once the
-    walk moves on.  The reader refuses M_{i+1} < M_i + 2, so the entries
+    walk moves on.  Every state refuses M_{i+1} < M_i + 2, so the entries
     come in increasing M_i and the gaps in their order.  mode "gap" skips
     the measure (None) and "measure" the levels and the gaps.  On a tree
     with no processed entry, mode "gap" makes no level and returns no gaps:

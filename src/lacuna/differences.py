@@ -99,15 +99,16 @@ def exp_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
         guard *= 2
 
 
-def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:
-    """Rational quotient target standing in for e^t (or exactly a)."""
+def _difference_target(raw: DifferenceTarget, precision: int) -> tuple[Fraction, Fraction]:
+    """An enclosure (lo, hi) of the quotient target: of e^t, 2**-precision
+    wide, or (a, a) for ln(a), which is exact."""
     if raw.kind == "log_of":
         a = raw.value
         if a <= 0:
             raise FormatError("log_of target needs a positive rational")
         if a == 1:
             raise RejectUnit("difference 0 is excluded (distinct points)")
-        return a
+        return a, a
     if raw.value == 0:
         raise RejectUnit("difference target 0 is excluded by hypothesis")
     # the endpoint denominators of a 2**-precision wide enclosure multiply to
@@ -128,14 +129,15 @@ def _difference_target(raw: DifferenceTarget, precision: int) -> Fraction:
         raise UsageError(f"difference target {raw.describe()}: the midpoint of an "
                          f"enclosure of e^{raw.describe()} has more digits than the "
                          f"interpreter writes ({limit})")
-    return (lo + hi) / 2
+    return lo, hi
 
 
 def difference_targets(
     params: list, precision: int
-) -> tuple[list[DifferenceTarget], list[Fraction]]:
-    """The targets of a differences spec's params (a JSON list) and the
-    rational quotient target of each, the values its patterns avoid."""
+) -> tuple[list[DifferenceTarget], list[Fraction], list[tuple[Fraction, Fraction]]]:
+    """The targets of a differences spec's params (a JSON list), the
+    rational quotient target of each (the value its patterns avoid) and the
+    enclosure it is the midpoint of, which difference_report starts from."""
     targets = []
     for item in params:
         if isinstance(item, dict):
@@ -149,12 +151,14 @@ def difference_targets(
             targets.append(DifferenceTarget(kind="rational", value=parse_rational(item)))
     if not targets:
         raise FormatError("differences app needs at least one target")
-    return targets, [_difference_target(t, precision) for t in targets]
+    enclosures = [_difference_target(t, precision) for t in targets]
+    return targets, [(lo + hi) / 2 for lo, hi in enclosures], enclosures
 
 
 def difference_report(
     targets: Sequence[DifferenceTarget],
     mids: Sequence[Fraction],
+    enclosures: Sequence[tuple[Fraction, Fraction]],
     state: ConstructionState,
     gaps: Sequence[GapCertificate],
     precision: int,
@@ -163,8 +167,9 @@ def difference_report(
 
     Per target, the smallest certified gap of its pattern and, when there
     is one, the margin by which the log image's differences miss it; for a
-    rational exponent the enclosure of e^t is refined from precision bits
-    until its radius is below half that gap.  points_ln are ln-enclosures,
+    rational exponent the enclosure of e^t from difference_targets is
+    refined from precision bits until its radius is below half that gap
+    (an exact target's radius is 0).  points_ln are ln-enclosures,
     to POINT_PRECISION bits, of the deepest-level cube centers; pairwise
     differences of the underlying exact points miss each target by its
     difference_margin whenever the pair is covered by a processed entry.
@@ -173,26 +178,19 @@ def difference_report(
     than half the certified gap of its pattern.
     """
     rows = []
-    for pid, (raw, mid) in enumerate(zip(targets, mids)):
+    for pid, (raw, mid, (lo, hi)) in enumerate(zip(targets, mids, enclosures)):
         gap = min((c.gap for c in gaps if c.pattern_id == pid), default=None)
         enclosure = margin = None
         if gap is not None:
+            p = precision
+            while 2 * (rho := max(abs(mid - lo), abs(hi - mid))) >= gap:
+                p *= 2
+                if p > _ENCLOSURE_PRECISION_CAP:
+                    raise EnclosureTooWide(f"cannot squeeze e^{raw.value} below gap {gap}")
+                lo, hi = exp_bounds(raw.value, p)
+            margin = (gap / 2 - rho) / max(2, hi)
             if raw.kind == "rational":
-                p = precision
-                while True:
-                    lo, hi = exp_bounds(raw.value, p)
-                    rho = max(abs(mid - lo), abs(hi - mid))
-                    if 2 * rho < gap:
-                        enclosure = [format_rational(lo), format_rational(hi)]
-                        margin = (gap / 2 - rho) / max(2, hi)
-                        break
-                    p *= 2
-                    if p > _ENCLOSURE_PRECISION_CAP:
-                        raise EnclosureTooWide(
-                            f"cannot squeeze e^{raw.value} below gap {gap}"
-                        )
-            else:
-                margin = gap / (2 * max(Fraction(2), mid))
+                enclosure = [format_rational(lo), format_rational(hi)]
         rows.append(
             {
                 "target": raw.describe(),

@@ -10,11 +10,11 @@ every other cube keeps a child anchored at its own lower corner.
 
 This module holds the recipe of a build and what reads or writes it: the
 state (ConstructionState), the records of its schedule (ScheduleEntry,
-compute_beta, the ratio condition and the caps, which the reader, the
+compute_beta, the ratio condition and the caps, which the state, the
 geometry and certify_measure check against), build, which fills in its
 entries and depth by the schedule walk, validate_structure and the tree
-file.  A state and its gauge check themselves as they are made, by
-init_state, replace or the reader; build checks what it extends a state by.
+file.  A state, its entries and its gauge check themselves as they are
+made, by init_state, replace or the reader; build extends a state by its walk.
 A state is its recipe: ConstructionState.walk, the one loop that makes
 levels, makes each from the one before it with the per-level kernel
 geometry.advance; the state holds level 0 alone.  Every reader of levels
@@ -23,7 +23,7 @@ to the last avoidance level, the exports and the difference report to the
 depth.  lacuna.geometry is loaded only by code that makes a level past 0.
 There every placement is asserted to stay inside its parent as it is made
 (PlacementFailure, a self-check: it cannot fire while beta >= compute_beta,
-which the reader enforces on files), and the rest of nestedness holds by
+which every state checks), and the rest of nestedness holds by
 construction.  `lacuna build` and `certify --mode measure` make no level,
 and so run no self-check: certify's other modes and app make every level
 through the last avoidance level, and export every level, and run it.
@@ -51,10 +51,10 @@ corner follows from those (dyadic children sit at fixed offsets, free cubes
 are their parents scaled, placed cubes come from the deterministic lattice
 rule).  So build walks the schedule from level counts alone
 (schedule.walk_schedule, loaded by build only), and the reader
-(lacuna.reader, loaded by read_tree) checks the recipe and makes no level.
-A build and a read refuse a tree of more than MAX_LEAF_CUBES
-deepest-level cubes, and certify settles the measure, before any level is
-made.
+(lacuna.reader, loaded by read_tree) parses the recipe into a state, which
+checks itself; neither makes a level.  A build and a state refuse more
+than MAX_LEAF_CUBES deepest-level cubes, and certify settles the measure,
+before any level is made.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ MAX_D = len(_ADDRESS_ALPHABET).bit_length() - 1
 
 # -- the schedule's records ---------------------------------------------------
 # What a recipe's schedule is made of, and the conditions that every step
-# checks against it (the tree reader, the geometry and certify_measure).
+# checks against it (ConstructionState, the geometry and certify_measure).
 # The walk that serves the entries is in lacuna.schedule, which only the
 # steps that build (build, app) load, through build.
 
@@ -102,7 +102,7 @@ SQRT_PRECISION = 21
 
 DEFAULT_LEVEL_CAP = 96
 
-#: Most cubes a level may hold, in a build and in a tree read from a file.
+#: Most cubes a level may hold, in a build and in any state.
 #: A tree file is a few hundred bytes however many cubes it asks for, so
 #: this bound, not the file's size, bounds the work of reading it.
 MAX_LEAF_CUBES = 2**20
@@ -126,7 +126,7 @@ class ScheduleEntry(Record):
 
     tuple_codes are indices of cubes of one level (an index read as a
     base-2^d digit string is the cube's address), pairwise distinct, at a
-    level <= m_level - 2.
+    level <= m_level - 2; an entry refuses others (StructureViolation).
     """
 
     index: int
@@ -136,12 +136,23 @@ class ScheduleEntry(Record):
     m_level: int
     beta: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.level <= self.m_level - 2:
+            raise StructureViolation(
+                f"entry {self.index}: tuple level {self.level} is not in 0..{self.m_level - 2}"
+            )
+        codes = self.tuple_codes
+        if min(codes, default=0) < 0 or len(set(codes)) != len(codes):
+            raise StructureViolation(
+                f"entry {self.index}: tuple holds a repeated or negative cube index"
+            )
+
 
 def compute_beta(np_: NormalizedPattern, d: int) -> int:
     """Smallest integer beta meeting the arity and ball-fitting constraints:
     beta >= m and beta/2 >= max_scale * 2*peak*sqrt(d) + sqrt(d)/2 (a
     lattice cell plus slack fits inside the shrunk parent).  A build uses
-    it, and the tree reader rejects a smaller beta_i."""
+    it, and a state refuses a smaller beta_i (ConstructionState)."""
     _, hi = sqrt_d_bounds(d)
     need = hi * (4 * np_.peak * np_.max_scale + 1)
     return max(np_.m, ceil(need))
@@ -212,23 +223,25 @@ class Level(Record):
 
 class ConstructionState(Record):
     """The whole build: its recipe (h, the patterns, the realized schedule
-    and the depth), which fixes the levels 0..depth.
+    as a tuple, and the depth), which fixes the levels 0..depth; d is h's.
 
-    The fields are the recipe alone; d is the gauge's, and a state refuses
-    d > MAX_D, no pattern, or a pattern of another d.  The normal forms of
-    the patterns and level 0 are made with the state and kept; walk makes
-    the other levels, one at a time, each time they are read.  build
-    extends its entries and depth in place.
+    It refuses d > MAX_D, no pattern, and (StructureViolation) a pattern of
+    another d, a negative depth, an entry out of its position or of the
+    patterns, M_1 < 2, M_{i+1} < M_i + 2, an M_i past the depth, a tuple
+    not of m cubes of its level, a beta_i below compute_beta, or more than
+    MAX_LEAF_CUBES cubes at the depth.  Its normal forms and level 0 are
+    made with it; walk makes the other levels each time they are read.
+    build extends its entries and depth in place, by its walk's entries.
     """
 
     h: DimensionFunction
     patterns: tuple[LinearPattern, ...]
     level_cap: int
-    entries: list[ScheduleEntry]
+    entries: tuple[ScheduleEntry, ...]
     depth: int
 
     def __post_init__(self) -> None:
-        d = self.d
+        d, depth = self.d, self.depth
         if d > MAX_D:
             raise UnsupportedDimension(f"d={d}: tuple addresses exist for d <= {MAX_D} only")
         if not self.patterns:
@@ -238,7 +251,38 @@ class ConstructionState(Record):
         # not fields: the normal forms, level 0, and the lattices
         normalized = tuple(normalize(p) for p in self.patterns)
         q = lattice_denominator(normalized)
-        self.__dict__.update(normalized=normalized, _level0=Level(q, [q] * d), _lattices={})
+        self.__dict__.update(entries=tuple(self.entries), normalized=normalized,
+                             _level0=Level(q, [q] * d), _lattices={})
+        if depth < 0:
+            raise StructureViolation("depth must be >= 0")
+        floor = 2  # M_0 + 2
+        for pos, e in enumerate(self.entries, start=1):
+            if e.index != pos:
+                raise StructureViolation(f"schedule entry {pos} is stored with index {e.index}")
+            if not 0 <= e.pattern_id < len(normalized):
+                raise StructureViolation(f"entry {pos}: pattern_id {e.pattern_id} out of range")
+            if e.m_level < floor:
+                raise StructureViolation(f"entry {pos}: M_i={e.m_level} is below M_(i-1) + 2")
+            if e.m_level > depth:
+                raise StructureViolation(f"entry {pos}: M_i={e.m_level} exceeds the depth {depth}")
+            floor = e.m_level + 2
+        # compared by exponent, so a forged depth costs nothing; past it no
+        # level holds more than MAX_LEAF_CUBES cubes, and (M_i >= 2i) no
+        # state more than 20 entries
+        bits = d * self.ndigits(depth)
+        if bits > MAX_LEAF_CUBES.bit_length() - 1:
+            raise StructureViolation(
+                f"the recipe asks for 2^{bits} cubes at depth {depth}, more than {MAX_LEAF_CUBES}"
+            )
+        for e in self.entries:
+            np_ = normalized[e.pattern_id]
+            if len(e.tuple_codes) != np_.m or max(e.tuple_codes) >= self.expected_count(e.level):
+                raise StructureViolation(
+                    f"entry {e.index}: tuple is not {np_.m} distinct level-{e.level} addresses"
+                )
+            need = compute_beta(np_, d)
+            if e.beta < need:
+                raise StructureViolation(f"entry {e.index}: beta_i={e.beta} is below {need}")
 
     @property
     def d(self) -> int:
@@ -343,7 +387,7 @@ def init_state(
     if h.d != d:
         raise StructureViolation(f"gauge certified for d={h.d}, build is d={d}")
     return ConstructionState(
-        h=h, patterns=tuple(patterns), level_cap=level_cap, entries=[], depth=0
+        h=h, patterns=tuple(patterns), level_cap=level_cap, entries=(), depth=0
     )
 
 
@@ -369,11 +413,11 @@ def build(state: ConstructionState, depth: int) -> ConstructionState:
         raise ScheduleOverflow(f"depth {depth} exceeds the level cap {state.level_cap}")
     depth = max(depth, state.depth)
     entries = walk_schedule(state.normalized, state.h, depth)
-    if [e for e in entries if e.m_level <= state.depth] != state.entries:
+    if tuple(e for e in entries if e.m_level <= state.depth) != state.entries:
         raise StructureViolation(
             f"the schedule to depth {state.depth} is not the one a build serves"
         )
-    state.__dict__.update(entries=entries, depth=depth)
+    state.__dict__.update(entries=tuple(entries), depth=depth)
     return state
 
 
@@ -439,8 +483,8 @@ def write_tree(state: ConstructionState, path: str | Path) -> None:
 
 
 def read_tree(path: str | Path) -> ConstructionState:
-    """The state a tree file describes, its recipe checked by
-    reader.doc_to_state; only the steps that read a tree load the reader."""
+    """The state a tree file describes, parsed by reader.doc_to_state; only
+    the steps that read a tree load the reader."""
     from .reader import doc_to_state
 
     return doc_to_state(read_json(path))

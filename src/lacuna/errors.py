@@ -62,14 +62,14 @@ class PlacementFailure(LacunaError):
     placement (geometry.place_on_lattice).
 
     It cannot happen while beta >= compute_beta (ball fitting), which a
-    build uses and the tree reader enforces, so it is an engine self-check,
+    build uses and every state checks, so it is an engine self-check,
     treated as an internal-consistency fatal error.
     """
 
 
 class StructureViolation(LacunaError):
-    """The recipe does not fit together: dimensions that differ, a negative
-    depth, an edited schedule or a cube side off a pattern's lattice."""
+    """The recipe does not fit together: dimensions that differ, a schedule
+    off the construction's conditions or edited, or an off-lattice side."""
 
 
 # --- certification ----------------------------------------------------------

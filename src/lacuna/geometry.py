@@ -90,7 +90,7 @@ def place_on_lattice(
     lower, with slack = parent_side - side) is asserted exactly on every
     placement: it is what the nestedness of the tree and the
     mass-distribution bound need.  It holds whenever beta >= compute_beta
-    (ball fitting), so PlacementFailure is a self-check.
+    (ball fitting), which every state checks, so it is a self-check.
 
     Nothing else is asserted, because the rounding makes it true:
 

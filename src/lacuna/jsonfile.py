@@ -11,11 +11,12 @@ from .errors import FormatError
 
 
 def read_json(path: str | Path) -> object:
-    """The document in a JSON file; FormatError if it is not JSON or not UTF-8."""
+    """The document in a JSON file; FormatError if it is not UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        # JSONDecodeError and UnicodeDecodeError, or nesting past the decoder
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path} is not a JSON file: {exc}") from exc
 
 
@@ -25,10 +26,11 @@ def write_json(doc: object, path: str | Path) -> None:
         fh.write("\n")
 
 
-def int_field(value: object, what: str, low: int) -> int:
-    """value if it is a JSON integer >= low; bools, floats and strings fail."""
-    if type(value) is not int or value < low:
-        raise FormatError(f"{what} must be an integer >= {low}, got {value!r}")
+def int_field(value: object, what: str, low: int | None = None) -> int:
+    """value if it is a JSON integer (not a bool), and >= low if given."""
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise FormatError(f"{what} must be an integer{bound}, got {value!r}")
     return value
 
 

@@ -8,13 +8,13 @@ is enforced:
 * beta_i >= m_i and beta_i/2 >= max_scale * 2*peak*sqrt(d) + sqrt(d)/2
   (arity and ball fitting: a lattice cell plus slack fits inside the shrunk
   parent).  engine.compute_beta returns the least such integer; a build
-  uses it, and the tree reader (reader.doc_to_state) rejects a smaller
+  uses it, and every state (engine.ConstructionState) refuses a smaller
   beta_i.
 * M_1 >= 2 and M_{i+1} >= M_i + 2, and the tuple level is at most M_i - 2.
   walk_schedule serves each entry with the floor
-  2 + max(M_{i-1}, tuple level), with M_0 = 0; the tree reader rejects a
-  schedule that breaks these, and rebuilds the levels from any schedule
-  that keeps them without re-walking it.
+  2 + max(M_{i-1}, tuple level), with M_0 = 0; every state refuses a
+  schedule that breaks these, and a tree file rebuilds its levels from any
+  schedule that keeps them without re-walking it.
 * at k = M_i the certified ratio h(sqrt(d)*delta_k)/(sqrt(d)*delta_k)^d
   clears 2^(i*d) * prod_j<=i beta_j^d, where delta_k already contains the
   new beta_i.  engine.ratio_condition is the one test of it.  walk_schedule

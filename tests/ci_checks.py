@@ -308,6 +308,14 @@ def contract() -> None:
     lacuna("build", "q.json", "--depth", "3", code=2, error={})
     lacuna("export", "tree.json", "--format", "pdf", "--out", "x", code=2, error={})
     lacuna("oracle", "pts.txt", "--patterns", "q.json", "--tol", "-1/2", code=2, error={})
+    # nested deeper than json's decoder recurses (a RecursionError under
+    # 3.10-3.13): a FormatError for each kind of JSON input, no file written
+    Path("deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    deep = {"type": "FormatError"}
+    lacuna("certify", "deep.json", code=2, error=deep)
+    lacuna("build", "deep.json", "--dimfn", "pow:1/2", "--depth", "3", "--out", "deep-tree.json",
+           code=2, error=deep, absent=["deep-tree.json"])
+    lacuna("app", "deep.json", "--out-dir", "deep-out", code=2, error=deep, absent=["deep-out"])
     # the oracle on a repeated point (2/2 is 1) and on a negative tolerance
     Path("dup.txt").write_text("# lacuna-points/1 d=1\n1\n3/2\n2/2\n")
     lacuna("oracle", "dup.txt", "--patterns", "q.json", code=2, error={})

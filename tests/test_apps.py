@@ -189,10 +189,10 @@ def difference_app(targets, h, depth, precision=64):
     """A difference app as run_app takes it: the quotient targets, one
     build, the gap certificates, then report.json's document."""
     params = [{"kind": t.kind, "value": format_rational(t.value)} for t in targets]
-    targets, mids = difference_targets(params, precision)
+    targets, mids, enclosures = difference_targets(params, precision)
     state = build(init_state(1, quotient_patterns(mids), h), depth)
     gaps, _ = certify_tree(state, "gap")
-    return state, difference_report(targets, mids, state, gaps, precision)
+    return state, difference_report(targets, mids, enclosures, state, gaps, precision)
 
 
 def rational(text):
@@ -266,6 +266,22 @@ class TestDifferences:
             difference_app(
                 [DifferenceTarget("rational", F(1, 2))], sqrt_gauge, depth=5
             )
+
+    def test_each_enclosure_is_made_once(self, monkeypatch, tmp_path):
+        # the report starts from the enclosure of e^t that the quotient
+        # target was made from: thin enough for the certified gap here, so
+        # exp_bounds runs once per rational target and the log target is exact
+        import lacuna.differences as differences_mod
+
+        calls, exp_bounds = [], differences_mod.exp_bounds
+        monkeypatch.setattr(differences_mod, "exp_bounds",
+                            lambda x, p: calls.append((x, p)) or exp_bounds(x, p))
+        params = [{"kind": "rational", "value": "1/2"}, {"kind": "rational", "value": "-1/3"},
+                  {"kind": "log_of", "value": "2"}]
+        run_app(AppSpec("differences", params, "pow:1/10", 9, 1), tmp_path / "out")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [t["gap"] is not None for t in report["targets"]] == [True] * 3
+        assert calls == [(F(1, 2), 64), (F(-1, 3), 64)]
 
     def test_dense_prefix_gets_holes(self):
         # Four forbidden differences served by depth 9 under a small gauge:
@@ -409,7 +425,7 @@ class TestPrecisionBound:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         target = DifferenceTarget("rational", F(-20_000))
         lo, hi = exp_bounds(F(-20_000), 64)
-        assert _difference_target(target, 64) == (lo + hi) / 2
+        assert _difference_target(target, 64) == (lo, hi)
         assert hi.numerator * 10**4300 <= hi.denominator
 
     def test_target_minus_3000_keeps_its_bytes(self, check_pin):

@@ -280,7 +280,8 @@ class TestCertifyTree:
         # a beta_i of 51 digits shrinks every side past the mass bound; the
         # recipe alone decides it, so no level's numerators that long are made
         recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
-        recipe.entries[0] = recipe.entries[0].replace(beta=10**50)
+        first, second = recipe.entries
+        recipe = recipe.replace(entries=(first.replace(beta=10**50), second))
         made = []
         monkeypatch.setattr(geometry, "advance", lambda *args: made.append(args))
         with pytest.raises(MeasureViolated, match="^mass/ratio bound fails at level 6$"):
@@ -307,10 +308,12 @@ class TestCertifyTree:
     def test_a_placement_failure_is_raised_inside_the_walk(
         self, ap_pattern, sqrt_gauge, mode
     ):
-        # beta 2 < compute_beta 9 (which the reader refuses in a file): the
-        # lattice cubes of entry 1 escape their parents as level 6 is made
+        # beta 2 < compute_beta 9, which every state refuses, so it is set
+        # through __dict__, as engine.build extends a state: the lattice
+        # cubes of entry 1 escape their parents as level 6 is made
         recipe = build_tree(1, [ap_pattern], sqrt_gauge, 12)
-        recipe.entries[0] = recipe.entries[0].replace(beta=2)
+        first, second = recipe.entries
+        recipe.__dict__["entries"] = (first.replace(beta=2), second)
         with pytest.raises(PlacementFailure, match="escapes its parent") as raised:
             certify_tree(recipe, mode)
         frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(raised.tb)]

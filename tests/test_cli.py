@@ -143,7 +143,7 @@ class TestBuild:
                          capture_output=True, timeout=30)
             assert (run.returncode, run.stderr) == (0, "")
             assert run.stdout.startswith("built d=1 depth=3: 8 leaf cubes, 0 schedule entries")
-            assert read_tree(tmp_path / "tree.json").entries == []
+            assert read_tree(tmp_path / "tree.json").entries == ()
 
     def test_d6_is_config_error(self, tmp_path, capsys):
         # Tuple addresses have 32 digits, so d <= 5: refused before a level
@@ -511,6 +511,27 @@ class TestTamperedTree:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "FormatError"
 
+    def test_a_long_forged_schedule_is_refused_at_once(self, tmp_path, capsys):
+        # 20,000 entries that each pass the per-entry checks (level-1 tuples,
+        # M_i = 2i + 1) ask for 2^20001 leaves.  The state checks the order
+        # of the entries in one pass and the leaf cap before any tuple, so
+        # this takes linear time; a reader that counted the earlier entries
+        # at each tuple took about 10 s
+        n = 20_000
+        entries = [{"i": i, "pattern_id": 0, "level": 1, "tuple": ["0", "1"], "M_i": 2 * i + 1,
+                    "beta_i": 7} for i in range(1, n + 1)]
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"format": "lacuna-tree/3", "d": 1, "h": "pow:1/2",
+                                    "depth": 2 * n + 1, "patterns": Q_DOC["patterns"],
+                                    "schedule": entries}))
+        start = time.perf_counter()
+        assert main(["certify", str(tree)]) == 2
+        assert time.perf_counter() - start < 3.0
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "FormatError",
+            "message": "the recipe asks for 2^20001 cubes at depth 40001, more than 1048576",
+        }
+
     def test_long_beta_under_a_large_q_gauge_fails_the_measure(self, tmp_path, capsys):
         # powlog:999/1000 with a beta_i of 1,000 digits: the mass bound
         # compares radii r of 3,300-bit denominators, raised to the 999th
@@ -681,6 +702,33 @@ class TestMalformedInput:
         error = json.loads(err)["error"]
         assert error["type"] == "FormatError"
         assert message in error["message"]
+
+    @pytest.mark.parametrize("nest", ["[", '{"a": '])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "deep.json"],
+            ["export", "deep.json", "--format", "points", "--out", "out"],
+            ["build", "deep.json", "--dimfn", "pow:1/2", "--depth", "3", "--out", "out"],
+            ["oracle", "pts.txt", "--patterns", "deep.json", "--out", "out"],
+            ["app", "deep.json", "--out-dir", "out"],
+        ],
+        ids=["certify", "export", "build", "oracle-patterns", "app"],
+    )
+    def test_json_nested_past_the_decoder_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                     nest, argv):
+        # about 200,000 bytes, nested deeper than json's decoder recurses
+        # (a RecursionError under 3.10-3.13)
+        monkeypatch.chdir(tmp_path)
+        close = {"[": "]", '{"a": ': "}"}[nest]
+        count = 200_000 // (len(nest) + 1)
+        (tmp_path / "deep.json").write_text(nest * count + "1" + close * count)
+        (tmp_path / "pts.txt").write_text("# lacuna-points/1 d=1\n1\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "FormatError"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "step, field, value",
@@ -856,6 +904,66 @@ class TestCertifyFuzz:
         tree = tmp_path_factory.mktemp("fuzz") / "tree.json"
         tree.write_text(json.dumps(doc))
         _assert_enveloped(["certify", str(tree), "--mode", "all"])
+
+
+@pytest.fixture(scope="module")
+def ap_doc_12(ap_tree_12):
+    """The golden depth-12 AP tree: the bytes of the ap-d1-depth12 pin."""
+    return json.loads(json.dumps(state_to_doc(ap_tree_12)))
+
+
+def _tamper(data, doc):
+    """One single-field edit of a tree document: an integer +-1, a digit of
+    a tuple address, or a drawn beta_i, M_i or depth."""
+    kind = data.draw(hs.sampled_from(["int", "digit", "beta_i", "M_i", "depth"]))
+    entry = data.draw(hs.sampled_from(doc["schedule"]))
+    if kind == "int":
+        paths = [p for p, node in _json_paths(doc) if type(node) is int]
+        *path, key = data.draw(hs.sampled_from(paths))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[key] += data.draw(hs.sampled_from([-1, 1]))
+    elif kind == "digit":
+        member = data.draw(hs.integers(0, len(entry["tuple"]) - 1))
+        address = entry["tuple"][member]
+        at = data.draw(hs.integers(0, len(address) - 1))
+        digit = data.draw(hs.sampled_from("0123v"))
+        entry["tuple"][member] = address[:at] + digit + address[at + 1 :]
+    elif kind == "depth":
+        doc["depth"] = data.draw(hs.integers(-2, 40))
+    else:
+        entry[kind] = data.draw(hs.integers(-2, 30))
+
+
+class TestTamperProperty:
+    """Single-field edits of a golden tree: certify exits 0, 1 or 2, never
+    with a traceback, and every edit the reader or the state refuses exits
+    2 with FormatError before geometry.advance makes a level."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=hs.data())
+    def test_single_field_edit(self, ap_doc_12, tmp_path_factory, data):
+        doc = json.loads(json.dumps(ap_doc_12))
+        _tamper(data, doc)
+        try:
+            doc_to_state(json.loads(json.dumps(doc)))
+            refused = False
+        except FormatError:
+            refused = True
+        tree = tmp_path_factory.mktemp("tamper") / "tree.json"
+        tree.write_text(json.dumps(doc))
+        made, advance = [], geometry.advance
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "advance", lambda *args: made.append(1) or advance(*args))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["certify", str(tree), "--mode", "all"])
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+        assert (code == 2) == refused
+        if refused:
+            assert json.loads(err.getvalue())["error"]["type"] == "FormatError"
+            assert made == []
 
 
 #: A valid spec of every app kind; d, depth, h and precision are drawn.

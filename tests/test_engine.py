@@ -163,7 +163,7 @@ class TestPlacement:
 class TestBuild:
     def test_depth_zero(self, ap_pattern, sqrt_gauge):
         st = build_tree(1, [ap_pattern], sqrt_gauge, 0)
-        assert st.depth == 0 and st.entries == []
+        assert st.depth == 0 and st.entries == ()
 
     def test_depth_seven_counts(self, ap_tree_7):
         assert len(walk_levels(ap_tree_7, 7)[-1].lowers) == 64

@@ -11,7 +11,8 @@ exits 0 must be followed by a `certify --mode all` that exits 0, and by an
 `export --format points` whose points read back as the leaf centers of
 the built state.  certify_tree, which walks the levels to the last
 avoidance level, must certify as the reference route over every level
-(reference.certify_tree).
+(reference.certify_tree).  Every state a build makes passes the checks
+of its own recipe, and reads back from its tree file as itself.
 """
 
 from __future__ import annotations
@@ -33,10 +34,18 @@ from lacuna.certify import (
 )
 from lacuna.cli import main
 from lacuna.dimfn import make_dimfn
-from lacuna.engine import build, build_tree, compute_beta, init_state, validate_structure
+from lacuna.engine import (
+    build,
+    build_tree,
+    compute_beta,
+    init_state,
+    state_to_doc,
+    validate_structure,
+)
 from lacuna.errors import LacunaError, ScheduleOverflow
 from lacuna.export import read_points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
+from lacuna.reader import doc_to_state
 from lacuna.schedule import compute_levels
 import reference
 from conftest import walk_levels
@@ -182,3 +191,16 @@ class TestOnePassCertify:
                 return type(exc), str(exc)
 
         assert doc(certify_tree) == doc(reference.certify_tree)
+
+
+class TestBuiltStatesCheckThemselves:
+    @given(recipe=recipes(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_built_state_passes_its_own_checks(self, recipe, data):
+        # a depth of at most 20 // d holds at most 2^20 cubes, so every
+        # build here is within the leaf cap
+        d, patterns, spec = recipe
+        h = make_dimfn(*spec.split(":"), d)
+        state = build_tree(d, patterns, h, data.draw(st.integers(0, 20 // d)))
+        assert state.replace() == state
+        assert doc_to_state(json.loads(json.dumps(state_to_doc(state)))) == state

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 from fractions import Fraction
 
@@ -17,15 +18,18 @@ from lacuna.engine import (
     ScheduleEntry,
     init_state,
     lattice_denominator,
+    state_to_doc,
 )
 from lacuna.errors import (
     DimensionMismatch,
+    FormatError,
     RejectNotDominated,
     StructureViolation,
     ZeroPattern,
 )
 from lacuna.export import Points
 from lacuna.pattern import make_pattern, normalize, patterns_to_doc
+from lacuna.reader import doc_to_state
 from lacuna.record import Record
 from lacuna.triplets import GaussianRational
 from conftest import walk_levels
@@ -154,10 +158,13 @@ class TestFrozen:
                 hash(record)
 
     def test_states_do_not_share_entries(self, ap_pattern, sqrt_gauge):
-        a = init_state(1, [ap_pattern], sqrt_gauge)
-        b = init_state(1, [ap_pattern], sqrt_gauge)
-        a.entries.append(_entry())
-        assert a.entries is not b.entries and b.entries == []
+        # a state keeps its entries as a tuple of its own, so the list it
+        # was made from can change without changing it
+        given = []
+        a = ConstructionState(h=sqrt_gauge, patterns=(ap_pattern,), level_cap=96,
+                              entries=given, depth=3)
+        given.append(_entry())
+        assert a.entries == () and a == init_state(1, [ap_pattern], sqrt_gauge).replace(depth=3)
         # entries has no default, which would be one list shared by every state
         with pytest.raises(TypeError, match="missing field 'entries'"):
             ConstructionState(h=sqrt_gauge, patterns=a.patterns, level_cap=a.level_cap)
@@ -194,6 +201,87 @@ class TestReplaceChecks:
         with pytest.raises(RejectNotDominated) as raised:
             parse_dimfn("pow:1/2", 1).replace(**changes)
         assert str(raised.value) == str(expected.value)
+
+
+def _first(state, **changes):
+    """The entries of a state with its first entry changed."""
+    return {"entries": (state.entries[0].replace(**changes), *state.entries[1:])}
+
+
+def _edit(path, value):
+    """An edit of a tree document: doc[path[0]][path[1]]... = value."""
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+#: Each schedule invariant a state checks, as a change of the depth-12 AP
+#: state (M_i = 6 and 11, both tuples of level 2, beta_i = 9) and as the
+#: same edit of its tree document, and the message of both refusals.
+_BROKEN_SCHEDULES = {
+    "entry-index": (lambda s: _first(s, index=2), _edit(("schedule", 0, "i"), 2),
+                    "schedule entry 1 is stored with index 2"),
+    "pattern-id": (lambda s: _first(s, pattern_id=1), _edit(("schedule", 0, "pattern_id"), 1),
+                   "entry 1: pattern_id 1 out of range"),
+    "m-spacing": (
+        lambda s: {"entries": (s.entries[0], s.entries[1].replace(m_level=7))},
+        _edit(("schedule", 1, "M_i"), 7), "entry 2: M_i=7 is below M_(i-1) + 2"),
+    "m-past-depth": (lambda s: {"depth": 10}, _edit(("depth",), 10),
+                     "entry 2: M_i=11 exceeds the depth 10"),
+    "negative-depth": (lambda s: {"depth": -1}, _edit(("depth",), -1), "depth must be >= 0"),
+    "leaf-cap": (lambda s: {"depth": 40}, _edit(("depth",), 40),
+                 "the recipe asks for 2^38 cubes at depth 40, more than 1048576"),
+    "tuple-arity": (lambda s: _first(s, tuple_codes=(0, 1)),
+                    _edit(("schedule", 0, "tuple"), ["00", "01"]),
+                    "entry 1: tuple is not 3 distinct level-2 addresses"),
+    "tuple-past-the-level": (lambda s: _first(s, tuple_codes=(0, 1, 4)),
+                             _edit(("schedule", 0, "tuple"), ["00", "01", "100"]),
+                             "entry 1: tuple is not 3 distinct level-2 addresses"),
+    "beta-below-compute-beta": (lambda s: _first(s, beta=8), _edit(("schedule", 0, "beta_i"), 8),
+                                "entry 1: beta_i=8 is below 9"),
+    # states that replace made unchecked: a depth-3 state certified a
+    # measure with no level checked (per_level was ()), a depth-60 one asked
+    # for 2^58 leaves, and a beta_1 of 1 reached PlacementFailure
+    "depth-3": (lambda s: {"depth": 3}, _edit(("depth",), 3),
+                "entry 1: M_i=6 exceeds the depth 3"),
+    "depth-60": (lambda s: {"depth": 60}, _edit(("depth",), 60),
+                 "the recipe asks for 2^58 cubes at depth 60, more than 1048576"),
+    "beta-1": (lambda s: _first(s, beta=1), _edit(("schedule", 0, "beta_i"), 1),
+               "entry 1: beta_i=1 is below 9"),
+    # an entry checks these itself, so its own replace refuses them
+    "tuple-level": (lambda s: _first(s, level=5), _edit(("schedule", 0, "level"), 5),
+                    "entry 1: tuple level 5 is not in 0..4"),
+    "tuple-repeat": (lambda s: _first(s, tuple_codes=(0, 0, 1)),
+                     _edit(("schedule", 0, "tuple"), ["00", "00", "01"]),
+                     "entry 1: tuple holds a repeated or negative cube index"),
+}
+
+
+class TestStateChecksItsSchedule:
+    """A state checks the paper's schedule conditions as it is made, so
+    replace refuses what the tree reader refuses, with the same message."""
+
+    @pytest.mark.parametrize("name", sorted(_BROKEN_SCHEDULES))
+    def test_replace_refuses_as_the_reader(self, ap_tree_12, name):
+        changes, edit, message = _BROKEN_SCHEDULES[name]
+        with pytest.raises(StructureViolation) as by_state:
+            ap_tree_12.replace(**changes(ap_tree_12))
+        doc = json.loads(json.dumps(state_to_doc(ap_tree_12)))
+        edit(doc)
+        with pytest.raises(FormatError) as by_reader:
+            doc_to_state(doc)
+        assert str(by_state.value) == str(by_reader.value) == message
+
+    def test_a_negative_cube_index_is_refused(self):
+        # no tree document writes one: an address is a string of digits
+        with pytest.raises(StructureViolation,
+                           match="^entry 1: tuple holds a repeated or negative cube index$"):
+            _entry(tuple_codes=(-1, 0))
 
 
 class TestDerivedValues:
@@ -240,13 +328,15 @@ class TestDerivedValues:
     def test_state_normal_forms_follow_its_patterns(self, ap_tree_12):
         # the AP pattern is m = 3; the quotient 3 pattern is m = 2
         q3 = make_pattern(1, [[3], [-1]])
-        moved = ap_tree_12.replace(patterns=(q3,))
+        moved = ap_tree_12.replace(patterns=(q3,), entries=())
         assert moved.normalized == (normalize(q3),) and moved.normalized[0].m == 2
         assert moved.side_num == lattice_denominator(moved.normalized)
 
     def test_state_dimension_follows_its_gauge(self, ap_tree_12):
         p2 = make_pattern(2, [[1, 0], [-1, 0], [1, 0], [-1, 0]])
-        moved = ap_tree_12.replace(h=make_dimfn("pow", F(1, 4), 2), patterns=(p2,), entries=[])
+        moved = ap_tree_12.replace(
+            h=make_dimfn("pow", F(1, 4), 2), patterns=(p2,), entries=(), depth=10
+        )
         assert moved.d == 2 and len(walk_levels(moved, 0)[0].lowers) == 2
 
     def test_measure_bound_follows_c3(self, ap_tree_12):
